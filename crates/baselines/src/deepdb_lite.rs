@@ -53,7 +53,6 @@ pub struct DeepDbLite {
     root_layout: WideLayout,
     /// Cache of unfiltered inner-join sizes per table subset.
     join_size_cache: Mutex<HashMap<Vec<String>, f64>>,
-    samples_per_pair: usize,
 }
 
 impl DeepDbLite {
@@ -97,7 +96,6 @@ impl DeepDbLite {
             root_rows,
             root_layout,
             join_size_cache: Mutex::new(HashMap::new()),
-            samples_per_pair,
         }
     }
 

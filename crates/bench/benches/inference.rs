@@ -38,7 +38,8 @@ fn bench_inference(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(model.estimate(&q4)))
     });
     group.bench_function("psamples_16_vs_64", |b| {
-        b.iter(|| std::hint::black_box(model.estimate_with_samples(&q4, 16)))
+        let mut scratch = neurocard::SamplerScratch::new();
+        b.iter(|| std::hint::black_box(model.try_estimate(&q4, 16, &mut scratch).unwrap()))
     });
     group.finish();
 }

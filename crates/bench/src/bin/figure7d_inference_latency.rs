@@ -125,8 +125,9 @@ fn main() {
             let est_ref = neurocard.estimate_with_samples_reference(query, config.psamples);
             ref_us.push(start.elapsed().as_secs_f64() * 1e6);
             let start = Instant::now();
-            let est_fast =
-                neurocard.estimate_with_samples_scratch(query, config.psamples, &mut scratch);
+            let est_fast = neurocard
+                .try_estimate(query, config.psamples, &mut scratch)
+                .unwrap();
             fast_us.push(start.elapsed().as_secs_f64() * 1e6);
             // The determinism contract, enforced on every benchmark run.
             assert!(
@@ -136,11 +137,15 @@ fn main() {
         }
     }
     let start = Instant::now();
-    let batch_estimates = neurocard.estimate_batch(&queries);
+    let batch_estimates = neurocard.estimate_batch(&queries, config.psamples);
     let batch_secs = start.elapsed().as_secs_f64();
     let sequential: Vec<f64> = queries
         .iter()
-        .map(|q| neurocard.estimate_with_samples(q, config.psamples))
+        .map(|q| {
+            neurocard
+                .try_estimate(q, config.psamples, &mut scratch)
+                .unwrap()
+        })
         .collect();
     assert_eq!(
         batch_estimates, sequential,
@@ -181,20 +186,24 @@ fn main() {
     for round in 0..rounds {
         for (i, query) in queries.iter().enumerate() {
             let start = Instant::now();
-            let est_exact = core.estimate_with_samples_scratch_precision(
-                query,
-                config.psamples,
-                &mut scratch,
-                Precision::Exact,
-            );
+            let est_exact = core
+                .try_estimate_with_samples_scratch_precision(
+                    query,
+                    config.psamples,
+                    &mut scratch,
+                    Precision::Exact,
+                )
+                .unwrap();
             exact_us.push(start.elapsed().as_secs_f64() * 1e6);
             let start = Instant::now();
-            let est_fast = core.estimate_with_samples_scratch_precision(
-                query,
-                config.psamples,
-                &mut scratch,
-                Precision::Fast,
-            );
+            let est_fast = core
+                .try_estimate_with_samples_scratch_precision(
+                    query,
+                    config.psamples,
+                    &mut scratch,
+                    Precision::Fast,
+                )
+                .unwrap();
             fast_tier_us.push(start.elapsed().as_secs_f64() * 1e6);
             // Tier one: the exact tier stays pinned — bit-identical to the sequential
             // estimates computed above, regardless of the `simd` feature.

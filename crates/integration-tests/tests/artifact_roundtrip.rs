@@ -10,7 +10,7 @@ use nc_datagen::{job_light_database, job_light_schema, DataGenConfig};
 use nc_schema::{Predicate, Query};
 use nc_storage::{Database, TableBuilder, Value};
 use nc_workloads::job_light_queries;
-use neurocard::{ModelArtifact, NeuroCard, NeuroCardConfig};
+use neurocard::{ModelArtifact, NeuroCard, NeuroCardConfig, SamplerScratch};
 use proptest::prelude::*;
 
 /// Random-but-tiny estimator configurations: vary every architectural knob the artifact
@@ -82,11 +82,12 @@ proptest! {
             Query::join(&["A", "B"]).filter("A", "c", Predicate::eq(1i64)),
             Query::join(&["A"]).filter("A", "s", Predicate::eq("v2")),
         ];
+        let mut scratch = SamplerScratch::new();
         for q in &queries {
             for samples in [1usize, 7, config.progressive_samples] {
                 prop_assert_eq!(
-                    trained.estimate_with_samples(q, samples).to_bits(),
-                    loaded.estimate_with_samples(q, samples).to_bits()
+                    trained.try_estimate(q, samples, &mut scratch).unwrap().to_bits(),
+                    loaded.try_estimate(q, samples, &mut scratch).unwrap().to_bits()
                 );
             }
         }
@@ -130,8 +131,8 @@ fn job_light_artifact_file_round_trip() {
     }
     // Batch estimation works identically on the artifact-backed estimator.
     assert_eq!(
-        trained.estimate_batch(&queries),
-        loaded.estimate_batch(&queries)
+        trained.estimate_batch(&queries, config.progressive_samples),
+        loaded.estimate_batch(&queries, config.progressive_samples)
     );
     let _ = std::fs::remove_file(&path);
 }

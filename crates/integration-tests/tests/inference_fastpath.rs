@@ -9,7 +9,7 @@ use std::sync::Arc;
 use nc_datagen::{job_light_database, job_light_schema, DataGenConfig};
 use nc_schema::{Predicate, Query};
 use nc_workloads::job_light_ranges_queries;
-use neurocard::{EstimateError, NeuroCard, NeuroCardConfig};
+use neurocard::{EstimateError, NeuroCard, NeuroCardConfig, SamplerScratch};
 
 fn build_model() -> (
     NeuroCard,
@@ -40,10 +40,11 @@ fn fast_path_is_bit_identical_to_reference_path() {
     queries.push(Query::join(&["title"]));
     queries.push(Query::join(&["title", "cast_info", "movie_companies"]));
 
+    let mut scratch = SamplerScratch::new();
     for (i, query) in queries.iter().enumerate() {
         for samples in [1usize, 33, 64] {
             let reference = model.estimate_with_samples_reference(query, samples);
-            let fast = model.estimate_with_samples(query, samples);
+            let fast = model.try_estimate(query, samples, &mut scratch).unwrap();
             assert!(
                 reference == fast,
                 "query {i} ({query}) samples {samples}: reference {reference} != fast {fast}"
@@ -63,12 +64,13 @@ fn estimate_batch_matches_sequential_estimates() {
     ));
 
     let sequential: Vec<f64> = queries.iter().map(|q| model.estimate(q)).collect();
-    let batch = model.estimate_batch(&queries);
+    let samples = model.config().progressive_samples;
+    let batch = model.estimate_batch(&queries, samples);
     assert_eq!(sequential, batch);
 
     // Scratch reuse across a batch must not leak state between queries: estimating the
     // same workload twice through the batch API is also identical.
-    assert_eq!(batch, model.estimate_batch(&queries));
+    assert_eq!(batch, model.estimate_batch(&queries, samples));
 }
 
 #[test]
@@ -77,8 +79,10 @@ fn try_estimate_surfaces_unmodelled_columns_as_errors() {
     // Join keys are not modelled under the default `model_join_keys = false`, so a filter
     // on one is an UnknownColumn error, not a panic.
     let bad = Query::join(&["title", "cast_info"]).filter("title", "id", Predicate::eq(1i64));
+    let samples = model.config().progressive_samples;
+    let mut scratch = SamplerScratch::new();
     assert_eq!(
-        model.try_estimate(&bad),
+        model.try_estimate(&bad, samples, &mut scratch),
         Err(EstimateError::UnknownColumn {
             table: "title".into(),
             column: "id".into(),
@@ -86,5 +90,8 @@ fn try_estimate_surfaces_unmodelled_columns_as_errors() {
     );
     // A valid query round-trips through the fallible API with the same value.
     let good = Query::join(&["title", "cast_info"]);
-    assert_eq!(model.try_estimate(&good), Ok(model.estimate(&good)));
+    assert_eq!(
+        model.try_estimate(&good, samples, &mut scratch),
+        Ok(model.estimate(&good))
+    );
 }

@@ -17,7 +17,9 @@ use std::time::Duration;
 use nc_schema::{JoinEdge, JoinSchema, Predicate, Query};
 use nc_serve::{ModelRegistry, ModelSelector, RegistryService, ServeRequest, ServiceConfig};
 use nc_storage::{Database, TableBuilder, Value};
-use neurocard::{EstimatorCore, ModelArtifact, NeuroCard, NeuroCardConfig};
+use neurocard::{
+    EstimatorCore, ModelArtifact, NeuroCard, NeuroCardConfig, Precision, SamplerScratch,
+};
 
 fn trained_artifact_bytes() -> (Vec<u8>, Vec<Query>) {
     let mut db = Database::new();
@@ -65,9 +67,13 @@ fn swap_under_load_loses_nothing_and_drains_before_retiring() {
     // estimates — so determinism stays assertable across the swaps.
     let v1 = load_core(&bytes);
     // The clients below request 16 samples; the sequential baseline must match.
+    let mut scratch = SamplerScratch::new();
     let sequential: Vec<f64> = queries
         .iter()
-        .map(|q| v1.try_estimate_with_samples(q, 16).unwrap())
+        .map(|q| {
+            v1.try_estimate_with_samples_scratch_precision(q, 16, &mut scratch, Precision::Exact)
+                .unwrap()
+        })
         .collect();
 
     let registry = Arc::new(ModelRegistry::new());
@@ -196,14 +202,19 @@ fn an_explicit_lease_blocks_retirement_until_dropped() {
     assert!(!registry.wait_drained(&k1, Duration::from_millis(20)));
     assert_eq!(registry.stats().retired, 0);
     // ...the pinned version still serves, bit-identically to a fresh load...
-    let mut scratch = neurocard::SamplerScratch::new();
+    let mut scratch = SamplerScratch::new();
     assert_eq!(
         lease
-            .estimate(&queries[0], Some(16), &mut scratch)
+            .estimate(&queries[0], Some(16), &mut scratch, Precision::Exact)
             .unwrap()
             .to_bits(),
         load_core(&bytes)
-            .try_estimate_with_samples(&queries[0], 16)
+            .try_estimate_with_samples_scratch_precision(
+                &queries[0],
+                16,
+                &mut scratch,
+                Precision::Exact
+            )
             .unwrap()
             .to_bits()
     );

@@ -1,4 +1,4 @@
-//! Determinism contract of the serving layer (PR 4): an [`EstimatorService`] over an
+//! Determinism contract of the serving layer (PR 4): a [`RegistryService`] over an
 //! artifact-loaded model returns **bit-identical** estimates to sequential
 //! [`EstimatorCore::estimate`] calls, at every worker count and under concurrent
 //! clients — concurrency must be invisible to results.
@@ -6,9 +6,24 @@
 use std::sync::Arc;
 
 use nc_datagen::{job_light_database, job_light_schema, DataGenConfig};
-use nc_serve::{EstimatorService, ServeError, ServiceConfig};
+use nc_serve::{
+    ModelRegistry, ModelSelector, RegistryService, ServeError, ServeRequest, ServiceConfig,
+};
 use nc_workloads::job_light_queries;
-use neurocard::{EstimateError, NeuroCard, NeuroCardConfig};
+use neurocard::{EstimateError, EstimatorCore, NeuroCard, NeuroCardConfig};
+
+/// A service over a registry holding exactly `core`, and the selector pinned to it.
+fn single_model_service(
+    core: Arc<EstimatorCore>,
+    config: ServiceConfig,
+) -> (RegistryService, ModelSelector) {
+    let registry = Arc::new(ModelRegistry::new());
+    let key = registry.register_core("default", core).unwrap();
+    (
+        RegistryService::new(registry, config),
+        ModelSelector::Exact(key),
+    )
+}
 
 #[test]
 fn service_matches_sequential_estimates_under_concurrency() {
@@ -34,7 +49,7 @@ fn service_matches_sequential_estimates_under_concurrency() {
     let sequential: Vec<f64> = queries.iter().map(|q| core.estimate(q)).collect();
 
     for workers in [1usize, 3] {
-        let service = EstimatorService::new(
+        let (service, selector) = single_model_service(
             core.clone(),
             ServiceConfig {
                 workers,
@@ -47,11 +62,12 @@ fn service_matches_sequential_estimates_under_concurrency() {
                 let handle = service.handle();
                 let queries = &queries;
                 let sequential = &sequential;
+                let selector = &selector;
                 scope.spawn(move || {
                     for round in 0..2 {
                         for i in 0..queries.len() {
                             let idx = (i + client * 3 + round) % queries.len();
-                            let est = handle.estimate(&queries[idx]).unwrap();
+                            let est = handle.estimate(selector, &queries[idx]).unwrap().estimate;
                             assert_eq!(
                                 est.to_bits(),
                                 sequential[idx].to_bits(),
@@ -68,9 +84,11 @@ fn service_matches_sequential_estimates_under_concurrency() {
     }
 
     // The error surface crosses the service boundary intact.
-    let service = EstimatorService::new(core, ServiceConfig::with_workers(2));
+    let (service, selector) = single_model_service(core, ServiceConfig::with_workers(2));
     assert_eq!(
-        service.estimate_with_samples(&queries[0], 0),
+        service
+            .handle()
+            .request(ServeRequest::new(selector, queries[0].clone()).with_samples(0)),
         Err(ServeError::Estimate(EstimateError::InvalidSampleCount))
     );
 }

@@ -287,7 +287,13 @@ fn fast_precision_requests_are_deterministic_over_the_wire() {
     let direct_fast: Vec<f64> = queries
         .iter()
         .map(|q| {
-            core.estimate_with_samples_scratch_precision(q, samples, &mut scratch, Precision::Fast)
+            core.try_estimate_with_samples_scratch_precision(
+                q,
+                samples,
+                &mut scratch,
+                Precision::Fast,
+            )
+            .unwrap()
         })
         .collect();
     let direct_exact: Vec<f64> = queries.iter().map(|q| core.estimate(q)).collect();

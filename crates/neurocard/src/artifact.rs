@@ -603,7 +603,9 @@ fn read_json_section<T: for<'de> Deserialize<'de>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::Precision;
     use crate::estimator::NeuroCard;
+    use crate::infer::SamplerScratch;
     use nc_schema::{JoinEdge as Edge, Predicate, Query};
     use nc_storage::{Database, TableBuilder, Value};
 
@@ -671,7 +673,12 @@ mod tests {
         }
         // And the zero-sample contract carries over.
         assert_eq!(
-            core.try_estimate_with_samples(&queries[0], 0),
+            core.try_estimate_with_samples_scratch_precision(
+                &queries[0],
+                0,
+                &mut SamplerScratch::new(),
+                Precision::Exact
+            ),
             Err(crate::infer::EstimateError::InvalidSampleCount)
         );
     }
@@ -865,9 +872,6 @@ mod tests {
 
     #[test]
     fn artifacts_without_bf16_section_quantise_on_the_fly() {
-        use crate::core::Precision;
-        use crate::infer::SamplerScratch;
-
         let (model, _, _) = trained();
         let bytes = model.to_artifact().to_bytes();
         let with_section = ModelArtifact::from_bytes(&bytes)
@@ -891,10 +895,12 @@ mod tests {
             for p in [Precision::Exact, Precision::Fast] {
                 assert_eq!(
                     with_section
-                        .estimate_with_samples_scratch_precision(&q, 64, &mut scratch, p)
+                        .try_estimate_with_samples_scratch_precision(&q, 64, &mut scratch, p)
+                        .unwrap()
                         .to_bits(),
                     without_section
-                        .estimate_with_samples_scratch_precision(&q, 64, &mut scratch, p)
+                        .try_estimate_with_samples_scratch_precision(&q, 64, &mut scratch, p)
+                        .unwrap()
                         .to_bits(),
                     "{p} tier diverged between stored and on-the-fly bf16"
                 );

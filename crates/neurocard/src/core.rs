@@ -10,9 +10,9 @@
 //! threads (see the `nc-serve` crate).
 //!
 //! **Determinism contract:** for a fixed `(core, query, seed)` every estimate produced
-//! here is bit-identical to the corresponding `NeuroCard` method — both funnel into the
-//! same [`ProgressiveSampler`] driven by the same per-query SplitMix64-derived RNG
-//! stream ([`derive_query_seed`]).
+//! here is bit-identical to the corresponding `NeuroCard` method — both run the same
+//! [`ProgressiveSampler`] through `estimate_seeded`, i.e. over the same per-query
+//! SplitMix64-derived RNG stream ([`derive_query_seed`]).
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -85,6 +85,20 @@ pub(crate) fn derive_query_seed(seed: u64, query: &Query) -> u64 {
     derive_stream_seed(seed, hasher.finish(), 0)
 }
 
+/// Runs `sampler` over the per-query RNG stream derived from `(seed, query)` — the one
+/// helper [`EstimatorCore`] and [`crate::NeuroCard`] both estimate through, which is what
+/// makes their answers bit-identical for a fixed `(model, query, seed)`.
+pub(crate) fn estimate_seeded(
+    sampler: &ProgressiveSampler<'_>,
+    seed: u64,
+    query: &Query,
+    num_samples: usize,
+    scratch: &mut SamplerScratch,
+) -> Result<f64, EstimateError> {
+    let mut rng = StdRng::seed_from_u64(derive_query_seed(seed, query));
+    sampler.try_estimate_with_scratch(query, num_samples, &mut rng, scratch)
+}
+
 /// The estimation-only engine over a trained model (no training database, no sampler
 /// pool; `Send + Sync`).
 pub struct EstimatorCore {
@@ -153,59 +167,9 @@ impl EstimatorCore {
         })
     }
 
-    /// Estimates the cardinality of `query` with the configured sample budget.
-    pub fn estimate(&self, query: &Query) -> f64 {
-        self.estimate_with_samples(query, self.config.progressive_samples)
-    }
-
-    /// Estimates with an explicit progressive-sample budget (0 clamps to 1).
-    pub fn estimate_with_samples(&self, query: &Query, num_samples: usize) -> f64 {
-        let mut rng = self.query_rng(query);
-        self.sampler().estimate(query, num_samples, &mut rng)
-    }
-
-    /// Zero-allocation estimation with a caller-owned scratch (0 samples clamp to 1).
-    pub fn estimate_with_samples_scratch(
-        &self,
-        query: &Query,
-        num_samples: usize,
-        scratch: &mut SamplerScratch,
-    ) -> f64 {
-        let mut rng = self.query_rng(query);
-        self.sampler()
-            .estimate_with_scratch(query, num_samples, &mut rng, scratch)
-    }
-
-    /// [`EstimatorCore::estimate`] with a `Result` instead of panics.
-    pub fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
-        self.try_estimate_with_samples(query, self.config.progressive_samples)
-    }
-
-    /// [`EstimatorCore::estimate_with_samples`] with a `Result` instead of panics; a zero
-    /// sample budget reports [`EstimateError::InvalidSampleCount`].
-    pub fn try_estimate_with_samples(
-        &self,
-        query: &Query,
-        num_samples: usize,
-    ) -> Result<f64, EstimateError> {
-        let mut rng = self.query_rng(query);
-        self.sampler().try_estimate(query, num_samples, &mut rng)
-    }
-
-    /// Fallible zero-allocation estimation (the serving hot path).
-    pub fn try_estimate_with_samples_scratch(
-        &self,
-        query: &Query,
-        num_samples: usize,
-        scratch: &mut SamplerScratch,
-    ) -> Result<f64, EstimateError> {
-        let mut rng = self.query_rng(query);
-        self.sampler()
-            .try_estimate_with_scratch(query, num_samples, &mut rng, scratch)
-    }
-
-    /// [`EstimatorCore::try_estimate_with_samples_scratch`] with the inference tier
-    /// chosen per request — the serving layer's entry point for the `Precision` knob.
+    /// The one fallible estimate entry point: explicit progressive-sample budget (zero is
+    /// [`EstimateError::InvalidSampleCount`]), caller-owned scratch (zero allocations in
+    /// steady state — the serving hot path) and the inference tier chosen per request.
     ///
     /// Both tiers derive the **same** per-query RNG stream, so an exact and a fast
     /// estimate of one `(query, seed)` walk the same progressive samples and differ only
@@ -217,30 +181,24 @@ impl EstimatorCore {
         scratch: &mut SamplerScratch,
         precision: Precision,
     ) -> Result<f64, EstimateError> {
-        match precision {
-            Precision::Exact => self.try_estimate_with_samples_scratch(query, num_samples, scratch),
-            Precision::Fast => {
-                let mut rng = self.query_rng(query);
-                self.sampler_fast()
-                    .try_estimate_with_scratch(query, num_samples, &mut rng, scratch)
-            }
-        }
+        estimate_seeded(
+            &self.sampler(precision),
+            self.config.seed,
+            query,
+            num_samples,
+            scratch,
+        )
     }
 
-    /// Infallible [`EstimatorCore::try_estimate_with_samples_scratch_precision`]
-    /// (0 samples clamp to 1), for benches and tests.
-    pub fn estimate_with_samples_scratch_precision(
-        &self,
-        query: &Query,
-        num_samples: usize,
-        scratch: &mut SamplerScratch,
-        precision: Precision,
-    ) -> f64 {
+    /// Infallible convenience over the entry point above: the configured sample budget
+    /// (0 clamps to 1), a fresh scratch, [`Precision::Exact`]; panics with the
+    /// [`EstimateError`] text on a query that cannot be estimated.
+    pub fn estimate(&self, query: &Query) -> f64 {
         self.try_estimate_with_samples_scratch_precision(
             query,
-            num_samples.max(1),
-            scratch,
-            precision,
+            self.config.progressive_samples.max(1),
+            &mut SamplerScratch::new(),
+            Precision::Exact,
         )
         .unwrap_or_else(|e| panic!("{e}"))
     }
@@ -250,30 +208,21 @@ impl EstimatorCore {
         derive_query_seed(self.config.seed, query)
     }
 
-    fn query_rng(&self, query: &Query) -> StdRng {
-        StdRng::seed_from_u64(self.query_seed(query))
-    }
-
-    /// The progressive-sampling engine over the trained model.
-    pub(crate) fn sampler(&self) -> ProgressiveSampler<'_> {
+    /// The progressive-sampling engine of one tier — the only place [`Precision`] is
+    /// matched: exact f32 weights with the scalar kernels, or the bf16-quantised twin with
+    /// the SIMD-dispatched ones.
+    fn sampler(&self, precision: Precision) -> ProgressiveSampler<'_> {
+        let (model, fast_kernels) = match precision {
+            Precision::Exact => (&self.model, false),
+            Precision::Fast => (&self.fast_model, true),
+        };
         ProgressiveSampler::new(
-            &self.model,
+            model,
             &self.encoded,
             &self.schema,
             self.full_join_rows,
+            fast_kernels,
         )
-    }
-
-    /// The progressive-sampling engine over the bf16-quantised model with SIMD-dispatched
-    /// kernels — the [`Precision::Fast`] tier.
-    pub(crate) fn sampler_fast(&self) -> ProgressiveSampler<'_> {
-        ProgressiveSampler::new(
-            &self.fast_model,
-            &self.encoded,
-            &self.schema,
-            self.full_join_rows,
-        )
-        .with_fast_kernels(true)
     }
 
     /// The trained model.

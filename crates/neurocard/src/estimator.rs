@@ -26,7 +26,7 @@ use nc_storage::Database;
 
 use crate::artifact::{ArtifactLoadError, ModelArtifact};
 use crate::config::NeuroCardConfig;
-use crate::core::{derive_query_seed, EstimatorCore};
+use crate::core::{derive_query_seed, estimate_seeded, EstimatorCore};
 use crate::encoding::EncodedLayout;
 use crate::infer::{EstimateError, ProgressiveSampler, SamplerScratch};
 use crate::train::{TrainProgress, Trainer, TrainingSource};
@@ -246,100 +246,73 @@ impl NeuroCard {
     }
 
     /// Estimates the cardinality of `query` (rows of the inner join of the query's tables
-    /// passing all filters), using the configured number of progressive samples.
+    /// passing all filters), using the configured number of progressive samples (0 clamps
+    /// to 1) and a fresh scratch; panics with the [`EstimateError`] text on a query that
+    /// cannot be estimated.
     pub fn estimate(&self, query: &Query) -> f64 {
-        self.estimate_with_samples(query, self.config.progressive_samples)
+        self.try_estimate(
+            query,
+            self.config.progressive_samples.max(1),
+            &mut SamplerScratch::new(),
+        )
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Estimates with an explicit progressive-sample budget.
-    pub fn estimate_with_samples(&self, query: &Query, num_samples: usize) -> f64 {
-        let mut rng = self.query_rng(query);
-        self.sampler().estimate(query, num_samples, &mut rng)
-    }
-
-    /// [`NeuroCard::estimate`], returning an error instead of panicking when the query is
-    /// invalid or filters a column the wide layout does not model (e.g. a raw join key
+    /// The one fallible estimate entry point: explicit progressive-sample budget (zero is
+    /// [`EstimateError::InvalidSampleCount`]) and caller-owned scratch buffers (zero
+    /// allocations in steady state).  Reports — instead of panicking — queries that are
+    /// invalid or filter a column the wide layout does not model (e.g. a raw join key
     /// with `model_join_keys = false`).
-    pub fn try_estimate(&self, query: &Query) -> Result<f64, EstimateError> {
-        self.try_estimate_with_samples(query, self.config.progressive_samples)
-    }
-
-    /// [`NeuroCard::estimate_with_samples`] with caller-owned scratch buffers: the
-    /// zero-allocation entry point for serving loops that estimate many queries on one
-    /// thread.  Identical results to [`NeuroCard::estimate_with_samples`].
-    pub fn estimate_with_samples_scratch(
+    pub fn try_estimate(
         &self,
         query: &Query,
         num_samples: usize,
         scratch: &mut SamplerScratch,
-    ) -> f64 {
-        let mut rng = self.query_rng(query);
-        self.sampler()
-            .estimate_with_scratch(query, num_samples, &mut rng, scratch)
-    }
-
-    /// [`NeuroCard::estimate_with_samples`] with a `Result` instead of panics.
-    pub fn try_estimate_with_samples(
-        &self,
-        query: &Query,
-        num_samples: usize,
     ) -> Result<f64, EstimateError> {
-        let mut rng = self.query_rng(query);
-        self.sampler().try_estimate(query, num_samples, &mut rng)
+        estimate_seeded(
+            &self.sampler(),
+            self.config.seed,
+            query,
+            num_samples,
+            scratch,
+        )
     }
 
-    /// Estimates a batch of independent queries, fanning them out across threads.
+    /// Estimates a batch of independent queries with `num_samples` progressive samples
+    /// each, fanning them out across threads; panics like [`NeuroCard::estimate`].
     ///
     /// Each worker reuses one [`SamplerScratch`] across its queries, and every query's RNG
     /// is derived purely from `(config.seed, query)` — so the results are **identical** to
-    /// calling [`NeuroCard::estimate`] sequentially, regardless of thread count or
+    /// calling [`NeuroCard::try_estimate`] sequentially, regardless of thread count or
     /// scheduling (the `inference_fastpath` integration test pins this).
-    pub fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        self.estimate_batch_with_samples(queries, self.config.progressive_samples)
-    }
-
-    /// [`NeuroCard::estimate_batch`] with an explicit progressive-sample budget.
-    pub fn estimate_batch_with_samples(&self, queries: &[Query], num_samples: usize) -> Vec<f64> {
+    pub fn estimate_batch(&self, queries: &[Query], num_samples: usize) -> Vec<f64> {
         if queries.is_empty() {
             return Vec::new();
         }
+        // Workers share only the sampler and the seed, never the estimator itself (the
+        // trainer's sampler pool is not shareable across threads).
         let sampler = self.sampler();
-        // Per-query seeds are computed up front so worker threads need no access to the
-        // estimator itself (the trainer's sampler pool is not shareable across threads).
-        let seeds: Vec<u64> = queries.iter().map(|q| self.query_seed(q)).collect();
+        let seed = self.config.seed;
+        let run = |queries: &[Query], outs: &mut [f64]| {
+            let mut scratch = SamplerScratch::new();
+            for (query, out) in queries.iter().zip(outs) {
+                *out = estimate_seeded(&sampler, seed, query, num_samples, &mut scratch)
+                    .unwrap_or_else(|e| panic!("{e}"));
+            }
+        };
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
             .min(queries.len());
         let mut results = vec![0.0f64; queries.len()];
         if threads <= 1 {
-            let mut scratch = SamplerScratch::new();
-            for ((query, seed), out) in queries.iter().zip(&seeds).zip(results.iter_mut()) {
-                let mut rng = StdRng::seed_from_u64(*seed);
-                *out = sampler.estimate_with_scratch(query, num_samples, &mut rng, &mut scratch);
-            }
+            run(queries, &mut results);
             return results;
         }
         let chunk = queries.len().div_ceil(threads);
         std::thread::scope(|scope| {
-            for ((queries, seeds), outs) in queries
-                .chunks(chunk)
-                .zip(seeds.chunks(chunk))
-                .zip(results.chunks_mut(chunk))
-            {
-                let sampler = &sampler;
-                scope.spawn(move || {
-                    let mut scratch = SamplerScratch::new();
-                    for ((query, seed), out) in queries.iter().zip(seeds).zip(outs.iter_mut()) {
-                        let mut rng = StdRng::seed_from_u64(*seed);
-                        *out = sampler.estimate_with_scratch(
-                            query,
-                            num_samples,
-                            &mut rng,
-                            &mut scratch,
-                        );
-                    }
-                });
+            for (queries, outs) in queries.chunks(chunk).zip(results.chunks_mut(chunk)) {
+                scope.spawn(|| run(queries, outs));
             }
         });
         results
@@ -348,18 +321,19 @@ impl NeuroCard {
     /// Estimates through the pre-fast-path inference code (kept as the determinism
     /// baseline; `figure7d` uses it for the old-vs-new latency comparison).
     pub fn estimate_with_samples_reference(&self, query: &Query, num_samples: usize) -> f64 {
-        let mut rng = self.query_rng(query);
+        let mut rng = StdRng::seed_from_u64(self.query_seed(query));
         self.sampler()
             .estimate_reference(query, num_samples, &mut rng)
     }
 
-    /// The progressive-sampling engine over the trained model.
+    /// The exact-tier progressive-sampling engine over the trained model.
     fn sampler(&self) -> ProgressiveSampler<'_> {
         ProgressiveSampler::new(
             self.model(),
             &self.encoded,
             &self.schema,
             self.full_join_rows,
+            false,
         )
     }
 
@@ -376,12 +350,6 @@ impl NeuroCard {
     /// reference) are driven from this same derived seed and must agree bit-for-bit.
     pub(crate) fn query_seed(&self, query: &Query) -> u64 {
         derive_query_seed(self.config.seed, query)
-    }
-
-    /// Deterministic per-query randomness: the same query always yields the same
-    /// estimate for a given model, which makes the experiments reproducible.
-    fn query_rng(&self, query: &Query) -> StdRng {
-        StdRng::seed_from_u64(self.query_seed(query))
     }
 
     /// The live trainer, or a panic for artifact-backed estimators (which, by design,
@@ -581,17 +549,22 @@ mod tests {
             Query::join(&["A", "B"]).filter("B", "tag", Predicate::le(2i64)),
             Query::join(&["B"]),
         ];
+        let samples = config.progressive_samples;
         let sequential: Vec<f64> = queries.iter().map(|q| model.estimate(q)).collect();
-        let batch = model.estimate_batch(&queries);
+        let batch = model.estimate_batch(&queries, samples);
         assert_eq!(sequential, batch, "batch API must be bit-identical");
 
         // try_estimate agrees with estimate on valid queries...
-        assert_eq!(model.try_estimate(&queries[0]), Ok(sequential[0]));
+        let mut scratch = SamplerScratch::new();
+        assert_eq!(
+            model.try_estimate(&queries[0], samples, &mut scratch),
+            Ok(sequential[0])
+        );
         // ...and reports (not panics) filters on unmodelled columns: join keys are left
         // out of the wide layout under the default `model_join_keys = false`.
         let bad = Query::join(&["A", "B"]).filter("A", "x", Predicate::eq(0i64));
         assert_eq!(
-            model.try_estimate(&bad),
+            model.try_estimate(&bad, samples, &mut scratch),
             Err(crate::infer::EstimateError::UnknownColumn {
                 table: "A".into(),
                 column: "x".into(),
@@ -600,10 +573,10 @@ mod tests {
         // Invalid queries (schema-level) surface as InvalidQuery.
         let invalid = Query::join(&["A"]).filter("B", "tag", Predicate::eq(1i64));
         assert!(matches!(
-            model.try_estimate(&invalid),
+            model.try_estimate(&invalid, samples, &mut scratch),
             Err(crate::infer::EstimateError::InvalidQuery(_))
         ));
-        assert!(model.estimate_batch(&[]).is_empty());
+        assert!(model.estimate_batch(&[], samples).is_empty());
     }
 
     #[test]
@@ -644,13 +617,14 @@ mod tests {
             assert_eq!(
                 trained.estimate(q).to_bits(),
                 loaded
-                    .estimate_with_samples_scratch(q, config.progressive_samples, &mut scratch)
+                    .try_estimate(q, config.progressive_samples, &mut scratch)
+                    .unwrap()
                     .to_bits()
             );
         }
         assert_eq!(
-            trained.estimate_batch(&queries),
-            loaded.estimate_batch(&queries)
+            trained.estimate_batch(&queries, config.progressive_samples),
+            loaded.estimate_batch(&queries, config.progressive_samples)
         );
 
         // `train` is the one-shot wrapper: same config + db ⇒ same artifact bytes.
@@ -681,22 +655,19 @@ mod tests {
     #[test]
     fn zero_sample_budget_errors_in_try_api_and_clamps_in_infallible_api() {
         let (db, schema) = correlated_db();
-        let config = NeuroCardConfig::tiny().with_training_tuples(500);
+        let mut config = NeuroCardConfig::tiny().with_training_tuples(500);
+        config.progressive_samples = 0;
         let model = NeuroCard::build(db, schema, &config);
         let q = Query::join(&["A"]).filter("A", "cls", Predicate::eq(1i64));
+        let mut scratch = SamplerScratch::new();
         assert_eq!(
-            model.try_estimate_with_samples(&q, 0),
+            model.try_estimate(&q, 0, &mut scratch),
             Err(crate::infer::EstimateError::InvalidSampleCount)
         );
-        // Documented infallible fallback: 0 clamps to 1 sample.
+        // Documented infallible fallback: a configured budget of 0 clamps to 1 sample.
         assert_eq!(
-            model.estimate_with_samples(&q, 0).to_bits(),
-            model.estimate_with_samples(&q, 1).to_bits()
-        );
-        // Valid budgets agree between the two APIs.
-        assert_eq!(
-            model.try_estimate_with_samples(&q, 8),
-            Ok(model.estimate_with_samples(&q, 8))
+            model.try_estimate(&q, 1, &mut scratch),
+            Ok(model.estimate(&q))
         );
     }
 

@@ -69,9 +69,8 @@ pub enum EstimateError {
         column: String,
     },
     /// A zero progressive-sample budget was requested.  A 0-sample Monte-Carlo estimate
-    /// is undefined (the old code silently substituted 1 sample); the fallible APIs now
-    /// report it, mirroring the `train_tuples(0)` fix of PR 2.  The infallible APIs keep
-    /// the documented clamp-to-1 fallback.
+    /// is undefined, so it is reported rather than silently replaced by 1 sample,
+    /// mirroring the `train_tuples(0)` fix of PR 2.
     InvalidSampleCount,
 }
 
@@ -110,7 +109,7 @@ enum Constraint {
 /// Reusable buffers of the progressive-sampling hot loop.
 ///
 /// One scratch per serving thread; reuse it across queries via
-/// [`ProgressiveSampler::estimate_with_scratch`].  All buffers grow on first use and are
+/// [`ProgressiveSampler::try_estimate_with_scratch`].  All buffers grow on first use and are
 /// then reused, so steady-state estimation allocates nothing.
 #[derive(Debug, Default)]
 pub struct SamplerScratch {
@@ -156,80 +155,42 @@ pub struct ProgressiveSampler<'a> {
     full_join_rows: f64,
     /// Route model forwards through the architecture-dispatched fast-tier kernels
     /// ([`nc_nn::ResMade::conditional_probs_into_fast`]) instead of the exact scalar
-    /// ones.  Off by default; the `Precision::Fast` serving tier turns it on (paired
-    /// with bf16-quantised weights — see the two-tier determinism contract).
+    /// ones.  The `Precision::Fast` serving tier sets it (paired with bf16-quantised
+    /// weights — see the two-tier determinism contract).
     fast_kernels: bool,
 }
 
 impl<'a> ProgressiveSampler<'a> {
     /// Creates an inference engine over a trained model.
+    ///
+    /// `fast_kernels` is fixed for the sampler's life.  The RNG draw sequence is identical
+    /// either way (draws are a function of the probability rows, consumed in the same
+    /// order), so exact and fast estimates of the same `(query, seed)` remain comparable
+    /// sample-for-sample.
     pub fn new(
         model: &'a ResMade,
         encoded: &'a EncodedLayout,
         schema: &'a JoinSchema,
         full_join_rows: u128,
+        fast_kernels: bool,
     ) -> Self {
         ProgressiveSampler {
             model,
             encoded,
             schema,
             full_join_rows: full_join_rows as f64,
-            fast_kernels: false,
+            fast_kernels,
         }
     }
 
-    /// Returns the sampler with fast-tier kernel dispatch switched on or off.
-    ///
-    /// The RNG draw sequence is identical either way (draws are a function of the
-    /// probability rows, consumed in the same order), so exact and fast estimates of the
-    /// same `(query, seed)` remain comparable sample-for-sample.
-    pub fn with_fast_kernels(mut self, fast: bool) -> Self {
-        self.fast_kernels = fast;
-        self
-    }
-
-    /// Estimates the cardinality of `query` using `num_samples` progressive samples.
+    /// Estimates the cardinality of `query` using `num_samples` progressive samples —
+    /// the one fast-path entry point; every caller supplies the scratch buffers (zero
+    /// allocations in steady state).
     ///
     /// The returned estimate is lower-bounded by 1 row, mirroring the paper's Q-error
-    /// convention.  Panics on malformed queries; use [`ProgressiveSampler::try_estimate`]
-    /// for a `Result`.  A zero sample budget falls back to 1 sample (documented
-    /// fallback; the fallible APIs report [`EstimateError::InvalidSampleCount`] instead).
-    pub fn estimate(&self, query: &Query, num_samples: usize, rng: &mut StdRng) -> f64 {
-        self.try_estimate(query, num_samples.max(1), rng)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ProgressiveSampler::estimate`], returning an error instead of panicking on
-    /// queries that are invalid or reference unmodelled columns.
-    pub fn try_estimate(
-        &self,
-        query: &Query,
-        num_samples: usize,
-        rng: &mut StdRng,
-    ) -> Result<f64, EstimateError> {
-        let mut scratch = SamplerScratch::new();
-        self.try_estimate_with_scratch(query, num_samples, rng, &mut scratch)
-    }
-
-    /// [`ProgressiveSampler::estimate`] with caller-owned scratch buffers (zero
-    /// allocations in steady state; the batch API reuses one scratch per worker).  A zero
-    /// sample budget falls back to 1 sample, like [`ProgressiveSampler::estimate`].
-    pub fn estimate_with_scratch(
-        &self,
-        query: &Query,
-        num_samples: usize,
-        rng: &mut StdRng,
-        scratch: &mut SamplerScratch,
-    ) -> f64 {
-        self.try_estimate_with_scratch(query, num_samples.max(1), rng, scratch)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible workhorse behind all the `estimate*` entry points.
-    ///
-    /// Unlike the infallible wrappers, a zero sample budget is an error here
-    /// ([`EstimateError::InvalidSampleCount`]) — a 0-sample estimate is not an estimate,
-    /// and silently substituting one sample hid caller bugs.
+    /// convention.  A zero sample budget is [`EstimateError::InvalidSampleCount`]: a
+    /// 0-sample estimate is not an estimate, and silently substituting one sample hid
+    /// caller bugs.
     pub fn try_estimate_with_scratch(
         &self,
         query: &Query,

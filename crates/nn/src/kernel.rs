@@ -10,7 +10,7 @@
 //! |-------------------|--------------------------|-------------------|------------------|
 //! | `matmul_blocked`  | scalar blocked (tensor)  | AVX2 + FMA, 4-row × 16-col broadcast-FMA tiles | NEON, 4-lane |
 //! | `matmul_col_range`| scalar blocked (tensor)  | AVX2 + FMA        | NEON             |
-//! | `gemm_nt`         | 8-chain unrolled scalar  | AVX2 + FMA horizontal dot | NEON |
+//! | `gemm_nt`         | scalar blocked (tensor)  | AVX2 + FMA horizontal dot | NEON |
 //! | `softmax_rows_into`| scalar (loss)           | AVX2 max/scale, scalar `exp` | NEON |
 //!
 //! Dispatch is decided **once** per process: with the `simd` feature enabled on x86_64,
@@ -18,13 +18,12 @@
 //! verdict in an atomic; on aarch64 NEON is part of the baseline ISA, so no probe is
 //! needed.  Without the feature the portable fallback is selected at compile time.
 //!
-//! **Determinism contract (two-tier):** the portable fallback accumulates every output
-//! element in the same ascending order as the [`crate::tensor`] kernels, so with `simd`
-//! *off* the fast tier is still bit-identical to the exact tier (pinned by the
-//! `dispatched_kernels_bit_identical_without_simd` test).  The SIMD paths reassociate the
-//! f32 reductions (8 or 4 partial sums per chain) and therefore do **not** promise
-//! bit-identity — fast-tier estimates are instead gated by the q-error-delta bound
-//! asserted in `figure7d`/CI.  See `docs/kernels.md`.
+//! **Determinism contract (two-tier):** the portable fallback *is* the [`crate::tensor`] /
+//! [`crate::loss`] kernel set, so with `simd` *off* the fast tier is still bit-identical
+//! to the exact tier (pinned by the `dispatched_kernels_bit_identical_without_simd`
+//! test).  The SIMD paths reassociate the f32 reductions (8 or 4 partial sums per chain)
+//! and therefore do **not** promise bit-identity — fast-tier estimates are instead gated
+//! by the q-error-delta bound asserted in `figure7d`/CI.  See `docs/kernels.md`.
 //!
 //! All `core::arch` use in the workspace lives in this one file, enforced by the
 //! `intrinsics-outside-kernel` lint.
@@ -35,7 +34,7 @@ use crate::tensor::{self, Matrix};
 /// Instruction set chosen by [`isa`] for the fast-tier kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Isa {
-    /// Unrolled scalar code; bit-identical to the exact-tier kernels.
+    /// The exact-tier scalar kernels themselves.
     Portable,
     /// 256-bit AVX2 with fused multiply-add (x86_64, runtime-detected).
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
@@ -176,7 +175,7 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f3
     assert!(b.len() >= n * k, "b too short for n×k");
     assert!(out.len() >= m * n, "out too short for m×n");
     match isa() {
-        Isa::Portable => portable_gemm_nt(m, n, k, a, b, out),
+        Isa::Portable => tensor::gemm_nt(m, n, k, a, b, out),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         // SAFETY: `isa()` returned Avx2Fma, so the CPU was probed for avx2+fma.
         Isa::Avx2Fma => unsafe { avx2::gemm_nt(m, n, k, a, b, out) },
@@ -207,50 +206,6 @@ pub fn softmax_rows_into(logits: &Matrix, out: &mut Matrix) {
                 neon::softmax_row(logits.row(r), out.row_mut(r));
             }
         },
-    }
-}
-
-/// Portable `gemm_nt`: eight independent dot-product chains per block instead of
-/// [`crate::tensor::gemm_nt`]'s four, which is as much instruction-level parallelism as
-/// scalar f32 code can express without reassociating any chain.  Each output element is
-/// still a single ascending-`k` accumulation, so results are **bit-identical** to the
-/// tensor kernel (and hence to the exact tier) — the property that makes fast mode
-/// deterministic when the `simd` feature is off.
-fn portable_gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
-    const NR: usize = 8;
-    for i in 0..m {
-        let a_row = &a[i * k..i * k + k];
-        let out_row = &mut out[i * n..i * n + n];
-        let mut j = 0;
-        while j + NR <= n {
-            let rows: [&[f32]; NR] = [
-                &b[j * k..(j + 1) * k],
-                &b[(j + 1) * k..(j + 2) * k],
-                &b[(j + 2) * k..(j + 3) * k],
-                &b[(j + 3) * k..(j + 4) * k],
-                &b[(j + 4) * k..(j + 5) * k],
-                &b[(j + 5) * k..(j + 6) * k],
-                &b[(j + 6) * k..(j + 7) * k],
-                &b[(j + 7) * k..(j + 8) * k],
-            ];
-            let mut acc = [0.0f32; NR];
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                for (c, row) in acc.iter_mut().zip(&rows) {
-                    *c += a_ip * row[p];
-                }
-            }
-            out_row[j..j + NR].copy_from_slice(&acc);
-            j += NR;
-        }
-        while j < n {
-            let b_row = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (x, y) in a_row.iter().zip(b_row) {
-                acc += x * y;
-            }
-            out_row[j] = acc;
-            j += 1;
-        }
     }
 }
 
@@ -773,24 +728,6 @@ mod tests {
         assert!(["portable", "avx2+fma", "neon"].contains(&name));
         // The probe is cached: a second call must agree.
         assert_eq!(isa_name(), name);
-    }
-
-    /// The portable `gemm_nt` must be bit-identical to the tensor kernel regardless of
-    /// features — it is the fallback the two-tier determinism contract leans on.
-    #[test]
-    fn portable_gemm_nt_bit_identical_to_tensor() {
-        let mut seed = 0xBEEF_u64;
-        for &(m, k, n) in SHAPES {
-            let a = lcg_matrix(m, k, &mut seed);
-            let bt = lcg_matrix(n, k, &mut seed);
-            let mut reference = vec![f32::NAN; m * n];
-            tensor::gemm_nt(m, n, k, a.data(), bt.data(), &mut reference);
-            let mut fast = vec![f32::NAN; m * n];
-            portable_gemm_nt(m, n, k, a.data(), bt.data(), &mut fast);
-            for (i, (x, y)) in reference.iter().zip(&fast).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n} element {i}");
-            }
-        }
     }
 
     /// With `simd` off, every dispatched kernel resolves to the portable fallback and

@@ -529,47 +529,28 @@ impl ResMade {
     ///
     /// Unlike [`ResMade::forward_trunk`] this keeps no per-layer activations (nothing to
     /// backprop through), reuses the three caller-owned buffers, and runs the blocked GEMM
-    /// kernels — all bit-identical to the naive kernels the training path uses.
-    fn trunk_hidden(&self, x: &Matrix, h: &mut Matrix, a: &mut Matrix, b: &mut Matrix) {
+    /// of kernel set `K` — for the exact tier bit-identical to the naive kernels the
+    /// training path uses.
+    fn trunk_hidden<K: KernelSet>(
+        &self,
+        x: &Matrix,
+        h: &mut Matrix,
+        a: &mut Matrix,
+        b: &mut Matrix,
+    ) {
         let batch = x.rows();
         let h_dim = self.config.d_hidden;
         h.resize(batch, h_dim);
-        matmul_blocked(x, &self.input_layer.inner.weight.value, h);
+        (K::MATMUL_BLOCKED)(x, &self.input_layer.inner.weight.value, h);
         add_bias(h, self.input_layer.inner.bias.value.row(0));
         relu(h);
         for (w1, w2) in &self.blocks {
             a.resize(batch, h_dim);
-            matmul_blocked(h, &w1.inner.weight.value, a);
+            (K::MATMUL_BLOCKED)(h, &w1.inner.weight.value, a);
             add_bias(a, w1.inner.bias.value.row(0));
             relu(a);
             b.resize(batch, h_dim);
-            matmul_blocked(a, &w2.inner.weight.value, b);
-            add_bias(b, w2.inner.bias.value.row(0));
-            relu(b);
-            for (o, v) in h.data_mut().iter_mut().zip(b.data()) {
-                *o += v;
-            }
-        }
-    }
-
-    /// [`ResMade::trunk_hidden`] with every GEMM routed through the architecture-dispatched
-    /// fast-tier kernels ([`crate::kernel`]).  Bit-identical to the exact trunk when the
-    /// `simd` feature is off (the portable fallback preserves accumulation order);
-    /// last-ulps different when a SIMD implementation is selected.
-    fn trunk_hidden_fast(&self, x: &Matrix, h: &mut Matrix, a: &mut Matrix, b: &mut Matrix) {
-        let batch = x.rows();
-        let h_dim = self.config.d_hidden;
-        h.resize(batch, h_dim);
-        kernel::matmul_blocked(x, &self.input_layer.inner.weight.value, h);
-        add_bias(h, self.input_layer.inner.bias.value.row(0));
-        relu(h);
-        for (w1, w2) in &self.blocks {
-            a.resize(batch, h_dim);
-            kernel::matmul_blocked(h, &w1.inner.weight.value, a);
-            add_bias(a, w1.inner.bias.value.row(0));
-            relu(a);
-            b.resize(batch, h_dim);
-            kernel::matmul_blocked(a, &w2.inner.weight.value, b);
+            (K::MATMUL_BLOCKED)(a, &w2.inner.weight.value, b);
             add_bias(b, w2.inner.bias.value.row(0));
             relu(b);
             for (o, v) in h.data_mut().iter_mut().zip(b.data()) {
@@ -628,45 +609,15 @@ impl ResMade {
         col: usize,
         scratch: &'s mut InferenceScratch,
     ) -> &'s Matrix {
-        assert!(col < self.num_columns());
-        let d = self.config.d_emb;
-        let domain = self.config.domains[col];
-        self.embed_flat_into(tokens, &mut scratch.x);
-        self.trunk_hidden(&scratch.x, &mut scratch.h, &mut scratch.a, &mut scratch.b);
-        let batch = scratch.x.rows();
-        scratch.ctx.resize(batch, d);
-        matmul_col_range(
-            &scratch.h,
-            &self.output_layer.inner.weight.value,
-            col * d,
-            (col + 1) * d,
-            &mut scratch.ctx,
-        );
-        add_bias(
-            &mut scratch.ctx,
-            &self.output_layer.inner.bias.value.row(0)[col * d..(col + 1) * d],
-        );
-        scratch.logits.resize(batch, domain);
-        let emb = &self.embeddings[col].table.value;
-        gemm_nt(
-            batch,
-            domain,
-            d,
-            scratch.ctx.data(),
-            &emb.data()[..domain * d],
-            scratch.logits.data_mut(),
-        );
-        add_bias(&mut scratch.logits, self.output_bias[col].value.row(0));
-        softmax_rows_into(&scratch.logits, &mut scratch.probs);
-        &scratch.probs
+        self.forward_into::<ScalarKernels>(tokens, col, scratch)
     }
 
-    /// The **fast-tier** [`ResMade::conditional_probs_into`]: same structure, but every
+    /// The **fast-tier** [`ResMade::conditional_probs_into`]: the same forward, but every
     /// GEMM and the softmax normalisation dispatch through [`crate::kernel`] to the widest
     /// instruction set the CPU supports.
     ///
-    /// With the `simd` feature off this is bit-identical to the exact tier (the portable
-    /// fallback preserves per-element accumulation order — pinned by
+    /// With the `simd` feature off this is bit-identical to the exact tier (dispatch
+    /// resolves to the same scalar kernels — pinned by
     /// `conditional_probs_into_fast_bit_identical_without_simd`).  With SIMD selected, the
     /// reassociated reductions drift by last ulps; callers own the accuracy story (the
     /// serving layer pairs this with bf16 weights under the q-error-delta gate — see the
@@ -677,14 +628,25 @@ impl ResMade {
         col: usize,
         scratch: &'s mut InferenceScratch,
     ) -> &'s Matrix {
+        self.forward_into::<DispatchedKernels>(tokens, col, scratch)
+    }
+
+    /// The one inference forward behind both tiers, generic over the kernel set so each
+    /// instantiation compiles to direct calls into its kernel module.
+    fn forward_into<'s, K: KernelSet>(
+        &self,
+        tokens: &[u32],
+        col: usize,
+        scratch: &'s mut InferenceScratch,
+    ) -> &'s Matrix {
         assert!(col < self.num_columns());
         let d = self.config.d_emb;
         let domain = self.config.domains[col];
         self.embed_flat_into(tokens, &mut scratch.x);
-        self.trunk_hidden_fast(&scratch.x, &mut scratch.h, &mut scratch.a, &mut scratch.b);
+        self.trunk_hidden::<K>(&scratch.x, &mut scratch.h, &mut scratch.a, &mut scratch.b);
         let batch = scratch.x.rows();
         scratch.ctx.resize(batch, d);
-        kernel::matmul_col_range(
+        (K::MATMUL_COL_RANGE)(
             &scratch.h,
             &self.output_layer.inner.weight.value,
             col * d,
@@ -697,7 +659,7 @@ impl ResMade {
         );
         scratch.logits.resize(batch, domain);
         let emb = &self.embeddings[col].table.value;
-        kernel::gemm_nt(
+        (K::GEMM_NT)(
             batch,
             domain,
             d,
@@ -706,7 +668,7 @@ impl ResMade {
             scratch.logits.data_mut(),
         );
         add_bias(&mut scratch.logits, self.output_bias[col].value.row(0));
-        kernel::softmax_rows_into(&scratch.logits, &mut scratch.probs);
+        (K::SOFTMAX_ROWS_INTO)(&scratch.logits, &mut scratch.probs);
         &scratch.probs
     }
 
@@ -724,6 +686,37 @@ impl ResMade {
         }
         ll
     }
+}
+
+/// The four kernels of the inference forward, as compile-time constants: each tier's
+/// instantiation of [`ResMade::forward_into`] calls its kernel module directly, so the
+/// exact tier executes the same `tensor::*` / `loss::*` calls it always has.
+trait KernelSet {
+    const MATMUL_BLOCKED: fn(&Matrix, &Matrix, &mut Matrix);
+    const MATMUL_COL_RANGE: fn(&Matrix, &Matrix, usize, usize, &mut Matrix);
+    const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+    const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix);
+}
+
+/// Exact tier: the scalar kernels of [`crate::tensor`] and [`crate::loss`].
+struct ScalarKernels;
+
+impl KernelSet for ScalarKernels {
+    const MATMUL_BLOCKED: fn(&Matrix, &Matrix, &mut Matrix) = matmul_blocked;
+    const MATMUL_COL_RANGE: fn(&Matrix, &Matrix, usize, usize, &mut Matrix) = matmul_col_range;
+    const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]) = gemm_nt;
+    const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix) = softmax_rows_into;
+}
+
+/// Fast tier: the architecture-dispatched kernels of [`crate::kernel`].
+struct DispatchedKernels;
+
+impl KernelSet for DispatchedKernels {
+    const MATMUL_BLOCKED: fn(&Matrix, &Matrix, &mut Matrix) = kernel::matmul_blocked;
+    const MATMUL_COL_RANGE: fn(&Matrix, &Matrix, usize, usize, &mut Matrix) =
+        kernel::matmul_col_range;
+    const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]) = kernel::gemm_nt;
+    const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix) = kernel::softmax_rows_into;
 }
 
 /// Reusable buffers for the zero-allocation inference forward pass

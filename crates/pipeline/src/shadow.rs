@@ -19,6 +19,7 @@ use nc_sampler::seed::{splitmix64_mix, GOLDEN_GAMMA};
 use nc_serve::{FaultInjector, ModelLease};
 use nc_workloads::qerror::{q_error, ErrorSummary};
 use neurocard::infer::SamplerScratch;
+use neurocard::Precision;
 use serde::Serialize;
 
 use crate::drift::OracleCase;
@@ -78,7 +79,9 @@ pub fn shadow_compare(
         // Production serve: the incumbent answers every query regardless of the
         // mirror draw (latency is measured around the estimate only).
         let started = Instant::now();
-        let incumbent_est = incumbent.estimate(&case.query, None, scratch).ok();
+        let incumbent_est = incumbent
+            .estimate(&case.query, None, scratch, Precision::Exact)
+            .ok();
         incumbent_lat.push(started.elapsed().as_micros() as u64);
         let draw = splitmix64_mix(mirror_seed ^ (i as u64).wrapping_add(GOLDEN_GAMMA));
         if draw % 1000 >= u64::from(mirror_per_mille) {
@@ -90,7 +93,9 @@ pub fn shadow_compare(
             continue;
         }
         let started = Instant::now();
-        let candidate_est = candidate.estimate(&case.query, None, scratch).ok();
+        let candidate_est = candidate
+            .estimate(&case.query, None, scratch, Precision::Exact)
+            .ok();
         candidate_lat.push(started.elapsed().as_micros() as u64);
         match (incumbent_est, candidate_est) {
             (Some(inc), Some(cand)) => {

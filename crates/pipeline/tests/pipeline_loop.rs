@@ -16,7 +16,7 @@ use nc_serve::{
     JournalEvent, ModelKey, ModelRegistry, ModelSelector, RegistryJournal, SharedJournal,
 };
 use neurocard::infer::SamplerScratch;
-use neurocard::{schema_fingerprint, ModelArtifact, NeuroCard, NeuroCardConfig};
+use neurocard::{schema_fingerprint, ModelArtifact, NeuroCard, NeuroCardConfig, Precision};
 
 const SEED: u64 = 0x10E0;
 const STEPS: u64 = 8;
@@ -129,6 +129,7 @@ fn stream_degrades_incumbent_then_drift_retrain_shadow_promote() {
             &nc_schema::Query::join(&["orders", "users"]),
             None,
             &mut SamplerScratch::new(),
+            Precision::Exact,
         )
         .unwrap();
     assert!(estimate.is_finite() && estimate >= 0.0);
@@ -224,6 +225,7 @@ fn losing_candidate_is_retired_and_the_incumbent_keeps_serving() {
             &nc_schema::Query::join(&["orders"]),
             None,
             &mut SamplerScratch::new(),
+            Precision::Exact,
         )
         .unwrap();
     assert!(estimate.is_finite() && estimate >= 0.0);

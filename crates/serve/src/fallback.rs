@@ -23,7 +23,7 @@ use std::sync::Arc;
 use nc_schema::{CompareOp, JoinSchema, Query};
 use nc_storage::{Database, Value};
 use neurocard::infer::SamplerScratch;
-use neurocard::EstimateError;
+use neurocard::{EstimateError, Precision};
 
 use crate::model::ServingEstimator;
 
@@ -141,6 +141,7 @@ impl ServingEstimator for StatsFallback {
         query: &Query,
         _samples: usize,
         _scratch: &mut SamplerScratch,
+        _precision: Precision,
     ) -> Result<f64, EstimateError> {
         if query.tables.is_empty() {
             return Err(EstimateError::InvalidQuery("query joins no tables".into()));
@@ -222,28 +223,34 @@ mod tests {
         (db, Arc::new(schema))
     }
 
+    /// Serves `query` at both precisions — the fallback has no fast tier, so the answers
+    /// must agree — and returns the shared result.
+    fn serve_both(fb: &StatsFallback, query: &Query) -> Result<f64, EstimateError> {
+        let mut scratch = SamplerScratch::new();
+        let exact = fb.serve(query, 1, &mut scratch, Precision::Exact);
+        assert_eq!(fb.serve(query, 1, &mut scratch, Precision::Fast), exact);
+        exact
+    }
+
     #[test]
     fn independence_estimates_are_sane_and_floored() {
         let (db, schema) = fixture();
         let fb = StatsFallback::from_database(&db, schema);
-        let mut scratch = SamplerScratch::new();
         assert_eq!(fb.name(), "stats-fallback");
         assert_eq!(fb.default_samples(), 1);
         assert!(fb.size_bytes() > 0);
 
         // Unfiltered single table: the exact row count.
-        let est = fb.serve(&Query::join(&["A"]), 1, &mut scratch).unwrap();
+        let est = serve_both(&fb, &Query::join(&["A"])).unwrap();
         assert_eq!(est, 100.0);
 
         // Unfiltered join: 100 * 50 / max(ndv 20, ndv 20) = 250.
-        let est = fb
-            .serve(&Query::join(&["A", "B"]), 1, &mut scratch)
-            .unwrap();
+        let est = serve_both(&fb, &Query::join(&["A", "B"])).unwrap();
         assert_eq!(est, 250.0);
 
         // Equality on year (ndv 10): 100/10 = 10.
         let q = Query::join(&["A"]).filter("A", "year", Predicate::eq(1995i64));
-        assert_eq!(fb.serve(&q, 1, &mut scratch).unwrap(), 10.0);
+        assert_eq!(serve_both(&fb, &q).unwrap(), 10.0);
 
         // IN over the 4 tags scaled by the 90% non-null fraction.
         let q = Query::join(&["A"]).filter(
@@ -251,12 +258,12 @@ mod tests {
             "tag",
             Predicate::isin(vec![Value::from("t0"), Value::from("t1")]),
         );
-        let est = fb.serve(&q, 1, &mut scratch).unwrap();
+        let est = serve_both(&fb, &q).unwrap();
         assert!((est - 100.0 * (2.0 / 4.0) * 0.9).abs() < 1e-9, "got {est}");
 
         // Range on year interpolates within [1990, 1999].
         let q = Query::join(&["A"]).filter("A", "year", Predicate::le(1994i64));
-        let est = fb.serve(&q, 1, &mut scratch).unwrap();
+        let est = serve_both(&fb, &q).unwrap();
         assert!((20.0..60.0).contains(&est), "got {est}");
 
         // Estimates never go below one row.
@@ -264,31 +271,29 @@ mod tests {
             .filter("A", "year", Predicate::eq(1990i64))
             .filter("A", "id", Predicate::eq(0i64))
             .filter("A", "tag", Predicate::eq("t0"));
-        assert_eq!(fb.serve(&q, 1, &mut scratch).unwrap(), 1.0);
+        assert_eq!(serve_both(&fb, &q).unwrap(), 1.0);
     }
 
     #[test]
     fn unknown_tables_and_columns_are_typed_errors() {
         let (db, schema) = fixture();
         let fb = StatsFallback::from_database(&db, schema);
-        let mut scratch = SamplerScratch::new();
         assert!(matches!(
-            fb.serve(&Query::join(&["nope"]), 1, &mut scratch),
+            serve_both(&fb, &Query::join(&["nope"])),
             Err(EstimateError::InvalidQuery(_))
         ));
         let q = Query::join(&["A"]).filter("A", "nope", Predicate::eq(1i64));
         assert!(matches!(
-            fb.serve(&q, 1, &mut scratch),
+            serve_both(&fb, &q),
             Err(EstimateError::UnknownColumn { .. })
         ));
         assert!(matches!(
-            fb.serve(
+            serve_both(
+                &fb,
                 &Query {
                     tables: vec![],
                     filters: vec![]
-                },
-                1,
-                &mut scratch
+                }
             ),
             Err(EstimateError::InvalidQuery(_))
         ));

@@ -59,9 +59,7 @@ pub use reactor::{ReactorConfig, ReactorStats};
 pub use registry::{
     ModelKey, ModelLease, ModelRegistry, ModelSelector, ModelStats, RegistryStats, SwapReceipt,
 };
-pub use service::{
-    EstimatorService, RegistryHandle, RegistryService, ServiceConfig, ServiceHandle, ServiceStats,
-};
+pub use service::{RegistryHandle, RegistryService, ServiceConfig, ServiceStats};
 pub use stats::{nearest_rank, Quantiles, LATENCY_WINDOW};
 pub use tcp::{ClientConfig, ServeClient, TcpServer};
 

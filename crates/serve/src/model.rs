@@ -25,26 +25,16 @@ pub trait ServingEstimator: Send + Sync {
 
     /// Answers one request.  `scratch` is a reusable workspace the caller checked out of
     /// a [`crate::ScratchPool`]; estimators with a zero-allocation fast path use it,
-    /// everyone else ignores it.
+    /// everyone else ignores it.  Estimators without a fast tier (the baselines, the
+    /// stats fallback) likewise ignore `precision` and serve exactly, so the knob
+    /// degrades gracefully across the whole model zoo.
     fn serve(
         &self,
         query: &Query,
         samples: usize,
         scratch: &mut SamplerScratch,
+        precision: Precision,
     ) -> Result<f64, EstimateError>;
-
-    /// [`ServingEstimator::serve`] with an inference tier.  Estimators without a fast
-    /// tier (the baselines) ignore `precision` and serve exactly — the default — so the
-    /// knob degrades gracefully across the whole model zoo.
-    fn serve_with_precision(
-        &self,
-        query: &Query,
-        samples: usize,
-        scratch: &mut SamplerScratch,
-        _precision: Precision,
-    ) -> Result<f64, EstimateError> {
-        self.serve(query, samples, scratch)
-    }
 
     /// Approximate size of the model state in bytes (`0` if not materialised).
     fn size_bytes(&self) -> usize {
@@ -56,8 +46,9 @@ pub trait ServingEstimator: Send + Sync {
 const _: Option<&dyn ServingEstimator> = None;
 
 /// The scratch-pool fast path: an artifact-loaded NeuroCard core serves through
-/// [`EstimatorCore::try_estimate_with_samples_scratch`], which performs no steady-state
-/// allocation and is bit-identical to sequential [`EstimatorCore::estimate`] calls.
+/// [`EstimatorCore::try_estimate_with_samples_scratch_precision`], which performs no
+/// steady-state allocation and, on the exact tier, is bit-identical to sequential
+/// [`EstimatorCore::estimate`] calls.
 impl ServingEstimator for EstimatorCore {
     fn name(&self) -> &str {
         "NeuroCard"
@@ -68,15 +59,6 @@ impl ServingEstimator for EstimatorCore {
     }
 
     fn serve(
-        &self,
-        query: &Query,
-        samples: usize,
-        scratch: &mut SamplerScratch,
-    ) -> Result<f64, EstimateError> {
-        self.try_estimate_with_samples_scratch(query, samples, scratch)
-    }
-
-    fn serve_with_precision(
         &self,
         query: &Query,
         samples: usize,
@@ -94,8 +76,8 @@ impl ServingEstimator for EstimatorCore {
 /// Adapter that serves any [`CardinalityEstimator`] (the baselines of the paper's
 /// evaluation, or a `Box<dyn CardinalityEstimator + Send + Sync>`) through the registry.
 ///
-/// Baselines have no per-request sample budget — the `samples` argument is ignored — and
-/// no scratch fast path.  When built [`BaselineModel::with_schema`], queries are
+/// Baselines have no per-request sample budget, no scratch fast path and no fast tier —
+/// the `samples`, `scratch` and `precision` arguments are ignored.  When built [`BaselineModel::with_schema`], queries are
 /// validated first so malformed requests surface as typed
 /// [`EstimateError::InvalidQuery`] errors instead of whatever the estimator does with
 /// garbage (several baselines panic).
@@ -136,6 +118,7 @@ impl<E: CardinalityEstimator + Send + Sync> ServingEstimator for BaselineModel<E
         query: &Query,
         _samples: usize,
         _scratch: &mut SamplerScratch,
+        _precision: Precision,
     ) -> Result<f64, EstimateError> {
         if let Some(schema) = &self.schema {
             query
@@ -184,21 +167,23 @@ mod tests {
         assert_eq!(unchecked.name(), "fixed");
         assert_eq!(unchecked.default_samples(), 1);
         assert_eq!(unchecked.size_bytes(), 16);
-        assert_eq!(
-            unchecked.serve(&Query::join(&["A"]), 99, &mut scratch),
-            Ok(42.0)
-        );
-
         let checked = BaselineModel::with_schema(Fixed(7.0), schema);
-        assert_eq!(
-            checked.serve(&Query::join(&["A", "B"]), 1, &mut scratch),
-            Ok(7.0)
-        );
-        // Unknown table → typed error instead of a downstream panic.
-        assert!(matches!(
-            checked.serve(&Query::join(&["nope"]), 1, &mut scratch),
-            Err(EstimateError::InvalidQuery(_))
-        ));
+        // The baselines have no fast tier: both precisions give the same answers.
+        for precision in [Precision::Exact, Precision::Fast] {
+            assert_eq!(
+                unchecked.serve(&Query::join(&["A"]), 99, &mut scratch, precision),
+                Ok(42.0)
+            );
+            assert_eq!(
+                checked.serve(&Query::join(&["A", "B"]), 1, &mut scratch, precision),
+                Ok(7.0)
+            );
+            // Unknown table → typed error instead of a downstream panic.
+            assert!(matches!(
+                checked.serve(&Query::join(&["nope"]), 1, &mut scratch, precision),
+                Err(EstimateError::InvalidQuery(_))
+            ));
+        }
         // The adapter is registrable as a trait object.
         let _obj: Arc<dyn ServingEstimator> = Arc::new(BaselineModel::new(Fixed(1.0)));
     }

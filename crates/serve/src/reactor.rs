@@ -388,6 +388,10 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>, pool: &ScratchPool) {
         // fetch_sub returns the pre-decrement depth: the backlog including this job,
         // which is the congestion signal precision autoselection keys off.
         let depth_at_dispatch = shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+        debug_assert!(
+            depth_at_dispatch >= 1,
+            "queue-depth gauge wrapped below zero"
+        );
         if job.frame.first() == Some(&MSG_DEREGISTER) {
             let result = handle_deregister(shared, &job.frame);
             let close_after = matches!(result, Err(ServeError::Protocol(_)));
@@ -828,15 +832,21 @@ impl IoThread {
             conn.next_seq += 1;
             conn.inflight += 1;
             let (io_idx, conn_id) = (self.idx, conn.id);
-            match self.jobs.try_send(Job {
+            // Counted before the enqueue and undone if it fails: a worker may dequeue
+            // (and decrement) the instant the job is queued, so counting afterwards
+            // lets the gauge be observed wrapped below zero.
+            self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
+            let sent = self.jobs.try_send(Job {
                 io_idx,
                 conn_id,
                 seq,
                 frame,
-            }) {
-                Ok(()) => {
-                    self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-                }
+            });
+            if sent.is_err() {
+                self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
+            }
+            match sent {
+                Ok(()) => {}
                 Err(TrySendError::Full(_)) => {
                     // Admission control: answer Overloaded right now, in order, without
                     // ever queueing the request.

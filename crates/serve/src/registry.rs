@@ -263,19 +263,9 @@ impl ModelLease {
         &*self.slot.model
     }
 
-    /// Serves one query on the pinned model (`samples: None` uses the model's default).
+    /// Serves one query on the pinned model (`samples: None` uses the model's default);
+    /// models without a fast tier serve exactly whatever `precision` says.
     pub fn estimate(
-        &self,
-        query: &Query,
-        samples: Option<usize>,
-        scratch: &mut SamplerScratch,
-    ) -> Result<f64, EstimateError> {
-        self.estimate_with_precision(query, samples, scratch, Precision::Exact)
-    }
-
-    /// [`ModelLease::estimate`] with an explicit inference tier; models without a fast
-    /// tier serve exactly regardless.
-    pub fn estimate_with_precision(
         &self,
         query: &Query,
         samples: Option<usize>,
@@ -283,9 +273,7 @@ impl ModelLease {
         precision: Precision,
     ) -> Result<f64, EstimateError> {
         let samples = samples.unwrap_or_else(|| self.slot.model.default_samples());
-        self.slot
-            .model
-            .serve_with_precision(query, samples, scratch, precision)
+        self.slot.model.serve(query, samples, scratch, precision)
     }
 }
 
@@ -621,7 +609,7 @@ impl ModelRegistry {
         };
         let started = Instant::now();
         let estimate = lease
-            .estimate_with_precision(&request.query, request.samples, scratch, request.precision)
+            .estimate(&request.query, request.samples, scratch, request.precision)
             .map_err(ServeError::Estimate)?;
         self.record_serve(lease.key(), started);
         Ok(ServeReply {
@@ -651,7 +639,7 @@ impl ModelRegistry {
             } => *schema_fingerprint,
         };
         let result = fallback
-            .serve(&request.query, samples, scratch)
+            .serve(&request.query, samples, scratch, request.precision)
             .map_err(ServeError::Estimate)
             .map(|estimate| {
                 self.inner.degraded.fetch_add(1, Ordering::Relaxed);
@@ -818,7 +806,10 @@ mod tests {
             (ModelSelector::Exact(k3.clone()), 3.0),
         ] {
             let lease = registry.acquire(&selector).unwrap();
-            assert_eq!(lease.estimate(&q(), None, &mut scratch), Ok(want));
+            assert_eq!(
+                lease.estimate(&q(), None, &mut scratch, Precision::Exact),
+                Ok(want)
+            );
         }
         // Anonymous latest picks the most recently *published* model for the schema.
         let lease = registry
@@ -864,8 +855,14 @@ mod tests {
         // New acquires see v2; the held lease still serves v1.
         let lease_v2 = registry.acquire(&ModelSelector::latest(1, "m")).unwrap();
         assert_eq!(lease_v2.key().version, 2);
-        assert_eq!(lease_v2.estimate(&q(), None, &mut scratch), Ok(20.0));
-        assert_eq!(lease_v1.estimate(&q(), None, &mut scratch), Ok(10.0));
+        assert_eq!(
+            lease_v2.estimate(&q(), None, &mut scratch, Precision::Exact),
+            Ok(20.0)
+        );
+        assert_eq!(
+            lease_v1.estimate(&q(), None, &mut scratch, Precision::Exact),
+            Ok(10.0)
+        );
 
         // Exact requests for the superseded version are told about the swap.
         assert_eq!(
@@ -981,7 +978,10 @@ mod tests {
         let lease = restarted
             .acquire(&ModelSelector::Exact(live.clone()))
             .unwrap();
-        assert_eq!(lease.estimate(&q(), None, &mut scratch), Ok(2.0));
+        assert_eq!(
+            lease.estimate(&q(), None, &mut scratch, Precision::Exact),
+            Ok(2.0)
+        );
         drop(lease);
 
         // ...double restore is rejected, and the next swap continues the sequence.

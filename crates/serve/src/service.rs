@@ -1,18 +1,15 @@
 //! In-process serving: a worker pool that drains [`ServeRequest`]s through a
 //! [`ModelRegistry`].
 //!
-//! [`RegistryService`] is the multi-model successor of PR 4's single-model service: a
-//! **bounded** request channel (clients block when the queue is full — natural
-//! backpressure), N workers each checking a reusable [`SamplerScratch`] out of a
-//! pre-grown [`ScratchPool`] per request, and p50/p99 latency accounting.  Requests
-//! carry a [`crate::ModelSelector`], so one service serves every registered model — and
-//! keeps serving across hot swaps, since routing happens per request.
+//! [`RegistryService`] is a **bounded** request channel (clients block when the queue is
+//! full — natural backpressure), N workers each checking a reusable [`SamplerScratch`]
+//! out of a pre-grown [`ScratchPool`] per request, and p50/p99 latency accounting.
+//! Requests carry a [`crate::ModelSelector`], so one service serves every registered
+//! model — and keeps serving across hot swaps, since routing happens per request.
 //!
-//! [`EstimatorService`] remains as the one-model convenience wrapper: it builds a
-//! private registry around a single [`EstimatorCore`] and pins every request to it.
-//! Determinism is unchanged from PR 4: every estimate is **bit-identical** to a
-//! sequential [`EstimatorCore::estimate`] of the same query, regardless of worker
-//! count, queueing order or thread interleaving.
+//! Determinism: every exact-tier estimate is **bit-identical** to a sequential
+//! [`neurocard::EstimatorCore::estimate`] of the same query, regardless of worker count,
+//! queueing order or thread interleaving.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -21,18 +18,17 @@ use std::time::{Duration, Instant};
 
 use nc_schema::Query;
 use neurocard::infer::SamplerScratch;
-use neurocard::{ArtifactLoadError, EstimatorCore, ModelArtifact};
 
 use crate::lockcheck::Mutex;
 use crate::pool::ScratchPool;
 use crate::protocol::{ServeReply, ServeRequest};
-use crate::registry::{ModelKey, ModelRegistry, ModelSelector, ModelStats};
+use crate::registry::{ModelRegistry, ModelSelector, ModelStats};
 use crate::stats::{LatencyLog, Quantiles};
 use crate::ServeError;
 
 pub use crate::stats::LATENCY_WINDOW;
 
-/// Configuration of a [`RegistryService`] / [`EstimatorService`].
+/// Configuration of a [`RegistryService`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads serving requests.
@@ -116,16 +112,10 @@ impl RegistryHandle {
     /// Submits a request and blocks for the reply (waiting for queue space if the
     /// request channel is full — in-process callers get blocking backpressure).
     pub fn request(&self, request: ServeRequest) -> Result<ServeReply, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        self.tx
-            .send(WorkItem {
-                request,
-                enqueued: Instant::now(),
-                reply,
-            })
-            .map_err(|_| ServeError::ShuttingDown)?;
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        rx.recv().map_err(|_| ServeError::ShuttingDown)?
+        self.enqueue(request, true)
+            .map_err(|_| ServeError::ShuttingDown)?
+            .recv()
+            .map_err(|_| ServeError::ShuttingDown)?
     }
 
     /// Submits a request **without blocking for queue space**: a full queue is an
@@ -138,24 +128,47 @@ impl RegistryHandle {
     /// instead — a cheap statistics lookup on the caller's thread, flagged
     /// `degraded` — so overload degrades accuracy before it degrades availability.
     pub fn try_request(&self, request: ServeRequest) -> Result<ServeReply, ServeError> {
+        match self.enqueue(request, false) {
+            Ok(rx) => rx.recv().map_err(|_| ServeError::ShuttingDown)?,
+            Err(TrySendError::Full(item)) => {
+                let mut scratch = SamplerScratch::new();
+                match self.registry.serve_fallback(&item.request, &mut scratch) {
+                    Some(result) => result,
+                    None => Err(ServeError::Overloaded),
+                }
+            }
+            Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
+        }
+    }
+
+    /// Queues a request — waiting for queue space, or refusing with
+    /// [`TrySendError::Full`] — and returns its reply rendezvous.
+    fn enqueue(
+        &self,
+        request: ServeRequest,
+        wait_for_space: bool,
+    ) -> Result<Receiver<Result<ServeReply, ServeError>>, TrySendError<WorkItem>> {
         let (reply, rx) = sync_channel(1);
-        match self.tx.try_send(WorkItem {
+        let item = WorkItem {
             request,
             enqueued: Instant::now(),
             reply,
-        }) {
-            Ok(()) => {}
-            Err(TrySendError::Full(item)) => {
-                let mut scratch = SamplerScratch::new();
-                return match self.registry.serve_fallback(&item.request, &mut scratch) {
-                    Some(result) => result,
-                    None => Err(ServeError::Overloaded),
-                };
-            }
-            Err(TrySendError::Disconnected(_)) => return Err(ServeError::ShuttingDown),
-        }
+        };
+        // Counted before the enqueue and undone if it fails: a worker may dequeue (and
+        // decrement) the instant the item is queued, so counting afterwards lets the
+        // gauge be observed wrapped below zero.
         self.depth.fetch_add(1, Ordering::Relaxed);
-        rx.recv().map_err(|_| ServeError::ShuttingDown)?
+        let sent = if wait_for_space {
+            self.tx
+                .send(item)
+                .map_err(|e| TrySendError::Disconnected(e.0))
+        } else {
+            self.tx.try_send(item)
+        };
+        if sent.is_err() {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+        }
+        sent.map(|()| rx)
     }
 
     /// Requests currently queued (admitted, not yet picked up by a worker).  A probe —
@@ -350,7 +363,8 @@ fn worker_loop(
             }
             Err(RecvTimeoutError::Disconnected) => return, // all senders gone
         };
-        depth.fetch_sub(1, Ordering::Relaxed);
+        let depth_before = depth.fetch_sub(1, Ordering::Relaxed);
+        debug_assert!(depth_before >= 1, "queue-depth gauge wrapped below zero");
         let mut request = item.request;
         if request.samples.is_none() {
             request.samples = default_samples;
@@ -374,132 +388,12 @@ fn worker_loop(
     }
 }
 
-/// A cloneable client handle onto a running [`EstimatorService`] (the single-model
-/// facade: every request is pinned to the service's one core).
-#[derive(Clone)]
-pub struct ServiceHandle {
-    inner: RegistryHandle,
-    selector: ModelSelector,
-    default_samples: usize,
-}
-
-impl ServiceHandle {
-    /// Estimates with the service's default sample budget (blocking round trip).
-    pub fn estimate(&self, query: &Query) -> Result<f64, ServeError> {
-        self.estimate_with_samples(query, self.default_samples)
-    }
-
-    /// Estimates with an explicit sample budget (blocking round trip).
-    pub fn estimate_with_samples(&self, query: &Query, samples: usize) -> Result<f64, ServeError> {
-        self.inner
-            .request(ServeRequest::new(self.selector.clone(), query.clone()).with_samples(samples))
-            .map(|reply| reply.estimate)
-    }
-}
-
-/// A long-lived, concurrent estimator service over one loaded model.
-///
-/// Since the registry redesign this is a facade: a private [`ModelRegistry`] holding
-/// exactly one [`EstimatorCore`], served by a [`RegistryService`].  The public API (and
-/// its determinism contract) is unchanged from PR 4.
-pub struct EstimatorService {
-    service: RegistryService,
-    core: Arc<EstimatorCore>,
-    key: ModelKey,
-    default_samples: usize,
-}
-
-impl EstimatorService {
-    /// Starts a service over an estimation core.
-    pub fn new(core: Arc<EstimatorCore>, config: ServiceConfig) -> Self {
-        let default_samples = config
-            .default_samples
-            .unwrap_or(core.config().progressive_samples);
-        let registry = Arc::new(ModelRegistry::new());
-        let key = registry
-            .register_core("default", core.clone())
-            // nc-lint: allow(panic-in-serving) — startup path on a registry created
-            // two lines up and not yet shared; "default" cannot already be taken.
-            .expect("fresh registry has no entries");
-        let service = RegistryService::new(registry, config);
-        EstimatorService {
-            service,
-            core,
-            key,
-            default_samples,
-        }
-    }
-
-    /// Starts a service straight from a parsed [`ModelArtifact`].
-    pub fn from_artifact(
-        artifact: &ModelArtifact,
-        config: ServiceConfig,
-    ) -> Result<Self, ArtifactLoadError> {
-        Ok(Self::new(Arc::new(artifact.to_core()?), config))
-    }
-
-    /// Starts a service straight from artifact container bytes.
-    pub fn from_artifact_bytes(
-        bytes: &[u8],
-        config: ServiceConfig,
-    ) -> Result<Self, ArtifactLoadError> {
-        Self::from_artifact(&ModelArtifact::from_bytes(bytes)?, config)
-    }
-
-    /// A cloneable client handle (one per client thread).
-    pub fn handle(&self) -> ServiceHandle {
-        ServiceHandle {
-            inner: self.service.handle(),
-            selector: ModelSelector::Exact(self.key.clone()),
-            default_samples: self.default_samples,
-        }
-    }
-
-    /// Estimates through the service (blocking round trip; equivalent to
-    /// `self.handle().estimate(query)`).
-    pub fn estimate(&self, query: &Query) -> Result<f64, ServeError> {
-        self.handle().estimate(query)
-    }
-
-    /// Estimates with an explicit sample budget.
-    pub fn estimate_with_samples(&self, query: &Query, samples: usize) -> Result<f64, ServeError> {
-        self.handle().estimate_with_samples(query, samples)
-    }
-
-    /// The shared estimation core.
-    pub fn core(&self) -> &Arc<EstimatorCore> {
-        &self.core
-    }
-
-    /// The key the core is registered under in the service's private registry.
-    pub fn key(&self) -> &ModelKey {
-        &self.key
-    }
-
-    /// The scratch workspace pool (exposed for observability in benches/tests).
-    pub fn scratch_pool(&self) -> &ScratchPool {
-        self.service.scratch_pool()
-    }
-
-    /// Latency summary: exact served count, quantiles over the most recent
-    /// [`LATENCY_WINDOW`] requests.
-    pub fn stats(&self) -> ServiceStats {
-        self.service.stats()
-    }
-
-    /// Stops accepting requests, drains the queue, joins the workers and returns the
-    /// final stats (see [`RegistryService::shutdown`]).
-    pub fn shutdown(self) -> ServiceStats {
-        self.service.shutdown()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use nc_schema::{JoinEdge, JoinSchema, Predicate};
     use nc_storage::{Database, TableBuilder, Value};
-    use neurocard::{EstimateError, NeuroCard, NeuroCardConfig};
+    use neurocard::{EstimateError, EstimatorCore, ModelArtifact, NeuroCard, NeuroCardConfig};
 
     fn trained_core() -> Arc<EstimatorCore> {
         let mut db = Database::new();
@@ -530,6 +424,19 @@ mod tests {
         )
     }
 
+    /// A service over a registry holding exactly `core`, and the selector pinned to it.
+    fn single_model_service(
+        core: Arc<EstimatorCore>,
+        config: ServiceConfig,
+    ) -> (RegistryService, ModelSelector) {
+        let registry = Arc::new(ModelRegistry::new());
+        let key = registry.register_core("default", core).unwrap();
+        (
+            RegistryService::new(registry, config),
+            ModelSelector::Exact(key),
+        )
+    }
+
     fn workload() -> Vec<Query> {
         let mut queries = vec![Query::join(&["A", "B"]), Query::join(&["A"])];
         for v in 0..4i64 {
@@ -546,7 +453,7 @@ mod tests {
         let sequential: Vec<f64> = queries.iter().map(|q| core.estimate(q)).collect();
 
         for workers in [1usize, 2, 4] {
-            let service = EstimatorService::new(
+            let (service, selector) = single_model_service(
                 core.clone(),
                 ServiceConfig {
                     workers,
@@ -559,13 +466,14 @@ mod tests {
                 let handles: Vec<_> = (0..3)
                     .map(|client| {
                         let handle = service.handle();
-                        let queries = &queries;
+                        let (queries, selector) = (&queries, &selector);
                         scope.spawn(move || {
                             let mut out = Vec::new();
                             for round in 0..3 {
                                 for (i, q) in queries.iter().enumerate() {
                                     if (i + round + client) % 3 == client % 3 {
-                                        out.push((i, handle.estimate(q).unwrap()));
+                                        let reply = handle.estimate(selector, q).unwrap();
+                                        out.push((i, reply.estimate));
                                     }
                                 }
                             }
@@ -595,20 +503,21 @@ mod tests {
     #[test]
     fn errors_are_reported_not_panicked() {
         let core = trained_core();
-        let service = EstimatorService::new(core, ServiceConfig::with_workers(2));
+        let (service, selector) = single_model_service(core, ServiceConfig::with_workers(2));
+        let handle = service.handle();
         let q = Query::join(&["A"]);
         // Zero sample budget → typed error (the PR-4 satellite contract).
         assert_eq!(
-            service.estimate_with_samples(&q, 0),
+            handle.request(ServeRequest::new(selector.clone(), q.clone()).with_samples(0)),
             Err(ServeError::Estimate(EstimateError::InvalidSampleCount))
         );
         // Unknown column → typed error; the worker survives to serve the next request.
         let bad = Query::join(&["A", "B"]).filter("A", "x", Predicate::eq(0i64));
         assert!(matches!(
-            service.estimate(&bad),
+            handle.estimate(&selector, &bad),
             Err(ServeError::Estimate(EstimateError::UnknownColumn { .. }))
         ));
-        assert!(service.estimate(&q).is_ok());
+        assert!(handle.estimate(&selector, &q).is_ok());
         let stats = service.shutdown();
         assert_eq!(stats.served, 3);
     }
@@ -616,7 +525,7 @@ mod tests {
     #[test]
     fn service_under_load_never_grows_the_scratch_pool() {
         let core = trained_core();
-        let service = EstimatorService::new(
+        let (service, selector) = single_model_service(
             core,
             ServiceConfig {
                 workers: 2,
@@ -628,10 +537,10 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let handle = service.handle();
-                let queries = &queries;
+                let (queries, selector) = (&queries, &selector);
                 scope.spawn(move || {
                     for q in queries {
-                        handle.estimate(q).unwrap();
+                        handle.estimate(selector, q).unwrap();
                     }
                 });
             }
@@ -645,15 +554,18 @@ mod tests {
     #[test]
     fn drop_with_leaked_handle_does_not_deadlock() {
         let core = trained_core();
-        let service = EstimatorService::new(core, ServiceConfig::with_workers(2));
+        let (service, selector) = single_model_service(core, ServiceConfig::with_workers(2));
         let handle = service.handle();
         let q = Query::join(&["A"]);
-        assert!(service.estimate(&q).is_ok());
+        assert!(handle.estimate(&selector, &q).is_ok());
         // The leaked handle keeps the request channel open; drop must still return
         // (workers exit via the stop flag at their next idle poll).
         drop(service);
         // ...and the orphaned handle fails cleanly instead of blocking.
-        assert_eq!(handle.estimate(&q), Err(ServeError::ShuttingDown));
+        assert_eq!(
+            handle.estimate(&selector, &q),
+            Err(ServeError::ShuttingDown)
+        );
     }
 
     #[test]
@@ -794,19 +706,21 @@ mod tests {
         let q = Query::join(&["t"]);
         let sel = ModelSelector::latest(1, "gate");
 
-        // Two blocking clients: one request held inside the (closed) gate by the single
-        // worker, the second filling the queue's one slot.
-        let blocked: Vec<_> = (0..2)
-            .map(|_| {
-                let h = handle.clone();
-                let sel = sel.clone();
-                let q = q.clone();
-                std::thread::spawn(move || h.estimate(&sel, &q))
-            })
-            .collect();
-        while waiters.load(Ordering::SeqCst) != 1 || handle.queue_depth() != 1 {
+        // One blocking client, held inside the (closed) gate by the single worker...
+        let held = {
+            let (h, sel, q) = (handle.clone(), sel.clone(), q.clone());
+            std::thread::spawn(move || h.estimate(&sel, &q))
+        };
+        while waiters.load(Ordering::SeqCst) != 1 {
             std::thread::yield_now();
         }
+        // ...and a second request placed in the queue's one slot without waiting for
+        // its reply.  (A second blocking client would not do: a request is counted
+        // before it is enqueued, so the depth gauge cannot prove its item has landed.)
+        let queued = handle
+            .enqueue(ServeRequest::new(sel.clone(), q.clone()), true)
+            .unwrap();
+        assert_eq!(handle.queue_depth(), 1);
 
         // The queue is provably full: admission control refuses instead of blocking.
         assert_eq!(
@@ -817,9 +731,8 @@ mod tests {
         // Open the gate: both admitted requests complete; the shed one never ran.
         *state.0.lock().unwrap_or_else(|p| p.into_inner()) = true;
         state.1.notify_all();
-        for t in blocked {
-            assert_eq!(t.join().unwrap().unwrap().estimate, 7.0);
-        }
+        assert_eq!(held.join().unwrap().unwrap().estimate, 7.0);
+        assert_eq!(queued.recv().unwrap().unwrap().estimate, 7.0);
         let stats = service.shutdown();
         assert_eq!(stats.served, 2);
         // A post-shutdown try_request reports shutdown, not overload.
@@ -894,18 +807,21 @@ mod tests {
         let q = Query::join(&["t"]);
         let sel = ModelSelector::latest(1, "gate");
 
-        // Fill the worker (gated) and the queue's one slot.
-        let blocked: Vec<_> = (0..2)
-            .map(|_| {
-                let h = handle.clone();
-                let sel = sel.clone();
-                let q = q.clone();
-                std::thread::spawn(move || h.estimate(&sel, &q))
-            })
-            .collect();
-        while waiters.load(Ordering::SeqCst) != 1 || handle.queue_depth() != 1 {
+        // One blocking client, held inside the (closed) gate by the single worker...
+        let held = {
+            let (h, sel, q) = (handle.clone(), sel.clone(), q.clone());
+            std::thread::spawn(move || h.estimate(&sel, &q))
+        };
+        while waiters.load(Ordering::SeqCst) != 1 {
             std::thread::yield_now();
         }
+        // ...and a second request placed in the queue's one slot without waiting for
+        // its reply.  (A second blocking client would not do: a request is counted
+        // before it is enqueued, so the depth gauge cannot prove its item has landed.)
+        let queued = handle
+            .enqueue(ServeRequest::new(sel.clone(), q.clone()), true)
+            .unwrap();
+        assert_eq!(handle.queue_depth(), 1);
 
         // The shed request is answered inline by the fallback, flagged degraded.
         let reply = handle
@@ -919,9 +835,8 @@ mod tests {
 
         *state.0.lock().unwrap_or_else(|p| p.into_inner()) = true;
         state.1.notify_all();
-        for t in blocked {
-            assert_eq!(t.join().unwrap().unwrap().estimate, 7.0);
-        }
+        assert_eq!(held.join().unwrap().unwrap().estimate, 7.0);
+        assert_eq!(queued.recv().unwrap().unwrap().estimate, 7.0);
         let stats = service.shutdown();
         assert_eq!(stats.served, 2);
     }
