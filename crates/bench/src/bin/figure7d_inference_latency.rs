@@ -9,15 +9,17 @@
 //! The fast-path section reports old-vs-new p50/p99 latency and progressive-sample
 //! throughput, asserts the two paths return **bit-identical** estimates (the determinism
 //! contract), and writes a machine-readable `BENCH_inference.json` (path overridable via
-//! `NC_BENCH_JSON`) so CI can track the perf trajectory.
+//! `NC_BENCH_JSON`) so CI can track the perf trajectory.  A closing JOB-M phase records
+//! the forward-pass work counters and asserts that the prefix-incremental input layer is
+//! actually carrying its prefix (a forwarded row embeds fewer columns than the model has).
 
 use std::time::Instant;
 
 use nc_baselines::{CardinalityEstimator, DeepDbLite, MscnConfig, MscnEstimator};
 use nc_bench::harness::{evaluate, print_preamble, true_cardinalities};
 use nc_bench::{BenchEnv, HarnessConfig};
-use nc_workloads::job_light_ranges_queries;
-use neurocard::{NeuroCard, Precision};
+use nc_workloads::{job_light_ranges_queries, job_m_queries};
+use neurocard::{ForwardCounters, NeuroCard, Precision};
 
 /// The two-tier determinism contract's accuracy gate: over the whole workload, the fast
 /// tier's estimate may not differ from the exact tier's by more than this factor in
@@ -53,6 +55,20 @@ fn path_stats(mut latencies_us: Vec<f64>, psamples: usize) -> PathStats {
         total_secs,
         samples_per_sec: total_samples / total_secs.max(1e-12),
     }
+}
+
+/// Sums one estimate's forward-pass counters into a workload total.
+fn add_counters(total: &mut ForwardCounters, one: ForwardCounters) {
+    total.forwards += one.forwards;
+    total.rows_forwarded += one.rows_forwarded;
+    total.columns_embedded += one.columns_embedded;
+}
+
+fn counters_json(c: ForwardCounters) -> String {
+    format!(
+        "\"forwards\": {}, \"rows_forwarded\": {}, \"columns_embedded\": {}",
+        c.forwards, c.rows_forwarded, c.columns_embedded
+    )
 }
 
 fn main() {
@@ -139,12 +155,15 @@ fn main() {
     let start = Instant::now();
     let batch_estimates = neurocard.estimate_batch(&queries, config.psamples);
     let batch_secs = start.elapsed().as_secs_f64();
+    let mut light_counters = ForwardCounters::default();
     let sequential: Vec<f64> = queries
         .iter()
         .map(|q| {
-            neurocard
+            let estimate = neurocard
                 .try_estimate(q, config.psamples, &mut scratch)
-                .unwrap()
+                .unwrap();
+            add_counters(&mut light_counters, scratch.last_estimate());
+            estimate
         })
         .collect();
     assert_eq!(
@@ -250,6 +269,49 @@ fn main() {
          scalar path; max q-error delta {max_qerror_delta:.3} (bound {QERROR_DELTA_BOUND})"
     );
 
+    // --- JOB-M: is the input-layer prefix actually carried? ---------------------------
+    // 16 tables put ~60 columns in the model, so a forward that re-embedded the whole
+    // tuple would pay the full column count per row; the prefix-incremental step pays only
+    // for the columns drawn (or skipped as wildcards) since the previous forward.
+    let m_env = BenchEnv::job_m(&config);
+    let m_queries = job_m_queries(&m_env.db, &m_env.schema, config.queries, config.seed);
+    let m_model = NeuroCard::build(m_env.db.clone(), m_env.schema.clone(), &config.neurocard());
+    let m_columns = m_model.core().encoded().num_model_columns();
+    let mut m_us = Vec::with_capacity(m_queries.len());
+    let mut m_counters = ForwardCounters::default();
+    for query in &m_queries {
+        let est_ref = m_model.estimate_with_samples_reference(query, config.psamples);
+        let start = Instant::now();
+        let est_fast = m_model
+            .try_estimate(query, config.psamples, &mut scratch)
+            .unwrap();
+        m_us.push(start.elapsed().as_secs_f64() * 1e6);
+        add_counters(&mut m_counters, scratch.last_estimate());
+        assert!(
+            est_ref == est_fast,
+            "fast path diverged from reference on JOB-M {query}: {est_ref} vs {est_fast}"
+        );
+    }
+    let job_m = path_stats(m_us, config.psamples);
+    let columns_per_row = m_counters.columns_embedded as f64 / m_counters.rows_forwarded as f64;
+    assert!(
+        m_counters.rows_forwarded > 0 && columns_per_row < m_columns as f64,
+        "the input-layer prefix is not being reused: {columns_per_row:.1} columns embedded \
+         per forwarded row, the model has {m_columns}"
+    );
+
+    println!();
+    println!(
+        "JOB-M ({} queries, {m_columns} model columns): p50 {:.0} us, p99 {:.0} us; {} forwards, \
+         {} rows, {columns_per_row:.1} columns embedded per row (a stateless forward pays \
+         {m_columns})",
+        m_queries.len(),
+        job_m.p50_us,
+        job_m.p99_us,
+        m_counters.forwards,
+        m_counters.rows_forwarded,
+    );
+
     let json = format!(
         "{{\n  \"bench\": \"inference\",\n  \"smoke\": {},\n  \"queries\": {},\n  \
          \"psamples\": {},\n  \"rounds\": {},\n  \"reference\": {{ \"p50_us\": {:.1}, \
@@ -261,7 +323,11 @@ fn main() {
          \"p99_us\": {:.1}, \"samples_per_sec\": {:.0} }}, \"fast\": {{ \
          \"p50_us\": {:.1}, \"p99_us\": {:.1}, \"samples_per_sec\": {:.0} }}, \
          \"fast_vs_exact_speedup\": {:.2}, \"fast_vs_scalar_speedup\": {:.2}, \
-         \"max_qerror_delta\": {:.4}, \"qerror_delta_bound\": {:.1} }}\n}}\n",
+         \"max_qerror_delta\": {:.4}, \"qerror_delta_bound\": {:.1} }},\n  \
+         \"fastpath_counters\": {{ {} }},\n  \
+         \"job_m\": {{ \"queries\": {}, \"model_columns\": {}, \"p50_us\": {:.1}, \
+         \"p99_us\": {:.1}, \"samples_per_sec\": {:.0}, {}, \
+         \"columns_embedded_per_row\": {:.2} }}\n}}\n",
         config.smoke,
         queries.len(),
         config.psamples,
@@ -286,6 +352,14 @@ fn main() {
         fast_vs_scalar,
         max_qerror_delta,
         QERROR_DELTA_BOUND,
+        counters_json(light_counters),
+        m_queries.len(),
+        m_columns,
+        job_m.p50_us,
+        job_m.p99_us,
+        job_m.samples_per_sec,
+        counters_json(m_counters),
+        columns_per_row,
     );
     let json_path =
         std::env::var("NC_BENCH_JSON").unwrap_or_else(|_| "BENCH_inference.json".to_string());

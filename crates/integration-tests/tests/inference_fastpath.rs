@@ -6,10 +6,17 @@
 
 use std::sync::Arc;
 
-use nc_datagen::{job_light_database, job_light_schema, DataGenConfig};
+use nc_datagen::{
+    job_light_database, job_light_schema, job_m_database, job_m_schema, DataGenConfig,
+};
+use nc_sampler::ColumnKind;
 use nc_schema::{Predicate, Query};
-use nc_workloads::job_light_ranges_queries;
-use neurocard::{EstimateError, NeuroCard, NeuroCardConfig, SamplerScratch};
+use nc_workloads::{job_light_ranges_queries, job_m_queries};
+use neurocard::{
+    EstimateError, EstimatorCore, NeuroCard, NeuroCardConfig, ProgressiveSampler, SamplerScratch,
+};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn build_model() -> (
     NeuroCard,
@@ -94,4 +101,184 @@ fn try_estimate_surfaces_unmodelled_columns_as_errors() {
         model.try_estimate(&good, samples, &mut scratch),
         Ok(model.estimate(&good))
     );
+}
+
+/// A JOB-M-shaped estimator: 16 tables (so most queries draw several fanout columns) and
+/// 3-bit factorization (so content columns span up to three sub-columns).
+fn build_job_m_model() -> (
+    NeuroCard,
+    Arc<nc_storage::Database>,
+    Arc<nc_schema::JoinSchema>,
+) {
+    let datagen = DataGenConfig {
+        title_rows: 60,
+        ..DataGenConfig::tiny()
+    };
+    let db = Arc::new(job_m_database(&datagen));
+    let schema = Arc::new(job_m_schema());
+    let mut config = NeuroCardConfig::tiny();
+    config.training_tuples = 1_500;
+    config.fact_bits = Some(3);
+    (
+        NeuroCard::build(db.clone(), schema.clone(), &config),
+        db,
+        schema,
+    )
+}
+
+fn sampler(core: &EstimatorCore) -> ProgressiveSampler<'_> {
+    ProgressiveSampler::new(
+        core.model(),
+        core.encoded(),
+        core.schema(),
+        core.full_join_rows(),
+        false,
+    )
+}
+
+/// Fast path and reference path over the same explicit RNG stream, compared by bits.
+fn assert_matches_reference(
+    core: &EstimatorCore,
+    query: &Query,
+    samples: usize,
+    seed: u64,
+    scratch: &mut SamplerScratch,
+) -> f64 {
+    let sampler = sampler(core);
+    let reference = sampler.estimate_reference(query, samples, &mut StdRng::seed_from_u64(seed));
+    let fast = sampler
+        .try_estimate_with_scratch(query, samples, &mut StdRng::seed_from_u64(seed), scratch)
+        .unwrap();
+    assert_eq!(
+        reference.to_bits(),
+        fast.to_bits(),
+        "{query} samples {samples} seed {seed}: reference {reference} != fast {fast}"
+    );
+    fast
+}
+
+/// The first content column split into at least three sub-columns: `(wide index, table,
+/// column)`.
+fn three_digit_column(core: &EstimatorCore) -> (usize, String, String) {
+    let encoded = core.encoded();
+    encoded
+        .layout()
+        .columns()
+        .iter()
+        .enumerate()
+        .find(|(i, c)| c.kind == ColumnKind::Content && encoded.subcolumns_of(*i).len() >= 3)
+        .map(|(i, c)| (i, c.table.clone(), c.column.clone()))
+        .expect("3-bit factorization splits some content column three ways")
+}
+
+#[test]
+fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
+    let (light, light_db, light_schema) = build_model();
+    let mut light_queries = job_light_ranges_queries(&light_db, &light_schema, 4, 5);
+    light_queries.push(Query::join(&["title"]));
+
+    let (m, m_db, m_schema) = build_job_m_model();
+    let m_core = m.core();
+    let mut m_queries = job_m_queries(&m_db, &m_schema, 3, 11);
+    // All-fanout downscaling of a 16-table schema, and a range over a column that spans
+    // three sub-columns (classes split and re-parent digit by digit).
+    m_queries.push(Query::join(&["title"]));
+    let (idx, table, column) = three_digit_column(&m_core);
+    let dict = m_core.encoded().dictionary(idx);
+    let mid = dict.decode(dict.domain_size() as u32 / 2);
+    m_queries.push(Query::join(&[table.as_str()]).filter(&table, &column, Predicate::ge(mid)));
+
+    let mut scratch = SamplerScratch::new();
+    for (core, queries) in [(light.core(), &light_queries), (m_core, &m_queries)] {
+        let columns = core.encoded().num_model_columns() as u64;
+        for query in queries {
+            for samples in [1usize, 7, 64, 512] {
+                for seed in [3u64, 17, 40_009] {
+                    assert_matches_reference(&core, query, samples, seed, &mut scratch);
+                    // The prefix is carried: a row never re-embeds the whole tuple.
+                    let counters = scratch.last_estimate();
+                    assert!(counters.forwards > 0 && counters.rows_forwarded >= counters.forwards);
+                    assert!(counters.columns_embedded < counters.rows_forwarded * columns);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn samples_that_all_die_mid_column_match_the_reference() {
+    let (m, _db, _schema) = build_job_m_model();
+    let core = m.core();
+    let (idx, table, column) = three_digit_column(&core);
+    let encoded = core.encoded();
+    let code = encoded.dictionary(idx).domain_size() as u32 / 2;
+    let literal = encoded.dictionary(idx).decode(code);
+    let middle = encoded.subcolumns_of(idx)[1];
+    assert!(encoded.layout().columns()[..idx]
+        .iter()
+        .all(|c| c.kind == ColumnKind::Content));
+    let digit = encoded.factorization(idx).split(code)[1] as usize;
+
+    // Push the middle digit's logit bias to -1e30: its probability underflows to exactly
+    // zero, so every sample of an equality filter on `literal` dies at the middle
+    // sub-column and the last sub-column is forwarded with no live sample at all.
+    let mut model = core.model().clone();
+    let mut params = model.params_mut();
+    let bias = params.len() - core.model().num_columns() + middle;
+    assert_eq!(
+        (params[bias].value.rows(), params[bias].value.cols()),
+        (1, core.model().domain(middle))
+    );
+    params[bias].value.set(0, digit, -1e30);
+    let poisoned = EstimatorCore::new(
+        model,
+        core.encoded().clone(),
+        core.schema().clone(),
+        core.config().clone(),
+        core.full_join_rows(),
+    )
+    .unwrap();
+
+    let query = Query::join(&[table.as_str()]).filter(&table, &column, Predicate::eq(literal));
+    let mut scratch = SamplerScratch::new();
+    for samples in [1usize, 7, 64] {
+        let estimate = assert_matches_reference(&poisoned, &query, samples, 23, &mut scratch);
+        assert_eq!(
+            estimate, 1.0,
+            "no sample survives, so the estimate is the 1-row floor"
+        );
+        // The filtered column is the first constrained one (only unfiltered content
+        // columns precede it), so the walk is: first digit, middle digit — where every
+        // sample dies — and the last digit, forwarded as one placeholder row.
+        let counters = scratch.last_estimate();
+        assert_eq!((counters.forwards, counters.rows_forwarded), (3, 3));
+    }
+    // The unpoisoned model answers the same query with live samples, all the way through
+    // the indicator and fanout columns behind the filter.
+    assert_matches_reference(&core, &query, 64, 23, &mut scratch);
+    assert!(scratch.last_estimate().forwards > 3);
+}
+
+#[test]
+fn one_scratch_alternated_between_models_returns_fresh_scratch_bits() {
+    let (light, light_db, light_schema) = build_model();
+    let (m, m_db, m_schema) = build_job_m_model();
+    let light_queries = job_light_ranges_queries(&light_db, &light_schema, 4, 21);
+    let m_queries = job_m_queries(&m_db, &m_schema, 4, 22);
+
+    // Stale accumulators, parent rows or counters of one (model, query) must never leak
+    // into the next estimate: the shared scratch sees model A, then B, then A again...
+    let mut shared = SamplerScratch::new();
+    for round in 0..2 {
+        for (a, b) in light_queries.iter().zip(&m_queries) {
+            for (model, query) in [(&light, a), (&m, b)] {
+                let samples = if round == 0 { 64 } else { 9 };
+                let fresh = model
+                    .try_estimate(query, samples, &mut SamplerScratch::new())
+                    .unwrap();
+                let reused = model.try_estimate(query, samples, &mut shared).unwrap();
+                assert_eq!(fresh.to_bits(), reused.to_bits(), "{query} round {round}");
+            }
+        }
+    }
 }

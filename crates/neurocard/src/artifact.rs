@@ -19,7 +19,9 @@
 //! path; the binary sections use the checked readers of [`nc_storage::binio`].  Loading
 //! validates the container header (magic, version, checksum), every section's presence
 //! and internal consistency, and finally the weight shapes against the freshly built
-//! model — every failure is a typed [`ArtifactLoadError`], never a panic.
+//! model and that every MADE-masked weight — in both weight sections — is exactly zero
+//! (the autoregressive property and the prefix-incremental forward rest on it) — every
+//! failure is a typed [`ArtifactLoadError`], never a panic.
 //!
 //! **Losslessness contract:** `NeuroCard::from_artifact(ModelArtifact::from_bytes(
 //! artifact.to_bytes()))` produces bit-identical estimates to the estimator that wrote
@@ -471,7 +473,8 @@ impl ModelArtifact {
     }
 
     /// Builds the estimation engine: a fresh model of the configured architecture with
-    /// the persisted weights loaded into it (shape-validated).
+    /// the persisted weights loaded into it (shape- and mask-validated), its gradient
+    /// buffers released.
     pub fn to_core(&self) -> Result<EstimatorCore, ArtifactLoadError> {
         let mut model = ResMade::new(MadeConfig {
             domains: self.encoded.model_domains(),
@@ -481,6 +484,12 @@ impl ModelArtifact {
             seed: self.config.seed,
         });
         load_params_from_bytes(&mut model, &self.weights).map_err(ArtifactLoadError::Weights)?;
+        model
+            .check_masked_weights()
+            .map_err(|m| section_err("weights", m))?;
+        // A loaded core only ever estimates: without this, the exact model and its
+        // fast-tier twin would each hold a never-touched gradient copy of every weight.
+        model.release_gradients();
         let fast_model = match &self.weights_bf16 {
             Some(bytes) => {
                 load_bf16_weights(&model, bytes).map_err(|m| section_err("weights_bf16", m))?
@@ -557,7 +566,8 @@ fn bf16_weights_bytes(model: &ResMade) -> Vec<u8> {
 }
 
 /// Decodes a `weights_bf16` section into the fast-tier model: `exact` supplies the
-/// architecture (and shape expectations); every tensor is validated against it.
+/// architecture (and shape expectations); every tensor is validated against it, and the
+/// decoded model must keep its masked weights at zero.
 fn load_bf16_weights(exact: &ResMade, bytes: &[u8]) -> Result<ResMade, String> {
     let mut fast = exact.clone();
     let mut r = BinReader::new(bytes);
@@ -587,6 +597,7 @@ fn load_bf16_weights(exact: &ResMade, bytes: &[u8]) -> Result<ResMade, String> {
     if !r.is_empty() {
         return Err(format!("{} unread bytes", r.remaining()));
     }
+    fast.check_masked_weights()?;
     Ok(fast)
 }
 
@@ -945,6 +956,46 @@ mod tests {
             p.extend_from_slice(&[0u8; 3]);
             Some(p)
         }));
+    }
+
+    #[test]
+    fn nonzero_masked_weights_report_typed_errors() {
+        let (model, _, _) = trained();
+        let good = model.core().model().clone();
+        // The input layer follows the per-column embedding tables in parameter order.
+        // The last column's input units are masked from every hidden unit.
+        let tensor = good.num_columns();
+        let row = (good.num_columns() - 1) * good.config().d_emb;
+        let mut bad = good.clone();
+        bad.params_mut()[tensor].value.set(row, 0, 0.25);
+
+        let expect = |artifact: ModelArtifact, section: &str| {
+            let loaded = ModelArtifact::from_bytes(&artifact.to_bytes())
+                .expect("the container and every section still parse");
+            match loaded.to_core() {
+                Err(ArtifactLoadError::Section { name, message }) => {
+                    assert_eq!(name, section);
+                    assert!(message.contains("input layer"), "{message}");
+                }
+                Err(other) => panic!("expected a {section} section error, got {other:?}"),
+                Ok(_) => panic!("expected a {section} section error, got a working core"),
+            }
+        };
+        let mut flipped_f32 = model.to_artifact();
+        flipped_f32.weights = model_to_bytes(&bad);
+        expect(flipped_f32, "weights");
+        let mut flipped_bf16 = model.to_artifact();
+        flipped_bf16.weights_bf16 = Some(Bytes::from(bf16_weights_bytes(&bad)));
+        expect(flipped_bf16, "weights_bf16");
+        // A zero of either sign is still a zero.
+        let mut negative_zero = good;
+        negative_zero.params_mut()[tensor].value.set(row, 0, -0.0);
+        let mut artifact = model.to_artifact();
+        artifact.weights = model_to_bytes(&negative_zero);
+        ModelArtifact::from_bytes(&artifact.to_bytes())
+            .unwrap()
+            .to_core()
+            .expect("-0.0 passes the mask check");
     }
 
     /// One trained artifact shared by the property tests below (training per case would

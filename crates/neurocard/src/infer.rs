@@ -20,8 +20,12 @@
 //!
 //! * sample tokens live in one flat `num_samples × n_model` buffer (no `Vec<Vec<u32>>`),
 //! * model forwards write into a reused [`nc_nn::InferenceScratch`] via
-//!   [`nc_nn::ResMade::conditional_probs_into`] (blocked GEMM kernels, single-column
+//!   [`nc_nn::ResMade::conditional_probs_step`] (blocked GEMM kernels, single-column
 //!   output head),
+//! * the input layer is **prefix-incremental**: the scratch carries each forwarded row's
+//!   pre-bias accumulator, a class created by refinement names the row of the class it
+//!   split from as its parent, and a forward embeds and multiplies only the columns
+//!   drawn (or skipped as wildcards) since the previous forward,
 //! * dead samples (weight 0) are compacted out after every wide column, so later columns
 //!   run smaller forward batches,
 //! * identical samples are **deduplicated**: a sample's token row is a pure function of
@@ -110,7 +114,9 @@ enum Constraint {
 ///
 /// One scratch per serving thread; reuse it across queries via
 /// [`ProgressiveSampler::try_estimate_with_scratch`].  All buffers grow on first use and are
-/// then reused, so steady-state estimation allocates nothing.
+/// then reused, so steady-state estimation allocates nothing; the ones whose size follows
+/// the number of sample classes are reserved for the estimate's whole sample budget up
+/// front, so a scratch's allocations do not depend on the order queries arrive in.
 #[derive(Debug, Default)]
 pub struct SamplerScratch {
     /// Model forward-pass buffers.
@@ -138,12 +144,40 @@ pub struct SamplerScratch {
     class_map: std::collections::HashMap<(u32, u32), u32>,
     /// Class renumbering used when compaction leaves id gaps.
     renumber: Vec<u32>,
+    /// For each class, the row of the previous forward batch it descends from (whose
+    /// input-layer accumulator its next forward continues).
+    class_parent: Vec<u32>,
+    /// `class_parent` being rebuilt under compaction's renumbering.
+    class_parent_next: Vec<u32>,
+    /// What the last estimate's forwards cost.
+    counters: ForwardCounters,
+}
+
+/// Work counters of one estimate's model forwards (plain counts, no clock).
+///
+/// `columns_embedded / rows_forwarded` is the mean number of columns a forwarded row had
+/// to embed and multiply through the input layer; a forward that carried no prefix would
+/// pay the model's full column count for every row.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ForwardCounters {
+    /// Model forwards (one per constrained sub-column reached by a live sample).
+    pub forwards: u64,
+    /// Rows over all forwards (one per row-equality class).
+    pub rows_forwarded: u64,
+    /// Token embeddings looked up over all forwards.
+    pub columns_embedded: u64,
 }
 
 impl SamplerScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         SamplerScratch::default()
+    }
+
+    /// Forward-pass counters of the last estimate run on this scratch (all zero when it
+    /// was answered without sampling).
+    pub fn last_estimate(&self) -> ForwardCounters {
+        self.counters
     }
 }
 
@@ -154,9 +188,8 @@ pub struct ProgressiveSampler<'a> {
     schema: &'a JoinSchema,
     full_join_rows: f64,
     /// Route model forwards through the architecture-dispatched fast-tier kernels
-    /// ([`nc_nn::ResMade::conditional_probs_into_fast`]) instead of the exact scalar
-    /// ones.  The `Precision::Fast` serving tier sets it (paired with bf16-quantised
-    /// weights — see the two-tier determinism contract).
+    /// instead of the exact scalar ones.  The `Precision::Fast` serving tier sets it
+    /// (paired with bf16-quantised weights — see the two-tier determinism contract).
     fast_kernels: bool,
 }
 
@@ -198,6 +231,7 @@ impl<'a> ProgressiveSampler<'a> {
         rng: &mut StdRng,
         scratch: &mut SamplerScratch,
     ) -> Result<f64, EstimateError> {
+        scratch.counters = ForwardCounters::default();
         if num_samples == 0 {
             return Err(EstimateError::InvalidSampleCount);
         }
@@ -317,7 +351,16 @@ impl<'a> ProgressiveSampler<'a> {
             class_seen,
             class_map,
             renumber,
+            class_parent,
+            class_parent_next,
+            counters,
         } = scratch;
+
+        // No forward batch exceeds one row per sample.  Sizing the buffers whose length
+        // follows the class count here, once, keeps what a scratch allocates independent
+        // of the order queries arrive in (see `ResMade::reserve_scratch`).
+        self.model.reserve_scratch(num_samples, nn);
+        class_tokens.reserve_exact((num_samples * n_model).saturating_sub(class_tokens.len()));
 
         // Every progressive sample starts as the all-wildcard tuple.
         mask_row.clear();
@@ -340,6 +383,10 @@ impl<'a> ProgressiveSampler<'a> {
         classes.clear();
         classes.resize(num_samples, 0u32);
         let mut n_classes = 1usize;
+        // The first forward starts from the empty prefix (whatever an earlier estimate,
+        // or another model, left in `nn` is overwritten); every later one continues the
+        // rows named by `class_parent`.
+        let mut forwarded = false;
 
         for (wide_idx, constraint) in constraints.iter().enumerate() {
             if matches!(constraint, Constraint::Wildcard) {
@@ -386,21 +433,17 @@ impl<'a> ProgressiveSampler<'a> {
                             .copy_from_slice(&tokens[s * n_model..(s + 1) * n_model]);
                     }
                 }
-                // The ONLY model-forward call site of the hot loop: the fast tier swaps
-                // in the architecture-dispatched kernels here and nowhere else.
-                let probs = if self.fast_kernels {
-                    self.model.conditional_probs_into_fast(
-                        &class_tokens[..n_classes * n_model],
-                        model_col,
-                        nn,
-                    )
-                } else {
-                    self.model.conditional_probs_into(
-                        &class_tokens[..n_classes * n_model],
-                        model_col,
-                        nn,
-                    )
-                };
+                // The ONLY model-forward call site of the hot loop.
+                let probs = self.model.conditional_probs_step(
+                    &class_tokens[..n_classes * n_model],
+                    model_col,
+                    forwarded.then(|| &class_parent[..n_classes]),
+                    self.fast_kernels,
+                    nn,
+                );
+                forwarded = true;
+                counters.forwards += 1;
+                counters.rows_forwarded += n_classes as u64;
                 let domain = self.model.domain(model_col);
                 for s in 0..alive {
                     if weights[s] == 0.0 {
@@ -432,25 +475,30 @@ impl<'a> ProgressiveSampler<'a> {
                     }
                     tokens[s * n_model + model_col] = digit;
                 }
+                counters.columns_embedded += nn.embedded_columns() as u64;
 
                 // Refine classes by the digit just drawn: samples remain classmates iff
                 // they were classmates and drew the same digit.  Dead samples keep stale
                 // ids; they are skipped everywhere until compaction drops them.
+                // A new class continues the forward row of the class it split from.
                 class_map.clear();
-                let mut next = 0u32;
+                class_parent.clear();
                 for s in 0..alive {
                     if weights[s] == 0.0 {
                         continue;
                     }
                     let key = (classes[s], tokens[s * n_model + model_col]);
                     let id = *class_map.entry(key).or_insert_with(|| {
-                        let id = next;
-                        next += 1;
-                        id
+                        class_parent.push(classes[s]);
+                        class_parent.len() as u32 - 1
                     });
                     classes[s] = id;
                 }
-                n_classes = (next as usize).max(1);
+                if class_parent.is_empty() {
+                    // Every sample died: the one placeholder row is never read.
+                    class_parent.push(0);
+                }
+                n_classes = class_parent.len();
             }
 
             if matches!(constraint, Constraint::FanoutDraw) {
@@ -465,18 +513,18 @@ impl<'a> ProgressiveSampler<'a> {
             }
 
             // Compact dead samples out so the next wide column runs a smaller forward
-            // batch, renumbering classes densely.  Relative order is preserved, keeping
-            // the RNG stream identical.
+            // batch, renumbering classes densely (each class's parent row moves with it).
+            // Relative order is preserved, keeping the RNG stream identical.
             renumber.clear();
             renumber.resize(n_classes, u32::MAX);
-            let mut next_class = 0u32;
+            class_parent_next.clear();
             let mut live = 0;
             for s in 0..alive {
                 if weights[s] > 0.0 {
                     let c = classes[s] as usize;
                     if renumber[c] == u32::MAX {
-                        renumber[c] = next_class;
-                        next_class += 1;
+                        renumber[c] = class_parent_next.len() as u32;
+                        class_parent_next.push(class_parent[c]);
                     }
                     classes[live] = renumber[c];
                     if live != s {
@@ -488,7 +536,8 @@ impl<'a> ProgressiveSampler<'a> {
                 }
             }
             alive = live;
-            n_classes = (next_class as usize).max(1);
+            std::mem::swap(class_parent, class_parent_next);
+            n_classes = class_parent.len();
         }
 
         // Dead samples contribute exactly +0.0 to the sum, so summing only the survivors

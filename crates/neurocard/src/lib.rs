@@ -54,5 +54,5 @@ pub use core::{EstimatorCore, Precision};
 pub use encoding::EncodedLayout;
 pub use estimator::{EstimatorStats, NeuroCard};
 pub use factorization::Factorization;
-pub use infer::{EstimateError, ProgressiveSampler, SamplerScratch};
+pub use infer::{EstimateError, ForwardCounters, ProgressiveSampler, SamplerScratch};
 pub use train::{TrainProgress, Trainer, TrainingSource};

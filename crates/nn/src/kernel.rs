@@ -3,12 +3,13 @@
 //! The exact tier ([`crate::made::ResMade::conditional_probs_into`]) calls the scalar
 //! kernels in [`crate::tensor`] directly and is pinned bit-for-bit against the training
 //! path.  The fast tier ([`crate::made::ResMade::conditional_probs_into_fast`]) routes the
-//! same three GEMM shapes — plus the softmax normalisation — through this module, which
+//! same GEMM shapes — plus the softmax normalisation — through this module, which
 //! picks the widest implementation the running CPU supports:
 //!
 //! | kernel            | portable fallback        | x86_64 (`simd`)   | aarch64 (`simd`) |
 //! |-------------------|--------------------------|-------------------|------------------|
 //! | `matmul_blocked`  | scalar blocked (tensor)  | AVX2 + FMA, 4-row × 16-col broadcast-FMA tiles | NEON, 4-lane |
+//! | `matmul_blocked_acc`| scalar blocked (tensor) | the `matmul_blocked` tiles, accumulators loaded from `out` | NEON, same |
 //! | `matmul_col_range`| scalar blocked (tensor)  | AVX2 + FMA        | NEON             |
 //! | `gemm_nt`         | scalar blocked (tensor)  | AVX2 + FMA horizontal dot | NEON |
 //! | `softmax_rows_into`| scalar (loss)           | AVX2 max/scale, scalar `exp` | NEON |
@@ -100,7 +101,7 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         // SAFETY: `isa()` returned Avx2Fma, so the CPU was probed for avx2+fma.
         Isa::Avx2Fma => unsafe {
-            avx2::matmul_rows(
+            avx2::matmul_rows::<false>(
                 a.rows(),
                 a.cols(),
                 b.cols(),
@@ -114,12 +115,54 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         // SAFETY: NEON is part of the aarch64 baseline ISA.
         Isa::Neon => unsafe {
-            neon::matmul_rows(
+            neon::matmul_rows::<false>(
                 a.rows(),
                 a.cols(),
                 b.cols(),
                 a.data(),
                 b.data(),
+                0,
+                b.cols(),
+                out.data_mut(),
+            )
+        },
+    }
+}
+
+/// Fast-tier `out += a · b[row0..row0 + a.cols(), :]`; same shape contract as
+/// [`crate::tensor::matmul_blocked_acc`].
+pub fn matmul_blocked_acc(a: &Matrix, b: &Matrix, row0: usize, out: &mut Matrix) {
+    assert!(
+        row0 + a.cols() <= b.rows(),
+        "row slab out of bounds of the right operand"
+    );
+    assert_eq!(out.rows(), a.rows());
+    assert_eq!(out.cols(), b.cols());
+    match isa() {
+        Isa::Portable => tensor::matmul_blocked_acc(a, b, row0, out),
+        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+        // SAFETY: `isa()` returned Avx2Fma, so the CPU was probed for avx2+fma.
+        Isa::Avx2Fma => unsafe {
+            avx2::matmul_rows::<true>(
+                a.rows(),
+                a.cols(),
+                b.cols(),
+                a.data(),
+                &b.data()[row0 * b.cols()..],
+                0,
+                b.cols(),
+                out.data_mut(),
+            )
+        },
+        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
+        // SAFETY: NEON is part of the aarch64 baseline ISA.
+        Isa::Neon => unsafe {
+            neon::matmul_rows::<true>(
+                a.rows(),
+                a.cols(),
+                b.cols(),
+                a.data(),
+                &b.data()[row0 * b.cols()..],
                 0,
                 b.cols(),
                 out.data_mut(),
@@ -140,7 +183,7 @@ pub fn matmul_col_range(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut 
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         // SAFETY: `isa()` returned Avx2Fma, so the CPU was probed for avx2+fma.
         Isa::Avx2Fma => unsafe {
-            avx2::matmul_rows(
+            avx2::matmul_rows::<false>(
                 a.rows(),
                 a.cols(),
                 b.cols(),
@@ -154,7 +197,7 @@ pub fn matmul_col_range(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut 
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         // SAFETY: NEON is part of the aarch64 baseline ISA.
         Isa::Neon => unsafe {
-            neon::matmul_rows(
+            neon::matmul_rows::<false>(
                 a.rows(),
                 a.cols(),
                 b.cols(),
@@ -250,8 +293,22 @@ mod avx2 {
         _mm_cvtss_f32(_mm_max_ss(m, shuf))
     }
 
+    /// Initial value of an 8-lane accumulator whose result is stored at `dst`: what is
+    /// already there when accumulating, zero otherwise.
+    #[inline]
+    #[target_feature(enable = "avx2", enable = "fma")]
+    unsafe fn start<const ACC: bool>(dst: *const f32) -> __m256 {
+        if ACC {
+            _mm256_loadu_ps(dst)
+        } else {
+            _mm256_setzero_ps()
+        }
+    }
+
     /// `out[:, 0..hi-lo] = a (m×k) · b[:, lo..hi]` where `b` is `k×bn` row-major.
-    /// Serves both `matmul_blocked` (`lo = 0, hi = bn`) and `matmul_col_range`.
+    /// Serves `matmul_blocked` (`lo = 0, hi = bn`), `matmul_col_range`, and — with
+    /// `ACC`, which starts every accumulator at `out` instead of zero —
+    /// `matmul_blocked_acc`.
     ///
     /// Register blocking: 4 `a` rows × 16 output columns per micro-tile — 8 independent
     /// FMA accumulator chains (enough to cover FMA latency at 2/cycle) sharing every
@@ -261,7 +318,7 @@ mod avx2 {
     /// branch in the hot loop.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn matmul_rows(
+    pub unsafe fn matmul_rows<const ACC: bool>(
         m: usize,
         k: usize,
         bn: usize,
@@ -281,14 +338,14 @@ mod avx2 {
             let o = out.as_mut_ptr().add(i * w);
             let mut j = 0;
             while j + 16 <= w {
-                let mut c00 = _mm256_setzero_ps();
-                let mut c01 = _mm256_setzero_ps();
-                let mut c10 = _mm256_setzero_ps();
-                let mut c11 = _mm256_setzero_ps();
-                let mut c20 = _mm256_setzero_ps();
-                let mut c21 = _mm256_setzero_ps();
-                let mut c30 = _mm256_setzero_ps();
-                let mut c31 = _mm256_setzero_ps();
+                let mut c00 = start::<ACC>(o.add(j));
+                let mut c01 = start::<ACC>(o.add(j + 8));
+                let mut c10 = start::<ACC>(o.add(w + j));
+                let mut c11 = start::<ACC>(o.add(w + j + 8));
+                let mut c20 = start::<ACC>(o.add(2 * w + j));
+                let mut c21 = start::<ACC>(o.add(2 * w + j + 8));
+                let mut c30 = start::<ACC>(o.add(3 * w + j));
+                let mut c31 = start::<ACC>(o.add(3 * w + j + 8));
                 for p in 0..k {
                     let base = b.as_ptr().add(p * bn + lo + j);
                     let b0 = _mm256_loadu_ps(base);
@@ -317,10 +374,10 @@ mod avx2 {
                 j += 16;
             }
             while j + 8 <= w {
-                let mut c0 = _mm256_setzero_ps();
-                let mut c1 = _mm256_setzero_ps();
-                let mut c2 = _mm256_setzero_ps();
-                let mut c3 = _mm256_setzero_ps();
+                let mut c0 = start::<ACC>(o.add(j));
+                let mut c1 = start::<ACC>(o.add(w + j));
+                let mut c2 = start::<ACC>(o.add(2 * w + j));
+                let mut c3 = start::<ACC>(o.add(3 * w + j));
                 for p in 0..k {
                     let vb = _mm256_loadu_ps(b.as_ptr().add(p * bn + lo + j));
                     c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a0.add(p)), vb, c0);
@@ -337,7 +394,7 @@ mod avx2 {
             while j < w {
                 for r in 0..4 {
                     let ar = a.as_ptr().add((i + r) * k);
-                    let mut acc = 0.0f32;
+                    let mut acc = if ACC { *o.add(r * w + j) } else { 0.0f32 };
                     for p in 0..k {
                         acc += *ar.add(p) * b[p * bn + lo + j];
                     }
@@ -353,7 +410,7 @@ mod avx2 {
             let out_row = &mut out[i * w..i * w + w];
             let mut j = 0;
             while j + 8 <= w {
-                let mut acc0 = _mm256_setzero_ps();
+                let mut acc0 = start::<ACC>(out_row.as_ptr().add(j));
                 let mut acc1 = _mm256_setzero_ps();
                 let mut p = 0;
                 while p + 2 <= k {
@@ -381,7 +438,7 @@ mod avx2 {
                 j += 8;
             }
             while j < w {
-                let mut acc = 0.0f32;
+                let mut acc = if ACC { out_row[j] } else { 0.0f32 };
                 for (p, &a_ip) in a_row.iter().enumerate() {
                     if a_ip == 0.0 {
                         continue;
@@ -506,14 +563,26 @@ mod avx2 {
 #[cfg(all(feature = "simd", target_arch = "aarch64"))]
 mod neon {
     use core::arch::aarch64::{
-        vaddvq_f32, vdupq_n_f32, vfmaq_f32, vld1q_f32, vmaxnmvq_f32, vmaxq_f32, vmulq_f32,
-        vst1q_f32,
+        float32x4_t, vaddvq_f32, vdupq_n_f32, vfmaq_f32, vld1q_f32, vmaxnmvq_f32, vmaxq_f32,
+        vmulq_f32, vst1q_f32,
     };
+
+    /// Initial value of a 4-lane accumulator whose result is stored at `dst`: what is
+    /// already there when accumulating, zero otherwise.
+    #[inline]
+    #[target_feature(enable = "neon")]
+    unsafe fn start<const ACC: bool>(dst: *const f32) -> float32x4_t {
+        if ACC {
+            vld1q_f32(dst)
+        } else {
+            vdupq_n_f32(0.0)
+        }
+    }
 
     /// See `avx2::matmul_rows`; 4-lane panels instead of 8.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "neon")]
-    pub unsafe fn matmul_rows(
+    pub unsafe fn matmul_rows<const ACC: bool>(
         m: usize,
         k: usize,
         bn: usize,
@@ -529,10 +598,11 @@ mod neon {
             let out_row = &mut out[i * w..i * w + w];
             let mut j = 0;
             while j + 16 <= w {
-                let mut acc0 = vdupq_n_f32(0.0);
-                let mut acc1 = vdupq_n_f32(0.0);
-                let mut acc2 = vdupq_n_f32(0.0);
-                let mut acc3 = vdupq_n_f32(0.0);
+                let dst = out_row.as_mut_ptr().add(j);
+                let mut acc0 = start::<ACC>(dst);
+                let mut acc1 = start::<ACC>(dst.add(4));
+                let mut acc2 = start::<ACC>(dst.add(8));
+                let mut acc3 = start::<ACC>(dst.add(12));
                 for (p, &a_ip) in a_row.iter().enumerate() {
                     if a_ip == 0.0 {
                         continue;
@@ -544,7 +614,6 @@ mod neon {
                     acc2 = vfmaq_f32(acc2, va, vld1q_f32(base.add(8)));
                     acc3 = vfmaq_f32(acc3, va, vld1q_f32(base.add(12)));
                 }
-                let dst = out_row.as_mut_ptr().add(j);
                 vst1q_f32(dst, acc0);
                 vst1q_f32(dst.add(4), acc1);
                 vst1q_f32(dst.add(8), acc2);
@@ -552,7 +621,7 @@ mod neon {
                 j += 16;
             }
             while j + 4 <= w {
-                let mut acc = vdupq_n_f32(0.0);
+                let mut acc = start::<ACC>(out_row.as_ptr().add(j));
                 for (p, &a_ip) in a_row.iter().enumerate() {
                     if a_ip == 0.0 {
                         continue;
@@ -567,7 +636,7 @@ mod neon {
                 j += 4;
             }
             while j < w {
-                let mut acc = 0.0f32;
+                let mut acc = if ACC { out_row[j] } else { 0.0f32 };
                 for (p, &a_ip) in a_row.iter().enumerate() {
                     if a_ip == 0.0 {
                         continue;
@@ -831,6 +900,33 @@ mod tests {
             }
             for (x, y) in ref_sm.data().iter().zip(fast_sm.data()) {
                 assert_close(*x, *y, &format!("softmax {m}x{n}"));
+            }
+        }
+    }
+
+    /// The accumulating kernel extends whatever `out` holds by a row slab of `b`: close to
+    /// the exact-tier kernel under any ISA, and the very same bits when dispatch resolves
+    /// to the portable fallback.
+    #[test]
+    fn dispatched_acc_kernel_matches_tensor() {
+        let mut seed = 0xACC1_u64;
+        for &(m, k, n) in SHAPES {
+            let b = lcg_matrix(k + 3, n, &mut seed);
+            for (row0, width) in [(0, k), (3, k), (1, 0)] {
+                let a = lcg_matrix(m, width, &mut seed);
+                let mut reference = lcg_matrix(m, n, &mut seed);
+                let mut fast = reference.clone();
+                tensor::matmul_blocked_acc(&a, &b, row0, &mut reference);
+                matmul_blocked_acc(&a, &b, row0, &mut fast);
+                for (x, y) in reference.data().iter().zip(fast.data()) {
+                    let tol = 1e-5 * x.abs().max(y.abs()).max(1.0);
+                    assert!(
+                        (x - y).abs() <= tol,
+                        "acc {m}x{width}x{n}@{row0}: {x} vs {y}"
+                    );
+                    #[cfg(not(feature = "simd"))]
+                    assert_eq!(x.to_bits(), y.to_bits());
+                }
             }
         }
     }

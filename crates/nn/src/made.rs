@@ -23,7 +23,8 @@ use crate::kernel;
 use crate::layers::{relu, relu_backward, seeded_rng, Embedding, MaskedLinear, Param};
 use crate::loss::{softmax_cross_entropy, softmax_rows, softmax_rows_into};
 use crate::tensor::{
-    add_bias, column_sums_accumulate, gemm_nt, matmul_blocked, matmul_col_range, Matrix,
+    add_bias, column_sums_accumulate, gemm_nt, matmul_blocked, matmul_blocked_acc,
+    matmul_col_range, Matrix,
 };
 
 /// Hyper-parameters of a [`ResMade`] model.
@@ -248,6 +249,15 @@ impl ResMade {
         out
     }
 
+    /// Frees every parameter's gradient buffer (as much memory again as the weights).
+    /// The model still evaluates, serialises and clones as before, but can no longer be
+    /// trained: [`ResMade::forward_backward`] panics on it.  For models that only serve.
+    pub fn release_gradients(&mut self) {
+        for p in self.params_mut() {
+            p.grad = Matrix::zeros(0, 0);
+        }
+    }
+
     /// Embeds a batch of token rows into the flat input matrix.
     fn embed(&self, rows: &[Vec<u32>]) -> Matrix {
         let n = self.num_columns();
@@ -344,6 +354,10 @@ impl ResMade {
     pub fn forward_backward(&mut self, inputs: &[Vec<u32>], targets: &[Vec<u32>]) -> f32 {
         assert_eq!(inputs.len(), targets.len());
         assert!(!inputs.is_empty(), "cannot train on an empty batch");
+        assert!(
+            self.input_layer.inner.weight.grad.rows() > 0,
+            "this model's gradient buffers were released; it can only be evaluated"
+        );
         let batch = inputs.len();
         let n = self.num_columns();
         let d = self.config.d_emb;
@@ -481,9 +495,9 @@ impl ResMade {
 
     /// Conditional distribution `p(x_col | inputs₍<col₎)` for every row of `inputs`.
     ///
-    /// Columns at positions `>= col` of `inputs` are ignored by construction of the masks,
-    /// so callers conventionally fill them with MASK tokens.  Returns a `batch × domain`
-    /// matrix of probabilities.
+    /// Columns at positions `>= col` of `inputs` are ignored (the masks cut them off, so
+    /// inference never reads them); callers conventionally fill them with MASK tokens.
+    /// Returns a `batch × domain` matrix of probabilities.
     ///
     /// Convenience wrapper over [`ResMade::conditional_probs_into`]; hot callers (the
     /// progressive sampler) should use the `_into` variant with a reused
@@ -507,6 +521,13 @@ impl ResMade {
     /// Embeds a flat `batch × num_columns` token buffer into the input matrix `x`
     /// (resized; allocation reused across calls).
     pub fn embed_flat_into(&self, tokens: &[u32], x: &mut Matrix) {
+        self.embed_columns_into(tokens, 0, self.num_columns(), x);
+    }
+
+    /// Embeds columns `lo..hi` of a flat `batch × num_columns` token buffer into the
+    /// `batch × (hi − lo)·d_emb` slab `x` (resized; allocation reused across calls).
+    /// Tokens outside `lo..hi` are not read.
+    fn embed_columns_into(&self, tokens: &[u32], lo: usize, hi: usize, x: &mut Matrix) {
         let n = self.num_columns();
         let d = self.config.d_emb;
         assert_eq!(
@@ -515,46 +536,12 @@ impl ResMade {
             "flat token buffer length must be a multiple of the column count"
         );
         let batch = tokens.len() / n;
-        x.resize(batch, n * d);
+        x.resize(batch, (hi - lo) * d);
         for b in 0..batch {
-            let row_tokens = &tokens[b * n..(b + 1) * n];
+            let row_tokens = &tokens[b * n + lo..b * n + hi];
             let out_row = x.row_mut(b);
             for (c, &token) in row_tokens.iter().enumerate() {
-                self.embeddings[c].lookup(token, &mut out_row[c * d..(c + 1) * d]);
-            }
-        }
-    }
-
-    /// Inference-only trunk: embeddings matrix `x` → final hidden activations in `h`.
-    ///
-    /// Unlike [`ResMade::forward_trunk`] this keeps no per-layer activations (nothing to
-    /// backprop through), reuses the three caller-owned buffers, and runs the blocked GEMM
-    /// of kernel set `K` — for the exact tier bit-identical to the naive kernels the
-    /// training path uses.
-    fn trunk_hidden<K: KernelSet>(
-        &self,
-        x: &Matrix,
-        h: &mut Matrix,
-        a: &mut Matrix,
-        b: &mut Matrix,
-    ) {
-        let batch = x.rows();
-        let h_dim = self.config.d_hidden;
-        h.resize(batch, h_dim);
-        (K::MATMUL_BLOCKED)(x, &self.input_layer.inner.weight.value, h);
-        add_bias(h, self.input_layer.inner.bias.value.row(0));
-        relu(h);
-        for (w1, w2) in &self.blocks {
-            a.resize(batch, h_dim);
-            (K::MATMUL_BLOCKED)(h, &w1.inner.weight.value, a);
-            add_bias(a, w1.inner.bias.value.row(0));
-            relu(a);
-            b.resize(batch, h_dim);
-            (K::MATMUL_BLOCKED)(a, &w2.inner.weight.value, b);
-            add_bias(b, w2.inner.bias.value.row(0));
-            relu(b);
-            for (o, v) in h.data_mut().iter_mut().zip(b.data()) {
-                *o += v;
+                self.embeddings[lo + c].lookup(token, &mut out_row[c * d..(c + 1) * d]);
             }
         }
     }
@@ -592,24 +579,19 @@ impl ResMade {
 
     /// Zero-allocation [`ResMade::conditional_probs`]: `tokens` is a flat
     /// `batch × num_columns` buffer, all intermediates live in `scratch`, and the returned
-    /// reference points into `scratch.probs`.
+    /// reference points into `scratch.probs`.  One [`ResMade::conditional_probs_step`] from
+    /// an empty prefix on the exact tier.
     ///
-    /// Two inference-specific optimisations over the training-path forward:
-    ///
-    /// * the output layer computes **only** column `col`'s `d_emb`-wide context slice
-    ///   ([`matmul_col_range`]) instead of all `num_columns · d_emb` outputs,
-    /// * the logit head is one blocked GEMM against the embedding table ([`gemm_nt`]).
-    ///
-    /// Both are bit-for-bit equal to the naive path (`conditional_probs_into_matches_
-    /// training_path_bitwise` pins this), which is what keeps progressive-sampling
-    /// estimates exactly reproducible across the old and new inference code.
+    /// Bit-for-bit equal to the naive path (`conditional_probs_into_matches_training_
+    /// path_bitwise` pins this), which is what keeps progressive-sampling estimates
+    /// exactly reproducible across the old and new inference code.
     pub fn conditional_probs_into<'s>(
         &self,
         tokens: &[u32],
         col: usize,
         scratch: &'s mut InferenceScratch,
     ) -> &'s Matrix {
-        self.forward_into::<ScalarKernels>(tokens, col, scratch)
+        self.step::<ScalarKernels>(tokens, col, None, scratch)
     }
 
     /// The **fast-tier** [`ResMade::conditional_probs_into`]: the same forward, but every
@@ -628,23 +610,164 @@ impl ResMade {
         col: usize,
         scratch: &'s mut InferenceScratch,
     ) -> &'s Matrix {
-        self.forward_into::<DispatchedKernels>(tokens, col, scratch)
+        self.step::<DispatchedKernels>(tokens, col, None, scratch)
+    }
+
+    /// One step of the **prefix-incremental** inference forward: `p(x_col | tokens₍<col₎)`
+    /// for every row of the flat `batch × num_columns` buffer `tokens`, reusing what the
+    /// previous step on `scratch` already multiplied.
+    ///
+    /// `scratch` carries, per row of the last step, the input layer's pre-bias sums over
+    /// the columns that step covered.  With `parents = Some(p)`, row `r` continues row
+    /// `p[r]` of the last step: it must hold the same tokens in the columns that step
+    /// covered (rows may be duplicated, reordered or dropped), `col` must not be smaller
+    /// than the last step's, and only the columns in between are embedded and multiplied.
+    /// `parents = None` starts from the empty prefix (what
+    /// [`ResMade::conditional_probs_into`] does).  Tokens at columns `>= col` are never
+    /// read.  `fast_kernels` picks the tier, as [`ResMade::conditional_probs_into_fast`]
+    /// does; one chain of steps must stay on one model and one tier.
+    pub fn conditional_probs_step<'s>(
+        &self,
+        tokens: &[u32],
+        col: usize,
+        parents: Option<&[u32]>,
+        fast_kernels: bool,
+        scratch: &'s mut InferenceScratch,
+    ) -> &'s Matrix {
+        if fast_kernels {
+            self.step::<DispatchedKernels>(tokens, col, parents, scratch)
+        } else {
+            self.step::<ScalarKernels>(tokens, col, parents, scratch)
+        }
+    }
+
+    /// Reserves `scratch` for steps of up to `rows` rows of this model.
+    ///
+    /// A step sizes its buffers by the column it is asked for and the rows it is given, so
+    /// an unreserved scratch grows along whatever order the queries arrive in, and the
+    /// reallocations leave an order-dependent trail of freed blocks behind — the process's
+    /// peak memory then varies from run to run of the same work.  Reserved, every buffer
+    /// is allocated once, at a size that depends on the model and `rows` only; pages are
+    /// still touched only as far as a step really uses them.
+    pub fn reserve_scratch(&self, rows: usize, scratch: &mut InferenceScratch) {
+        let n = self.num_columns();
+        let d = self.config.d_emb;
+        let max_domain = self.config.domains.iter().copied().max().unwrap_or(0);
+        // The widest slab: a first step at the last column.
+        scratch.x.reserve(rows, (n - 1) * d);
+        for m in [
+            &mut scratch.z,
+            &mut scratch.z_next,
+            &mut scratch.h,
+            &mut scratch.a,
+            &mut scratch.b,
+        ] {
+            m.reserve(rows, self.config.d_hidden);
+        }
+        scratch.ctx.reserve(rows, d);
+        scratch.logits.reserve(rows, max_domain);
+        scratch.probs.reserve(rows, max_domain);
     }
 
     /// The one inference forward behind both tiers, generic over the kernel set so each
     /// instantiation compiles to direct calls into its kernel module.
-    fn forward_into<'s, K: KernelSet>(
+    ///
+    /// Three inference-specific savings over the training-path forward:
+    ///
+    /// * the input layer multiplies only the columns between the previous step's `col`
+    ///   and this one, onto the carried pre-bias accumulator `z` (columns `>= col` meet
+    ///   structurally-zero weights on every path into column `col` and are skipped),
+    /// * the output layer computes **only** column `col`'s `d_emb`-wide context slice
+    ///   ([`matmul_col_range`]) instead of all `num_columns · d_emb` outputs,
+    /// * the logit head is one blocked GEMM against the embedding table ([`gemm_nt`]).
+    ///
+    /// The exact tier stays bit-identical to [`ResMade::conditional_probs_reference`]:
+    ///
+    /// 1. every output element of the input layer is an ascending-`p` chain of f32 adds
+    ///    that skips `a == 0.0`; storing a chain to `z` and resuming it later performs the
+    ///    same adds in the same order;
+    /// 2. masked weights are exactly `0.0` ([`ResMade::check_masked_weights`]), so for a
+    ///    hidden unit of degree `< col` the terms dropped from columns `>= col` were
+    ///    `±0.0` added to an accumulator that starts at `+0.0` and therefore is never
+    ///    `−0.0` — adding them changes no bit;
+    /// 3. units of degree `>= col` now hold partial sums, but the hidden mask
+    ///    (`deg(h₂) >= deg(h₁)`) and the strict output mask (`deg(h) < col`) give them
+    ///    zero weight — again `±0.0` terms — on every path into column `col`'s context.
+    fn step<'s, K: KernelSet>(
         &self,
         tokens: &[u32],
         col: usize,
+        parents: Option<&[u32]>,
         scratch: &'s mut InferenceScratch,
     ) -> &'s Matrix {
-        assert!(col < self.num_columns());
+        let n = self.num_columns();
+        assert!(col < n);
         let d = self.config.d_emb;
+        let h_dim = self.config.d_hidden;
         let domain = self.config.domains[col];
-        self.embed_flat_into(tokens, &mut scratch.x);
-        self.trunk_hidden::<K>(&scratch.x, &mut scratch.h, &mut scratch.a, &mut scratch.b);
-        let batch = scratch.x.rows();
+        let batch = tokens.len() / n;
+
+        // z ← each row's parent accumulator (or +0.0 from the empty prefix).
+        let z_cols = match parents {
+            None => {
+                scratch.z.resize(batch, h_dim);
+                scratch.z.fill_zero();
+                0
+            }
+            Some(parents) => {
+                assert_eq!(parents.len(), batch, "one parent row per token row");
+                assert_eq!(
+                    scratch.z.cols(),
+                    h_dim,
+                    "the carried prefix belongs to another model"
+                );
+                assert!(
+                    scratch.z_cols <= col,
+                    "steps must follow the autoregressive order"
+                );
+                scratch.z_next.resize(batch, h_dim);
+                for (r, &parent) in parents.iter().enumerate() {
+                    scratch
+                        .z_next
+                        .row_mut(r)
+                        .copy_from_slice(scratch.z.row(parent as usize));
+                }
+                std::mem::swap(&mut scratch.z, &mut scratch.z_next);
+                scratch.z_cols
+            }
+        };
+
+        // z += x[:, z_cols..col] · W_in[z_cols·d .. col·d, :]
+        self.embed_columns_into(tokens, z_cols, col, &mut scratch.x);
+        (K::MATMUL_BLOCKED_ACC)(
+            &scratch.x,
+            &self.input_layer.inner.weight.value,
+            z_cols * d,
+            &mut scratch.z,
+        );
+        scratch.z_cols = col;
+        scratch.embedded_columns = batch * (col - z_cols);
+
+        // h = relu(z + bias), then the residual blocks.
+        let InferenceScratch { z, h, a, b, .. } = scratch;
+        h.resize(batch, h_dim);
+        h.data_mut().copy_from_slice(z.data());
+        add_bias(h, self.input_layer.inner.bias.value.row(0));
+        relu(h);
+        for (w1, w2) in &self.blocks {
+            a.resize(batch, h_dim);
+            (K::MATMUL_BLOCKED)(h, &w1.inner.weight.value, a);
+            add_bias(a, w1.inner.bias.value.row(0));
+            relu(a);
+            b.resize(batch, h_dim);
+            (K::MATMUL_BLOCKED)(a, &w2.inner.weight.value, b);
+            add_bias(b, w2.inner.bias.value.row(0));
+            relu(b);
+            for (o, v) in h.data_mut().iter_mut().zip(b.data()) {
+                *o += v;
+            }
+        }
+
         scratch.ctx.resize(batch, d);
         (K::MATMUL_COL_RANGE)(
             &scratch.h,
@@ -672,6 +795,39 @@ impl ResMade {
         &scratch.probs
     }
 
+    /// Checks the invariant both the autoregressive property and the prefix-incremental
+    /// forward rest on: every masked entry of the input, block and output layers is
+    /// exactly `0.0`.  Training keeps it (masked weights start at zero and their gradients
+    /// are forced to zero); weights decoded from outside the program must be checked.
+    /// The error names the offending layer.
+    pub fn check_masked_weights(&self) -> Result<(), String> {
+        let check = |layer: &MaskedLinear, name: &str| {
+            let weights = layer.inner.weight.value.data();
+            match weights
+                .iter()
+                .zip(layer.mask.data())
+                .position(|(w, m)| *m == 0.0 && *w != 0.0)
+            {
+                None => Ok(()),
+                Some(i) => {
+                    let cols = layer.mask.cols();
+                    Err(format!(
+                        "masked weight ({}, {}) of the {name} is {}, not 0",
+                        i / cols,
+                        i % cols,
+                        weights[i]
+                    ))
+                }
+            }
+        };
+        check(&self.input_layer, "input layer")?;
+        for (i, (w1, w2)) in self.blocks.iter().enumerate() {
+            check(w1, &format!("first layer of block {i}"))?;
+            check(w2, &format!("second layer of block {i}"))?;
+        }
+        check(&self.output_layer, "output layer")
+    }
+
     /// Log-likelihood (nats) of complete tuples under the model; used by tests.
     pub fn log_likelihood(&self, rows: &[Vec<u32>]) -> Vec<f32> {
         let x = self.embed(rows);
@@ -688,11 +844,12 @@ impl ResMade {
     }
 }
 
-/// The four kernels of the inference forward, as compile-time constants: each tier's
-/// instantiation of [`ResMade::forward_into`] calls its kernel module directly, so the
-/// exact tier executes the same `tensor::*` / `loss::*` calls it always has.
+/// The five kernels of the inference forward, as compile-time constants: each tier's
+/// instantiation of [`ResMade::step`] calls its kernel module directly, so the exact tier
+/// executes only `tensor::*` / `loss::*` calls.
 trait KernelSet {
     const MATMUL_BLOCKED: fn(&Matrix, &Matrix, &mut Matrix);
+    const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix);
     const MATMUL_COL_RANGE: fn(&Matrix, &Matrix, usize, usize, &mut Matrix);
     const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
     const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix);
@@ -703,6 +860,7 @@ struct ScalarKernels;
 
 impl KernelSet for ScalarKernels {
     const MATMUL_BLOCKED: fn(&Matrix, &Matrix, &mut Matrix) = matmul_blocked;
+    const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix) = matmul_blocked_acc;
     const MATMUL_COL_RANGE: fn(&Matrix, &Matrix, usize, usize, &mut Matrix) = matmul_col_range;
     const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]) = gemm_nt;
     const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix) = softmax_rows_into;
@@ -713,24 +871,36 @@ struct DispatchedKernels;
 
 impl KernelSet for DispatchedKernels {
     const MATMUL_BLOCKED: fn(&Matrix, &Matrix, &mut Matrix) = kernel::matmul_blocked;
+    const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix) = kernel::matmul_blocked_acc;
     const MATMUL_COL_RANGE: fn(&Matrix, &Matrix, usize, usize, &mut Matrix) =
         kernel::matmul_col_range;
     const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]) = kernel::gemm_nt;
     const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix) = kernel::softmax_rows_into;
 }
 
-/// Reusable buffers for the zero-allocation inference forward pass
-/// ([`ResMade::conditional_probs_into`]).
+/// Reusable buffers — and the carried input-layer prefix — of the zero-allocation
+/// inference forward pass ([`ResMade::conditional_probs_step`]).
 ///
 /// Create one per serving thread and reuse it across forward passes, sub-columns and
 /// queries; every buffer is resized in place (allocations only grow, never shrink), so
-/// steady-state inference performs no heap allocation at all.  The scratch is not tied to
-/// a model: it adapts to whatever shapes the next call needs, so one scratch can serve
-/// several models of different sizes.
+/// steady-state inference performs no heap allocation at all
+/// ([`ResMade::reserve_scratch`] sizes them all at once).  The scratch is not tied to
+/// a model: a step from the empty prefix adapts to whatever shapes it needs and
+/// overwrites the carried prefix, so one scratch can serve several models of different
+/// sizes.
 #[derive(Debug, Clone)]
 pub struct InferenceScratch {
-    /// Embedded inputs (`batch × n·d_emb`).
+    /// Embedded slab of the newly covered columns (`batch × (col − z_cols)·d_emb`).
     x: Matrix,
+    /// Input-layer pre-bias accumulator of the last step's rows over input columns
+    /// `0..z_cols` (`batch × d_hidden`).
+    z: Matrix,
+    /// The accumulator being gathered for the next step's rows (swapped with `z`).
+    z_next: Matrix,
+    /// Number of input columns folded into `z` (the last step's `col`).
+    z_cols: usize,
+    /// Token embeddings the last step looked up: `batch × (col − previous col)`.
+    embedded_columns: usize,
     /// Running hidden state (`batch × d_hidden`).
     h: Matrix,
     /// First activation inside a residual block.
@@ -750,6 +920,10 @@ impl InferenceScratch {
     pub fn new() -> Self {
         InferenceScratch {
             x: Matrix::zeros(0, 0),
+            z: Matrix::zeros(0, 0),
+            z_next: Matrix::zeros(0, 0),
+            z_cols: 0,
+            embedded_columns: 0,
             h: Matrix::zeros(0, 0),
             a: Matrix::zeros(0, 0),
             b: Matrix::zeros(0, 0),
@@ -757,6 +931,12 @@ impl InferenceScratch {
             logits: Matrix::zeros(0, 0),
             probs: Matrix::zeros(0, 0),
         }
+    }
+
+    /// Token embeddings the last step looked up — its rows times the columns it added to
+    /// the carried prefix.  A stateless forward would report rows × every column.
+    pub fn embedded_columns(&self) -> usize {
+        self.embedded_columns
     }
 }
 
@@ -1091,6 +1271,198 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The prefix-incremental forward against the seed forward, bit for bit, along random
+    /// walks: every step picks its rows' parents at random from the previous step (rows
+    /// duplicated, reordered, dropped), advances `col` by 0–3 columns, fills the newly
+    /// covered columns with fresh tokens or MASK and everything at `>= col` with garbage
+    /// that would panic if it were ever looked up; now and then the walk restarts from the
+    /// empty prefix.  Covers `n−1 < d_hidden`, `n−1 > d_hidden` (degrees without a unit),
+    /// a one-column model, and `col = 0` (a zero-width slab).
+    #[test]
+    fn prefix_steps_match_reference_bitwise_along_random_walks() {
+        let mut seed = 0x57E9_u64;
+        let mut next = move |bound: usize| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((seed >> 33) as usize) % bound
+        };
+        for (domains, d_hidden) in [
+            (vec![4usize, 9, 3, 17, 5], 24usize),
+            (vec![3, 5, 2, 7, 4, 6, 3, 5, 2, 8, 4, 3], 6),
+            (vec![7], 8),
+        ] {
+            let mut m = ResMade::new(MadeConfig {
+                domains,
+                d_emb: 6,
+                d_hidden,
+                num_blocks: 2,
+                seed: 17,
+            });
+            // Fresh models have all-zero biases; give every bias row a value.
+            for p in m.params_mut() {
+                if p.value.rows() == 1 {
+                    for v in p.value.data_mut() {
+                        *v = next(2001) as f32 / 1000.0 - 1.0;
+                    }
+                }
+            }
+            let n = m.num_columns();
+            let mut scratch = InferenceScratch::new();
+            // Token rows of the previous step and the column it conditioned.
+            let mut rows: Vec<Vec<u32>> = Vec::new();
+            let mut prev_col = 0usize;
+            for step in 0..60 {
+                let restart = rows.is_empty() || next(7) == 0;
+                let batch = 1 + next(9);
+                let (parents, base_col): (Vec<u32>, usize) = if restart {
+                    (Vec::new(), 0)
+                } else {
+                    (
+                        (0..batch).map(|_| next(rows.len()) as u32).collect(),
+                        prev_col,
+                    )
+                };
+                let col = (base_col + next(4)).min(n - 1);
+                let new_rows: Vec<Vec<u32>> = (0..batch)
+                    .map(|r| {
+                        let mut row = if restart {
+                            vec![0u32; n]
+                        } else {
+                            rows[parents[r] as usize].clone()
+                        };
+                        for (c, token) in row.iter_mut().enumerate().skip(base_col) {
+                            *token = if c >= col {
+                                u32::MAX
+                            } else {
+                                next(m.domain(c) + 1) as u32 // the last value is MASK
+                            };
+                        }
+                        row
+                    })
+                    .collect();
+                let flat: Vec<u32> = new_rows.iter().flatten().copied().collect();
+                let stepped = m.conditional_probs_step(
+                    &flat,
+                    col,
+                    (!restart).then_some(&parents[..]),
+                    false,
+                    &mut scratch,
+                );
+                // The reference embeds every column, so it needs valid tokens there.
+                let masked: Vec<Vec<u32>> = new_rows
+                    .iter()
+                    .map(|row| {
+                        row.iter()
+                            .enumerate()
+                            .map(|(c, &t)| if c >= col { m.mask_token(c) } else { t })
+                            .collect()
+                    })
+                    .collect();
+                let reference = m.conditional_probs_reference(&masked, col);
+                assert_eq!((stepped.rows(), stepped.cols()), (batch, m.domain(col)));
+                for (i, (a, b)) in reference.data().iter().zip(stepped.data()).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "n {n} step {step} col {col} (restart {restart}) element {i}: {a} vs {b}"
+                    );
+                }
+                assert_eq!(scratch.embedded_columns(), batch * (col - base_col));
+                rows = new_rows;
+                prev_col = col;
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "gradient buffers were released")]
+    fn released_gradients_keep_inference_and_refuse_training() {
+        let mut m = make(vec![4, 3, 5], 10);
+        let rows = vec![vec![1u32, 2, 0], vec![3, 0, 4]];
+        let before = m.conditional_probs(&rows, 2);
+        m.release_gradients();
+        assert_eq!(m.conditional_probs(&rows, 2), before);
+        assert_eq!(m.clone().params().len(), m.params().len());
+        m.forward_backward(&rows, &rows);
+    }
+
+    #[test]
+    fn reserved_scratch_never_reallocates() {
+        let m = make(vec![4, 3, 9, 5], 4);
+        let n = m.num_columns();
+        let rows = 6;
+        let mut scratch = InferenceScratch::new();
+        m.reserve_scratch(rows, &mut scratch);
+        let addresses = |s: &InferenceScratch| {
+            [
+                &s.x, &s.z, &s.z_next, &s.h, &s.a, &s.b, &s.ctx, &s.logits, &s.probs,
+            ]
+            .map(|m| m.data().as_ptr())
+        };
+        let mut reserved = addresses(&scratch);
+        // `z` and `z_next` trade places at every continued step.
+        reserved.sort();
+        // Narrow first, wide later; few rows first, all of them later; a first step at the
+        // last column (the widest slab) and the largest domain.
+        for (batch, col, continued) in [
+            (1, 0, false),
+            (2, 1, true),
+            (rows, 3, true),
+            (rows, n - 1, false),
+            (rows, 2, false),
+        ] {
+            let tokens = vec![0u32; batch * n];
+            let parents = vec![0u32; batch];
+            m.conditional_probs_step(
+                &tokens,
+                col,
+                continued.then_some(&parents[..]),
+                false,
+                &mut scratch,
+            );
+            let mut now = addresses(&scratch);
+            now.sort();
+            assert_eq!(now, reserved, "step (batch {batch}, col {col}) reallocated");
+        }
+        // A second reservation within the first is free.
+        m.reserve_scratch(rows, &mut scratch);
+        let mut now = addresses(&scratch);
+        now.sort();
+        assert_eq!(now, reserved);
+    }
+
+    #[test]
+    #[should_panic(expected = "autoregressive order")]
+    fn step_rejects_a_column_behind_the_carried_prefix() {
+        let m = make(vec![4, 3, 5], 8);
+        let mut scratch = InferenceScratch::new();
+        m.conditional_probs_into(&[0, 1, 2], 2, &mut scratch);
+        m.conditional_probs_step(&[0, 1, 2], 1, Some(&[0]), false, &mut scratch);
+    }
+
+    #[test]
+    fn masked_weight_check_names_the_layer() {
+        let mut m = make(vec![4, 3, 5], 9);
+        assert_eq!(m.check_masked_weights(), Ok(()));
+        // Unit 0 has degree 0; input unit of column 1 may not reach it.
+        let d = m.config().d_emb;
+        m.input_layer.inner.weight.value.set(d, 0, 0.5);
+        let err = m.check_masked_weights().unwrap_err();
+        assert!(err.contains("input layer") && err.contains("0.5"), "{err}");
+        m.input_layer.inner.weight.value.set(d, 0, -0.0); // a zero of either sign passes
+        assert_eq!(m.check_masked_weights(), Ok(()));
+        // Hidden unit 1 (degree 1) may not feed hidden unit 0 (degree 0).
+        m.blocks[0].1.inner.weight.value.set(1, 0, 1e-30);
+        let err = m.check_masked_weights().unwrap_err();
+        assert!(err.contains("second layer of block 0"), "{err}");
+        m.blocks[0].1.inner.weight.value.set(1, 0, 0.0);
+        // Column 0's context sees no hidden unit at all.
+        m.output_layer.inner.weight.value.set(3, 0, f32::NAN);
+        let err = m.check_masked_weights().unwrap_err();
+        assert!(err.contains("output layer"), "{err}");
     }
 
     #[test]

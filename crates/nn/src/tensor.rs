@@ -73,13 +73,22 @@ impl Matrix {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
+    /// Asks for capacity so that a later [`Matrix::resize`] up to `rows × cols` does not
+    /// reallocate.  Shape and contents are untouched, and so are the reserved pages until
+    /// a resize uses them.  Best effort: if the allocator refuses, the buffer keeps
+    /// growing on demand as it did before.
+    pub fn reserve(&mut self, rows: usize, cols: usize) {
+        let additional = rows.saturating_mul(cols).saturating_sub(self.data.len());
+        let _ = self.data.try_reserve_exact(additional);
+    }
+
     /// Reshapes to `rows × cols`, reusing the existing allocation when it is large
     /// enough.  This is what lets the inference scratch buffers survive across calls with
     /// varying batch sizes without ever re-allocating.
     ///
     /// **Contents are unspecified after a resize** (stale values may remain; only newly
     /// grown capacity is zero).  Every kernel that writes into a resized buffer
-    /// (`matmul_blocked`, `gemm_nt`, `matmul_col_range` via `fill_zero`, embedding
+    /// (`matmul_blocked`, `gemm_nt`, `matmul_col_range`, embedding
     /// lookups, row-wise softmax) overwrites it fully, which is what makes skipping the
     /// memset safe — use [`Matrix::fill_zero`] first if zeroes are needed.
     pub fn resize(&mut self, rows: usize, cols: usize) {
@@ -135,21 +144,64 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!(out.rows, a.rows);
     assert_eq!(out.cols, b.cols);
+    blocked_rows::<false>(a.rows, a.cols, b.cols, &a.data, &b.data, &mut out.data);
+}
+
+/// `out += a (m×k) · b[row0..row0 + k, :]` — [`matmul_blocked`] resuming each output
+/// element's accumulator from the value already in `out` instead of from zero.
+///
+/// The inference forward uses it to extend the input layer's pre-bias sums by the newly
+/// embedded columns only (`a` = the new column slab, `row0` = its first input unit).  Per
+/// element the products are still added one at a time in ascending-`p` order with zero
+/// `a` entries skipped, so summing rows `0..s` and then `s..k` through `out` performs
+/// exactly the f32 additions of one [`matmul_blocked`] over rows `0..k`
+/// (`accumulating_kernel_resumes_chains_bitwise` pins this).
+pub fn matmul_blocked_acc(a: &Matrix, b: &Matrix, row0: usize, out: &mut Matrix) {
+    assert!(
+        row0 + a.cols <= b.rows,
+        "row slab out of bounds of the right operand"
+    );
+    assert_eq!(out.rows, a.rows);
+    assert_eq!(out.cols, b.cols);
+    let n = b.cols;
+    blocked_rows::<true>(
+        a.rows,
+        a.cols,
+        n,
+        &a.data,
+        &b.data[row0 * n..],
+        &mut out.data,
+    );
+}
+
+/// The register-blocked row kernel behind [`matmul_blocked`] (`ACC = false`: accumulators
+/// start at zero, `out` is overwritten) and [`matmul_blocked_acc`] (`ACC = true`: they
+/// start at `out`).  `b` holds at least `k` rows of width `n`.
+fn blocked_rows<const ACC: bool>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
     // 32 output columns per block = 4–8 independent SIMD accumulator chains, enough to
     // hide FMA latency; each chain still accumulates in ascending-p order.
     const NR: usize = 32;
-    let (m, k, n) = (a.rows, a.cols, b.cols);
     for i in 0..m {
-        let a_row = &a.data[i * k..(i + 1) * k];
-        let out_row = &mut out.data[i * n..(i + 1) * n];
+        let a_row = &a[i * k..(i + 1) * k];
+        let out_row = &mut out[i * n..(i + 1) * n];
         let mut j = 0;
         while j + NR <= n {
             let mut acc = [0.0f32; NR];
+            if ACC {
+                acc.copy_from_slice(&out_row[j..j + NR]);
+            }
             for (p, &a_ip) in a_row.iter().enumerate() {
                 if a_ip == 0.0 {
                     continue;
                 }
-                let b_row = &b.data[p * n + j..p * n + j + NR];
+                let b_row = &b[p * n + j..p * n + j + NR];
                 for (c, &b_pj) in acc.iter_mut().zip(b_row) {
                     *c += a_ip * b_pj;
                 }
@@ -158,12 +210,12 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
             j += NR;
         }
         while j < n {
-            let mut acc = 0.0f32;
+            let mut acc = if ACC { out_row[j] } else { 0.0f32 };
             for (p, &a_ip) in a_row.iter().enumerate() {
                 if a_ip == 0.0 {
                     continue;
                 }
-                acc += a_ip * b.data[p * n + j];
+                acc += a_ip * b[p * n + j];
             }
             out_row[j] = acc;
             j += 1;
@@ -179,25 +231,85 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// `n_cols · d_emb` outputs (as training must) wastes a factor `n_cols` of the output-layer
 /// GEMM.  Accumulation order per element matches [`matmul`] exactly (ascending `p`, zero
 /// `a` entries skipped), so the slice is bit-for-bit the one the full product would yield.
+///
+/// The slice is narrow (`d_emb` columns), so one row offers too few independent chains
+/// to hide the add latency: the kernel tiles four `a` rows by up to 16 columns and keeps
+/// every accumulator in registers.
 pub fn matmul_col_range(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut Matrix) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert!(lo <= hi && hi <= b.cols, "column slice out of bounds");
     assert_eq!(out.rows, a.rows);
     assert_eq!(out.cols, hi - lo);
     let (m, k, w, bn) = (a.rows, a.cols, hi - lo, b.cols);
-    out.fill_zero();
-    for i in 0..m {
-        let a_row = &a.data[i * k..(i + 1) * k];
-        let out_row = &mut out.data[i * w..(i + 1) * w];
-        for (p, &a_ip) in a_row.iter().enumerate() {
-            if a_ip == 0.0 {
+    let b = &b.data[..];
+    let mut i = 0;
+    while i + 4 <= m {
+        col_range_rows::<4>(k, bn, lo, w, &a.data[i * k..], b, &mut out.data[i * w..]);
+        i += 4;
+    }
+    while i < m {
+        col_range_rows::<1>(k, bn, lo, w, &a.data[i * k..], b, &mut out.data[i * w..]);
+        i += 1;
+    }
+}
+
+/// `R` rows of [`matmul_col_range`]: walks the `w` output columns in register tiles of
+/// 16, 8, 4 and 1.
+fn col_range_rows<const R: usize>(
+    k: usize,
+    bn: usize,
+    lo: usize,
+    w: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let mut j = 0;
+    while j + 16 <= w {
+        col_range_tile::<R, 16>(k, bn, lo + j, w, a, b, &mut out[j..]);
+        j += 16;
+    }
+    if j + 8 <= w {
+        col_range_tile::<R, 8>(k, bn, lo + j, w, a, b, &mut out[j..]);
+        j += 8;
+    }
+    if j + 4 <= w {
+        col_range_tile::<R, 4>(k, bn, lo + j, w, a, b, &mut out[j..]);
+        j += 4;
+    }
+    while j < w {
+        col_range_tile::<R, 1>(k, bn, lo + j, w, a, b, &mut out[j..]);
+        j += 1;
+    }
+}
+
+/// One `R × W` register tile: `out[r][..W] = Σ_p a[r][p] · b[p][col..col + W]` with `out`
+/// rows `w` apart.  Each element is its own ascending-`p` chain; a zero `a[r][p]` leaves
+/// row `r`'s accumulators untouched.
+fn col_range_tile<const R: usize, const W: usize>(
+    k: usize,
+    bn: usize,
+    col: usize,
+    w: usize,
+    a: &[f32],
+    b: &[f32],
+    out: &mut [f32],
+) {
+    let mut acc = [[0.0f32; W]; R];
+    for p in 0..k {
+        let b_row = &b[p * bn + col..p * bn + col + W];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let a_rp = a[r * k + p];
+            if a_rp == 0.0 {
                 continue;
             }
-            let b_row = &b.data[p * bn + lo..p * bn + hi];
-            for (o, &b_pj) in out_row.iter_mut().zip(b_row) {
-                *o += a_ip * b_pj;
+            for (c, &b_pj) in acc_r.iter_mut().zip(b_row) {
+                *c += a_rp * b_pj;
             }
         }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out[r * w..r * w + W].copy_from_slice(acc_r);
     }
 }
 
@@ -499,6 +611,44 @@ mod tests {
             matmul_transpose_b_blocked(&a, &bt, &mut nt_blocked);
             assert_bitwise_eq(&nt_naive, &nt_blocked, &format!("gemm_nt {m}x{k}x{n}"));
         }
+    }
+
+    #[test]
+    fn accumulating_kernel_resumes_chains_bitwise() {
+        // Point (1) of the prefix-accumulator bit-identity argument: an ascending-p chain
+        // stored to `out` after `s` terms and resumed is the chain of one full product.
+        let mut seed = 0xACC_u64;
+        for &(m, k, n) in &[
+            (1usize, 1usize, 1usize),
+            (3, 16, 8),
+            (5, 36, 97),
+            (4, 24, 32),
+            (2, 180, 33),
+        ] {
+            let a = lcg_matrix(m, k, &mut seed);
+            let b = lcg_matrix(k, n, &mut seed);
+            let mut whole = Matrix::zeros(m, n);
+            matmul_blocked(&a, &b, &mut whole);
+            for s in [0, k / 3, k] {
+                let slab = |lo: usize, hi: usize| {
+                    let data = (0..m).flat_map(|i| a.row(i)[lo..hi].to_vec()).collect();
+                    Matrix::from_vec(m, hi - lo, data)
+                };
+                let mut out = Matrix::zeros(m, n);
+                matmul_blocked_acc(&slab(0, s), &b, 0, &mut out);
+                matmul_blocked_acc(&slab(s, k), &b, s, &mut out);
+                assert_bitwise_eq(&whole, &out, &format!("acc {m}x{k}x{n} split {s}"));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row slab out of bounds")]
+    fn accumulating_kernel_rejects_slab_past_the_operand() {
+        let a = Matrix::zeros(1, 3);
+        let b = Matrix::zeros(4, 2);
+        let mut out = Matrix::zeros(1, 2);
+        matmul_blocked_acc(&a, &b, 2, &mut out);
     }
 
     #[test]
