@@ -11,7 +11,9 @@
 //! contract), and writes a machine-readable `BENCH_inference.json` (path overridable via
 //! `NC_BENCH_JSON`) so CI can track the perf trajectory.  A closing JOB-M phase records
 //! the forward-pass work counters and asserts that the prefix-incremental input layer is
-//! actually carrying its prefix (a forwarded row embeds fewer columns than the model has).
+//! actually carrying its prefix (a forwarded row embeds fewer columns than the model has);
+//! both phases assert that the mask-aware block GEMMs walk fewer product terms than a
+//! dense hidden stack would for the same rows.
 
 use std::time::Instant;
 
@@ -19,7 +21,7 @@ use nc_baselines::{CardinalityEstimator, DeepDbLite, MscnConfig, MscnEstimator};
 use nc_bench::harness::{evaluate, print_preamble, true_cardinalities};
 use nc_bench::{BenchEnv, HarnessConfig};
 use nc_workloads::{job_light_ranges_queries, job_m_queries};
-use neurocard::{ForwardCounters, NeuroCard, Precision};
+use neurocard::{ForwardCounters, NeuroCard, NeuroCardConfig, Precision};
 
 /// The two-tier determinism contract's accuracy gate: over the whole workload, the fast
 /// tier's estimate may not differ from the exact tier's by more than this factor in
@@ -62,12 +64,36 @@ fn add_counters(total: &mut ForwardCounters, one: ForwardCounters) {
     total.forwards += one.forwards;
     total.rows_forwarded += one.rows_forwarded;
     total.columns_embedded += one.columns_embedded;
+    total.block_terms += one.block_terms;
 }
 
-fn counters_json(c: ForwardCounters) -> String {
+/// Product terms the block GEMMs of a forward blind to the masks would walk for the rows
+/// `c` counted: `rows_forwarded × 2·num_blocks·d_hidden²`.
+fn dense_block_terms(c: ForwardCounters, net: &NeuroCardConfig) -> u64 {
+    c.rows_forwarded * (2 * net.num_blocks * net.d_hidden * net.d_hidden) as u64
+}
+
+/// `block_terms` over its dense count; the mask-aware hidden stack must stay below 1.
+fn block_terms_ratio(c: ForwardCounters, net: &NeuroCardConfig, phase: &str) -> f64 {
+    let dense = dense_block_terms(c, net);
+    let ratio = c.block_terms as f64 / dense as f64;
+    assert!(
+        dense > 0 && ratio < 1.0,
+        "{phase}: the block GEMMs walked {} product terms, a dense hidden stack walks {dense}",
+        c.block_terms
+    );
+    ratio
+}
+
+fn counters_json(c: ForwardCounters, net: &NeuroCardConfig) -> String {
     format!(
-        "\"forwards\": {}, \"rows_forwarded\": {}, \"columns_embedded\": {}",
-        c.forwards, c.rows_forwarded, c.columns_embedded
+        "\"forwards\": {}, \"rows_forwarded\": {}, \"columns_embedded\": {}, \
+         \"block_terms\": {}, \"dense_block_terms\": {}",
+        c.forwards,
+        c.rows_forwarded,
+        c.columns_embedded,
+        c.block_terms,
+        dense_block_terms(c, net)
     )
 }
 
@@ -171,6 +197,8 @@ fn main() {
         "estimate_batch diverged from sequential estimates"
     );
 
+    let light_ratio = block_terms_ratio(light_counters, &config.neurocard(), "JOB-light");
+
     let reference = path_stats(ref_us, config.psamples);
     let fast = path_stats(fast_us, config.psamples);
     let speedup = reference.total_secs / fast.total_secs.max(1e-12);
@@ -195,6 +223,7 @@ fn main() {
         "estimate_batch", "-", "-", batch_samples_per_sec
     );
     println!("single-query speedup: {speedup:.2}x (determinism verified: estimates bit-identical)");
+    println!("block-GEMM product terms walked: {light_ratio:.2} of a dense hidden stack");
 
     // --- Two-tier determinism contract: exact tier vs SIMD/bf16 fast tier -------------
     let core = neurocard.core();
@@ -299,12 +328,13 @@ fn main() {
         "the input-layer prefix is not being reused: {columns_per_row:.1} columns embedded \
          per forwarded row, the model has {m_columns}"
     );
+    let m_ratio = block_terms_ratio(m_counters, &config.neurocard(), "JOB-M");
 
     println!();
     println!(
         "JOB-M ({} queries, {m_columns} model columns): p50 {:.0} us, p99 {:.0} us; {} forwards, \
          {} rows, {columns_per_row:.1} columns embedded per row (a stateless forward pays \
-         {m_columns})",
+         {m_columns}), {m_ratio:.2} of a dense hidden stack's block-GEMM terms",
         m_queries.len(),
         job_m.p50_us,
         job_m.p99_us,
@@ -352,13 +382,13 @@ fn main() {
         fast_vs_scalar,
         max_qerror_delta,
         QERROR_DELTA_BOUND,
-        counters_json(light_counters),
+        counters_json(light_counters, &config.neurocard()),
         m_queries.len(),
         m_columns,
         job_m.p50_us,
         job_m.p99_us,
         job_m.samples_per_sec,
-        counters_json(m_counters),
+        counters_json(m_counters, &config.neurocard()),
         columns_per_row,
     );
     let json_path =

@@ -19,9 +19,10 @@
 //! path; the binary sections use the checked readers of [`nc_storage::binio`].  Loading
 //! validates the container header (magic, version, checksum), every section's presence
 //! and internal consistency, and finally the weight shapes against the freshly built
-//! model and that every MADE-masked weight — in both weight sections — is exactly zero
-//! (the autoregressive property and the prefix-incremental forward rest on it) — every
-//! failure is a typed [`ArtifactLoadError`], never a panic.
+//! model and that — in both weight sections — every MADE-masked weight is exactly zero
+//! and every weight of a masked layer finite (the autoregressive property and the terms
+//! the inference forward skips rest on it) — every failure is a typed
+//! [`ArtifactLoadError`], never a panic.
 //!
 //! **Losslessness contract:** `NeuroCard::from_artifact(ModelArtifact::from_bytes(
 //! artifact.to_bytes()))` produces bit-identical estimates to the estimator that wrote
@@ -567,7 +568,7 @@ fn bf16_weights_bytes(model: &ResMade) -> Vec<u8> {
 
 /// Decodes a `weights_bf16` section into the fast-tier model: `exact` supplies the
 /// architecture (and shape expectations); every tensor is validated against it, and the
-/// decoded model must keep its masked weights at zero.
+/// decoded model must keep its masked weights at zero and the others finite.
 fn load_bf16_weights(exact: &ResMade, bytes: &[u8]) -> Result<ResMade, String> {
     let mut fast = exact.clone();
     let mut r = BinReader::new(bytes);
@@ -996,6 +997,62 @@ mod tests {
             .unwrap()
             .to_core()
             .expect("-0.0 passes the mask check");
+    }
+
+    /// Loads `model`'s weights through `section` of an otherwise good artifact after
+    /// making one unmasked weight of each masked layer non-finite, and expects a typed
+    /// error of that section naming the layer.  Skipped terms of the inference forward are
+    /// `a · ±0.0`, which is only a zero while `a` — a sum of weight products — is finite.
+    fn expect_non_finite_weights_rejected(section: &str) {
+        let (model, _, _) = trained();
+        let good = model.core().model().clone();
+        // Parameter order: one embedding table per column, then (weight, bias) of the
+        // input layer, of each block layer, and of the output layer.  Hidden unit 0 hears
+        // from input unit 0 and from itself, and the last column's context from it.
+        let input = good.num_columns();
+        let blocks = 2 * good.config().num_blocks;
+        let out_col = good.num_columns() * good.config().d_emb - 1;
+        for (tensor, col, layer, value) in [
+            (input, 0, "input layer", f32::NAN),
+            (input + 2, 0, "first layer of block 0", f32::INFINITY),
+            (
+                input + 2 + 2 * blocks,
+                out_col,
+                "output layer",
+                f32::NEG_INFINITY,
+            ),
+        ] {
+            let mut bad = good.clone();
+            bad.params_mut()[tensor].value.set(0, col, value);
+            let mut artifact = model.to_artifact();
+            match section {
+                "weights" => artifact.weights = model_to_bytes(&bad),
+                _ => artifact.weights_bf16 = Some(Bytes::from(bf16_weights_bytes(&bad))),
+            }
+            let loaded = ModelArtifact::from_bytes(&artifact.to_bytes())
+                .expect("the container and every section still parse");
+            match loaded.to_core() {
+                Err(ArtifactLoadError::Section { name, message }) => {
+                    assert_eq!(name, section);
+                    assert!(
+                        message.contains(layer) && message.contains("not finite"),
+                        "{message}"
+                    );
+                }
+                Err(other) => panic!("expected a {section} section error, got {other:?}"),
+                Ok(_) => panic!("expected a {section} section error, got a working core"),
+            }
+        }
+    }
+
+    #[test]
+    fn non_finite_f32_weights_report_typed_errors() {
+        expect_non_finite_weights_rejected("weights");
+    }
+
+    #[test]
+    fn non_finite_bf16_weights_report_typed_errors() {
+        expect_non_finite_weights_rejected("weights_bf16");
     }
 
     /// One trained artifact shared by the property tests below (training per case would

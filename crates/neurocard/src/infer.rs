@@ -166,6 +166,10 @@ pub struct ForwardCounters {
     pub rows_forwarded: u64,
     /// Token embeddings looked up over all forwards.
     pub columns_embedded: u64,
+    /// Product terms walked by the residual-block GEMMs over all forwards (inner units ×
+    /// output columns written × rows, zero activations included).  A forward blind to the
+    /// masks walks `rows_forwarded × 2·num_blocks·d_hidden²`.
+    pub block_terms: u64,
 }
 
 impl SamplerScratch {
@@ -476,6 +480,7 @@ impl<'a> ProgressiveSampler<'a> {
                     tokens[s * n_model + model_col] = digit;
                 }
                 counters.columns_embedded += nn.embedded_columns() as u64;
+                counters.block_terms += nn.block_terms();
 
                 // Refine classes by the digit just drawn: samples remain classmates iff
                 // they were classmates and drew the same digit.  Dead samples keep stale

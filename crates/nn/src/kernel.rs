@@ -11,6 +11,7 @@
 //! | `matmul_blocked`  | scalar blocked (tensor)  | AVX2 + FMA, 4-row × 16-col broadcast-FMA tiles | NEON, 4-lane |
 //! | `matmul_blocked_acc`| scalar blocked (tensor) | the `matmul_blocked` tiles, accumulators loaded from `out` | NEON, same |
 //! | `matmul_col_range`| scalar blocked (tensor)  | AVX2 + FMA        | NEON             |
+//! | `matmul_blocked_live`, `matmul_col_range_live` | the same kernels over a step's live units (tensor) | the same tiles: dead tiles skipped, live inner runs walked | NEON, same |
 //! | `gemm_nt`         | scalar blocked (tensor)  | AVX2 + FMA horizontal dot | NEON |
 //! | `softmax_rows_into`| scalar (loss)           | AVX2 max/scale, scalar `exp` | NEON |
 //!
@@ -30,7 +31,7 @@
 //! `intrinsics-outside-kernel` lint.
 
 use crate::loss;
-use crate::tensor::{self, Matrix};
+use crate::tensor::{self, LiveUnits, Matrix};
 
 /// Instruction set chosen by [`isa`] for the fast-tier kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,15 +94,22 @@ pub fn isa_name() -> &'static str {
 /// Fast-tier `out = a (m×k) · b (k×n)`; same shape contract as
 /// [`crate::tensor::matmul_blocked`].
 pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    matmul_blocked_live(a, b, LiveUnits::ALL, out);
+}
+
+/// Fast-tier [`crate::tensor::matmul_blocked_live`]: same contract, with the register
+/// blocks (and so the non-live columns written, and the terms returned) of the kernel
+/// dispatch picks.
+pub fn matmul_blocked_live(a: &Matrix, b: &Matrix, live: LiveUnits, out: &mut Matrix) -> u64 {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     assert_eq!(out.rows(), a.rows());
     assert_eq!(out.cols(), b.cols());
     match isa() {
-        Isa::Portable => tensor::matmul_blocked(a, b, out),
+        Isa::Portable => tensor::matmul_blocked_live(a, b, live, out),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         // SAFETY: `isa()` returned Avx2Fma, so the CPU was probed for avx2+fma.
         Isa::Avx2Fma => unsafe {
-            avx2::matmul_rows::<false>(
+            avx2::matmul_rows::<false, true>(
                 a.rows(),
                 a.cols(),
                 b.cols(),
@@ -109,13 +117,14 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
                 b.data(),
                 0,
                 b.cols(),
+                live,
                 out.data_mut(),
             )
         },
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         // SAFETY: NEON is part of the aarch64 baseline ISA.
         Isa::Neon => unsafe {
-            neon::matmul_rows::<false>(
+            neon::matmul_rows::<false, true>(
                 a.rows(),
                 a.cols(),
                 b.cols(),
@@ -123,6 +132,7 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
                 b.data(),
                 0,
                 b.cols(),
+                live,
                 out.data_mut(),
             )
         },
@@ -143,7 +153,7 @@ pub fn matmul_blocked_acc(a: &Matrix, b: &Matrix, row0: usize, out: &mut Matrix)
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         // SAFETY: `isa()` returned Avx2Fma, so the CPU was probed for avx2+fma.
         Isa::Avx2Fma => unsafe {
-            avx2::matmul_rows::<true>(
+            avx2::matmul_rows::<true, true>(
                 a.rows(),
                 a.cols(),
                 b.cols(),
@@ -151,13 +161,14 @@ pub fn matmul_blocked_acc(a: &Matrix, b: &Matrix, row0: usize, out: &mut Matrix)
                 &b.data()[row0 * b.cols()..],
                 0,
                 b.cols(),
+                LiveUnits::ALL,
                 out.data_mut(),
-            )
+            );
         },
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         // SAFETY: NEON is part of the aarch64 baseline ISA.
         Isa::Neon => unsafe {
-            neon::matmul_rows::<true>(
+            neon::matmul_rows::<true, true>(
                 a.rows(),
                 a.cols(),
                 b.cols(),
@@ -165,8 +176,9 @@ pub fn matmul_blocked_acc(a: &Matrix, b: &Matrix, row0: usize, out: &mut Matrix)
                 &b.data()[row0 * b.cols()..],
                 0,
                 b.cols(),
+                LiveUnits::ALL,
                 out.data_mut(),
-            )
+            );
         },
     }
 }
@@ -174,16 +186,28 @@ pub fn matmul_blocked_acc(a: &Matrix, b: &Matrix, row0: usize, out: &mut Matrix)
 /// Fast-tier `out = a · b[:, lo..hi]`; same shape contract as
 /// [`crate::tensor::matmul_col_range`].
 pub fn matmul_col_range(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut Matrix) {
+    matmul_col_range_live(a, b, lo, hi, LiveUnits::ALL, out);
+}
+
+/// Fast-tier [`crate::tensor::matmul_col_range_live`]; same contract.
+pub fn matmul_col_range_live(
+    a: &Matrix,
+    b: &Matrix,
+    lo: usize,
+    hi: usize,
+    live: LiveUnits,
+    out: &mut Matrix,
+) {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     assert!(lo <= hi && hi <= b.cols(), "column slice out of bounds");
     assert_eq!(out.rows(), a.rows());
     assert_eq!(out.cols(), hi - lo);
     match isa() {
-        Isa::Portable => tensor::matmul_col_range(a, b, lo, hi, out),
+        Isa::Portable => tensor::matmul_col_range_live(a, b, lo, hi, live, out),
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
         // SAFETY: `isa()` returned Avx2Fma, so the CPU was probed for avx2+fma.
         Isa::Avx2Fma => unsafe {
-            avx2::matmul_rows::<false>(
+            avx2::matmul_rows::<false, false>(
                 a.rows(),
                 a.cols(),
                 b.cols(),
@@ -191,13 +215,14 @@ pub fn matmul_col_range(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut 
                 b.data(),
                 lo,
                 hi,
+                live,
                 out.data_mut(),
-            )
+            );
         },
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
         // SAFETY: NEON is part of the aarch64 baseline ISA.
         Isa::Neon => unsafe {
-            neon::matmul_rows::<false>(
+            neon::matmul_rows::<false, false>(
                 a.rows(),
                 a.cols(),
                 b.cols(),
@@ -205,8 +230,9 @@ pub fn matmul_col_range(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut 
                 b.data(),
                 lo,
                 hi,
+                live,
                 out.data_mut(),
-            )
+            );
         },
     }
 }
@@ -252,6 +278,19 @@ pub fn softmax_rows_into(logits: &Matrix, out: &mut Matrix) {
     }
 }
 
+/// Leading degrees the inner walk of a SIMD tile covers, or `None` to skip the tile.  With
+/// `OUT_UNITS` the tile's output columns `j..j + width` are units of `live`'s layout: it
+/// is skipped when none of them is live, and otherwise hears from `live.reach(j, width)`
+/// degrees.  Without, the columns are not hidden units and hear from every live unit.
+#[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
+fn tile_reach<const OUT_UNITS: bool>(live: LiveUnits, j: usize, width: usize) -> Option<usize> {
+    if OUT_UNITS {
+        Some(live.reach(j, width)).filter(|&reach| reach > 0)
+    } else {
+        Some(live.degrees())
+    }
+}
+
 /// AVX2 + FMA implementations (x86_64, runtime-gated).
 ///
 /// Every function is `unsafe` because it compiles with `target_feature(enable =
@@ -261,11 +300,14 @@ pub fn softmax_rows_into(logits: &Matrix, out: &mut Matrix) {
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod avx2 {
     use core::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_broadcast_ss, _mm256_castps256_ps128, _mm256_extractf128_ps,
+        __m256, _mm256_broadcast_ss, _mm256_castps256_ps128, _mm256_extractf128_ps,
         _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps,
         _mm256_setzero_ps, _mm256_storeu_ps, _mm_add_ps, _mm_add_ss, _mm_cvtss_f32, _mm_max_ps,
         _mm_max_ss, _mm_movehdup_ps, _mm_movehl_ps,
     };
+
+    use super::tile_reach;
+    use crate::tensor::LiveUnits;
 
     /// Horizontal sum of the 8 lanes.
     #[inline]
@@ -316,9 +358,16 @@ mod avx2 {
     /// The inner loop is branch-free: at these matrix sizes the occasional zero in `a`
     /// (post-ReLU activations) costs less as a wasted FMA than as a data-dependent
     /// branch in the hot loop.
+    ///
+    /// Only `live` inner units are walked, in ascending runs.  With `OUT_UNITS` the
+    /// output columns are units of the same layout: a tile without a live column is left
+    /// as it was, any other walks only the inner units its live columns hear from.  Every
+    /// output element is one ascending chain of FMAs, and an FMA with a zero weight
+    /// returns its accumulator, so leaving out masked weights changes no bit.  Returns the
+    /// product terms walked.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn matmul_rows<const ACC: bool>(
+    pub unsafe fn matmul_rows<const ACC: bool, const OUT_UNITS: bool>(
         m: usize,
         k: usize,
         bn: usize,
@@ -326,9 +375,12 @@ mod avx2 {
         b: &[f32],
         lo: usize,
         hi: usize,
+        live: LiveUnits,
         out: &mut [f32],
-    ) {
+    ) -> u64 {
         let w = hi - lo;
+        let reach = |j: usize, width: usize| tile_reach::<OUT_UNITS>(live, lo + j, width);
+        let mut terms = 0;
         let mut i = 0;
         while i + 4 <= m {
             let a0 = a.as_ptr().add(i * k);
@@ -338,67 +390,82 @@ mod avx2 {
             let o = out.as_mut_ptr().add(i * w);
             let mut j = 0;
             while j + 16 <= w {
-                let mut c00 = start::<ACC>(o.add(j));
-                let mut c01 = start::<ACC>(o.add(j + 8));
-                let mut c10 = start::<ACC>(o.add(w + j));
-                let mut c11 = start::<ACC>(o.add(w + j + 8));
-                let mut c20 = start::<ACC>(o.add(2 * w + j));
-                let mut c21 = start::<ACC>(o.add(2 * w + j + 8));
-                let mut c30 = start::<ACC>(o.add(3 * w + j));
-                let mut c31 = start::<ACC>(o.add(3 * w + j + 8));
-                for p in 0..k {
-                    let base = b.as_ptr().add(p * bn + lo + j);
-                    let b0 = _mm256_loadu_ps(base);
-                    let b1 = _mm256_loadu_ps(base.add(8));
-                    let va = _mm256_broadcast_ss(&*a0.add(p));
-                    c00 = _mm256_fmadd_ps(va, b0, c00);
-                    c01 = _mm256_fmadd_ps(va, b1, c01);
-                    let va = _mm256_broadcast_ss(&*a1.add(p));
-                    c10 = _mm256_fmadd_ps(va, b0, c10);
-                    c11 = _mm256_fmadd_ps(va, b1, c11);
-                    let va = _mm256_broadcast_ss(&*a2.add(p));
-                    c20 = _mm256_fmadd_ps(va, b0, c20);
-                    c21 = _mm256_fmadd_ps(va, b1, c21);
-                    let va = _mm256_broadcast_ss(&*a3.add(p));
-                    c30 = _mm256_fmadd_ps(va, b0, c30);
-                    c31 = _mm256_fmadd_ps(va, b1, c31);
+                if let Some(reach) = reach(j, 16) {
+                    let mut c00 = start::<ACC>(o.add(j));
+                    let mut c01 = start::<ACC>(o.add(j + 8));
+                    let mut c10 = start::<ACC>(o.add(w + j));
+                    let mut c11 = start::<ACC>(o.add(w + j + 8));
+                    let mut c20 = start::<ACC>(o.add(2 * w + j));
+                    let mut c21 = start::<ACC>(o.add(2 * w + j + 8));
+                    let mut c30 = start::<ACC>(o.add(3 * w + j));
+                    let mut c31 = start::<ACC>(o.add(3 * w + j + 8));
+                    for run in live.runs(reach, k) {
+                        terms += 4 * 16 * run.len();
+                        for p in run {
+                            let base = b.as_ptr().add(p * bn + lo + j);
+                            let b0 = _mm256_loadu_ps(base);
+                            let b1 = _mm256_loadu_ps(base.add(8));
+                            let va = _mm256_broadcast_ss(&*a0.add(p));
+                            c00 = _mm256_fmadd_ps(va, b0, c00);
+                            c01 = _mm256_fmadd_ps(va, b1, c01);
+                            let va = _mm256_broadcast_ss(&*a1.add(p));
+                            c10 = _mm256_fmadd_ps(va, b0, c10);
+                            c11 = _mm256_fmadd_ps(va, b1, c11);
+                            let va = _mm256_broadcast_ss(&*a2.add(p));
+                            c20 = _mm256_fmadd_ps(va, b0, c20);
+                            c21 = _mm256_fmadd_ps(va, b1, c21);
+                            let va = _mm256_broadcast_ss(&*a3.add(p));
+                            c30 = _mm256_fmadd_ps(va, b0, c30);
+                            c31 = _mm256_fmadd_ps(va, b1, c31);
+                        }
+                    }
+                    _mm256_storeu_ps(o.add(j), c00);
+                    _mm256_storeu_ps(o.add(j + 8), c01);
+                    _mm256_storeu_ps(o.add(w + j), c10);
+                    _mm256_storeu_ps(o.add(w + j + 8), c11);
+                    _mm256_storeu_ps(o.add(2 * w + j), c20);
+                    _mm256_storeu_ps(o.add(2 * w + j + 8), c21);
+                    _mm256_storeu_ps(o.add(3 * w + j), c30);
+                    _mm256_storeu_ps(o.add(3 * w + j + 8), c31);
                 }
-                _mm256_storeu_ps(o.add(j), c00);
-                _mm256_storeu_ps(o.add(j + 8), c01);
-                _mm256_storeu_ps(o.add(w + j), c10);
-                _mm256_storeu_ps(o.add(w + j + 8), c11);
-                _mm256_storeu_ps(o.add(2 * w + j), c20);
-                _mm256_storeu_ps(o.add(2 * w + j + 8), c21);
-                _mm256_storeu_ps(o.add(3 * w + j), c30);
-                _mm256_storeu_ps(o.add(3 * w + j + 8), c31);
                 j += 16;
             }
             while j + 8 <= w {
-                let mut c0 = start::<ACC>(o.add(j));
-                let mut c1 = start::<ACC>(o.add(w + j));
-                let mut c2 = start::<ACC>(o.add(2 * w + j));
-                let mut c3 = start::<ACC>(o.add(3 * w + j));
-                for p in 0..k {
-                    let vb = _mm256_loadu_ps(b.as_ptr().add(p * bn + lo + j));
-                    c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a0.add(p)), vb, c0);
-                    c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a1.add(p)), vb, c1);
-                    c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a2.add(p)), vb, c2);
-                    c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a3.add(p)), vb, c3);
+                if let Some(reach) = reach(j, 8) {
+                    let mut c0 = start::<ACC>(o.add(j));
+                    let mut c1 = start::<ACC>(o.add(w + j));
+                    let mut c2 = start::<ACC>(o.add(2 * w + j));
+                    let mut c3 = start::<ACC>(o.add(3 * w + j));
+                    for run in live.runs(reach, k) {
+                        terms += 4 * 8 * run.len();
+                        for p in run {
+                            let vb = _mm256_loadu_ps(b.as_ptr().add(p * bn + lo + j));
+                            c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a0.add(p)), vb, c0);
+                            c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a1.add(p)), vb, c1);
+                            c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a2.add(p)), vb, c2);
+                            c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a3.add(p)), vb, c3);
+                        }
+                    }
+                    _mm256_storeu_ps(o.add(j), c0);
+                    _mm256_storeu_ps(o.add(w + j), c1);
+                    _mm256_storeu_ps(o.add(2 * w + j), c2);
+                    _mm256_storeu_ps(o.add(3 * w + j), c3);
                 }
-                _mm256_storeu_ps(o.add(j), c0);
-                _mm256_storeu_ps(o.add(w + j), c1);
-                _mm256_storeu_ps(o.add(2 * w + j), c2);
-                _mm256_storeu_ps(o.add(3 * w + j), c3);
                 j += 8;
             }
             while j < w {
-                for r in 0..4 {
-                    let ar = a.as_ptr().add((i + r) * k);
-                    let mut acc = if ACC { *o.add(r * w + j) } else { 0.0f32 };
-                    for p in 0..k {
-                        acc += *ar.add(p) * b[p * bn + lo + j];
+                if let Some(reach) = reach(j, 1) {
+                    for r in 0..4 {
+                        let ar = a.as_ptr().add((i + r) * k);
+                        let mut acc = if ACC { *o.add(r * w + j) } else { 0.0f32 };
+                        for run in live.runs(reach, k) {
+                            terms += run.len();
+                            for p in run {
+                                acc += *ar.add(p) * b[p * bn + lo + j];
+                            }
+                        }
+                        *o.add(r * w + j) = acc;
                     }
-                    *o.add(r * w + j) = acc;
                 }
                 j += 1;
             }
@@ -409,47 +476,57 @@ mod avx2 {
             let a_row = &a[i * k..i * k + k];
             let out_row = &mut out[i * w..i * w + w];
             let mut j = 0;
+            while j + 16 <= w {
+                if let Some(reach) = reach(j, 16) {
+                    let mut c0 = start::<ACC>(out_row.as_ptr().add(j));
+                    let mut c1 = start::<ACC>(out_row.as_ptr().add(j + 8));
+                    for run in live.runs(reach, k) {
+                        terms += 16 * run.len();
+                        for p in run {
+                            let base = b.as_ptr().add(p * bn + lo + j);
+                            let va = _mm256_broadcast_ss(&a_row[p]);
+                            c0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(base), c0);
+                            c1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(base.add(8)), c1);
+                        }
+                    }
+                    _mm256_storeu_ps(out_row.as_mut_ptr().add(j), c0);
+                    _mm256_storeu_ps(out_row.as_mut_ptr().add(j + 8), c1);
+                }
+                j += 16;
+            }
             while j + 8 <= w {
-                let mut acc0 = start::<ACC>(out_row.as_ptr().add(j));
-                let mut acc1 = _mm256_setzero_ps();
-                let mut p = 0;
-                while p + 2 <= k {
-                    let base = b.as_ptr().add(p * bn + lo + j);
-                    acc0 = _mm256_fmadd_ps(
-                        _mm256_broadcast_ss(&a_row[p]),
-                        _mm256_loadu_ps(base),
-                        acc0,
-                    );
-                    acc1 = _mm256_fmadd_ps(
-                        _mm256_broadcast_ss(&a_row[p + 1]),
-                        _mm256_loadu_ps(base.add(bn)),
-                        acc1,
-                    );
-                    p += 2;
+                if let Some(reach) = reach(j, 8) {
+                    let mut c = start::<ACC>(out_row.as_ptr().add(j));
+                    for run in live.runs(reach, k) {
+                        terms += 8 * run.len();
+                        for p in run {
+                            c = _mm256_fmadd_ps(
+                                _mm256_broadcast_ss(&a_row[p]),
+                                _mm256_loadu_ps(b.as_ptr().add(p * bn + lo + j)),
+                                c,
+                            );
+                        }
+                    }
+                    _mm256_storeu_ps(out_row.as_mut_ptr().add(j), c);
                 }
-                if p < k {
-                    acc0 = _mm256_fmadd_ps(
-                        _mm256_broadcast_ss(&a_row[p]),
-                        _mm256_loadu_ps(b.as_ptr().add(p * bn + lo + j)),
-                        acc0,
-                    );
-                }
-                _mm256_storeu_ps(out_row.as_mut_ptr().add(j), _mm256_add_ps(acc0, acc1));
                 j += 8;
             }
             while j < w {
-                let mut acc = if ACC { out_row[j] } else { 0.0f32 };
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    if a_ip == 0.0 {
-                        continue;
+                if let Some(reach) = reach(j, 1) {
+                    let mut acc = if ACC { out_row[j] } else { 0.0f32 };
+                    for run in live.runs(reach, k) {
+                        terms += run.len();
+                        for p in run {
+                            acc += a_row[p] * b[p * bn + lo + j];
+                        }
                     }
-                    acc += a_ip * b[p * bn + lo + j];
+                    out_row[j] = acc;
                 }
-                out_row[j] = acc;
                 j += 1;
             }
             i += 1;
         }
+        terms as u64
     }
 
     /// `out (m×n) = a (m×k) · bᵀ (n×k)`: 8-wide FMA dot products, four `b` rows per pass
@@ -567,6 +644,9 @@ mod neon {
         vmulq_f32, vst1q_f32,
     };
 
+    use super::tile_reach;
+    use crate::tensor::LiveUnits;
+
     /// Initial value of a 4-lane accumulator whose result is stored at `dst`: what is
     /// already there when accumulating, zero otherwise.
     #[inline]
@@ -579,10 +659,11 @@ mod neon {
         }
     }
 
-    /// See `avx2::matmul_rows`; 4-lane panels instead of 8.
+    /// See `avx2::matmul_rows`; one row at a time, 4-lane panels instead of 8, zero `a`
+    /// entries skipped.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "neon")]
-    pub unsafe fn matmul_rows<const ACC: bool>(
+    pub unsafe fn matmul_rows<const ACC: bool, const OUT_UNITS: bool>(
         m: usize,
         k: usize,
         bn: usize,
@@ -590,63 +671,85 @@ mod neon {
         b: &[f32],
         lo: usize,
         hi: usize,
+        live: LiveUnits,
         out: &mut [f32],
-    ) {
+    ) -> u64 {
         let w = hi - lo;
+        let reach = |j: usize, width: usize| tile_reach::<OUT_UNITS>(live, lo + j, width);
+        let mut terms = 0;
         for i in 0..m {
             let a_row = &a[i * k..i * k + k];
             let out_row = &mut out[i * w..i * w + w];
             let mut j = 0;
             while j + 16 <= w {
-                let dst = out_row.as_mut_ptr().add(j);
-                let mut acc0 = start::<ACC>(dst);
-                let mut acc1 = start::<ACC>(dst.add(4));
-                let mut acc2 = start::<ACC>(dst.add(8));
-                let mut acc3 = start::<ACC>(dst.add(12));
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    if a_ip == 0.0 {
-                        continue;
+                if let Some(reach) = reach(j, 16) {
+                    let dst = out_row.as_mut_ptr().add(j);
+                    let mut acc0 = start::<ACC>(dst);
+                    let mut acc1 = start::<ACC>(dst.add(4));
+                    let mut acc2 = start::<ACC>(dst.add(8));
+                    let mut acc3 = start::<ACC>(dst.add(12));
+                    for run in live.runs(reach, k) {
+                        terms += 16 * run.len();
+                        for p in run {
+                            let a_ip = a_row[p];
+                            if a_ip == 0.0 {
+                                continue;
+                            }
+                            let va = vdupq_n_f32(a_ip);
+                            let base = b.as_ptr().add(p * bn + lo + j);
+                            acc0 = vfmaq_f32(acc0, va, vld1q_f32(base));
+                            acc1 = vfmaq_f32(acc1, va, vld1q_f32(base.add(4)));
+                            acc2 = vfmaq_f32(acc2, va, vld1q_f32(base.add(8)));
+                            acc3 = vfmaq_f32(acc3, va, vld1q_f32(base.add(12)));
+                        }
                     }
-                    let va = vdupq_n_f32(a_ip);
-                    let base = b.as_ptr().add(p * bn + lo + j);
-                    acc0 = vfmaq_f32(acc0, va, vld1q_f32(base));
-                    acc1 = vfmaq_f32(acc1, va, vld1q_f32(base.add(4)));
-                    acc2 = vfmaq_f32(acc2, va, vld1q_f32(base.add(8)));
-                    acc3 = vfmaq_f32(acc3, va, vld1q_f32(base.add(12)));
+                    vst1q_f32(dst, acc0);
+                    vst1q_f32(dst.add(4), acc1);
+                    vst1q_f32(dst.add(8), acc2);
+                    vst1q_f32(dst.add(12), acc3);
                 }
-                vst1q_f32(dst, acc0);
-                vst1q_f32(dst.add(4), acc1);
-                vst1q_f32(dst.add(8), acc2);
-                vst1q_f32(dst.add(12), acc3);
                 j += 16;
             }
             while j + 4 <= w {
-                let mut acc = start::<ACC>(out_row.as_ptr().add(j));
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    if a_ip == 0.0 {
-                        continue;
+                if let Some(reach) = reach(j, 4) {
+                    let mut acc = start::<ACC>(out_row.as_ptr().add(j));
+                    for run in live.runs(reach, k) {
+                        terms += 4 * run.len();
+                        for p in run {
+                            let a_ip = a_row[p];
+                            if a_ip == 0.0 {
+                                continue;
+                            }
+                            acc = vfmaq_f32(
+                                acc,
+                                vdupq_n_f32(a_ip),
+                                vld1q_f32(b.as_ptr().add(p * bn + lo + j)),
+                            );
+                        }
                     }
-                    acc = vfmaq_f32(
-                        acc,
-                        vdupq_n_f32(a_ip),
-                        vld1q_f32(b.as_ptr().add(p * bn + lo + j)),
-                    );
+                    vst1q_f32(out_row.as_mut_ptr().add(j), acc);
                 }
-                vst1q_f32(out_row.as_mut_ptr().add(j), acc);
                 j += 4;
             }
             while j < w {
-                let mut acc = if ACC { out_row[j] } else { 0.0f32 };
-                for (p, &a_ip) in a_row.iter().enumerate() {
-                    if a_ip == 0.0 {
-                        continue;
+                if let Some(reach) = reach(j, 1) {
+                    let mut acc = if ACC { out_row[j] } else { 0.0f32 };
+                    for run in live.runs(reach, k) {
+                        terms += run.len();
+                        for p in run {
+                            let a_ip = a_row[p];
+                            if a_ip == 0.0 {
+                                continue;
+                            }
+                            acc += a_ip * b[p * bn + lo + j];
+                        }
                     }
-                    acc += a_ip * b[p * bn + lo + j];
+                    out_row[j] = acc;
                 }
-                out_row[j] = acc;
                 j += 1;
             }
         }
+        terms as u64
     }
 
     /// See `avx2::gemm_nt`; 4-wide FMA dot products.
@@ -760,25 +863,7 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Deterministic pseudo-random matrix, same generator as the tensor tests (exact
-    /// zeros sprinkled in to exercise the zero-skip branches).
-    fn lcg_matrix(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
-        let data = (0..rows * cols)
-            .map(|_| {
-                *seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let v = ((*seed >> 33) as f32 / (1u64 << 31) as f32) - 1.0;
-                if (*seed >> 20) & 0xF == 0 {
-                    0.0
-                } else {
-                    v
-                }
-            })
-            .collect();
-        Matrix::from_vec(rows, cols, data)
-    }
+    use crate::tensor::testing::{assert_live_kernels_match_dense, lcg_matrix};
 
     const SHAPES: &[(usize, usize, usize)] = &[
         (1, 1, 1),
@@ -902,6 +987,13 @@ mod tests {
                 assert_close(*x, *y, &format!("softmax {m}x{n}"));
             }
         }
+    }
+
+    /// Whatever ISA dispatch picks, leaving out masked weights changes no bit: the scalar
+    /// kernels skip `±0.0` terms, and an FMA with a zero weight returns its accumulator.
+    #[test]
+    fn dispatched_live_kernels_match_dense_bitwise() {
+        assert_live_kernels_match_dense(matmul_blocked_live, matmul_col_range_live);
     }
 
     /// The accumulating kernel extends whatever `out` holds by a row slab of `b`: close to

@@ -23,8 +23,8 @@ use crate::kernel;
 use crate::layers::{relu, relu_backward, seeded_rng, Embedding, MaskedLinear, Param};
 use crate::loss::{softmax_cross_entropy, softmax_rows, softmax_rows_into};
 use crate::tensor::{
-    add_bias, column_sums_accumulate, gemm_nt, matmul_blocked, matmul_blocked_acc,
-    matmul_col_range, Matrix,
+    add_bias, column_sums_accumulate, gemm_nt, matmul_blocked_acc, matmul_blocked_live,
+    matmul_col_range_live, LiveUnits, Matrix,
 };
 
 /// Hyper-parameters of a [`ResMade`] model.
@@ -87,9 +87,8 @@ impl ResMade {
         // Hidden-unit degrees: round-robin over {0, .., n-2} (a unit of degree g may depend
         // on columns ≤ g and feed columns > g).  With a single column there is nothing to
         // condition on; degree 0 units then feed nothing, which is fine.
-        let max_degree = n.saturating_sub(2);
-        let hidden_degrees: Vec<usize> =
-            (0..config.d_hidden).map(|h| h % (max_degree + 1)).collect();
+        let period = Self::degree_period(n);
+        let hidden_degrees: Vec<usize> = (0..config.d_hidden).map(|h| h % period).collect();
 
         // Input mask: input unit u (column c = u / d_emb) connects to hidden h iff
         // degree(h) >= c.
@@ -157,6 +156,20 @@ impl ResMade {
             output_layer,
             output_bias,
         }
+    }
+
+    /// Period `P` of the round-robin hidden-unit degrees of an `n`-column model: unit `h`
+    /// has degree `h % P`, over the degrees `0..=n−2` (one degree when there are fewer).
+    /// The one place the layout is spelled: the masks are built from it and
+    /// [`ResMade::live_units`] derives a step's live set from it.
+    fn degree_period(n: usize) -> usize {
+        n.saturating_sub(1).max(1)
+    }
+
+    /// The hidden units that can reach column `col`'s context — those of degree `< col` —
+    /// which are all a step for `col` reads or has to compute.
+    pub fn live_units(&self, col: usize) -> LiveUnits {
+        LiveUnits::new(Self::degree_period(self.num_columns()), col)
     }
 
     /// Number of columns.
@@ -672,14 +685,24 @@ impl ResMade {
     /// The one inference forward behind both tiers, generic over the kernel set so each
     /// instantiation compiles to direct calls into its kernel module.
     ///
-    /// Three inference-specific savings over the training-path forward:
+    /// Four inference-specific savings over the training-path forward:
     ///
     /// * the input layer multiplies only the columns between the previous step's `col`
     ///   and this one, onto the carried pre-bias accumulator `z` (columns `>= col` meet
     ///   structurally-zero weights on every path into column `col` and are skipped),
     /// * the output layer computes **only** column `col`'s `d_emb`-wide context slice
-    ///   ([`matmul_col_range`]) instead of all `num_columns · d_emb` outputs,
-    /// * the logit head is one blocked GEMM against the embedding table ([`gemm_nt`]).
+    ///   ([`matmul_col_range_live`]) instead of all `num_columns · d_emb` outputs,
+    /// * the logit head is one blocked GEMM against the embedding table ([`gemm_nt`]),
+    /// * the hidden stack is **mask-aware**: with `P` = [`ResMade::degree_period`], only
+    ///   the live units `{h : h % P < col}` ([`ResMade::live_units`]) can reach column
+    ///   `col`'s context, so the block GEMMs skip register blocks without a live unit and
+    ///   walk only the inner units a block's live columns hear from, and the output layer
+    ///   walks only live inner units ([`LiveUnits`]).  Units outside the live set hold
+    ///   unspecified values (stale, or bias/ReLU/residual of stale) that no kernel reads.
+    ///   No bit changes, by points 2–3 below: every weight left out is masked, so its
+    ///   term was `a · ±0.0` (`a` finite: [`ResMade::check_masked_weights`] keeps the
+    ///   weights finite) onto an accumulator that is never `−0.0`, and the surviving
+    ///   terms keep their order.
     ///
     /// The exact tier stays bit-identical to [`ResMade::conditional_probs_reference`]:
     ///
@@ -748,32 +771,38 @@ impl ResMade {
         scratch.z_cols = col;
         scratch.embedded_columns = batch * (col - z_cols);
 
-        // h = relu(z + bias), then the residual blocks.
+        // h = relu(z + bias), then the residual blocks over the live units.  Bias, ReLU
+        // and the residual add run over whole rows: what they leave in the other units is
+        // never read.
+        let live = self.live_units(col);
         let InferenceScratch { z, h, a, b, .. } = scratch;
         h.resize(batch, h_dim);
         h.data_mut().copy_from_slice(z.data());
         add_bias(h, self.input_layer.inner.bias.value.row(0));
         relu(h);
+        let mut block_terms = 0;
         for (w1, w2) in &self.blocks {
             a.resize(batch, h_dim);
-            (K::MATMUL_BLOCKED)(h, &w1.inner.weight.value, a);
+            block_terms += (K::MATMUL_BLOCKED_LIVE)(h, &w1.inner.weight.value, live, a);
             add_bias(a, w1.inner.bias.value.row(0));
             relu(a);
             b.resize(batch, h_dim);
-            (K::MATMUL_BLOCKED)(a, &w2.inner.weight.value, b);
+            block_terms += (K::MATMUL_BLOCKED_LIVE)(a, &w2.inner.weight.value, live, b);
             add_bias(b, w2.inner.bias.value.row(0));
             relu(b);
             for (o, v) in h.data_mut().iter_mut().zip(b.data()) {
                 *o += v;
             }
         }
+        scratch.block_terms = block_terms;
 
         scratch.ctx.resize(batch, d);
-        (K::MATMUL_COL_RANGE)(
+        (K::MATMUL_COL_RANGE_LIVE)(
             &scratch.h,
             &self.output_layer.inner.weight.value,
             col * d,
             (col + 1) * d,
+            live,
             &mut scratch.ctx,
         );
         add_bias(
@@ -795,24 +824,30 @@ impl ResMade {
         &scratch.probs
     }
 
-    /// Checks the invariant both the autoregressive property and the prefix-incremental
-    /// forward rest on: every masked entry of the input, block and output layers is
-    /// exactly `0.0`.  Training keeps it (masked weights start at zero and their gradients
-    /// are forced to zero); weights decoded from outside the program must be checked.
-    /// The error names the offending layer.
+    /// Checks the invariants the autoregressive property and the inference forward's
+    /// skipped terms rest on: every masked entry of the input, block and output layers is
+    /// exactly `0.0`, and every entry is finite (a skipped term is `a · ±0.0`, which is a
+    /// zero only while `a` is finite).  Training keeps the first (masked weights start at
+    /// zero and their gradients are forced to zero); weights decoded from outside the
+    /// program must be checked.  The error names the offending layer.
     pub fn check_masked_weights(&self) -> Result<(), String> {
         let check = |layer: &MaskedLinear, name: &str| {
             let weights = layer.inner.weight.value.data();
             match weights
                 .iter()
                 .zip(layer.mask.data())
-                .position(|(w, m)| *m == 0.0 && *w != 0.0)
+                .position(|(w, m)| !w.is_finite() || (*m == 0.0 && *w != 0.0))
             {
                 None => Ok(()),
                 Some(i) => {
                     let cols = layer.mask.cols();
+                    let (kind, want) = if weights[i].is_finite() {
+                        ("masked weight", "not 0")
+                    } else {
+                        ("weight", "not finite")
+                    };
                     Err(format!(
-                        "masked weight ({}, {}) of the {name} is {}, not 0",
+                        "{kind} ({}, {}) of the {name} is {}, {want}",
                         i / cols,
                         i % cols,
                         weights[i]
@@ -848,9 +883,9 @@ impl ResMade {
 /// instantiation of [`ResMade::step`] calls its kernel module directly, so the exact tier
 /// executes only `tensor::*` / `loss::*` calls.
 trait KernelSet {
-    const MATMUL_BLOCKED: fn(&Matrix, &Matrix, &mut Matrix);
+    const MATMUL_BLOCKED_LIVE: fn(&Matrix, &Matrix, LiveUnits, &mut Matrix) -> u64;
     const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix);
-    const MATMUL_COL_RANGE: fn(&Matrix, &Matrix, usize, usize, &mut Matrix);
+    const MATMUL_COL_RANGE_LIVE: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix);
     const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
     const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix);
 }
@@ -859,9 +894,11 @@ trait KernelSet {
 struct ScalarKernels;
 
 impl KernelSet for ScalarKernels {
-    const MATMUL_BLOCKED: fn(&Matrix, &Matrix, &mut Matrix) = matmul_blocked;
+    const MATMUL_BLOCKED_LIVE: fn(&Matrix, &Matrix, LiveUnits, &mut Matrix) -> u64 =
+        matmul_blocked_live;
     const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix) = matmul_blocked_acc;
-    const MATMUL_COL_RANGE: fn(&Matrix, &Matrix, usize, usize, &mut Matrix) = matmul_col_range;
+    const MATMUL_COL_RANGE_LIVE: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix) =
+        matmul_col_range_live;
     const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]) = gemm_nt;
     const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix) = softmax_rows_into;
 }
@@ -870,10 +907,11 @@ impl KernelSet for ScalarKernels {
 struct DispatchedKernels;
 
 impl KernelSet for DispatchedKernels {
-    const MATMUL_BLOCKED: fn(&Matrix, &Matrix, &mut Matrix) = kernel::matmul_blocked;
+    const MATMUL_BLOCKED_LIVE: fn(&Matrix, &Matrix, LiveUnits, &mut Matrix) -> u64 =
+        kernel::matmul_blocked_live;
     const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix) = kernel::matmul_blocked_acc;
-    const MATMUL_COL_RANGE: fn(&Matrix, &Matrix, usize, usize, &mut Matrix) =
-        kernel::matmul_col_range;
+    const MATMUL_COL_RANGE_LIVE: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix) =
+        kernel::matmul_col_range_live;
     const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]) = kernel::gemm_nt;
     const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix) = kernel::softmax_rows_into;
 }
@@ -901,6 +939,8 @@ pub struct InferenceScratch {
     z_cols: usize,
     /// Token embeddings the last step looked up: `batch × (col − previous col)`.
     embedded_columns: usize,
+    /// Product terms the last step's block GEMMs walked.
+    block_terms: u64,
     /// Running hidden state (`batch × d_hidden`).
     h: Matrix,
     /// First activation inside a residual block.
@@ -924,6 +964,7 @@ impl InferenceScratch {
             z_next: Matrix::zeros(0, 0),
             z_cols: 0,
             embedded_columns: 0,
+            block_terms: 0,
             h: Matrix::zeros(0, 0),
             a: Matrix::zeros(0, 0),
             b: Matrix::zeros(0, 0),
@@ -937,6 +978,13 @@ impl InferenceScratch {
     /// the carried prefix.  A stateless forward would report rows × every column.
     pub fn embedded_columns(&self) -> usize {
         self.embedded_columns
+    }
+
+    /// Product terms the last step's block GEMMs walked: inner units × output columns
+    /// written × rows, zero activations included.  A forward blind to the masks walks
+    /// `rows × 2·num_blocks·d_hidden²`.
+    pub fn block_terms(&self) -> u64 {
+        self.block_terms
     }
 }
 
@@ -1275,11 +1323,13 @@ mod tests {
 
     /// The prefix-incremental forward against the seed forward, bit for bit, along random
     /// walks: every step picks its rows' parents at random from the previous step (rows
-    /// duplicated, reordered, dropped), advances `col` by 0–3 columns, fills the newly
+    /// duplicated, reordered, dropped), advances `col` by a few columns, fills the newly
     /// covered columns with fresh tokens or MASK and everything at `>= col` with garbage
     /// that would panic if it were ever looked up; now and then the walk restarts from the
     /// empty prefix.  Covers `n−1 < d_hidden`, `n−1 > d_hidden` (degrees without a unit),
-    /// a one-column model, and `col = 0` (a zero-width slab).
+    /// a one-column model, `col = 0` (a zero-width slab), and the `(d_hidden, P)` layouts of
+    /// the kernel tests.  The hidden buffers are filled with NaN before every step, so
+    /// whatever a step leaves outside its live set is NaN — and would surface if read.
     #[test]
     fn prefix_steps_match_reference_bitwise_along_random_walks() {
         let mut seed = 0x57E9_u64;
@@ -1289,10 +1339,16 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             ((seed >> 33) as usize) % bound
         };
+        let cycled = |n: usize| (0..n).map(|c| [3usize, 5, 2, 7, 4][c % 5]).collect();
         for (domains, d_hidden) in [
             (vec![4usize, 9, 3, 17, 5], 24usize),
             (vec![3, 5, 2, 7, 4, 6, 3, 5, 2, 8, 4, 3], 6),
             (vec![7], 8),
+            (cycled(61), 96),
+            (cycled(27), 96),
+            (cycled(8), 40),
+            (cycled(51), 33),
+            (cycled(2), 8),
         ] {
             let mut m = ResMade::new(MadeConfig {
                 domains,
@@ -1325,7 +1381,9 @@ mod tests {
                         prev_col,
                     )
                 };
-                let col = (base_col + next(4)).min(n - 1);
+                // 0–3 columns at a time; wide models take longer strides to reach their
+                // last columns within the walk.
+                let col = (base_col + next(4.max(n / 4))).min(n - 1);
                 let new_rows: Vec<Vec<u32>> = (0..batch)
                     .map(|r| {
                         let mut row = if restart {
@@ -1344,6 +1402,10 @@ mod tests {
                     })
                     .collect();
                 let flat: Vec<u32> = new_rows.iter().flatten().copied().collect();
+                for buffer in [&mut scratch.h, &mut scratch.a, &mut scratch.b] {
+                    buffer.resize(batch, d_hidden);
+                    buffer.data_mut().fill(f32::NAN);
+                }
                 let stepped = m.conditional_probs_step(
                     &flat,
                     col,
@@ -1371,8 +1433,84 @@ mod tests {
                     );
                 }
                 assert_eq!(scratch.embedded_columns(), batch * (col - base_col));
+                let dense_terms = (batch * 4 * d_hidden * d_hidden) as u64;
+                assert!(scratch.block_terms() <= dense_terms);
+                assert_eq!(scratch.block_terms() == 0, col == 0);
                 rows = new_rows;
                 prev_col = col;
+            }
+        }
+    }
+
+    /// Column 0's context is its bias and nothing else: with no live unit, a step for it
+    /// — all a one-column model ever runs — walks no block weight and no output weight.
+    #[test]
+    fn column_zero_touches_no_hidden_weight() {
+        for domains in [vec![7usize], vec![4, 3, 5]] {
+            let mut m = make(domains, 12);
+            let n = m.num_columns();
+            for p in m.params_mut() {
+                if p.value.rows() == 1 {
+                    for (i, v) in p.value.data_mut().iter_mut().enumerate() {
+                        *v = (i % 7) as f32 * 0.25 - 0.5;
+                    }
+                }
+            }
+            let rows = vec![vec![0u32; n], vec![2; n]];
+            let expected = m.conditional_probs_reference(&rows, 0);
+            let mut poisoned = m.clone();
+            for (w1, w2) in &mut poisoned.blocks {
+                w1.inner.weight.value.data_mut().fill(f32::NAN);
+                w2.inner.weight.value.data_mut().fill(f32::NAN);
+            }
+            poisoned
+                .output_layer
+                .inner
+                .weight
+                .value
+                .data_mut()
+                .fill(f32::NAN);
+            let flat: Vec<u32> = rows.iter().flatten().copied().collect();
+            let mut scratch = InferenceScratch::new();
+            let stepped = poisoned.conditional_probs_into(&flat, 0, &mut scratch);
+            for (a, b) in expected.data().iter().zip(stepped.data()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "n {n}: {a} vs {b}");
+            }
+            assert_eq!(scratch.block_terms(), 0);
+        }
+    }
+
+    /// The live set of a step is exactly the set of hidden units the output mask lets into
+    /// that column's context.
+    #[test]
+    fn live_set_equals_the_output_masks_support() {
+        for (n, d_hidden) in [
+            (1usize, 8usize),
+            (2, 8),
+            (12, 6),
+            (5, 24),
+            (27, 40),
+            (61, 96),
+        ] {
+            let m = ResMade::new(MadeConfig {
+                domains: vec![3; n],
+                d_emb: 3,
+                d_hidden,
+                num_blocks: 1,
+                seed: 1,
+            });
+            let d = m.config.d_emb;
+            for col in 0..n {
+                let live = m.live_units(col);
+                for h in 0..d_hidden {
+                    let slice = &m.output_layer.mask.row(h)[col * d..(col + 1) * d];
+                    assert!(slice.iter().all(|&v| v == slice[0]));
+                    assert_eq!(
+                        live.contains(h),
+                        slice[0] != 0.0,
+                        "n {n} d_hidden {d_hidden} col {col} unit {h}"
+                    );
+                }
             }
         }
     }
@@ -1463,6 +1601,14 @@ mod tests {
         m.output_layer.inner.weight.value.set(3, 0, f32::NAN);
         let err = m.check_masked_weights().unwrap_err();
         assert!(err.contains("output layer"), "{err}");
+        m.output_layer.inner.weight.value.set(3, 0, 0.0);
+        // An unmasked weight may be anything finite: unit 0 feeds itself.
+        m.blocks[0].0.inner.weight.value.set(0, 0, f32::INFINITY);
+        let err = m.check_masked_weights().unwrap_err();
+        assert!(
+            err.contains("first layer of block 0") && err.contains("not finite"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -131,6 +131,81 @@ pub fn matmul_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
 }
 
+/// Which units of a MADE hidden layer one step of the inference forward has to look at.
+///
+/// Hidden unit `u` carries the degree `u % period`; the unit is **live** when its degree
+/// is below `degrees`.  A step for column `col` passes `degrees = col`: the output mask
+/// lets only units of degree `< col` into that column's context, and the hidden mask lets
+/// a unit hear only from units of degree `<=` its own, so every weight a restricted kernel
+/// leaves out is a masked, exactly-zero entry.  Units outside the live set are neither
+/// read nor — unless they share a register block with a live unit — written.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LiveUnits {
+    period: usize,
+    degrees: usize,
+}
+
+impl LiveUnits {
+    /// One degree, and it is live: every unit is read and written and hears from every
+    /// unit.  The dense kernels are the restricted ones at this value.
+    pub const ALL: LiveUnits = LiveUnits {
+        period: 1,
+        degrees: 1,
+    };
+
+    /// Units of degree `u % period` below `degrees` (`degrees <= period`, `period >= 1`).
+    pub fn new(period: usize, degrees: usize) -> Self {
+        assert!(
+            period >= 1 && degrees <= period,
+            "live degrees {degrees} outside the period {period}"
+        );
+        LiveUnits { period, degrees }
+    }
+
+    /// Number of live degrees.
+    pub(crate) fn degrees(self) -> usize {
+        self.degrees
+    }
+
+    /// Whether `unit` is in the live set.
+    pub fn contains(self, unit: usize) -> bool {
+        unit % self.period < self.degrees
+    }
+
+    /// How many leading degrees the output units `j..j + width` hear from: one more than
+    /// the highest live degree among them, or 0 when none of them is live.
+    pub(crate) fn reach(self, j: usize, width: usize) -> usize {
+        if width >= self.period {
+            return self.degrees;
+        }
+        let first = j % self.period;
+        let last = first + width - 1;
+        if first < self.degrees {
+            (last + 1).min(self.degrees)
+        } else if last >= self.period {
+            (last - self.period + 1).min(self.degrees)
+        } else {
+            0
+        }
+    }
+
+    /// The units below `k` whose degree is below `reach`, as ascending runs of indices.
+    pub(crate) fn runs(
+        self,
+        reach: usize,
+        k: usize,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> {
+        let (stride, len) = if reach >= self.period {
+            (k.max(1), k)
+        } else {
+            (self.period, reach)
+        };
+        (0..k)
+            .step_by(stride)
+            .map(move |start| start..(start + len).min(k))
+    }
+}
+
 /// `out = a (m×k) · b (k×n)`, bit-identical to [`matmul`] but register-blocked for the
 /// short-fat shapes of the inference hot path (`m` = live progressive samples, `k` =
 /// `d_hidden`).
@@ -141,10 +216,32 @@ pub fn matmul_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// kernel, so the result is **bit-for-bit equal** to [`matmul`] — a property the inference
 /// determinism contract relies on and `blocked_kernels_match_naive_bitwise` pins.
 pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    matmul_blocked_live(a, b, LiveUnits::ALL, out);
+}
+
+/// [`matmul_blocked`] between two MADE hidden layers (`b` square, hidden-masked), for the
+/// `live` units only.  A register block of output columns without a live unit is left as
+/// it was; any other block walks only the inner units its live columns hear from, in
+/// ascending order.  Live columns get the bits [`matmul_blocked`] gives them when the
+/// masked entries of `b` are zero and `a` is finite (each left-out term is `a · ±0.0` onto
+/// an accumulator that is never `−0.0`); the other columns of a written block hold
+/// partial sums, and `a` outside the live set is never read.
+///
+/// Returns the product terms walked (inner units × columns written × rows, zero `a`
+/// entries included) — `m·k·n` for the dense product.
+pub fn matmul_blocked_live(a: &Matrix, b: &Matrix, live: LiveUnits, out: &mut Matrix) -> u64 {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!(out.rows, a.rows);
     assert_eq!(out.cols, b.cols);
-    blocked_rows::<false>(a.rows, a.cols, b.cols, &a.data, &b.data, &mut out.data);
+    blocked_rows::<false>(
+        a.rows,
+        a.cols,
+        b.cols,
+        &a.data,
+        &b.data,
+        live,
+        &mut out.data,
+    )
 }
 
 /// `out += a (m×k) · b[row0..row0 + k, :]` — [`matmul_blocked`] resuming each output
@@ -170,57 +267,74 @@ pub fn matmul_blocked_acc(a: &Matrix, b: &Matrix, row0: usize, out: &mut Matrix)
         n,
         &a.data,
         &b.data[row0 * n..],
+        LiveUnits::ALL,
         &mut out.data,
     );
 }
 
-/// The register-blocked row kernel behind [`matmul_blocked`] (`ACC = false`: accumulators
-/// start at zero, `out` is overwritten) and [`matmul_blocked_acc`] (`ACC = true`: they
-/// start at `out`).  `b` holds at least `k` rows of width `n`.
+/// The register-blocked row kernel behind [`matmul_blocked`], [`matmul_blocked_live`]
+/// (`ACC = false`: accumulators start at zero, `out` is overwritten) and
+/// [`matmul_blocked_acc`] (`ACC = true`: they start at `out`).  `b` holds at least `k`
+/// rows of width `n`.  Returns the product terms walked.
 fn blocked_rows<const ACC: bool>(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
+    live: LiveUnits,
     out: &mut [f32],
-) {
+) -> u64 {
     // 32 output columns per block = 4–8 independent SIMD accumulator chains, enough to
     // hide FMA latency; each chain still accumulates in ascending-p order.
     const NR: usize = 32;
+    let mut terms = 0;
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[i * n..(i + 1) * n];
         let mut j = 0;
         while j + NR <= n {
-            let mut acc = [0.0f32; NR];
-            if ACC {
-                acc.copy_from_slice(&out_row[j..j + NR]);
-            }
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
+            let reach = live.reach(j, NR);
+            if reach > 0 {
+                let mut acc = [0.0f32; NR];
+                if ACC {
+                    acc.copy_from_slice(&out_row[j..j + NR]);
                 }
-                let b_row = &b[p * n + j..p * n + j + NR];
-                for (c, &b_pj) in acc.iter_mut().zip(b_row) {
-                    *c += a_ip * b_pj;
+                for run in live.runs(reach, k) {
+                    terms += NR * run.len();
+                    for (p, &a_ip) in run.clone().zip(&a_row[run]) {
+                        if a_ip == 0.0 {
+                            continue;
+                        }
+                        let b_row = &b[p * n + j..p * n + j + NR];
+                        for (c, &b_pj) in acc.iter_mut().zip(b_row) {
+                            *c += a_ip * b_pj;
+                        }
+                    }
                 }
+                out_row[j..j + NR].copy_from_slice(&acc);
             }
-            out_row[j..j + NR].copy_from_slice(&acc);
             j += NR;
         }
         while j < n {
-            let mut acc = if ACC { out_row[j] } else { 0.0f32 };
-            for (p, &a_ip) in a_row.iter().enumerate() {
-                if a_ip == 0.0 {
-                    continue;
+            let reach = live.reach(j, 1);
+            if reach > 0 {
+                let mut acc = if ACC { out_row[j] } else { 0.0f32 };
+                for run in live.runs(reach, k) {
+                    terms += run.len();
+                    for (p, &a_ip) in run.clone().zip(&a_row[run]) {
+                        if a_ip == 0.0 {
+                            continue;
+                        }
+                        acc += a_ip * b[p * n + j];
+                    }
                 }
-                acc += a_ip * b[p * n + j];
+                out_row[j] = acc;
             }
-            out_row[j] = acc;
             j += 1;
         }
     }
+    terms as u64
 }
 
 /// `out = a · b[:, lo..hi]` — the column slice `lo..hi` of [`matmul`]'s result, without
@@ -236,6 +350,21 @@ fn blocked_rows<const ACC: bool>(
 /// to hide the add latency: the kernel tiles four `a` rows by up to 16 columns and keeps
 /// every accumulator in registers.
 pub fn matmul_col_range(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut Matrix) {
+    matmul_col_range_live(a, b, lo, hi, LiveUnits::ALL, out);
+}
+
+/// [`matmul_col_range`] out of a MADE hidden layer: only the `live` inner units are
+/// walked, in ascending order, and `a` outside them is never read.  Bit-equal to
+/// [`matmul_col_range`] when `b[p][lo..hi]` is zero for every `p` outside the live set and
+/// `a` is finite.
+pub fn matmul_col_range_live(
+    a: &Matrix,
+    b: &Matrix,
+    lo: usize,
+    hi: usize,
+    live: LiveUnits,
+    out: &mut Matrix,
+) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert!(lo <= hi && hi <= b.cols, "column slice out of bounds");
     assert_eq!(out.rows, a.rows);
@@ -244,17 +373,36 @@ pub fn matmul_col_range(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut 
     let b = &b.data[..];
     let mut i = 0;
     while i + 4 <= m {
-        col_range_rows::<4>(k, bn, lo, w, &a.data[i * k..], b, &mut out.data[i * w..]);
+        col_range_rows::<4>(
+            k,
+            bn,
+            lo,
+            w,
+            &a.data[i * k..],
+            b,
+            live,
+            &mut out.data[i * w..],
+        );
         i += 4;
     }
     while i < m {
-        col_range_rows::<1>(k, bn, lo, w, &a.data[i * k..], b, &mut out.data[i * w..]);
+        col_range_rows::<1>(
+            k,
+            bn,
+            lo,
+            w,
+            &a.data[i * k..],
+            b,
+            live,
+            &mut out.data[i * w..],
+        );
         i += 1;
     }
 }
 
-/// `R` rows of [`matmul_col_range`]: walks the `w` output columns in register tiles of
-/// 16, 8, 4 and 1.
+/// `R` rows of [`matmul_col_range_live`]: walks the `w` output columns in register tiles
+/// of 16, 8, 4 and 1.
+#[allow(clippy::too_many_arguments)]
 fn col_range_rows<const R: usize>(
     k: usize,
     bn: usize,
@@ -262,30 +410,32 @@ fn col_range_rows<const R: usize>(
     w: usize,
     a: &[f32],
     b: &[f32],
+    live: LiveUnits,
     out: &mut [f32],
 ) {
     let mut j = 0;
     while j + 16 <= w {
-        col_range_tile::<R, 16>(k, bn, lo + j, w, a, b, &mut out[j..]);
+        col_range_tile::<R, 16>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
         j += 16;
     }
     if j + 8 <= w {
-        col_range_tile::<R, 8>(k, bn, lo + j, w, a, b, &mut out[j..]);
+        col_range_tile::<R, 8>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
         j += 8;
     }
     if j + 4 <= w {
-        col_range_tile::<R, 4>(k, bn, lo + j, w, a, b, &mut out[j..]);
+        col_range_tile::<R, 4>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
         j += 4;
     }
     while j < w {
-        col_range_tile::<R, 1>(k, bn, lo + j, w, a, b, &mut out[j..]);
+        col_range_tile::<R, 1>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
         j += 1;
     }
 }
 
-/// One `R × W` register tile: `out[r][..W] = Σ_p a[r][p] · b[p][col..col + W]` with `out`
-/// rows `w` apart.  Each element is its own ascending-`p` chain; a zero `a[r][p]` leaves
-/// row `r`'s accumulators untouched.
+/// One `R × W` register tile: `out[r][..W] = Σ_p a[r][p] · b[p][col..col + W]` over the
+/// live `p`, with `out` rows `w` apart.  Each element is its own ascending-`p` chain; a
+/// zero `a[r][p]` leaves row `r`'s accumulators untouched.
+#[allow(clippy::too_many_arguments)]
 fn col_range_tile<const R: usize, const W: usize>(
     k: usize,
     bn: usize,
@@ -293,18 +443,21 @@ fn col_range_tile<const R: usize, const W: usize>(
     w: usize,
     a: &[f32],
     b: &[f32],
+    live: LiveUnits,
     out: &mut [f32],
 ) {
     let mut acc = [[0.0f32; W]; R];
-    for p in 0..k {
-        let b_row = &b[p * bn + col..p * bn + col + W];
-        for (r, acc_r) in acc.iter_mut().enumerate() {
-            let a_rp = a[r * k + p];
-            if a_rp == 0.0 {
-                continue;
-            }
-            for (c, &b_pj) in acc_r.iter_mut().zip(b_row) {
-                *c += a_rp * b_pj;
+    for run in live.runs(live.degrees(), k) {
+        for p in run {
+            let b_row = &b[p * bn + col..p * bn + col + W];
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let a_rp = a[r * k + p];
+                if a_rp == 0.0 {
+                    continue;
+                }
+                for (c, &b_pj) in acc_r.iter_mut().zip(b_row) {
+                    *c += a_rp * b_pj;
+                }
             }
         }
     }
@@ -445,8 +598,107 @@ pub fn elementwise_mul_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
 }
 
+/// Test support shared with the dispatched kernels' tests in [`crate::kernel`].
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::*;
+
+    /// Deterministic pseudo-random matrix (no RNG dependency in this crate's tests).
+    pub fn lcg_matrix(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
+        let data = (0..rows * cols)
+            .map(|_| {
+                *seed = seed
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                // Map to roughly [-1, 1], with exact zeros sprinkled in to exercise the
+                // zero-skip branches.
+                let v = ((*seed >> 33) as f32 / (1u64 << 31) as f32) - 1.0;
+                if (*seed >> 20) & 0xF == 0 {
+                    0.0
+                } else {
+                    v
+                }
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// The restricted kernels against their own dense instantiation, bit for bit, on
+    /// MADE-masked weights, for every column of every `(d_hidden, period)` layout: the
+    /// restricted call gets an `a` whose every entry outside the live set is NaN, so one
+    /// read of a dead unit shows up in a live result.
+    pub fn assert_live_kernels_match_dense(
+        blocked: fn(&Matrix, &Matrix, LiveUnits, &mut Matrix) -> u64,
+        col_range: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix),
+    ) {
+        const D_EMB: usize = 13; // one 8-, one 4- and one 1-wide tile of the column slice
+        let mut seed = 0x11FE_u64;
+        for (d_hidden, period) in [(96usize, 60usize), (96, 26), (40, 7), (33, 50), (8, 1)] {
+            let columns = period + 1;
+            // Hidden mask: h1 feeds h2 iff deg(h2) >= deg(h1).  Output mask: h feeds
+            // column c's slice iff deg(h) < c.
+            let mut hidden = lcg_matrix(d_hidden, d_hidden, &mut seed);
+            let mut output = lcg_matrix(d_hidden, columns * D_EMB, &mut seed);
+            for h1 in 0..d_hidden {
+                for h2 in 0..d_hidden {
+                    if h2 % period < h1 % period {
+                        hidden.set(h1, h2, 0.0);
+                    }
+                }
+                for o in 0..columns * D_EMB {
+                    if h1 % period >= o / D_EMB {
+                        output.set(h1, o, 0.0);
+                    }
+                }
+            }
+            for rows in [1usize, 3, 4, 9] {
+                let a = lcg_matrix(rows, d_hidden, &mut seed);
+                let mut dense = Matrix::zeros(rows, d_hidden);
+                let dense_terms = blocked(&a, &hidden, LiveUnits::ALL, &mut dense);
+                assert_eq!(dense_terms, (rows * d_hidden * d_hidden) as u64);
+                for col in 0..columns {
+                    let what = format!("d_hidden {d_hidden} period {period} rows {rows} col {col}");
+                    let live = LiveUnits::new(period, col);
+                    let mut poisoned = a.clone();
+                    for r in 0..rows {
+                        for (u, v) in poisoned.row_mut(r).iter_mut().enumerate() {
+                            if !live.contains(u) {
+                                *v = f32::NAN;
+                            }
+                        }
+                    }
+                    let mut restricted = Matrix::zeros(rows, d_hidden);
+                    let terms = blocked(&poisoned, &hidden, live, &mut restricted);
+                    assert!(terms <= dense_terms, "{what}: {terms} terms");
+                    assert_eq!(terms == 0, col == 0, "{what}: {terms} terms");
+                    for r in 0..rows {
+                        for u in (0..d_hidden).filter(|&u| live.contains(u)) {
+                            assert_eq!(
+                                restricted.get(r, u).to_bits(),
+                                dense.get(r, u).to_bits(),
+                                "{what}: hidden unit ({r}, {u})"
+                            );
+                        }
+                    }
+
+                    let (lo, hi) = (col * D_EMB, (col + 1) * D_EMB);
+                    let mut dense_ctx = Matrix::zeros(rows, D_EMB);
+                    col_range(&a, &output, lo, hi, LiveUnits::ALL, &mut dense_ctx);
+                    let mut ctx = Matrix::zeros(rows, D_EMB);
+                    ctx.data_mut().iter_mut().for_each(|v| *v = f32::NAN); // must be overwritten
+                    col_range(&poisoned, &output, lo, hi, live, &mut ctx);
+                    for (i, (x, y)) in dense_ctx.data().iter().zip(ctx.data()).enumerate() {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{what}: context element {i}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::testing::lcg_matrix;
     use super::*;
 
     fn approx_eq(a: &[f32], b: &[f32]) -> bool {
@@ -518,26 +770,6 @@ mod tests {
         let mut out = Matrix::zeros(1, 3);
         elementwise_mul_accumulate(&a, &b, &mut out);
         assert!(approx_eq(out.data(), &[4., 10., 18.]));
-    }
-
-    /// Deterministic pseudo-random matrix (no RNG dependency in this crate's tests).
-    fn lcg_matrix(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
-        let data = (0..rows * cols)
-            .map(|_| {
-                *seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                // Map to roughly [-1, 1], with exact zeros sprinkled in to exercise the
-                // zero-skip branches.
-                let v = ((*seed >> 33) as f32 / (1u64 << 31) as f32) - 1.0;
-                if (*seed >> 20) & 0xF == 0 {
-                    0.0
-                } else {
-                    v
-                }
-            })
-            .collect();
-        Matrix::from_vec(rows, cols, data)
     }
 
     fn assert_bitwise_eq(a: &Matrix, b: &Matrix, what: &str) {
@@ -640,6 +872,44 @@ mod tests {
                 assert_bitwise_eq(&whole, &out, &format!("acc {m}x{k}x{n} split {s}"));
             }
         }
+    }
+
+    #[test]
+    fn live_kernels_match_dense_bitwise_and_never_read_dead_units() {
+        testing::assert_live_kernels_match_dense(matmul_blocked_live, matmul_col_range_live);
+    }
+
+    #[test]
+    fn live_units_reach_and_runs_agree_with_the_degree_definition() {
+        // `reach` and `runs` are closed forms; check them against the definition they
+        // abbreviate, for every block position and width the kernels use.
+        for period in [1usize, 2, 7, 26, 31, 32, 33, 60] {
+            for degrees in 0..=period {
+                let live = LiveUnits::new(period, degrees);
+                for width in [1usize, 4, 8, 16, 32] {
+                    for j in 0..2 * period + 3 {
+                        let expected = (j..j + width)
+                            .map(|u| u % period)
+                            .filter(|&d| d < degrees)
+                            .max()
+                            .map_or(0, |d| d + 1);
+                        assert_eq!(
+                            live.reach(j, width),
+                            expected,
+                            "period {period} degrees {degrees} block {j}+{width}"
+                        );
+                    }
+                }
+                for k in [0usize, 1, period, 2 * period + 5] {
+                    for reach in 0..=degrees {
+                        let walked: Vec<usize> = live.runs(reach, k).flatten().collect();
+                        let expected: Vec<usize> = (0..k).filter(|p| p % period < reach).collect();
+                        assert_eq!(walked, expected, "period {period} reach {reach} k {k}");
+                    }
+                }
+            }
+        }
+        assert!((0..100).all(|u| LiveUnits::ALL.contains(u)));
     }
 
     #[test]
