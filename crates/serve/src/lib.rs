@@ -2,9 +2,11 @@
 //!
 //! The multi-model serving layer: a versioned [`ModelRegistry`] with atomic hot swap, a
 //! transport-independent request protocol, and two transports over it — the in-process
-//! [`RegistryService`] worker pool and the [`TcpServer`] wire front-end.  This is the
-//! "many schemas, continuous retraining" deployment shape (compare Scardina's
-//! multi-estimator routing and ByteCard's serving-lifecycle focus in PAPERS.md).
+//! [`RegistryService`] and the [`TcpServer`] wire front-end — which feed the same
+//! private dispatch core (one bounded queue, one worker loop, one panic fence, one shed
+//! policy; `docs/serving.md`).  This is the "many schemas, continuous retraining"
+//! deployment shape (compare Scardina's multi-estimator routing and ByteCard's
+//! serving-lifecycle focus in PAPERS.md).
 //!
 //! Architecture:
 //!
@@ -33,6 +35,7 @@
 //!   tests, the `registry_swap` / `wire_protocol` integration tests, and asserted on
 //!   every `registry_bench` run.
 
+mod dispatch;
 pub mod fallback;
 pub mod fault;
 pub mod journal;
@@ -55,13 +58,13 @@ pub use protocol::{
     decode_request, decode_result, decode_stats_result, encode_request, encode_result,
     encode_stats_request, read_frame, write_frame, ServeReply, ServeRequest, MAX_FRAME_LEN,
 };
-pub use reactor::{ReactorConfig, ReactorStats};
+pub use reactor::{Reactor as TcpServer, ReactorConfig, ReactorStats};
 pub use registry::{
     ModelKey, ModelLease, ModelRegistry, ModelSelector, ModelStats, RegistryStats, SwapReceipt,
 };
 pub use service::{RegistryHandle, RegistryService, ServiceConfig, ServiceStats};
 pub use stats::{nearest_rank, Quantiles, LATENCY_WINDOW};
-pub use tcp::{ClientConfig, ServeClient, TcpServer};
+pub use tcp::{ClientConfig, ServeClient};
 
 use neurocard::EstimateError;
 
@@ -128,6 +131,95 @@ impl std::fmt::Display for ServeError {
 }
 
 impl std::error::Error for ServeError {}
+
+#[cfg(test)]
+/// Estimator fixtures shared by this crate's unit tests.
+mod testing {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Condvar, Mutex};
+
+    use nc_baselines::CardinalityEstimator;
+    use nc_schema::{JoinSchema, Query};
+    use nc_storage::{Database, TableBuilder, Value};
+
+    use crate::fallback::StatsFallback;
+
+    /// Answers every query with one value.
+    pub(crate) struct Fixed(pub(crate) f64);
+
+    impl CardinalityEstimator for Fixed {
+        fn name(&self) -> &str {
+            "fixed"
+        }
+        fn estimate(&self, _query: &Query) -> f64 {
+            self.0
+        }
+        fn size_bytes(&self) -> usize {
+            16
+        }
+    }
+
+    /// Panics (with "kaboom") on every query.
+    pub(crate) struct Bomb;
+
+    impl CardinalityEstimator for Bomb {
+        fn name(&self) -> &str {
+            "bomb"
+        }
+        fn estimate(&self, _query: &Query) -> f64 {
+            panic!("kaboom")
+        }
+    }
+
+    /// Holds every estimate until [`Gate::open`], then answers `7.0`; clones share the
+    /// gate, so a test registers one clone and drives the other.
+    #[derive(Clone, Default)]
+    pub(crate) struct Gate {
+        state: Arc<(Mutex<bool>, Condvar)>,
+        entered: Arc<AtomicUsize>,
+    }
+
+    impl Gate {
+        /// Estimates that have reached the gate so far (held or released).
+        pub(crate) fn entered(&self) -> usize {
+            self.entered.load(Ordering::SeqCst)
+        }
+
+        /// Releases every held estimate and lets later ones straight through.
+        pub(crate) fn open(&self) {
+            *self.state.0.lock().unwrap_or_else(|p| p.into_inner()) = true;
+            self.state.1.notify_all();
+        }
+    }
+
+    impl CardinalityEstimator for Gate {
+        fn name(&self) -> &str {
+            "gate"
+        }
+        fn estimate(&self, _query: &Query) -> f64 {
+            let (lock, cv) = &*self.state;
+            let mut open = lock.lock().unwrap_or_else(|p| p.into_inner());
+            self.entered.fetch_add(1, Ordering::SeqCst);
+            while !*open {
+                open = cv.wait(open).unwrap();
+            }
+            7.0
+        }
+    }
+
+    /// A stats fallback over a one-table database: 40 rows in `t`, so it answers
+    /// `Query::join(&["t"])` with `40.0`.
+    pub(crate) fn stats_fallback() -> Arc<StatsFallback> {
+        let mut db = Database::new();
+        let mut t = TableBuilder::new("t", &["v"]);
+        for i in 0..40i64 {
+            t.push_row(vec![Value::Int(i % 8)]);
+        }
+        db.add_table(t.finish());
+        let schema = JoinSchema::new(vec!["t".into()], vec![], "t").unwrap();
+        Arc::new(StatsFallback::from_database(&db, Arc::new(schema)))
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -136,20 +136,8 @@ impl<E: CardinalityEstimator + Send + Sync> ServingEstimator for BaselineModel<E
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::Fixed;
     use nc_schema::JoinEdge;
-
-    struct Fixed(f64);
-    impl CardinalityEstimator for Fixed {
-        fn name(&self) -> &str {
-            "fixed"
-        }
-        fn estimate(&self, _query: &Query) -> f64 {
-            self.0
-        }
-        fn size_bytes(&self) -> usize {
-            16
-        }
-    }
 
     #[test]
     fn baseline_adapter_forwards_and_validates() {

@@ -1,57 +1,49 @@
 //! The nonblocking multiplexed TCP front-end: an epoll reactor over the serving
-//! protocol.
+//! protocol.  [`Reactor`] is exported as [`crate::TcpServer`].
 //!
-//! This replaces the PR-5 thread-per-connection loop.  A fixed set of **I/O threads**
-//! each run a level-triggered [`mio::Poll`] loop over a slab of connections: they
-//! accept, read, parse length-prefixed frames, and write replies — never blocking on
-//! any single peer.  Parsed requests are handed to a fixed **worker pool** through a
-//! bounded queue; each worker routes through the shared [`ModelRegistry::handle`] entry
-//! point (same as the in-process service) and posts the encoded reply back to the
+//! A fixed set of **I/O threads** each run a level-triggered [`mio::Poll`] loop over a
+//! slab of connections: they accept, read, parse length-prefixed frames, and write
+//! replies — never blocking on any single peer.  Each complete frame is submitted,
+//! undecoded, to the crate's dispatch core (`dispatch.rs`: the same queue, worker loop,
+//! panic fence and shed policy as the in-process service; `docs/serving.md` states them
+//! once); a worker decodes it, answers it, and posts the encoded reply back to the
 //! owning I/O thread's mailbox, waking its poller via an eventfd [`mio::Waker`].
 //!
-//! Properties the tests pin:
+//! What is particular to this transport, and pinned by its tests:
 //!
-//! * **Pipelining, in order.** A client may write many request frames before reading;
-//!   each request gets a per-connection sequence number at parse time, workers complete
-//!   out of order, and replies are released strictly in sequence.
-//! * **Admission control.** A full worker queue answers [`ServeError::Overloaded`]
-//!   immediately (the request is never queued) instead of blocking the I/O thread — a
-//!   burst sheds load; the connection stays healthy.
+//! * **Pipelining, in order.** Each request gets a per-connection sequence number at
+//!   parse time, workers complete out of order, and replies are released strictly in
+//!   sequence.
+//! * **Admission control without blocking.** The I/O thread never waits for queue
+//!   space: a frame the full queue refuses is shed at once, in its pipeline slot.
 //! * **Bounded buffers, hostile clients disconnected.** Per-connection read/write
 //!   buffers have hard limits; a slow-loris peer (partial frame, no progress) or a
 //!   peer that stops reading its replies is disconnected after
 //!   [`ReactorConfig::stall_timeout`], not pinned forever.
-//! * **Panic isolation.** A panicking estimator is caught in the worker
-//!   ([`ServeError::Internal`] reply); the worker, the connection and the server
-//!   survive, and the scratch that was live during the panic is discarded.
-//! * **Determinism.** Estimates are derived purely from `(config.seed, query)`, so
-//!   replies are bit-identical to direct [`neurocard::EstimatorCore`] calls regardless
-//!   of I/O thread count, worker count, queueing order or concurrent swaps.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::TrySendError;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::lockcheck::Mutex;
 use mio::{Events, Interest, Poll, Token, Waker};
 
+use crate::dispatch::{Dispatch, Executor, Submitter};
 use crate::fault::FaultInjector;
 use crate::journal::{JournalEvent, SharedJournal};
-use crate::pool::ScratchPool;
 use crate::protocol::{
     decode_deregister, decode_request, decode_stats_request, encode_admin_result, encode_result,
     encode_stats_result, MAX_FRAME_LEN, MSG_DEREGISTER, MSG_STATS,
 };
 use crate::registry::{ModelKey, ModelRegistry, ModelSelector};
-use crate::service::panic_message;
-use crate::ServeError;
+use crate::{ServeError, ServeReply};
 
-/// Tuning of a [`Reactor`] (and therefore of [`crate::TcpServer`]).
+/// Tuning of a [`Reactor`].
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
     /// Poller threads multiplexing connections (≥ 1; connections are distributed
@@ -59,8 +51,8 @@ pub struct ReactorConfig {
     pub io_threads: usize,
     /// Worker threads executing estimates (≥ 1).
     pub workers: usize,
-    /// Bound of the worker queue; a full queue sheds with
-    /// [`ServeError::Overloaded`].
+    /// Bound of the worker queue; a full queue sheds (the registry's fallback, else
+    /// [`ServeError::Overloaded`]).
     pub queue_depth: usize,
     /// Maximum simultaneous connections; excess accepts get a best-effort
     /// `Overloaded` frame and an immediate close.
@@ -76,9 +68,6 @@ pub struct ReactorConfig {
     /// A connection holding a partial frame, or unsent replies, without progress for
     /// this long is disconnected.
     pub stall_timeout: Duration,
-    /// Sample budget applied when a request carries none; `None` defers to the
-    /// selected model's own default.
-    pub default_samples: Option<usize>,
     /// Fault injection hooks (see [`crate::fault`]); inert by default, and compiled
     /// away entirely in release builds.
     pub faults: FaultInjector,
@@ -109,7 +98,6 @@ impl Default for ReactorConfig {
             write_buffer_limit: 1 << 20,
             max_inflight_per_conn: 32,
             stall_timeout: Duration::from_secs(10),
-            default_samples: None,
             faults: FaultInjector::disabled(),
             admin_journal: None,
             fast_precision_queue_depth: None,
@@ -124,8 +112,8 @@ pub struct ReactorStats {
     pub accepted: u64,
     /// Frames answered (replies and framed errors).
     pub served: u64,
-    /// Requests shed by admission control (each still answered with a framed
-    /// [`ServeError::Overloaded`]).
+    /// Requests the full worker queue refused (each still answered in its pipeline
+    /// slot: degraded from the fallback, or a framed [`ServeError::Overloaded`]).
     pub overloaded: u64,
     /// Connections dropped for stalling (slow-loris partial frames, unread replies).
     pub stalled_disconnects: u64,
@@ -183,7 +171,6 @@ struct IoShared {
 }
 
 struct Shared {
-    registry: Arc<ModelRegistry>,
     config: ReactorConfig,
     stop: AtomicBool,
     served: AtomicU64,
@@ -193,8 +180,6 @@ struct Shared {
     overflow_disconnects: AtomicU64,
     accept_sheds: AtomicU64,
     live: AtomicUsize,
-    queue_depth: AtomicUsize,
-    fast_autoselected: AtomicU64,
     next_conn_id: AtomicU64,
     round_robin: AtomicUsize,
     io: Vec<IoShared>,
@@ -207,17 +192,24 @@ impl Shared {
     }
 }
 
-/// The running reactor: I/O threads + worker pool over one listener.
+/// A running TCP front-end over a model registry: I/O threads + one dispatch core over
+/// one listener.
 pub struct Reactor {
     addr: SocketAddr,
     shared: Arc<Shared>,
     io_threads: Vec<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    dispatch: Dispatch,
 }
 
 impl Reactor {
-    /// Binds `addr` and starts the I/O and worker threads.
-    pub fn bind(
+    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts serving
+    /// with default [`ReactorConfig`] tuning.
+    pub fn bind(registry: Arc<ModelRegistry>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
+        Self::bind_with(registry, addr, ReactorConfig::default())
+    }
+
+    /// Binds with explicit tuning and starts the I/O and worker threads.
+    pub fn bind_with(
         registry: Arc<ModelRegistry>,
         addr: impl ToSocketAddrs,
         config: ReactorConfig,
@@ -246,7 +238,6 @@ impl Reactor {
         polls[0].register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
 
         let shared = Arc::new(Shared {
-            registry,
             config: ReactorConfig {
                 io_threads: io_count,
                 workers: worker_count,
@@ -261,31 +252,24 @@ impl Reactor {
             overflow_disconnects: AtomicU64::new(0),
             accept_sheds: AtomicU64::new(0),
             live: AtomicUsize::new(0),
-            queue_depth: AtomicUsize::new(0),
-            fast_autoselected: AtomicU64::new(0),
             next_conn_id: AtomicU64::new(0),
             round_robin: AtomicUsize::new(0),
             io: io_shared,
         });
 
-        let (jobs_tx, jobs_rx) = sync_channel::<Job>(queue_depth);
-        let jobs_rx = Arc::new(Mutex::new("reactor.worker_rx", jobs_rx));
-        let scratch_pool = Arc::new(ScratchPool::new(worker_count));
-
-        let workers = (0..worker_count)
-            .map(|i| {
-                let shared = shared.clone();
-                let rx = jobs_rx.clone();
-                let pool = scratch_pool.clone();
-                std::thread::Builder::new()
-                    .name(format!("nc-reactor-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx, &pool))
-                    // nc-lint: allow(panic-in-serving) — bind-time path, before the
-                    // listener accepts anything; thread-spawn failure means the
-                    // process cannot serve at all.
-                    .expect("spawning a reactor worker")
-            })
-            .collect();
+        let mut executor = Executor::new(registry, worker_count);
+        executor.fast_precision_queue_depth = shared.config.fast_precision_queue_depth;
+        executor.faults = shared.config.faults.clone();
+        let (dispatch, jobs) = {
+            let shared = shared.clone();
+            Dispatch::start(
+                executor,
+                worker_count,
+                queue_depth,
+                "nc-reactor-worker",
+                move |executor: &Executor, job, depth| run_job(&shared, executor, job, depth),
+            )
+        };
 
         // The listener must move (not be dup'ed) into thread 0: epoll watches its fd,
         // and dropping the original here would silently deregister the accept source.
@@ -295,25 +279,26 @@ impl Reactor {
             .enumerate()
             .map(|(i, poll)| {
                 let shared = shared.clone();
-                let jobs_tx = jobs_tx.clone();
+                let jobs = jobs.clone();
                 let listener = if i == 0 { listener.take() } else { None };
                 std::thread::Builder::new()
                     .name(format!("nc-reactor-io-{i}"))
-                    .spawn(move || IoThread::new(i, poll, listener, shared, jobs_tx).run())
-                    // nc-lint: allow(panic-in-serving) — same bind-time reasoning as
-                    // the worker spawns above: no connection exists yet to answer.
+                    .spawn(move || IoThread::new(i, poll, listener, shared, jobs).run())
+                    // nc-lint: allow(panic-in-serving) — bind-time path, before the
+                    // listener accepts anything: no connection exists yet to answer, and
+                    // a process that cannot spawn OS threads cannot serve at all.
                     .expect("spawning a reactor I/O thread")
             })
             .collect();
-        // `jobs_tx` clones now live only in the I/O threads: when they exit, the
-        // channel disconnects and the workers drain out.
-        drop(jobs_tx);
+        // Sending ends now live only in the I/O threads: once those exit, the workers
+        // see the disconnect and drain out without waiting for an idle poll.
+        drop(jobs);
 
         Ok(Reactor {
             addr,
             shared,
             io_threads,
-            workers,
+            dispatch,
         })
     }
 
@@ -324,7 +309,7 @@ impl Reactor {
 
     /// The registry requests are routed through.
     pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.shared.registry
+        &self.dispatch.executor.registry
     }
 
     /// Frames answered so far (replies and framed errors).
@@ -332,13 +317,14 @@ impl Reactor {
         self.shared.served.load(Ordering::SeqCst)
     }
 
-    /// Connections currently open.
+    /// Connections currently open (closed connections remove themselves).
     pub fn live_connections(&self) -> usize {
         self.shared.live.load(Ordering::SeqCst)
     }
 
-    /// Counters and gauges.
+    /// Counters and gauges (accepted/overloaded/disconnect splits).
     pub fn stats(&self) -> ReactorStats {
+        let executor = &self.dispatch.executor;
         ReactorStats {
             accepted: self.shared.accepted.load(Ordering::Relaxed),
             served: self.shared.served.load(Ordering::SeqCst),
@@ -348,17 +334,20 @@ impl Reactor {
             accept_sheds: self.shared.accept_sheds.load(Ordering::Relaxed),
             live_connections: self.shared.live.load(Ordering::SeqCst),
             max_connections: self.shared.config.max_connections,
-            queue_depth: self.shared.queue_depth.load(Ordering::Relaxed),
-            fast_autoselected: self.shared.fast_autoselected.load(Ordering::Relaxed),
+            queue_depth: executor.queue_depth(),
+            fast_autoselected: executor.fast_autoselected.load(Ordering::Relaxed),
         }
     }
 
-    /// Stops accepting, closes every connection, joins all threads.
+    /// Stops accepting, closes every connection, joins the I/O threads, then drains and
+    /// joins the workers (completions for the closed connections are dropped).
+    /// Dropping the reactor does the same, but swallows a dead worker's panic.
     pub fn shutdown(mut self) {
-        self.stop_and_join();
+        self.join_io_threads();
+        self.dispatch.shutdown();
     }
 
-    fn stop_and_join(&mut self) {
+    fn join_io_threads(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
         for io in &self.shared.io {
             let _ = io.waker.wake();
@@ -366,123 +355,85 @@ impl Reactor {
         for t in self.io_threads.drain(..) {
             let _ = t.join();
         }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
     }
 }
 
 impl Drop for Reactor {
     fn drop(&mut self) {
-        self.stop_and_join();
+        // I/O threads first, so nothing submits while the `dispatch` field's own drop
+        // stops the workers.
+        self.join_io_threads();
     }
 }
 
-fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<Job>>, pool: &ScratchPool) {
-    loop {
-        // Hold the receiver lock only for the dequeue, never the compute.
-        let job = match rx.lock().recv() {
-            Ok(job) => job,
-            Err(_) => return, // all I/O threads gone
-        };
-        // fetch_sub returns the pre-decrement depth: the backlog including this job,
-        // which is the congestion signal precision autoselection keys off.
-        let depth_at_dispatch = shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(
-            depth_at_dispatch >= 1,
-            "queue-depth gauge wrapped below zero"
-        );
-        if job.frame.first() == Some(&MSG_DEREGISTER) {
-            let result = handle_deregister(shared, &job.frame);
-            let close_after = matches!(result, Err(ServeError::Protocol(_)));
-            shared.deliver(
-                job.io_idx,
-                Completion {
-                    conn_id: job.conn_id,
-                    seq: job.seq,
-                    frame: encode_admin_result(&result),
-                    close_after,
-                },
-            );
-            continue;
+/// True for the one error after which the frame boundary downstream cannot be trusted.
+fn is_protocol_error<T>(result: &Result<T, ServeError>) -> bool {
+    matches!(result, Err(ServeError::Protocol(_)))
+}
+
+/// What a worker does with one job: answer the frame — estimates through
+/// [`Executor::execute`]; the admin frames and the codec are the wire's own — and post
+/// the encoded reply to the owning I/O thread.
+fn run_job(shared: &Shared, executor: &Executor, job: Job, depth_at_dispatch: usize) {
+    let (frame, close_after) = match job.frame.first() {
+        Some(&MSG_DEREGISTER) => {
+            let journal = &shared.config.admin_journal;
+            let result = handle_deregister(&executor.registry, journal, &job.frame);
+            (encode_admin_result(&result), is_protocol_error(&result))
         }
-        if job.frame.first() == Some(&MSG_STATS) {
-            let result = decode_stats_request(&job.frame).map(|()| shared.registry.model_stats());
-            let close_after = matches!(result, Err(ServeError::Protocol(_)));
-            shared.deliver(
-                job.io_idx,
-                Completion {
-                    conn_id: job.conn_id,
-                    seq: job.seq,
-                    frame: encode_stats_result(&result),
-                    close_after,
-                },
-            );
-            continue;
+        Some(&MSG_STATS) => {
+            let result = decode_stats_request(&job.frame).map(|()| executor.registry.model_stats());
+            (encode_stats_result(&result), is_protocol_error(&result))
         }
-        let result = match decode_request(&job.frame) {
-            Ok(mut request) => {
-                if request.samples.is_none() {
-                    request.samples = shared.config.default_samples;
-                }
-                // Precision autoselection: under backlog, trade the exact tier for
-                // the fast one instead of (eventually) shedding with Overloaded.
-                if let Some(threshold) = shared.config.fast_precision_queue_depth {
-                    if request.precision == neurocard::Precision::Exact
-                        && depth_at_dispatch >= threshold
-                    {
-                        request.precision = neurocard::Precision::Fast;
-                        shared.fast_autoselected.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                // Catch estimator panics: reply Internal, keep the worker, discard the
-                // scratch that was live during the unwind (its state is suspect; the
-                // pool replaces it on demand).  Injected worker faults land inside the
-                // same boundary, so chaos exercises exactly the production panic path.
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    shared.config.faults.maybe_panic("worker.panic");
-                    shared.config.faults.stall("worker.delay");
-                    let mut scratch = pool.checkout();
-                    let result = shared.registry.handle(&request, &mut scratch);
-                    pool.checkin(scratch);
-                    result
-                }))
-                .unwrap_or_else(|panic| Err(ServeError::Internal(panic_message(panic))))
-            }
-            Err(e) => Err(e),
-        };
-        let close_after = matches!(result, Err(ServeError::Protocol(_)));
-        shared.deliver(
-            job.io_idx,
-            Completion {
-                conn_id: job.conn_id,
-                seq: job.seq,
-                frame: encode_result(&result),
-                close_after,
-            },
-        );
+        _ => {
+            let result = decode_request(&job.frame)
+                .and_then(|request| executor.execute(request, depth_at_dispatch));
+            (encode_result(&result), is_protocol_error(&result))
+        }
+    };
+    let completion = Completion {
+        conn_id: job.conn_id,
+        seq: job.seq,
+        frame,
+        close_after,
+    };
+    shared.deliver(job.io_idx, completion);
+}
+
+/// What the I/O thread answers for a frame the full queue refused: the core's shed
+/// policy for an estimate when a fallback is installed — the only case that pays for a
+/// decode on the I/O thread — else `Overloaded`, which is also all an admin frame gets.
+fn shed(executor: &Executor, frame: &[u8]) -> Result<ServeReply, ServeError> {
+    let admin = matches!(frame.first(), Some(&MSG_DEREGISTER | &MSG_STATS));
+    if admin || executor.registry.fallback().is_none() {
+        return Err(ServeError::Overloaded);
     }
+    executor.shed(&decode_request(frame)?)
 }
 
 /// Applies one wire `deregister`: write-ahead to the admin journal, then drop the
 /// routing entry.  The journal append happens *before* the registry mutation — a
 /// crash between the two replays the deregister on restart, whereas the opposite
 /// order would resurrect the model.
-fn handle_deregister(shared: &Shared, frame: &[u8]) -> Result<ModelKey, ServeError> {
+fn handle_deregister(
+    registry: &ModelRegistry,
+    journal: &Option<SharedJournal>,
+    frame: &[u8],
+) -> Result<ModelKey, ServeError> {
     let (schema_fingerprint, name) = decode_deregister(frame)?;
     // Check existence first so an unknown model is a typed error, not a journal
     // entry: journaling a no-op deregister would be harmless but noisy.
-    if shared.registry.latest(schema_fingerprint, &name).is_none() {
+    if registry.latest(schema_fingerprint, &name).is_none() {
         return Err(ServeError::UnknownModel(
             ModelSelector::latest(schema_fingerprint, &name).to_string(),
         ));
     }
-    if let Some(journal) = &shared.config.admin_journal {
+    if let Some(journal) = journal {
         journal
             .append(&JournalEvent::deregister(schema_fingerprint, &name))
             .map_err(|e| ServeError::Internal(format!("admin journal append failed: {e}")))?;
     }
-    shared.registry.deregister(schema_fingerprint, &name)
+    registry.deregister(schema_fingerprint, &name)
 }
 
 /// Why a connection was torn down (feeds the right stats counter).
@@ -537,7 +488,7 @@ struct IoThread {
     poll: Poll,
     listener: Option<TcpListener>,
     shared: Arc<Shared>,
-    jobs: SyncSender<Job>,
+    jobs: Submitter<Job>,
     conns: Vec<Option<Conn>>,
     free_slots: Vec<usize>,
     by_id: HashMap<u64, usize>,
@@ -549,7 +500,7 @@ impl IoThread {
         poll: Poll,
         listener: Option<TcpListener>,
         shared: Arc<Shared>,
-        jobs: SyncSender<Job>,
+        jobs: Submitter<Job>,
     ) -> Self {
         IoThread {
             idx,
@@ -816,9 +767,9 @@ impl IoThread {
                 conn.inflight += 1;
                 conn.read_buf.clear();
                 conn.read_closed = true;
-                let frame = encode_result(&Err::<crate::ServeReply, _>(ServeError::Protocol(
-                    format!("frame length {len} exceeds the limit"),
-                )));
+                let frame = encode_result(&Err::<ServeReply, _>(ServeError::Protocol(format!(
+                    "frame length {len} exceeds the limit"
+                ))));
                 self.complete(slot, seq, frame, true);
                 continue;
             }
@@ -831,32 +782,28 @@ impl IoThread {
             let seq = conn.next_seq;
             conn.next_seq += 1;
             conn.inflight += 1;
-            let (io_idx, conn_id) = (self.idx, conn.id);
-            // Counted before the enqueue and undone if it fails: a worker may dequeue
-            // (and decrement) the instant the job is queued, so counting afterwards
-            // lets the gauge be observed wrapped below zero.
-            self.shared.queue_depth.fetch_add(1, Ordering::Relaxed);
-            let sent = self.jobs.try_send(Job {
-                io_idx,
-                conn_id,
+            let job = Job {
+                io_idx: self.idx,
+                conn_id: conn.id,
                 seq,
                 frame,
-            });
-            if sent.is_err() {
-                self.shared.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            }
-            match sent {
+            };
+            match self.jobs.submit(job, false) {
                 Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    // Admission control: answer Overloaded right now, in order, without
-                    // ever queueing the request.
+                Err(TrySendError::Full(job)) => {
+                    // Admission control: answer right now, in order, without ever
+                    // queueing the request.
                     self.shared.overloaded.fetch_add(1, Ordering::Relaxed);
-                    let frame = encode_result(&Err::<crate::ServeReply, _>(ServeError::Overloaded));
-                    self.complete(slot, seq, frame, false);
+                    let result = shed(&self.jobs.executor, &job.frame);
+                    self.complete(
+                        slot,
+                        seq,
+                        encode_result(&result),
+                        is_protocol_error(&result),
+                    );
                 }
                 Err(TrySendError::Disconnected(_)) => {
-                    let frame =
-                        encode_result(&Err::<crate::ServeReply, _>(ServeError::ShuttingDown));
+                    let frame = encode_result(&Err::<ServeReply, _>(ServeError::ShuttingDown));
                     self.complete(slot, seq, frame, true);
                 }
             }
@@ -1031,7 +978,7 @@ impl IoThread {
 
 /// The best-effort frame written to a connection refused by the connection cap.
 fn refusal_frame() -> Vec<u8> {
-    let payload = encode_result(&Err::<crate::ServeReply, _>(ServeError::Overloaded));
+    let payload = encode_result(&Err::<ServeReply, _>(ServeError::Overloaded));
     let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
     frame.extend_from_slice(&payload);
     frame
@@ -1043,18 +990,8 @@ mod tests {
     use crate::model::BaselineModel;
     use crate::protocol::{decode_result, encode_request, read_frame, write_frame, ServeRequest};
     use crate::registry::ModelSelector;
-    use nc_baselines::CardinalityEstimator;
+    use crate::testing::{Bomb, Fixed, Gate};
     use nc_schema::Query;
-
-    struct Fixed(f64);
-    impl CardinalityEstimator for Fixed {
-        fn name(&self) -> &str {
-            "fixed"
-        }
-        fn estimate(&self, _query: &Query) -> f64 {
-            self.0
-        }
-    }
 
     fn fixed_registry(value: f64) -> Arc<ModelRegistry> {
         let registry = Arc::new(ModelRegistry::new());
@@ -1079,7 +1016,8 @@ mod tests {
 
     #[test]
     fn pipelined_requests_come_back_in_order() {
-        let reactor = Reactor::bind(fixed_registry(5.0), "127.0.0.1:0", small_config()).unwrap();
+        let reactor =
+            Reactor::bind_with(fixed_registry(5.0), "127.0.0.1:0", small_config()).unwrap();
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         // Write a burst of requests before reading anything.
         for _ in 0..16 {
@@ -1103,7 +1041,7 @@ mod tests {
             stall_timeout: Duration::from_millis(100),
             ..small_config()
         };
-        let reactor = Reactor::bind(fixed_registry(1.0), "127.0.0.1:0", config).unwrap();
+        let reactor = Reactor::bind_with(fixed_registry(1.0), "127.0.0.1:0", config).unwrap();
         // The loris sends half a frame header and goes quiet.
         let mut loris = TcpStream::connect(reactor.local_addr()).unwrap();
         loris.write_all(&[0x10, 0x00]).unwrap();
@@ -1130,37 +1068,10 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_with_overloaded_in_reply_order() {
-        use std::sync::{Condvar as StdCondvar, Mutex as StdMutex};
-        struct Gate {
-            state: Arc<(StdMutex<bool>, StdCondvar)>,
-            entered: Arc<AtomicUsize>,
-        }
-        impl CardinalityEstimator for Gate {
-            fn name(&self) -> &str {
-                "gate"
-            }
-            fn estimate(&self, _query: &Query) -> f64 {
-                let (lock, cv) = &*self.state;
-                let mut open = lock.lock().unwrap_or_else(|p| p.into_inner());
-                self.entered.fetch_add(1, Ordering::SeqCst);
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-                7.0
-            }
-        }
-        let state = Arc::new((StdMutex::new(false), StdCondvar::new()));
-        let entered = Arc::new(AtomicUsize::new(0));
+        let gate = Gate::default();
         let registry = Arc::new(ModelRegistry::new());
         registry
-            .register(
-                1,
-                "m",
-                Arc::new(BaselineModel::new(Gate {
-                    state: state.clone(),
-                    entered: entered.clone(),
-                })),
-            )
+            .register(1, "m", Arc::new(BaselineModel::new(gate.clone())))
             .unwrap();
         let config = ReactorConfig {
             io_threads: 1,
@@ -1168,13 +1079,13 @@ mod tests {
             queue_depth: 1,
             ..ReactorConfig::default()
         };
-        let reactor = Reactor::bind(registry, "127.0.0.1:0", config).unwrap();
+        let reactor = Reactor::bind_with(registry, "127.0.0.1:0", config).unwrap();
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
 
         // Pipeline 3 requests: one held inside the gate by the single worker, one in
         // the queue's single slot, one shed by admission control.
         write_frame(&mut stream, &encode_request(&request())).unwrap();
-        while entered.load(Ordering::SeqCst) == 0 {
+        while gate.entered() == 0 {
             std::thread::yield_now();
         }
         write_frame(&mut stream, &encode_request(&request())).unwrap();
@@ -1190,8 +1101,7 @@ mod tests {
 
         // Open the gate: replies arrive strictly in request order — two estimates,
         // then the typed Overloaded for the shed request.
-        *state.0.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        state.1.notify_all();
+        gate.open();
         for want_ok in [true, true, false] {
             let frame = read_frame(&mut stream).unwrap();
             match decode_result(&frame).unwrap() {
@@ -1210,16 +1120,67 @@ mod tests {
     }
 
     #[test]
-    fn panicking_model_is_an_internal_error_and_the_connection_survives() {
-        struct Bomb;
-        impl CardinalityEstimator for Bomb {
-            fn name(&self) -> &str {
-                "bomb"
-            }
-            fn estimate(&self, _query: &Query) -> f64 {
-                panic!("kaboom")
-            }
+    fn wire_shed_degrades_through_the_fallback_in_reply_order() {
+        let gate = Gate::default();
+        let registry = Arc::new(ModelRegistry::new());
+        registry
+            .register(1, "m", Arc::new(BaselineModel::new(gate.clone())))
+            .unwrap();
+        registry.set_fallback(crate::testing::stats_fallback());
+        let config = ReactorConfig {
+            io_threads: 1,
+            workers: 1,
+            queue_depth: 1,
+            ..ReactorConfig::default()
+        };
+        let reactor = Reactor::bind_with(registry.clone(), "127.0.0.1:0", config).unwrap();
+        let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
+
+        // As in the test above: one request held inside the gate, one in the queue's
+        // single slot — then two frames the full queue refuses, an estimate and garbage.
+        write_frame(&mut stream, &encode_request(&request())).unwrap();
+        while gate.entered() == 0 {
+            std::thread::yield_now();
         }
+        write_frame(&mut stream, &encode_request(&request())).unwrap();
+        while reactor.stats().queue_depth == 0 {
+            std::thread::yield_now();
+        }
+        write_frame(&mut stream, &encode_request(&request())).unwrap();
+        write_frame(&mut stream, &[0x7F, 1, 2, 3]).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while reactor.stats().overloaded < 2 {
+            assert!(Instant::now() < deadline, "refused frames never shed");
+            std::thread::yield_now();
+        }
+        assert_eq!(reactor.stats().queue_depth, 1);
+
+        // Replies arrive strictly in request order: two estimates, the shed request
+        // answered by the fallback (flagged degraded), and the shed garbage answered as
+        // a worker would have — a framed protocol error, then a close.
+        gate.open();
+        for _ in 0..2 {
+            let frame = read_frame(&mut stream).unwrap();
+            assert_eq!(decode_result(&frame).unwrap().unwrap().estimate, 7.0);
+        }
+        let frame = read_frame(&mut stream).unwrap();
+        let reply = decode_result(&frame).unwrap().unwrap();
+        assert!(reply.degraded);
+        assert_eq!(reply.estimate, 40.0);
+        assert_eq!(reply.key, ModelKey::new(1, "stats-fallback", 0));
+        assert_eq!(registry.stats().degraded, 1);
+        let frame = read_frame(&mut stream).unwrap();
+        assert!(matches!(
+            decode_result(&frame).unwrap(),
+            Err(ServeError::Protocol(_))
+        ));
+        assert!(read_frame(&mut stream).is_err(), "connection must close");
+        assert_eq!(reactor.served(), 4);
+        reactor.shutdown();
+    }
+
+    #[test]
+    fn panicking_model_is_an_internal_error_and_the_connection_survives() {
         let registry = fixed_registry(3.0);
         registry
             .register(1, "bomb", Arc::new(BaselineModel::new(Bomb)))
@@ -1229,7 +1190,7 @@ mod tests {
             workers: 1, // the one worker must survive its own catch
             ..ReactorConfig::default()
         };
-        let reactor = Reactor::bind(registry, "127.0.0.1:0", config).unwrap();
+        let reactor = Reactor::bind_with(registry, "127.0.0.1:0", config).unwrap();
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         let bomb_req = ServeRequest::new(ModelSelector::latest(1, "bomb"), Query::join(&["t"]));
         write_frame(&mut stream, &encode_request(&bomb_req)).unwrap();
@@ -1248,7 +1209,8 @@ mod tests {
 
     #[test]
     fn oversized_frame_gets_a_protocol_error_then_a_close() {
-        let reactor = Reactor::bind(fixed_registry(1.0), "127.0.0.1:0", small_config()).unwrap();
+        let reactor =
+            Reactor::bind_with(fixed_registry(1.0), "127.0.0.1:0", small_config()).unwrap();
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         // Declare a frame bigger than MAX_FRAME_LEN.
         stream
@@ -1276,7 +1238,7 @@ mod tests {
                 .injector(),
             ..small_config()
         };
-        let reactor = Reactor::bind(fixed_registry(9.0), "127.0.0.1:0", config).unwrap();
+        let reactor = Reactor::bind_with(fixed_registry(9.0), "127.0.0.1:0", config).unwrap();
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         for _ in 0..8 {
             write_frame(&mut stream, &encode_request(&request())).unwrap();
@@ -1305,7 +1267,7 @@ mod tests {
             admin_journal: Some(SharedJournal::new(journal)),
             ..small_config()
         };
-        let reactor = Reactor::bind(fixed_registry(2.0), "127.0.0.1:0", config).unwrap();
+        let reactor = Reactor::bind_with(fixed_registry(2.0), "127.0.0.1:0", config).unwrap();
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
 
         write_frame(&mut stream, &encode_deregister(1, "m")).unwrap();
@@ -1341,7 +1303,8 @@ mod tests {
     #[test]
     fn wire_stats_reports_the_per_model_split() {
         use crate::protocol::{decode_stats_result, encode_stats_request};
-        let reactor = Reactor::bind(fixed_registry(2.0), "127.0.0.1:0", small_config()).unwrap();
+        let reactor =
+            Reactor::bind_with(fixed_registry(2.0), "127.0.0.1:0", small_config()).unwrap();
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
 
         // A registry with no serving history answers an empty split.
@@ -1377,7 +1340,7 @@ mod tests {
             fast_precision_queue_depth: Some(0),
             ..small_config()
         };
-        let reactor = Reactor::bind(fixed_registry(6.0), "127.0.0.1:0", config).unwrap();
+        let reactor = Reactor::bind_with(fixed_registry(6.0), "127.0.0.1:0", config).unwrap();
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         for _ in 0..5 {
             write_frame(&mut stream, &encode_request(&request())).unwrap();
@@ -1388,7 +1351,8 @@ mod tests {
         reactor.shutdown();
 
         // Disabled (the default): nothing is downgraded no matter the backlog.
-        let reactor = Reactor::bind(fixed_registry(6.0), "127.0.0.1:0", small_config()).unwrap();
+        let reactor =
+            Reactor::bind_with(fixed_registry(6.0), "127.0.0.1:0", small_config()).unwrap();
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
         for _ in 0..4 {
             write_frame(&mut stream, &encode_request(&request())).unwrap();
@@ -1404,7 +1368,7 @@ mod tests {
             max_connections: 2,
             ..small_config()
         };
-        let reactor = Reactor::bind(fixed_registry(1.0), "127.0.0.1:0", config).unwrap();
+        let reactor = Reactor::bind_with(fixed_registry(1.0), "127.0.0.1:0", config).unwrap();
         let keep: Vec<TcpStream> = (0..2)
             .map(|_| {
                 let mut s = TcpStream::connect(reactor.local_addr()).unwrap();

@@ -621,8 +621,8 @@ impl ModelRegistry {
 
     /// Answers `request` from the installed fallback estimator, if any.  The reply
     /// key carries the selector's schema fingerprint, the fallback's name, and the
-    /// synthetic version `0`.  Also used by the in-process service when the queue
-    /// sheds (see [`crate::RegistryHandle::try_request`]).
+    /// synthetic version `0`.  Also what the dispatch core answers a request with when
+    /// its queue sheds.
     pub(crate) fn serve_fallback(
         &self,
         request: &ServeRequest,

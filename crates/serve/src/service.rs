@@ -1,28 +1,25 @@
-//! In-process serving: a worker pool that drains [`ServeRequest`]s through a
+//! In-process serving: [`ServeRequest`]s submitted from the caller's own threads,
+//! through the crate's dispatch core (`dispatch.rs`; `docs/serving.md` describes the
+//! thread set, the queue, shedding, the panic fence and shutdown once), to a
 //! [`ModelRegistry`].
 //!
-//! [`RegistryService`] is a **bounded** request channel (clients block when the queue is
-//! full — natural backpressure), N workers each checking a reusable [`SamplerScratch`]
-//! out of a pre-grown [`ScratchPool`] per request, and p50/p99 latency accounting.
-//! Requests carry a [`crate::ModelSelector`], so one service serves every registered
-//! model — and keeps serving across hot swaps, since routing happens per request.
-//!
-//! Determinism: every exact-tier estimate is **bit-identical** to a sequential
-//! [`neurocard::EstimatorCore::estimate`] of the same query, regardless of worker count,
-//! queueing order or thread interleaving.
+//! What is particular to this transport: [`RegistryHandle::request`] **blocks** for
+//! queue space (natural backpressure for in-process callers) and then for the reply, and
+//! the service reports p50/p99 latency over everything it executed.  Requests carry a
+//! [`crate::ModelSelector`], so one service serves every registered model — and keeps
+//! serving across hot swaps, since routing happens per request.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use nc_schema::Query;
-use neurocard::infer::SamplerScratch;
 
+use crate::dispatch::{Dispatch, Executor, Submitter};
 use crate::lockcheck::Mutex;
 use crate::pool::ScratchPool;
 use crate::protocol::{ServeReply, ServeRequest};
-use crate::registry::{ModelRegistry, ModelSelector, ModelStats};
+use crate::registry::{ModelRegistry, ModelSelector};
 use crate::stats::{LatencyLog, Quantiles};
 use crate::ServeError;
 
@@ -79,6 +76,11 @@ pub struct ServiceStats {
 }
 
 impl ServiceStats {
+    fn of(latencies: &Mutex<LatencyLog>) -> Self {
+        let log = latencies.lock();
+        Self::from_log(log.total(), log.window_samples())
+    }
+
     fn from_log(served: u64, us: Vec<f64>) -> Self {
         let q = Quantiles::of(us);
         ServiceStats {
@@ -91,90 +93,53 @@ impl ServiceStats {
     }
 }
 
-struct WorkItem {
-    request: ServeRequest,
-    enqueued: Instant,
-    /// Rendezvous for exactly one reply.  `sync_channel(1)` rather than an unbounded
-    /// channel: the worker's send never blocks (capacity one, one message ever), and
-    /// the reply path carries no unbounded queue the lint would have to trust.
-    reply: SyncSender<Result<ServeReply, ServeError>>,
-}
+/// One queued request, when it was submitted, and the rendezvous for exactly one reply.
+/// `sync_channel(1)` rather than an unbounded channel: the worker's send never blocks
+/// (capacity one, one message ever), and the reply path carries no unbounded queue the
+/// lint would have to trust.
+type ServiceJob = (
+    ServeRequest,
+    Instant,
+    SyncSender<Result<ServeReply, ServeError>>,
+);
 
 /// A cloneable client handle onto a running [`RegistryService`].
 #[derive(Clone)]
 pub struct RegistryHandle {
-    tx: SyncSender<WorkItem>,
-    depth: Arc<AtomicUsize>,
-    registry: Arc<ModelRegistry>,
+    jobs: Submitter<ServiceJob>,
 }
 
 impl RegistryHandle {
     /// Submits a request and blocks for the reply (waiting for queue space if the
     /// request channel is full — in-process callers get blocking backpressure).
     pub fn request(&self, request: ServeRequest) -> Result<ServeReply, ServeError> {
-        self.enqueue(request, true)
-            .map_err(|_| ServeError::ShuttingDown)?
-            .recv()
-            .map_err(|_| ServeError::ShuttingDown)?
+        let (reply, rx) = sync_channel(1);
+        self.jobs
+            .submit((request, Instant::now(), reply), true)
+            .map_err(|_| ServeError::ShuttingDown)?;
+        rx.recv().map_err(|_| ServeError::ShuttingDown)?
     }
 
-    /// Submits a request **without blocking for queue space**: a full queue is an
-    /// immediate [`ServeError::Overloaded`] (the request was not queued) — the
-    /// admission-control path transports use so a burst sheds load instead of pinning
-    /// client connections.  Still blocks for the reply once admitted.
-    ///
-    /// When the registry carries a fallback estimator
-    /// ([`ModelRegistry::set_fallback`]), a shed request is answered from it inline
-    /// instead — a cheap statistics lookup on the caller's thread, flagged
-    /// `degraded` — so overload degrades accuracy before it degrades availability.
+    /// Submits a request **without blocking for queue space**; still blocks for the
+    /// reply once admitted.  A request the full queue refuses is never queued: it is
+    /// answered at once, on the caller's thread, by the same shed policy the TCP
+    /// reactor applies — the registry's fallback estimator
+    /// ([`ModelRegistry::set_fallback`]) flagged `degraded` if one is installed, else
+    /// [`ServeError::Overloaded`] — so overload degrades accuracy before it degrades
+    /// availability.
     pub fn try_request(&self, request: ServeRequest) -> Result<ServeReply, ServeError> {
-        match self.enqueue(request, false) {
-            Ok(rx) => rx.recv().map_err(|_| ServeError::ShuttingDown)?,
-            Err(TrySendError::Full(item)) => {
-                let mut scratch = SamplerScratch::new();
-                match self.registry.serve_fallback(&item.request, &mut scratch) {
-                    Some(result) => result,
-                    None => Err(ServeError::Overloaded),
-                }
-            }
+        let (reply, rx) = sync_channel(1);
+        match self.jobs.submit((request, Instant::now(), reply), false) {
+            Ok(()) => rx.recv().map_err(|_| ServeError::ShuttingDown)?,
+            Err(TrySendError::Full((request, ..))) => self.jobs.executor.shed(&request),
             Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
         }
-    }
-
-    /// Queues a request — waiting for queue space, or refusing with
-    /// [`TrySendError::Full`] — and returns its reply rendezvous.
-    fn enqueue(
-        &self,
-        request: ServeRequest,
-        wait_for_space: bool,
-    ) -> Result<Receiver<Result<ServeReply, ServeError>>, TrySendError<WorkItem>> {
-        let (reply, rx) = sync_channel(1);
-        let item = WorkItem {
-            request,
-            enqueued: Instant::now(),
-            reply,
-        };
-        // Counted before the enqueue and undone if it fails: a worker may dequeue (and
-        // decrement) the instant the item is queued, so counting afterwards lets the
-        // gauge be observed wrapped below zero.
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        let sent = if wait_for_space {
-            self.tx
-                .send(item)
-                .map_err(|e| TrySendError::Disconnected(e.0))
-        } else {
-            self.tx.try_send(item)
-        };
-        if sent.is_err() {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-        }
-        sent.map(|()| rx)
     }
 
     /// Requests currently queued (admitted, not yet picked up by a worker).  A probe —
     /// racy by nature, exact enough for load shedding and dashboards.
     pub fn queue_depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
+        self.jobs.executor.queue_depth()
     }
 
     /// Estimates `query` on the model `selector` resolves to, with its default budget.
@@ -189,16 +154,10 @@ impl RegistryHandle {
 
 /// A long-lived, concurrent serving front over a [`ModelRegistry`].
 pub struct RegistryService {
-    registry: Arc<ModelRegistry>,
-    tx: Option<SyncSender<WorkItem>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    // Declared (so dropped) before the workers it would otherwise keep polling.
+    handle: RegistryHandle,
+    dispatch: Dispatch,
     latencies: Arc<Mutex<LatencyLog>>,
-    scratch_pool: Arc<ScratchPool>,
-    depth: Arc<AtomicUsize>,
-    /// Tells workers to exit at their next idle check even while cloned
-    /// [`RegistryHandle`]s keep the request channel open — shutdown must be bounded,
-    /// not hostage to a leaked handle.
-    stop: Arc<AtomicBool>,
 }
 
 impl RegistryService {
@@ -206,191 +165,74 @@ impl RegistryService {
     /// service runs — routing is per request).
     pub fn new(registry: Arc<ModelRegistry>, config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
-        let default_samples = config.default_samples;
-        let (tx, rx) = sync_channel::<WorkItem>(config.queue_depth.max(1));
-        let rx = Arc::new(Mutex::new("service.worker_rx", rx));
+        let mut executor = Executor::new(registry, workers);
+        executor.default_samples = config.default_samples;
         let latencies = Arc::new(Mutex::new(
             "service.latencies",
             LatencyLog::new(LATENCY_WINDOW),
         ));
-        let scratch_pool = Arc::new(ScratchPool::new(workers));
-        let stop = Arc::new(AtomicBool::new(false));
-        let depth = Arc::new(AtomicUsize::new(0));
-        let handles = (0..workers)
-            .map(|i| {
-                let registry = registry.clone();
-                let rx = rx.clone();
-                let latencies = latencies.clone();
-                let pool = scratch_pool.clone();
-                let stop = stop.clone();
-                let depth = depth.clone();
-                std::thread::Builder::new()
-                    .name(format!("nc-serve-{i}"))
-                    .spawn(move || {
-                        worker_loop(
-                            &registry,
-                            default_samples,
-                            &rx,
-                            &latencies,
-                            &pool,
-                            &stop,
-                            &depth,
-                        )
-                    })
-                    // nc-lint: allow(panic-in-serving) — startup path, before any
-                    // request is admitted; a process that cannot spawn OS threads
-                    // cannot serve, and there is no client to hand an error to.
-                    .expect("spawning a service worker")
-            })
-            .collect();
+        let log = latencies.clone();
+        let (dispatch, jobs) = Dispatch::start(
+            executor,
+            workers,
+            config.queue_depth.max(1),
+            "nc-serve",
+            move |executor, (request, enqueued, reply): ServiceJob, depth| {
+                let result = executor.execute(request, depth);
+                // Logged before the reply leaves: a client holding its answer is
+                // already counted in `stats()`.
+                log.lock().push(enqueued.elapsed().as_secs_f64() * 1e6);
+                // A client that gave up (dropped the reply receiver) is not an error.
+                let _ = reply.send(result);
+            },
+        );
         RegistryService {
-            registry,
-            tx: Some(tx),
-            workers: handles,
+            handle: RegistryHandle { jobs },
+            dispatch,
             latencies,
-            scratch_pool,
-            depth,
-            stop,
         }
     }
 
     /// A cloneable client handle (one per client thread).
     pub fn handle(&self) -> RegistryHandle {
-        RegistryHandle {
-            // nc-lint: allow(panic-in-serving) — `tx` is Some for the service's whole
-            // life: only `shutdown()` clears it, and it consumes `self`, so no caller
-            // can still reach this method afterwards.
-            tx: self.tx.clone().expect("service is running"),
-            depth: self.depth.clone(),
-            registry: self.registry.clone(),
-        }
-    }
-
-    /// Requests currently queued (admitted, not yet picked up by a worker).
-    pub fn queue_depth(&self) -> usize {
-        self.depth.load(Ordering::Relaxed)
-    }
-
-    /// Per-model latency/throughput split (see [`ModelRegistry::model_stats`]).
-    pub fn model_stats(&self) -> Vec<ModelStats> {
-        self.registry.model_stats()
+        self.handle.clone()
     }
 
     /// The routed registry (register/swap while serving through it).
     pub fn registry(&self) -> &Arc<ModelRegistry> {
-        &self.registry
+        &self.dispatch.executor.registry
     }
 
     /// The scratch workspace pool (exposed for observability in benches/tests).
     pub fn scratch_pool(&self) -> &ScratchPool {
-        &self.scratch_pool
+        &self.dispatch.executor.scratch_pool
     }
 
     /// Latency summary: exact served count, quantiles over the most recent
     /// [`LATENCY_WINDOW`] requests.
     pub fn stats(&self) -> ServiceStats {
-        let log = self.latencies.lock();
-        ServiceStats::from_log(log.total(), log.window_samples())
+        ServiceStats::of(&self.latencies)
     }
 
     /// Stops accepting requests, drains the queue, joins the workers and returns the
-    /// final stats.
+    /// final stats.  Dropping the service does the same, minus the stats.
     ///
     /// Workers exit once the queue is empty — even if a leaked [`RegistryHandle`] still
     /// keeps the channel open, shutdown completes within one idle-poll interval rather
     /// than deadlocking (requests sent through such a handle afterwards fail with
     /// [`ServeError::ShuttingDown`]).
     pub fn shutdown(mut self) -> ServiceStats {
-        self.stop.store(true, Ordering::Release);
-        self.tx = None; // close our side of the channel; workers drain, then exit
-        for w in self.workers.drain(..) {
-            // nc-lint: allow(panic-in-serving) — shutdown path, after the last reply:
-            // a worker that panicked despite the catch_unwind in its loop is a bug
-            // that must surface, not be swallowed into the final stats.
-            w.join().expect("service worker panicked");
-        }
-        self.stats()
-    }
-}
-
-impl Drop for RegistryService {
-    fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        self.tx = None;
-        for w in self.workers.drain(..) {
-            // A panic in a worker already unwound; don't double-panic in drop.
-            let _ = w.join();
-        }
-    }
-}
-
-/// How often an idle worker wakes to check the stop flag.  Only reached when the queue
-/// is empty, so it costs nothing on the serving hot path; it bounds shutdown latency
-/// when a leaked handle keeps the channel open.
-const IDLE_POLL: Duration = Duration::from_millis(25);
-
-/// Renders a caught panic payload for a [`ServeError::Internal`] reply.
-pub(crate) fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "estimator panicked".to_string()
-    }
-}
-
-fn worker_loop(
-    registry: &ModelRegistry,
-    default_samples: Option<usize>,
-    rx: &Mutex<Receiver<WorkItem>>,
-    latencies: &Mutex<LatencyLog>,
-    pool: &ScratchPool,
-    stop: &AtomicBool,
-    depth: &AtomicUsize,
-) {
-    loop {
-        // Hold the receiver lock only for the dequeue, not the compute.  Queued
-        // requests are always served before a stop-flag exit (recv_timeout only times
-        // out on an empty queue), so shutdown() still drains.
-        let item = match rx.lock().recv_timeout(IDLE_POLL) {
-            Ok(r) => r,
-            Err(RecvTimeoutError::Timeout) => {
-                if stop.load(Ordering::Acquire) {
-                    return;
-                }
-                continue;
-            }
-            Err(RecvTimeoutError::Disconnected) => return, // all senders gone
-        };
-        let depth_before = depth.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(depth_before >= 1, "queue-depth gauge wrapped below zero");
-        let mut request = item.request;
-        if request.samples.is_none() {
-            request.samples = default_samples;
-        }
-        // A panicking model must not take the worker (and with it the whole service)
-        // down: catch the unwind, reply with a typed Internal error, and *discard* the
-        // scratch that was live during the panic — its state is suspect, and the pool
-        // replaces discarded scratches on demand.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut scratch = pool.checkout();
-            let result = registry.handle(&request, &mut scratch);
-            pool.checkin(scratch);
-            result
-        }))
-        .unwrap_or_else(|panic| Err(ServeError::Internal(panic_message(panic))));
-        latencies
-            .lock()
-            .push(item.enqueued.elapsed().as_secs_f64() * 1e6);
-        // A client that gave up (dropped the reply receiver) is not an error.
-        let _ = item.reply.send(result);
+        drop(self.handle);
+        self.dispatch.shutdown();
+        ServiceStats::of(&self.latencies)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::BaselineModel;
+    use crate::testing::{stats_fallback, Bomb, Fixed, Gate};
     use nc_schema::{JoinEdge, JoinSchema, Predicate};
     use nc_storage::{Database, TableBuilder, Value};
     use neurocard::{EstimateError, EstimatorCore, ModelArtifact, NeuroCard, NeuroCardConfig};
@@ -610,34 +452,12 @@ mod tests {
 
     #[test]
     fn panicking_model_yields_internal_error_and_service_survives() {
-        use crate::model::BaselineModel;
-        use nc_baselines::CardinalityEstimator;
-
-        struct Bomb;
-        impl CardinalityEstimator for Bomb {
-            fn name(&self) -> &str {
-                "bomb"
-            }
-            fn estimate(&self, _q: &Query) -> f64 {
-                panic!("boom")
-            }
-        }
-        struct One;
-        impl CardinalityEstimator for One {
-            fn name(&self) -> &str {
-                "one"
-            }
-            fn estimate(&self, _q: &Query) -> f64 {
-                1.0
-            }
-        }
-
         let registry = Arc::new(ModelRegistry::new());
         registry
             .register(1, "bomb", Arc::new(BaselineModel::new(Bomb)))
             .unwrap();
         registry
-            .register(1, "one", Arc::new(BaselineModel::new(One)))
+            .register(1, "one", Arc::new(BaselineModel::new(Fixed(1.0))))
             .unwrap();
         // One worker: if the panic killed it, nothing would serve the next request.
         let service = RegistryService::new(registry, ServiceConfig::with_workers(1));
@@ -657,42 +477,10 @@ mod tests {
 
     #[test]
     fn try_request_sheds_load_when_the_queue_is_full() {
-        use crate::model::BaselineModel;
-        use nc_baselines::CardinalityEstimator;
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::{Condvar as StdCondvar, Mutex as StdMutex};
-
-        struct Gate {
-            state: Arc<(StdMutex<bool>, StdCondvar)>,
-            waiters: Arc<AtomicUsize>,
-        }
-        impl CardinalityEstimator for Gate {
-            fn name(&self) -> &str {
-                "gate"
-            }
-            fn estimate(&self, _q: &Query) -> f64 {
-                let (lock, cv) = &*self.state;
-                let mut open = lock.lock().unwrap_or_else(|p| p.into_inner());
-                self.waiters.fetch_add(1, Ordering::SeqCst);
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-                7.0
-            }
-        }
-
-        let state = Arc::new((StdMutex::new(false), StdCondvar::new()));
-        let waiters = Arc::new(AtomicUsize::new(0));
+        let gate = Gate::default();
         let registry = Arc::new(ModelRegistry::new());
         registry
-            .register(
-                1,
-                "gate",
-                Arc::new(BaselineModel::new(Gate {
-                    state: state.clone(),
-                    waiters: waiters.clone(),
-                })),
-            )
+            .register(1, "gate", Arc::new(BaselineModel::new(gate.clone())))
             .unwrap();
         let service = RegistryService::new(
             registry,
@@ -711,14 +499,23 @@ mod tests {
             let (h, sel, q) = (handle.clone(), sel.clone(), q.clone());
             std::thread::spawn(move || h.estimate(&sel, &q))
         };
-        while waiters.load(Ordering::SeqCst) != 1 {
+        while gate.entered() != 1 {
             std::thread::yield_now();
         }
         // ...and a second request placed in the queue's one slot without waiting for
         // its reply.  (A second blocking client would not do: a request is counted
         // before it is enqueued, so the depth gauge cannot prove its item has landed.)
-        let queued = handle
-            .enqueue(ServeRequest::new(sel.clone(), q.clone()), true)
+        let (reply, queued) = sync_channel(1);
+        handle
+            .jobs
+            .submit(
+                (
+                    ServeRequest::new(sel.clone(), q.clone()),
+                    Instant::now(),
+                    reply,
+                ),
+                true,
+            )
             .unwrap();
         assert_eq!(handle.queue_depth(), 1);
 
@@ -729,8 +526,7 @@ mod tests {
         );
 
         // Open the gate: both admitted requests complete; the shed one never ran.
-        *state.0.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        state.1.notify_all();
+        gate.open();
         assert_eq!(held.join().unwrap().unwrap().estimate, 7.0);
         assert_eq!(queued.recv().unwrap().unwrap().estimate, 7.0);
         let stats = service.shutdown();
@@ -744,56 +540,12 @@ mod tests {
 
     #[test]
     fn queue_shed_degrades_through_the_fallback() {
-        use crate::fallback::StatsFallback;
-        use crate::model::BaselineModel;
-        use nc_baselines::CardinalityEstimator;
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::{Condvar as StdCondvar, Mutex as StdMutex};
-
-        struct Gate {
-            state: Arc<(StdMutex<bool>, StdCondvar)>,
-            waiters: Arc<AtomicUsize>,
-        }
-        impl CardinalityEstimator for Gate {
-            fn name(&self) -> &str {
-                "gate"
-            }
-            fn estimate(&self, _q: &Query) -> f64 {
-                let (lock, cv) = &*self.state;
-                let mut open = lock.lock().unwrap_or_else(|p| p.into_inner());
-                self.waiters.fetch_add(1, Ordering::SeqCst);
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-                7.0
-            }
-        }
-
-        let state = Arc::new((StdMutex::new(false), StdCondvar::new()));
-        let waiters = Arc::new(AtomicUsize::new(0));
+        let gate = Gate::default();
         let registry = Arc::new(ModelRegistry::new());
         registry
-            .register(
-                1,
-                "gate",
-                Arc::new(BaselineModel::new(Gate {
-                    state: state.clone(),
-                    waiters: waiters.clone(),
-                })),
-            )
+            .register(1, "gate", Arc::new(BaselineModel::new(gate.clone())))
             .unwrap();
-        // Install a stats fallback over a tiny one-table database.
-        let mut db = Database::new();
-        let mut t = TableBuilder::new("t", &["v"]);
-        for i in 0..40i64 {
-            t.push_row(vec![Value::Int(i % 8)]);
-        }
-        db.add_table(t.finish());
-        let schema = JoinSchema::new(vec!["t".into()], vec![], "t").unwrap();
-        registry.set_fallback(Arc::new(StatsFallback::from_database(
-            &db,
-            Arc::new(schema),
-        )));
+        registry.set_fallback(stats_fallback());
 
         let service = RegistryService::new(
             registry.clone(),
@@ -812,14 +564,23 @@ mod tests {
             let (h, sel, q) = (handle.clone(), sel.clone(), q.clone());
             std::thread::spawn(move || h.estimate(&sel, &q))
         };
-        while waiters.load(Ordering::SeqCst) != 1 {
+        while gate.entered() != 1 {
             std::thread::yield_now();
         }
         // ...and a second request placed in the queue's one slot without waiting for
         // its reply.  (A second blocking client would not do: a request is counted
         // before it is enqueued, so the depth gauge cannot prove its item has landed.)
-        let queued = handle
-            .enqueue(ServeRequest::new(sel.clone(), q.clone()), true)
+        let (reply, queued) = sync_channel(1);
+        handle
+            .jobs
+            .submit(
+                (
+                    ServeRequest::new(sel.clone(), q.clone()),
+                    Instant::now(),
+                    reply,
+                ),
+                true,
+            )
             .unwrap();
         assert_eq!(handle.queue_depth(), 1);
 
@@ -833,12 +594,83 @@ mod tests {
         assert_eq!(reply.key.version, 0);
         assert_eq!(registry.stats().degraded, 1);
 
-        *state.0.lock().unwrap_or_else(|p| p.into_inner()) = true;
-        state.1.notify_all();
+        gate.open();
         assert_eq!(held.join().unwrap().unwrap().estimate, 7.0);
         assert_eq!(queued.recv().unwrap().unwrap().estimate, 7.0);
         let stats = service.shutdown();
         assert_eq!(stats.served, 2);
+    }
+
+    #[test]
+    fn both_transports_answer_alike() {
+        use crate::tcp::{ClientConfig, ServeClient};
+        use crate::TcpServer;
+
+        let registry = Arc::new(ModelRegistry::new());
+        let key = registry.register_core("default", trained_core()).unwrap();
+        registry
+            .register(1, "bomb", Arc::new(BaselineModel::new(Bomb)))
+            .unwrap();
+        let service = RegistryService::new(registry.clone(), ServiceConfig::with_workers(1));
+        let handle = service.handle();
+        let server = TcpServer::bind(registry.clone(), "127.0.0.1:0").unwrap();
+        // No retries: an `Internal` must come back as the one answer it is.
+        let no_retries = ClientConfig {
+            max_retries: 0,
+            ..ClientConfig::default()
+        };
+        let mut client = ServeClient::connect_with(server.local_addr(), no_retries).unwrap();
+        // The same request through both transports: equal results, estimate bits included.
+        let mut both = |request: ServeRequest| {
+            let in_process = handle.request(request.clone());
+            let wire = client.request(&request);
+            assert_eq!(in_process, wire, "transports disagree on {request:?}");
+            if let (Ok(a), Ok(b)) = (&in_process, &wire) {
+                assert_eq!(a.estimate.to_bits(), b.estimate.to_bits());
+            }
+            in_process
+        };
+
+        let exact = ModelSelector::Exact(key.clone());
+        let nobody = ModelSelector::latest(key.schema_fingerprint, "nobody");
+        let q = Query::join(&["A", "B"]).filter("A", "c", Predicate::eq(1i64));
+        let ok = both(ServeRequest::new(exact.clone(), q.clone())).unwrap();
+        assert_eq!((ok.key.clone(), ok.degraded), (key.clone(), false));
+        assert!(matches!(
+            both(ServeRequest::new(nobody.clone(), q.clone())),
+            Err(ServeError::UnknownModel(_))
+        ));
+        match both(ServeRequest::new(
+            ModelSelector::latest(1, "bomb"),
+            q.clone(),
+        )) {
+            Err(ServeError::Internal(msg)) => assert!(msg.contains("kaboom"), "got {msg:?}"),
+            other => panic!("expected Internal, got {other:?}"),
+        }
+        assert_eq!(
+            both(ServeRequest::new(exact.clone(), q.clone()).with_samples(0)),
+            Err(ServeError::Estimate(EstimateError::InvalidSampleCount))
+        );
+
+        // The pinned version is superseded by a swap; an installed fallback then answers
+        // for the model nobody registered.
+        let receipt = registry
+            .swap(key.schema_fingerprint, "default", trained_core())
+            .unwrap();
+        assert_eq!(
+            both(ServeRequest::new(exact, q)),
+            Err(ServeError::StaleVersion {
+                requested: key,
+                current: receipt.new
+            })
+        );
+        registry.set_fallback(stats_fallback());
+        let degraded = both(ServeRequest::new(nobody, Query::join(&["t"]))).unwrap();
+        assert!(degraded.degraded);
+        assert_eq!((degraded.key.version, degraded.estimate), (0, 40.0));
+
+        server.shutdown();
+        service.shutdown();
     }
 
     #[test]

@@ -1,24 +1,17 @@
-//! The TCP front-end: the wire transport of the serving protocol.
+//! The blocking TCP client of the serving protocol.
 //!
-//! [`TcpServer`] is the public face of the [`crate::reactor`]: a nonblocking
-//! epoll-multiplexed listener driving every connection from a fixed I/O + worker
-//! thread set (no thread per connection).  Requests are length-prefixed
-//! [`ServeRequest`] frames routed through the shared [`ModelRegistry`] — the same
-//! `handle` entry point the in-process service uses — and replies come back strictly
-//! in per-connection order, so clients may pipeline.
-//!
-//! [`ServeClient`] is the matching blocking client.  Because the estimate crosses the
+//! [`ServeClient`] talks to a [`crate::TcpServer`] (the [`crate::reactor`]): requests
+//! are length-prefixed [`ServeRequest`] frames, and replies come back strictly in
+//! per-connection order, so a client may pipeline.  Because the estimate crosses the
 //! wire as raw `f64` bits, a TCP round trip is **bit-identical** to calling the
 //! registry in process — pinned by the `wire_protocol` and `reactor_frontend`
 //! integration tests and asserted on every `registry_bench` run.
 //!
-//! Decode failures are answered with a framed [`ServeError::Protocol`] before the
-//! connection closes; a full worker queue answers [`ServeError::Overloaded`] without
-//! queueing; hostile or stalled peers are disconnected (see
-//! [`ReactorConfig`] for the knobs).
+//! What the server does with a malformed frame, a full queue or a stalled peer is the
+//! reactor's business (`docs/serving.md`); what the client does about the errors it
+//! sees — deadlines, backoff, reconnect-and-replay — is [`ServeClient::request`]'s.
 
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nc_schema::Query;
@@ -28,63 +21,8 @@ use crate::protocol::{
     decode_admin_result, decode_result, decode_stats_result, encode_deregister, encode_request,
     encode_stats_request, read_frame, write_frame, ServeReply, ServeRequest,
 };
-use crate::reactor::{Reactor, ReactorConfig, ReactorStats};
-use crate::registry::{ModelKey, ModelRegistry, ModelSelector, ModelStats};
+use crate::registry::{ModelKey, ModelSelector, ModelStats};
 use crate::ServeError;
-
-/// A running TCP front-end over a model registry.
-pub struct TcpServer {
-    reactor: Reactor,
-}
-
-impl TcpServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port) and starts serving
-    /// with default [`ReactorConfig`] tuning.
-    pub fn bind(registry: Arc<ModelRegistry>, addr: impl ToSocketAddrs) -> std::io::Result<Self> {
-        Self::bind_with(registry, addr, ReactorConfig::default())
-    }
-
-    /// Binds with explicit reactor tuning.
-    pub fn bind_with(
-        registry: Arc<ModelRegistry>,
-        addr: impl ToSocketAddrs,
-        config: ReactorConfig,
-    ) -> std::io::Result<Self> {
-        Ok(TcpServer {
-            reactor: Reactor::bind(registry, addr, config)?,
-        })
-    }
-
-    /// The bound address (with the resolved port).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.reactor.local_addr()
-    }
-
-    /// The registry requests are routed through.
-    pub fn registry(&self) -> &Arc<ModelRegistry> {
-        self.reactor.registry()
-    }
-
-    /// Frames answered so far (replies and framed errors).
-    pub fn served(&self) -> u64 {
-        self.reactor.served()
-    }
-
-    /// Connections currently open (closed connections remove themselves).
-    pub fn live_connections(&self) -> usize {
-        self.reactor.live_connections()
-    }
-
-    /// Reactor counters and gauges (accepted/overloaded/disconnect splits).
-    pub fn stats(&self) -> ReactorStats {
-        self.reactor.stats()
-    }
-
-    /// Stops accepting, closes every connection, joins the I/O and worker threads.
-    pub fn shutdown(self) {
-        self.reactor.shutdown();
-    }
-}
 
 /// Client-side resilience tuning for [`ServeClient`].
 #[derive(Debug, Clone)]
@@ -138,7 +76,7 @@ pub struct ServeClient {
 }
 
 impl ServeClient {
-    /// Connects to a [`TcpServer`] with default [`ClientConfig`] tuning.
+    /// Connects to a [`crate::TcpServer`] with default [`ClientConfig`] tuning.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Self> {
         Self::connect_with(addr, ClientConfig::default())
     }
@@ -337,17 +275,10 @@ impl ServeClient {
 mod tests {
     use super::*;
     use crate::model::BaselineModel;
-    use nc_baselines::CardinalityEstimator;
-
-    struct Fixed(f64);
-    impl CardinalityEstimator for Fixed {
-        fn name(&self) -> &str {
-            "fixed"
-        }
-        fn estimate(&self, _query: &Query) -> f64 {
-            self.0
-        }
-    }
+    use crate::registry::ModelRegistry;
+    use crate::testing::Fixed;
+    use crate::TcpServer;
+    use std::sync::Arc;
 
     #[test]
     fn tcp_round_trip_serves_and_shuts_down() {
