@@ -5,6 +5,7 @@
 //! than JOB-light — medians more than 100× lower and minima about 1000× lower.
 
 use nc_bench::{BenchEnv, HarnessConfig};
+use nc_serve::nearest_rank;
 use nc_workloads::selectivity::selectivity_spectrum;
 use nc_workloads::{job_light_queries, job_light_ranges_queries, job_m_queries};
 
@@ -13,18 +14,14 @@ fn print_cdf(name: &str, spectrum: &[f64]) {
         println!("{name}: no queries generated");
         return;
     }
-    let pick = |q: f64| {
-        let idx = ((spectrum.len() - 1) as f64 * q).round() as usize;
-        spectrum[idx]
-    };
     println!(
         "{:<22} min {:>9.2e}  p25 {:>9.2e}  median {:>9.2e}  p75 {:>9.2e}  max {:>9.2e}",
         name,
-        pick(0.0),
-        pick(0.25),
-        pick(0.5),
-        pick(0.75),
-        pick(1.0)
+        nearest_rank(spectrum, 0.0),
+        nearest_rank(spectrum, 0.25),
+        nearest_rank(spectrum, 0.5),
+        nearest_rank(spectrum, 0.75),
+        nearest_rank(spectrum, 1.0)
     );
 }
 
@@ -56,7 +53,7 @@ fn main() {
         if s.is_empty() {
             1.0
         } else {
-            s[s.len() / 2].max(1e-12)
+            nearest_rank(s, 0.5).max(1e-12)
         }
     };
     println!();

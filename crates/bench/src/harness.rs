@@ -39,12 +39,11 @@ pub struct HarnessConfig {
     /// compile, the experiment binaries).
     pub smoke: bool,
     /// Path to a cached [`neurocard::ModelArtifact`] to serve NeuroCard from instead of
-    /// retraining (`NC_ARTIFACT` / `--artifact <path>`); ignored with a warning when the
-    /// artifact does not match this run's schema + config.
+    /// retraining (`NC_ARTIFACT`); ignored with a warning when the artifact does not
+    /// match this run's schema + config.
     pub artifact_path: Option<String>,
-    /// Where to write the trained model's artifact after building
-    /// (`NC_SAVE_ARTIFACT` / `--save-artifact <path>`); this is how CI caches one
-    /// `--smoke` model for the other smoke runs.
+    /// Where to write the trained model's artifact after building (`NC_SAVE_ARTIFACT`);
+    /// this is how CI caches one `--smoke` model for the other smoke runs.
     pub save_artifact_path: Option<String>,
 }
 
@@ -73,14 +72,12 @@ impl HarnessConfig {
         }
     }
 
-    /// Reads the environment configuration, then applies command-line flags: `--smoke`
-    /// switches to the [`HarnessConfig::tiny`] budgets so the binary finishes in seconds,
-    /// `--artifact <path>` / `--save-artifact <path>` override the artifact cache paths.
-    /// This is the entry point every experiment binary uses, and what CI invokes to
-    /// *run* (not merely compile) the benches.
+    /// Reads the environment configuration; `--smoke` on the command line switches to the
+    /// [`HarnessConfig::tiny`] budgets so the binary finishes in seconds (the artifact
+    /// cache paths still come from the environment).  This is the entry point every
+    /// experiment binary uses, and what CI invokes to *run* (not merely compile) them.
     pub fn from_cli() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut config = if args.iter().any(|a| a == "--smoke") {
+        if std::env::args().skip(1).any(|a| a == "--smoke") {
             HarnessConfig {
                 smoke: true,
                 artifact_path: std::env::var("NC_ARTIFACT").ok(),
@@ -89,27 +86,7 @@ impl HarnessConfig {
             }
         } else {
             Self::from_env()
-        };
-        let flag_value = |flag: &str| {
-            args.iter()
-                .position(|a| a == flag)
-                .and_then(|i| match args.get(i + 1) {
-                    // A following token that is itself a flag means the value was
-                    // forgotten; ignoring it silently would misconfigure the run.
-                    Some(v) if !v.starts_with("--") => Some(v.clone()),
-                    _ => {
-                        eprintln!("warning: {flag} needs a <path> argument; ignoring it");
-                        None
-                    }
-                })
-        };
-        if let Some(path) = flag_value("--artifact") {
-            config.artifact_path = Some(path);
         }
-        if let Some(path) = flag_value("--save-artifact") {
-            config.save_artifact_path = Some(path);
-        }
-        config
     }
 
     /// A deliberately tiny configuration for integration tests of the harness itself.

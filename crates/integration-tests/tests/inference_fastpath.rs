@@ -191,6 +191,9 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
     let mut scratch = SamplerScratch::new();
     for (core, queries) in [(light.core(), &light_queries), (m_core, &m_queries)] {
         let columns = core.encoded().num_model_columns() as u64;
+        let net = core.config();
+        let dense_block_terms = (2 * net.num_blocks * net.d_hidden * net.d_hidden) as u64;
+        let (mut block_terms, mut rows_forwarded) = (0, 0);
         for query in queries {
             for samples in [1usize, 7, 64, 512] {
                 for seed in [3u64, 17, 40_009] {
@@ -199,9 +202,15 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
                     let counters = scratch.last_estimate();
                     assert!(counters.forwards > 0 && counters.rows_forwarded >= counters.forwards);
                     assert!(counters.columns_embedded < counters.rows_forwarded * columns);
+                    block_terms += counters.block_terms;
+                    rows_forwarded += counters.rows_forwarded;
                 }
             }
         }
+        // The masks are used: over the workload the block GEMMs walk fewer product terms
+        // than a dense hidden stack (one estimate may tie — every unit is live on the
+        // way to the trailing fanout columns an unfiltered single-table query forwards).
+        assert!(block_terms < rows_forwarded * dense_block_terms);
     }
 }
 

@@ -36,9 +36,9 @@ use crate::infer::{EstimateError, ProgressiveSampler, SamplerScratch};
 ///   seed)` — the pin every artifact/serving round-trip test relies on.
 /// * [`Precision::Fast`] runs the architecture-dispatched SIMD kernels
 ///   ([`nc_nn::kernel`]) over bf16-quantised weights.  Bit-identity is deliberately
-///   relaxed; accuracy is instead gated by the q-error-delta bound `figure7d` asserts in
-///   CI.  The per-query RNG stream is shared with the exact tier, so the two tiers are
-///   comparable sample-for-sample.
+///   relaxed; accuracy is instead gated by [`QERROR_DELTA_BOUND`].  The per-query RNG
+///   stream is shared with the exact tier, so the two tiers are comparable
+///   sample-for-sample.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
     /// Bit-reproducible scalar path over exact f32 weights.
@@ -47,6 +47,16 @@ pub enum Precision {
     /// SIMD kernels over bf16 weights, gated by the q-error-delta bound.
     Fast,
 }
+
+/// The two-tier determinism contract's accuracy gate: a [`Precision::Fast`] estimate may
+/// not differ from the [`Precision::Exact`] estimate of the same `(query, seed)` by more
+/// than this factor in either direction (`max(fast/exact, exact/fast)`), and both must be
+/// finite.  bf16 keeps every weight within 2⁻⁸ relative and the tiers share the per-query
+/// RNG stream, so the observed delta is small (≤ 1.03 on the benchmark's workloads); the
+/// bound leaves room for an occasional flipped progressive sample without ever letting
+/// the tiers drift apart silently.  Asserted by this crate's
+/// `fast_tier_stays_within_the_qerror_delta_bound` on both legs of the `simd` feature.
+pub const QERROR_DELTA_BOUND: f64 = 4.0;
 
 impl std::fmt::Display for Precision {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -266,3 +276,49 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<EstimatorCore>()
 };
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NeuroCard;
+    use nc_datagen::{job_light_database, job_light_schema, DataGenConfig};
+    use nc_workloads::job_light_ranges_queries;
+
+    #[test]
+    fn fast_tier_stays_within_the_qerror_delta_bound() {
+        let datagen = DataGenConfig {
+            title_rows: 120,
+            ..DataGenConfig::tiny()
+        };
+        let db = Arc::new(job_light_database(&datagen));
+        let schema = Arc::new(job_light_schema());
+        let config = NeuroCardConfig::tiny().with_training_tuples(2_000);
+        let core = NeuroCard::build(db.clone(), schema.clone(), &config).core();
+
+        let mut queries = job_light_ranges_queries(&db, &schema, 24, 42);
+        // All-fanout downscaling and an indicators-only join: no filter to sample through.
+        queries.push(Query::join(&["title"]));
+        queries.push(Query::join(&["title", "cast_info", "movie_companies"]));
+
+        let mut scratch = SamplerScratch::new();
+        for query in &queries {
+            for samples in [32usize, 64] {
+                let [exact, fast] = [Precision::Exact, Precision::Fast].map(|tier| {
+                    core.try_estimate_with_samples_scratch_precision(
+                        query,
+                        samples,
+                        &mut scratch,
+                        tier,
+                    )
+                    .unwrap()
+                });
+                let delta = (fast / exact).max(exact / fast);
+                assert!(
+                    delta.is_finite() && delta <= QERROR_DELTA_BOUND,
+                    "{query} at {samples} samples: exact {exact}, fast {fast} \
+                     (delta {delta:.3} > {QERROR_DELTA_BOUND})"
+                );
+            }
+        }
+    }
+}

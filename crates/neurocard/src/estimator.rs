@@ -318,8 +318,8 @@ impl NeuroCard {
         results
     }
 
-    /// Estimates through the pre-fast-path inference code (kept as the determinism
-    /// baseline; `figure7d` uses it for the old-vs-new latency comparison).
+    /// Estimates through the pre-fast-path inference code: the determinism baseline, a
+    /// test oracle with no production caller.
     pub fn estimate_with_samples_reference(&self, query: &Query, num_samples: usize) -> f64 {
         let mut rng = StdRng::seed_from_u64(self.query_seed(query));
         self.sampler()

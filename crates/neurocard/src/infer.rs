@@ -250,10 +250,9 @@ impl<'a> ProgressiveSampler<'a> {
         Ok((self.full_join_rows * selectivity).max(1.0))
     }
 
-    /// The pre-fast-path estimation code, kept verbatim as the determinism baseline.
-    ///
-    /// `figure7d` benchmarks the fast path against it and asserts bit-identical
-    /// estimates; the `inference_fastpath` integration test pins the same contract.
+    /// The pre-fast-path estimation code, kept verbatim as the determinism baseline: a
+    /// test oracle with no production caller.  The `inference_fastpath` integration test
+    /// asserts the fast path returns bit-identical estimates.
     pub fn estimate_reference(&self, query: &Query, num_samples: usize, rng: &mut StdRng) -> f64 {
         query
             .validate(self.schema)
@@ -743,9 +742,9 @@ fn draw_range(probs: &[f32], lo: usize, hi: usize, rng: &mut StdRng) -> (f64, u3
 /// `fl(p₀ + … + pᵢ)` round differently, so a ticket landing within a few ULPs of a
 /// boundary can in principle resolve to a different code (probability on the order of
 /// 1e-15 per draw).  The determinism contract is therefore pinned by fixed-seed tests
-/// over the *realized* draw sequences (`cdf_draws_equal_linear_scans_in_lockstep`, the
-/// `inference_fastpath` integration test, and `figure7d`'s hard assert), not by a claim
-/// of universal tie-breaking equality.
+/// over the *realized* draw sequences (`cdf_draws_equal_linear_scans_in_lockstep` and the
+/// `inference_fastpath` integration test), not by a claim of universal tie-breaking
+/// equality.
 fn cdf_draw_masked(
     probs: &[f32],
     masked_idx: &[u32],

@@ -25,7 +25,8 @@
 //! to the exact tier (pinned by the `dispatched_kernels_bit_identical_without_simd`
 //! test).  The SIMD paths reassociate the f32 reductions (8 or 4 partial sums per chain)
 //! and therefore do **not** promise bit-identity — fast-tier estimates are instead gated
-//! by the q-error-delta bound asserted in `figure7d`/CI.  See `docs/kernels.md`.
+//! by the q-error-delta bound (`neurocard::QERROR_DELTA_BOUND`, asserted by that crate's
+//! tests on both legs of the feature).  See `docs/kernels.md`.
 //!
 //! All `core::arch` use in the workspace lives in this one file, enforced by the
 //! `intrinsics-outside-kernel` lint.
@@ -80,7 +81,7 @@ fn isa() -> Isa {
 }
 
 /// Human-readable name of the implementation the fast tier will run on this machine —
-/// recorded by benches so `BENCH_inference.json` says what was measured.
+/// recorded by `bench/nc_benchmark` so its record says what was measured.
 pub fn isa_name() -> &'static str {
     match isa() {
         Isa::Portable => "portable",

@@ -12,7 +12,7 @@
 //!   what enforce the autoregressive property), per-column embeddings with a dedicated
 //!   MASK token for wildcard skipping, ReLU,
 //! * [`loss`] — per-column softmax cross-entropy,
-//! * [`optim`] — Adam and SGD,
+//! * [`optim`] — Adam,
 //! * [`made`] — the ResMADE architecture: per-column embeddings → masked input layer →
 //!   masked residual blocks → per-column output heads tied to the embedding matrices,
 //!   exposing exactly the two operations NeuroCard needs: `train_batch` (maximum
@@ -34,5 +34,5 @@ pub use artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
 pub use layers::{relu, relu_backward, Embedding, Linear, MaskedLinear, Param};
 pub use loss::softmax_cross_entropy;
 pub use made::{InferenceScratch, MadeConfig, ResMade};
-pub use optim::{Adam, AdamConfig, Sgd};
+pub use optim::{Adam, AdamConfig};
 pub use tensor::Matrix;

@@ -560,9 +560,9 @@ impl ResMade {
     }
 
     /// The seed (pre-fast-path) inference forward, kept verbatim as the baseline the
-    /// determinism contract is pinned against and `figure7d` benchmarks against: fresh
-    /// allocations per call, the full-width output layer (contexts for *every* column),
-    /// and the scalar weight-tied logit loop.
+    /// determinism contract is pinned against — a test oracle with no production caller:
+    /// fresh allocations per call, the full-width output layer (contexts for *every*
+    /// column), and the scalar weight-tied logit loop.
     ///
     /// Bit-identical to [`ResMade::conditional_probs_into`] — only the compute profile
     /// differs.

@@ -1,6 +1,6 @@
-//! Optimizers: Adam (used by NeuroCard's training loop) and plain SGD (tests/baselines).
+//! The optimizer: Adam (used by NeuroCard's training loop).
 //!
-//! Both operate on a flat list of mutable [`Param`] references so a model can expose its
+//! It operates on a flat list of mutable [`Param`] references so a model can expose its
 //! parameters without the optimizer knowing anything about the architecture.  The optimizer
 //! zeroes gradients after applying them.
 
@@ -103,39 +103,14 @@ impl Adam {
     }
 }
 
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates an SGD optimizer.
-    pub fn new(lr: f32) -> Self {
-        Sgd { lr }
-    }
-
-    /// Applies one SGD update and zeroes the gradients.
-    pub fn step(&self, params: &mut [&mut Param]) {
-        for param in params.iter_mut() {
-            let lr = self.lr;
-            let grads: Vec<f32> = param.grad.data().to_vec();
-            for (v, g) in param.value.data_mut().iter_mut().zip(grads) {
-                *v -= lr * g;
-            }
-            param.zero_grad();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tensor::Matrix;
 
-    /// Minimises f(w) = (w - 3)² with both optimizers; both must converge to 3.
-    fn quadratic_descent(use_adam: bool) -> f32 {
+    /// Minimises f(w) = (w - 3)²; Adam must converge to 3.
+    #[test]
+    fn adam_converges_on_quadratic() {
         let mut p = Param::zeros(1, 1);
         p.value.set(0, 0, -2.0);
         let mut adam = Adam::new(
@@ -145,28 +120,12 @@ mod tests {
             },
             &[1],
         );
-        let sgd = Sgd::new(0.1);
         for _ in 0..500 {
             let w = p.value.get(0, 0);
             p.grad = Matrix::from_vec(1, 1, vec![2.0 * (w - 3.0)]);
-            if use_adam {
-                adam.step(&mut [&mut p]);
-            } else {
-                sgd.step(&mut [&mut p]);
-            }
+            adam.step(&mut [&mut p]);
         }
-        p.value.get(0, 0)
-    }
-
-    #[test]
-    fn adam_converges_on_quadratic() {
-        let w = quadratic_descent(true);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = quadratic_descent(false);
+        let w = p.value.get(0, 0);
         assert!((w - 3.0).abs() < 1e-2, "w = {w}");
     }
 

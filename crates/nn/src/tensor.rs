@@ -587,17 +587,6 @@ pub fn column_sums_accumulate(m: &Matrix, out: &mut [f32]) {
     }
 }
 
-/// Element-wise `out[i] += a[i] * b[i]` over whole matrices of identical shape.
-pub fn elementwise_mul_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(a.rows, b.rows);
-    assert_eq!(a.cols, b.cols);
-    assert_eq!(a.rows, out.rows);
-    assert_eq!(a.cols, out.cols);
-    for ((o, x), y) in out.data.iter_mut().zip(&a.data).zip(&b.data) {
-        *o += x * y;
-    }
-}
-
 /// Test support shared with the dispatched kernels' tests in [`crate::kernel`].
 #[cfg(test)]
 pub(crate) mod testing {
@@ -761,15 +750,6 @@ mod tests {
         let mut sums = vec![0.0; 2];
         column_sums_accumulate(&m, &mut sums);
         assert!(approx_eq(&sums, &[24., 46.]));
-    }
-
-    #[test]
-    fn elementwise_mul() {
-        let a = Matrix::from_vec(1, 3, vec![1., 2., 3.]);
-        let b = Matrix::from_vec(1, 3, vec![4., 5., 6.]);
-        let mut out = Matrix::zeros(1, 3);
-        elementwise_mul_accumulate(&a, &b, &mut out);
-        assert!(approx_eq(out.data(), &[4., 10., 18.]));
     }
 
     fn assert_bitwise_eq(a: &Matrix, b: &Matrix, what: &str) {

@@ -32,8 +32,7 @@
 //!   registry-routed estimates — in process or over TCP — are **bit-identical** to
 //!   sequential [`neurocard::EstimatorCore::estimate`] calls regardless of worker
 //!   count, transport, queueing order or concurrent swaps.  Pinned by this crate's
-//!   tests, the `registry_swap` / `wire_protocol` integration tests, and asserted on
-//!   every `registry_bench` run.
+//!   tests and the `registry_swap` / `wire_protocol` integration tests.
 
 mod dispatch;
 pub mod fallback;

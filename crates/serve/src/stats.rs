@@ -2,9 +2,10 @@
 //! request latencies plus **nearest-rank** quantile estimation.
 //!
 //! One implementation, used by the service-wide stats, the per-model registry stats and
-//! the bench binaries — so the small-window quantile semantics are fixed in exactly one
-//! place: the nearest-rank p99 over fewer than 100 samples is the **maximum** (there is
-//! no 99th distinct rank yet), and a single sample is every quantile of itself.
+//! the experiment binaries' latency tables — so the small-window quantile semantics are
+//! fixed in exactly one place: the nearest-rank p99 over fewer than 100 samples is the
+//! **maximum** (there is no 99th distinct rank yet), and a single sample is every
+//! quantile of itself.
 
 /// How many of the most recent request latencies back the service-wide p50/p99
 /// estimates.

@@ -5,7 +5,7 @@
 //! per-connection order, so a client may pipeline.  Because the estimate crosses the
 //! wire as raw `f64` bits, a TCP round trip is **bit-identical** to calling the
 //! registry in process — pinned by the `wire_protocol` and `reactor_frontend`
-//! integration tests and asserted on every `registry_bench` run.
+//! integration tests.
 //!
 //! What the server does with a malformed frame, a full queue or a stalled peer is the
 //! reactor's business (`docs/serving.md`); what the client does about the errors it
