@@ -26,7 +26,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nc_bench::harness::{build_or_load_neurocard, print_preamble};
+use nc_bench::harness::print_preamble;
 use nc_bench::{BenchEnv, HarnessConfig};
 use nc_sampler::seed::derive_stream_seed;
 use nc_serve::{
@@ -88,8 +88,10 @@ fn main() {
         println!("note: release build — fault hooks compiled away, plain serving pass");
     }
 
-    let model = build_or_load_neurocard(&env, &config);
-    let artifact_bytes = model.to_artifact().to_bytes();
+    println!("training NeuroCard ({} tuples)...", config.train_tuples);
+    let artifact_bytes =
+        neurocard::NeuroCard::train(env.db.clone(), env.schema.clone(), &config.neurocard())
+            .to_bytes();
     let artifact = neurocard::ModelArtifact::from_bytes(&artifact_bytes)
         .expect("round-tripping the just-written artifact");
     let fingerprint = artifact.schema_fingerprint();

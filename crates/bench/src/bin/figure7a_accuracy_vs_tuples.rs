@@ -5,8 +5,6 @@
 //! best-in-class accuracy; more tuples give diminishing returns.  At this reproduction's
 //! scale the same saturation curve appears at proportionally fewer tuples.
 
-use std::sync::Arc;
-
 use nc_bench::harness::{print_preamble, true_cardinalities};
 use nc_bench::{BenchEnv, HarnessConfig};
 use nc_schema::Query;
@@ -60,7 +58,6 @@ fn main() {
             p99(&model, &ranges, &ranges_truths)
         );
     }
-    let _ = Arc::strong_count(&env.db);
     println!();
     println!("Paper: p99 drops steeply over the first ~2-3M tuples then flattens; the same");
     println!("monotone-then-flat shape should appear here at this reproduction's scale.");

@@ -15,7 +15,7 @@
 //! methods beat the query-driven and heuristic ones, and Postgres has the worst median.
 
 use nc_baselines::{DeepDbLite, IbjsEstimator, MscnConfig, MscnEstimator, PostgresLikeEstimator};
-use nc_bench::harness::{build_or_load_neurocard, evaluate, print_preamble, true_cardinalities};
+use nc_bench::harness::{build_neurocard, evaluate, print_preamble, true_cardinalities};
 use nc_bench::{BenchEnv, HarnessConfig};
 use nc_workloads::{job_light_queries, job_light_ranges_queries, print_error_table, ErrorTableRow};
 
@@ -79,7 +79,7 @@ fn main() {
     let r = evaluate(&deepdb, &queries, &truths);
     rows.push(ErrorTableRow::new(r.name, r.size_bytes, r.summary));
 
-    let model = build_or_load_neurocard(&env, &config);
+    let model = build_neurocard(&env, &config);
     let r = evaluate(&model, &queries, &truths);
     rows.push(ErrorTableRow::new(r.name, r.size_bytes, r.summary));
 

@@ -7,7 +7,7 @@
 //! NeuroCard-large 1.49 / 44.0 / 300 / 4116.
 
 use nc_baselines::{DeepDbLite, IbjsEstimator, MscnConfig, MscnEstimator, PostgresLikeEstimator};
-use nc_bench::harness::{build_or_load_neurocard, evaluate, print_preamble, true_cardinalities};
+use nc_bench::harness::{build_neurocard, evaluate, print_preamble, true_cardinalities};
 use nc_bench::{BenchEnv, HarnessConfig};
 use nc_workloads::{job_light_ranges_queries, print_error_table, ErrorTableRow};
 use neurocard::{NeuroCard, NeuroCardConfig};
@@ -87,7 +87,7 @@ fn main() {
         r.summary,
     ));
 
-    let base = build_or_load_neurocard(&env, &config);
+    let base = build_neurocard(&env, &config);
     let r = evaluate(&base, &queries, &truths);
     rows.push(ErrorTableRow::new("NeuroCard", r.size_bytes, r.summary));
 

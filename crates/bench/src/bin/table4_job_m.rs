@@ -5,7 +5,7 @@
 //! the paper (unsupported filters / intractable training).
 
 use nc_baselines::{IbjsEstimator, PostgresLikeEstimator};
-use nc_bench::harness::{build_or_load_neurocard, evaluate, print_preamble, true_cardinalities};
+use nc_bench::harness::{build_neurocard, evaluate, print_preamble, true_cardinalities};
 use nc_bench::{BenchEnv, HarnessConfig};
 use nc_workloads::{job_m_queries, print_error_table, ErrorTableRow};
 
@@ -36,9 +36,7 @@ fn main() {
     let r = evaluate(&ibjs, &queries, &truths);
     rows.push(ErrorTableRow::new(r.name, r.size_bytes, r.summary));
 
-    // Honours the artifact cache (NC_ARTIFACT / NC_SAVE_ARTIFACT): CI trains the JOB-M
-    // smoke model once, then later runs load it instead of retraining the 16-table join.
-    let model = build_or_load_neurocard(&env, &config);
+    let model = build_neurocard(&env, &config);
     let r = evaluate(&model, &queries, &truths);
     rows.push(ErrorTableRow::new(r.name, r.size_bytes, r.summary));
 

@@ -13,11 +13,7 @@ use nc_workloads::{q_error, ErrorSummary};
 use neurocard::{NeuroCard, NeuroCardConfig};
 
 /// Scale knobs of a harness run, read from the environment.
-///
-/// Round-trips through JSON via the serde shim's `Deserialize`/`from_json` path
-/// (`serde_json::{to_string, from_str}`), so a run's exact configuration can be archived
-/// next to its `BENCH_*.json` record and replayed later.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HarnessConfig {
     /// Rows of the synthetic `title` table.
     pub title_rows: usize,
@@ -38,12 +34,8 @@ pub struct HarnessConfig {
     /// Whether this is a `--smoke` run (tiny budgets; used by CI to execute, not just
     /// compile, the experiment binaries).
     pub smoke: bool,
-    /// Path to a cached [`neurocard::ModelArtifact`] to serve NeuroCard from instead of
-    /// retraining (`NC_ARTIFACT`); ignored with a warning when the artifact does not
-    /// match this run's schema + config.
-    pub artifact_path: Option<String>,
-    /// Where to write the trained model's artifact after building (`NC_SAVE_ARTIFACT`);
-    /// this is how CI caches one `--smoke` model for the other smoke runs.
+    /// Where [`build_neurocard`] writes the trained model's artifact
+    /// (`NC_SAVE_ARTIFACT`) — a file `neurocard-serve` can load.
     pub save_artifact_path: Option<String>,
 }
 
@@ -67,25 +59,24 @@ impl HarnessConfig {
             prefetch_depth: env_usize("NC_PREFETCH", 1),
             seed: env_usize("NC_SEED", 42) as u64,
             smoke: false,
-            artifact_path: std::env::var("NC_ARTIFACT").ok(),
             save_artifact_path: std::env::var("NC_SAVE_ARTIFACT").ok(),
         }
     }
 
     /// Reads the environment configuration; `--smoke` on the command line switches to the
     /// [`HarnessConfig::tiny`] budgets so the binary finishes in seconds (the artifact
-    /// cache paths still come from the environment).  This is the entry point every
+    /// path still comes from the environment).  This is the entry point every
     /// experiment binary uses, and what CI invokes to *run* (not merely compile) them.
     pub fn from_cli() -> Self {
+        let env = Self::from_env();
         if std::env::args().skip(1).any(|a| a == "--smoke") {
             HarnessConfig {
                 smoke: true,
-                artifact_path: std::env::var("NC_ARTIFACT").ok(),
-                save_artifact_path: std::env::var("NC_SAVE_ARTIFACT").ok(),
+                save_artifact_path: env.save_artifact_path,
                 ..Self::tiny()
             }
         } else {
-            Self::from_env()
+            env
         }
     }
 
@@ -101,7 +92,6 @@ impl HarnessConfig {
             prefetch_depth: 1,
             seed: 42,
             smoke: false,
-            artifact_path: None,
             save_artifact_path: None,
         }
     }
@@ -173,48 +163,10 @@ pub struct EvalResult {
     pub latencies: Vec<Duration>,
 }
 
-/// Builds the NeuroCard estimator for `env`, honouring the artifact cache knobs:
-///
-/// * if `config.artifact_path` names a readable artifact whose schema **and** estimator
-///   config match this run, NeuroCard is loaded from it instead of retrained (loaded
-///   models estimate bit-identically to freshly trained ones — the PR-4 contract — so
-///   benchmark numbers are unchanged);
-/// * otherwise the model is trained as before, and if `config.save_artifact_path` is set
-///   the trained artifact is written there for later runs (what CI does once per job).
-pub fn build_or_load_neurocard(env: &BenchEnv, config: &HarnessConfig) -> NeuroCard {
+/// Trains the NeuroCard estimator for `env`; when `config.save_artifact_path` is set,
+/// also writes the trained model's artifact there.
+pub fn build_neurocard(env: &BenchEnv, config: &HarnessConfig) -> NeuroCard {
     let nc_config = config.neurocard();
-    if let Some(path) = &config.artifact_path {
-        match std::fs::read(path)
-            .map_err(|e| e.to_string())
-            .and_then(|b| NeuroCard::from_artifact_bytes(&b).map_err(|e| e.to_string()))
-        {
-            Ok(model) => {
-                // The whole join structure must match, not just the table set: a model
-                // trained over different edges or a different root would silently
-                // estimate the wrong join.  |J| ties the artifact to the *data* as well
-                // — the schema and config are identical across database scales (e.g.
-                // different NC_TITLE_ROWS), but the join counts are not.  Computing
-                // them costs one sampler-preparation pass, far below retraining.
-                let env_join_rows =
-                    nc_sampler::JoinCounts::compute(&env.db, &env.schema).full_join_rows();
-                if model.schema().tables() == env.schema.tables()
-                    && model.schema().edges() == env.schema.edges()
-                    && model.schema().root() == env.schema.root()
-                    && model.full_join_rows() == env_join_rows
-                    && model.config() == &nc_config
-                {
-                    println!(
-                        "loaded NeuroCard from artifact {path} ({} params, |J| = {})",
-                        model.stats().num_params,
-                        model.full_join_rows()
-                    );
-                    return model;
-                }
-                eprintln!("artifact {path} does not match this run's schema/config; retraining");
-            }
-            Err(e) => eprintln!("could not load artifact {path}: {e}; retraining"),
-        }
-    }
     println!(
         "training NeuroCard ({} tuples)...",
         nc_config.training_tuples
@@ -311,64 +263,26 @@ mod tests {
     }
 
     #[test]
-    fn harness_config_round_trips_through_json() {
-        let mut config = HarnessConfig::tiny();
-        config.smoke = true;
-        config.artifact_path = Some("model.ncar".into());
-        let text = serde_json::to_string_pretty(&config).unwrap();
-        let back: HarnessConfig = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, config);
-        // Hand-written partial configs work too: absent Option fields become None.
-        let partial: HarnessConfig = serde_json::from_str(
-            "{\"title_rows\":10,\"queries\":2,\"train_tuples\":100,\"psamples\":4,\
-             \"baseline_samples\":50,\"sampler_threads\":1,\"prefetch_depth\":0,\
-             \"seed\":7,\"smoke\":false}",
-        )
-        .unwrap();
-        assert_eq!(partial.title_rows, 10);
-        assert_eq!(partial.artifact_path, None);
-    }
-
-    #[test]
     fn artifact_cache_round_trip() {
         let mut config = HarnessConfig::tiny();
         config.train_tuples = 600;
         config.title_rows = 80;
         let env = BenchEnv::job_light(&config);
         let path = std::env::temp_dir().join("nc_harness_artifact_test.ncar");
-        let path_str = path.to_string_lossy().to_string();
+        config.save_artifact_path = Some(path.to_string_lossy().to_string());
 
-        // First build trains and saves...
-        config.save_artifact_path = Some(path_str.clone());
-        let trained = build_or_load_neurocard(&env, &config);
-        assert!(path.exists());
-
-        // ...second build loads and estimates identically.
-        config.save_artifact_path = None;
-        config.artifact_path = Some(path_str.clone());
-        let loaded = build_or_load_neurocard(&env, &config);
-        assert!(!loaded.is_trainable());
-        let q = nc_workloads::job_light_queries(&env.db, &env.schema, 4, config.seed);
-        for query in &q {
+        // The build trains and saves; the saved file loads and estimates identically.
+        let trained = build_neurocard(&env, &config);
+        let loaded = neurocard::ModelArtifact::from_bytes(&std::fs::read(&path).unwrap())
+            .unwrap()
+            .to_core()
+            .unwrap();
+        for query in &job_light_queries(&env.db, &env.schema, 4, config.seed) {
             assert_eq!(
                 trained.estimate(query).to_bits(),
                 loaded.estimate(query).to_bits()
             );
         }
-
-        // A mismatched config falls back to training.
-        let mut other = config.clone();
-        other.train_tuples = 700;
-        let retrained = build_or_load_neurocard(&env, &other);
-        assert!(retrained.is_trainable());
-
-        // Same schema + config but a different-scale database (different |J|) must also
-        // fall back — the cached dictionaries would not cover the new data.
-        let mut scaled = config.clone();
-        scaled.title_rows = 120;
-        let scaled_env = BenchEnv::job_light(&scaled);
-        let retrained = build_or_load_neurocard(&scaled_env, &scaled);
-        assert!(retrained.is_trainable());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -294,7 +294,7 @@ static SLEEP_IN_SERVING: LintSpec = LintSpec {
 };
 
 /// `sleep-in-serving`: the PR-8 injectable-clock invariant — serving-tier delays go
-/// through [`FaultInjector::sleep`] so chaos schedules stay replayable.
+/// through `FaultInjector::sleep` so chaos schedules stay replayable.
 pub fn sleep_in_serving() -> PatternLint {
     PatternLint {
         spec: &SLEEP_IN_SERVING,

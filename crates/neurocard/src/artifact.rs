@@ -24,10 +24,9 @@
 //! the inference forward skips rest on it) — every failure is a typed
 //! [`ArtifactLoadError`], never a panic.
 //!
-//! **Losslessness contract:** `NeuroCard::from_artifact(ModelArtifact::from_bytes(
-//! artifact.to_bytes()))` produces bit-identical estimates to the estimator that wrote
-//! the artifact, for any fixed `(query, seed)` — pinned by the `artifact_roundtrip`
-//! integration test.
+//! **Losslessness contract:** `ModelArtifact::from_bytes(&artifact.to_bytes())?.to_core()?`
+//! produces bit-identical estimates to the estimator that wrote the artifact, for any
+//! fixed `(query, seed)` — pinned by the `artifact_roundtrip` integration test.
 
 use std::sync::Arc;
 
@@ -190,8 +189,7 @@ pub struct ArtifactManifest {
 ///
 /// Obtained from [`crate::NeuroCard::train`] / [`crate::NeuroCard::to_artifact`] or
 /// parsed from disk with [`ModelArtifact::from_bytes`]; turned back into an estimator
-/// with [`crate::NeuroCard::from_artifact`] (or [`ModelArtifact::to_core`] for the
-/// serving layer).
+/// with [`ModelArtifact::to_core`].
 #[derive(Debug, Clone)]
 pub struct ModelArtifact {
     manifest: ArtifactManifest,
@@ -682,6 +680,16 @@ mod tests {
         for q in &queries {
             assert_eq!(model.estimate(q).to_bits(), core.estimate(q).to_bits());
             assert_eq!(model.query_seed(q), core.query_seed(q));
+        }
+        // A core never carries gradients, whichever constructor built it.
+        let snapshot = model.core();
+        for m in [
+            core.model(),
+            core.fast_model(),
+            snapshot.model(),
+            snapshot.fast_model(),
+        ] {
+            assert!(m.params().iter().all(|p| p.grad.rows() == 0));
         }
         // And the zero-sample contract carries over.
         assert_eq!(

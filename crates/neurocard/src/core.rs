@@ -4,7 +4,7 @@
 //! [`EstimatorCore`] is the database-free half of the PR-4 split of `NeuroCard::build`:
 //! it owns the trained [`ResMade`], the [`EncodedLayout`] (dictionaries +
 //! factorizations), the [`JoinSchema`] and `|J|`.  Unlike the full
-//! [`crate::NeuroCard`] — whose training backend holds a sampler worker pool and is
+//! [`crate::NeuroCard`] — whose trainer holds a sampler worker pool and is
 //! therefore not shareable across threads — the core is plain data: `Send + Sync`, so a
 //! serving layer can put one behind an `Arc` and estimate from any number of worker
 //! threads (see the `nc-serve` crate).
@@ -12,7 +12,7 @@
 //! **Determinism contract:** for a fixed `(core, query, seed)` every estimate produced
 //! here is bit-identical to the corresponding `NeuroCard` method — both run the same
 //! [`ProgressiveSampler`] through `estimate_seeded`, i.e. over the same per-query
-//! SplitMix64-derived RNG stream ([`derive_query_seed`]).
+//! SplitMix64-derived RNG stream (`derive_query_seed`).
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -126,14 +126,16 @@ pub struct EstimatorCore {
 impl EstimatorCore {
     /// Assembles a core from its parts, validating that the model's column space matches
     /// the encoded layout (the invariant every inference loop assumes).  The fast-tier
-    /// model is derived by quantising `model` through bf16.
+    /// model is derived by quantising `model` through bf16; a core only ever estimates, so
+    /// neither keeps gradient buffers.
     pub fn new(
-        model: ResMade,
+        mut model: ResMade,
         encoded: Arc<EncodedLayout>,
         schema: Arc<JoinSchema>,
         config: NeuroCardConfig,
         full_join_rows: u128,
     ) -> Result<Self, String> {
+        model.release_gradients();
         let fast_model = quantize_model_bf16(&model);
         Self::with_fast_model(model, fast_model, encoded, schema, config, full_join_rows)
     }
@@ -213,7 +215,7 @@ impl EstimatorCore {
         .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// The deterministic per-query RNG seed (see [`derive_query_seed`]).
+    /// The deterministic per-query RNG seed (`derive_query_seed` of the configured seed).
     pub fn query_seed(&self, query: &Query) -> u64 {
         derive_query_seed(self.config.seed, query)
     }
@@ -283,6 +285,21 @@ mod tests {
     use crate::NeuroCard;
     use nc_datagen::{job_light_database, job_light_schema, DataGenConfig};
     use nc_workloads::job_light_ranges_queries;
+
+    /// `derive_query_seed` hashes with std's `DefaultHasher`, whose algorithm is not
+    /// promised across Rust releases, and every seeded estimate — so every `qerror_*` cell
+    /// of the benchmark ledger — hangs off it.  A toolchain that changes the hash must
+    /// fail here by name, not silently move the baseline.
+    #[test]
+    fn query_seed_derivation_is_pinned() {
+        use nc_schema::Predicate;
+        let join = Query::join(&["title", "cast_info"]);
+        let filtered = Query::join(&["title", "movie_companies"])
+            .filter("title", "production_year", Predicate::ge(2000i64))
+            .filter("movie_companies", "company_type_id", Predicate::eq(2i64));
+        assert_eq!(derive_query_seed(42, &join), 7_817_710_811_883_765_274);
+        assert_eq!(derive_query_seed(42, &filtered), 12_914_378_399_692_961_198);
+    }
 
     #[test]
     fn fast_tier_stays_within_the_qerror_delta_bound() {

@@ -1,17 +1,16 @@
-//! The public estimator API: build (or load) once per schema, estimate any query.
+//! The public training API: build once per schema, estimate any query, keep training.
 //!
-//! Since PR 4 the estimator has two lives:
+//! An estimator has three life-stages, each its own type:
 //!
-//! * **Training-backed** ([`NeuroCard::build`]): owns the training database and a live
-//!   [`Trainer`] (with its sampler worker pool), supports incremental updates and
-//!   snapshot ingestion, and can export its state as a [`ModelArtifact`].
-//! * **Artifact-backed** ([`NeuroCard::from_artifact`]): reconstructed from a persisted
-//!   artifact, no database anywhere in sight.  Estimation is bit-identical to the
-//!   estimator that wrote the artifact; training APIs panic with a clear message.
-//!
-//! [`NeuroCard::train`] is the one-shot "train → artifact" path the serving layer and CI
-//! use; [`NeuroCard::core`] hands out the `Send + Sync` estimation engine
-//! ([`EstimatorCore`]) that `nc-serve` shares across worker threads.
+//! * [`NeuroCard`] **trains**: it owns the training database and a live [`Trainer`] (with
+//!   its sampler worker pool), supports incremental updates and snapshot ingestion, and
+//!   exports its state as a [`ModelArtifact`] ([`NeuroCard::to_artifact`], or
+//!   [`NeuroCard::train`] for the one-shot "train → artifact" path).
+//! * [`ModelArtifact`] is the model **at rest**: self-contained bytes, no database.
+//! * [`EstimatorCore`] **estimates**: the `Send + Sync` engine `nc-serve` shares across
+//!   worker threads, bit-identical to the `NeuroCard` that wrote the artifact.  Loading
+//!   has one spelling, `ModelArtifact::from_bytes(..)?.to_core()?`; [`NeuroCard::core`]
+//!   snapshots the live model without the byte round trip.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -19,12 +18,11 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use nc_nn::ResMade;
 use nc_sampler::{BiasedSampler, JoinCounts, JoinSampler, WideLayout};
 use nc_schema::{JoinSchema, Query};
 use nc_storage::Database;
 
-use crate::artifact::{ArtifactLoadError, ModelArtifact};
+use crate::artifact::ModelArtifact;
 use crate::config::NeuroCardConfig;
 use crate::core::{derive_query_seed, estimate_seeded, EstimatorCore};
 use crate::encoding::EncodedLayout;
@@ -64,22 +62,16 @@ pub struct BuildOptions {
     pub biased_sampler: bool,
 }
 
-/// What backs the estimator: a live trainer or a loaded artifact.
-enum Backend {
-    /// Built against a live database; can keep training.
-    Training { db: Arc<Database>, trainer: Trainer },
-    /// Loaded from a [`ModelArtifact`]; estimation only, shareable across threads.
-    Artifact(Arc<EstimatorCore>),
-}
-
-/// A trained NeuroCard estimator for one join schema.
+/// A trained NeuroCard estimator for one join schema, together with the database and
+/// the live [`Trainer`] it keeps learning from.
 pub struct NeuroCard {
     schema: Arc<JoinSchema>,
     encoded: Arc<EncodedLayout>,
     config: NeuroCardConfig,
     full_join_rows: u128,
     stats: EstimatorStats,
-    backend: Backend,
+    db: Arc<Database>,
+    trainer: Trainer,
 }
 
 impl NeuroCard {
@@ -96,51 +88,7 @@ impl NeuroCard {
         schema: Arc<JoinSchema>,
         config: &NeuroCardConfig,
     ) -> ModelArtifact {
-        Self::train_with(db, schema, config, BuildOptions::default())
-    }
-
-    /// [`NeuroCard::train`] with explicit [`BuildOptions`].
-    pub fn train_with(
-        db: Arc<Database>,
-        schema: Arc<JoinSchema>,
-        config: &NeuroCardConfig,
-        options: BuildOptions,
-    ) -> ModelArtifact {
-        Self::build_with(db, schema, config, options).to_artifact()
-    }
-
-    /// Reconstructs an estimation-only `NeuroCard` from a parsed [`ModelArtifact`].
-    ///
-    /// The returned estimator needs no database and produces **bit-identical** estimates
-    /// to the estimator that exported the artifact, for any fixed `(query, seed)`.
-    /// Training APIs ([`NeuroCard::update_incremental`], [`NeuroCard::ingest_snapshot`],
-    /// [`NeuroCard::database`]) panic on it.
-    pub fn from_artifact(artifact: &ModelArtifact) -> Result<Self, ArtifactLoadError> {
-        let core = Arc::new(artifact.to_core()?);
-        let manifest = artifact.manifest();
-        let stats = EstimatorStats {
-            num_params: core.model().num_params(),
-            model_bytes: core.model().size_bytes(),
-            full_join_rows: artifact.full_join_rows(),
-            prepare_time: Duration::ZERO,
-            sampling_time: Duration::ZERO,
-            training_time: Duration::ZERO,
-            tuples_trained: manifest.tuples_trained,
-            final_loss: manifest.final_loss,
-        };
-        Ok(NeuroCard {
-            schema: core.schema().clone(),
-            encoded: core.encoded().clone(),
-            config: core.config().clone(),
-            full_join_rows: artifact.full_join_rows(),
-            stats,
-            backend: Backend::Artifact(core),
-        })
-    }
-
-    /// [`NeuroCard::from_artifact`] straight from container bytes.
-    pub fn from_artifact_bytes(bytes: &[u8]) -> Result<Self, ArtifactLoadError> {
-        Self::from_artifact(&ModelArtifact::from_bytes(bytes)?)
+        Self::build(db, schema, config).to_artifact()
     }
 
     /// Exports the current model state as a self-contained [`ModelArtifact`].
@@ -150,40 +98,26 @@ impl NeuroCard {
             self.schema.clone(),
             self.encoded.clone(),
             self.full_join_rows,
-            self.model(),
+            self.trainer.model(),
             self.stats.tuples_trained,
             self.stats.final_loss,
         )
     }
 
-    /// The `Send + Sync` estimation engine over the current model state.
-    ///
-    /// For an artifact-backed estimator this is the shared engine itself (cheap `Arc`
-    /// clone).  For a training-backed estimator it is a **snapshot**: the model weights
-    /// are copied, so later [`NeuroCard::update_incremental`] calls do not show up in a
-    /// core handed out earlier.
+    /// The `Send + Sync` estimation engine over the current model state — a **snapshot**:
+    /// the model weights are copied, so later [`NeuroCard::update_incremental`] calls do
+    /// not show up in a core handed out earlier.
     pub fn core(&self) -> Arc<EstimatorCore> {
-        match &self.backend {
-            Backend::Artifact(core) => core.clone(),
-            Backend::Training { trainer, .. } => Arc::new(
-                EstimatorCore::new(
-                    trainer.model().clone(),
-                    self.encoded.clone(),
-                    self.schema.clone(),
-                    self.config.clone(),
-                    self.full_join_rows,
-                )
-                .expect("a trained estimator's parts are consistent by construction"),
-            ),
-        }
-    }
-
-    /// The trained model backing estimation.
-    fn model(&self) -> &ResMade {
-        match &self.backend {
-            Backend::Training { trainer, .. } => trainer.model(),
-            Backend::Artifact(core) => core.model(),
-        }
+        Arc::new(
+            EstimatorCore::new(
+                self.trainer.model().clone(),
+                self.encoded.clone(),
+                self.schema.clone(),
+                self.config.clone(),
+                self.full_join_rows,
+            )
+            .expect("a trained estimator's parts are consistent by construction"),
+        )
     }
 
     /// Builds an estimator with explicit [`BuildOptions`].
@@ -241,7 +175,8 @@ impl NeuroCard {
             config: config.clone(),
             full_join_rows,
             stats,
-            backend: Backend::Training { db, trainer },
+            db,
+            trainer,
         }
     }
 
@@ -329,7 +264,7 @@ impl NeuroCard {
     /// The exact-tier progressive-sampling engine over the trained model.
     fn sampler(&self) -> ProgressiveSampler<'_> {
         ProgressiveSampler::new(
-            self.model(),
+            self.trainer.model(),
             &self.encoded,
             &self.schema,
             self.full_join_rows,
@@ -339,8 +274,8 @@ impl NeuroCard {
 
     /// Seed of the per-query RNG stream: a pure function of `(config.seed, query)`.  See
     /// [`crate::core::derive_query_seed`] — the derivation is shared with
-    /// [`EstimatorCore`] so artifact-loaded estimators and serving workers consume the
-    /// exact same stream.
+    /// [`EstimatorCore`] so loaded cores and serving workers consume the exact same
+    /// stream.
     ///
     /// Note: PR 3 deliberately changed this derivation from the earlier `seed ^ hash`
     /// (which left structured low-entropy relations between query streams, the same
@@ -352,24 +287,10 @@ impl NeuroCard {
         derive_query_seed(self.config.seed, query)
     }
 
-    /// The live trainer, or a panic for artifact-backed estimators (which, by design,
-    /// left their training database behind).
-    fn trainer_mut(&mut self) -> &mut Trainer {
-        match &mut self.backend {
-            Backend::Training { trainer, .. } => trainer,
-            Backend::Artifact(_) => panic!(
-                "this estimator was loaded from a model artifact and cannot train; rebuild \
-                 it from a live database with NeuroCard::build"
-            ),
-        }
-    }
-
     /// Continues training on additional tuples sampled from the *current* database
     /// (incremental update / "fast update" of §7.6).
-    ///
-    /// Panics on artifact-backed estimators.
     pub fn update_incremental(&mut self, tuples: usize) -> TrainProgress {
-        let progress = self.trainer_mut().train_tuples(tuples);
+        let progress = self.trainer.train_tuples(tuples);
         self.refresh_stats(&progress);
         progress
     }
@@ -380,36 +301,21 @@ impl NeuroCard {
     ///
     /// The token space (dictionaries) is kept fixed, so the snapshot must be compatible
     /// with the dictionary database supplied at build time.
-    ///
-    /// Panics on artifact-backed estimators.
     pub fn ingest_snapshot(&mut self, new_db: Arc<Database>, tuples: usize) -> TrainProgress {
-        // Refuse *before* computing join counts or touching |J|: panicking halfway
-        // through would leave a caller that catches the panic with a full_join_rows
-        // belonging to a database the model never saw.
-        assert!(
-            self.is_trainable(),
-            "this estimator was loaded from a model artifact and cannot train; rebuild \
-             it from a live database with NeuroCard::build"
-        );
         let counts = JoinCounts::compute_shared(&new_db, &self.schema);
         self.full_join_rows = counts.full_join_rows();
         let schema = self.schema.clone();
         let source =
             TrainingSource::Unbiased(JoinSampler::with_counts(new_db.clone(), schema, counts));
-        let trainer = self.trainer_mut();
-        trainer.set_source(source);
-        let progress = trainer.train_tuples(tuples);
-        if let Backend::Training { db, .. } = &mut self.backend {
-            *db = new_db;
-        }
+        self.trainer.set_source(source);
+        let progress = self.trainer.train_tuples(tuples);
+        self.db = new_db;
         self.refresh_stats(&progress);
         progress
     }
 
     fn refresh_stats(&mut self, progress: &TrainProgress) {
-        if let Backend::Training { trainer, .. } = &self.backend {
-            self.stats.tuples_trained = trainer.tuples_trained();
-        }
+        self.stats.tuples_trained = self.trainer.tuples_trained();
         self.stats.full_join_rows = self.full_join_rows;
         if progress.batches > 0 {
             self.stats.final_loss = progress.last_loss;
@@ -434,22 +340,8 @@ impl NeuroCard {
     }
 
     /// The database currently backing the sampler.
-    ///
-    /// Panics on artifact-backed estimators — an artifact deliberately carries no
-    /// database (use [`NeuroCard::is_trainable`] to check first).
     pub fn database(&self) -> &Arc<Database> {
-        match &self.backend {
-            Backend::Training { db, .. } => db,
-            Backend::Artifact(_) => panic!(
-                "this estimator was loaded from a model artifact and has no training database"
-            ),
-        }
-    }
-
-    /// Whether this estimator still owns a live trainer (false once loaded from an
-    /// artifact).
-    pub fn is_trainable(&self) -> bool {
-        matches!(self.backend, Backend::Training { .. })
+        &self.db
     }
 
     /// `|J|`, the size of the augmented full outer join.
@@ -465,13 +357,14 @@ impl NeuroCard {
     /// Serialises the model parameters (see [`nc_nn::serialize`]).  For the full
     /// self-contained format use [`NeuroCard::to_artifact`].
     pub fn model_bytes(&self) -> bytes::Bytes {
-        nc_nn::serialize::model_to_bytes(self.model())
+        nc_nn::serialize::model_to_bytes(self.trainer.model())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::Precision;
     use nc_schema::{JoinEdge, Predicate};
     use nc_storage::{TableBuilder, Value};
 
@@ -594,62 +487,46 @@ mod tests {
         let config = NeuroCardConfig::tiny().with_training_tuples(1_000);
         let trained = NeuroCard::build(db.clone(), schema.clone(), &config);
         let artifact = trained.to_artifact();
-        let loaded = NeuroCard::from_artifact(&artifact).unwrap();
+        let loaded = artifact.to_core().unwrap();
+        let snapshot = trained.core();
 
-        assert!(trained.is_trainable());
-        assert!(!loaded.is_trainable());
-        assert_eq!(loaded.full_join_rows(), trained.full_join_rows());
         assert_eq!(
-            loaded.stats().tuples_trained,
+            artifact.manifest().tuples_trained,
             trained.stats().tuples_trained
         );
-        assert_eq!(loaded.size_bytes(), trained.size_bytes());
-        assert_eq!(loaded.model_bytes(), trained.model_bytes());
 
-        // Estimation parity, including the batch and scratch paths.
+        // Estimation parity of both kinds of core, including the batch and scratch paths.
         let queries = vec![
             Query::join(&["A", "B"]),
             Query::join(&["A"]).filter("A", "cls", Predicate::eq(1i64)),
         ];
+        let samples = config.progressive_samples;
+        let batch = trained.estimate_batch(&queries, samples);
         let mut scratch = SamplerScratch::new();
-        for q in &queries {
-            assert_eq!(trained.estimate(q).to_bits(), loaded.estimate(q).to_bits());
+        for core in [&loaded, &*snapshot] {
+            assert_eq!(core.full_join_rows(), trained.full_join_rows());
+            assert_eq!(core.size_bytes(), trained.size_bytes());
             assert_eq!(
-                trained.estimate(q).to_bits(),
-                loaded
-                    .try_estimate(q, config.progressive_samples, &mut scratch)
-                    .unwrap()
-                    .to_bits()
+                nc_nn::serialize::model_to_bytes(core.model()),
+                trained.model_bytes()
             );
+            for (q, batched) in queries.iter().zip(&batch) {
+                let expected = trained.estimate(q).to_bits();
+                assert_eq!(batched.to_bits(), expected);
+                assert_eq!(core.estimate(q).to_bits(), expected);
+                let scratched = core.try_estimate_with_samples_scratch_precision(
+                    q,
+                    samples,
+                    &mut scratch,
+                    Precision::Exact,
+                );
+                assert_eq!(scratched.map(f64::to_bits), Ok(expected));
+            }
         }
-        assert_eq!(
-            trained.estimate_batch(&queries, config.progressive_samples),
-            loaded.estimate_batch(&queries, config.progressive_samples)
-        );
 
         // `train` is the one-shot wrapper: same config + db ⇒ same artifact bytes.
         let oneshot = NeuroCard::train(db, schema, &config);
         assert_eq!(oneshot.to_bytes(), artifact.to_bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot train")]
-    fn artifact_backed_estimator_panics_on_training() {
-        let (db, schema) = correlated_db();
-        let config = NeuroCardConfig::tiny().with_training_tuples(500);
-        let artifact = NeuroCard::train(db, schema, &config);
-        let mut loaded = NeuroCard::from_artifact(&artifact).unwrap();
-        loaded.update_incremental(10);
-    }
-
-    #[test]
-    #[should_panic(expected = "no training database")]
-    fn artifact_backed_estimator_panics_on_database_access() {
-        let (db, schema) = correlated_db();
-        let config = NeuroCardConfig::tiny().with_training_tuples(500);
-        let artifact = NeuroCard::train(db, schema, &config);
-        let loaded = NeuroCard::from_artifact(&artifact).unwrap();
-        let _ = loaded.database();
     }
 
     #[test]

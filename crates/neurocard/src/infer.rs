@@ -35,8 +35,8 @@
 //!   point-constraint columns (indicators, equality filters) never split classes, so most
 //!   forward batches collapse to a handful of rows,
 //! * in-region draws build a prefix-sum CDF once per row and binary-search it,
-//! * the digit prefix needed by [`Factorization::digit_range`] is a slice of the token
-//!   buffer (sub-columns of a wide column are contiguous in model order).
+//! * the digit prefix needed by [`crate::Factorization::digit_range`] is a slice of the
+//!   token buffer (sub-columns of a wide column are contiguous in model order).
 //!
 //! **Determinism contract:** for a fixed `(model, query, seed)` the fast path returns
 //! *exactly* the estimate the original code returned.  Dead samples never consumed RNG
@@ -44,7 +44,7 @@
 //! accumulates probabilities in the same order the linear scans did, and the blocked
 //! kernels are bit-identical to the naive ones.  (One caveat: CDF binary search and the
 //! linear scans' chained subtraction can round a ticket that lands within a few ULPs of
-//! a region boundary to different codes — see [`cdf_draw_masked`] — so the contract is
+//! a region boundary to different codes — see `cdf_draw_masked` — so the contract is
 //! pinned by fixed-seed tests over realized draws rather than proven universally.)  The
 //! original path is kept as [`ProgressiveSampler::estimate_reference`] and the contract
 //! is enforced by unit, integration and benchmark checks.

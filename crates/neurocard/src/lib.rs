@@ -18,14 +18,18 @@
 //!    with indicator-column constraints for joined tables and fanout downscaling for
 //!    omitted tables.
 //!
-//! The top-level API is [`NeuroCard`]: build it from a database + join schema with
-//! [`NeuroCard::build`], then call [`NeuroCard::estimate`] for any [`nc_schema::Query`].
+//! An estimator has three life-stages, each its own type.  [`NeuroCard`] **trains**: build
+//! it from a database + join schema with [`NeuroCard::build`], call
+//! [`NeuroCard::estimate`] for any [`nc_schema::Query`], keep training it as the data
+//! changes.  [`ModelArtifact`] is the model **at rest** — self-contained bytes, no
+//! database.  [`EstimatorCore`] **estimates**: the `Send + Sync` engine a serving layer
+//! loads from an artifact, bit-identical to the `NeuroCard` that wrote it.
 //!
 //! ```no_run
 //! use std::sync::Arc;
 //! use nc_datagen::{job_light_database, job_light_schema, DataGenConfig};
 //! use nc_schema::{Predicate, Query};
-//! use neurocard::{NeuroCard, NeuroCardConfig};
+//! use neurocard::{ModelArtifact, NeuroCard, NeuroCardConfig};
 //!
 //! let db = Arc::new(job_light_database(&DataGenConfig::default()));
 //! let schema = Arc::new(job_light_schema());
@@ -34,6 +38,12 @@
 //!     .filter("title", "production_year", Predicate::ge(2000i64));
 //! let cardinality = model.estimate(&q);
 //! println!("estimated rows: {cardinality}");
+//!
+//! // Elsewhere, with nothing but the bytes:
+//! let bytes = model.to_artifact().to_bytes();
+//! let core = ModelArtifact::from_bytes(&bytes)?.to_core()?;
+//! assert_eq!(core.estimate(&q), cardinality);
+//! # Ok::<(), neurocard::ArtifactLoadError>(())
 //! ```
 
 pub mod artifact;

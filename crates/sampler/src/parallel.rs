@@ -2,7 +2,7 @@
 //!
 //! This is the legacy one-shot entry point: it spawns scoped threads per call — the
 //! spawn-per-batch scheme the persistent [`crate::pool::SamplerPool`] exists to replace —
-//! but shares the pool's chunking ([`crate::pool::chunk_quotas`]) and stream derivation
+//! but shares the pool's chunking (`pool::chunk_quotas`) and stream derivation
 //! ([`derive_stream_seed`] over `(seed, batch 0, worker)`), so its output is identical to
 //! `pool.submit_indexed(0, n)` for the same `(seed, threads)`.  Callers with more than
 //! one batch to draw should hold a [`crate::pool::SamplerPool`] instead.

@@ -192,7 +192,7 @@ fn parse_events(bytes: &[u8]) -> Result<(Vec<JournalEvent>, usize), JournalError
 
 /// Parses a journal file into its event list.
 ///
-/// A missing file is an empty journal.  Torn-tail tolerance is [`parse_events`]'s:
+/// A missing file is an empty journal.  Torn-tail tolerance is `parse_events`'s:
 /// an unparseable or unterminated final line is skipped; a bad line anywhere else
 /// fails with [`JournalError::Corrupt`].
 pub fn read_events(path: &Path) -> Result<Vec<JournalEvent>, JournalError> {

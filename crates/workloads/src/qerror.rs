@@ -69,7 +69,8 @@ impl std::fmt::Display for ErrorSummary {
     }
 }
 
-/// Quantile of an ascending-sorted slice using nearest-rank interpolation.
+/// Quantile of an ascending-sorted slice, linearly interpolated between the two ranks
+/// around position `q · (len − 1)`.
 pub fn quantile(sorted: &[f64], q: f64) -> f64 {
     assert!(!sorted.is_empty());
     let q = q.clamp(0.0, 1.0);
