@@ -9,9 +9,9 @@
 //! ```
 //!
 //! where the per-table selectivities come from the per-table models and the unfiltered join
-//! size uses the same join-uniformity formula as the Postgres-like baseline.  The point of
-//! the ablation is that no amount of per-table modelling quality recovers the *cross-table*
-//! correlations, which is where the error comes from.
+//! size is [`Query::join_uniformity_size`] over the tables' row and join-key distinct
+//! counts.  The point of the ablation is that no amount of per-table modelling quality
+//! recovers the *cross-table* correlations, which is where the error comes from.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -89,23 +89,11 @@ impl CardinalityEstimator for PerTableArEstimator {
 
     fn estimate(&self, query: &Query) -> f64 {
         // Unfiltered join size via join uniformity.
-        let mut size: f64 = query
-            .tables
-            .iter()
-            .map(|t| self.table_rows.get(t).copied().unwrap_or(1.0).max(1.0))
-            .product();
-        for t in &query.tables {
-            if let Some(parent) = self.schema.parent(t) {
-                if !query.joins(parent) {
-                    continue;
-                }
-                for edge in self.schema.edges_between(parent, t) {
-                    let left = self.ndv(&edge.left.table, &edge.left.column);
-                    let right = self.ndv(&edge.right.table, &edge.right.column);
-                    size /= left.max(right) as f64;
-                }
-            }
-        }
+        let size = query.join_uniformity_size(
+            &self.schema,
+            |t| self.table_rows.get(t).copied().unwrap_or(1.0).max(1.0),
+            |t, column| self.ndv(t, column) as f64,
+        );
 
         // Per-table selectivities from the single-table models, combined independently.
         let mut selectivity = 1.0f64;

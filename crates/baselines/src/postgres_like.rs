@@ -207,34 +207,17 @@ impl CardinalityEstimator for PostgresLikeEstimator {
     }
 
     fn estimate(&self, query: &Query) -> f64 {
-        // 1. Cartesian product of the joined tables.
-        let mut estimate: f64 = query
-            .tables
-            .iter()
-            .map(|t| self.table_rows.get(t).copied().unwrap_or(1.0).max(1.0))
-            .product();
-
-        // 2. Join-uniformity factor per join edge inside the query.
-        for t in &query.tables {
-            if let Some(parent) = self.schema.parent(t) {
-                if !query.joins(parent) {
-                    continue;
-                }
-                for edge in self.schema.edges_between(parent, t) {
-                    let left = self
-                        .column_stats(&edge.left.table, &edge.left.column)
-                        .map(|s| s.distinct())
-                        .unwrap_or(1)
-                        .max(1);
-                    let right = self
-                        .column_stats(&edge.right.table, &edge.right.column)
-                        .map(|s| s.distinct())
-                        .unwrap_or(1)
-                        .max(1);
-                    estimate /= left.max(right) as f64;
-                }
-            }
-        }
+        // 1–2. Cartesian product of the joined tables, times the join-uniformity factor
+        // of every join edge inside the query.
+        let mut estimate = query.join_uniformity_size(
+            &self.schema,
+            |t| self.table_rows.get(t).copied().unwrap_or(1.0).max(1.0),
+            |t, column| {
+                self.column_stats(t, column)
+                    .map_or(1, |s| s.distinct())
+                    .max(1) as f64
+            },
+        );
 
         // 3. Filter selectivities under attribute-value independence.
         for f in &query.filters {

@@ -1,27 +1,20 @@
 //! Reproduces **Figure 7b**: training-tuple sampling throughput versus the number of
-//! sampler threads — and quantifies what the persistent worker pool buys over the old
-//! spawn-threads-per-batch scheme.
+//! sampler threads.
 //!
 //! The paper reports ~40K tuples/s peak with four threads saturating the GPU consumer.
 //! Here there is no GPU and a single CPU core, so the absolute numbers and the saturation
 //! point differ; what is preserved is that the sampler itself parallelises and the
 //! per-thread cost is dominated by index lookups.
 //!
-//! Two measurements:
-//!
-//! 1. tuples/second versus worker count, drawn through a persistent [`SamplerPool`] in
-//!    training-sized batches (the pipeline the trainer actually runs),
-//! 2. spawn-per-batch (the legacy [`sample_wide_batch_parallel`] wrapper, which stands up
-//!    and tears down its threads on every call) versus one long-lived pool, across batch
-//!    sizes.  The smaller the batch, the more the fixed spawn/join cost dominates and the
-//!    larger the pool's advantage.
+//! The measurement: tuples/second versus worker count, drawn through a persistent
+//! [`SamplerPool`] in training-sized batches (the pipeline the trainer actually runs).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use nc_bench::harness::print_preamble;
 use nc_bench::{BenchEnv, HarnessConfig};
-use nc_sampler::{sample_wide_batch_parallel, JoinSampler, SamplerPool, WideLayout};
+use nc_sampler::{JoinSampler, SamplerPool, WideLayout};
 
 fn main() {
     let config = HarnessConfig::from_cli();
@@ -40,12 +33,12 @@ fn main() {
         (config.train_tuples / 2).max(2_000)
     };
 
-    // --- 1. Throughput vs worker count (persistent pool, pipelined submission) ----------
+    // Throughput vs worker count (persistent pool, pipelined submission).
     let batch = 1_024.min(tuples);
     println!("{:>8} {:>16} {:>14}", "threads", "tuples/second", "elapsed");
     for threads in [1usize, 2, 4, 8] {
         // Construct the pool outside the timer: this table reports steady-state sampling
-        // throughput (pool amortisation is measured separately below).
+        // throughput.
         let pool = SamplerPool::new(sampler.clone(), layout.clone(), threads, config.seed, None);
         let start = Instant::now();
         let mut drawn = 0usize;
@@ -66,73 +59,9 @@ fn main() {
         );
     }
 
-    // --- 2. Spawn-per-batch vs persistent pool ------------------------------------------
-    // Four threads make the per-batch spawn/join cost clearly visible even on a single
-    // core: the spawn path pays it `batches` times, the pool once.
-    let threads = config.sampler_threads.max(4);
-    let compare_tuples = if config.smoke {
-        16_384
-    } else {
-        tuples.max(16_384)
-    };
-    println!();
-    println!("spawn-per-batch vs persistent pool ({threads} threads, {compare_tuples} tuples):");
-    println!(
-        "{:>10} {:>8} {:>16} {:>16} {:>9}",
-        "batch", "batches", "spawn tuples/s", "pool tuples/s", "speedup"
-    );
-    for batch in [64usize, 128, 512, 2_048] {
-        let batches = compare_tuples / batch;
-
-        // Best-of-3 per path: single-core hosts schedule the worker threads noisily, and
-        // the best repetition is the least scheduler-polluted estimate of each path's cost.
-        let spawn_rate = best_rate(3, batches * batch, || {
-            for _ in 0..batches {
-                let rows =
-                    sample_wide_batch_parallel(&sampler, &layout, batch, threads, config.seed);
-                assert_eq!(rows.len(), batch);
-            }
-        });
-
-        // Pool construction is inside the timing: amortising it is the whole point.
-        let pool_rate = best_rate(3, batches * batch, || {
-            let pool =
-                SamplerPool::new(sampler.clone(), layout.clone(), threads, config.seed, None);
-            let tickets: Vec<_> = (0..batches)
-                .map(|b| pool.submit_indexed(b as u64, batch))
-                .collect();
-            for t in tickets {
-                assert_eq!(t.wait().len(), batch);
-            }
-        });
-
-        println!(
-            "{:>10} {:>8} {:>16.0} {:>16.0} {:>8.2}x",
-            batch,
-            batches,
-            spawn_rate,
-            pool_rate,
-            pool_rate / spawn_rate
-        );
-    }
-
     println!();
     println!("Paper (V100 + 32 vCPUs): 1→4 threads scale throughput to ~40K tuples/s, after");
-    println!("which the GPU consumer is saturated.  The pool-vs-spawn column is this");
-    println!("reproduction's addition: at training batch sizes (≤512) the fixed per-batch");
-    println!("thread spawn/join cost dominates and the persistent pool wins; at large");
-    println!("batches the two converge because sampling itself dominates.");
-}
-
-/// Highest tuples/second over `reps` runs of `work` drawing `tuples` tuples each.
-fn best_rate(reps: usize, tuples: usize, mut work: impl FnMut()) -> f64 {
-    (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            work();
-            tuples as f64 / start.elapsed().as_secs_f64()
-        })
-        .fold(0.0, f64::max)
+    println!("which the GPU consumer is saturated.");
 }
 
 /// Splits `total` into `chunk`-sized batches plus a remainder.

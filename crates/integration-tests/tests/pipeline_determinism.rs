@@ -1,17 +1,16 @@
 //! Cross-crate determinism contract of the pipelined training path: for a fixed
 //! `(seed, sampler_threads)` pair, the training sample stream — and therefore the trained
-//! model and its estimates — is identical at every prefetch depth, and the persistent
-//! [`SamplerPool`] reproduces the legacy one-shot [`sample_wide_batch_parallel`] wrapper
-//! exactly.
+//! model and its estimates — is identical at every prefetch depth, and a [`SamplerPool`]
+//! batch is exactly the in-order concatenation of its workers' derived streams.
 
 use std::sync::Arc;
 
 use nc_datagen::{job_light_database, job_light_schema, DataGenConfig};
-use nc_sampler::{
-    derive_stream_seed, sample_wide_batch_parallel, JoinSampler, SamplerPool, WideLayout,
-};
+use nc_sampler::{derive_stream_seed, JoinSampler, SamplerPool, WideLayout};
 use nc_schema::{Predicate, Query};
 use neurocard::{NeuroCard, NeuroCardConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 fn job_light_env() -> (Arc<nc_storage::Database>, Arc<nc_schema::JoinSchema>) {
     let datagen = DataGenConfig {
@@ -25,15 +24,27 @@ fn job_light_env() -> (Arc<nc_storage::Database>, Arc<nc_schema::JoinSchema>) {
 }
 
 #[test]
-fn pool_reproduces_legacy_wrapper_on_job_light() {
+fn pool_batch_is_the_concatenation_of_its_worker_streams_on_job_light() {
     let (db, schema) = job_light_env();
     let sampler = Arc::new(JoinSampler::new(db.clone(), schema.clone()));
     let layout = Arc::new(WideLayout::new(&db, &schema));
+    let n = 300usize;
     for threads in [1usize, 3] {
         let pool = SamplerPool::new(sampler.clone(), layout.clone(), threads, 42, None);
-        let pooled = pool.submit_indexed(0, 300).wait().into_wide();
-        let legacy = sample_wide_batch_parallel(&sampler, &layout, 300, threads, 42);
-        assert_eq!(pooled, legacy, "threads={threads}");
+        for batch in [0u64, 5] {
+            // Worker t draws its quota from the stream derived for (seed, batch, t); no
+            // thread is needed to say what the pool must return.
+            let expected: Vec<_> = (0..threads)
+                .flat_map(|t| {
+                    let quota = n / threads + usize::from(t < n % threads);
+                    let seed = derive_stream_seed(42, batch, t as u64);
+                    let samples = sampler.sample_many(&mut StdRng::seed_from_u64(seed), quota);
+                    layout.materialize_batch(&db, &samples)
+                })
+                .collect();
+            let pooled = pool.submit_indexed(batch, n).wait().into_wide();
+            assert_eq!(pooled, expected, "threads={threads} batch={batch}");
+        }
     }
 }
 

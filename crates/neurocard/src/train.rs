@@ -41,6 +41,53 @@ impl TrainingSource {
             TrainingSource::Biased(_) => None,
         }
     }
+
+    /// The snapshot the source samples.
+    fn database(&self) -> &Arc<Database> {
+        match self {
+            TrainingSource::Unbiased(s) => s.database(),
+            TrainingSource::Biased(s) => s.database(),
+        }
+    }
+}
+
+/// How a [`TrainingSource`] delivers batches once the trainer owns it.
+enum Batches {
+    /// The unbiased sampler, moved into a persistent worker pool that samples *and
+    /// encodes* on its own threads, `prefetch_depth` batches ahead of the trainer.
+    Pool(SamplerPool),
+    /// The biased ablation sampler: sample, encode and train strictly alternating on the
+    /// trainer thread.
+    Serial {
+        sampler: BiasedSampler,
+        db: Arc<Database>,
+    },
+}
+
+impl Batches {
+    fn new(
+        source: TrainingSource,
+        db: Arc<Database>,
+        encoded: &Arc<EncodedLayout>,
+        config: &NeuroCardConfig,
+    ) -> Self {
+        match source {
+            TrainingSource::Unbiased(sampler) => {
+                // Token encoding moves behind the pool boundary so it overlaps the
+                // trainer's compute.
+                let layout = encoded.clone();
+                let encoder: BatchEncoder = Arc::new(move |rows| layout.encode_batch(rows));
+                Batches::Pool(SamplerPool::new(
+                    Arc::new(sampler),
+                    Arc::new(encoded.layout().clone()),
+                    config.sampler_threads,
+                    config.seed,
+                    Some(encoder),
+                ))
+            }
+            TrainingSource::Biased(sampler) => Batches::Serial { sampler, db },
+        }
+    }
 }
 
 /// Progress statistics of a training run.
@@ -82,9 +129,8 @@ impl TrainProgress {
 
 /// Streams batches from a [`TrainingSource`] into a [`ResMade`] model.
 pub struct Trainer {
-    db: Arc<Database>,
     encoded: Arc<EncodedLayout>,
-    source: TrainingSource,
+    batches: Batches,
     model: ResMade,
     optimizer: Adam,
     rng: StdRng,
@@ -93,9 +139,6 @@ pub struct Trainer {
     /// Monotonic batch index; together with `config.seed` it determines every batch's
     /// RNG streams, across `train_tuples` calls and source swaps.
     batch_counter: u64,
-    /// Persistent sampling workers (unbiased sources only; the biased ablation sampler
-    /// stays on the serial path).
-    pool: Option<SamplerPool>,
 }
 
 impl Trainer {
@@ -121,38 +164,15 @@ impl Trainer {
             &model.params(),
         );
         let rng = StdRng::seed_from_u64(config.seed ^ 0x7261_696E);
-        let mut trainer = Trainer {
-            db,
+        Trainer {
+            batches: Batches::new(source, db, &encoded, &config),
             encoded,
-            source,
             model,
             optimizer,
             rng,
             config,
             tuples_trained: 0,
             batch_counter: 0,
-            pool: None,
-        };
-        trainer.pool = trainer.make_pool();
-        trainer
-    }
-
-    /// Builds the persistent sampler pool for the current source, with token encoding
-    /// moved behind the pool boundary so it overlaps the trainer's compute.
-    fn make_pool(&self) -> Option<SamplerPool> {
-        match &self.source {
-            TrainingSource::Unbiased(sampler) => {
-                let encoded = self.encoded.clone();
-                let encoder: BatchEncoder = Arc::new(move |rows| encoded.encode_batch(rows));
-                Some(SamplerPool::new(
-                    Arc::new(sampler.clone()),
-                    Arc::new(self.encoded.layout().clone()),
-                    self.config.sampler_threads,
-                    self.config.seed,
-                    Some(encoder),
-                ))
-            }
-            TrainingSource::Biased(_) => None,
         }
     }
 
@@ -171,20 +191,13 @@ impl Trainer {
         self.model
     }
 
-    /// The training source.
-    pub fn source(&self) -> &TrainingSource {
-        &self.source
-    }
-
     /// Replaces the training source (used by the update strategies of §7.6: after a new
     /// partition is ingested, fresh samples must come from the new snapshot).  The worker
     /// pool is rebuilt over the new source; the batch counter keeps advancing, so streams
     /// never repeat across the swap.
     pub fn set_source(&mut self, source: TrainingSource) {
-        // Drop the old pool before building the new one so its workers exit first.
-        self.pool = None;
-        self.source = source;
-        self.pool = self.make_pool();
+        let db = source.database().clone();
+        self.batches = Batches::new(source, db, &self.encoded, &self.config);
     }
 
     /// Streams `tuples` training tuples through the model (maximum-likelihood steps with
@@ -205,67 +218,47 @@ impl Trainer {
         if tuples % batch_size > 0 {
             sizes.push(tuples % batch_size);
         }
-        if self.pool.is_some() {
-            self.train_pipelined(&sizes, &mut progress);
-        } else {
-            self.train_serial(&sizes, &mut progress);
-        }
-        progress
-    }
-
-    /// Pipelined path: the pool samples and encodes up to `prefetch_depth + 1` batches
-    /// while the trainer thread consumes them in submission order.
-    fn train_pipelined(&mut self, sizes: &[usize], progress: &mut TrainProgress) {
-        let depth = self.config.prefetch_depth;
+        // Pool tickets in flight, consumed in submission order, and the next size to
+        // submit.
         let mut pending: VecDeque<BatchTicket> = VecDeque::new();
         let mut next = 0usize;
-        for &n in sizes {
-            while pending.len() <= depth && next < sizes.len() {
-                let pool = self.pool.as_ref().expect("pipelined path has a pool");
-                pending.push_back(pool.submit_indexed(self.batch_counter, sizes[next]));
-                self.batch_counter += 1;
-                next += 1;
-            }
-            let ticket = pending.pop_front().expect("a ticket is always in flight");
+        for &n in &sizes {
             // nc-lint: allow(wall-clock-in-core) — phase timing for TrainProgress
             // only; the elapsed values never feed RNG streams, weights or estimates.
             let t0 = Instant::now();
-            let targets = ticket.wait().into_encoded();
-            progress.sampling_time += t0.elapsed();
-
-            // nc-lint: allow(wall-clock-in-core) — same: training-phase stopwatch.
-            let t1 = Instant::now();
-            let loss = self.train_step(&targets);
-            progress.training_time += t1.elapsed();
-            self.record_batch(progress, loss, n);
-        }
-    }
-
-    /// Serial path (biased ablation source only — unbiased sources always train through
-    /// the pool): sample, encode and train strictly alternating on the trainer thread.
-    fn train_serial(&mut self, sizes: &[usize], progress: &mut TrainProgress) {
-        for &n in sizes {
-            let seed = derive_stream_seed(self.config.seed, self.batch_counter, 0);
-            self.batch_counter += 1;
-
-            // nc-lint: allow(wall-clock-in-core) — sampling-phase stopwatch for
-            // TrainProgress; never feeds RNG streams, weights or estimates.
-            let t0 = Instant::now();
-            let TrainingSource::Biased(sampler) = &self.source else {
-                unreachable!("unbiased sources train on the pool path")
+            let targets = match &self.batches {
+                Batches::Pool(pool) => {
+                    while pending.len() <= self.config.prefetch_depth && next < sizes.len() {
+                        pending.push_back(pool.submit_indexed(self.batch_counter, sizes[next]));
+                        self.batch_counter += 1;
+                        next += 1;
+                    }
+                    let ticket = pending.pop_front().expect("a ticket is always in flight");
+                    ticket.wait().into_encoded()
+                }
+                Batches::Serial { sampler, db } => {
+                    let seed = derive_stream_seed(self.config.seed, self.batch_counter, 0);
+                    self.batch_counter += 1;
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    let samples = sampler.sample_many(&mut rng, n);
+                    let wide_rows = self.encoded.layout().materialize_batch(db, &samples);
+                    self.encoded.encode_batch(&wide_rows)
+                }
             };
-            let mut rng = StdRng::seed_from_u64(seed);
-            let samples = sampler.sample_many(&mut rng, n);
-            let wide_rows = self.encoded.layout().materialize_batch(&self.db, &samples);
-            let targets = self.encoded.encode_batch(&wide_rows);
             progress.sampling_time += t0.elapsed();
 
             // nc-lint: allow(wall-clock-in-core) — same: training-phase stopwatch.
             let t1 = Instant::now();
             let loss = self.train_step(&targets);
             progress.training_time += t1.elapsed();
-            self.record_batch(progress, loss, n);
+            if progress.batches == 0 {
+                progress.first_loss = loss;
+            }
+            progress.last_loss = loss;
+            progress.batches += 1;
+            self.tuples_trained += n;
         }
+        progress
     }
 
     /// One maximum-likelihood step over an encoded batch.
@@ -287,15 +280,6 @@ impl Trainer {
         let loss = self.model.forward_backward(&inputs, targets);
         self.optimizer.step(&mut self.model.params_mut());
         loss
-    }
-
-    fn record_batch(&mut self, progress: &mut TrainProgress, loss: f32, n: usize) {
-        if progress.batches == 0 {
-            progress.first_loss = loss;
-        }
-        progress.last_loss = loss;
-        progress.batches += 1;
-        self.tuples_trained += n;
     }
 }
 
@@ -336,9 +320,10 @@ mod tests {
     fn training_loss_decreases() {
         let (db, schema) = tiny();
         let enc = encoded(&db, &schema);
-        let sampler = JoinSampler::new(db.clone(), schema.clone());
+        let source = TrainingSource::Unbiased(JoinSampler::new(db.clone(), schema.clone()));
+        assert!(source.full_join_rows().is_some());
         let config = NeuroCardConfig::tiny();
-        let mut trainer = Trainer::new(db.clone(), enc, TrainingSource::Unbiased(sampler), config);
+        let mut trainer = Trainer::new(db.clone(), enc, source, config);
         let progress = trainer.train_tuples(2_000);
         assert_eq!(progress.tuples, 2_000);
         assert!(progress.batches >= 2_000 / 64);
@@ -350,7 +335,6 @@ mod tests {
             progress.last_loss
         );
         assert_eq!(trainer.tuples_trained(), 2_000);
-        assert!(trainer.source().full_join_rows().is_some());
         let model = trainer.into_model();
         assert!(model.num_params() > 0);
     }
@@ -359,14 +343,9 @@ mod tests {
     fn biased_source_also_trains() {
         let (db, schema) = tiny();
         let enc = encoded(&db, &schema);
-        let biased = BiasedSampler::new(db.clone(), schema.clone());
-        let mut trainer = Trainer::new(
-            db.clone(),
-            enc,
-            TrainingSource::Biased(biased),
-            NeuroCardConfig::tiny(),
-        );
-        assert!(trainer.source().full_join_rows().is_none());
+        let biased = TrainingSource::Biased(BiasedSampler::new(db.clone(), schema.clone()));
+        assert!(biased.full_join_rows().is_none());
+        let mut trainer = Trainer::new(db.clone(), enc, biased, NeuroCardConfig::tiny());
         let progress = trainer.train_tuples(500);
         assert!(progress.last_loss.is_finite());
         // Swapping the source keeps the model.

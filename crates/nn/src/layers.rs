@@ -5,7 +5,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::tensor::{
     add_bias, column_sums_accumulate, matmul, matmul_transpose_a_accumulate,
-    matmul_transpose_b_blocked, Matrix,
+    matmul_transpose_b_blocked, MadeMask, Matrix,
 };
 
 /// A trainable parameter tensor: value and accumulated gradient of identical shape.
@@ -87,35 +87,34 @@ impl Linear {
     }
 }
 
-/// A masked dense layer: identical to [`Linear`] but with a fixed binary connectivity mask.
+/// A masked dense layer: identical to [`Linear`] but with a fixed connectivity rule.
 ///
-/// The mask enforces the autoregressive property (MADE): masked weights are initialised to
-/// zero and their gradients are zeroed every backward pass, so they remain exactly zero for
-/// the lifetime of the model and the forward pass can use a plain GEMM.
+/// The rule enforces the autoregressive property (MADE): forbidden weights are initialised
+/// to zero and their gradients are zeroed every backward pass, so they remain exactly zero
+/// for the lifetime of the model and the forward pass can use a plain GEMM.  The layer
+/// holds the [`MadeMask`] rule itself — a few words — and evaluates it where a pass needs
+/// it; no 0/1 matrix is ever materialised.
 #[derive(Debug, Clone)]
 pub struct MaskedLinear {
     /// The underlying dense layer.
     pub inner: Linear,
-    /// Binary mask (`in_dim × out_dim`); 1 = connection allowed.
-    pub mask: Matrix,
+    mask: MadeMask,
 }
 
 impl MaskedLinear {
-    /// Creates a masked layer.  `mask[i][o] == 0` forbids the connection from input unit
-    /// `i` to output unit `o`.
-    pub fn new(in_dim: usize, out_dim: usize, mask: Matrix, rng: &mut StdRng) -> Self {
-        assert_eq!(mask.rows(), in_dim);
-        assert_eq!(mask.cols(), out_dim);
+    /// Creates a masked layer: `mask.allows(i, o) == false` forbids the connection from
+    /// input unit `i` to output unit `o`.  Every weight draws its Xavier value — the RNG
+    /// stream does not depend on the mask — and the forbidden ones are then zeroed, so the
+    /// autoregressive property holds from step zero.
+    pub fn new(in_dim: usize, out_dim: usize, mask: MadeMask, rng: &mut StdRng) -> Self {
         let mut inner = Linear::new(in_dim, out_dim, rng);
-        // Zero out masked weights so the autoregressive property holds from step zero.
-        for i in 0..in_dim {
-            for o in 0..out_dim {
-                if mask.get(i, o) == 0.0 {
-                    inner.weight.value.set(i, o, 0.0);
-                }
-            }
-        }
+        zero_forbidden(&mut inner.weight.value, mask);
         MaskedLinear { inner, mask }
+    }
+
+    /// The layer's connectivity rule.
+    pub fn mask(&self) -> MadeMask {
+        self.mask
     }
 
     /// Forward pass (plain GEMM; masked weights are structurally zero).
@@ -125,12 +124,16 @@ impl MaskedLinear {
 
     /// Backward pass; gradients of masked weights are forced to zero so the optimizer can
     /// never resurrect a forbidden connection.
+    ///
+    /// The dense-matrix masks this replaced multiplied every gradient by its 0/1 entry.
+    /// No bit of a trained model moved with them: an allowed gradient was `g · 1.0 = g`;
+    /// a forbidden one was `g · 0.0 = ±0.0` and is now `+0.0`, and Adam maps both to
+    /// `m = +0.0` (`β₁·(+0.0) + (1−β₁)·(−0.0) = +0.0`), `v = +0.0` and `w −= +0.0`.  Only
+    /// a diverged run differs: a non-finite gradient used to leak `NaN · 0.0 = NaN` into
+    /// a masked weight, and now cannot.
     pub fn backward(&mut self, x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
         self.inner.backward(x, dy, dx);
-        let grad = self.inner.weight.grad.data_mut();
-        for (g, m) in grad.iter_mut().zip(self.mask.data()) {
-            *g *= m;
-        }
+        zero_forbidden(&mut self.inner.weight.grad, self.mask);
     }
 
     /// Total number of scalar parameters (counting masked entries, as the dense storage
@@ -141,8 +144,24 @@ impl MaskedLinear {
 
     /// Number of unmasked (live) weight parameters plus biases.
     pub fn effective_params(&self) -> usize {
-        let live = self.mask.data().iter().filter(|m| **m != 0.0).count();
-        live + self.inner.bias.num_params()
+        let weight = &self.inner.weight.value;
+        let forbidden: usize = (0..weight.rows())
+            .flat_map(|i| self.mask.forbidden_runs(i, weight.cols()))
+            .map(|run| run.len())
+            .sum();
+        self.inner.num_params() - forbidden
+    }
+}
+
+/// Writes `+0.0` into every entry of `m` that `mask` forbids, row by row over the rule's
+/// runs.
+fn zero_forbidden(m: &mut Matrix, mask: MadeMask) {
+    let cols = m.cols();
+    for i in 0..m.rows() {
+        let row = m.row_mut(i);
+        for run in mask.forbidden_runs(i, cols) {
+            row[run].fill(0.0);
+        }
     }
 }
 
@@ -270,10 +289,9 @@ mod tests {
     #[test]
     fn masked_linear_keeps_masked_weights_zero() {
         let mut rng = seeded_rng(2);
-        // Mask forbids input 0 -> output 1.
-        let mask = Matrix::from_vec(2, 2, vec![1.0, 0.0, 1.0, 1.0]);
-        let mut layer = MaskedLinear::new(2, 2, mask, &mut rng);
-        assert_eq!(layer.inner.weight.value.get(0, 1), 0.0);
+        // Two hidden units of degrees 0 and 1: the rule forbids input 1 -> output 0.
+        let mut layer = MaskedLinear::new(2, 2, MadeMask::Hidden { period: 2 }, &mut rng);
+        assert_eq!(layer.inner.weight.value.get(1, 0), 0.0);
         assert_eq!(layer.effective_params(), 3 + 2);
         assert_eq!(layer.num_params(), 4 + 2);
 
@@ -284,23 +302,26 @@ mod tests {
         let mut dx = Matrix::zeros(1, 2);
         layer.backward(&x, &dy, &mut dx);
         // Gradient of the masked weight is forced to zero.
-        assert_eq!(layer.inner.weight.grad.get(0, 1), 0.0);
+        assert_eq!(layer.inner.weight.grad.get(1, 0), 0.0);
         assert_ne!(layer.inner.weight.grad.get(0, 0), 0.0);
     }
 
     #[test]
     fn masked_output_ignores_masked_input() {
         let mut rng = seeded_rng(3);
-        // Output 0 may only see input 1.
-        let mask = Matrix::from_vec(2, 1, vec![0.0, 1.0]);
-        let layer = MaskedLinear::new(2, 1, mask, &mut rng);
-        let x1 = Matrix::from_vec(1, 2, vec![0.0, 3.0]);
-        let x2 = Matrix::from_vec(1, 2, vec![99.0, 3.0]);
-        let mut y1 = Matrix::zeros(1, 1);
-        let mut y2 = Matrix::zeros(1, 1);
+        // Two columns of one context unit each: output 1 may only see input 0 (degree 0).
+        let mask = MadeMask::Output {
+            period: 2,
+            d_emb: 1,
+        };
+        let layer = MaskedLinear::new(2, 2, mask, &mut rng);
+        let x1 = Matrix::from_vec(1, 2, vec![3.0, 0.0]);
+        let x2 = Matrix::from_vec(1, 2, vec![3.0, 99.0]);
+        let mut y1 = Matrix::zeros(1, 2);
+        let mut y2 = Matrix::zeros(1, 2);
         layer.forward(&x1, &mut y1);
         layer.forward(&x2, &mut y2);
-        assert!((y1.get(0, 0) - y2.get(0, 0)).abs() < 1e-6);
+        assert!((y1.get(0, 1) - y2.get(0, 1)).abs() < 1e-6);
     }
 
     #[test]

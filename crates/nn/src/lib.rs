@@ -6,11 +6,12 @@
 //! The original system uses PyTorch on a GPU; neither is available in this reproduction, so
 //! this crate provides the pieces the estimator actually needs, in pure safe Rust:
 //!
-//! * [`tensor`] — dense `f32` matrices and the handful of BLAS-like kernels used by the
-//!   model (GEMM with accumulate/transpose variants, row-wise ops),
-//! * [`layers`] — trainable parameters, plain and **masked** linear layers (the masks are
-//!   what enforce the autoregressive property), per-column embeddings with a dedicated
-//!   MASK token for wildcard skipping, ReLU,
+//! * [`tensor`] — dense `f32` matrices, the handful of BLAS-like kernels used by the
+//!   model (GEMM with accumulate/transpose variants, row-wise ops), and MADE's
+//!   connectivity as a rule over unit degrees ([`tensor::MadeMask`], [`tensor::LiveUnits`]),
+//! * [`layers`] — trainable parameters, plain and **masked** linear layers (the masks —
+//!   that rule, never a matrix — are what enforce the autoregressive property), per-column
+//!   embeddings with a dedicated MASK token for wildcard skipping, ReLU,
 //! * [`loss`] — per-column softmax cross-entropy,
 //! * [`optim`] — Adam,
 //! * [`made`] — the ResMADE architecture: per-column embeddings → masked input layer →

@@ -24,7 +24,7 @@ use crate::layers::{relu, relu_backward, seeded_rng, Embedding, MaskedLinear, Pa
 use crate::loss::{softmax_cross_entropy, softmax_rows, softmax_rows_into};
 use crate::tensor::{
     add_bias, column_sums_accumulate, gemm_nt, matmul_blocked_acc, matmul_blocked_live,
-    matmul_col_range_live, LiveUnits, Matrix,
+    matmul_col_range_live, LiveUnits, MadeMask, Matrix,
 };
 
 /// Hyper-parameters of a [`ResMade`] model.
@@ -68,7 +68,9 @@ pub struct ResMade {
 }
 
 impl ResMade {
-    /// Builds a model with MADE connectivity for the given configuration.
+    /// Builds a model with MADE connectivity for the given configuration.  The only
+    /// matrices it allocates are parameters: each masked layer carries its connectivity as
+    /// a [`MadeMask`] rule over the model's degree period.
     pub fn new(config: MadeConfig) -> Self {
         assert!(
             !config.domains.is_empty(),
@@ -84,67 +86,28 @@ impl ResMade {
             .map(|&d| Embedding::new(d, config.d_emb, &mut rng))
             .collect();
 
-        // Hidden-unit degrees: round-robin over {0, .., n-2} (a unit of degree g may depend
-        // on columns ≤ g and feed columns > g).  With a single column there is nothing to
-        // condition on; degree 0 units then feed nothing, which is fine.
+        // Hidden-unit degrees are round-robin over {0, .., n-2} (a unit of degree g may
+        // depend on columns ≤ g and feed columns > g).  With a single column there is
+        // nothing to condition on; degree 0 units then feed nothing, which is fine.
         let period = Self::degree_period(n);
-        let hidden_degrees: Vec<usize> = (0..config.d_hidden).map(|h| h % period).collect();
-
-        // Input mask: input unit u (column c = u / d_emb) connects to hidden h iff
-        // degree(h) >= c.
-        let in_dim = n * config.d_emb;
-        let mut input_mask = Matrix::zeros(in_dim, config.d_hidden);
-        for u in 0..in_dim {
-            let c = u / config.d_emb;
-            for (h, &deg) in hidden_degrees.iter().enumerate() {
-                if deg >= c {
-                    input_mask.set(u, h, 1.0);
-                }
-            }
-        }
-        let input_layer = MaskedLinear::new(in_dim, config.d_hidden, input_mask, &mut rng);
-
-        // Hidden-to-hidden mask: h1 -> h2 allowed iff degree(h2) >= degree(h1).
-        let mut hidden_mask = Matrix::zeros(config.d_hidden, config.d_hidden);
-        for (h1, &d1) in hidden_degrees.iter().enumerate() {
-            for (h2, &d2) in hidden_degrees.iter().enumerate() {
-                if d2 >= d1 {
-                    hidden_mask.set(h1, h2, 1.0);
-                }
-            }
-        }
+        let (d_emb, d_hidden) = (config.d_emb, config.d_hidden);
+        let input_layer = MaskedLinear::new(
+            n * d_emb,
+            d_hidden,
+            MadeMask::Input { period, d_emb },
+            &mut rng,
+        );
+        let mut hidden_layer =
+            || MaskedLinear::new(d_hidden, d_hidden, MadeMask::Hidden { period }, &mut rng);
         let blocks: Vec<(MaskedLinear, MaskedLinear)> = (0..config.num_blocks)
-            .map(|_| {
-                (
-                    MaskedLinear::new(
-                        config.d_hidden,
-                        config.d_hidden,
-                        hidden_mask.clone(),
-                        &mut rng,
-                    ),
-                    MaskedLinear::new(
-                        config.d_hidden,
-                        config.d_hidden,
-                        hidden_mask.clone(),
-                        &mut rng,
-                    ),
-                )
-            })
+            .map(|_| (hidden_layer(), hidden_layer()))
             .collect();
-
-        // Output mask: the context vector of column c may depend on hidden h iff
-        // degree(h) < c (strict), so column 0 sees nothing but its bias.
-        let out_dim = n * config.d_emb;
-        let mut output_mask = Matrix::zeros(config.d_hidden, out_dim);
-        for (h, &deg) in hidden_degrees.iter().enumerate() {
-            for o in 0..out_dim {
-                let c = o / config.d_emb;
-                if deg < c {
-                    output_mask.set(h, o, 1.0);
-                }
-            }
-        }
-        let output_layer = MaskedLinear::new(config.d_hidden, out_dim, output_mask, &mut rng);
+        let output_layer = MaskedLinear::new(
+            d_hidden,
+            n * d_emb,
+            MadeMask::Output { period, d_emb },
+            &mut rng,
+        );
 
         let output_bias = config.domains.iter().map(|&d| Param::zeros(1, d)).collect();
 
@@ -160,8 +123,8 @@ impl ResMade {
 
     /// Period `P` of the round-robin hidden-unit degrees of an `n`-column model: unit `h`
     /// has degree `h % P`, over the degrees `0..=n−2` (one degree when there are fewer).
-    /// The one place the layout is spelled: the masks are built from it and
-    /// [`ResMade::live_units`] derives a step's live set from it.
+    /// The one place the layout is spelled: every layer's [`MadeMask`] evaluates its rule
+    /// over it and [`ResMade::live_units`] derives a step's live set from it.
     fn degree_period(n: usize) -> usize {
         n.saturating_sub(1).max(1)
     }
@@ -832,25 +795,31 @@ impl ResMade {
     /// program must be checked.  The error names the offending layer.
     pub fn check_masked_weights(&self) -> Result<(), String> {
         let check = |layer: &MaskedLinear, name: &str| {
-            let weights = layer.inner.weight.value.data();
-            match weights
-                .iter()
-                .zip(layer.mask.data())
-                .position(|(w, m)| !w.is_finite() || (*m == 0.0 && *w != 0.0))
-            {
+            let weights = &layer.inner.weight.value;
+            let cols = weights.cols();
+            // The first offender in row-major order: per row, the first non-finite entry
+            // or the first non-zero one inside the rule's forbidden runs.
+            let offender = (0..weights.rows()).find_map(|i| {
+                let row = weights.row(i);
+                let masked = layer
+                    .mask()
+                    .forbidden_runs(i, cols)
+                    .flatten()
+                    .find(|&o| row[o] != 0.0);
+                let non_finite = row.iter().position(|w| !w.is_finite());
+                masked.into_iter().chain(non_finite).min().map(|o| (i, o))
+            });
+            match offender {
                 None => Ok(()),
-                Some(i) => {
-                    let cols = layer.mask.cols();
-                    let (kind, want) = if weights[i].is_finite() {
+                Some((i, o)) => {
+                    let weight = weights.get(i, o);
+                    let (kind, want) = if weight.is_finite() {
                         ("masked weight", "not 0")
                     } else {
                         ("weight", "not finite")
                     };
                     Err(format!(
-                        "{kind} ({}, {}) of the {name} is {}, {want}",
-                        i / cols,
-                        i % cols,
-                        weights[i]
+                        "{kind} ({i}, {o}) of the {name} is {weight}, {want}"
                     ))
                 }
             }
@@ -1117,6 +1086,49 @@ mod tests {
         let ll_good: f32 = m.log_likelihood(&[vec![2, 2]])[0];
         let ll_bad: f32 = m.log_likelihood(&[vec![2, 3]])[0];
         assert!(ll_good > ll_bad);
+        assert_eq!(m.check_masked_weights(), Ok(()));
+    }
+
+    /// Training is pinned to the bit: a fixed tiny model, fixed token rows (inputs carry
+    /// MASK tokens the way wildcard skipping leaves them), five `forward_backward` + Adam
+    /// steps, and the FNV-1a of the serialised weights.  The constant predates the
+    /// [`MadeMask`] rule (gradients were then multiplied by dense 0/1 matrices), so it also
+    /// pins that the rule moved no bit; training is scalar, so both `simd` legs share it.
+    #[test]
+    fn trained_weights_are_pinned() {
+        let mut m = ResMade::new(MadeConfig {
+            domains: vec![4, 9, 3, 6, 5],
+            d_emb: 5,
+            d_hidden: 14,
+            num_blocks: 2,
+            seed: 23,
+        });
+        let mut adam = Adam::for_params(AdamConfig::default(), &m.params());
+        let n = m.num_columns();
+        let targets: Vec<Vec<u32>> = (0..12)
+            .map(|b| {
+                (0..n)
+                    .map(|c| ((b * 7 + c * 3) % m.domain(c)) as u32)
+                    .collect()
+            })
+            .collect();
+        let inputs: Vec<Vec<u32>> = targets
+            .iter()
+            .enumerate()
+            .map(|(b, row)| {
+                row.iter()
+                    .enumerate()
+                    .map(|(c, &t)| if (b + c) % 3 == 0 { m.mask_token(c) } else { t })
+                    .collect()
+            })
+            .collect();
+        for _ in 0..5 {
+            m.forward_backward(&inputs, &targets);
+            adam.step(&mut m.params_mut());
+        }
+        assert_eq!(m.check_masked_weights(), Ok(()));
+        let bytes = crate::serialize::model_to_bytes(&m);
+        assert_eq!(crate::artifact::fnv1a64(&bytes), 0xdc58_f21b_ad79_f0e8);
     }
 
     #[test]
@@ -1481,7 +1493,9 @@ mod tests {
     }
 
     /// The live set of a step is exactly the set of hidden units the output mask lets into
-    /// that column's context.
+    /// that column's context — and, for the small layouts, the three rules compose to the
+    /// autoregressive property: input column `c'` reaches column `c`'s context through
+    /// input → hidden^k → output iff `c' < c`.
     #[test]
     fn live_set_equals_the_output_masks_support() {
         for (n, d_hidden) in [
@@ -1500,15 +1514,50 @@ mod tests {
                 seed: 1,
             });
             let d = m.config.d_emb;
+            let (input, hidden, output) = (
+                m.input_layer.mask(),
+                m.blocks[0].0.mask(),
+                m.output_layer.mask(),
+            );
+            assert_eq!(m.blocks[0].1.mask(), hidden);
             for col in 0..n {
                 let live = m.live_units(col);
                 for h in 0..d_hidden {
-                    let slice = &m.output_layer.mask.row(h)[col * d..(col + 1) * d];
-                    assert!(slice.iter().all(|&v| v == slice[0]));
+                    let allowed = output.allows(h, col * d);
+                    assert!((col * d..(col + 1) * d).all(|o| output.allows(h, o) == allowed));
                     assert_eq!(
                         live.contains(h),
-                        slice[0] != 0.0,
+                        allowed,
                         "n {n} d_hidden {d_hidden} col {col} unit {h}"
+                    );
+                }
+            }
+            if n > 12 {
+                continue;
+            }
+            // One hidden → hidden step from the units an input column reaches; a second
+            // step adds nothing, so the check covers hidden^k for every k ≥ 1.
+            let step = |reached: &[bool]| -> Vec<bool> {
+                (0..d_hidden)
+                    .map(|h2| (0..d_hidden).any(|h1| reached[h1] && hidden.allows(h1, h2)))
+                    .collect()
+            };
+            for from in 0..n {
+                let first: Vec<bool> = (0..d_hidden)
+                    .map(|h| (from * d..(from + 1) * d).any(|i| input.allows(i, h)))
+                    .collect();
+                let reached = step(&first);
+                assert_eq!(step(&reached), reached);
+                for to in 0..n {
+                    let arrives = (to * d..(to + 1) * d)
+                        .any(|o| (0..d_hidden).any(|h| reached[h] && output.allows(h, o)));
+                    // A degree without a unit (`d_hidden < n − 1`) cuts some allowed
+                    // paths, never opens a forbidden one.
+                    let has_unit = from < d_hidden;
+                    assert_eq!(
+                        arrives,
+                        from < to && has_unit,
+                        "n {n} d_hidden {d_hidden}: column {from} into column {to}"
                     );
                 }
             }

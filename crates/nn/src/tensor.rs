@@ -206,6 +206,71 @@ impl LiveUnits {
     }
 }
 
+/// The connectivity mask of one masked layer of a MADE (paper §3.4), as a rule evaluated
+/// on demand instead of a dense 0/1 matrix.
+///
+/// With `P` = `period`, hidden unit `u` carries the round-robin degree `deg(u) = u % P`
+/// — it may depend on columns `<= deg(u)` and feed columns `> deg(u)` — and embedded
+/// input unit or context unit `u` belongs to column `u / d_emb`.  The layers of one model
+/// share one `period` (`ResMade::degree_period`), and so does the [`LiveUnits`] of each of
+/// its steps.  Composed input → hidden^k → output, the three cases let column `c'` into
+/// column `c`'s context iff `c' < c`: the autoregressive property.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MadeMask {
+    /// Embedded input `i` → hidden `o`: allowed iff `deg(o) >= i / d_emb`.
+    Input {
+        /// Degree period `P` of the hidden units.
+        period: usize,
+        /// Input units per column.
+        d_emb: usize,
+    },
+    /// Hidden `i` → hidden `o`: allowed iff `deg(o) >= deg(i)`.
+    Hidden {
+        /// Degree period `P` of the hidden units.
+        period: usize,
+    },
+    /// Hidden `i` → context unit `o`: allowed iff `deg(i) < o / d_emb` (strict, so column
+    /// 0's context hears from no unit at all).
+    Output {
+        /// Degree period `P` of the hidden units.
+        period: usize,
+        /// Context units per column.
+        d_emb: usize,
+    },
+}
+
+impl MadeMask {
+    /// The output units input unit `i` must **not** reach — the one place the three
+    /// cases are spelled.  Each is a degree set over the output units: those of degree
+    /// below `i`'s column, of degree below `deg(i)`, and — a row of context units being a
+    /// single period — the units below column `deg(i) + 1`.
+    fn forbidden(self, i: usize) -> LiveUnits {
+        match self {
+            MadeMask::Input { period, d_emb } => LiveUnits::new(period, (i / d_emb).min(period)),
+            MadeMask::Hidden { period } => LiveUnits::new(period, i % period),
+            MadeMask::Output { period, d_emb } => {
+                LiveUnits::new(usize::MAX, (i % period + 1) * d_emb)
+            }
+        }
+    }
+
+    /// Whether input unit `i` may connect to output unit `o`.
+    pub fn allows(self, i: usize, o: usize) -> bool {
+        !self.forbidden(i).contains(o)
+    }
+
+    /// The entries of row `i` of an `· × width` weight matrix the rule forbids, as
+    /// ascending runs: whole-row passes cost one `%` per row, none per entry.
+    pub(crate) fn forbidden_runs(
+        self,
+        i: usize,
+        width: usize,
+    ) -> impl Iterator<Item = std::ops::Range<usize>> {
+        let forbidden = self.forbidden(i);
+        forbidden.runs(forbidden.degrees(), width)
+    }
+}
+
 /// `out = a (m×k) · b (k×n)`, bit-identical to [`matmul`] but register-blocked for the
 /// short-fat shapes of the inference hot path (`m` = live progressive samples, `k` =
 /// `d_hidden`).
@@ -624,20 +689,21 @@ pub(crate) mod testing {
         let mut seed = 0x11FE_u64;
         for (d_hidden, period) in [(96usize, 60usize), (96, 26), (40, 7), (33, 50), (8, 1)] {
             let columns = period + 1;
-            // Hidden mask: h1 feeds h2 iff deg(h2) >= deg(h1).  Output mask: h feeds
-            // column c's slice iff deg(h) < c.
             let mut hidden = lcg_matrix(d_hidden, d_hidden, &mut seed);
             let mut output = lcg_matrix(d_hidden, columns * D_EMB, &mut seed);
-            for h1 in 0..d_hidden {
-                for h2 in 0..d_hidden {
-                    if h2 % period < h1 % period {
-                        hidden.set(h1, h2, 0.0);
-                    }
+            let (hidden_rule, output_rule) = (
+                MadeMask::Hidden { period },
+                MadeMask::Output {
+                    period,
+                    d_emb: D_EMB,
+                },
+            );
+            for h in 0..d_hidden {
+                for run in hidden_rule.forbidden_runs(h, d_hidden) {
+                    hidden.row_mut(h)[run].fill(0.0);
                 }
-                for o in 0..columns * D_EMB {
-                    if h1 % period >= o / D_EMB {
-                        output.set(h1, o, 0.0);
-                    }
+                for run in output_rule.forbidden_runs(h, columns * D_EMB) {
+                    output.row_mut(h)[run].fill(0.0);
                 }
             }
             for rows in [1usize, 3, 4, 9] {
@@ -890,6 +956,57 @@ mod tests {
             }
         }
         assert!((0..100).all(|u| LiveUnits::ALL.contains(u)));
+    }
+
+    #[test]
+    fn made_mask_agrees_with_the_degree_rule_entry_by_entry() {
+        // The three cases as the paper states them over unit degrees, against the rule's
+        // one spelling (`forbidden`) read both ways: per entry and as per-row runs.
+        type Want = fn(usize, usize, usize, usize) -> bool;
+        for (period, d_emb, d_hidden) in [
+            (1usize, 3usize, 8usize),
+            (4, 5, 14),
+            (26, 2, 40),
+            (60, 1, 33),
+        ] {
+            let width = (period + 1) * d_emb;
+            let cases: [(MadeMask, usize, usize, Want); 3] = [
+                (
+                    MadeMask::Input { period, d_emb },
+                    width,
+                    d_hidden,
+                    |i, o, p, d| o % p >= i / d,
+                ),
+                (
+                    MadeMask::Hidden { period },
+                    d_hidden,
+                    d_hidden,
+                    |i, o, p, _| o % p >= i % p,
+                ),
+                (
+                    MadeMask::Output { period, d_emb },
+                    d_hidden,
+                    width,
+                    |i, o, p, d| i % p < o / d,
+                ),
+            ];
+            for (mask, in_dim, out_dim, want) in cases {
+                for i in 0..in_dim {
+                    let forbidden: Vec<usize> = mask.forbidden_runs(i, out_dim).flatten().collect();
+                    let expected: Vec<usize> = (0..out_dim)
+                        .filter(|&o| !want(i, o, period, d_emb))
+                        .collect();
+                    assert_eq!(forbidden, expected, "{mask:?} row {i}");
+                    for o in 0..out_dim {
+                        assert_eq!(
+                            mask.allows(i, o),
+                            want(i, o, period, d_emb),
+                            "{mask:?} ({i}, {o})"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

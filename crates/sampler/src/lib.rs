@@ -18,14 +18,13 @@
 //!    indicators `1_T` and per-join-key fanouts `F_{T.k}` (§6),
 //! 4. [`pool`] — sampling is embarrassingly parallel; a persistent worker pool keeps
 //!    long-lived threads fed over channels so the training loop can prefetch batches
-//!    (Figure 7b).  [`parallel`] is the legacy one-shot wrapper over the pool,
+//!    (Figure 7b),
 //! 5. [`seed`] — deterministic SplitMix64 derivation of per-`(batch, worker)` RNG streams,
 //! 6. [`biased`] — an intentionally *biased* IBJS-style sampler used only by the ablation
 //!    study (Table 5, row A).
 
 pub mod biased;
 pub mod join_counts;
-pub mod parallel;
 pub mod pool;
 pub mod sampler;
 pub mod seed;
@@ -33,7 +32,6 @@ pub mod wide;
 
 pub use biased::BiasedSampler;
 pub use join_counts::JoinCounts;
-pub use parallel::sample_wide_batch_parallel;
 pub use pool::{BatchEncoder, BatchTicket, PoolBatch, SamplerPool};
 pub use sampler::{JoinSample, JoinSampler};
 pub use seed::derive_stream_seed;

@@ -1,11 +1,10 @@
 //! Persistent sampling worker pool (paper §4.1, "Parallel sampling"; Figure 7b).
 //!
 //! Training cost is dominated by repeatedly requesting batches of sampled tuples (§2.2),
-//! and spawning OS threads per batch — what [`crate::sample_wide_batch_parallel`] did
-//! originally — wastes a fixed spawn/join cost on every batch.  [`SamplerPool`] keeps
-//! `threads` long-lived workers fed over channels instead: a batch request is split into
-//! one chunk per worker, each worker samples (and optionally encodes) its chunk with a
-//! private RNG stream, and the chunks are reassembled in worker order.
+//! and spawning OS threads per batch wastes a fixed spawn/join cost on every one of them.
+//! [`SamplerPool`] keeps `threads` long-lived workers fed over channels instead: a batch
+//! request is split into one chunk per worker, each worker samples (and optionally encodes)
+//! its chunk with a private RNG stream, and the chunks are reassembled in worker order.
 //!
 //! # Determinism contract
 //!
@@ -14,8 +13,9 @@
 //! `(n, threads)`, so the assembled batch depends only on `(seed, threads, b, n)` — not on
 //! scheduling, the number of batches in flight, or whether the caller prefetches.  A fixed
 //! `(seed, threads)` pair therefore yields an identical sample stream at any prefetch
-//! depth, and [`crate::sample_wide_batch_parallel`] (a thin wrapper over this module's
-//! chunking) produces exactly the pool's batch `0` for the same arguments.
+//! depth.  Stated without threads: batch `b` is the in-order concatenation, over workers
+//! `t`, of `sample_many(StdRng::seed_from_u64(derive_stream_seed(seed, b, t)), quota_t)`
+//! materialised through the layout, with `quota_t = n / threads + (t < n % threads)`.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -231,9 +231,8 @@ impl Drop for SamplerPool {
 
 /// Per-worker chunk sizes for a batch of `n` rows over `threads` workers: `n / threads`
 /// each, with the remainder spread over the first workers (front-loaded, so zero quotas
-/// can only trail).  Shared with the legacy spawn-per-batch wrapper so both produce the
-/// same chunking.
-pub(crate) fn chunk_quotas(n: usize, threads: usize) -> impl Iterator<Item = usize> {
+/// can only trail).
+fn chunk_quotas(n: usize, threads: usize) -> impl Iterator<Item = usize> {
     let per = n / threads;
     let rem = n % threads;
     (0..threads).map(move |t| per + usize::from(t < rem))
@@ -264,7 +263,6 @@ fn worker_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::sample_wide_batch_parallel;
     use nc_schema::{JoinEdge, JoinSchema};
     use nc_storage::{Database, TableBuilder};
 
@@ -305,15 +303,27 @@ mod tests {
         assert_ne!(a, c, "distinct batch indices must give distinct batches");
     }
 
+    /// The determinism contract, stated without threads: a batch is the in-order
+    /// concatenation of each worker's own stream, drawn here one after the other.
     #[test]
-    fn pool_matches_legacy_wrapper_at_batch_zero() {
+    fn pool_batch_is_the_concatenation_of_its_worker_streams() {
         let (sampler, layout) = tiny();
         for threads in [1usize, 2, 3, 8] {
-            for n in [0usize, 1, 3, 64, 257] {
-                let pool = SamplerPool::new(sampler.clone(), layout.clone(), threads, 9, None);
-                let pooled = pool.submit_indexed(0, n).wait().into_wide();
-                let legacy = sample_wide_batch_parallel(&sampler, &layout, n, threads, 9);
-                assert_eq!(pooled, legacy, "threads={threads} n={n}");
+            let pool = SamplerPool::new(sampler.clone(), layout.clone(), threads, 9, None);
+            for batch in [0u64, 5] {
+                for n in [0usize, 1, 3, 64, 257] {
+                    let expected: Vec<Vec<Value>> = (0..threads)
+                        .flat_map(|t| {
+                            let quota = n / threads + usize::from(t < n % threads);
+                            let seed = derive_stream_seed(9, batch, t as u64);
+                            let samples =
+                                sampler.sample_many(&mut StdRng::seed_from_u64(seed), quota);
+                            layout.materialize_batch(sampler.database(), &samples)
+                        })
+                        .collect();
+                    let pooled = pool.submit_indexed(batch, n).wait().into_wide();
+                    assert_eq!(pooled, expected, "threads={threads} batch={batch} n={n}");
+                }
             }
         }
     }

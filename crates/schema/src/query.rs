@@ -147,6 +147,38 @@ impl Query {
         Ok(())
     }
 
+    /// Unfiltered size of this query's join under **join uniformity** (Selinger et al.
+    /// 1979): the product of the joined tables' `rows`, divided — for every joined table
+    /// whose schema parent is joined too, for every key pair between them — by the larger
+    /// of the two keys' distinct counts `ndv(table, column)`.  The statistics-only
+    /// estimators (the serving fallback, the Postgres-like and per-table-AR baselines)
+    /// share this walk and differ in where their statistics come from.
+    ///
+    /// Multiplies, then divides, one factor at a time in table order: callers compare the
+    /// result bit for bit.
+    pub fn join_uniformity_size(
+        &self,
+        schema: &JoinSchema,
+        rows: impl Fn(&str) -> f64,
+        ndv: impl Fn(&str, &str) -> f64,
+    ) -> f64 {
+        let mut size = 1.0f64;
+        for t in &self.tables {
+            size *= rows(t);
+        }
+        for t in &self.tables {
+            let Some(parent) = schema.parent(t).filter(|p| self.joins(p)) else {
+                continue;
+            };
+            for edge in schema.edges_between(parent, t) {
+                let left = ndv(&edge.left.table, &edge.left.column);
+                let right = ndv(&edge.right.table, &edge.right.column);
+                size /= left.max(right);
+            }
+        }
+        size
+    }
+
     /// A compact SQL-ish rendering for logs and reports.
     pub fn render(&self) -> String {
         let mut s = format!("SELECT COUNT(*) FROM {}", self.tables.join(" ⋈ "));
@@ -181,6 +213,22 @@ mod tests {
             "t",
         )
         .unwrap()
+    }
+
+    #[test]
+    fn join_uniformity_divides_by_the_larger_key_ndv_of_joined_pairs() {
+        let rows = |t: &str| match t {
+            "t" => 100.0,
+            "ci" => 50.0,
+            _ => 8.0,
+        };
+        let ndv = |t: &str, _: &str| if t == "t" { 20.0 } else { 25.0 };
+        let size = |tables: &[&str]| Query::join(tables).join_uniformity_size(&schema(), rows, ndv);
+        assert_eq!(size(&["t"]), 100.0);
+        assert_eq!(size(&["t", "ci"]), 100.0 * 50.0 / 25.0);
+        assert_eq!(size(&["ci", "t", "mc"]), 50.0 * 100.0 * 8.0 / 25.0 / 25.0);
+        // A table whose parent is not joined contributes its rows and no edge.
+        assert_eq!(size(&["ci", "mc"]), 50.0 * 8.0);
     }
 
     #[test]

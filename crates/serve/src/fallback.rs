@@ -146,24 +146,16 @@ impl ServingEstimator for StatsFallback {
         if query.tables.is_empty() {
             return Err(EstimateError::InvalidQuery("query joins no tables".into()));
         }
-        // Unfiltered join size under join uniformity (same formula as the
-        // Postgres-like and per-table-AR baselines).
-        let mut size = 1.0f64;
+        // Unfiltered join size under join uniformity; a table without captured
+        // statistics is a typed error, not a guess.
         for t in &query.tables {
-            size *= self.table(t)?.rows;
+            self.table(t)?;
         }
-        for t in &query.tables {
-            if let Some(parent) = self.schema.parent(t) {
-                if !query.joins(parent) {
-                    continue;
-                }
-                for edge in self.schema.edges_between(parent, t) {
-                    let left = self.ndv(&edge.left.table, &edge.left.column);
-                    let right = self.ndv(&edge.right.table, &edge.right.column);
-                    size /= left.max(right);
-                }
-            }
-        }
+        let size = query.join_uniformity_size(
+            &self.schema,
+            |t| self.tables[t].rows,
+            |t, column| self.ndv(t, column),
+        );
 
         // One independent selectivity factor per filter.
         let mut selectivity = 1.0f64;

@@ -127,6 +127,22 @@ struct VersionSlot {
     publish_seq: u64,
 }
 
+/// A fresh, unpinned slot stamped with the registry's next publish sequence number.
+fn new_slot(
+    publish_seq: &mut u64,
+    key: ModelKey,
+    model: Arc<dyn ServingEstimator>,
+) -> Arc<VersionSlot> {
+    *publish_seq += 1;
+    Arc::new(VersionSlot {
+        key,
+        model,
+        inflight: AtomicU64::new(0),
+        superseded: AtomicBool::new(false),
+        publish_seq: *publish_seq,
+    })
+}
+
 struct Entry {
     current: Arc<VersionSlot>,
     next_version: u64,
@@ -137,6 +153,37 @@ struct RegistryState {
     /// Superseded versions still pinned by in-flight leases.
     draining: Vec<Arc<VersionSlot>>,
     publish_seq: u64,
+}
+
+impl RegistryState {
+    /// Publishes `model` as `key` under a vacant name; the name's next swap continues
+    /// from `key.version + 1`.
+    fn insert(&mut self, key: ModelKey, model: Arc<dyn ServingEstimator>) -> ModelKey {
+        let entry = Entry {
+            current: new_slot(&mut self.publish_seq, key.clone(), model),
+            next_version: key.version + 1,
+        };
+        self.entries
+            .insert((key.schema_fingerprint, key.name.clone()), entry);
+        key
+    }
+
+    /// Makes `model` the next version of a taken name and returns the new key with the
+    /// superseded slot; `None` on a vacant name, with nothing changed.
+    fn bump(
+        &mut self,
+        schema_fingerprint: u64,
+        name: &str,
+        model: Arc<dyn ServingEstimator>,
+    ) -> Option<(ModelKey, Arc<VersionSlot>)> {
+        let entry = self
+            .entries
+            .get_mut(&(schema_fingerprint, name.to_string()))?;
+        let new = ModelKey::new(schema_fingerprint, name, entry.next_version);
+        entry.next_version += 1;
+        let slot = new_slot(&mut self.publish_seq, new.clone(), model);
+        Some((new, std::mem::replace(&mut entry.current, slot)))
+    }
 }
 
 struct RegistryInner {
@@ -211,6 +258,11 @@ fn state_lock(inner: &RegistryInner) -> StateGuard<'_> {
         guard: inner.state.lock().unwrap_or_else(|p| p.into_inner()),
         _held: held,
     }
+}
+
+/// The typed error for a `(schema_fingerprint, name)` nothing is registered under.
+fn unknown_model(schema_fingerprint: u64, name: &str) -> ServeError {
+    ServeError::UnknownModel(ModelSelector::latest(schema_fingerprint, name).to_string())
 }
 
 /// Counters and gauges of a registry (see [`ModelRegistry::stats`]).
@@ -363,28 +415,7 @@ impl ModelRegistry {
         name: impl Into<String>,
         model: Arc<dyn ServingEstimator>,
     ) -> Result<ModelKey, ServeError> {
-        let name = name.into();
-        let mut state = state_lock(&self.inner);
-        if let Some(entry) = state.entries.get(&(schema_fingerprint, name.clone())) {
-            return Err(ServeError::AlreadyRegistered(entry.current.key.clone()));
-        }
-        let key = ModelKey::new(schema_fingerprint, name.clone(), 1);
-        state.publish_seq += 1;
-        let slot = Arc::new(VersionSlot {
-            key: key.clone(),
-            model,
-            inflight: AtomicU64::new(0),
-            superseded: AtomicBool::new(false),
-            publish_seq: state.publish_seq,
-        });
-        state.entries.insert(
-            (schema_fingerprint, name),
-            Entry {
-                current: slot,
-                next_version: 2,
-            },
-        );
-        Ok(key)
+        self.restore(ModelKey::new(schema_fingerprint, name, 1), model)
     }
 
     /// Registers a NeuroCard core under its own schema's fingerprint (computed from the
@@ -411,66 +442,25 @@ impl ModelRegistry {
         model: Arc<dyn ServingEstimator>,
     ) -> Result<SwapReceipt, ServeError> {
         let mut state = state_lock(&self.inner);
-        state.publish_seq += 1;
-        let publish_seq = state.publish_seq;
-        let entry = state
-            .entries
-            .get_mut(&(schema_fingerprint, name.to_string()))
-            .ok_or_else(|| {
-                ServeError::UnknownModel(
-                    ModelSelector::latest(schema_fingerprint, name).to_string(),
-                )
-            })?;
-        let key = ModelKey::new(schema_fingerprint, name, entry.next_version);
-        entry.next_version += 1;
-        let slot = Arc::new(VersionSlot {
-            key: key.clone(),
-            model,
-            inflight: AtomicU64::new(0),
-            superseded: AtomicBool::new(false),
-            publish_seq,
-        });
-        let old = std::mem::replace(&mut entry.current, slot);
-        old.superseded.store(true, Ordering::SeqCst);
-        let old_key = old.key.clone();
-        // Retire-at-zero: if requests are still pinning the old version it drains; the
-        // last lease drop removes it.  Otherwise it is gone right now.
-        let old_retired_immediately = old.inflight.load(Ordering::SeqCst) == 0;
-        if old_retired_immediately {
-            self.inner.retired.fetch_add(1, Ordering::Relaxed);
-        } else {
-            state.draining.push(old);
-        }
-        drop(state);
-        self.inner.swaps.fetch_add(1, Ordering::Relaxed);
-        self.inner.drained.notify_all();
-        Ok(SwapReceipt {
-            new: key,
-            old: old_key,
-            old_retired_immediately,
-        })
+        let (new, old) = state
+            .bump(schema_fingerprint, name, model)
+            .ok_or_else(|| unknown_model(schema_fingerprint, name))?;
+        Ok(self.swapped(state, new, old))
     }
 
-    /// Register-or-swap: the convenience used by loaders that do not care whether the
-    /// name already exists.  Returns the published key.
+    /// Register-or-swap in one critical section: version 1 on a vacant name, the next
+    /// version on a taken one.  The convenience used by loaders that do not care whether
+    /// the name already exists.  Returns the published key.
     pub fn publish(
         &self,
         schema_fingerprint: u64,
         name: &str,
         model: Arc<dyn ServingEstimator>,
     ) -> ModelKey {
-        loop {
-            match self.register(schema_fingerprint, name, model.clone()) {
-                Ok(key) => return key,
-                // The name was taken, so update it — but a concurrent `deregister`
-                // may remove the entry between the failed register and the swap.
-                // Retry the pair instead of panicking on that race; one of the two
-                // must succeed on a quiescent name.
-                Err(_) => match self.swap(schema_fingerprint, name, model.clone()) {
-                    Ok(receipt) => return receipt.new,
-                    Err(_) => continue,
-                },
-            }
+        let mut state = state_lock(&self.inner);
+        match state.bump(schema_fingerprint, name, model.clone()) {
+            Some((new, old)) => self.swapped(state, new, old).new,
+            None => state.insert(ModelKey::new(schema_fingerprint, name, 1), model),
         }
     }
 
@@ -485,22 +475,39 @@ impl ModelRegistry {
         let entry = state
             .entries
             .remove(&(schema_fingerprint, name.to_string()))
-            .ok_or_else(|| {
-                ServeError::UnknownModel(
-                    ModelSelector::latest(schema_fingerprint, name).to_string(),
-                )
-            })?;
-        let old = entry.current;
+            .ok_or_else(|| unknown_model(schema_fingerprint, name))?;
+        let key = entry.current.key.clone();
+        self.supersede(state, entry.current);
+        Ok(key)
+    }
+
+    /// Takes `old` — already unreachable from `entries` — out of service and releases the
+    /// lock: marked superseded, then retire-at-zero (with no lease pinning it, it is gone
+    /// right now; otherwise it drains and its last lease drop removes it), then drain
+    /// waiters are woken.  Returns whether it retired on the spot.
+    fn supersede(&self, mut state: StateGuard<'_>, old: Arc<VersionSlot>) -> bool {
         old.superseded.store(true, Ordering::SeqCst);
-        let key = old.key.clone();
-        if old.inflight.load(Ordering::SeqCst) == 0 {
+        let retired_immediately = old.inflight.load(Ordering::SeqCst) == 0;
+        if retired_immediately {
             self.inner.retired.fetch_add(1, Ordering::Relaxed);
         } else {
             state.draining.push(old);
         }
         drop(state);
         self.inner.drained.notify_all();
-        Ok(key)
+        retired_immediately
+    }
+
+    /// The tail of a swap: supersedes `old`, counts the swap, writes the receipt.
+    fn swapped(&self, state: StateGuard<'_>, new: ModelKey, old: Arc<VersionSlot>) -> SwapReceipt {
+        let old_key = old.key.clone();
+        let old_retired_immediately = self.supersede(state, old);
+        self.inner.swaps.fetch_add(1, Ordering::Relaxed);
+        SwapReceipt {
+            new,
+            old: old_key,
+            old_retired_immediately,
+        }
     }
 
     /// Re-publishes a model at an **explicit** version — the journal-replay path, where
@@ -520,22 +527,7 @@ impl ModelRegistry {
         {
             return Err(ServeError::AlreadyRegistered(entry.current.key.clone()));
         }
-        state.publish_seq += 1;
-        let slot = Arc::new(VersionSlot {
-            key: key.clone(),
-            model,
-            inflight: AtomicU64::new(0),
-            superseded: AtomicBool::new(false),
-            publish_seq: state.publish_seq,
-        });
-        state.entries.insert(
-            (key.schema_fingerprint, key.name.clone()),
-            Entry {
-                current: slot,
-                next_version: key.version + 1,
-            },
-        );
-        Ok(key)
+        Ok(state.insert(key, model))
     }
 
     /// Resolves a selector and pins the resulting version.
@@ -892,11 +884,13 @@ mod tests {
         assert_eq!(registry.stats().retired, 2);
         assert!(registry.wait_drained(&receipt.old, Duration::from_millis(1)));
 
-        // Swapping an unregistered name is an error.
+        // Swapping an unregistered name is an error, and publishes nothing.
+        let publish_seq = state_lock(&registry.inner).publish_seq;
         assert!(matches!(
             registry.swap(1, "ghost", marker(0.0)),
             Err(ServeError::UnknownModel(_))
         ));
+        assert_eq!(state_lock(&registry.inner).publish_seq, publish_seq);
         // publish() is register-or-swap.
         assert_eq!(registry.publish(1, "m", marker(40.0)).version, 4);
         assert_eq!(registry.publish(1, "fresh", marker(1.0)).version, 1);
