@@ -83,7 +83,7 @@ impl DeepDbLite {
         }
         // Root-only sample.
         let root = schema.root().to_string();
-        let root_schema = Arc::new(subset_schema(&schema, &[root.clone()]));
+        let root_schema = Arc::new(subset_schema(&schema, std::slice::from_ref(&root)));
         let root_sampler = JoinSampler::new(db.clone(), root_schema.clone());
         let root_layout = WideLayout::new(&db, &root_schema);
         let samples = root_sampler.sample_many(&mut rng, samples_per_pair);

@@ -103,8 +103,8 @@ mod tests {
     fn forwarding_impls_behave_like_the_inner_estimator() {
         let q = Query::join(&["t"]);
         let inner = Fixed(7.0);
-        assert_eq!((&inner).estimate(&q), 7.0);
-        assert_eq!((&inner).name(), "fixed");
+        assert_eq!(inner.estimate(&q), 7.0);
+        assert_eq!(inner.name(), "fixed");
 
         let boxed: Box<dyn CardinalityEstimator> = Box::new(Fixed(8.0));
         // A Box<dyn ...> is itself an estimator (double indirection still forwards).

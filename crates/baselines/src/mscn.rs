@@ -148,8 +148,8 @@ impl MscnEstimator {
                 let (h1, h2, out) = this.forward(&x);
                 // MSE loss gradient.
                 let mut dout = Matrix::zeros(out.rows(), 1);
-                for b in 0..out.rows() {
-                    dout.set(b, 0, 2.0 * (out.get(b, 0) - y[b]) / out.rows() as f32);
+                for (b, &label) in y.iter().enumerate() {
+                    dout.set(b, 0, 2.0 * (out.get(b, 0) - label) / out.rows() as f32);
                 }
                 // Backward through the three layers.
                 let mut dh2 = Matrix::zeros(h2.rows(), h2.cols());

@@ -149,7 +149,6 @@ fn main() {
                     backoff_cap: Duration::from_millis(10),
                     retry_seed: derive_stream_seed(seed, 1, client_id),
                     faults: faults.clone(),
-                    ..ClientConfig::default()
                 };
                 scope.spawn(move || {
                     let mut conn =

@@ -84,14 +84,11 @@ fn main() {
     );
 
     println!(
-        "{:<12} {:>10} {:>7} | {}",
-        "Strategy", "UpdateTime", "Metric", "partitions 1..5"
+        "{:<12} {:>10} {:>7} | partitions 1..5",
+        "Strategy", "UpdateTime", "Metric"
     );
-    let mut rows: Vec<(String, String, Vec<(f64, f64)>)> = vec![
-        ("stale".into(), "none".into(), Vec::new()),
-        ("fast update".into(), String::new(), Vec::new()),
-        ("retrain".into(), String::new(), Vec::new()),
-    ];
+    // (p50, p95) per partition, for the stale, fast-update and retrain strategies.
+    let mut evals: [Vec<(f64, f64)>; 3] = Default::default();
 
     let mut fast_time = std::time::Duration::ZERO;
     let mut retrain_time = std::time::Duration::ZERO;
@@ -106,15 +103,18 @@ fn main() {
             retrain.ingest_snapshot(snapshot.clone(), config.train_tuples);
             retrain_time += t.elapsed();
         }
-        rows[0].2.push(eval(&stale, snapshot, &env, &queries));
-        rows[1].2.push(eval(&fast, snapshot, &env, &queries));
-        rows[2].2.push(eval(&retrain, snapshot, &env, &queries));
+        evals[0].push(eval(&stale, snapshot, &env, &queries));
+        evals[1].push(eval(&fast, snapshot, &env, &queries));
+        evals[2].push(eval(&retrain, snapshot, &env, &queries));
         let _ = &mut stale; // the stale model is intentionally never updated
     }
-    rows[1].1 = format!("~{} total", secs(fast_time));
-    rows[2].1 = format!("~{} total", secs(retrain_time));
+    let rows = [
+        ("stale", "none".to_string()),
+        ("fast update", format!("~{} total", secs(fast_time))),
+        ("retrain", format!("~{} total", secs(retrain_time))),
+    ];
 
-    for (name, time, per_partition) in &rows {
+    for ((name, time), per_partition) in rows.iter().zip(&evals) {
         let p95s: Vec<String> = per_partition
             .iter()
             .map(|(_, p95)| format!("{p95:>8.2}"))

@@ -107,13 +107,14 @@ impl HarnessConfig {
 
     /// The NeuroCard configuration corresponding to this harness configuration.
     pub fn neurocard(&self) -> NeuroCardConfig {
-        let mut cfg = NeuroCardConfig::default();
-        cfg.training_tuples = self.train_tuples;
-        cfg.progressive_samples = self.psamples;
-        cfg.sampler_threads = self.sampler_threads;
-        cfg.prefetch_depth = self.prefetch_depth;
-        cfg.seed = self.seed;
-        cfg
+        NeuroCardConfig {
+            training_tuples: self.train_tuples,
+            progressive_samples: self.psamples,
+            sampler_threads: self.sampler_threads,
+            prefetch_depth: self.prefetch_depth,
+            seed: self.seed,
+            ..NeuroCardConfig::default()
+        }
     }
 }
 

@@ -7,6 +7,7 @@
 //! Supported input shapes (all the workspace needs):
 //! * structs with named fields (including empty `{}` structs and unit structs),
 //! * enums with unit, tuple, and struct variants.
+//!
 //! Generic types are rejected with a clear compile error.
 //!
 //! Supported field attributes: `#[serde(default)]` — on deserialisation a missing (or

@@ -158,7 +158,7 @@ mod tests {
     fn categorical_respects_weights() {
         let c = Categorical::new(&[0.0, 1.0, 3.0]);
         let mut rng = StdRng::seed_from_u64(2);
-        let mut counts = vec![0usize; 3];
+        let mut counts = [0usize; 3];
         for _ in 0..10_000 {
             counts[c.sample(&mut rng)] += 1;
         }

@@ -451,7 +451,7 @@ mod tests {
         let kind = title.column("kind_id").unwrap();
         let year = title.column("production_year").unwrap();
         // Average year of kind 1 should differ noticeably from kind 6 given the banding.
-        let mut sums = vec![(0i64, 0i64); NUM_KINDS + 1];
+        let mut sums = [(0i64, 0i64); NUM_KINDS + 1];
         for r in 0..title.num_rows() {
             let k = kind.value(r).as_int().unwrap() as usize;
             let y = year.value(r).as_int().unwrap();

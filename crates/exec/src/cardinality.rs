@@ -120,8 +120,8 @@ fn count_at(
         .collect();
 
     let mut out: HashMap<Key, u128> = HashMap::new();
-    'rows: for row in 0..t.num_rows() {
-        if !mask[row] {
+    'rows: for (row, &selected) in mask.iter().enumerate() {
+        if !selected {
             continue;
         }
         // Weight of this row = product over query children of the partner count below.

@@ -30,8 +30,7 @@ fn main() {
         db.total_rows()
     );
 
-    let mut config = NeuroCardConfig::default();
-    config.training_tuples = 25_000;
+    let config = NeuroCardConfig::default().with_training_tuples(25_000);
     println!("training a single NeuroCard model over the full outer join of all 6 tables...");
     let neurocard = NeuroCard::build(db.clone(), schema.clone(), &config);
     let postgres = PostgresLikeEstimator::build(&db, &schema);
@@ -41,7 +40,7 @@ fn main() {
         postgres.size_bytes() / 1024
     );
 
-    let queries = vec![
+    let queries = [
         Query::join(&["title", "cast_info"])
             .filter("title", "production_year", Predicate::ge(2005i64))
             .filter("cast_info", "role_id", Predicate::eq(2i64)),

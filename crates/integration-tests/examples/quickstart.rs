@@ -49,8 +49,7 @@ fn main() {
     );
 
     // 3. Train a single estimator over the full outer join of both tables.
-    let mut config = NeuroCardConfig::default();
-    config.training_tuples = 20_000;
+    let config = NeuroCardConfig::default().with_training_tuples(20_000);
     println!(
         "training NeuroCard on {} tuples sampled from the full join...",
         config.training_tuples

@@ -40,8 +40,7 @@ fn main() {
 
     // Both estimators start from the same model trained on the first snapshot; the
     // dictionaries cover the full database so later values are representable.
-    let mut config = NeuroCardConfig::default();
-    config.training_tuples = 15_000;
+    let config = NeuroCardConfig::default().with_training_tuples(15_000);
     let options = BuildOptions {
         dictionary_db: Some(full_db.clone()),
         biased_sampler: false,

@@ -82,7 +82,6 @@ fn client_config(chaos_seed: u64, client_id: u64, drop_per_mille: u32) -> Client
         faults: FaultPlan::new(derive_stream_seed(chaos_seed, 2, client_id))
             .point("client.conn-drop", drop_per_mille)
             .injector(),
-        ..ClientConfig::default()
     }
 }
 

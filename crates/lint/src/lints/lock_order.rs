@@ -92,9 +92,7 @@ fn receiver_label(masked: &str, dot: usize) -> Option<(usize, String)> {
     if path.is_empty() {
         return None;
     }
-    let last = path
-        .rsplit(|c| c == '.' || c == ':')
-        .find(|s| !s.is_empty())?;
+    let last = path.rsplit(['.', ':']).find(|s| !s.is_empty())?;
     // `self.lock()` or a bare numeric (tuple index) tells us nothing.
     if last == "self" || last.chars().all(|c| c.is_ascii_digit()) {
         return None;

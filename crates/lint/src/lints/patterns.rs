@@ -223,10 +223,7 @@ pub fn wall_clock_in_core() -> PatternLint {
 
 fn panic_site_list(file: &SourceFile) -> Vec<(usize, String)> {
     let masked = &file.masked;
-    let mut sites: Vec<(usize, &str)> = panic_consumers(masked)
-        .into_iter()
-        .map(|(p, c)| (p, c))
-        .collect();
+    let mut sites: Vec<(usize, &str)> = panic_consumers(masked).into_iter().collect();
     for mac in ["panic!(", "todo!(", "unimplemented!("] {
         sites.extend(find_word(masked, mac).into_iter().map(|p| (p, mac)));
     }

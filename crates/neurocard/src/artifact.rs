@@ -13,16 +13,17 @@
 //! | `dicts`    | binary   | one order-preserving [`ColumnDictionary`] per wide column |
 //! | `facts`    | JSON     | one [`Factorization`] per wide column |
 //! | `weights`  | binary   | model parameters in the [`nc_nn::serialize`] flat format |
-//! | `weights_bf16` | binary | bf16-quantised parameters for the [`crate::Precision::Fast`] tier (optional) |
 //!
 //! The JSON sections round-trip through the serde shim's new `Deserialize`/`from_json`
 //! path; the binary sections use the checked readers of [`nc_storage::binio`].  Loading
 //! validates the container header (magic, version, checksum), every section's presence
 //! and internal consistency, and finally the weight shapes against the freshly built
-//! model and that — in both weight sections — every MADE-masked weight is exactly zero
-//! and every weight of a masked layer finite (the autoregressive property and the terms
-//! the inference forward skips rest on it) — every failure is a typed
-//! [`ArtifactLoadError`], never a panic.
+//! model and that every MADE-masked weight is exactly zero and every weight of a masked
+//! layer finite (the autoregressive property and the terms the inference forward skips
+//! rest on it) — every failure is a typed [`ArtifactLoadError`], never a panic.  Sections
+//! are only ever asked for by name, so one this build does not know (older builds wrote a
+//! half-width copy of the weights as an eighth) is checksummed with the rest and never
+//! read — pinned by `legacy_bf16_section_is_ignored`.
 //!
 //! **Losslessness contract:** `ModelArtifact::from_bytes(&artifact.to_bytes())?.to_core()?`
 //! produces bit-identical estimates to the estimator that wrote the artifact, for any
@@ -37,12 +38,12 @@ use nc_nn::serialize::{load_params_from_bytes, model_to_bytes, LoadError};
 use nc_nn::{MadeConfig, ResMade};
 use nc_sampler::{ColumnKind, WideColumn, WideLayout};
 use nc_schema::{JoinEdge, JoinSchema};
-use nc_storage::binio::{put_bf16_slice, put_string, BinReader};
+use nc_storage::binio::{put_string, BinReader};
 use nc_storage::ColumnDictionary;
 use serde::{Deserialize, Serialize};
 
 use crate::config::NeuroCardConfig;
-use crate::core::{quantize_model_bf16, EstimatorCore};
+use crate::core::EstimatorCore;
 use crate::encoding::EncodedLayout;
 use crate::factorization::Factorization;
 
@@ -198,10 +199,6 @@ pub struct ModelArtifact {
     encoded: Arc<EncodedLayout>,
     full_join_rows: u128,
     weights: Bytes,
-    /// bf16-quantised parameters for the `Precision::Fast` tier; `None` for artifacts
-    /// written before the section existed (the loader quantises on the fly — bf16
-    /// round-trip idempotence makes the result byte-identical either way).
-    weights_bf16: Option<Bytes>,
 }
 
 /// JSON shape of the `schema` section.
@@ -249,7 +246,6 @@ impl ModelArtifact {
             encoded,
             full_join_rows,
             weights: model_to_bytes(model),
-            weights_bf16: Some(Bytes::from(bf16_weights_bytes(model))),
         }
     }
 
@@ -303,9 +299,6 @@ impl ModelArtifact {
         w.section("dicts", dict_bytes);
         w.section("facts", facts.into_bytes());
         w.section("weights", self.weights.to_vec());
-        if let Some(bf16) = &self.weights_bf16 {
-            w.section("weights_bf16", bf16.to_vec());
-        }
         w.finish()
     }
 
@@ -450,13 +443,6 @@ impl ModelArtifact {
             }
         }
 
-        // Optional: absent in artifacts written before the fast tier existed.
-        let weights_bf16 = if reader.get("weights_bf16").is_some() {
-            Some(Bytes::from(reader.take("weights_bf16")?))
-        } else {
-            None
-        };
-
         // Moved out of the reader, not copied: the weight blob dominates the artifact.
         let weights = Bytes::from(reader.take("weights")?);
 
@@ -467,7 +453,6 @@ impl ModelArtifact {
             encoded: Arc::new(encoded),
             full_join_rows,
             weights,
-            weights_bf16,
         })
     }
 
@@ -486,20 +471,8 @@ impl ModelArtifact {
         model
             .check_masked_weights()
             .map_err(|m| section_err("weights", m))?;
-        // A loaded core only ever estimates: without this, the exact model and its
-        // fast-tier twin would each hold a never-touched gradient copy of every weight.
-        model.release_gradients();
-        let fast_model = match &self.weights_bf16 {
-            Some(bytes) => {
-                load_bf16_weights(&model, bytes).map_err(|m| section_err("weights_bf16", m))?
-            }
-            // Pre-section artifact: quantise on the fly.  bf16 round-trip idempotence
-            // makes this byte-identical to decoding a stored section.
-            None => quantize_model_bf16(&model),
-        };
-        EstimatorCore::with_fast_model(
+        EstimatorCore::new(
             model,
-            fast_model,
             self.encoded.clone(),
             self.schema.clone(),
             self.config.clone(),
@@ -547,57 +520,6 @@ impl ModelArtifact {
     pub fn weights(&self) -> &Bytes {
         &self.weights
     }
-}
-
-/// Encodes the model's parameters as the `weights_bf16` section: u32 tensor count, then
-/// per tensor `rows: u32, cols: u32` followed by row-major bf16 (u16 LE) data — the
-/// [`nc_nn::serialize`] flat format with the payload halved.
-fn bf16_weights_bytes(model: &ResMade) -> Vec<u8> {
-    let params = model.params();
-    let mut out = Vec::new();
-    out.extend_from_slice(&(params.len() as u32).to_le_bytes());
-    for p in params {
-        out.extend_from_slice(&(p.value.rows() as u32).to_le_bytes());
-        out.extend_from_slice(&(p.value.cols() as u32).to_le_bytes());
-        put_bf16_slice(&mut out, p.value.data());
-    }
-    out
-}
-
-/// Decodes a `weights_bf16` section into the fast-tier model: `exact` supplies the
-/// architecture (and shape expectations); every tensor is validated against it, and the
-/// decoded model must keep its masked weights at zero and the others finite.
-fn load_bf16_weights(exact: &ResMade, bytes: &[u8]) -> Result<ResMade, String> {
-    let mut fast = exact.clone();
-    let mut r = BinReader::new(bytes);
-    let count = r.u32().map_err(|e| e.to_string())? as usize;
-    let mut params = fast.params_mut();
-    if count != params.len() {
-        return Err(format!(
-            "section holds {count} tensors but the model has {}",
-            params.len()
-        ));
-    }
-    for (i, p) in params.iter_mut().enumerate() {
-        let rows = r.u32().map_err(|e| e.to_string())? as usize;
-        let cols = r.u32().map_err(|e| e.to_string())? as usize;
-        if rows != p.value.rows() || cols != p.value.cols() {
-            return Err(format!(
-                "tensor {i} is {rows}x{cols} but the model expects {}x{}",
-                p.value.rows(),
-                p.value.cols()
-            ));
-        }
-        let decoded = r
-            .bf16_slice(rows * cols)
-            .map_err(|e| format!("tensor {i}: {e}"))?;
-        p.value.data_mut().copy_from_slice(&decoded);
-    }
-    if !r.is_empty() {
-        return Err(format!("{} unread bytes", r.remaining()));
-    }
-    fast.check_masked_weights()?;
-    Ok(fast)
 }
 
 fn read_json_section<T: for<'de> Deserialize<'de>>(
@@ -683,12 +605,7 @@ mod tests {
         }
         // A core never carries gradients, whichever constructor built it.
         let snapshot = model.core();
-        for m in [
-            core.model(),
-            core.fast_model(),
-            snapshot.model(),
-            snapshot.fast_model(),
-        ] {
+        for m in [core.model(), snapshot.model()] {
             assert!(m.params().iter().all(|p| p.grad.rows() == 0));
         }
         // And the zero-sample contract carries over.
@@ -806,38 +723,9 @@ mod tests {
         w.finish()
     }
 
-    const ALL_SECTIONS: [&str; 8] = [
-        "manifest",
-        "config",
-        "schema",
-        "layout",
-        "dicts",
-        "facts",
-        "weights",
-        "weights_bf16",
+    const ALL_SECTIONS: [&str; 7] = [
+        "manifest", "config", "schema", "layout", "dicts", "facts", "weights",
     ];
-
-    /// Rewrites one section through `edit` (`None` drops it), preserving the rest —
-    /// simulates truncated/corrupt/absent sections inside a valid container.
-    fn rewrite_section(
-        bytes: &[u8],
-        target: &str,
-        edit: impl Fn(Vec<u8>) -> Option<Vec<u8>>,
-    ) -> Bytes {
-        let reader = ArtifactReader::parse(bytes).unwrap();
-        let mut w = ArtifactWriter::new();
-        for name in ALL_SECTIONS {
-            let payload = reader.require(name).unwrap().to_vec();
-            if name == target {
-                if let Some(p) = edit(payload) {
-                    w.section(name, p);
-                }
-            } else {
-                w.section(name, payload);
-            }
-        }
-        w.finish()
-    }
 
     #[test]
     fn pre_fingerprint_artifacts_still_load() {
@@ -890,81 +778,44 @@ mod tests {
         assert!(ModelArtifact::from_bytes(&garbled).is_err());
     }
 
+    /// Older builds wrote a half-width rounding of the weights as an eighth section.  The
+    /// loader asks the container for sections by name only, so such an artifact loads with
+    /// no compatibility code: the section is checksummed, never decoded (garbage in it is
+    /// harmless), and dropped on re-export.
     #[test]
-    fn artifacts_without_bf16_section_quantise_on_the_fly() {
+    fn legacy_bf16_section_is_ignored() {
         let (model, _, _) = trained();
         let bytes = model.to_artifact().to_bytes();
-        let with_section = ModelArtifact::from_bytes(&bytes)
+        let reader = ArtifactReader::parse(&bytes).unwrap();
+        let mut w = ArtifactWriter::new();
+        for name in ALL_SECTIONS {
+            w.section(name, reader.require(name).unwrap().to_vec());
+        }
+        w.section("weights_bf16", vec![0xA5; 37]);
+        let legacy = w.finish();
+        assert_ne!(legacy, bytes);
+
+        let loaded = ModelArtifact::from_bytes(&legacy).expect("legacy artifacts must load");
+        assert_eq!(loaded.to_bytes(), bytes);
+        let legacy_core = loaded.to_core().expect("the legacy section is never read");
+        let core = ModelArtifact::from_bytes(&bytes)
             .unwrap()
             .to_core()
             .unwrap();
-
-        // Strip the section — exactly what a pre-fast-tier artifact looks like.
-        let old = rewrite_section(&bytes, "weights_bf16", |_| None);
-        let loaded = ModelArtifact::from_bytes(&old).expect("old artifacts must load");
-        assert!(loaded.weights_bf16.is_none());
-        let without_section = loaded.to_core().unwrap();
-
-        // bf16 round-trip idempotence: on-the-fly quantisation produces the same fast
-        // model as decoding the stored section, so fast estimates are bit-identical.
         let mut scratch = SamplerScratch::new();
         for q in [
             Query::join(&["A", "B"]),
             Query::join(&["A"]).filter("A", "c", Predicate::eq(1i64)),
         ] {
             for p in [Precision::Exact, Precision::Fast] {
-                assert_eq!(
-                    with_section
-                        .try_estimate_with_samples_scratch_precision(&q, 64, &mut scratch, p)
+                let [legacy, fresh] = [&legacy_core, &core].map(|c| {
+                    c.try_estimate_with_samples_scratch_precision(&q, 64, &mut scratch, p)
                         .unwrap()
-                        .to_bits(),
-                    without_section
-                        .try_estimate_with_samples_scratch_precision(&q, 64, &mut scratch, p)
-                        .unwrap()
-                        .to_bits(),
-                    "{p} tier diverged between stored and on-the-fly bf16"
-                );
+                        .to_bits()
+                });
+                assert_eq!(legacy, fresh, "{p} tier diverged on the legacy artifact");
             }
         }
-
-        // Stripping the section survives a re-serialise round trip, too.
-        let back = ModelArtifact::from_bytes(&loaded.to_bytes()).unwrap();
-        assert!(back.weights_bf16.is_none());
-    }
-
-    #[test]
-    fn corrupt_bf16_sections_report_typed_errors() {
-        let (model, _, _) = trained();
-        let bytes = model.to_artifact().to_bytes();
-
-        let expect_section_err = |bytes: &[u8]| {
-            let loaded = ModelArtifact::from_bytes(bytes).expect("container is still valid");
-            match loaded.to_core() {
-                Err(ArtifactLoadError::Section { name, message }) => {
-                    assert_eq!(name, "weights_bf16");
-                    assert!(!message.is_empty());
-                }
-                Err(other) => panic!("expected a weights_bf16 section error, got {other:?}"),
-                Ok(_) => panic!("expected a weights_bf16 section error, got a working core"),
-            }
-        };
-
-        // Truncation at several depths: inside the header, a tensor header, the payload.
-        for keep in [0, 2, 9, 40] {
-            expect_section_err(&rewrite_section(&bytes, "weights_bf16", |p| {
-                Some(p[..keep.min(p.len() - 1)].to_vec())
-            }));
-        }
-        // Wrong tensor count.
-        expect_section_err(&rewrite_section(&bytes, "weights_bf16", |mut p| {
-            p[0] = p[0].wrapping_add(1);
-            Some(p)
-        }));
-        // Trailing garbage.
-        expect_section_err(&rewrite_section(&bytes, "weights_bf16", |mut p| {
-            p.extend_from_slice(&[0u8; 3]);
-            Some(p)
-        }));
     }
 
     #[test]
@@ -978,24 +829,18 @@ mod tests {
         let mut bad = good.clone();
         bad.params_mut()[tensor].value.set(row, 0, 0.25);
 
-        let expect = |artifact: ModelArtifact, section: &str| {
-            let loaded = ModelArtifact::from_bytes(&artifact.to_bytes())
-                .expect("the container and every section still parse");
-            match loaded.to_core() {
-                Err(ArtifactLoadError::Section { name, message }) => {
-                    assert_eq!(name, section);
-                    assert!(message.contains("input layer"), "{message}");
-                }
-                Err(other) => panic!("expected a {section} section error, got {other:?}"),
-                Ok(_) => panic!("expected a {section} section error, got a working core"),
+        let mut flipped = model.to_artifact();
+        flipped.weights = model_to_bytes(&bad);
+        let loaded = ModelArtifact::from_bytes(&flipped.to_bytes())
+            .expect("the container and every section still parse");
+        match loaded.to_core() {
+            Err(ArtifactLoadError::Section { name, message }) => {
+                assert_eq!(name, "weights");
+                assert!(message.contains("input layer"), "{message}");
             }
-        };
-        let mut flipped_f32 = model.to_artifact();
-        flipped_f32.weights = model_to_bytes(&bad);
-        expect(flipped_f32, "weights");
-        let mut flipped_bf16 = model.to_artifact();
-        flipped_bf16.weights_bf16 = Some(Bytes::from(bf16_weights_bytes(&bad)));
-        expect(flipped_bf16, "weights_bf16");
+            Err(other) => panic!("expected a weights section error, got {other:?}"),
+            Ok(_) => panic!("expected a weights section error, got a working core"),
+        }
         // A zero of either sign is still a zero.
         let mut negative_zero = good;
         negative_zero.params_mut()[tensor].value.set(row, 0, -0.0);
@@ -1007,11 +852,12 @@ mod tests {
             .expect("-0.0 passes the mask check");
     }
 
-    /// Loads `model`'s weights through `section` of an otherwise good artifact after
-    /// making one unmasked weight of each masked layer non-finite, and expects a typed
-    /// error of that section naming the layer.  Skipped terms of the inference forward are
-    /// `a · ±0.0`, which is only a zero while `a` — a sum of weight products — is finite.
-    fn expect_non_finite_weights_rejected(section: &str) {
+    /// Loads an otherwise good artifact after making one unmasked weight of each masked
+    /// layer non-finite, and expects a typed `weights` error naming the layer.  Skipped
+    /// terms of the inference forward are `a · ±0.0`, which is only a zero while `a` — a
+    /// sum of weight products — is finite.
+    #[test]
+    fn non_finite_f32_weights_report_typed_errors() {
         let (model, _, _) = trained();
         let good = model.core().model().clone();
         // Parameter order: one embedding table per column, then (weight, bias) of the
@@ -1033,98 +879,19 @@ mod tests {
             let mut bad = good.clone();
             bad.params_mut()[tensor].value.set(0, col, value);
             let mut artifact = model.to_artifact();
-            match section {
-                "weights" => artifact.weights = model_to_bytes(&bad),
-                _ => artifact.weights_bf16 = Some(Bytes::from(bf16_weights_bytes(&bad))),
-            }
+            artifact.weights = model_to_bytes(&bad);
             let loaded = ModelArtifact::from_bytes(&artifact.to_bytes())
                 .expect("the container and every section still parse");
             match loaded.to_core() {
                 Err(ArtifactLoadError::Section { name, message }) => {
-                    assert_eq!(name, section);
+                    assert_eq!(name, "weights");
                     assert!(
                         message.contains(layer) && message.contains("not finite"),
                         "{message}"
                     );
                 }
-                Err(other) => panic!("expected a {section} section error, got {other:?}"),
-                Ok(_) => panic!("expected a {section} section error, got a working core"),
-            }
-        }
-    }
-
-    #[test]
-    fn non_finite_f32_weights_report_typed_errors() {
-        expect_non_finite_weights_rejected("weights");
-    }
-
-    #[test]
-    fn non_finite_bf16_weights_report_typed_errors() {
-        expect_non_finite_weights_rejected("weights_bf16");
-    }
-
-    /// One trained artifact shared by the property tests below (training per case would
-    /// dominate the run).
-    fn artifact_bytes() -> &'static Bytes {
-        use std::sync::OnceLock;
-        static BYTES: OnceLock<Bytes> = OnceLock::new();
-        BYTES.get_or_init(|| {
-            let (model, _, _) = trained();
-            model.to_artifact().to_bytes()
-        })
-    }
-
-    proptest::proptest! {
-        /// The bf16 section codec round-trips every weight to within 2⁻⁸ relative error,
-        /// and quantisation is idempotent (a decoded weight re-encodes to the same bits).
-        #[test]
-        fn bf16_section_round_trip_stays_within_bound(seed in 0u64..1_000_000) {
-            use nc_storage::binio::f32_to_bf16;
-            use proptest::prop_assert;
-
-            // SplitMix64-style stream of weights across several magnitudes, plus edges.
-            let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x1234_5678);
-            let mut vals = Vec::new();
-            for i in 0..96u32 {
-                s ^= s >> 27;
-                s = s.wrapping_mul(0x2545_F491_4F6C_DD1D);
-                let unit = ((s >> 40) as f64 / (1u64 << 24) as f64) * 2.0 - 1.0;
-                let scale = 10f64.powi((i % 9) as i32 - 4); // 1e-4 ..= 1e4
-                vals.push((unit * scale) as f32);
-            }
-            vals.extend_from_slice(&[0.0, -0.0, 1.0, -1.0, f32::MIN_POSITIVE, 1e30, -1e-30]);
-
-            let mut buf = Vec::new();
-            put_bf16_slice(&mut buf, &vals);
-            let decoded = BinReader::new(&buf).bf16_slice(vals.len()).unwrap();
-            for (v, d) in vals.iter().zip(&decoded) {
-                prop_assert!(
-                    (v - d).abs() <= v.abs() / 256.0,
-                    "bf16({v}) = {d} exceeds the 2^-8 relative bound"
-                );
-                prop_assert!(f32_to_bf16(*d) == f32_to_bf16(*v), "quantisation not idempotent at {v}");
-            }
-        }
-
-        /// Arbitrarily truncated/bit-flipped `weights_bf16` sections never panic: the
-        /// loader returns `Ok` (bf16 bits are all valid floats) or a typed error.
-        #[test]
-        fn mangled_bf16_sections_never_panic(cut in 0usize..1 << 20, flip in 0usize..1 << 20) {
-            let mutated = rewrite_section(artifact_bytes(), "weights_bf16", |mut p| {
-                p.truncate(cut % (p.len() + 1));
-                if !p.is_empty() {
-                    let i = flip % p.len();
-                    p[i] ^= 0x55;
-                }
-                Some(p)
-            });
-            if let Ok(artifact) = ModelArtifact::from_bytes(&mutated) {
-                if let Err(e) = artifact.to_core() {
-                    assert!(matches!(
-                        e,
-                        ArtifactLoadError::Section { name: "weights_bf16", .. }
-                    ));
-                }
+                Err(other) => panic!("expected a weights section error, got {other:?}"),
+                Ok(_) => panic!("expected a weights section error, got a working core"),
             }
         }
     }

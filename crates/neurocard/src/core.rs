@@ -23,7 +23,6 @@ use rand::SeedableRng;
 use nc_nn::ResMade;
 use nc_sampler::derive_stream_seed;
 use nc_schema::{JoinSchema, Query};
-use nc_storage::binio::{bf16_to_f32, f32_to_bf16};
 
 use crate::config::NeuroCardConfig;
 use crate::encoding::EncodedLayout;
@@ -31,30 +30,33 @@ use crate::infer::{EstimateError, ProgressiveSampler, SamplerScratch};
 
 /// Which inference tier answers an estimate — the two-tier determinism contract's knob.
 ///
-/// * [`Precision::Exact`] (the default) runs the scalar kernels over full-f32 weights.
-///   Estimates are **bit-identical** to `estimate_reference` for a fixed `(model, query,
-///   seed)` — the pin every artifact/serving round-trip test relies on.
+/// Both tiers read the **same** f32 model; the tier only picks the kernel set.
+///
+/// * [`Precision::Exact`] (the default) runs the scalar kernels.  Estimates are
+///   **bit-identical** to `estimate_reference` for a fixed `(model, query, seed)` — the
+///   pin every artifact/serving round-trip test relies on.
 /// * [`Precision::Fast`] runs the architecture-dispatched SIMD kernels
-///   ([`nc_nn::kernel`]) over bf16-quantised weights.  Bit-identity is deliberately
-///   relaxed; accuracy is instead gated by [`QERROR_DELTA_BOUND`].  The per-query RNG
-///   stream is shared with the exact tier, so the two tiers are comparable
-///   sample-for-sample.
+///   ([`nc_nn::kernel`]).  Bit-identity is deliberately relaxed (the SIMD kernels
+///   reassociate sums); accuracy is instead gated by [`QERROR_DELTA_BOUND`].  The
+///   per-query RNG stream is shared with the exact tier, so the two tiers are comparable
+///   sample-for-sample — and where the dispatcher resolves to the portable scalar kernels
+///   (`simd` feature off, or no AVX2/NEON) Fast *is* Exact, bit for bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Precision {
-    /// Bit-reproducible scalar path over exact f32 weights.
+    /// Bit-reproducible scalar kernels.
     #[default]
     Exact,
-    /// SIMD kernels over bf16 weights, gated by the q-error-delta bound.
+    /// SIMD-dispatched kernels over the same weights, gated by the q-error-delta bound.
     Fast,
 }
 
 /// The two-tier determinism contract's accuracy gate: a [`Precision::Fast`] estimate may
 /// not differ from the [`Precision::Exact`] estimate of the same `(query, seed)` by more
 /// than this factor in either direction (`max(fast/exact, exact/fast)`), and both must be
-/// finite.  bf16 keeps every weight within 2⁻⁸ relative and the tiers share the per-query
-/// RNG stream, so the observed delta is small (≤ 1.03 on the benchmark's workloads); the
-/// bound leaves room for an occasional flipped progressive sample without ever letting
-/// the tiers drift apart silently.  Asserted by this crate's
+/// finite.  The tiers share the weights and the per-query RNG stream, so only SIMD
+/// reassociation separates them and the observed delta is small; the bound leaves room
+/// for an occasional flipped progressive sample without ever letting the tiers drift
+/// apart silently.  Asserted by this crate's
 /// `fast_tier_stays_within_the_qerror_delta_bound` on both legs of the `simd` feature.
 pub const QERROR_DELTA_BOUND: f64 = 4.0;
 
@@ -65,23 +67,6 @@ impl std::fmt::Display for Precision {
             Precision::Fast => write!(f, "fast"),
         }
     }
-}
-
-/// Rounds every parameter of `model` through bf16 (round-to-nearest-even), producing the
-/// fast-tier model.
-///
-/// The round trip is **idempotent** — `quantize(quantize(m)) == quantize(m)` byte-for-byte
-/// — so a fast model built on the fly from exact weights is identical to one decoded from
-/// an artifact's `weights_bf16` section, and artifacts written before that section existed
-/// lose nothing.
-pub(crate) fn quantize_model_bf16(model: &ResMade) -> ResMade {
-    let mut fast = model.clone();
-    for p in fast.params_mut() {
-        for v in p.value.data_mut() {
-            *v = bf16_to_f32(f32_to_bf16(*v));
-        }
-    }
-    fast
 }
 
 /// Seed of the per-query RNG stream: a pure function of `(config.seed, query)`, mixed
@@ -113,10 +98,6 @@ pub(crate) fn estimate_seeded(
 /// pool; `Send + Sync`).
 pub struct EstimatorCore {
     model: ResMade,
-    /// bf16-quantised twin of `model`, served by the [`Precision::Fast`] tier.  Built
-    /// eagerly (quantisation is one pass over the parameters) so fast-tier requests never
-    /// pay a lazy-init synchronisation cost on the hot path.
-    fast_model: ResMade,
     encoded: Arc<EncodedLayout>,
     schema: Arc<JoinSchema>,
     config: NeuroCardConfig,
@@ -125,9 +106,8 @@ pub struct EstimatorCore {
 
 impl EstimatorCore {
     /// Assembles a core from its parts, validating that the model's column space matches
-    /// the encoded layout (the invariant every inference loop assumes).  The fast-tier
-    /// model is derived by quantising `model` through bf16; a core only ever estimates, so
-    /// neither keeps gradient buffers.
+    /// the encoded layout (the invariant every inference loop assumes).  A core only ever
+    /// estimates, so it keeps no gradient buffers.
     pub fn new(
         mut model: ResMade,
         encoded: Arc<EncodedLayout>,
@@ -136,42 +116,24 @@ impl EstimatorCore {
         full_join_rows: u128,
     ) -> Result<Self, String> {
         model.release_gradients();
-        let fast_model = quantize_model_bf16(&model);
-        Self::with_fast_model(model, fast_model, encoded, schema, config, full_join_rows)
-    }
-
-    /// [`EstimatorCore::new`] with an explicitly supplied fast-tier model (the artifact
-    /// loader passes the decoded `weights_bf16` section here; thanks to bf16 round-trip
-    /// idempotence the result is byte-identical to on-the-fly quantisation).
-    pub(crate) fn with_fast_model(
-        model: ResMade,
-        fast_model: ResMade,
-        encoded: Arc<EncodedLayout>,
-        schema: Arc<JoinSchema>,
-        config: NeuroCardConfig,
-        full_join_rows: u128,
-    ) -> Result<Self, String> {
         let domains = encoded.model_domains();
-        for (what, m) in [("model", &model), ("fast model", &fast_model)] {
-            if m.num_columns() != domains.len() {
+        if model.num_columns() != domains.len() {
+            return Err(format!(
+                "model has {} columns but the encoded layout has {}",
+                model.num_columns(),
+                domains.len()
+            ));
+        }
+        for (i, &d) in domains.iter().enumerate() {
+            if model.domain(i) != d {
                 return Err(format!(
-                    "{what} has {} columns but the encoded layout has {}",
-                    m.num_columns(),
-                    domains.len()
+                    "model column {i} has domain {} but the encoded layout says {d}",
+                    model.domain(i)
                 ));
-            }
-            for (i, &d) in domains.iter().enumerate() {
-                if m.domain(i) != d {
-                    return Err(format!(
-                        "{what} column {i} has domain {} but the encoded layout says {d}",
-                        m.domain(i)
-                    ));
-                }
             }
         }
         Ok(EstimatorCore {
             model,
-            fast_model,
             encoded,
             schema,
             config,
@@ -185,7 +147,7 @@ impl EstimatorCore {
     ///
     /// Both tiers derive the **same** per-query RNG stream, so an exact and a fast
     /// estimate of one `(query, seed)` walk the same progressive samples and differ only
-    /// through kernel reassociation and bf16 weight rounding.
+    /// through kernel reassociation.
     pub fn try_estimate_with_samples_scratch_precision(
         &self,
         query: &Query,
@@ -221,30 +183,20 @@ impl EstimatorCore {
     }
 
     /// The progressive-sampling engine of one tier — the only place [`Precision`] is
-    /// matched: exact f32 weights with the scalar kernels, or the bf16-quantised twin with
-    /// the SIMD-dispatched ones.
+    /// read: the scalar kernels or the SIMD-dispatched ones, over the one model.
     fn sampler(&self, precision: Precision) -> ProgressiveSampler<'_> {
-        let (model, fast_kernels) = match precision {
-            Precision::Exact => (&self.model, false),
-            Precision::Fast => (&self.fast_model, true),
-        };
         ProgressiveSampler::new(
-            model,
+            &self.model,
             &self.encoded,
             &self.schema,
             self.full_join_rows,
-            fast_kernels,
+            precision == Precision::Fast,
         )
     }
 
     /// The trained model.
     pub fn model(&self) -> &ResMade {
         &self.model
-    }
-
-    /// The bf16-quantised fast-tier model.
-    pub fn fast_model(&self) -> &ResMade {
-        &self.fast_model
     }
 
     /// The encoded layout (dictionaries, factorizations, sub-column space).
@@ -335,6 +287,39 @@ mod tests {
                     "{query} at {samples} samples: exact {exact}, fast {fast} \
                      (delta {delta:.3} > {QERROR_DELTA_BOUND})"
                 );
+            }
+        }
+    }
+
+    /// `Precision` picks kernels, not a model: where the dispatcher resolves to the
+    /// portable kernels nothing separates the tiers.  Gated on the runtime ISA rather than
+    /// `cfg(feature = "simd")`, so feature unification cannot make the test lie; on a SIMD
+    /// ISA the delta is `fast_tier_stays_within_the_qerror_delta_bound`'s to bound.
+    #[test]
+    fn fast_tier_is_exact_bit_for_bit_on_portable_kernels() {
+        let datagen = DataGenConfig {
+            title_rows: 120,
+            ..DataGenConfig::tiny()
+        };
+        let db = Arc::new(job_light_database(&datagen));
+        let schema = Arc::new(job_light_schema());
+        let config = NeuroCardConfig::tiny().with_training_tuples(2_000);
+        let core = NeuroCard::build(db.clone(), schema.clone(), &config).core();
+
+        let mut queries = job_light_ranges_queries(&db, &schema, 24, 42);
+        queries.push(Query::join(&["title"]));
+        queries.push(Query::join(&["title", "cast_info", "movie_companies"]));
+
+        let portable = nc_nn::kernel::isa_name() == "portable";
+        let mut scratch = SamplerScratch::new();
+        for query in &queries {
+            let [exact, fast] = [Precision::Exact, Precision::Fast].map(|tier| {
+                core.try_estimate_with_samples_scratch_precision(query, 64, &mut scratch, tier)
+                    .unwrap()
+            });
+            assert!(fast.is_finite(), "{query}: fast {fast}");
+            if portable {
+                assert_eq!(exact.to_bits(), fast.to_bits(), "{query}");
             }
         }
     }

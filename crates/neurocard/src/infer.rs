@@ -192,8 +192,8 @@ pub struct ProgressiveSampler<'a> {
     schema: &'a JoinSchema,
     full_join_rows: f64,
     /// Route model forwards through the architecture-dispatched fast-tier kernels
-    /// instead of the exact scalar ones.  The `Precision::Fast` serving tier sets it
-    /// (paired with bf16-quantised weights — see the two-tier determinism contract).
+    /// instead of the exact scalar ones, over the same weights.  The `Precision::Fast`
+    /// serving tier sets it (see the two-tier determinism contract).
     fast_kernels: bool,
 }
 
@@ -897,7 +897,9 @@ mod tests {
             let probs = lcg_probs(len, &mut seed);
             let lo = (trial as usize * 7) % len;
             let hi = lo + (trial as usize * 13) % (len - lo).max(1);
-            let mask: Vec<bool> = (0..len).map(|i| (i as u64 + trial) % 3 != 0).collect();
+            let mask: Vec<bool> = (0..len)
+                .map(|i| !(i as u64 + trial).is_multiple_of(3))
+                .collect();
             let masked_idx: Vec<u32> = mask
                 .iter()
                 .enumerate()

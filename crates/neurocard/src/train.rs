@@ -215,7 +215,7 @@ impl Trainer {
         let batch_size = self.config.batch_size.max(1);
         let full = tuples / batch_size;
         let mut sizes = vec![batch_size; full];
-        if tuples % batch_size > 0 {
+        if !tuples.is_multiple_of(batch_size) {
             sizes.push(tuples % batch_size);
         }
         // Pool tickets in flight, consumed in submission order, and the next size to

@@ -151,7 +151,7 @@ impl ArtifactReader {
         let mut buf = bytes;
         if buf.remaining() < 20 {
             return Err(
-                if buf.remaining() >= 4 && (&bytes[0..4]) != ARTIFACT_MAGIC.to_le_bytes() {
+                if buf.remaining() >= 4 && bytes[0..4] != ARTIFACT_MAGIC.to_le_bytes() {
                     ArtifactError::BadMagic
                 } else {
                     ArtifactError::Truncated

@@ -2,9 +2,9 @@
 //!
 //! The exact tier ([`crate::made::ResMade::conditional_probs_into`]) calls the scalar
 //! kernels in [`crate::tensor`] directly and is pinned bit-for-bit against the training
-//! path.  The fast tier ([`crate::made::ResMade::conditional_probs_into_fast`]) routes the
-//! same GEMM shapes — plus the softmax normalisation — through this module, which
-//! picks the widest implementation the running CPU supports:
+//! path.  The fast tier ([`crate::made::ResMade::conditional_probs_step`] with
+//! `fast_kernels` set) routes the same GEMM shapes — plus the softmax normalisation —
+//! through this module, which picks the widest implementation the running CPU supports:
 //!
 //! | kernel            | portable fallback        | x86_64 (`simd`)   | aarch64 (`simd`) |
 //! |-------------------|--------------------------|-------------------|------------------|
@@ -592,8 +592,8 @@ mod avx2 {
     }
 
     /// One softmax row: vectorised max reduction, scalar `exp` (accuracy — a polynomial
-    /// `exp` would add its own error on top of bf16 quantisation), vectorised `1/sum`
-    /// scale.
+    /// `exp` would add its own error on top of the reassociated reductions), vectorised
+    /// `1/sum` scale.
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn softmax_row(row: &[f32], out: &mut [f32]) {
         let n = row.len();

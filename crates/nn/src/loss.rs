@@ -19,6 +19,8 @@ pub fn softmax_cross_entropy(logits: &Matrix, targets: &[u32], dlogits: &mut Mat
     let domain = logits.cols();
     let scale = 1.0 / batch.max(1) as f32;
     let mut total_loss = 0.0f64;
+    // `b` walks three parallel buffers (logits, targets, dlogits), not `targets` alone.
+    #[allow(clippy::needless_range_loop)]
     for b in 0..batch {
         let row = logits.row(b);
         let target = targets[b] as usize;
@@ -80,10 +82,10 @@ mod tests {
         let loss = softmax_cross_entropy(&logits, &targets, &mut d);
         assert!((loss - (8.0f32).ln()).abs() < 1e-5);
         // Gradient rows sum to zero and the target entry is negative.
-        for b in 0..4 {
+        for (b, &target) in targets.iter().enumerate() {
             let s: f32 = d.row(b).iter().sum();
             assert!(s.abs() < 1e-5);
-            assert!(d.get(b, targets[b] as usize) < 0.0);
+            assert!(d.get(b, target as usize) < 0.0);
         }
     }
 

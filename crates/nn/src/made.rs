@@ -570,25 +570,6 @@ impl ResMade {
         self.step::<ScalarKernels>(tokens, col, None, scratch)
     }
 
-    /// The **fast-tier** [`ResMade::conditional_probs_into`]: the same forward, but every
-    /// GEMM and the softmax normalisation dispatch through [`crate::kernel`] to the widest
-    /// instruction set the CPU supports.
-    ///
-    /// With the `simd` feature off this is bit-identical to the exact tier (dispatch
-    /// resolves to the same scalar kernels — pinned by
-    /// `conditional_probs_into_fast_bit_identical_without_simd`).  With SIMD selected, the
-    /// reassociated reductions drift by last ulps; callers own the accuracy story (the
-    /// serving layer pairs this with bf16 weights under the q-error-delta gate — see the
-    /// README's two-tier determinism contract).
-    pub fn conditional_probs_into_fast<'s>(
-        &self,
-        tokens: &[u32],
-        col: usize,
-        scratch: &'s mut InferenceScratch,
-    ) -> &'s Matrix {
-        self.step::<DispatchedKernels>(tokens, col, None, scratch)
-    }
-
     /// One step of the **prefix-incremental** inference forward: `p(x_col | tokens₍<col₎)`
     /// for every row of the flat `batch × num_columns` buffer `tokens`, reusing what the
     /// previous step on `scratch` already multiplied.
@@ -600,8 +581,16 @@ impl ResMade {
     /// than the last step's, and only the columns in between are embedded and multiplied.
     /// `parents = None` starts from the empty prefix (what
     /// [`ResMade::conditional_probs_into`] does).  Tokens at columns `>= col` are never
-    /// read.  `fast_kernels` picks the tier, as [`ResMade::conditional_probs_into_fast`]
-    /// does; one chain of steps must stay on one model and one tier.
+    /// read.
+    ///
+    /// `fast_kernels` picks the tier: `false` runs the scalar kernels, `true` dispatches
+    /// every GEMM and the softmax normalisation through [`crate::kernel`] to the widest
+    /// instruction set the CPU supports.  Where dispatch resolves to the portable kernels
+    /// (the `simd` feature off) the two are bit-identical — pinned by
+    /// `conditional_probs_into_fast_bit_identical_without_simd`; with SIMD selected, the
+    /// reassociated reductions drift by last ulps and callers own the accuracy story (the
+    /// serving layer's q-error-delta gate).  One chain of steps must stay on one model and
+    /// one tier.
     pub fn conditional_probs_step<'s>(
         &self,
         tokens: &[u32],
@@ -851,6 +840,8 @@ impl ResMade {
 /// The five kernels of the inference forward, as compile-time constants: each tier's
 /// instantiation of [`ResMade::step`] calls its kernel module directly, so the exact tier
 /// executes only `tensor::*` / `loss::*` calls.
+// The signatures are the kernels' own; aliasing each would only rename them once more.
+#[allow(clippy::type_complexity)]
 trait KernelSet {
     const MATMUL_BLOCKED_LIVE: fn(&Matrix, &Matrix, LiveUnits, &mut Matrix) -> u64;
     const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix);
@@ -1140,8 +1131,7 @@ mod tests {
         let total = 500 * 4;
         let n_masked: usize = masked
             .iter()
-            .enumerate()
-            .map(|(_, row)| {
+            .map(|row| {
                 row.iter()
                     .enumerate()
                     .filter(|(c, &t)| t == m.mask_token(*c))
@@ -1275,7 +1265,7 @@ mod tests {
                 .collect();
             for col in 0..m.num_columns() {
                 let reference = m.conditional_probs_into(&flat, col, &mut exact).clone();
-                let dispatched = m.conditional_probs_into_fast(&flat, col, &mut fast);
+                let dispatched = m.conditional_probs_step(&flat, col, None, true, &mut fast);
                 for (i, (a, b)) in reference.data().iter().zip(dispatched.data()).enumerate() {
                     assert_eq!(
                         a.to_bits(),
@@ -1288,8 +1278,8 @@ mod tests {
     }
 
     /// Whatever ISA the fast tier dispatches to, its conditional distributions must stay
-    /// numerically indistinguishable from the exact tier at f32 working precision (the
-    /// quantisation error budget belongs to bf16 weights, not the kernels).
+    /// numerically indistinguishable from the exact tier at f32 working precision (only
+    /// reassociated reductions separate the tiers).
     #[test]
     fn conditional_probs_into_fast_matches_exact_numerically() {
         let m = ResMade::new(MadeConfig {
@@ -1317,7 +1307,7 @@ mod tests {
                 .collect();
             for col in 0..m.num_columns() {
                 let reference = m.conditional_probs_into(&flat, col, &mut exact).clone();
-                let dispatched = m.conditional_probs_into_fast(&flat, col, &mut fast);
+                let dispatched = m.conditional_probs_step(&flat, col, None, true, &mut fast);
                 assert_eq!(
                     (dispatched.rows(), dispatched.cols()),
                     (batch, m.domain(col))

@@ -97,19 +97,16 @@ pub fn shadow_compare(
             .estimate(&case.query, None, scratch, Precision::Exact)
             .ok();
         candidate_lat.push(started.elapsed().as_micros() as u64);
-        match (incumbent_est, candidate_est) {
-            (Some(inc), Some(cand)) => {
-                if !inc.is_finite() || inc < 0.0 || !cand.is_finite() || cand < 0.0 {
-                    wrong += 1;
-                    continue;
-                }
-                incumbent_errs.push(q_error(inc, case.truth));
-                candidate_errs.push(q_error(cand, case.truth));
+        // A side that errors loses the sample: the comparison only scores queries both
+        // models answered (an incumbent that *cannot* answer already fired the drift
+        // detector's error counter upstream).
+        if let (Some(inc), Some(cand)) = (incumbent_est, candidate_est) {
+            if !inc.is_finite() || inc < 0.0 || !cand.is_finite() || cand < 0.0 {
+                wrong += 1;
+                continue;
             }
-            // A side that errors loses the sample: the comparison only scores
-            // queries both models answered (an incumbent that *cannot* answer
-            // already fired the drift detector's error counter upstream).
-            _ => {}
+            incumbent_errs.push(q_error(inc, case.truth));
+            candidate_errs.push(q_error(cand, case.truth));
         }
     }
     let median = |errs: &[f64]| {

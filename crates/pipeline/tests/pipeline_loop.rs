@@ -43,7 +43,7 @@ fn launch(
         .with_seed(derive_stream_seed(seed, 0, 2));
     let artifact = NeuroCard::train(env.db.clone(), env.schema.clone(), &train);
     let artifact_path = dir.join("demo-v1.ncar");
-    std::fs::write(&artifact_path, &artifact.to_bytes()).unwrap();
+    std::fs::write(&artifact_path, artifact.to_bytes()).unwrap();
 
     let journal_path = dir.join("registry.jsonl");
     let (journal, survivors) = RegistryJournal::open(&journal_path).unwrap();

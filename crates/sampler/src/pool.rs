@@ -169,7 +169,7 @@ impl SamplerPool {
             let layout = layout.clone();
             let encoder = encoder.clone();
             handles.push(std::thread::spawn(move || {
-                worker_loop(worker, rx, &sampler, &layout, encoder.as_deref())
+                worker_loop(worker, rx, &sampler, &layout, encoder.as_ref())
             }));
             senders.push(tx);
         }
@@ -243,7 +243,7 @@ fn worker_loop(
     rx: Receiver<Job>,
     sampler: &JoinSampler,
     layout: &WideLayout,
-    encoder: Option<&(dyn Fn(&[Vec<Value>]) -> Vec<Vec<u32>> + Send + Sync)>,
+    encoder: Option<&BatchEncoder>,
 ) {
     // `recv` keeps returning queued jobs after the pool drops its senders, so in-flight
     // tickets stay waitable during shutdown.

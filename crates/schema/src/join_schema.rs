@@ -383,7 +383,7 @@ impl JoinSchema {
         visited.insert(tables[0].clone());
         queue.push_back(tables[0].clone());
         while let Some(t) = queue.pop_front() {
-            let mut neighbours: Vec<String> = self.children(&t).iter().cloned().collect();
+            let mut neighbours: Vec<String> = self.children(&t).to_vec();
             if let Some(p) = self.parent(&t) {
                 neighbours.push(p.to_string());
             }

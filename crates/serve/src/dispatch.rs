@@ -10,13 +10,12 @@
 //! frame with its connection coordinates, and each passes the runner that knows what to
 //! do with its own job on a worker.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
 
 use neurocard::infer::SamplerScratch;
-use neurocard::Precision;
 
 use crate::fault::FaultInjector;
 use crate::lockcheck::Mutex;
@@ -37,10 +36,6 @@ pub(crate) struct Executor {
     pub(crate) scratch_pool: ScratchPool,
     /// Sample budget for requests that carry none (`None`: the model's own default).
     pub(crate) default_samples: Option<usize>,
-    /// Queue depth at dispatch from which `Exact` requests are served `Fast`.
-    pub(crate) fast_precision_queue_depth: Option<usize>,
-    /// Requests downgraded by that rule.
-    pub(crate) fast_autoselected: AtomicU64,
     /// Arms `worker.panic` / `worker.delay`.
     pub(crate) faults: FaultInjector,
     /// Jobs admitted to the queue and not yet picked up by a worker.
@@ -52,37 +47,22 @@ pub(crate) struct Executor {
 
 impl Executor {
     /// An executor for `workers` threads (one pooled scratch each) with no default
-    /// budget, no autoselection and no faults armed.
+    /// budget and no faults armed.
     pub(crate) fn new(registry: Arc<ModelRegistry>, workers: usize) -> Self {
         Executor {
             registry,
             scratch_pool: ScratchPool::new(workers),
             default_samples: None,
-            fast_precision_queue_depth: None,
-            fast_autoselected: AtomicU64::new(0),
             faults: FaultInjector::disabled(),
             queue_depth: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
         }
     }
 
-    /// Answers `request` on the calling worker.  `depth_at_dispatch` is the backlog the
-    /// worker saw when it dequeued the job (this job included).
-    pub(crate) fn execute(
-        &self,
-        mut request: ServeRequest,
-        depth_at_dispatch: usize,
-    ) -> Result<ServeReply, ServeError> {
+    /// Answers `request` on the calling worker.
+    pub(crate) fn execute(&self, mut request: ServeRequest) -> Result<ServeReply, ServeError> {
         if request.samples.is_none() {
             request.samples = self.default_samples;
-        }
-        // Precision autoselection: under backlog, trade the exact tier for the fast
-        // one instead of (eventually) shedding.
-        if let Some(threshold) = self.fast_precision_queue_depth {
-            if request.precision == Precision::Exact && depth_at_dispatch >= threshold {
-                request.precision = Precision::Fast;
-                self.fast_autoselected.fetch_add(1, Ordering::Relaxed);
-            }
         }
         // A panicking model must not take the worker (and with it the whole server)
         // down: catch the unwind, reply with a typed Internal error, and *discard* the
@@ -175,15 +155,15 @@ pub(crate) struct Dispatch {
 impl Dispatch {
     /// Starts `workers` threads named `{thread_prefix}-{i}` draining a queue of
     /// `queue_depth` jobs, and returns them with the queue's first sending end; each
-    /// dequeued job is handed to `run` with the executor and the queue depth at
-    /// dispatch.  Workers leave at once when the last [`Submitter`] is dropped, so an
-    /// owner that keeps one drops it before stopping them.
+    /// dequeued job is handed to `run` with the executor.  Workers leave at once when the
+    /// last [`Submitter`] is dropped, so an owner that keeps one drops it before stopping
+    /// them.
     pub(crate) fn start<J: Send + 'static>(
         executor: Executor,
         workers: usize,
         queue_depth: usize,
         thread_prefix: &str,
-        run: impl Fn(&Executor, J, usize) + Clone + Send + 'static,
+        run: impl Fn(&Executor, J) + Clone + Send + 'static,
     ) -> (Self, Submitter<J>) {
         let executor = Arc::new(executor);
         let (tx, rx) = sync_channel(queue_depth);
@@ -235,7 +215,7 @@ impl Drop for Dispatch {
     }
 }
 
-fn worker_loop<J>(executor: &Executor, rx: &Mutex<Receiver<J>>, run: impl Fn(&Executor, J, usize)) {
+fn worker_loop<J>(executor: &Executor, rx: &Mutex<Receiver<J>>, run: impl Fn(&Executor, J)) {
     loop {
         // Hold the receiver lock only for the dequeue, never the compute.  Queued jobs
         // are always served before a stop-flag exit (recv_timeout only times out on an
@@ -246,14 +226,13 @@ fn worker_loop<J>(executor: &Executor, rx: &Mutex<Receiver<J>>, run: impl Fn(&Ex
             Err(RecvTimeoutError::Timeout) => continue,
             Err(RecvTimeoutError::Disconnected) => return, // every submitter is gone
         };
-        // fetch_sub returns the pre-decrement depth: the backlog including this job,
-        // which is the congestion signal precision autoselection keys off.
+        // fetch_sub returns the pre-decrement depth: the backlog including this job.
         let depth_at_dispatch = executor.queue_depth.fetch_sub(1, Ordering::Relaxed);
         debug_assert!(
             depth_at_dispatch >= 1,
             "queue-depth gauge wrapped below zero"
         );
-        run(executor, job, depth_at_dispatch);
+        run(executor, job);
     }
 }
 
@@ -276,7 +255,7 @@ mod tests {
             1,
             1,
             "test-dispatch",
-            move |_: &Executor, job: String, _| {
+            move |_: &Executor, job: String| {
                 started.send(job).unwrap();
                 release_rx.lock().recv().unwrap();
             },
@@ -319,8 +298,7 @@ mod tests {
                 1,
                 8,
                 "test-dispatch",
-                move |_: &Executor, n: usize, depth| {
-                    assert!(depth >= 1);
+                move |_: &Executor, n: usize| {
                     sum.fetch_add(n, Ordering::SeqCst);
                 },
             )

@@ -35,11 +35,12 @@ mod imp {
     use std::panic::Location;
     use std::sync::{Mutex as StdMutex, OnceLock};
 
-    /// Both directions of every observed edge: (held, acquired) → (site holding,
-    /// site acquiring).
-    fn edges() -> &'static StdMutex<HashMap<(&'static str, &'static str), (String, String)>> {
-        static EDGES: OnceLock<StdMutex<HashMap<(&'static str, &'static str), (String, String)>>> =
-            OnceLock::new();
+    /// (held, acquired) → (site holding, site acquiring).
+    type Edges = HashMap<(&'static str, &'static str), (String, String)>;
+
+    /// Both directions of every observed edge.
+    fn edges() -> &'static StdMutex<Edges> {
+        static EDGES: OnceLock<StdMutex<Edges>> = OnceLock::new();
         EDGES.get_or_init(|| StdMutex::new(HashMap::new()))
     }
 

@@ -53,8 +53,8 @@ pub struct ServeRequest {
     /// Progressive-sample budget; `None` uses the selected model's default.
     pub samples: Option<usize>,
     /// Which inference tier answers: [`Precision::Exact`] (the default — bit-identical to
-    /// direct core calls) or [`Precision::Fast`] (SIMD kernels over bf16 weights, gated by
-    /// the q-error-delta bound).  Estimators without a fast tier serve exactly either way.
+    /// direct core calls) or [`Precision::Fast`] (SIMD kernels over the same weights, gated
+    /// by the q-error-delta bound).  Estimators without a fast tier serve exactly either way.
     pub precision: Precision,
 }
 
@@ -712,7 +712,7 @@ mod tests {
         for degraded in [false, true] {
             let reply = ServeReply {
                 key: ModelKey::new(42, "m", 9),
-                estimate: 1234.567_891_011e-3,
+                estimate: 1_234.567_891_011e-3,
                 degraded,
             };
             let back = decode_result(&encode_result(&Ok(reply.clone())))
@@ -800,7 +800,7 @@ mod tests {
                 served: 42,
                 p50_us: 13.25,
                 p99_us: 99.031_25,
-                queries_per_sec: 1234.567_891_011e-3,
+                queries_per_sec: 1_234.567_891_011e-3,
             },
             ModelStats {
                 key: ModelKey::new(7, "m", 2),

@@ -74,15 +74,6 @@ pub struct ReactorConfig {
     /// Write-ahead journal for admin mutations (deregister); when `None`, admin
     /// requests still apply but are not persisted across restarts.
     pub admin_journal: Option<SharedJournal>,
-    /// Precision autoselection: when the worker-queue depth at dispatch time is at
-    /// or past this threshold, [`Precision::Exact`] requests are served at
-    /// [`Precision::Fast`] instead — precision degrades before availability does.
-    /// `None` (the default) disables; explicit `Fast` requests are unaffected, and
-    /// without the `simd` feature the fast tier is bit-identical to exact anyway.
-    ///
-    /// [`Precision::Exact`]: neurocard::Precision::Exact
-    /// [`Precision::Fast`]: neurocard::Precision::Fast
-    pub fast_precision_queue_depth: Option<usize>,
 }
 
 impl Default for ReactorConfig {
@@ -100,7 +91,6 @@ impl Default for ReactorConfig {
             stall_timeout: Duration::from_secs(10),
             faults: FaultInjector::disabled(),
             admin_journal: None,
-            fast_precision_queue_depth: None,
         }
     }
 }
@@ -131,9 +121,6 @@ pub struct ReactorStats {
     pub max_connections: usize,
     /// Requests admitted to the worker queue and not yet picked up.
     pub queue_depth: usize,
-    /// Exact-precision requests downgraded to the fast tier because the queue
-    /// depth had crossed [`ReactorConfig::fast_precision_queue_depth`].
-    pub fast_autoselected: u64,
 }
 
 const TOKEN_WAKER: Token = Token(0);
@@ -258,7 +245,6 @@ impl Reactor {
         });
 
         let mut executor = Executor::new(registry, worker_count);
-        executor.fast_precision_queue_depth = shared.config.fast_precision_queue_depth;
         executor.faults = shared.config.faults.clone();
         let (dispatch, jobs) = {
             let shared = shared.clone();
@@ -267,7 +253,7 @@ impl Reactor {
                 worker_count,
                 queue_depth,
                 "nc-reactor-worker",
-                move |executor: &Executor, job, depth| run_job(&shared, executor, job, depth),
+                move |executor: &Executor, job| run_job(&shared, executor, job),
             )
         };
 
@@ -335,7 +321,6 @@ impl Reactor {
             live_connections: self.shared.live.load(Ordering::SeqCst),
             max_connections: self.shared.config.max_connections,
             queue_depth: executor.queue_depth(),
-            fast_autoselected: executor.fast_autoselected.load(Ordering::Relaxed),
         }
     }
 
@@ -374,7 +359,7 @@ fn is_protocol_error<T>(result: &Result<T, ServeError>) -> bool {
 /// What a worker does with one job: answer the frame — estimates through
 /// [`Executor::execute`]; the admin frames and the codec are the wire's own — and post
 /// the encoded reply to the owning I/O thread.
-fn run_job(shared: &Shared, executor: &Executor, job: Job, depth_at_dispatch: usize) {
+fn run_job(shared: &Shared, executor: &Executor, job: Job) {
     let (frame, close_after) = match job.frame.first() {
         Some(&MSG_DEREGISTER) => {
             let journal = &shared.config.admin_journal;
@@ -386,8 +371,7 @@ fn run_job(shared: &Shared, executor: &Executor, job: Job, depth_at_dispatch: us
             (encode_stats_result(&result), is_protocol_error(&result))
         }
         _ => {
-            let result = decode_request(&job.frame)
-                .and_then(|request| executor.execute(request, depth_at_dispatch));
+            let result = decode_request(&job.frame).and_then(|request| executor.execute(request));
             (encode_result(&result), is_protocol_error(&result))
         }
     };
@@ -659,7 +643,7 @@ impl IoThread {
     // ---- event handling -------------------------------------------------------
 
     fn on_conn_event(&mut self, slot: usize, writable: bool) {
-        if self.conns.get(slot).map_or(true, Option::is_none) {
+        if self.conns.get(slot).is_none_or(Option::is_none) {
             return; // already closed earlier in this batch
         }
         if writable && !self.flush(slot) {
@@ -1328,37 +1312,6 @@ mod tests {
         let frame = read_frame(&mut stream).unwrap();
         assert_eq!(decode_result(&frame).unwrap().unwrap().estimate, 2.0);
         assert_eq!(reactor.served(), 6);
-        reactor.shutdown();
-    }
-
-    #[test]
-    fn precision_autoselects_fast_past_the_queue_depth_threshold() {
-        // Threshold 0: every dispatch sees depth >= 0, so every exact request is
-        // downgraded — the counter must track them all, and (the fixed baseline has
-        // no fast tier) the answers stay correct.
-        let config = ReactorConfig {
-            fast_precision_queue_depth: Some(0),
-            ..small_config()
-        };
-        let reactor = Reactor::bind_with(fixed_registry(6.0), "127.0.0.1:0", config).unwrap();
-        let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
-        for _ in 0..5 {
-            write_frame(&mut stream, &encode_request(&request())).unwrap();
-            let frame = read_frame(&mut stream).unwrap();
-            assert_eq!(decode_result(&frame).unwrap().unwrap().estimate, 6.0);
-        }
-        assert_eq!(reactor.stats().fast_autoselected, 5);
-        reactor.shutdown();
-
-        // Disabled (the default): nothing is downgraded no matter the backlog.
-        let reactor =
-            Reactor::bind_with(fixed_registry(6.0), "127.0.0.1:0", small_config()).unwrap();
-        let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
-        for _ in 0..4 {
-            write_frame(&mut stream, &encode_request(&request())).unwrap();
-            read_frame(&mut stream).unwrap();
-        }
-        assert_eq!(reactor.stats().fast_autoselected, 0);
         reactor.shutdown();
     }
 

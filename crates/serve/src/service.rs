@@ -177,8 +177,8 @@ impl RegistryService {
             workers,
             config.queue_depth.max(1),
             "nc-serve",
-            move |executor, (request, enqueued, reply): ServiceJob, depth| {
-                let result = executor.execute(request, depth);
+            move |executor, (request, enqueued, reply): ServiceJob| {
+                let result = executor.execute(request);
                 // Logged before the reply leaves: a client holding its answer is
                 // already counted in `stats()`.
                 log.lock().push(enqueued.elapsed().as_secs_f64() * 1e6);

@@ -125,7 +125,7 @@ fn torture(seed: u64, tag: &str) -> (Vec<FaultCount>, Vec<u8>, Vec<(ModelKey, St
         }
         // One mid-script compacted restart on a third of the seeds: the folded
         // rewrite must preserve exactly the folded state of what was durable.
-        if !compacted && i == script.len() / 2 && seed % 3 == 0 {
+        if !compacted && i == script.len() / 2 && seed.is_multiple_of(3) {
             compacted = true;
             let folded_before = fold_events(&durable).unwrap();
             drop(journal);

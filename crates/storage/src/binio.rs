@@ -116,53 +116,6 @@ pub fn put_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Converts an `f32` to bfloat16 (the upper 16 bits of the IEEE 754 single layout: 1 sign
-/// bit, 8 exponent bits, 7 mantissa bits) with round-to-nearest-even on the truncated
-/// mantissa.
-///
-/// bf16 keeps the full f32 exponent range, so no finite weight over- or underflows; the
-/// mantissa truncation bounds the relative error of any finite normal value by `2⁻⁸`.
-/// NaNs are canonicalised (quiet bit forced) so a NaN never rounds into the infinity bit
-/// pattern.
-pub fn f32_to_bf16(v: f32) -> u16 {
-    let bits = v.to_bits();
-    if v.is_nan() {
-        // Preserve sign, force a quiet NaN payload that survives truncation.
-        return ((bits >> 16) as u16) | 0x0040;
-    }
-    // Round to nearest, ties to even: add 0x7FFF plus the lowest kept bit.
-    let round = 0x7FFF + ((bits >> 16) & 1);
-    ((bits + round) >> 16) as u16
-}
-
-/// Expands a bfloat16 (as produced by [`f32_to_bf16`]) back to `f32` — exact, since every
-/// bf16 value is representable in f32.
-pub fn bf16_to_f32(h: u16) -> f32 {
-    f32::from_bits((h as u32) << 16)
-}
-
-/// Appends a slice of `f32`s as little-endian bf16 values (2 bytes each, no length
-/// prefix — callers frame the slice themselves).
-pub fn put_bf16_slice(out: &mut Vec<u8>, values: &[f32]) {
-    out.reserve(values.len() * 2);
-    for &v in values {
-        out.extend_from_slice(&f32_to_bf16(v).to_le_bytes());
-    }
-}
-
-impl<'a> BinReader<'a> {
-    /// Reads `count` little-endian bf16 values, expanded to `f32`.  A truncated stream
-    /// yields [`BinError::Truncated`] before anything is allocated beyond the checked
-    /// count.
-    pub fn bf16_slice(&mut self, count: usize) -> Result<Vec<f32>, BinError> {
-        let bytes = self.take(count.checked_mul(2).ok_or(BinError::Truncated)?)?;
-        Ok(bytes
-            .chunks_exact(2)
-            .map(|c| bf16_to_f32(u16::from_le_bytes([c[0], c[1]])))
-            .collect())
-    }
-}
-
 const TAG_NULL: u8 = 0;
 const TAG_INT: u8 = 1;
 const TAG_STR: u8 = 2;
@@ -273,70 +226,6 @@ mod tests {
         Value::Int(5).write_binary(&mut evil);
         Value::Int(3).write_binary(&mut evil);
         assert!(ColumnDictionary::read_binary(&mut BinReader::new(&evil)).is_err());
-    }
-
-    #[test]
-    fn bf16_codec_round_trips_within_bound() {
-        // Exactly representable values survive unchanged.
-        for v in [
-            0.0f32,
-            -0.0,
-            1.0,
-            -2.5,
-            0.15625,
-            f32::INFINITY,
-            f32::NEG_INFINITY,
-        ] {
-            assert_eq!(bf16_to_f32(f32_to_bf16(v)).to_bits(), v.to_bits(), "{v}");
-        }
-        assert!(bf16_to_f32(f32_to_bf16(f32::NAN)).is_nan());
-        // Relative error of any finite normal value is ≤ 2⁻⁸ (7 mantissa bits +
-        // round-to-nearest halves the truncation error).
-        let mut s = 0x1234_5678_u32;
-        for _ in 0..10_000 {
-            s = s.wrapping_mul(747796405).wrapping_add(2891336453);
-            let v = f32::from_bits((s % 0x7F7F_FFFF) | (s & 0x8000_0000));
-            if !v.is_finite() || v.abs() < f32::MIN_POSITIVE {
-                continue;
-            }
-            let back = bf16_to_f32(f32_to_bf16(v));
-            assert!(
-                (back - v).abs() <= v.abs() / 256.0,
-                "{v} -> {back} exceeds 2^-8 relative error"
-            );
-        }
-        // The round trip is idempotent: re-quantising a quantised value is the identity.
-        for v in [3.14159f32, -1e-20, 1e20, 0.1] {
-            let q = bf16_to_f32(f32_to_bf16(v));
-            assert_eq!(f32_to_bf16(q), f32_to_bf16(v));
-            assert_eq!(bf16_to_f32(f32_to_bf16(q)).to_bits(), q.to_bits());
-        }
-        // Ties round to even.
-        assert_eq!(f32_to_bf16(f32::from_bits(0x3F80_8000)), 0x3F80); // 1.00390625 -> 1.0
-        assert_eq!(f32_to_bf16(f32::from_bits(0x3F81_8000)), 0x3F82); // next tie rounds up
-    }
-
-    #[test]
-    fn bf16_slices_round_trip_and_validate() {
-        let values = [1.5f32, -0.25, 1e10, -3.0e-12, 0.0];
-        let mut out = Vec::new();
-        put_bf16_slice(&mut out, &values);
-        assert_eq!(out.len(), values.len() * 2);
-        let mut r = BinReader::new(&out);
-        let back = r.bf16_slice(values.len()).unwrap();
-        assert!(r.is_empty());
-        for (v, b) in values.iter().zip(&back) {
-            assert_eq!(b.to_bits(), bf16_to_f32(f32_to_bf16(*v)).to_bits());
-        }
-        // Reading more than the stream holds is a typed error, not a panic.
-        assert_eq!(
-            BinReader::new(&out).bf16_slice(values.len() + 1),
-            Err(BinError::Truncated)
-        );
-        assert_eq!(
-            BinReader::new(&out).bf16_slice(usize::MAX),
-            Err(BinError::Truncated)
-        );
     }
 
     #[test]
