@@ -29,11 +29,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use nc_sampler::{JoinSampler, WideLayout};
-use nc_schema::{JoinSchema, Query};
+use nc_schema::{subset_schema, JoinSchema, Query};
 use nc_storage::{Database, Value};
 
 use crate::estimator::CardinalityEstimator;
-use crate::sampling::subset_schema;
 
 /// Samples of one (parent, child) pair's full outer join.
 struct PairModel {

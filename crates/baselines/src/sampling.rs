@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use nc_sampler::{JoinSampler, WideLayout};
-use nc_schema::{JoinSchema, Query};
+use nc_schema::{subset_schema, JoinSchema, Query};
 use nc_storage::{Database, Value};
 
 use crate::estimator::CardinalityEstimator;
@@ -37,25 +37,6 @@ pub struct UniformJoinSampleEstimator {
     samples_per_template: usize,
     seed: u64,
     cache: Mutex<HashMap<Vec<String>, Arc<TemplateSamples>>>,
-}
-
-/// Builds the join sub-schema induced by a connected subset of tables.
-pub fn subset_schema(schema: &JoinSchema, tables: &[String]) -> JoinSchema {
-    let set: Vec<String> = tables.to_vec();
-    let edges = schema
-        .edges()
-        .iter()
-        .filter(|e| set.contains(&e.left.table) && set.contains(&e.right.table))
-        .cloned()
-        .collect();
-    // Root: the subset table closest to the schema root.
-    let root = schema
-        .bfs_order()
-        .iter()
-        .find(|t| set.contains(t))
-        .expect("subset is non-empty")
-        .clone();
-    JoinSchema::new(set, edges, root).expect("connected query subsets form valid schemas")
 }
 
 impl UniformJoinSampleEstimator {
@@ -180,18 +161,6 @@ mod tests {
         )
         .unwrap();
         (Arc::new(db), Arc::new(schema))
-    }
-
-    #[test]
-    fn subset_schema_is_valid() {
-        let (_, schema) = db_and_schema();
-        let sub = subset_schema(&schema, &["A".to_string(), "C".to_string()]);
-        assert_eq!(sub.num_tables(), 2);
-        assert_eq!(sub.root(), "A");
-        assert_eq!(sub.edges().len(), 1);
-        let single = subset_schema(&schema, &["B".to_string()]);
-        assert_eq!(single.num_tables(), 1);
-        assert_eq!(single.root(), "B");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! probability evaluation (the per-batch cost behind Figures 7a–7c).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use nc_nn::{Adam, AdamConfig, MadeConfig, ResMade};
+use nc_nn::{Adam, AdamConfig, InferenceScratch, MadeConfig, ResMade};
 
 fn model() -> ResMade {
     ResMade::new(MadeConfig {
@@ -14,12 +14,11 @@ fn model() -> ResMade {
     })
 }
 
-fn batch(model: &ResMade, n: usize) -> Vec<Vec<u32>> {
-    (0..n)
-        .map(|i| {
-            (0..model.num_columns())
-                .map(|c| (i as u32 * 7 + c as u32) % model.domain(c) as u32)
-                .collect()
+/// `n` rows of tokens, flat row-major.
+fn batch(model: &ResMade, n: usize) -> Vec<u32> {
+    (0..n as u32)
+        .flat_map(|i| {
+            (0..model.num_columns()).map(move |c| (i * 7 + c as u32) % model.domain(c) as u32)
         })
         .collect()
 }
@@ -39,10 +38,15 @@ fn bench_model(c: &mut Criterion) {
         })
     });
 
+    // What production calls: one reused scratch, no allocation in steady state.
     group.bench_function("conditional_probs_batch64", |b| {
         let m = model();
         let rows = batch(&m, 64);
-        b.iter(|| std::hint::black_box(m.conditional_probs(&rows, 6)))
+        let mut scratch = InferenceScratch::new();
+        b.iter(|| {
+            let probs = m.conditional_probs_into(std::hint::black_box(&rows), 6, &mut scratch);
+            std::hint::black_box(probs.get(0, 0))
+        })
     });
 
     group.finish();

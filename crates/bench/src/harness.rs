@@ -236,7 +236,7 @@ pub fn print_preamble(experiment: &str, env_name: &str, config: &HarnessConfig) 
         if config.smoke { " (smoke run)" } else { "" }
     );
     println!(
-        "note: data is the synthetic IMDB substitute (see DESIGN.md §1); absolute numbers \
+        "note: data is the synthetic IMDB substitute (see README.md); absolute numbers \
          differ from the paper, the method ordering / error shape is what is reproduced.\n"
     );
 }

@@ -1,8 +1,8 @@
 //! # nc-bench
 //!
 //! The reproduction harness: one binary per table/figure of the paper's evaluation plus a
-//! set of Criterion micro-benchmarks.  See `DESIGN.md` §4 for the experiment → binary map
-//! and `EXPERIMENTS.md` for paper-vs-measured numbers.
+//! set of Criterion micro-benchmarks.  The binaries are `src/bin/<table or figure>_*.rs`,
+//! named after the paper's numbering.
 //!
 //! Every binary reads its scale knobs from environment variables (with defaults sized for
 //! a single CPU core) and prints, next to each measured number, the value the paper reports

@@ -14,7 +14,6 @@
 //! the ordering recommendation of §6.
 
 use nc_sampler::{ColumnKind, WideLayout};
-use nc_schema::JoinSchema;
 use nc_storage::{ColumnDictionary, Database, Value};
 
 use crate::factorization::Factorization;
@@ -49,13 +48,7 @@ impl EncodedLayout {
     ///   that is sampled, but the update experiments pass the *full* (all-partition)
     ///   database here so that token domains stay fixed across snapshots.
     /// * `fact_bits` — factorization width; `None` disables factorization.
-    pub fn build(
-        dict_db: &Database,
-        schema: &JoinSchema,
-        layout: WideLayout,
-        fact_bits: Option<u32>,
-    ) -> Self {
-        let _ = schema;
+    pub fn build(dict_db: &Database, layout: WideLayout, fact_bits: Option<u32>) -> Self {
         let mut dicts = Vec::with_capacity(layout.len());
         for col in layout.columns() {
             let dict = match col.kind {
@@ -219,13 +212,12 @@ impl EncodedLayout {
         self.subcolumns.len()
     }
 
-    /// Encodes one materialised wide row into model tokens.
+    /// Appends the model tokens of one materialised wide row to `out`.
     ///
     /// Panics if a value is absent from its dictionary (cannot happen for rows produced by
     /// the join sampler over the dictionary database).
-    pub fn encode_row(&self, row: &[Value]) -> Vec<u32> {
+    pub fn encode_row_into(&self, row: &[Value], out: &mut Vec<u32>) {
         assert_eq!(row.len(), self.layout.len(), "row arity mismatch");
-        let mut out = Vec::with_capacity(self.subcolumns.len());
         for (i, value) in row.iter().enumerate() {
             let code = self.dicts[i].encode(value).unwrap_or_else(|| {
                 panic!(
@@ -235,12 +227,16 @@ impl EncodedLayout {
             });
             out.extend(self.facts[i].split(code));
         }
-        out
     }
 
-    /// Encodes a batch of wide rows.
-    pub fn encode_batch(&self, rows: &[Vec<Value>]) -> Vec<Vec<u32>> {
-        rows.iter().map(|r| self.encode_row(r)).collect()
+    /// Encodes a batch of wide rows into one flat row-major
+    /// `rows.len() × num_model_columns` token buffer.
+    pub fn encode_batch(&self, rows: &[Vec<Value>]) -> Vec<u32> {
+        let mut out = Vec::with_capacity(rows.len() * self.subcolumns.len());
+        for row in rows {
+            self.encode_row_into(row, &mut out);
+        }
+        out
     }
 
     /// Decodes the sub-column digits of wide column `wide_index` back into its [`Value`].
@@ -254,7 +250,7 @@ impl EncodedLayout {
 mod tests {
     use super::*;
     use nc_sampler::{JoinSampler, WideLayout};
-    use nc_schema::JoinEdge;
+    use nc_schema::{JoinEdge, JoinSchema};
     use nc_storage::TableBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -285,7 +281,7 @@ mod tests {
     fn layout_structure() {
         let (db, schema) = tiny_db();
         let layout = WideLayout::new(&db, &schema);
-        let enc = EncodedLayout::build(&db, &schema, layout, Some(2));
+        let enc = EncodedLayout::build(&db, layout, Some(2));
         // Base columns: A.x, A.name, B.x, B.v = 4; indicators 2; fanouts 2 → 8 wide cols.
         assert_eq!(enc.layout().len(), 8);
         assert_eq!(enc.num_model_columns(), enc.model_domains().len());
@@ -309,15 +305,14 @@ mod tests {
     fn encode_decode_sampled_rows() {
         let (db, schema) = tiny_db();
         let layout = WideLayout::new(&db, &schema);
-        let enc = EncodedLayout::build(&db, &schema, layout, Some(3));
+        let enc = EncodedLayout::build(&db, layout, Some(3));
         let sampler = JoinSampler::new(db.clone(), schema.clone());
         let mut rng = StdRng::seed_from_u64(1);
         let samples = sampler.sample_many(&mut rng, 32);
         let rows = enc.layout().materialize_batch(&db, &samples);
         let encoded = enc.encode_batch(&rows);
-        assert_eq!(encoded.len(), 32);
-        for (row, tokens) in rows.iter().zip(&encoded) {
-            assert_eq!(tokens.len(), enc.num_model_columns());
+        assert_eq!(encoded.len(), 32 * enc.num_model_columns());
+        for (row, tokens) in rows.iter().zip(encoded.chunks(enc.num_model_columns())) {
             // Every token is inside its sub-column domain.
             for (t, sub) in tokens.iter().zip(enc.subcolumns()) {
                 assert!((*t as usize) < sub.domain);
@@ -335,7 +330,7 @@ mod tests {
     fn from_parts_rebuilds_an_identical_subcolumn_space() {
         let (db, schema) = tiny_db();
         let layout = WideLayout::new(&db, &schema);
-        let enc = EncodedLayout::build(&db, &schema, layout, Some(2));
+        let enc = EncodedLayout::build(&db, layout, Some(2));
         let n = enc.layout().len();
         let dicts: Vec<ColumnDictionary> = (0..n).map(|i| enc.dictionary(i).clone()).collect();
         let facts: Vec<Factorization> = (0..n).map(|i| enc.factorization(i).clone()).collect();
@@ -363,7 +358,7 @@ mod tests {
     fn no_factorization_when_disabled() {
         let (db, schema) = tiny_db();
         let layout = WideLayout::new(&db, &schema);
-        let enc = EncodedLayout::build(&db, &schema, layout, None);
+        let enc = EncodedLayout::build(&db, layout, None);
         assert_eq!(enc.num_model_columns(), enc.layout().len());
         assert!(enc.subcolumns().iter().all(|s| s.sub_index == 0));
     }
@@ -373,9 +368,9 @@ mod tests {
     fn encoding_unknown_value_panics() {
         let (db, schema) = tiny_db();
         let layout = WideLayout::new(&db, &schema);
-        let enc = EncodedLayout::build(&db, &schema, layout, None);
+        let enc = EncodedLayout::build(&db, layout, None);
         let mut row: Vec<Value> = vec![Value::Null; enc.layout().len()];
         row[0] = Value::Int(987_654);
-        enc.encode_row(&row);
+        enc.encode_row_into(&row, &mut Vec::new());
     }
 }

@@ -137,12 +137,7 @@ impl NeuroCard {
         } else {
             WideLayout::without_join_keys(&dict_db, &schema)
         };
-        let encoded = Arc::new(EncodedLayout::build(
-            &dict_db,
-            &schema,
-            layout,
-            config.fact_bits,
-        ));
+        let encoded = Arc::new(EncodedLayout::build(&dict_db, layout, config.fact_bits));
         // |J| always comes from the exact join counts of the *sampled* database, even when
         // training data is drawn from the biased sampler (the normalising constant must
         // refer to the actual full join).

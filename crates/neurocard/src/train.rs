@@ -134,6 +134,8 @@ pub struct Trainer {
     model: ResMade,
     optimizer: Adam,
     rng: StdRng,
+    /// The wildcard-skipped copy of the batch being trained on, reused across steps.
+    inputs: Vec<u32>,
     config: NeuroCardConfig,
     tuples_trained: usize,
     /// Monotonic batch index; together with `config.seed` it determines every batch's
@@ -170,6 +172,7 @@ impl Trainer {
             model,
             optimizer,
             rng,
+            inputs: Vec::new(),
             config,
             tuples_trained: 0,
             batch_counter: 0,
@@ -261,23 +264,17 @@ impl Trainer {
         progress
     }
 
-    /// One maximum-likelihood step over an encoded batch.
-    fn train_step(&mut self, targets: &[Vec<u32>]) -> f32 {
+    /// One maximum-likelihood step over an encoded batch (flat row-major tokens).
+    fn train_step(&mut self, targets: &[u32]) -> f32 {
         // Wildcard skipping: most batches use the varied-rate scheme (covering heavily
         // masked inputs, which is what low-filter queries condition on at inference
         // time); the rest use the configured fixed rate so lightly-masked inputs stay
         // well represented too.
-        let inputs = if self.rng.random::<f32>() < 0.75 {
-            self.model
-                .apply_wildcard_skipping_varied(targets, &mut self.rng)
-        } else {
-            self.model.apply_wildcard_skipping(
-                targets,
-                self.config.wildcard_skip_prob,
-                &mut self.rng,
-            )
-        };
-        let loss = self.model.forward_backward(&inputs, targets);
+        let varied = self.rng.random::<f32>() < 0.75;
+        let rate = (!varied).then_some(self.config.wildcard_skip_prob);
+        self.model
+            .apply_wildcard_skipping(targets, rate, &mut self.rng, &mut self.inputs);
+        let loss = self.model.forward_backward(&self.inputs, targets);
         self.optimizer.step(&mut self.model.params_mut());
         loss
     }
@@ -313,7 +310,7 @@ mod tests {
 
     fn encoded(db: &Arc<Database>, schema: &Arc<JoinSchema>) -> Arc<EncodedLayout> {
         let layout = WideLayout::new(db, schema);
-        Arc::new(EncodedLayout::build(db, schema, layout, Some(8)))
+        Arc::new(EncodedLayout::build(db, layout, Some(8)))
     }
 
     #[test]

@@ -4,23 +4,31 @@
 //! autoregressive density model NeuroCard relies on (paper §3.2, §3.4).
 //!
 //! The original system uses PyTorch on a GPU; neither is available in this reproduction, so
-//! this crate provides the pieces the estimator actually needs, in pure safe Rust:
+//! this crate provides the pieces the estimator actually needs, in Rust with no numeric
+//! dependency:
 //!
-//! * [`tensor`] — dense `f32` matrices, the handful of BLAS-like kernels used by the
+//! * [`tensor`] — dense `f32` matrices, the handful of scalar BLAS-like kernels used by the
 //!   model (GEMM with accumulate/transpose variants, row-wise ops), and MADE's
 //!   connectivity as a rule over unit degrees ([`tensor::MadeMask`], [`tensor::LiveUnits`]),
+//! * [`kernel`] — the same inference kernels dispatched to AVX2+FMA / NEON intrinsics
+//!   (the crate's only `unsafe` code; behind the `simd` feature, portable otherwise),
 //! * [`layers`] — trainable parameters, plain and **masked** linear layers (the masks —
 //!   that rule, never a matrix — are what enforce the autoregressive property), per-column
 //!   embeddings with a dedicated MASK token for wildcard skipping, ReLU,
 //! * [`loss`] — per-column softmax cross-entropy,
 //! * [`optim`] — Adam,
 //! * [`made`] — the ResMADE architecture: per-column embeddings → masked input layer →
-//!   masked residual blocks → per-column output heads tied to the embedding matrices,
-//!   exposing exactly the two operations NeuroCard needs: `train_batch` (maximum
-//!   likelihood) and `conditional_logits` (read `p(xᵢ | x₍<ᵢ₎)` for progressive sampling),
-//! * [`serialize`] — flat binary save/load of model parameters.
+//!   masked residual blocks → per-column output heads tied to the embedding matrices.
+//!   A token batch is one flat row-major `batch × num_columns` `[u32]` everywhere:
+//!   [`ResMade::apply_wildcard_skipping`] and [`ResMade::forward_backward`] are the
+//!   maximum-likelihood training step, [`ResMade::conditional_probs_into`] /
+//!   [`ResMade::conditional_probs_step`] read `p(xᵢ | x₍<ᵢ₎)` for progressive sampling,
+//! * [`serialize`] / [`artifact`] — flat binary save/load of model parameters and the
+//!   checksummed section container model artifacts are written in.
 //!
-//! Everything is deterministic given a seed and runs on a single CPU core.
+//! Everything is deterministic given a seed.  The crate spawns no threads: training is
+//! scalar on the caller's thread, and callers that want parallel inference run one
+//! [`InferenceScratch`] per thread over a shared model.
 
 pub mod artifact;
 pub mod kernel;

@@ -92,7 +92,7 @@ pub fn load_params_from_bytes(model: &mut ResMade, bytes: &[u8]) -> Result<(), L
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::made::MadeConfig;
+    use crate::made::{InferenceScratch, MadeConfig};
 
     fn model(seed: u64) -> ResMade {
         ResMade::new(MadeConfig {
@@ -110,10 +110,14 @@ mod tests {
         let bytes = model_to_bytes(&original);
         assert!(bytes.len() >= original.num_params() * 4);
         let mut target = model(99); // different init
-        let before = target.conditional_probs(&[vec![1, 0, 0]], 2);
+        let probs = |m: &ResMade| {
+            m.conditional_probs_into(&[1, 0, 0], 2, &mut InferenceScratch::new())
+                .clone()
+        };
+        let before = probs(&target);
         load_params_from_bytes(&mut target, &bytes).unwrap();
-        let after = target.conditional_probs(&[vec![1, 0, 0]], 2);
-        let reference = original.conditional_probs(&[vec![1, 0, 0]], 2);
+        let after = probs(&target);
+        let reference = probs(&original);
         assert_ne!(before.data(), reference.data());
         assert_eq!(after.data(), reference.data());
     }

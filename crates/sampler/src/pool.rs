@@ -31,16 +31,17 @@ use crate::seed::derive_stream_seed;
 use crate::wide::WideLayout;
 
 /// Post-processing a worker applies to its materialised chunk before handing it back —
-/// in practice token encoding, so that encoding overlaps the consumer's compute.
-pub type BatchEncoder = Arc<dyn Fn(&[Vec<Value>]) -> Vec<Vec<u32>> + Send + Sync>;
+/// in practice token encoding, so that encoding overlaps the consumer's compute.  Maps a
+/// chunk of wide rows to one flat row-major token buffer, the same width for every row.
+pub type BatchEncoder = Arc<dyn Fn(&[Vec<Value>]) -> Vec<u32> + Send + Sync>;
 
 /// A completed batch: wide rows, or encoded tokens when the pool has an encoder.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PoolBatch {
     /// Materialised wide-layout rows (pool built without an encoder).
     Wide(Vec<Vec<Value>>),
-    /// Token-encoded rows (pool built with an encoder).
-    Encoded(Vec<Vec<u32>>),
+    /// Token-encoded rows (pool built with an encoder): `rows` rows, flat row-major.
+    Encoded { rows: usize, tokens: Vec<u32> },
 }
 
 impl PoolBatch {
@@ -48,14 +49,16 @@ impl PoolBatch {
     pub fn into_wide(self) -> Vec<Vec<Value>> {
         match self {
             PoolBatch::Wide(rows) => rows,
-            PoolBatch::Encoded(_) => panic!("pool was built with an encoder; batch is encoded"),
+            PoolBatch::Encoded { .. } => {
+                panic!("pool was built with an encoder; batch is encoded")
+            }
         }
     }
 
-    /// Unwraps the encoded tokens; panics if the pool did not encode.
-    pub fn into_encoded(self) -> Vec<Vec<u32>> {
+    /// Unwraps the flat row-major encoded tokens; panics if the pool did not encode.
+    pub fn into_encoded(self) -> Vec<u32> {
         match self {
-            PoolBatch::Encoded(tokens) => tokens,
+            PoolBatch::Encoded { tokens, .. } => tokens,
             PoolBatch::Wide(_) => panic!("pool was built without an encoder; batch is wide"),
         }
     }
@@ -64,7 +67,7 @@ impl PoolBatch {
     pub fn len(&self) -> usize {
         match self {
             PoolBatch::Wide(rows) => rows.len(),
-            PoolBatch::Encoded(tokens) => tokens.len(),
+            PoolBatch::Encoded { rows, .. } => *rows,
         }
     }
 
@@ -74,15 +77,11 @@ impl PoolBatch {
     }
 }
 
-enum ChunkPayload {
-    Wide(Vec<Vec<Value>>),
-    Encoded(Vec<Vec<u32>>),
-}
-
 struct Job {
     quota: usize,
     stream_seed: u64,
-    reply: Sender<(usize, ChunkPayload)>,
+    /// `(worker, its chunk)` — a chunk is a batch of `quota` rows.
+    reply: Sender<(usize, PoolBatch)>,
 }
 
 /// Handle to one in-flight batch; [`BatchTicket::wait`] blocks until every worker chunk
@@ -91,7 +90,7 @@ pub struct BatchTicket {
     batch_index: u64,
     expected: usize,
     encoded: bool,
-    rx: Receiver<(usize, ChunkPayload)>,
+    rx: Receiver<(usize, PoolBatch)>,
 }
 
 impl BatchTicket {
@@ -105,7 +104,7 @@ impl BatchTicket {
     /// Chunks are reassembled in worker order regardless of completion order, so the
     /// result is independent of scheduling.
     pub fn wait(self) -> PoolBatch {
-        let mut chunks: Vec<Option<ChunkPayload>> = Vec::new();
+        let mut chunks: Vec<Option<PoolBatch>> = Vec::new();
         chunks.resize_with(self.expected, || None);
         for _ in 0..self.expected {
             let (worker, payload) = self
@@ -114,25 +113,31 @@ impl BatchTicket {
                 .expect("sampler pool worker dropped a chunk (worker panicked?)");
             chunks[worker] = Some(payload);
         }
-        if self.encoded {
-            let mut out = Vec::new();
-            for c in chunks {
-                match c.expect("all chunks received") {
-                    ChunkPayload::Encoded(tokens) => out.extend(tokens),
-                    ChunkPayload::Wide(_) => unreachable!("encoder pool produced wide chunk"),
-                }
+        let mut batch = if self.encoded {
+            PoolBatch::Encoded {
+                rows: 0,
+                tokens: Vec::new(),
             }
-            PoolBatch::Encoded(out)
         } else {
-            let mut out = Vec::new();
-            for c in chunks {
-                match c.expect("all chunks received") {
-                    ChunkPayload::Wide(rows) => out.extend(rows),
-                    ChunkPayload::Encoded(_) => unreachable!("plain pool produced encoded chunk"),
+            PoolBatch::Wide(Vec::new())
+        };
+        for chunk in chunks {
+            match (&mut batch, chunk.expect("all chunks received")) {
+                (PoolBatch::Wide(out), PoolBatch::Wide(rows)) => out.extend(rows),
+                (
+                    PoolBatch::Encoded { rows, tokens },
+                    PoolBatch::Encoded {
+                        rows: chunk_rows,
+                        tokens: chunk_tokens,
+                    },
+                ) => {
+                    *rows += chunk_rows;
+                    tokens.extend(chunk_tokens);
                 }
+                _ => unreachable!("a pool's chunks are all of its own kind"),
             }
-            PoolBatch::Wide(out)
         }
+        batch
     }
 }
 
@@ -251,12 +256,15 @@ fn worker_loop(
         let mut rng = StdRng::seed_from_u64(job.stream_seed);
         let samples = sampler.sample_many(&mut rng, job.quota);
         let rows = layout.materialize_batch(sampler.database(), &samples);
-        let payload = match encoder {
-            Some(enc) => ChunkPayload::Encoded(enc(&rows)),
-            None => ChunkPayload::Wide(rows),
+        let chunk = match encoder {
+            Some(enc) => PoolBatch::Encoded {
+                rows: rows.len(),
+                tokens: enc(&rows),
+            },
+            None => PoolBatch::Wide(rows),
         };
         // The ticket may have been dropped without waiting; that is not an error.
-        let _ = job.reply.send((worker, payload));
+        let _ = job.reply.send((worker, chunk));
     }
 }
 
@@ -359,20 +367,63 @@ mod tests {
     fn encoder_runs_inside_workers() {
         let (sampler, layout) = tiny();
         let width = layout.len();
-        // A stand-in encoder: row -> [row length] per row.
+        // A stand-in encoder: row -> [row length, 7].
         let encoder: BatchEncoder =
-            Arc::new(move |rows| rows.iter().map(|r| vec![r.len() as u32]).collect());
+            Arc::new(move |rows| rows.iter().flat_map(|r| [r.len() as u32, 7]).collect());
         let pool = SamplerPool::new(sampler, layout, 3, 5, Some(encoder));
-        let tokens = pool.submit_indexed(0, 50).wait().into_encoded();
-        assert_eq!(tokens.len(), 50);
-        assert!(tokens.iter().all(|t| t == &vec![width as u32]));
+        let batch = pool.submit_indexed(0, 50).wait();
+        assert_eq!(batch.len(), 50, "len() counts rows, not tokens");
+        assert_eq!(batch.into_encoded(), [width as u32, 7].repeat(50));
+        assert!(pool.submit_indexed(1, 0).wait().is_empty());
+    }
+
+    /// An encoder pool's batch is the row-major concatenation of encoding each wide row of
+    /// the no-encoder pool's batch at the same `(seed, threads, index)`: chunking moves
+    /// where the encoder runs, never what the consumer sees.
+    #[test]
+    fn encoded_batch_is_the_flat_encoding_of_the_wide_batch() {
+        let (sampler, layout) = tiny();
+        // Row -> one token per value plus a trailing row-arity token.
+        let encode_row = |row: &Vec<Value>| -> Vec<u32> {
+            let value_token = |v: &Value| match v {
+                Value::Int(i) => *i as u32 + 1,
+                _ => 0,
+            };
+            let mut tokens: Vec<u32> = row.iter().map(value_token).collect();
+            tokens.push(row.len() as u32);
+            tokens
+        };
+        let encoder: BatchEncoder =
+            Arc::new(move |rows| rows.iter().flat_map(encode_row).collect());
+        for threads in [1usize, 3] {
+            let wide = SamplerPool::new(sampler.clone(), layout.clone(), threads, 13, None);
+            let encoded = SamplerPool::new(
+                sampler.clone(),
+                layout.clone(),
+                threads,
+                13,
+                Some(encoder.clone()),
+            );
+            for (index, n) in [(0u64, 50usize), (3, 7), (4, 1)] {
+                let expected: Vec<u32> = wide
+                    .submit_indexed(index, n)
+                    .wait()
+                    .into_wide()
+                    .iter()
+                    .flat_map(encode_row)
+                    .collect();
+                let batch = encoded.submit_indexed(index, n).wait();
+                assert_eq!(batch.len(), n);
+                assert_eq!(batch.into_encoded(), expected, "threads={threads} n={n}");
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "built with an encoder")]
     fn wide_unwrap_of_encoded_batch_panics() {
         let (sampler, layout) = tiny();
-        let encoder: BatchEncoder = Arc::new(|rows| rows.iter().map(|_| vec![0]).collect());
+        let encoder: BatchEncoder = Arc::new(|rows| vec![0; rows.len()]);
         let pool = SamplerPool::new(sampler, layout, 1, 5, Some(encoder));
         pool.submit_indexed(0, 2).wait().into_wide();
     }

@@ -115,7 +115,7 @@ impl JoinSampler {
         slots.push(slot.map(|i| i as RowId));
 
         // Children in BFS order: the parent slot is always already sampled.
-        for (idx, table_name) in self.order.iter().enumerate().skip(1) {
+        for table_name in self.order.iter().skip(1) {
             let parent_name = self
                 .schema
                 .parent(table_name)
@@ -155,7 +155,6 @@ impl JoinSampler {
                     pick.map(|i| tc.unmatched_rows[i])
                 }
             };
-            let _ = idx;
             slots.push(slot);
         }
         slots

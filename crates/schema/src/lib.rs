@@ -16,7 +16,8 @@
 //! * [`Predicate`] / [`CompareOp`] — single-column filters (`=`, `<`, `<=`, `>`, `>=`, `IN`),
 //! * [`Query`] — a join subgraph plus filters,
 //! * [`subsetting`] — the schema-subsetting helpers of §6: which tables a query omits and
-//!   which unique join key each omitted table must be downscaled by.
+//!   which unique join key each omitted table must be downscaled by; and
+//!   [`subset_schema`], the sub-schema a connected table subset induces.
 
 pub mod join_schema;
 pub mod predicate;
@@ -26,4 +27,4 @@ pub mod subsetting;
 pub use join_schema::{ColumnRef, JoinEdge, JoinSchema, SchemaError};
 pub use predicate::{CompareOp, Predicate};
 pub use query::{Query, TableFilter};
-pub use subsetting::SubsetPlan;
+pub use subsetting::{subset_schema, SubsetPlan};

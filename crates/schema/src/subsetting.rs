@@ -105,10 +105,51 @@ fn fanout_key_for_omitted(schema: &JoinSchema, omitted: &str, joined: &[String])
         .clone()
 }
 
+/// Builds the join sub-schema induced by a connected subset of tables — what the baselines
+/// and the workload generators sample a join template over.  Its root is the subset table
+/// closest to the schema root.
+pub fn subset_schema(schema: &JoinSchema, tables: &[String]) -> JoinSchema {
+    let edges = schema
+        .edges()
+        .iter()
+        .filter(|e| tables.contains(&e.left.table) && tables.contains(&e.right.table))
+        .cloned()
+        .collect();
+    let root = schema
+        .bfs_order()
+        .iter()
+        .find(|t| tables.contains(t))
+        .expect("subset is non-empty")
+        .clone();
+    JoinSchema::new(tables.to_vec(), edges, root)
+        .expect("connected query subsets form valid schemas")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::join_schema::JoinEdge;
+
+    #[test]
+    fn subset_schema_is_valid() {
+        // A star: A.id — B.movie_id, A.id — C.movie_id.
+        let schema = JoinSchema::new(
+            vec!["A".into(), "B".into(), "C".into()],
+            vec![
+                JoinEdge::parse("A.id", "B.movie_id"),
+                JoinEdge::parse("A.id", "C.movie_id"),
+            ],
+            "A",
+        )
+        .unwrap();
+        let sub = subset_schema(&schema, &["A".to_string(), "C".to_string()]);
+        assert_eq!(sub.num_tables(), 2);
+        assert_eq!(sub.root(), "A");
+        assert_eq!(sub.edges().len(), 1);
+        let single = subset_schema(&schema, &["B".to_string()]);
+        assert_eq!(single.num_tables(), 1);
+        assert_eq!(single.root(), "B");
+    }
 
     /// Figure 4 schema: A(x) — B(x, y) — C(y).
     fn abc() -> JoinSchema {

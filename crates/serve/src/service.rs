@@ -9,7 +9,7 @@
 //! [`crate::ModelSelector`], so one service serves every registered model — and keeps
 //! serving across hot swaps, since routing happens per request.
 
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -120,22 +120,6 @@ impl RegistryHandle {
         rx.recv().map_err(|_| ServeError::ShuttingDown)?
     }
 
-    /// Submits a request **without blocking for queue space**; still blocks for the
-    /// reply once admitted.  A request the full queue refuses is never queued: it is
-    /// answered at once, on the caller's thread, by the same shed policy the TCP
-    /// reactor applies — the registry's fallback estimator
-    /// ([`ModelRegistry::set_fallback`]) flagged `degraded` if one is installed, else
-    /// [`ServeError::Overloaded`] — so overload degrades accuracy before it degrades
-    /// availability.
-    pub fn try_request(&self, request: ServeRequest) -> Result<ServeReply, ServeError> {
-        let (reply, rx) = sync_channel(1);
-        match self.jobs.submit((request, Instant::now(), reply), false) {
-            Ok(()) => rx.recv().map_err(|_| ServeError::ShuttingDown)?,
-            Err(TrySendError::Full((request, ..))) => self.jobs.executor.shed(&request),
-            Err(TrySendError::Disconnected(_)) => Err(ServeError::ShuttingDown),
-        }
-    }
-
     /// Requests currently queued (admitted, not yet picked up by a worker).  A probe —
     /// racy by nature, exact enough for load shedding and dashboards.
     pub fn queue_depth(&self) -> usize {
@@ -232,7 +216,7 @@ impl RegistryService {
 mod tests {
     use super::*;
     use crate::model::BaselineModel;
-    use crate::testing::{stats_fallback, Bomb, Fixed, Gate};
+    use crate::testing::{stats_fallback, Bomb, Fixed};
     use nc_schema::{JoinEdge, JoinSchema, Predicate};
     use nc_storage::{Database, TableBuilder, Value};
     use neurocard::{EstimateError, EstimatorCore, ModelArtifact, NeuroCard, NeuroCardConfig};
@@ -471,132 +455,6 @@ mod tests {
             .estimate(&ModelSelector::latest(1, "one"), &q)
             .unwrap();
         assert_eq!(reply.estimate, 1.0);
-        let stats = service.shutdown();
-        assert_eq!(stats.served, 2);
-    }
-
-    #[test]
-    fn try_request_sheds_load_when_the_queue_is_full() {
-        let gate = Gate::default();
-        let registry = Arc::new(ModelRegistry::new());
-        registry
-            .register(1, "gate", Arc::new(BaselineModel::new(gate.clone())))
-            .unwrap();
-        let service = RegistryService::new(
-            registry,
-            ServiceConfig {
-                workers: 1,
-                queue_depth: 1,
-                default_samples: None,
-            },
-        );
-        let handle = service.handle();
-        let q = Query::join(&["t"]);
-        let sel = ModelSelector::latest(1, "gate");
-
-        // One blocking client, held inside the (closed) gate by the single worker...
-        let held = {
-            let (h, sel, q) = (handle.clone(), sel.clone(), q.clone());
-            std::thread::spawn(move || h.estimate(&sel, &q))
-        };
-        while gate.entered() != 1 {
-            std::thread::yield_now();
-        }
-        // ...and a second request placed in the queue's one slot without waiting for
-        // its reply.  (A second blocking client would not do: a request is counted
-        // before it is enqueued, so the depth gauge cannot prove its item has landed.)
-        let (reply, queued) = sync_channel(1);
-        handle
-            .jobs
-            .submit(
-                (
-                    ServeRequest::new(sel.clone(), q.clone()),
-                    Instant::now(),
-                    reply,
-                ),
-                true,
-            )
-            .unwrap();
-        assert_eq!(handle.queue_depth(), 1);
-
-        // The queue is provably full: admission control refuses instead of blocking.
-        assert_eq!(
-            handle.try_request(ServeRequest::new(sel.clone(), q.clone())),
-            Err(ServeError::Overloaded)
-        );
-
-        // Open the gate: both admitted requests complete; the shed one never ran.
-        gate.open();
-        assert_eq!(held.join().unwrap().unwrap().estimate, 7.0);
-        assert_eq!(queued.recv().unwrap().unwrap().estimate, 7.0);
-        let stats = service.shutdown();
-        assert_eq!(stats.served, 2);
-        // A post-shutdown try_request reports shutdown, not overload.
-        assert!(matches!(
-            handle.try_request(ServeRequest::new(sel, q)),
-            Err(ServeError::ShuttingDown) | Err(ServeError::Overloaded)
-        ));
-    }
-
-    #[test]
-    fn queue_shed_degrades_through_the_fallback() {
-        let gate = Gate::default();
-        let registry = Arc::new(ModelRegistry::new());
-        registry
-            .register(1, "gate", Arc::new(BaselineModel::new(gate.clone())))
-            .unwrap();
-        registry.set_fallback(stats_fallback());
-
-        let service = RegistryService::new(
-            registry.clone(),
-            ServiceConfig {
-                workers: 1,
-                queue_depth: 1,
-                default_samples: None,
-            },
-        );
-        let handle = service.handle();
-        let q = Query::join(&["t"]);
-        let sel = ModelSelector::latest(1, "gate");
-
-        // One blocking client, held inside the (closed) gate by the single worker...
-        let held = {
-            let (h, sel, q) = (handle.clone(), sel.clone(), q.clone());
-            std::thread::spawn(move || h.estimate(&sel, &q))
-        };
-        while gate.entered() != 1 {
-            std::thread::yield_now();
-        }
-        // ...and a second request placed in the queue's one slot without waiting for
-        // its reply.  (A second blocking client would not do: a request is counted
-        // before it is enqueued, so the depth gauge cannot prove its item has landed.)
-        let (reply, queued) = sync_channel(1);
-        handle
-            .jobs
-            .submit(
-                (
-                    ServeRequest::new(sel.clone(), q.clone()),
-                    Instant::now(),
-                    reply,
-                ),
-                true,
-            )
-            .unwrap();
-        assert_eq!(handle.queue_depth(), 1);
-
-        // The shed request is answered inline by the fallback, flagged degraded.
-        let reply = handle
-            .try_request(ServeRequest::new(sel.clone(), q.clone()))
-            .unwrap();
-        assert!(reply.degraded);
-        assert_eq!(reply.estimate, 40.0);
-        assert_eq!(reply.key.name, "stats-fallback");
-        assert_eq!(reply.key.version, 0);
-        assert_eq!(registry.stats().degraded, 1);
-
-        gate.open();
-        assert_eq!(held.join().unwrap().unwrap().estimate, 7.0);
-        assert_eq!(queued.recv().unwrap().unwrap().estimate, 7.0);
         let stats = service.shutdown();
         assert_eq!(stats.served, 2);
     }

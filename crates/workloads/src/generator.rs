@@ -12,26 +12,8 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use nc_sampler::JoinSampler;
-use nc_schema::{CompareOp, JoinSchema, Predicate, Query};
+use nc_schema::{subset_schema, CompareOp, JoinSchema, Predicate, Query};
 use nc_storage::{Database, Value};
-
-/// Builds the join sub-schema induced by a connected table subset (same convention as the
-/// baselines: the root is the subset table closest to the schema root).
-pub fn subset_schema(schema: &JoinSchema, tables: &[String]) -> JoinSchema {
-    let edges = schema
-        .edges()
-        .iter()
-        .filter(|e| tables.contains(&e.left.table) && tables.contains(&e.right.table))
-        .cloned()
-        .collect();
-    let root = schema
-        .bfs_order()
-        .iter()
-        .find(|t| tables.contains(t))
-        .expect("non-empty subset")
-        .clone();
-    JoinSchema::new(tables.to_vec(), edges, root).expect("connected subsets are valid schemas")
-}
 
 /// Draws one tuple from the inner join of `tables`, as a map `(table, column) → value`.
 ///
