@@ -136,6 +136,8 @@ impl MscnEstimator {
             .collect();
 
         let mut order: Vec<usize> = (0..labelled.len()).collect();
+        // The transposed weight `Linear::backward` multiplies by, reused across steps.
+        let mut wt = Matrix::zeros(0, 0);
         for _ in 0..config.epochs {
             order.shuffle(&mut rng);
             for chunk in order.chunks(config.batch_size.max(1)) {
@@ -153,13 +155,13 @@ impl MscnEstimator {
                 }
                 // Backward through the three layers.
                 let mut dh2 = Matrix::zeros(h2.rows(), h2.cols());
-                this.layer3.backward(&h2, &dout, &mut dh2);
+                this.layer3.backward(&h2, &dout, &mut dh2, &mut wt);
                 relu_backward(&h2, &mut dh2);
                 let mut dh1 = Matrix::zeros(h1.rows(), h1.cols());
-                this.layer2.backward(&h1, &dh2, &mut dh1);
+                this.layer2.backward(&h1, &dh2, &mut dh1, &mut wt);
                 relu_backward(&h1, &mut dh1);
                 let mut dx = Matrix::zeros(x.rows(), x.cols());
-                this.layer1.backward(&x, &dh1, &mut dx);
+                this.layer1.backward(&x, &dh1, &mut dx, &mut wt);
                 adam.step(&mut [
                     &mut this.layer1.weight,
                     &mut this.layer1.bias,

@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use nc_nn::{Adam, AdamConfig, ResMade};
+use nc_nn::{Adam, AdamConfig, ResMade, TrainScratch};
 use nc_sampler::{
     derive_stream_seed, BatchEncoder, BatchTicket, BiasedSampler, JoinSampler, SamplerPool,
 };
@@ -225,6 +225,11 @@ impl Trainer {
         // submit.
         let mut pending: VecDeque<BatchTicket> = VecDeque::new();
         let mut next = 0usize;
+        // Every activation and gradient buffer of a step, allocated by the first batch and
+        // reused by the rest.  It lives for this call only: held any longer — by the
+        // trainer, let alone by the model every serving core clones — its ≈ 2 MB would sit
+        // under whatever the process does after training.
+        let mut scratch = TrainScratch::new();
         for &n in &sizes {
             // nc-lint: allow(wall-clock-in-core) — phase timing for TrainProgress
             // only; the elapsed values never feed RNG streams, weights or estimates.
@@ -252,7 +257,7 @@ impl Trainer {
 
             // nc-lint: allow(wall-clock-in-core) — same: training-phase stopwatch.
             let t1 = Instant::now();
-            let loss = self.train_step(&targets);
+            let loss = self.train_step(&targets, &mut scratch);
             progress.training_time += t1.elapsed();
             if progress.batches == 0 {
                 progress.first_loss = loss;
@@ -265,7 +270,7 @@ impl Trainer {
     }
 
     /// One maximum-likelihood step over an encoded batch (flat row-major tokens).
-    fn train_step(&mut self, targets: &[u32]) -> f32 {
+    fn train_step(&mut self, targets: &[u32], scratch: &mut TrainScratch) -> f32 {
         // Wildcard skipping: most batches use the varied-rate scheme (covering heavily
         // masked inputs, which is what low-filter queries condition on at inference
         // time); the rest use the configured fixed rate so lightly-masked inputs stay
@@ -274,7 +279,7 @@ impl Trainer {
         let rate = (!varied).then_some(self.config.wildcard_skip_prob);
         self.model
             .apply_wildcard_skipping(targets, rate, &mut self.rng, &mut self.inputs);
-        let loss = self.model.forward_backward(&self.inputs, targets);
+        let loss = self.model.forward_backward(&self.inputs, targets, scratch);
         self.optimizer.step(&mut self.model.params_mut());
         loss
     }

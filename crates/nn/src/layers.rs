@@ -4,8 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::tensor::{
-    add_bias, column_sums_accumulate, matmul, matmul_transpose_a_accumulate,
-    matmul_transpose_b_blocked, MadeMask, Matrix,
+    add_bias, column_sums_accumulate, gemm_tn_acc, matmul_blocked, transpose_into, MadeMask, Matrix,
 };
 
 /// A trainable parameter tensor: value and accumulated gradient of identical shape.
@@ -67,18 +66,48 @@ impl Linear {
         }
     }
 
-    /// Forward pass: `out = x·W + b`.
+    /// Forward pass: `out = x·W + b` (every element of `out` is overwritten).
     pub fn forward(&self, x: &Matrix, out: &mut Matrix) {
-        matmul(x, &self.weight.value, out);
+        matmul_blocked(x, &self.weight.value, out);
         add_bias(out, self.bias.value.row(0));
     }
 
-    /// Backward pass: accumulates `dW += xᵀ·dy`, `db += Σ dy`, and writes `dx = dy·Wᵀ`
-    /// (via the blocked kernel, bit-identical to the naive one).
-    pub fn backward(&mut self, x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
-        matmul_transpose_a_accumulate(x, dy, &mut self.weight.grad);
+    /// Backward pass: accumulates `dW += xᵀ·dy` ([`gemm_tn_acc`]) and `db += Σ dy`, and
+    /// overwrites `dx = dy·Wᵀ` — [`matmul_blocked`] over `Wᵀ`, which this call writes into
+    /// `wt` (any shape on entry; a caller that keeps one `wt` across calls and layers
+    /// allocates for the largest layer once).  Each `dx` element is the ascending dot
+    /// product over the layer's outputs it always was; that the row kernel skips
+    /// `dy == 0.0` drops only `±0.0` terms while the weights are finite.
+    pub fn backward(&mut self, x: &Matrix, dy: &Matrix, dx: &mut Matrix, wt: &mut Matrix) {
+        self.backward_under(None, x, dy, dx, wt);
+    }
+
+    /// [`Linear::backward`] for a weight under `mask`: `dW` tiles the rule forbids
+    /// entirely are not computed.
+    fn backward_under(
+        &mut self,
+        mask: Option<MadeMask>,
+        x: &Matrix,
+        dy: &Matrix,
+        dx: &mut Matrix,
+        wt: &mut Matrix,
+    ) {
+        let Param { value, grad } = &mut self.weight;
+        let (in_dim, out_dim) = (value.rows(), value.cols());
+        assert_eq!(x.rows(), dy.rows(), "outer (batch) dimensions must agree");
+        assert_eq!((x.cols(), dy.cols()), (in_dim, out_dim));
+        gemm_tn_acc(
+            x.rows(),
+            in_dim,
+            out_dim,
+            x.data(),
+            dy.data(),
+            mask,
+            grad.data_mut(),
+        );
         column_sums_accumulate(dy, self.bias.grad.row_mut(0));
-        matmul_transpose_b_blocked(dy, &self.weight.value, dx);
+        transpose_into(in_dim, out_dim, value.data(), wt);
+        matmul_blocked(dy, wt, dx);
     }
 
     /// Total number of scalar parameters.
@@ -131,8 +160,11 @@ impl MaskedLinear {
     /// `m = +0.0` (`β₁·(+0.0) + (1−β₁)·(−0.0) = +0.0`), `v = +0.0` and `w −= +0.0`.  Only
     /// a diverged run differs: a non-finite gradient used to leak `NaN · 0.0 = NaN` into
     /// a masked weight, and now cannot.
-    pub fn backward(&mut self, x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
-        self.inner.backward(x, dy, dx);
+    ///
+    /// Since the forbidden gradients are discarded here, the `dW` product does not compute
+    /// the register tiles that hold nothing else ([`gemm_tn_acc`] under the rule).
+    pub fn backward(&mut self, x: &Matrix, dy: &Matrix, dx: &mut Matrix, wt: &mut Matrix) {
+        self.inner.backward_under(Some(self.mask), x, dy, dx, wt);
         zero_forbidden(&mut self.inner.weight.grad, self.mask);
     }
 
@@ -264,7 +296,7 @@ mod tests {
         // Loss = sum(y); dy = ones.
         let dy = Matrix::from_vec(2, 2, vec![1.0; 4]);
         let mut dx = Matrix::zeros(2, 3);
-        layer.backward(&x, &dy, &mut dx);
+        layer.backward(&x, &dy, &mut dx, &mut Matrix::zeros(0, 0));
 
         // Numerical gradient check on one weight.
         let eps = 1e-3;
@@ -300,7 +332,7 @@ mod tests {
         layer.forward(&x, &mut y);
         let dy = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let mut dx = Matrix::zeros(1, 2);
-        layer.backward(&x, &dy, &mut dx);
+        layer.backward(&x, &dy, &mut dx, &mut Matrix::zeros(0, 0));
         // Gradient of the masked weight is forced to zero.
         assert_eq!(layer.inner.weight.grad.get(1, 0), 0.0);
         assert_ne!(layer.inner.weight.grad.get(0, 0), 0.0);

@@ -7,9 +7,10 @@
 //! this crate provides the pieces the estimator actually needs, in Rust with no numeric
 //! dependency:
 //!
-//! * [`tensor`] — dense `f32` matrices, the handful of scalar BLAS-like kernels used by the
-//!   model (GEMM with accumulate/transpose variants, row-wise ops), and MADE's
-//!   connectivity as a rule over unit degrees ([`tensor::MadeMask`], [`tensor::LiveUnits`]),
+//! * [`tensor`] — dense `f32` matrices, the handful of scalar, register-blocked BLAS-like
+//!   kernels inference and training run on (each bit-equal to the naive loop it stands in
+//!   for: one ascending chain of additions per output element), and MADE's connectivity as
+//!   a rule over unit degrees ([`tensor::MadeMask`], [`tensor::LiveUnits`]),
 //! * [`kernel`] — the same inference kernels dispatched to AVX2+FMA / NEON intrinsics
 //!   (the crate's only `unsafe` code; behind the `simd` feature, portable otherwise),
 //! * [`layers`] — trainable parameters, plain and **masked** linear layers (the masks —
@@ -21,14 +22,17 @@
 //!   masked residual blocks → per-column output heads tied to the embedding matrices.
 //!   A token batch is one flat row-major `batch × num_columns` `[u32]` everywhere:
 //!   [`ResMade::apply_wildcard_skipping`] and [`ResMade::forward_backward`] are the
-//!   maximum-likelihood training step, [`ResMade::conditional_probs_into`] /
-//!   [`ResMade::conditional_probs_step`] read `p(xᵢ | x₍<ᵢ₎)` for progressive sampling,
+//!   maximum-likelihood training step, every buffer of which lives in a caller-owned
+//!   [`TrainScratch`]; [`ResMade::conditional_probs_into`] /
+//!   [`ResMade::conditional_probs_step`] read `p(xᵢ | x₍<ᵢ₎)` for progressive sampling
+//!   out of an [`InferenceScratch`],
 //! * [`serialize`] / [`artifact`] — flat binary save/load of model parameters and the
 //!   checksummed section container model artifacts are written in.
 //!
 //! Everything is deterministic given a seed.  The crate spawns no threads: training is
-//! scalar on the caller's thread, and callers that want parallel inference run one
-//! [`InferenceScratch`] per thread over a shared model.
+//! scalar on the caller's thread (the model holds no scratch — it is what serving cores
+//! clone — so the trainer brings a [`TrainScratch`]), and callers that want parallel
+//! inference run one [`InferenceScratch`] per thread over a shared model.
 
 pub mod artifact;
 pub mod kernel;
@@ -42,6 +46,6 @@ pub mod tensor;
 pub use artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
 pub use layers::{relu, relu_backward, Embedding, Linear, MaskedLinear, Param};
 pub use loss::softmax_cross_entropy;
-pub use made::{InferenceScratch, MadeConfig, ResMade};
+pub use made::{InferenceScratch, MadeConfig, ResMade, TrainScratch};
 pub use optim::{Adam, AdamConfig};
 pub use tensor::Matrix;

@@ -23,8 +23,9 @@ use crate::kernel;
 use crate::layers::{relu, relu_backward, seeded_rng, Embedding, MaskedLinear, Param};
 use crate::loss::{softmax_cross_entropy, softmax_rows, softmax_rows_into};
 use crate::tensor::{
-    add_bias, column_sums_accumulate, gemm_nt, matmul_blocked_acc, matmul_blocked_live,
-    matmul_col_range_live, LiveUnits, MadeMask, Matrix,
+    add_bias, column_sums_accumulate, gemm_narrow, gemm_nt, gemm_tn_acc, matmul, matmul_blocked,
+    matmul_blocked_acc, matmul_blocked_live, matmul_col_range_live, transpose_into, LiveUnits,
+    MadeMask, Matrix,
 };
 
 /// Hyper-parameters of a [`ResMade`] model.
@@ -234,70 +235,41 @@ impl ResMade {
         }
     }
 
-    /// Runs the trunk (embeddings → hidden stack → per-column context vectors).
-    ///
-    /// Returns the intermediate activations needed for the backward pass.
-    fn forward_trunk(&self, x: &Matrix) -> TrunkActivations {
-        let batch = x.rows();
+    /// The training forward's trunk (hidden stack → per-column context vectors) over the
+    /// embedded batch `s.x`, every activation the backward pass needs kept in `s`.
+    fn forward_trunk(&self, s: &mut TrainScratch) {
+        let batch = s.x.rows();
         let h_dim = self.config.d_hidden;
-        let mut h = Matrix::zeros(batch, h_dim);
-        self.input_layer.forward(x, &mut h);
-        relu(&mut h);
-        let mut hiddens = vec![h];
-        let mut block_acts = Vec::with_capacity(self.blocks.len());
-        for (w1, w2) in &self.blocks {
-            let h_prev = hiddens.last().expect("at least the input activation");
-            let mut a = Matrix::zeros(batch, h_dim);
-            w1.forward(h_prev, &mut a);
-            relu(&mut a);
-            let mut b = Matrix::zeros(batch, h_dim);
-            w2.forward(&a, &mut b);
-            relu(&mut b);
-            let mut h_next = h_prev.clone();
-            for (o, v) in h_next.data_mut().iter_mut().zip(b.data()) {
-                *o += v;
+        s.hiddens
+            .resize_with(self.blocks.len() + 1, Matrix::default);
+        s.block_acts
+            .resize_with(self.blocks.len(), Default::default);
+        s.hiddens[0].resize(batch, h_dim);
+        self.input_layer.forward(&s.x, &mut s.hiddens[0]);
+        relu(&mut s.hiddens[0]);
+        for (i, (w1, w2)) in self.blocks.iter().enumerate() {
+            let (before, after) = s.hiddens.split_at_mut(i + 1);
+            let (h_prev, h_next) = (&before[i], &mut after[0]);
+            let (a, b) = &mut s.block_acts[i];
+            a.resize(batch, h_dim);
+            w1.forward(h_prev, a);
+            relu(a);
+            b.resize(batch, h_dim);
+            w2.forward(a, b);
+            relu(b);
+            h_next.resize(batch, h_dim);
+            for ((o, p), v) in h_next
+                .data_mut()
+                .iter_mut()
+                .zip(h_prev.data())
+                .zip(b.data())
+            {
+                *o = p + v;
             }
-            block_acts.push((a, b));
-            hiddens.push(h_next);
         }
-        let mut ctx = Matrix::zeros(batch, self.num_columns() * self.config.d_emb);
+        s.ctx.resize(batch, self.num_columns() * self.config.d_emb);
         self.output_layer
-            .forward(hiddens.last().expect("non-empty"), &mut ctx);
-        TrunkActivations {
-            hiddens,
-            block_acts,
-            ctx,
-        }
-    }
-
-    /// Logits of column `col` given per-row context vectors (weight-tied to the embedding).
-    ///
-    /// The head is one GEMM against the first `domain` rows of the embedding table (the
-    /// `domain + 1`-th row is the MASK token, which is never a prediction target) plus the
-    /// per-column bias.
-    fn logits_for(&self, ctx: &Matrix, col: usize) -> Matrix {
-        let d = self.config.d_emb;
-        let domain = self.config.domains[col];
-        let batch = ctx.rows();
-        // Gather the column's context slice into a compact batch × d matrix for the GEMM.
-        let mut head_ctx = Matrix::zeros(batch, d);
-        for b in 0..batch {
-            head_ctx
-                .row_mut(b)
-                .copy_from_slice(&ctx.row(b)[col * d..(col + 1) * d]);
-        }
-        let mut logits = Matrix::zeros(batch, domain);
-        let emb = &self.embeddings[col].table.value;
-        gemm_nt(
-            batch,
-            domain,
-            d,
-            head_ctx.data(),
-            &emb.data()[..domain * d],
-            logits.data_mut(),
-        );
-        add_bias(&mut logits, self.output_bias[col].value.row(0));
-        logits
+            .forward(s.hiddens.last().expect("non-empty"), &mut s.ctx);
     }
 
     /// One maximum-likelihood training step on a batch, both token buffers flat row-major
@@ -309,7 +281,18 @@ impl ResMade {
     ///
     /// Gradients are *accumulated* into the parameters; the caller applies an optimizer
     /// step afterwards.  Returns the mean negative log-likelihood (nats per tuple).
-    pub fn forward_backward(&mut self, inputs: &[u32], targets: &[u32]) -> f32 {
+    ///
+    /// Every activation and gradient lives in `scratch`, which adapts to the batch it is
+    /// given: once it has seen the largest batch, a step allocates nothing.  The six
+    /// matrix products run on the register-blocked kernels of [`crate::tensor`], each of
+    /// which keeps the per-element accumulation order of the naive loop it replaced — a
+    /// trained weight does not depend on the blocking (`trained_weights_are_pinned*`).
+    pub fn forward_backward(
+        &mut self,
+        inputs: &[u32],
+        targets: &[u32],
+        scratch: &mut TrainScratch,
+    ) -> f32 {
         assert_eq!(inputs.len(), targets.len());
         assert!(!inputs.is_empty(), "cannot train on an empty batch");
         assert!(
@@ -320,75 +303,104 @@ impl ResMade {
         let d = self.config.d_emb;
         let h_dim = self.config.d_hidden;
 
-        let mut x = Matrix::zeros(0, 0);
-        self.embed_flat_into(inputs, &mut x);
-        let batch = x.rows();
-        let acts = self.forward_trunk(&x);
+        self.embed_flat_into(inputs, &mut scratch.x);
+        let batch = scratch.x.rows();
+        self.forward_trunk(scratch);
 
         // Per-column heads: loss, dlogits, then gradients into embeddings/biases/ctx.
+        //   logits[b][v] = ctx_col[b] · E[v] + bias[v]
+        //   dctx_col[b]  = Σ_v dlogits[b][v] · E[v]          (dlogits · E[..domain])
+        //   dE[v]       += Σ_b dlogits[b][v] · ctx_col[b]    (dlogitsᵀ · ctx_col)
+        //   dbias[v]    += Σ_b dlogits[b][v]
+        // `E[..domain]` leaves out the table's last row: MASK is never a target.
         let mut total_loss = 0.0f32;
-        let mut dctx = Matrix::zeros(batch, n * d);
-        let mut target_col = Vec::with_capacity(batch);
+        let TrainScratch {
+            ctx,
+            dctx,
+            head_ctx,
+            head_dctx,
+            logits,
+            dlogits,
+            target_col,
+            wt,
+            ..
+        } = scratch;
+        dctx.resize(batch, n * d);
+        head_ctx.resize(batch, d);
+        head_dctx.resize(batch, d);
         for col in 0..n {
             let domain = self.config.domains[col];
-            let logits = self.logits_for(&acts.ctx, col);
+            let Param { value: emb, grad } = &mut self.embeddings[col].table;
+            let emb = &emb.data()[..domain * d];
+            for b in 0..batch {
+                head_ctx
+                    .row_mut(b)
+                    .copy_from_slice(&ctx.row(b)[col * d..(col + 1) * d]);
+            }
+            transpose_into(domain, d, emb, wt);
+            logits.resize(batch, domain);
+            matmul_blocked(head_ctx, wt, logits);
+            add_bias(logits, self.output_bias[col].value.row(0));
             target_col.clear();
             target_col.extend(targets.iter().skip(col).step_by(n));
-            let mut dlogits = Matrix::zeros(batch, domain);
-            total_loss += softmax_cross_entropy(&logits, &target_col, &mut dlogits);
+            dlogits.resize(batch, domain);
+            total_loss += softmax_cross_entropy(logits, target_col, dlogits);
 
-            // Backprop through the tied head:
-            //   logits[b][v] = ctx_col[b] · E[v] + bias[v]
-            //   dctx_col[b]  = Σ_v dlogits[b][v] · E[v]
-            //   dE[v]       += Σ_b dlogits[b][v] · ctx_col[b]
-            //   dbias[v]    += Σ_b dlogits[b][v]
-            column_sums_accumulate(&dlogits, self.output_bias[col].grad.row_mut(0));
-            let Param { value: emb, grad } = &mut self.embeddings[col].table;
+            column_sums_accumulate(dlogits, self.output_bias[col].grad.row_mut(0));
+            gemm_narrow(batch, domain, d, dlogits.data(), emb, head_dctx.data_mut());
             for b in 0..batch {
-                let ctx_slice = &acts.ctx.row(b)[col * d..(col + 1) * d];
-                let dl_row = dlogits.row(b);
-                let dctx_slice = &mut dctx.row_mut(b)[col * d..(col + 1) * d];
-                for (v, &dl) in dl_row.iter().enumerate() {
-                    if dl == 0.0 {
-                        continue;
-                    }
-                    for (dc, e) in dctx_slice.iter_mut().zip(emb.row(v)) {
-                        *dc += dl * e;
-                    }
-                    for (g, c) in grad.row_mut(v).iter_mut().zip(ctx_slice) {
-                        *g += dl * c;
-                    }
-                }
+                dctx.row_mut(b)[col * d..(col + 1) * d].copy_from_slice(head_dctx.row(b));
             }
+            gemm_tn_acc(
+                batch,
+                domain,
+                d,
+                dlogits.data(),
+                head_ctx.data(),
+                None,
+                grad.data_mut(),
+            );
         }
 
         // Output layer backward.
-        let mut dh = Matrix::zeros(batch, h_dim);
+        let TrainScratch {
+            x,
+            hiddens,
+            block_acts,
+            dctx,
+            dh,
+            db,
+            da,
+            dh_branch,
+            dx,
+            wt,
+            ..
+        } = scratch;
+        dh.resize(batch, h_dim);
         self.output_layer
-            .backward(acts.hiddens.last().expect("non-empty"), &dctx, &mut dh);
+            .backward(hiddens.last().expect("non-empty"), dctx, dh, wt);
 
         // Residual blocks backward (reverse order).
         for (i, (w1, w2)) in self.blocks.iter_mut().enumerate().rev() {
-            let (a, b_act) = &acts.block_acts[i];
-            let h_prev = &acts.hiddens[i];
+            let (a, b_act) = &block_acts[i];
             // dh splits into the identity path (stays dh) and the branch path through b.
-            let mut db = dh.clone();
-            relu_backward(b_act, &mut db);
-            let mut da = Matrix::zeros(batch, h_dim);
-            w2.backward(a, &db, &mut da);
-            relu_backward(a, &mut da);
-            let mut dh_branch = Matrix::zeros(batch, h_dim);
-            w1.backward(h_prev, &da, &mut dh_branch);
+            db.resize(batch, h_dim);
+            db.data_mut().copy_from_slice(dh.data());
+            relu_backward(b_act, db);
+            da.resize(batch, h_dim);
+            w2.backward(a, db, da, wt);
+            relu_backward(a, da);
+            dh_branch.resize(batch, h_dim);
+            w1.backward(&hiddens[i], da, dh_branch, wt);
             for (o, v) in dh.data_mut().iter_mut().zip(dh_branch.data()) {
                 *o += v;
             }
         }
 
         // Input layer backward.
-        let mut dh_in = dh;
-        relu_backward(&acts.hiddens[0], &mut dh_in);
-        let mut dx = Matrix::zeros(batch, n * d);
-        self.input_layer.backward(&x, &dh_in, &mut dx);
+        relu_backward(&hiddens[0], dh);
+        dx.resize(batch, n * d);
+        self.input_layer.backward(x, dh, dx, wt);
 
         // Embedding (input side) gradients.
         for (b, row) in inputs.chunks_exact(n).enumerate() {
@@ -461,26 +473,52 @@ impl ResMade {
         }
     }
 
+    /// The seed trunk — embeddings → hidden stack → the context vectors of *every* column
+    /// (`batch × num_columns·d_emb`) — on the naive [`matmul`], fresh allocations per
+    /// layer.  It is that kernel's only caller outside tests: the oracle both forwards are
+    /// pinned against must share no kernel with them.
+    fn reference_ctx(&self, tokens: &[u32]) -> Matrix {
+        let mut x = Matrix::zeros(0, 0);
+        self.embed_flat_into(tokens, &mut x);
+        let layer = |layer: &MaskedLinear, x: &Matrix| {
+            let weights = &layer.inner.weight.value;
+            let mut out = Matrix::zeros(x.rows(), weights.cols());
+            matmul(x, weights, &mut out);
+            add_bias(&mut out, layer.inner.bias.value.row(0));
+            out
+        };
+        let mut h = layer(&self.input_layer, &x);
+        relu(&mut h);
+        for (w1, w2) in &self.blocks {
+            let mut a = layer(w1, &h);
+            relu(&mut a);
+            let mut b = layer(w2, &a);
+            relu(&mut b);
+            for (o, v) in h.data_mut().iter_mut().zip(b.data()) {
+                *o += v;
+            }
+        }
+        layer(&self.output_layer, &h)
+    }
+
     /// The seed (pre-fast-path) inference forward, kept verbatim as the baseline the
     /// determinism contract is pinned against — a test oracle with no production caller:
-    /// fresh allocations per call, the full-width output layer (contexts for *every*
-    /// column), and the scalar weight-tied logit loop.
+    /// fresh allocations per call, naive kernels, the full-width output layer (contexts
+    /// for *every* column), and the scalar weight-tied logit loop.
     ///
     /// Bit-identical to [`ResMade::conditional_probs_into`] — only the compute profile
     /// differs.
     pub fn conditional_probs_reference(&self, inputs: &[Vec<u32>], col: usize) -> Matrix {
         assert!(col < self.num_columns());
         let flat: Vec<u32> = inputs.iter().flatten().copied().collect();
-        let mut x = Matrix::zeros(0, 0);
-        self.embed_flat_into(&flat, &mut x);
-        let acts = self.forward_trunk(&x);
+        let ctx = self.reference_ctx(&flat);
         let d = self.config.d_emb;
         let domain = self.config.domains[col];
         let emb = &self.embeddings[col].table.value;
         let bias = self.output_bias[col].value.row(0);
-        let mut logits = Matrix::zeros(x.rows(), domain);
-        for b in 0..x.rows() {
-            let c = &acts.ctx.row(b)[col * d..(col + 1) * d];
+        let mut logits = Matrix::zeros(ctx.rows(), domain);
+        for b in 0..ctx.rows() {
+            let c = &ctx.row(b)[col * d..(col + 1) * d];
             let out = logits.row_mut(b);
             for (v, out_v) in out.iter_mut().enumerate() {
                 let e = emb.row(v);
@@ -883,15 +921,53 @@ impl Default for InferenceScratch {
     }
 }
 
-/// Intermediate activations of one trunk forward pass.
-struct TrunkActivations {
+/// Every buffer of one training step ([`ResMade::forward_backward`]): activations,
+/// gradients, the per-column head matrices and the one transposed-weight buffer.
+///
+/// The trainer owns one and passes it to every step — never the model, which is cloned
+/// into every serving core.  Buffers are resized in place and only ever grow, so after the
+/// first full batch a step allocates nothing, a ragged last batch included; the per-column
+/// buffers are shared by the columns and end up sized for the largest domain, the
+/// transposed-weight buffer for the largest layer.  Not tied to a model: a step adapts it
+/// to whatever shapes it needs.
+#[derive(Debug, Clone, Default)]
+pub struct TrainScratch {
+    /// Embedded inputs (`batch × n·d_emb`).
+    x: Matrix,
     /// `hiddens[0]` is the post-ReLU input-layer activation; `hiddens[i+1]` the output of
-    /// residual block `i`.
+    /// residual block `i` (`batch × d_hidden` each).
     hiddens: Vec<Matrix>,
     /// `(a, b)` activations inside each residual block.
     block_acts: Vec<(Matrix, Matrix)>,
-    /// Per-column context vectors (batch × n·d_emb).
+    /// Per-column context vectors (`batch × n·d_emb`) and their gradient.
     ctx: Matrix,
+    dctx: Matrix,
+    /// One column's slice of `ctx` / `dctx`, gathered compact (`batch × d_emb`).
+    head_ctx: Matrix,
+    head_dctx: Matrix,
+    /// One column's logits and their gradient (`batch × domain`).
+    logits: Matrix,
+    dlogits: Matrix,
+    /// One column of the targets.
+    target_col: Vec<u32>,
+    /// Gradients flowing down the hidden stack (`batch × d_hidden` each): the residual
+    /// stream, and inside a block its `b`, its `a` and its contribution to the stream.
+    dh: Matrix,
+    db: Matrix,
+    da: Matrix,
+    dh_branch: Matrix,
+    /// Gradient of the embedded inputs (`batch × n·d_emb`).
+    dx: Matrix,
+    /// The transpose of whichever weight the step is multiplying by: each layer's `Wᵀ`
+    /// for `dx = dy · Wᵀ`, each column's `E[..domain]ᵀ` for its logits.
+    wt: Matrix,
+}
+
+impl TrainScratch {
+    /// An empty scratch; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
 }
 
 #[cfg(test)]
@@ -980,11 +1056,12 @@ mod tests {
             &m.params(),
         );
         let data: Vec<u32> = (0..256u32).flat_map(|i| [i % 4, i % 4]).collect();
-        let first_loss = m.forward_backward(&data, &data);
+        let mut scratch = TrainScratch::new();
+        let first_loss = m.forward_backward(&data, &data, &mut scratch);
         adam.step(&mut m.params_mut());
         let mut last_loss = first_loss;
         for _ in 0..300 {
-            last_loss = m.forward_backward(&data, &data);
+            last_loss = m.forward_backward(&data, &data, &mut scratch);
             adam.step(&mut m.params_mut());
         }
         assert!(
@@ -1033,13 +1110,149 @@ mod tests {
             .zip(&targets)
             .map(|((b, c), &t)| if (b + c) % 3 == 0 { m.mask_token(c) } else { t })
             .collect();
+        let mut scratch = TrainScratch::new();
         for _ in 0..5 {
-            m.forward_backward(&inputs, &targets);
+            m.forward_backward(&inputs, &targets, &mut scratch);
             adam.step(&mut m.params_mut());
         }
         assert_eq!(m.check_masked_weights(), Ok(()));
         let bytes = crate::serialize::model_to_bytes(&m);
         assert_eq!(crate::artifact::fnv1a64(&bytes), 0xdc58_f21b_ad79_f0e8);
+    }
+
+    /// The same pin where the kernels are wide: `d_hidden` 96 (three 32-wide blocks),
+    /// batches 37 → 128 → 37 (ragged row tiles, a scratch that grows and shrinks), a
+    /// 300-value domain, and degree periods 7, 26 (JOB-light's) and 60 (JOB-M's) — shorter
+    /// and longer than a register tile.  Recorded from the allocating, naive-kernel
+    /// `forward_backward` this crate had before [`TrainScratch`].
+    #[test]
+    fn trained_weights_are_pinned_at_width() {
+        let base = [7usize, 62, 41, 300, 12, 3, 3, 33];
+        let cycled = |n: usize| (0..n).map(|c| base[c % base.len()]).collect::<Vec<_>>();
+        for (domains, pinned) in [
+            (cycled(8), 0x2175_307e_98a5_6e9cu64),
+            (cycled(27), 0x7cac_668d_a4f7_67a0),
+            (cycled(61), 0xa4fb_0bec_3d9e_3396),
+        ] {
+            let n = domains.len();
+            let mut m = ResMade::new(MadeConfig {
+                domains,
+                d_emb: 12,
+                d_hidden: 96,
+                num_blocks: 2,
+                seed: 31,
+            });
+            let mut adam = Adam::for_params(AdamConfig::default(), &m.params());
+            let mut scratch = TrainScratch::new();
+            for (step, batch) in [37usize, 128, 37].into_iter().enumerate() {
+                let cells = || (0..batch).flat_map(|b| (0..n).map(move |c| (b, c)));
+                let targets: Vec<u32> = cells()
+                    .map(|(b, c)| ((b * 7 + c * 3 + step * 5) % m.domain(c)) as u32)
+                    .collect();
+                let inputs: Vec<u32> = cells()
+                    .zip(&targets)
+                    .map(|((b, c), &t)| {
+                        if (b + c + step) % 3 == 0 {
+                            m.mask_token(c)
+                        } else {
+                            t
+                        }
+                    })
+                    .collect();
+                m.forward_backward(&inputs, &targets, &mut scratch);
+                adam.step(&mut m.params_mut());
+            }
+            assert_eq!(m.check_masked_weights(), Ok(()));
+            let bytes = crate::serialize::model_to_bytes(&m);
+            assert_eq!(
+                crate::artifact::fnv1a64(&bytes),
+                pinned,
+                "{n} columns: {:#x}",
+                crate::artifact::fnv1a64(&bytes)
+            );
+        }
+    }
+
+    /// The training forward runs on the blocked kernels out of a reused scratch; the
+    /// reference trunk on the naive `matmul` with fresh allocations.  Same context vectors,
+    /// bit for bit, through one scratch across batch sizes that grow and shrink.
+    #[test]
+    fn training_forward_matches_reference_trunk_bitwise() {
+        let m = ResMade::new(MadeConfig {
+            domains: vec![4, 9, 3, 40, 5, 7],
+            d_emb: 7,
+            d_hidden: 45,
+            num_blocks: 2,
+            seed: 19,
+        });
+        let n = m.num_columns();
+        let mut scratch = TrainScratch::new();
+        for (round, batch) in [5usize, 1, 37, 4].into_iter().enumerate() {
+            let tokens: Vec<u32> = (0..batch * n)
+                .map(|i| {
+                    let (b, c) = (i / n, i % n);
+                    if (b + c + round) % 3 == 0 {
+                        m.mask_token(c)
+                    } else {
+                        ((b * 31 + c * 7 + round) % m.domain(c)) as u32
+                    }
+                })
+                .collect();
+            m.embed_flat_into(&tokens, &mut scratch.x);
+            m.forward_trunk(&mut scratch);
+            let reference = m.reference_ctx(&tokens);
+            assert_eq!(
+                (scratch.ctx.rows(), scratch.ctx.cols()),
+                (batch, n * m.config.d_emb)
+            );
+            for (i, (a, b)) in reference.data().iter().zip(scratch.ctx.data()).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "batch {batch} element {i}");
+            }
+        }
+    }
+
+    /// What [`MaskedLinear::backward`] promises, seen from the model, now that the weight
+    /// gradient skips the tiles a rule forbids: after a step's backward pass every
+    /// forbidden gradient of every masked layer is `+0.0`, for all three kinds of mask and
+    /// a degree period shorter (26) and longer (60) than a register tile — and the
+    /// optimizer then leaves every masked weight at zero.
+    #[test]
+    fn forbidden_gradients_are_positive_zero_after_a_step() {
+        for n in [27usize, 61] {
+            let mut m = ResMade::new(MadeConfig {
+                domains: (0..n).map(|c| [3usize, 5, 2, 7, 4][c % 5]).collect(),
+                d_emb: 12,
+                d_hidden: 96,
+                num_blocks: 1,
+                seed: 3,
+            });
+            let mut adam = Adam::for_params(AdamConfig::default(), &m.params());
+            let mut scratch = TrainScratch::new();
+            let tokens: Vec<u32> = (0..9 * n)
+                .map(|i| ((i / n * 5 + i % n) % m.domain(i % n)) as u32)
+                .collect();
+            for _ in 0..2 {
+                m.forward_backward(&tokens, &tokens, &mut scratch);
+                let (w1, w2) = &m.blocks[0];
+                for layer in [&m.input_layer, w1, w2, &m.output_layer] {
+                    let grad = &layer.inner.weight.grad;
+                    let mut allowed_nonzero = 0;
+                    for i in 0..grad.rows() {
+                        for o in 0..grad.cols() {
+                            let g = grad.get(i, o);
+                            if layer.mask().allows(i, o) {
+                                allowed_nonzero += usize::from(g != 0.0);
+                            } else {
+                                assert_eq!(g.to_bits(), 0, "{:?} ({i}, {o})", layer.mask());
+                            }
+                        }
+                    }
+                    assert!(allowed_nonzero > 0, "{:?}", layer.mask());
+                }
+                adam.step(&mut m.params_mut());
+                assert_eq!(m.check_masked_weights(), Ok(()));
+            }
+        }
     }
 
     #[test]
@@ -1105,8 +1318,9 @@ mod tests {
             &m.params(),
         );
         let data = [[0u32; 70].as_slice(), &[1; 20], &[2; 10]].concat();
+        let mut scratch = TrainScratch::new();
         for _ in 0..200 {
-            m.forward_backward(&data, &data);
+            m.forward_backward(&data, &data, &mut scratch);
             adam.step(&mut m.params_mut());
         }
         let p = probs(&m, &[0], 0);
@@ -1489,7 +1703,7 @@ mod tests {
         m.release_gradients();
         assert_eq!(probs(&m, &rows, 2), before);
         assert_eq!(m.clone().params().len(), m.params().len());
-        m.forward_backward(&rows, &rows);
+        m.forward_backward(&rows, &rows, &mut TrainScratch::new());
     }
 
     #[test]
@@ -1535,6 +1749,58 @@ mod tests {
         let mut now = addresses(&scratch);
         now.sort();
         assert_eq!(now, reserved);
+    }
+
+    /// Mirror of `reserved_scratch_never_reallocates` for training: once a scratch has seen
+    /// a full batch, no later step — a ragged batch, then a full one again — moves or grows
+    /// any of its buffers.
+    #[test]
+    fn train_scratch_never_reallocates() {
+        let mut m = make(vec![4, 3, 40, 5], 4);
+        let n = m.num_columns();
+        let mut adam = Adam::for_params(AdamConfig::default(), &m.params());
+        let mut scratch = TrainScratch::new();
+        let buffers = |s: &TrainScratch| -> Vec<(*const f32, usize)> {
+            let matrices = [
+                &s.x,
+                &s.ctx,
+                &s.dctx,
+                &s.head_ctx,
+                &s.head_dctx,
+                &s.logits,
+                &s.dlogits,
+                &s.dh,
+                &s.db,
+                &s.da,
+                &s.dh_branch,
+                &s.dx,
+                &s.wt,
+            ];
+            let acts = s.block_acts.iter().flat_map(|(a, b)| [a, b]);
+            matrices
+                .into_iter()
+                .chain(&s.hiddens)
+                .chain(acts)
+                .map(|m| (m.data().as_ptr(), m.capacity()))
+                .chain([(s.target_col.as_ptr().cast(), s.target_col.capacity())])
+                .collect()
+        };
+        let mut after_first = Vec::new();
+        for (step, batch) in (0..50).map(|step| (step, [128usize, 37, 128][step % 3])) {
+            let tokens: Vec<u32> = (0..batch * n)
+                .map(|i| ((i / n * 3 + i % n + step) % m.domain(i % n)) as u32)
+                .collect();
+            m.forward_backward(&tokens, &tokens, &mut scratch);
+            adam.step(&mut m.params_mut());
+            if step == 0 {
+                after_first = buffers(&scratch);
+            }
+            assert_eq!(
+                buffers(&scratch),
+                after_first,
+                "step {step} (batch {batch})"
+            );
+        }
     }
 
     #[test]

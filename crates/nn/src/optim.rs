@@ -88,15 +88,19 @@ impl Adam {
         let bias1 = 1.0 - c.beta1.powf(t);
         let bias2 = 1.0 - c.beta2.powf(t);
         for (param, (m, v)) in params.iter_mut().zip(self.moments.iter_mut()) {
-            let grad = param.grad.data();
-            assert_eq!(grad.len(), m.len(), "parameter shape changed");
-            for i in 0..grad.len() {
-                let g = grad[i];
-                m[i] = c.beta1 * m[i] + (1.0 - c.beta1) * g;
-                v[i] = c.beta2 * v[i] + (1.0 - c.beta2) * g * g;
-                let m_hat = m[i] / bias1;
-                let v_hat = v[i] / bias2;
-                param.value.data_mut()[i] -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
+            let Param { value, grad } = &mut **param;
+            assert_eq!(grad.data().len(), m.len(), "parameter shape changed");
+            // Four slices walked in lock-step: no index, no bounds check, so the loop
+            // vectorises — `/`, `sqrt` and `*` round exactly, lane by lane, to the scalar
+            // bits.
+            let moments = m.iter_mut().zip(v.iter_mut());
+            let weights = value.data_mut().iter_mut().zip(grad.data());
+            for ((m, v), (w, &g)) in moments.zip(weights) {
+                *m = c.beta1 * *m + (1.0 - c.beta1) * g;
+                *v = c.beta2 * *v + (1.0 - c.beta2) * g * g;
+                let m_hat = *m / bias1;
+                let v_hat = *v / bias2;
+                *w -= c.lr * m_hat / (v_hat.sqrt() + c.eps);
             }
             param.zero_grad();
         }

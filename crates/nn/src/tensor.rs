@@ -3,9 +3,16 @@
 //! The matrices are row-major `Vec<f32>`s.  The GEMM kernels use an `i-k-j` loop order so
 //! the inner loop walks both operands contiguously, which LLVM auto-vectorises; this is
 //! plenty for the model sizes involved (a few hundred units per layer).
+//!
+//! Every kernel here gives each output element **one chain of f32 additions in ascending
+//! inner index** (a zero left factor skipped where the naive loop skips it), whatever its
+//! register blocking — so a blocked kernel is bit-equal to the naive loop it stands in
+//! for, and inference and training results do not depend on which one ran.
 
-/// A dense row-major `f32` matrix.
-#[derive(Debug, Clone, PartialEq)]
+use std::ops::Range;
+
+/// A dense row-major `f32` matrix (`0 × 0` by default).
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -66,6 +73,12 @@ impl Matrix {
     /// Mutable view of row `r`.
     pub fn row_mut(&mut self, r: usize) -> &mut [f32] {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Elements the allocation holds without growing.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.data.capacity()
     }
 
     /// Sets every element to zero (reuses the allocation).
@@ -190,11 +203,7 @@ impl LiveUnits {
     }
 
     /// The units below `k` whose degree is below `reach`, as ascending runs of indices.
-    pub(crate) fn runs(
-        self,
-        reach: usize,
-        k: usize,
-    ) -> impl Iterator<Item = std::ops::Range<usize>> {
+    pub(crate) fn runs(self, reach: usize, k: usize) -> impl Iterator<Item = Range<usize>> {
         let (stride, len) = if reach >= self.period {
             (k.max(1), k)
         } else {
@@ -259,13 +268,36 @@ impl MadeMask {
         !self.forbidden(i).contains(o)
     }
 
+    /// Whether the rule forbids **every** entry of the `rows × cols` tile of a weight
+    /// matrix (both ranges non-empty) — a tile whose gradient need not be computed.  A
+    /// closed form over the extreme degrees and columns of the two ranges: a few `%` per
+    /// tile, none per entry.
+    pub(crate) fn forbids_tile(self, rows: Range<usize>, cols: Range<usize>) -> bool {
+        // (lowest, highest) degree among the hidden units of a range.
+        let degrees = |units: &Range<usize>, period: usize| {
+            let first = units.start % period;
+            if first + units.len() > period {
+                (0, period - 1)
+            } else {
+                (first, first + units.len() - 1)
+            }
+        };
+        match self {
+            MadeMask::Input { period, d_emb } => degrees(&cols, period).1 < rows.start / d_emb,
+            MadeMask::Hidden { period } => degrees(&cols, period).1 < degrees(&rows, period).0,
+            MadeMask::Output { period, d_emb } => {
+                degrees(&rows, period).0 >= (cols.end - 1) / d_emb
+            }
+        }
+    }
+
     /// The entries of row `i` of an `· × width` weight matrix the rule forbids, as
     /// ascending runs: whole-row passes cost one `%` per row, none per entry.
     pub(crate) fn forbidden_runs(
         self,
         i: usize,
         width: usize,
-    ) -> impl Iterator<Item = std::ops::Range<usize>> {
+    ) -> impl Iterator<Item = Range<usize>> {
         let forbidden = self.forbidden(i);
         forbidden.runs(forbidden.degrees(), width)
     }
@@ -350,56 +382,73 @@ fn blocked_rows<const ACC: bool>(
     live: LiveUnits,
     out: &mut [f32],
 ) -> u64 {
-    // 32 output columns per block = 4–8 independent SIMD accumulator chains, enough to
-    // hide FMA latency; each chain still accumulates in ascending-p order.
-    const NR: usize = 32;
     let mut terms = 0;
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[i * n..(i + 1) * n];
+        // 32 output columns per block = 4–8 independent SIMD accumulator chains, enough to
+        // hide FMA latency; what is left of the row (a tied head's `domain % 32` logits)
+        // goes in ever narrower blocks rather than one column at a time.
         let mut j = 0;
-        while j + NR <= n {
-            let reach = live.reach(j, NR);
-            if reach > 0 {
-                let mut acc = [0.0f32; NR];
-                if ACC {
-                    acc.copy_from_slice(&out_row[j..j + NR]);
-                }
-                for run in live.runs(reach, k) {
-                    terms += NR * run.len();
-                    for (p, &a_ip) in run.clone().zip(&a_row[run]) {
-                        if a_ip == 0.0 {
-                            continue;
-                        }
-                        let b_row = &b[p * n + j..p * n + j + NR];
-                        for (c, &b_pj) in acc.iter_mut().zip(b_row) {
-                            *c += a_ip * b_pj;
-                        }
-                    }
-                }
-                out_row[j..j + NR].copy_from_slice(&acc);
-            }
-            j += NR;
+        while j + 32 <= n {
+            terms += row_block::<ACC, 32>(n, j, a_row, b, live, out_row);
+            j += 32;
+        }
+        if j + 16 <= n {
+            terms += row_block::<ACC, 16>(n, j, a_row, b, live, out_row);
+            j += 16;
+        }
+        if j + 8 <= n {
+            terms += row_block::<ACC, 8>(n, j, a_row, b, live, out_row);
+            j += 8;
+        }
+        if j + 4 <= n {
+            terms += row_block::<ACC, 4>(n, j, a_row, b, live, out_row);
+            j += 4;
         }
         while j < n {
-            let reach = live.reach(j, 1);
-            if reach > 0 {
-                let mut acc = if ACC { out_row[j] } else { 0.0f32 };
-                for run in live.runs(reach, k) {
-                    terms += run.len();
-                    for (p, &a_ip) in run.clone().zip(&a_row[run]) {
-                        if a_ip == 0.0 {
-                            continue;
-                        }
-                        acc += a_ip * b[p * n + j];
-                    }
-                }
-                out_row[j] = acc;
-            }
+            terms += row_block::<ACC, 1>(n, j, a_row, b, live, out_row);
             j += 1;
         }
     }
     terms as u64
+}
+
+/// Output columns `j..j + NR` of one row of [`blocked_rows`]: each column its own
+/// ascending-`p` chain over the inner units its live columns hear from.  Returns the
+/// product terms walked; a block without a live unit is left as it was.
+#[inline(always)]
+fn row_block<const ACC: bool, const NR: usize>(
+    n: usize,
+    j: usize,
+    a_row: &[f32],
+    b: &[f32],
+    live: LiveUnits,
+    out_row: &mut [f32],
+) -> usize {
+    let reach = live.reach(j, NR);
+    if reach == 0 {
+        return 0;
+    }
+    let mut acc = [0.0f32; NR];
+    if ACC {
+        acc.copy_from_slice(&out_row[j..j + NR]);
+    }
+    let mut terms = 0;
+    for run in live.runs(reach, a_row.len()) {
+        terms += NR * run.len();
+        for (p, &a_ip) in run.clone().zip(&a_row[run]) {
+            if a_ip == 0.0 {
+                continue;
+            }
+            let b_row = &b[p * n + j..p * n + j + NR];
+            for (c, &b_pj) in acc.iter_mut().zip(b_row) {
+                *c += a_ip * b_pj;
+            }
+        }
+    }
+    out_row[j..j + NR].copy_from_slice(&acc);
+    terms
 }
 
 /// `out = a · b[:, lo..hi]` — the column slice `lo..hi` of [`matmul`]'s result, without
@@ -434,39 +483,62 @@ pub fn matmul_col_range_live(
     assert!(lo <= hi && hi <= b.cols, "column slice out of bounds");
     assert_eq!(out.rows, a.rows);
     assert_eq!(out.cols, hi - lo);
-    let (m, k, w, bn) = (a.rows, a.cols, hi - lo, b.cols);
-    let b = &b.data[..];
+    col_range_all_rows::<4>(
+        a.rows,
+        a.cols,
+        b.cols,
+        lo,
+        hi - lo,
+        &a.data,
+        &b.data,
+        live,
+        &mut out.data,
+    );
+}
+
+/// Slice-level `out (m×n) = a (m×k) · b (k×n)` for a **narrow** `n` (a few registers
+/// wide), on the [`matmul_col_range`] tiles: per element an ascending-`p` chain from
+/// `+0.0` that skips `a == 0.0`, bit-equal to [`matmul`].
+///
+/// Training uses it for the tied head's `dctx_col = dlogits · E[..domain]`.  Like
+/// [`gemm_nt`] it takes slices so `b` can be a *prefix* of a taller matrix: only the first
+/// `k` rows of `b` are read.
+pub fn gemm_narrow(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
+    assert!(a.len() >= m * k, "a too short for m×k");
+    assert!(b.len() >= k * n, "b too short for k×n");
+    assert!(out.len() >= m * n, "out too short for m×n");
+    // Two rows at a time: `k` is long here (a domain), and a `2 × 12` tile keeps every
+    // accumulator and a whole row of `b` in registers.
+    col_range_all_rows::<2>(m, k, n, 0, n, a, b, LiveUnits::ALL, out);
+}
+
+/// Every row of [`matmul_col_range_live`], `R` at a time: `out (m×w) = a (m×k) ·
+/// b[.., lo..lo + w]` with `b` rows `bn` apart.
+#[allow(clippy::too_many_arguments)]
+fn col_range_all_rows<const R: usize>(
+    m: usize,
+    k: usize,
+    bn: usize,
+    lo: usize,
+    w: usize,
+    a: &[f32],
+    b: &[f32],
+    live: LiveUnits,
+    out: &mut [f32],
+) {
     let mut i = 0;
-    while i + 4 <= m {
-        col_range_rows::<4>(
-            k,
-            bn,
-            lo,
-            w,
-            &a.data[i * k..],
-            b,
-            live,
-            &mut out.data[i * w..],
-        );
-        i += 4;
+    while i + R <= m {
+        col_range_rows::<R>(k, bn, lo, w, &a[i * k..], b, live, &mut out[i * w..]);
+        i += R;
     }
     while i < m {
-        col_range_rows::<1>(
-            k,
-            bn,
-            lo,
-            w,
-            &a.data[i * k..],
-            b,
-            live,
-            &mut out.data[i * w..],
-        );
+        col_range_rows::<1>(k, bn, lo, w, &a[i * k..], b, live, &mut out[i * w..]);
         i += 1;
     }
 }
 
 /// `R` rows of [`matmul_col_range_live`]: walks the `w` output columns in register tiles
-/// of 16, 8, 4 and 1.
+/// of 16, 12 (one tile for a `d_emb` of 12), 8, 4 and 1.
 #[allow(clippy::too_many_arguments)]
 fn col_range_rows<const R: usize>(
     k: usize,
@@ -482,6 +554,10 @@ fn col_range_rows<const R: usize>(
     while j + 16 <= w {
         col_range_tile::<R, 16>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
         j += 16;
+    }
+    if j + 12 <= w {
+        col_range_tile::<R, 12>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
+        j += 12;
     }
     if j + 8 <= w {
         col_range_tile::<R, 8>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
@@ -538,8 +614,8 @@ fn col_range_tile<const R: usize, const W: usize>(
 /// `b` the first `n` rows of the column's embedding table.  Taking slices (rather than
 /// [`Matrix`]) lets callers use a *prefix* of a taller matrix as `b` — the embedding table
 /// has `domain + 1` rows but logits only cover `domain` values.  Each output element is a
-/// plain ascending-`k` dot product, so results are bit-for-bit equal to
-/// [`matmul_transpose_b`].
+/// plain ascending-`k` dot product, so results are bit-for-bit equal to the naive `a · bᵀ`
+/// loop.
 pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     assert!(a.len() >= m * k, "a too short for m×k");
     assert!(b.len() >= n * k, "b too short for n×k");
@@ -576,20 +652,10 @@ pub fn gemm_nt(m: usize, n: usize, k: usize, a: &[f32], b: &[f32], out: &mut [f3
     }
 }
 
-/// `out = a (m×k) · bᵀ (n×k)` via the blocked [`gemm_nt`] kernel; drop-in faster
-/// replacement for [`matmul_transpose_b`] (bit-identical results).
-pub fn matmul_transpose_b_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(
-        a.cols, b.cols,
-        "inner dimensions must agree (b is transposed)"
-    );
-    assert_eq!(out.rows, a.rows);
-    assert_eq!(out.cols, b.rows);
-    gemm_nt(a.rows, b.rows, a.cols, &a.data, &b.data, &mut out.data);
-}
-
-/// `out = a (m×k) · bᵀ (n×k)`, overwriting `out` (m×n).
-pub fn matmul_transpose_b(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+/// `out = a (m×k) · bᵀ (n×k)`, overwriting `out` (m×n): the naive loop [`gemm_nt`] is
+/// pinned against.
+#[cfg(test)]
+pub(crate) fn matmul_transpose_b(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(
         a.cols, b.cols,
         "inner dimensions must agree (b is transposed)"
@@ -610,25 +676,132 @@ pub fn matmul_transpose_b(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// `out += aᵀ (k×m) · b (k×n)` where `a` is stored as (k×m): accumulates `mᵀ·n` products.
-/// Used for weight gradients: `dW += xᵀ · dy`.
-pub fn matmul_transpose_a_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(a.rows, b.rows, "outer (batch) dimensions must agree");
-    assert_eq!(out.rows, a.cols);
-    assert_eq!(out.cols, b.cols);
-    let (k, m, n) = (a.rows, a.cols, b.cols);
+/// `out (cols×rows) = srcᵀ` for a row-major `rows × cols` slice (`out` is resized; its
+/// allocation is reused).
+///
+/// Training transposes a weight once per step so that `dx = dy · Wᵀ` and the tied head's
+/// `ctx · E[..domain]ᵀ` run on the row kernel of [`matmul_blocked`], which wants the inner
+/// index down the rows of its right operand; `src` may be a prefix of a taller matrix.
+pub fn transpose_into(rows: usize, cols: usize, src: &[f32], out: &mut Matrix) {
+    assert!(src.len() >= rows * cols, "src too short for rows×cols");
+    out.resize(cols, rows);
+    for (r, src_row) in src.chunks_exact(cols.max(1)).take(rows).enumerate() {
+        for (c, &v) in src_row.iter().enumerate() {
+            out.data[c * rows + r] = v;
+        }
+    }
+}
+
+/// Slice-level `out (m×n) += aᵀ · b` with `a` stored `k×m` and `b` stored `k×n` — the
+/// weight gradient `dW += xᵀ · dy` (`k` = batch) and the tied head's `dE[..domain] +=
+/// dlogitsᵀ · ctx_col`.
+///
+/// Each output element resumes its accumulator from `out` and adds its `k` products in
+/// ascending `p`, skipping `a[p][i] == 0.0` — exactly the chain of the naive loop (`for p
+/// { for i { out[i][..] += a[p][i] · b[p][..] } }`), so the result is bit-equal to it and
+/// two calls over the halves of a batch equal one call over the whole.  The naive loop
+/// makes `k` read-modify-write passes over `out`; this one holds a `2 × 16` tile of it in
+/// registers while the batch runs innermost.  Only the first `m` rows of `out` are
+/// touched, so `out` can be a prefix of a taller matrix (the embedding table's MASK row).
+///
+/// With `mask = Some(rule)`, `out` being the gradient of a weight under that rule, a tile
+/// the rule forbids entirely is left as it was: a masked layer discards those entries
+/// anyway.  Every other entry, allowed or not, gets the bits `mask = None` gives it.
+pub fn gemm_tn_acc(
+    k: usize,
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    mask: Option<MadeMask>,
+    out: &mut [f32],
+) {
+    assert!(a.len() >= k * m, "a too short for k×m");
+    assert!(b.len() >= k * n, "b too short for k×n");
+    assert!(out.len() >= m * n, "out too short for m×n");
+    let mut i = 0;
+    while i + 2 <= m {
+        tn_rows::<2>(k, m, n, i, a, b, mask, out);
+        i += 2;
+    }
+    if i < m {
+        tn_rows::<1>(k, m, n, i, a, b, mask, out);
+    }
+}
+
+/// Rows `i..i + R` of [`gemm_tn_acc`]: walks the `n` output columns in register tiles of
+/// 16, 12, 8, 4 and 1.
+#[allow(clippy::too_many_arguments)]
+fn tn_rows<const R: usize>(
+    k: usize,
+    m: usize,
+    n: usize,
+    i: usize,
+    a: &[f32],
+    b: &[f32],
+    mask: Option<MadeMask>,
+    out: &mut [f32],
+) {
+    let mut j = 0;
+    while j + 16 <= n {
+        tn_tile::<R, 16>(k, m, n, i, j, a, b, mask, out);
+        j += 16;
+    }
+    if j + 12 <= n {
+        tn_tile::<R, 12>(k, m, n, i, j, a, b, mask, out);
+        j += 12;
+    }
+    if j + 8 <= n {
+        tn_tile::<R, 8>(k, m, n, i, j, a, b, mask, out);
+        j += 8;
+    }
+    if j + 4 <= n {
+        tn_tile::<R, 4>(k, m, n, i, j, a, b, mask, out);
+        j += 4;
+    }
+    while j < n {
+        tn_tile::<R, 1>(k, m, n, i, j, a, b, mask, out);
+        j += 1;
+    }
+}
+
+/// The `R × W` register tile of [`gemm_tn_acc`] at `(i, j)`: `out[i + r][j..j + W] +=
+/// Σ_p a[p][i + r] · b[p][j..j + W]`, with `a` rows `m` apart and `b` and `out` rows `n`
+/// apart — unless `mask` forbids the whole tile.  Each element is its own ascending-`p`
+/// chain resumed from `out`; a zero `a[p][i + r]` leaves row `r`'s accumulators untouched.
+#[allow(clippy::too_many_arguments)]
+fn tn_tile<const R: usize, const W: usize>(
+    k: usize,
+    m: usize,
+    n: usize,
+    i: usize,
+    j: usize,
+    a: &[f32],
+    b: &[f32],
+    mask: Option<MadeMask>,
+    out: &mut [f32],
+) {
+    if mask.is_some_and(|mask| mask.forbids_tile(i..i + R, j..j + W)) {
+        return;
+    }
+    let out = &mut out[i * n + j..];
+    let mut acc = [[0.0f32; W]; R];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        acc_r.copy_from_slice(&out[r * n..r * n + W]);
+    }
     for p in 0..k {
-        let a_row = &a.data[p * m..(p + 1) * m];
-        let b_row = &b.data[p * n..(p + 1) * n];
-        for (i, &a_pi) in a_row.iter().enumerate() {
-            if a_pi == 0.0 {
+        let b_row = &b[p * n + j..p * n + j + W];
+        for (acc_r, &a_pr) in acc.iter_mut().zip(&a[p * m + i..p * m + i + R]) {
+            if a_pr == 0.0 {
                 continue;
             }
-            let out_row = &mut out.data[i * n..(i + 1) * n];
-            for (o, &b_pj) in out_row.iter_mut().zip(b_row) {
-                *o += a_pi * b_pj;
+            for (c, &b_pj) in acc_r.iter_mut().zip(b_row) {
+                *c += a_pr * b_pj;
             }
         }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        out[r * n..r * n + W].copy_from_slice(acc_r);
     }
 }
 
@@ -657,13 +830,19 @@ pub fn column_sums_accumulate(m: &Matrix, out: &mut [f32]) {
 pub(crate) mod testing {
     use super::*;
 
-    /// Deterministic pseudo-random matrix (no RNG dependency in this crate's tests).
+    /// One step of the tests' generator (no RNG dependency in this crate's tests).
+    fn lcg(seed: &mut u64) -> u64 {
+        *seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *seed
+    }
+
+    /// Deterministic pseudo-random matrix.
     pub fn lcg_matrix(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
         let data = (0..rows * cols)
             .map(|_| {
-                *seed = seed
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
+                lcg(seed);
                 // Map to roughly [-1, 1], with exact zeros sprinkled in to exercise the
                 // zero-skip branches.
                 let v = ((*seed >> 33) as f32 / (1u64 << 31) as f32) - 1.0;
@@ -675,6 +854,18 @@ pub(crate) mod testing {
             })
             .collect();
         Matrix::from_vec(rows, cols, data)
+    }
+
+    /// [`lcg_matrix`] with ≈ 40 % of the entries an exact zero — the share of a ReLU
+    /// activation the zero-skip branches of the training kernels meet.
+    pub fn lcg_matrix_sparse(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
+        let mut m = lcg_matrix(rows, cols, seed);
+        for v in m.data_mut() {
+            if (lcg(seed) >> 33) % 5 < 2 {
+                *v = 0.0;
+            }
+        }
+        m
     }
 
     /// The restricted kernels against their own dense instantiation, bit for bit, on
@@ -804,8 +995,13 @@ mod tests {
         // aᵀ · b with a stored transposed (3×2): (aᵀ)ᵀ·b = a·b.
         let at = Matrix::from_vec(3, 2, vec![1., 4., 2., 5., 3., 6.]);
         let mut out = Matrix::zeros(2, 2);
-        matmul_transpose_a_accumulate(&at, &b, &mut out);
+        gemm_tn_acc(3, 2, 2, at.data(), b.data(), None, out.data_mut());
         assert!(approx_eq(out.data(), expected.data()));
+
+        // The explicit transpose training multiplies by: bᵀ transposed back is b.
+        let mut b_again = Matrix::zeros(0, 0);
+        transpose_into(2, 3, bt.data(), &mut b_again);
+        assert_eq!(b_again, b);
     }
 
     #[test]
@@ -886,8 +1082,95 @@ mod tests {
             let mut nt_naive = Matrix::zeros(m, n);
             matmul_transpose_b(&a, &bt, &mut nt_naive);
             let mut nt_blocked = Matrix::zeros(m, n);
-            matmul_transpose_b_blocked(&a, &bt, &mut nt_blocked);
+            gemm_nt(m, n, k, a.data(), bt.data(), nt_blocked.data_mut());
             assert_bitwise_eq(&nt_naive, &nt_blocked, &format!("gemm_nt {m}x{k}x{n}"));
+        }
+    }
+
+    /// The three products training adds to the inference kernels, each against the naive
+    /// loop it replaced, bit for bit: every tail shape of the register tiles, ≈ 40 % exact
+    /// zeros in the left operand, accumulators resumed through `out`, and the right
+    /// operand (or the output) given as a prefix of a taller matrix whose last row — the
+    /// embedding table's MASK row — must be neither read nor written.
+    #[test]
+    fn training_kernels_match_naive_bitwise() {
+        const DIMS: [usize; 10] = [1, 3, 4, 5, 12, 31, 32, 33, 96, 324];
+        let mut seed = 0x7EA1_u64;
+        let with_mask_row = |m: &Matrix, fill: f32| {
+            let mut taller = m.data().to_vec();
+            taller.extend(std::iter::repeat_n(fill, m.cols()));
+            taller
+        };
+        for &m in &DIMS {
+            for &n in &DIMS {
+                for &k in &DIMS {
+                    let what = format!("{m}x{k}x{n}");
+
+                    // dW += xᵀ · dy (batch = k innermost), x = `a` stored k×m.
+                    let a = testing::lcg_matrix_sparse(k, m, &mut seed);
+                    let b = lcg_matrix(k, n, &mut seed);
+                    let start = lcg_matrix(m, n, &mut seed);
+                    let mut naive = start.clone();
+                    for p in 0..k {
+                        for (i, &a_pi) in a.row(p).iter().enumerate() {
+                            if a_pi == 0.0 {
+                                continue;
+                            }
+                            for (o, &b_pj) in naive.row_mut(i).iter_mut().zip(b.row(p)) {
+                                *o += a_pi * b_pj;
+                            }
+                        }
+                    }
+                    let mut tiled = with_mask_row(&start, 7.5);
+                    let half = k / 2;
+                    gemm_tn_acc(half, m, n, a.data(), b.data(), None, &mut tiled);
+                    gemm_tn_acc(
+                        k - half,
+                        m,
+                        n,
+                        &a.data()[half * m..],
+                        &b.data()[half * n..],
+                        None,
+                        &mut tiled,
+                    );
+                    assert!(
+                        tiled[m * n..].iter().all(|&v| v == 7.5),
+                        "tn {what}: MASK row"
+                    );
+                    tiled.truncate(m * n);
+                    let tiled = Matrix::from_vec(m, n, tiled);
+                    assert_bitwise_eq(&naive, &tiled, &format!("gemm_tn_acc {what}"));
+
+                    // dctx_col = dlogits · E[..k]: the narrow tiles over a prefix of `b`.
+                    let a = testing::lcg_matrix_sparse(m, k, &mut seed);
+                    let b = lcg_matrix(k, n, &mut seed);
+                    let mut naive = Matrix::zeros(m, n);
+                    matmul(&a, &b, &mut naive);
+                    let mut narrow = Matrix::zeros(m, n);
+                    narrow.data_mut().fill(f32::NAN); // must be overwritten
+                    gemm_narrow(
+                        m,
+                        k,
+                        n,
+                        a.data(),
+                        &with_mask_row(&b, f32::NAN),
+                        narrow.data_mut(),
+                    );
+                    assert_bitwise_eq(&naive, &narrow, &format!("gemm_narrow {what}"));
+
+                    // dx = dy · Wᵀ and logits = ctx · E[..n]ᵀ: the row kernel over an
+                    // explicit transpose of a prefix, against the plain dot products.
+                    let bt = lcg_matrix(n, k, &mut seed);
+                    let mut naive = Matrix::zeros(m, n);
+                    matmul_transpose_b(&a, &bt, &mut naive);
+                    let mut wt = Matrix::zeros(0, 0);
+                    transpose_into(n, k, &with_mask_row(&bt, f32::NAN), &mut wt);
+                    let mut blocked = Matrix::zeros(m, n);
+                    blocked.data_mut().fill(f32::NAN);
+                    matmul_blocked(&a, &wt, &mut blocked);
+                    assert_bitwise_eq(&naive, &blocked, &format!("transposed {what}"));
+                }
+            }
         }
     }
 
@@ -1005,6 +1288,74 @@ mod tests {
                         );
                     }
                 }
+                // The tile form, for every tile shape and position `gemm_tn_acc` asks about.
+                for (r, w) in [(1usize, 1usize), (2, 1), (2, 4), (1, 8), (2, 12), (2, 16)] {
+                    for i in 0..(in_dim + 1).saturating_sub(r) {
+                        for j in 0..(out_dim + 1).saturating_sub(w) {
+                            let all_forbidden =
+                                (i..i + r).all(|i| (j..j + w).all(|o| !mask.allows(i, o)));
+                            assert_eq!(
+                                mask.forbids_tile(i..i + r, j..j + w),
+                                all_forbidden,
+                                "{mask:?} tile {r}x{w} at ({i}, {j})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`gemm_tn_acc`] under a rule against itself without one, for the three kinds of
+    /// mask and a degree period shorter (JOB-light's 26) and longer (JOB-M's 60) than a
+    /// register tile: an allowed entry gets the same bits, a forbidden one the same bits
+    /// or none at all — and a good share of them none, or the rule bought nothing.
+    #[test]
+    fn masked_weight_gradient_skips_only_forbidden_entries() {
+        const D_EMB: usize = 12;
+        let mut seed = 0x5C1F_u64;
+        for period in [26usize, 60] {
+            let width = (period + 1) * D_EMB;
+            for (mask, m, n) in [
+                (
+                    MadeMask::Input {
+                        period,
+                        d_emb: D_EMB,
+                    },
+                    width,
+                    96usize,
+                ),
+                (MadeMask::Hidden { period }, 96, 96),
+                (
+                    MadeMask::Output {
+                        period,
+                        d_emb: D_EMB,
+                    },
+                    96,
+                    width,
+                ),
+            ] {
+                let k = 9;
+                let a = testing::lcg_matrix_sparse(k, m, &mut seed);
+                let b = lcg_matrix(k, n, &mut seed);
+                let start = lcg_matrix(m, n, &mut seed);
+                let mut dense = start.clone();
+                gemm_tn_acc(k, m, n, a.data(), b.data(), None, dense.data_mut());
+                let mut masked = start.clone();
+                gemm_tn_acc(k, m, n, a.data(), b.data(), Some(mask), masked.data_mut());
+                let mut skipped = 0;
+                for i in 0..m {
+                    for o in 0..n {
+                        let got = masked.get(i, o).to_bits();
+                        let untouched = got == start.get(i, o).to_bits();
+                        assert!(
+                            got == dense.get(i, o).to_bits() || (untouched && !mask.allows(i, o)),
+                            "{mask:?} ({i}, {o})"
+                        );
+                        skipped += usize::from(untouched);
+                    }
+                }
+                assert!(skipped * 10 > m * n, "{mask:?}: {skipped} of {}", m * n);
             }
         }
     }
