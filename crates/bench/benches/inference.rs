@@ -1,6 +1,7 @@
 //! Criterion micro-benchmark: end-to-end progressive-sampling inference latency of a small
-//! trained NeuroCard (the per-query cost behind Figure 7d), and the mask-aware block GEMM
-//! against its dense instantiation at the two hidden-stack shapes of `nc_benchmark`.
+//! trained NeuroCard (the per-query cost behind Figure 7d), and one block layer of an
+//! inference step — the units it computes beside the units it reads — at the two
+//! hidden-stack shapes of `nc_benchmark`.
 
 use std::sync::Arc;
 
@@ -8,7 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nc_datagen::{
     job_light_database, job_light_schema, job_m_database, job_m_schema, DataGenConfig,
 };
-use nc_nn::tensor::{add_bias, matmul_blocked, matmul_blocked_live, LiveUnits};
+use nc_nn::tensor::{add_bias, matmul_blocked, matmul_units_live};
 use nc_nn::{relu, Matrix};
 use nc_schema::{JoinSchema, Predicate, Query};
 use nc_storage::Database;
@@ -50,11 +51,14 @@ fn bench_inference(c: &mut Criterion) {
     group.finish();
 }
 
-/// One block GEMM, restricted to a step's live units versus dense, on the operands a real
-/// forward hands it: a briefly trained default-architecture model (`d_hidden` 96) is run
-/// by hand — embed, input layer, first block layer — over progressive-sampling-shaped
+/// One block layer of an inference step on the per-step unit kernel, fed the operands a
+/// real forward hands it: a briefly trained default-architecture model (`d_hidden` 96) is
+/// run by hand — embed, input layer, first block layer — over progressive-sampling-shaped
 /// rows, so `h` and `a` carry the zeros real activations have (they repeat down a batch;
-/// synthetic random zeros make the zero-skip branch look far worse than it is).
+/// synthetic random zeros make the zero-skip branch look far worse than it is).  `*_new`
+/// computes the units a step for `col` computes when it continues a prefix of `col − 1`
+/// columns ([`nc_nn::ResMade::new_units`]); `*_live` every unit that step reads, which is
+/// what it would compute without the carried prefix.
 fn bench_block_gemm(c: &mut Criterion, name: &str, db: Database, schema: JoinSchema) {
     let config = NeuroCardConfig {
         training_tuples: 2_000,
@@ -104,12 +108,15 @@ fn bench_block_gemm(c: &mut Criterion, name: &str, db: Database, schema: JoinSch
     let mut out = Matrix::zeros(rows, d_hidden);
     let mut group = c.benchmark_group(format!("block_gemm_{name}_n{n}_col{col}"));
     for (operand, input, weight) in [("h", &h, w1), ("a", &a, w2)] {
-        group.bench_function(format!("{operand}_dense"), |b| {
-            b.iter(|| matmul_blocked_live(input, weight, LiveUnits::ALL, &mut out))
-        });
-        group.bench_function(format!("{operand}_live"), |b| {
-            b.iter(|| matmul_blocked_live(input, weight, live, &mut out))
-        });
+        for (units, from) in [("new", col - 1), ("live", 0)] {
+            group.bench_function(format!("{operand}_{units}"), |b| {
+                b.iter(|| {
+                    for run in net.new_units(from, col) {
+                        matmul_units_live(input, weight, run, live, &mut out);
+                    }
+                })
+            });
+        }
     }
     group.finish();
 }

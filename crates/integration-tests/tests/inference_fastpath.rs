@@ -188,8 +188,17 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
     let mid = dict.decode(dict.domain_size() as u32 / 2);
     m_queries.push(Query::join(&[table.as_str()]).filter(&table, &column, Predicate::ge(mid)));
 
+    // The block terms' share of a dense hidden stack over each workload is deterministic:
+    // measured 0.1221 (JOB-light, 27 columns) and 0.0198 (JOB-M, 75 columns, so most
+    // degrees have no unit in a 32-wide layer) when a step computes only the units its new
+    // columns reach.  The bounds add a 25 % margin; recomputing every live unit at every
+    // step reads 0.63 and 0.97, and fails them.
+    let bounds = [0.153, 0.025];
     let mut scratch = SamplerScratch::new();
-    for (core, queries) in [(light.core(), &light_queries), (m_core, &m_queries)] {
+    for ((core, queries), bound) in [(light.core(), &light_queries), (m_core, &m_queries)]
+        .into_iter()
+        .zip(bounds)
+    {
         let columns = core.encoded().num_model_columns() as u64;
         let net = core.config();
         let dense_block_terms = (2 * net.num_blocks * net.d_hidden * net.d_hidden) as u64;
@@ -207,10 +216,13 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
                 }
             }
         }
-        // The masks are used: over the workload the block GEMMs walk fewer product terms
-        // than a dense hidden stack (one estimate may tie — every unit is live on the
-        // way to the trailing fanout columns an unfiltered single-table query forwards).
-        assert!(block_terms < rows_forwarded * dense_block_terms);
+        // The masks and the carry are used: a step computes only the hidden units its new
+        // columns reach, from only the units the masks let into its column.
+        let share = block_terms as f64 / (rows_forwarded * dense_block_terms) as f64;
+        assert!(
+            share <= bound,
+            "{columns} columns: block terms {share:.4} of dense"
+        );
     }
 }
 

@@ -22,10 +22,12 @@
 //! * model forwards write into a reused [`nc_nn::InferenceScratch`] via
 //!   [`nc_nn::ResMade::conditional_probs_step`] (blocked GEMM kernels, single-column
 //!   output head),
-//! * the input layer is **prefix-incremental**: the scratch carries each forwarded row's
-//!   pre-bias accumulator, a class created by refinement names the row of the class it
-//!   split from as its parent, and a forward embeds and multiplies only the columns
-//!   drawn (or skipped as wildcards) since the previous forward,
+//! * the whole trunk is **prefix-incremental**: the scratch carries each forwarded row's
+//!   input-layer pre-bias sums and every hidden unit whose degree is below the last
+//!   forward's column, a class created by refinement names the row of the class it split
+//!   from as its parent, and a forward embeds and multiplies only the columns drawn (or
+//!   skipped as wildcards) since the previous forward and computes only the hidden units
+//!   those columns reach,
 //! * dead samples (weight 0) are compacted out after every wide column, so later columns
 //!   run smaller forward batches,
 //! * identical samples are **deduplicated**: a sample's token row is a pure function of
@@ -145,7 +147,7 @@ pub struct SamplerScratch {
     /// Class renumbering used when compaction leaves id gaps.
     renumber: Vec<u32>,
     /// For each class, the row of the previous forward batch it descends from (whose
-    /// input-layer accumulator its next forward continues).
+    /// carried prefix its next forward continues).
     class_parent: Vec<u32>,
     /// `class_parent` being rebuilt under compaction's renumbering.
     class_parent_next: Vec<u32>,
@@ -166,9 +168,10 @@ pub struct ForwardCounters {
     pub rows_forwarded: u64,
     /// Token embeddings looked up over all forwards.
     pub columns_embedded: u64,
-    /// Product terms walked by the residual-block GEMMs over all forwards (inner units ×
-    /// output columns written × rows, zero activations included).  A forward blind to the
-    /// masks walks `rows_forwarded × 2·num_blocks·d_hidden²`.
+    /// Product terms the residual blocks' new-unit kernels walked over all forwards: per
+    /// block layer, rows × hidden units computed × live inner units read, zero activations
+    /// included ([`nc_nn::InferenceScratch::block_terms`]).  A forward blind to the masks
+    /// and to the carried prefix walks `rows_forwarded × 2·num_blocks·d_hidden²`.
     pub block_terms: u64,
 }
 

@@ -11,7 +11,7 @@
 //! | `matmul_blocked`  | scalar blocked (tensor)  | AVX2 + FMA, 4-row × 16-col broadcast-FMA tiles | NEON, 4-lane |
 //! | `matmul_blocked_acc`| scalar blocked (tensor) | the `matmul_blocked` tiles, accumulators loaded from `out` | NEON, same |
 //! | `matmul_col_range`| scalar blocked (tensor)  | AVX2 + FMA        | NEON             |
-//! | `matmul_blocked_live`, `matmul_col_range_live` | the same kernels over a step's live units (tensor) | the same tiles: dead tiles skipped, live inner runs walked | NEON, same |
+//! | `matmul_col_range_live`, `matmul_units_live` | the same kernels over a step's live inner units, the second written in place (tensor) | the same tiles, live inner runs walked | NEON, same |
 //! | `gemm_nt`         | scalar blocked (tensor)  | AVX2 + FMA horizontal dot | NEON |
 //! | `softmax_rows_into`| scalar (loss)           | AVX2 max/scale, scalar `exp` | NEON |
 //!
@@ -30,6 +30,8 @@
 //!
 //! All `core::arch` use in the workspace lives in this one file, enforced by the
 //! `intrinsics-outside-kernel` lint.
+
+use std::ops::Range;
 
 use crate::loss;
 use crate::tensor::{self, LiveUnits, Matrix};
@@ -95,48 +97,12 @@ pub fn isa_name() -> &'static str {
 /// Fast-tier `out = a (m×k) · b (k×n)`; same shape contract as
 /// [`crate::tensor::matmul_blocked`].
 pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    matmul_blocked_live(a, b, LiveUnits::ALL, out);
-}
-
-/// Fast-tier [`crate::tensor::matmul_blocked_live`]: same contract, with the register
-/// blocks (and so the non-live columns written, and the terms returned) of the kernel
-/// dispatch picks.
-pub fn matmul_blocked_live(a: &Matrix, b: &Matrix, live: LiveUnits, out: &mut Matrix) -> u64 {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     assert_eq!(out.rows(), a.rows());
     assert_eq!(out.cols(), b.cols());
-    match isa() {
-        Isa::Portable => tensor::matmul_blocked_live(a, b, live, out),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: `isa()` returned Avx2Fma, so the CPU was probed for avx2+fma.
-        Isa::Avx2Fma => unsafe {
-            avx2::matmul_rows::<false, true>(
-                a.rows(),
-                a.cols(),
-                b.cols(),
-                a.data(),
-                b.data(),
-                0,
-                b.cols(),
-                live,
-                out.data_mut(),
-            )
-        },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        // SAFETY: NEON is part of the aarch64 baseline ISA.
-        Isa::Neon => unsafe {
-            neon::matmul_rows::<false, true>(
-                a.rows(),
-                a.cols(),
-                b.cols(),
-                a.data(),
-                b.data(),
-                0,
-                b.cols(),
-                live,
-                out.data_mut(),
-            )
-        },
+    let n = b.cols();
+    if !simd_rows::<false>(a, b.data(), n, 0..n, LiveUnits::ALL, out.data_mut(), n) {
+        tensor::matmul_blocked(a, b, out);
     }
 }
 
@@ -149,38 +115,9 @@ pub fn matmul_blocked_acc(a: &Matrix, b: &Matrix, row0: usize, out: &mut Matrix)
     );
     assert_eq!(out.rows(), a.rows());
     assert_eq!(out.cols(), b.cols());
-    match isa() {
-        Isa::Portable => tensor::matmul_blocked_acc(a, b, row0, out),
-        #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: `isa()` returned Avx2Fma, so the CPU was probed for avx2+fma.
-        Isa::Avx2Fma => unsafe {
-            avx2::matmul_rows::<true, true>(
-                a.rows(),
-                a.cols(),
-                b.cols(),
-                a.data(),
-                &b.data()[row0 * b.cols()..],
-                0,
-                b.cols(),
-                LiveUnits::ALL,
-                out.data_mut(),
-            );
-        },
-        #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        // SAFETY: NEON is part of the aarch64 baseline ISA.
-        Isa::Neon => unsafe {
-            neon::matmul_rows::<true, true>(
-                a.rows(),
-                a.cols(),
-                b.cols(),
-                a.data(),
-                &b.data()[row0 * b.cols()..],
-                0,
-                b.cols(),
-                LiveUnits::ALL,
-                out.data_mut(),
-            );
-        },
+    let (n, slab) = (b.cols(), &b.data()[row0 * b.cols()..]);
+    if !simd_rows::<true>(a, slab, n, 0..n, LiveUnits::ALL, out.data_mut(), n) {
+        tensor::matmul_blocked_acc(a, b, row0, out);
     }
 }
 
@@ -203,38 +140,84 @@ pub fn matmul_col_range_live(
     assert!(lo <= hi && hi <= b.cols(), "column slice out of bounds");
     assert_eq!(out.rows(), a.rows());
     assert_eq!(out.cols(), hi - lo);
+    if !simd_rows::<false>(a, b.data(), b.cols(), lo..hi, live, out.data_mut(), hi - lo) {
+        tensor::matmul_col_range_live(a, b, lo, hi, live, out);
+    }
+}
+
+/// Fast-tier [`crate::tensor::matmul_units_live`]; same contract.
+pub fn matmul_units_live(
+    a: &Matrix,
+    b: &Matrix,
+    units: Range<usize>,
+    live: LiveUnits,
+    out: &mut Matrix,
+) {
+    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
+    assert!(units.end <= b.cols(), "unit range out of bounds");
+    assert_eq!(out.rows(), a.rows());
+    assert_eq!(out.cols(), b.cols());
+    if units.is_empty() || a.rows() == 0 {
+        return;
+    }
+    let (n, from) = (b.cols(), units.start);
+    if !simd_rows::<false>(
+        a,
+        b.data(),
+        n,
+        units.clone(),
+        live,
+        &mut out.data_mut()[from..],
+        n,
+    ) {
+        tensor::matmul_units_live(a, b, units, live, out);
+    }
+}
+
+/// The SIMD row kernel dispatch picked: for every row `r` of `a` and `j < cols.len()`,
+/// `out[r·os + j]` (`ACC`: `+=`, else `=`) `Σ_p a[r][p] · b[p·bn + cols.start + j]` over the
+/// `live` inner units — or `false`, with nothing computed, when dispatch resolved to the
+/// portable kernels, whose `tensor` counterpart the caller then runs.  Checks every bound
+/// the kernels' pointer arithmetic relies on.
+#[cfg_attr(
+    not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))),
+    allow(unused_variables)
+)]
+fn simd_rows<const ACC: bool>(
+    a: &Matrix,
+    b: &[f32],
+    bn: usize,
+    cols: Range<usize>,
+    live: LiveUnits,
+    out: &mut [f32],
+    os: usize,
+) -> bool {
+    let (m, k) = (a.rows(), a.cols());
+    assert!(
+        cols.end <= bn && cols.len() <= os,
+        "column range out of bounds"
+    );
+    assert!(b.len() >= k * bn, "b too short for k×bn");
+    assert!(
+        m == 0 || out.len() >= (m - 1) * os + cols.len(),
+        "out too short"
+    );
     match isa() {
-        Isa::Portable => tensor::matmul_col_range_live(a, b, lo, hi, live, out),
+        Isa::Portable => false,
         #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-        // SAFETY: `isa()` returned Avx2Fma, so the CPU was probed for avx2+fma.
-        Isa::Avx2Fma => unsafe {
-            avx2::matmul_rows::<false, false>(
-                a.rows(),
-                a.cols(),
-                b.cols(),
-                a.data(),
-                b.data(),
-                lo,
-                hi,
-                live,
-                out.data_mut(),
-            );
-        },
+        Isa::Avx2Fma => {
+            // SAFETY: `isa()` returned Avx2Fma, so the CPU was probed for avx2+fma; the
+            // asserts above are the rest of `matmul_rows`'s contract.
+            unsafe { avx2::matmul_rows::<ACC>(m, k, bn, a.data(), b, cols, live, out, os) };
+            true
+        }
         #[cfg(all(feature = "simd", target_arch = "aarch64"))]
-        // SAFETY: NEON is part of the aarch64 baseline ISA.
-        Isa::Neon => unsafe {
-            neon::matmul_rows::<false, false>(
-                a.rows(),
-                a.cols(),
-                b.cols(),
-                a.data(),
-                b.data(),
-                lo,
-                hi,
-                live,
-                out.data_mut(),
-            );
-        },
+        Isa::Neon => {
+            // SAFETY: NEON is part of the aarch64 baseline ISA; the asserts above are the
+            // rest of `matmul_rows`'s contract.
+            unsafe { neon::matmul_rows::<ACC>(m, k, bn, a.data(), b, cols, live, out, os) };
+            true
+        }
     }
 }
 
@@ -279,19 +262,6 @@ pub fn softmax_rows_into(logits: &Matrix, out: &mut Matrix) {
     }
 }
 
-/// Leading degrees the inner walk of a SIMD tile covers, or `None` to skip the tile.  With
-/// `OUT_UNITS` the tile's output columns `j..j + width` are units of `live`'s layout: it
-/// is skipped when none of them is live, and otherwise hears from `live.reach(j, width)`
-/// degrees.  Without, the columns are not hidden units and hear from every live unit.
-#[cfg(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")))]
-fn tile_reach<const OUT_UNITS: bool>(live: LiveUnits, j: usize, width: usize) -> Option<usize> {
-    if OUT_UNITS {
-        Some(live.reach(j, width)).filter(|&reach| reach > 0)
-    } else {
-        Some(live.degrees())
-    }
-}
-
 /// AVX2 + FMA implementations (x86_64, runtime-gated).
 ///
 /// Every function is `unsafe` because it compiles with `target_feature(enable =
@@ -307,7 +277,8 @@ mod avx2 {
         _mm_max_ss, _mm_movehdup_ps, _mm_movehl_ps,
     };
 
-    use super::tile_reach;
+    use std::ops::Range;
+
     use crate::tensor::LiveUnits;
 
     /// Horizontal sum of the 8 lanes.
@@ -348,10 +319,11 @@ mod avx2 {
         }
     }
 
-    /// `out[:, 0..hi-lo] = a (m×k) · b[:, lo..hi]` where `b` is `k×bn` row-major.
-    /// Serves `matmul_blocked` (`lo = 0, hi = bn`), `matmul_col_range`, and — with
-    /// `ACC`, which starts every accumulator at `out` instead of zero —
-    /// `matmul_blocked_acc`.
+    /// `out[:, 0..w] = a (m×k) · b[:, cols]` where `b` is `k×bn` row-major, `w` is
+    /// `cols.len()` and `out` rows are `os` apart.  Serves `matmul_blocked` (`cols =
+    /// 0..bn`), `matmul_col_range_live`, `matmul_units_live` (`out` starting at a column of
+    /// a wider matrix) and — with `ACC`, which starts every accumulator at `out` instead of
+    /// zero — `matmul_blocked_acc`.
     ///
     /// Register blocking: 4 `a` rows × 16 output columns per micro-tile — 8 independent
     /// FMA accumulator chains (enough to cover FMA latency at 2/cycle) sharing every
@@ -360,113 +332,104 @@ mod avx2 {
     /// (post-ReLU activations) costs less as a wasted FMA than as a data-dependent
     /// branch in the hot loop.
     ///
-    /// Only `live` inner units are walked, in ascending runs.  With `OUT_UNITS` the
-    /// output columns are units of the same layout: a tile without a live column is left
-    /// as it was, any other walks only the inner units its live columns hear from.  Every
-    /// output element is one ascending chain of FMAs, and an FMA with a zero weight
-    /// returns its accumulator, so leaving out masked weights changes no bit.  Returns the
-    /// product terms walked.
+    /// Only `live` inner units are walked, in ascending runs.  Every output element is one
+    /// ascending chain of FMAs, and an FMA with a zero weight returns its accumulator, so
+    /// leaving out masked weights changes no bit.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2 and FMA; `a` holds `m` rows of `k`, `b` holds `k` rows of
+    /// `bn` with `cols.end <= bn`, and `out` holds `(m − 1)·os + cols.len()` elements.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2", enable = "fma")]
-    pub unsafe fn matmul_rows<const ACC: bool, const OUT_UNITS: bool>(
+    pub unsafe fn matmul_rows<const ACC: bool>(
         m: usize,
         k: usize,
         bn: usize,
         a: &[f32],
         b: &[f32],
-        lo: usize,
-        hi: usize,
+        cols: Range<usize>,
         live: LiveUnits,
         out: &mut [f32],
-    ) -> u64 {
-        let w = hi - lo;
-        let reach = |j: usize, width: usize| tile_reach::<OUT_UNITS>(live, lo + j, width);
-        let mut terms = 0;
+        os: usize,
+    ) {
+        let (lo, w) = (cols.start, cols.len());
         let mut i = 0;
         while i + 4 <= m {
             let a0 = a.as_ptr().add(i * k);
             let a1 = a.as_ptr().add((i + 1) * k);
             let a2 = a.as_ptr().add((i + 2) * k);
             let a3 = a.as_ptr().add((i + 3) * k);
-            let o = out.as_mut_ptr().add(i * w);
+            let o = out.as_mut_ptr().add(i * os);
             let mut j = 0;
             while j + 16 <= w {
-                if let Some(reach) = reach(j, 16) {
-                    let mut c00 = start::<ACC>(o.add(j));
-                    let mut c01 = start::<ACC>(o.add(j + 8));
-                    let mut c10 = start::<ACC>(o.add(w + j));
-                    let mut c11 = start::<ACC>(o.add(w + j + 8));
-                    let mut c20 = start::<ACC>(o.add(2 * w + j));
-                    let mut c21 = start::<ACC>(o.add(2 * w + j + 8));
-                    let mut c30 = start::<ACC>(o.add(3 * w + j));
-                    let mut c31 = start::<ACC>(o.add(3 * w + j + 8));
-                    for run in live.runs(reach, k) {
-                        terms += 4 * 16 * run.len();
-                        for p in run {
-                            let base = b.as_ptr().add(p * bn + lo + j);
-                            let b0 = _mm256_loadu_ps(base);
-                            let b1 = _mm256_loadu_ps(base.add(8));
-                            let va = _mm256_broadcast_ss(&*a0.add(p));
-                            c00 = _mm256_fmadd_ps(va, b0, c00);
-                            c01 = _mm256_fmadd_ps(va, b1, c01);
-                            let va = _mm256_broadcast_ss(&*a1.add(p));
-                            c10 = _mm256_fmadd_ps(va, b0, c10);
-                            c11 = _mm256_fmadd_ps(va, b1, c11);
-                            let va = _mm256_broadcast_ss(&*a2.add(p));
-                            c20 = _mm256_fmadd_ps(va, b0, c20);
-                            c21 = _mm256_fmadd_ps(va, b1, c21);
-                            let va = _mm256_broadcast_ss(&*a3.add(p));
-                            c30 = _mm256_fmadd_ps(va, b0, c30);
-                            c31 = _mm256_fmadd_ps(va, b1, c31);
-                        }
+                let mut c00 = start::<ACC>(o.add(j));
+                let mut c01 = start::<ACC>(o.add(j + 8));
+                let mut c10 = start::<ACC>(o.add(os + j));
+                let mut c11 = start::<ACC>(o.add(os + j + 8));
+                let mut c20 = start::<ACC>(o.add(2 * os + j));
+                let mut c21 = start::<ACC>(o.add(2 * os + j + 8));
+                let mut c30 = start::<ACC>(o.add(3 * os + j));
+                let mut c31 = start::<ACC>(o.add(3 * os + j + 8));
+                for run in live.runs(k) {
+                    for p in run {
+                        let base = b.as_ptr().add(p * bn + lo + j);
+                        let b0 = _mm256_loadu_ps(base);
+                        let b1 = _mm256_loadu_ps(base.add(8));
+                        let va = _mm256_broadcast_ss(&*a0.add(p));
+                        c00 = _mm256_fmadd_ps(va, b0, c00);
+                        c01 = _mm256_fmadd_ps(va, b1, c01);
+                        let va = _mm256_broadcast_ss(&*a1.add(p));
+                        c10 = _mm256_fmadd_ps(va, b0, c10);
+                        c11 = _mm256_fmadd_ps(va, b1, c11);
+                        let va = _mm256_broadcast_ss(&*a2.add(p));
+                        c20 = _mm256_fmadd_ps(va, b0, c20);
+                        c21 = _mm256_fmadd_ps(va, b1, c21);
+                        let va = _mm256_broadcast_ss(&*a3.add(p));
+                        c30 = _mm256_fmadd_ps(va, b0, c30);
+                        c31 = _mm256_fmadd_ps(va, b1, c31);
                     }
-                    _mm256_storeu_ps(o.add(j), c00);
-                    _mm256_storeu_ps(o.add(j + 8), c01);
-                    _mm256_storeu_ps(o.add(w + j), c10);
-                    _mm256_storeu_ps(o.add(w + j + 8), c11);
-                    _mm256_storeu_ps(o.add(2 * w + j), c20);
-                    _mm256_storeu_ps(o.add(2 * w + j + 8), c21);
-                    _mm256_storeu_ps(o.add(3 * w + j), c30);
-                    _mm256_storeu_ps(o.add(3 * w + j + 8), c31);
                 }
+                _mm256_storeu_ps(o.add(j), c00);
+                _mm256_storeu_ps(o.add(j + 8), c01);
+                _mm256_storeu_ps(o.add(os + j), c10);
+                _mm256_storeu_ps(o.add(os + j + 8), c11);
+                _mm256_storeu_ps(o.add(2 * os + j), c20);
+                _mm256_storeu_ps(o.add(2 * os + j + 8), c21);
+                _mm256_storeu_ps(o.add(3 * os + j), c30);
+                _mm256_storeu_ps(o.add(3 * os + j + 8), c31);
                 j += 16;
             }
             while j + 8 <= w {
-                if let Some(reach) = reach(j, 8) {
-                    let mut c0 = start::<ACC>(o.add(j));
-                    let mut c1 = start::<ACC>(o.add(w + j));
-                    let mut c2 = start::<ACC>(o.add(2 * w + j));
-                    let mut c3 = start::<ACC>(o.add(3 * w + j));
-                    for run in live.runs(reach, k) {
-                        terms += 4 * 8 * run.len();
-                        for p in run {
-                            let vb = _mm256_loadu_ps(b.as_ptr().add(p * bn + lo + j));
-                            c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a0.add(p)), vb, c0);
-                            c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a1.add(p)), vb, c1);
-                            c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a2.add(p)), vb, c2);
-                            c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a3.add(p)), vb, c3);
-                        }
+                let mut c0 = start::<ACC>(o.add(j));
+                let mut c1 = start::<ACC>(o.add(os + j));
+                let mut c2 = start::<ACC>(o.add(2 * os + j));
+                let mut c3 = start::<ACC>(o.add(3 * os + j));
+                for run in live.runs(k) {
+                    for p in run {
+                        let vb = _mm256_loadu_ps(b.as_ptr().add(p * bn + lo + j));
+                        c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a0.add(p)), vb, c0);
+                        c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a1.add(p)), vb, c1);
+                        c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a2.add(p)), vb, c2);
+                        c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(&*a3.add(p)), vb, c3);
                     }
-                    _mm256_storeu_ps(o.add(j), c0);
-                    _mm256_storeu_ps(o.add(w + j), c1);
-                    _mm256_storeu_ps(o.add(2 * w + j), c2);
-                    _mm256_storeu_ps(o.add(3 * w + j), c3);
                 }
+                _mm256_storeu_ps(o.add(j), c0);
+                _mm256_storeu_ps(o.add(os + j), c1);
+                _mm256_storeu_ps(o.add(2 * os + j), c2);
+                _mm256_storeu_ps(o.add(3 * os + j), c3);
                 j += 8;
             }
             while j < w {
-                if let Some(reach) = reach(j, 1) {
-                    for r in 0..4 {
-                        let ar = a.as_ptr().add((i + r) * k);
-                        let mut acc = if ACC { *o.add(r * w + j) } else { 0.0f32 };
-                        for run in live.runs(reach, k) {
-                            terms += run.len();
-                            for p in run {
-                                acc += *ar.add(p) * b[p * bn + lo + j];
-                            }
+                for r in 0..4 {
+                    let ar = a.as_ptr().add((i + r) * k);
+                    let mut acc = if ACC { *o.add(r * os + j) } else { 0.0f32 };
+                    for run in live.runs(k) {
+                        for p in run {
+                            acc += *ar.add(p) * b[p * bn + lo + j];
                         }
-                        *o.add(r * w + j) = acc;
                     }
+                    *o.add(r * os + j) = acc;
                 }
                 j += 1;
             }
@@ -475,59 +438,49 @@ mod avx2 {
         // Remainder rows, one at a time.
         while i < m {
             let a_row = &a[i * k..i * k + k];
-            let out_row = &mut out[i * w..i * w + w];
+            let out_row = &mut out[i * os..i * os + w];
             let mut j = 0;
             while j + 16 <= w {
-                if let Some(reach) = reach(j, 16) {
-                    let mut c0 = start::<ACC>(out_row.as_ptr().add(j));
-                    let mut c1 = start::<ACC>(out_row.as_ptr().add(j + 8));
-                    for run in live.runs(reach, k) {
-                        terms += 16 * run.len();
-                        for p in run {
-                            let base = b.as_ptr().add(p * bn + lo + j);
-                            let va = _mm256_broadcast_ss(&a_row[p]);
-                            c0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(base), c0);
-                            c1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(base.add(8)), c1);
-                        }
+                let mut c0 = start::<ACC>(out_row.as_ptr().add(j));
+                let mut c1 = start::<ACC>(out_row.as_ptr().add(j + 8));
+                for run in live.runs(k) {
+                    for p in run {
+                        let base = b.as_ptr().add(p * bn + lo + j);
+                        let va = _mm256_broadcast_ss(&a_row[p]);
+                        c0 = _mm256_fmadd_ps(va, _mm256_loadu_ps(base), c0);
+                        c1 = _mm256_fmadd_ps(va, _mm256_loadu_ps(base.add(8)), c1);
                     }
-                    _mm256_storeu_ps(out_row.as_mut_ptr().add(j), c0);
-                    _mm256_storeu_ps(out_row.as_mut_ptr().add(j + 8), c1);
                 }
+                _mm256_storeu_ps(out_row.as_mut_ptr().add(j), c0);
+                _mm256_storeu_ps(out_row.as_mut_ptr().add(j + 8), c1);
                 j += 16;
             }
             while j + 8 <= w {
-                if let Some(reach) = reach(j, 8) {
-                    let mut c = start::<ACC>(out_row.as_ptr().add(j));
-                    for run in live.runs(reach, k) {
-                        terms += 8 * run.len();
-                        for p in run {
-                            c = _mm256_fmadd_ps(
-                                _mm256_broadcast_ss(&a_row[p]),
-                                _mm256_loadu_ps(b.as_ptr().add(p * bn + lo + j)),
-                                c,
-                            );
-                        }
+                let mut c = start::<ACC>(out_row.as_ptr().add(j));
+                for run in live.runs(k) {
+                    for p in run {
+                        c = _mm256_fmadd_ps(
+                            _mm256_broadcast_ss(&a_row[p]),
+                            _mm256_loadu_ps(b.as_ptr().add(p * bn + lo + j)),
+                            c,
+                        );
                     }
-                    _mm256_storeu_ps(out_row.as_mut_ptr().add(j), c);
                 }
+                _mm256_storeu_ps(out_row.as_mut_ptr().add(j), c);
                 j += 8;
             }
             while j < w {
-                if let Some(reach) = reach(j, 1) {
-                    let mut acc = if ACC { out_row[j] } else { 0.0f32 };
-                    for run in live.runs(reach, k) {
-                        terms += run.len();
-                        for p in run {
-                            acc += a_row[p] * b[p * bn + lo + j];
-                        }
+                let mut acc = if ACC { out_row[j] } else { 0.0f32 };
+                for run in live.runs(k) {
+                    for p in run {
+                        acc += a_row[p] * b[p * bn + lo + j];
                     }
-                    out_row[j] = acc;
                 }
+                out_row[j] = acc;
                 j += 1;
             }
             i += 1;
         }
-        terms as u64
     }
 
     /// `out (m×n) = a (m×k) · bᵀ (n×k)`: 8-wide FMA dot products, four `b` rows per pass
@@ -645,7 +598,8 @@ mod neon {
         vmulq_f32, vst1q_f32,
     };
 
-    use super::tile_reach;
+    use std::ops::Range;
+
     use crate::tensor::LiveUnits;
 
     /// Initial value of a 4-lane accumulator whose result is stored at `dst`: what is
@@ -662,95 +616,87 @@ mod neon {
 
     /// See `avx2::matmul_rows`; one row at a time, 4-lane panels instead of 8, zero `a`
     /// entries skipped.
+    ///
+    /// # Safety
+    ///
+    /// As `avx2::matmul_rows`, NEON in place of AVX2 and FMA.
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "neon")]
-    pub unsafe fn matmul_rows<const ACC: bool, const OUT_UNITS: bool>(
+    pub unsafe fn matmul_rows<const ACC: bool>(
         m: usize,
         k: usize,
         bn: usize,
         a: &[f32],
         b: &[f32],
-        lo: usize,
-        hi: usize,
+        cols: Range<usize>,
         live: LiveUnits,
         out: &mut [f32],
-    ) -> u64 {
-        let w = hi - lo;
-        let reach = |j: usize, width: usize| tile_reach::<OUT_UNITS>(live, lo + j, width);
-        let mut terms = 0;
+        os: usize,
+    ) {
+        let (lo, w) = (cols.start, cols.len());
         for i in 0..m {
             let a_row = &a[i * k..i * k + k];
-            let out_row = &mut out[i * w..i * w + w];
+            let out_row = &mut out[i * os..i * os + w];
             let mut j = 0;
             while j + 16 <= w {
-                if let Some(reach) = reach(j, 16) {
-                    let dst = out_row.as_mut_ptr().add(j);
-                    let mut acc0 = start::<ACC>(dst);
-                    let mut acc1 = start::<ACC>(dst.add(4));
-                    let mut acc2 = start::<ACC>(dst.add(8));
-                    let mut acc3 = start::<ACC>(dst.add(12));
-                    for run in live.runs(reach, k) {
-                        terms += 16 * run.len();
-                        for p in run {
-                            let a_ip = a_row[p];
-                            if a_ip == 0.0 {
-                                continue;
-                            }
-                            let va = vdupq_n_f32(a_ip);
-                            let base = b.as_ptr().add(p * bn + lo + j);
-                            acc0 = vfmaq_f32(acc0, va, vld1q_f32(base));
-                            acc1 = vfmaq_f32(acc1, va, vld1q_f32(base.add(4)));
-                            acc2 = vfmaq_f32(acc2, va, vld1q_f32(base.add(8)));
-                            acc3 = vfmaq_f32(acc3, va, vld1q_f32(base.add(12)));
+                let dst = out_row.as_mut_ptr().add(j);
+                let mut acc0 = start::<ACC>(dst);
+                let mut acc1 = start::<ACC>(dst.add(4));
+                let mut acc2 = start::<ACC>(dst.add(8));
+                let mut acc3 = start::<ACC>(dst.add(12));
+                for run in live.runs(k) {
+                    for p in run {
+                        let a_ip = a_row[p];
+                        if a_ip == 0.0 {
+                            continue;
                         }
+                        let va = vdupq_n_f32(a_ip);
+                        let base = b.as_ptr().add(p * bn + lo + j);
+                        acc0 = vfmaq_f32(acc0, va, vld1q_f32(base));
+                        acc1 = vfmaq_f32(acc1, va, vld1q_f32(base.add(4)));
+                        acc2 = vfmaq_f32(acc2, va, vld1q_f32(base.add(8)));
+                        acc3 = vfmaq_f32(acc3, va, vld1q_f32(base.add(12)));
                     }
-                    vst1q_f32(dst, acc0);
-                    vst1q_f32(dst.add(4), acc1);
-                    vst1q_f32(dst.add(8), acc2);
-                    vst1q_f32(dst.add(12), acc3);
                 }
+                vst1q_f32(dst, acc0);
+                vst1q_f32(dst.add(4), acc1);
+                vst1q_f32(dst.add(8), acc2);
+                vst1q_f32(dst.add(12), acc3);
                 j += 16;
             }
             while j + 4 <= w {
-                if let Some(reach) = reach(j, 4) {
-                    let mut acc = start::<ACC>(out_row.as_ptr().add(j));
-                    for run in live.runs(reach, k) {
-                        terms += 4 * run.len();
-                        for p in run {
-                            let a_ip = a_row[p];
-                            if a_ip == 0.0 {
-                                continue;
-                            }
-                            acc = vfmaq_f32(
-                                acc,
-                                vdupq_n_f32(a_ip),
-                                vld1q_f32(b.as_ptr().add(p * bn + lo + j)),
-                            );
+                let mut acc = start::<ACC>(out_row.as_ptr().add(j));
+                for run in live.runs(k) {
+                    for p in run {
+                        let a_ip = a_row[p];
+                        if a_ip == 0.0 {
+                            continue;
                         }
+                        acc = vfmaq_f32(
+                            acc,
+                            vdupq_n_f32(a_ip),
+                            vld1q_f32(b.as_ptr().add(p * bn + lo + j)),
+                        );
                     }
-                    vst1q_f32(out_row.as_mut_ptr().add(j), acc);
                 }
+                vst1q_f32(out_row.as_mut_ptr().add(j), acc);
                 j += 4;
             }
             while j < w {
-                if let Some(reach) = reach(j, 1) {
-                    let mut acc = if ACC { out_row[j] } else { 0.0f32 };
-                    for run in live.runs(reach, k) {
-                        terms += run.len();
-                        for p in run {
-                            let a_ip = a_row[p];
-                            if a_ip == 0.0 {
-                                continue;
-                            }
-                            acc += a_ip * b[p * bn + lo + j];
+                let mut acc = if ACC { out_row[j] } else { 0.0f32 };
+                for run in live.runs(k) {
+                    for p in run {
+                        let a_ip = a_row[p];
+                        if a_ip == 0.0 {
+                            continue;
                         }
+                        acc += a_ip * b[p * bn + lo + j];
                     }
-                    out_row[j] = acc;
                 }
+                out_row[j] = acc;
                 j += 1;
             }
         }
-        terms as u64
     }
 
     /// See `avx2::gemm_nt`; 4-wide FMA dot products.
@@ -994,7 +940,7 @@ mod tests {
     /// kernels skip `±0.0` terms, and an FMA with a zero weight returns its accumulator.
     #[test]
     fn dispatched_live_kernels_match_dense_bitwise() {
-        assert_live_kernels_match_dense(matmul_blocked_live, matmul_col_range_live);
+        assert_live_kernels_match_dense(matmul_units_live, matmul_col_range_live);
     }
 
     /// The accumulating kernel extends whatever `out` holds by a row slab of `b`: close to

@@ -16,6 +16,8 @@
 //! extra MASK token per column: during training inputs are randomly replaced by MASK, and
 //! at inference MASK is fed for every unconstrained column.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -24,9 +26,15 @@ use crate::layers::{relu, relu_backward, seeded_rng, Embedding, MaskedLinear, Pa
 use crate::loss::{softmax_cross_entropy, softmax_rows, softmax_rows_into};
 use crate::tensor::{
     add_bias, column_sums_accumulate, gemm_narrow, gemm_nt, gemm_tn_acc, matmul, matmul_blocked,
-    matmul_blocked_acc, matmul_blocked_live, matmul_col_range_live, transpose_into, LiveUnits,
+    matmul_blocked_acc, matmul_col_range_live, matmul_units_live, transpose_into, LiveUnits,
     MadeMask, Matrix,
 };
+
+/// A step's new hidden units are computed in runs widened outward to multiples of this
+/// many units (see [`LiveUnits::added_since`]): the register tiles of
+/// [`matmul_units_live`] then run full, and recomputing a unit the carry already holds
+/// reproduces its bits.  Chosen on `direct_m` (numbers in `docs/kernels.md`).
+const UNIT_ALIGN: usize = 4;
 
 /// Hyper-parameters of a [`ResMade`] model.
 #[derive(Debug, Clone)]
@@ -131,9 +139,18 @@ impl ResMade {
     }
 
     /// The hidden units that can reach column `col`'s context — those of degree `< col` —
-    /// which are all a step for `col` reads or has to compute.
+    /// which are all a step for `col` reads.  It computes those of them its carried prefix
+    /// does not already hold.
     pub fn live_units(&self, col: usize) -> LiveUnits {
         LiveUnits::new(Self::degree_period(self.num_columns()), col)
+    }
+
+    /// The hidden units a step for `col` computes in each layer when it continues a prefix
+    /// of `from` columns: those of degree in `from..col`, one run per degree period,
+    /// widened outward to multiples of four units and merged where they touch.
+    pub fn new_units(&self, from: usize, col: usize) -> impl Iterator<Item = Range<usize>> {
+        self.live_units(col)
+            .added_since(from, self.config.d_hidden, UNIT_ALIGN)
     }
 
     /// Number of columns.
@@ -554,16 +571,18 @@ impl ResMade {
 
     /// One step of the **prefix-incremental** inference forward: `p(x_col | tokens₍<col₎)`
     /// for every row of the flat `batch × num_columns` buffer `tokens`, reusing what the
-    /// previous step on `scratch` already multiplied.
+    /// previous step on `scratch` already computed.
     ///
     /// `scratch` carries, per row of the last step, the input layer's pre-bias sums over
-    /// the columns that step covered.  With `parents = Some(p)`, row `r` continues row
-    /// `p[r]` of the last step: it must hold the same tokens in the columns that step
-    /// covered (rows may be duplicated, reordered or dropped), `col` must not be smaller
-    /// than the last step's, and only the columns in between are embedded and multiplied.
-    /// `parents = None` starts from the empty prefix (what
-    /// [`ResMade::conditional_probs_into`] does).  Tokens at columns `>= col` are never
-    /// read.
+    /// the columns that step covered and, in every hidden layer a later step reads, the
+    /// units whose degree is below that step's column — MADE's masks make them functions
+    /// of those columns alone.  With `parents = Some(p)`, row `r` continues row `p[r]` of
+    /// the last step: it must hold the same tokens in the columns that step covered (rows
+    /// may be duplicated, reordered or dropped), `col` must not be smaller than the last
+    /// step's, and only the columns in between are embedded and multiplied, and only the
+    /// hidden units of the degrees in between computed.  `parents = None` starts from the
+    /// empty prefix (what [`ResMade::conditional_probs_into`] does).  Tokens at columns
+    /// `>= col` are never read.
     ///
     /// `fast_kernels` picks the tier: `false` runs the scalar kernels, `true` dispatches
     /// every GEMM and the softmax normalisation through [`crate::kernel`] to the widest
@@ -602,13 +621,13 @@ impl ResMade {
         let max_domain = self.config.domains.iter().copied().max().unwrap_or(0);
         // The widest slab: a first step at the last column.
         scratch.x.reserve(rows, (n - 1) * d);
-        for m in [
-            &mut scratch.z,
-            &mut scratch.z_next,
-            &mut scratch.h,
-            &mut scratch.a,
-            &mut scratch.b,
-        ] {
+        let InferenceScratch {
+            z, carried, spare, ..
+        } = scratch;
+        for m in [z, spare]
+            .into_iter()
+            .chain(carry_layers(carried, self.blocks.len()))
+        {
             m.reserve(rows, self.config.d_hidden);
         }
         scratch.ctx.reserve(rows, d);
@@ -619,37 +638,48 @@ impl ResMade {
     /// The one inference forward behind both tiers, generic over the kernel set so each
     /// instantiation compiles to direct calls into its kernel module.
     ///
-    /// Four inference-specific savings over the training-path forward:
+    /// The whole trunk is **prefix-incremental**.  Hidden unit `u` has the degree `u % P`
+    /// (`P` = [`ResMade::degree_period`]), and MADE's masks make a unit of degree `k`, in
+    /// every layer, a function of columns `<= k` alone.  The scratch carries, per row of
+    /// the last step, the input layer's pre-bias sums `z` over columns `< z_cols` and, in
+    /// each residual block's first activation `a` and output `h`, the units of degree
+    /// `< z_cols`.  A step for `col`:
     ///
-    /// * the input layer multiplies only the columns between the previous step's `col`
-    ///   and this one, onto the carried pre-bias accumulator `z` (columns `>= col` meet
-    ///   structurally-zero weights on every path into column `col` and are skipped),
-    /// * the output layer computes **only** column `col`'s `d_emb`-wide context slice
-    ///   ([`matmul_col_range_live`]) instead of all `num_columns · d_emb` outputs,
-    /// * the logit head is one blocked GEMM against the embedding table ([`gemm_nt`]),
-    /// * the hidden stack is **mask-aware**: with `P` = [`ResMade::degree_period`], only
-    ///   the live units `{h : h % P < col}` ([`ResMade::live_units`]) can reach column
-    ///   `col`'s context, so the block GEMMs skip register blocks without a live unit and
-    ///   walk only the inner units a block's live columns hear from, and the output layer
-    ///   walks only live inner units ([`LiveUnits`]).  Units outside the live set hold
-    ///   unspecified values (stale, or bias/ReLU/residual of stale) that no kernel reads.
-    ///   No bit changes, by points 2–3 below: every weight left out is masked, so its
-    ///   term was `a · ±0.0` (`a` finite: [`ResMade::check_masked_weights`] keeps the
-    ///   weights finite) onto an accumulator that is never `−0.0`, and the surviving
-    ///   terms keep their order.
+    /// 1. gathers each row's carry from its parent row — all of `z`, the units of degree
+    ///    `< z_cols` of the carried layers — and gathers nothing when `parents` is the
+    ///    identity;
+    /// 2. adds columns `z_cols..col` onto `z` ([`matmul_blocked_acc`]; columns `>= col`
+    ///    meet structurally-zero weights on every path into column `col`) and takes
+    ///    `h₀ = relu(z + b)`;
+    /// 3. layer by layer, computes only the units of degree in `z_cols..col` — one short
+    ///    run per period, widened to [`UNIT_ALIGN`] — from the live inner units (degree
+    ///    `< col`, [`ResMade::live_units`]) straight into the carried matrix
+    ///    ([`matmul_units_live`]), then their bias, ReLU and residual add;
+    /// 4. computes **only** column `col`'s `d_emb`-wide context slice, from the live units
+    ///    of the last layer ([`matmul_col_range_live`]), the logit head as one blocked GEMM
+    ///    against the embedding table ([`gemm_nt`]), and the softmax.
+    ///
+    /// Units of degree `>= col` hold unspecified values (partial sums, or stale) that no
+    /// kernel reads: every inner walk stays inside the live set.
     ///
     /// The exact tier stays bit-identical to [`ResMade::conditional_probs_reference`]:
     ///
     /// 1. every output element of the input layer is an ascending-`p` chain of f32 adds
     ///    that skips `a == 0.0`; storing a chain to `z` and resuming it later performs the
     ///    same adds in the same order;
-    /// 2. masked weights are exactly `0.0` ([`ResMade::check_masked_weights`]), so for a
-    ///    hidden unit of degree `< col` the terms dropped from columns `>= col` were
-    ///    `±0.0` added to an accumulator that starts at `+0.0` and therefore is never
-    ///    `−0.0` — adding them changes no bit;
-    /// 3. units of degree `>= col` now hold partial sums, but the hidden mask
-    ///    (`deg(h₂) >= deg(h₁)`) and the strict output mask (`deg(h) < col`) give them
-    ///    zero weight — again `±0.0` terms — on every path into column `col`'s context.
+    /// 2. masked weights are exactly `0.0` and every weight is finite
+    ///    ([`ResMade::check_masked_weights`]), so a term with a masked weight — left out
+    ///    by a kernel, or added where the reference adds it — is `a · ±0.0` onto an
+    ///    accumulator that starts at `+0.0` and therefore is never `−0.0`: it changes no
+    ///    bit;
+    /// 3. so a unit of degree `k` gets the same bits from a walk over any superset of the
+    ///    units of degree `<= k` below it, given the same bits there — the live set of any
+    ///    step for a column `> k` is one.  By induction up the trunk, what a parent row
+    ///    computed for a unit of degree `< z_cols` is what this step would compute, and a
+    ///    run widened below `z_cols` stores those bits again;
+    /// 4. units of degree `>= col` get zero weight — `±0.0` terms again — on every path
+    ///    into column `col`'s context: the hidden rule is `deg(h₂) >= deg(h₁)`, the output
+    ///    rule the strict `deg(h) < col`.
     fn step<'s, K: KernelSet>(
         &self,
         tokens: &[u32],
@@ -663,99 +693,142 @@ impl ResMade {
         let h_dim = self.config.d_hidden;
         let domain = self.config.domains[col];
         let batch = tokens.len() / n;
+        let period = Self::degree_period(n);
+        let model = (period, self.blocks.len());
 
-        // z ← each row's parent accumulator (or +0.0 from the empty prefix).
+        // The carry ← each row's parent row (or the empty prefix).
         let z_cols = match parents {
             None => {
                 scratch.z.resize(batch, h_dim);
                 scratch.z.fill_zero();
+                scratch.model = model;
+                for m in carry_layers(&mut scratch.carried, self.blocks.len()) {
+                    m.resize(batch, h_dim);
+                }
                 0
             }
             Some(parents) => {
                 assert_eq!(parents.len(), batch, "one parent row per token row");
-                assert_eq!(
-                    scratch.z.cols(),
-                    h_dim,
+                assert!(
+                    scratch.z.cols() == h_dim && scratch.model == model,
                     "the carried prefix belongs to another model"
                 );
                 assert!(
                     scratch.z_cols <= col,
                     "steps must follow the autoregressive order"
                 );
-                scratch.z_next.resize(batch, h_dim);
-                for (r, &parent) in parents.iter().enumerate() {
-                    scratch
-                        .z_next
-                        .row_mut(r)
-                        .copy_from_slice(scratch.z.row(parent as usize));
+                let z_cols = scratch.z_cols;
+                let InferenceScratch {
+                    z, carried, spare, ..
+                } = &mut *scratch;
+                let identity =
+                    batch <= z.rows() && parents.iter().enumerate().all(|(r, &p)| p as usize == r);
+                let carried_units = LiveUnits::new(period, z_cols);
+                let layers = carry_layers(carried, self.blocks.len()).map(|m| (m, carried_units));
+                for (m, units) in std::iter::once((z, LiveUnits::ALL)).chain(layers) {
+                    if identity {
+                        m.resize(batch, h_dim);
+                    } else {
+                        gather_rows(m, parents, units, spare);
+                    }
                 }
-                std::mem::swap(&mut scratch.z, &mut scratch.z_next);
-                scratch.z_cols
+                z_cols
             }
         };
-
-        // z += x[:, z_cols..col] · W_in[z_cols·d .. col·d, :]
-        self.embed_columns_into(tokens, z_cols, col, &mut scratch.x);
-        (K::MATMUL_BLOCKED_ACC)(
-            &scratch.x,
-            &self.input_layer.inner.weight.value,
-            z_cols * d,
-            &mut scratch.z,
-        );
-        scratch.z_cols = col;
-        scratch.embedded_columns = batch * (col - z_cols);
-
-        // h = relu(z + bias), then the residual blocks over the live units.  Bias, ReLU
-        // and the residual add run over whole rows: what they leave in the other units is
-        // never read.
-        let live = self.live_units(col);
-        let InferenceScratch { z, h, a, b, .. } = scratch;
-        h.resize(batch, h_dim);
-        h.data_mut().copy_from_slice(z.data());
-        add_bias(h, self.input_layer.inner.bias.value.row(0));
-        relu(h);
-        let mut block_terms = 0;
-        for (w1, w2) in &self.blocks {
-            a.resize(batch, h_dim);
-            block_terms += (K::MATMUL_BLOCKED_LIVE)(h, &w1.inner.weight.value, live, a);
-            add_bias(a, w1.inner.bias.value.row(0));
-            relu(a);
-            b.resize(batch, h_dim);
-            block_terms += (K::MATMUL_BLOCKED_LIVE)(a, &w2.inner.weight.value, live, b);
-            add_bias(b, w2.inner.bias.value.row(0));
-            relu(b);
-            for (o, v) in h.data_mut().iter_mut().zip(b.data()) {
-                *o += v;
+        #[cfg(test)]
+        if scratch.poison {
+            let carried_units = LiveUnits::new(period, z_cols);
+            for m in carry_layers(&mut scratch.carried, self.blocks.len()) {
+                for row in m.data_mut().chunks_exact_mut(h_dim) {
+                    for (u, v) in row.iter_mut().enumerate() {
+                        if !carried_units.contains(u) {
+                            *v = f32::NAN;
+                        }
+                    }
+                }
             }
         }
-        scratch.block_terms = block_terms;
 
-        scratch.ctx.resize(batch, d);
+        let InferenceScratch {
+            x,
+            z,
+            z_cols: carried_cols,
+            carried,
+            spare,
+            embedded_columns,
+            block_terms,
+            ctx,
+            logits,
+            probs,
+            ..
+        } = scratch;
+
+        // z += x[:, z_cols..col] · W_in[z_cols·d .. col·d, :], then h₀ = relu(z + b).
+        self.embed_columns_into(tokens, z_cols, col, x);
+        (K::MATMUL_BLOCKED_ACC)(x, &self.input_layer.inner.weight.value, z_cols * d, z);
+        *carried_cols = col;
+        *embedded_columns = batch * (col - z_cols);
+        spare.resize(batch, h_dim);
+        let bias = self.input_layer.inner.bias.value.row(0);
+        for (h_row, z_row) in spare
+            .data_mut()
+            .chunks_exact_mut(h_dim)
+            .zip(z.data().chunks_exact(h_dim))
+        {
+            for ((h, &z), &b) in h_row.iter_mut().zip(z_row).zip(bias) {
+                *h = relu_value(z + b);
+            }
+        }
+        let h0: &Matrix = spare;
+
+        // The residual blocks, new units only.
+        let live = self.live_units(col);
+        let new_units = || self.new_units(z_cols, col);
+        let inner: usize = live.runs(h_dim).map(|run| run.len()).sum();
+        let computed: usize = new_units().map(|run| run.len()).sum();
+        *block_terms = (2 * self.blocks.len() * batch * inner * computed) as u64;
+        let carried = &mut carried[..2 * self.blocks.len()];
+        for (i, (w1, w2)) in self.blocks.iter().enumerate() {
+            let (below, this) = carried.split_at_mut(2 * i);
+            let h_in = below.last().unwrap_or(h0);
+            let (a, h_out) = this.split_at_mut(1);
+            let (a, h_out) = (&mut a[0], &mut h_out[0]);
+            for run in new_units() {
+                (K::MATMUL_UNITS_LIVE)(h_in, &w1.inner.weight.value, run.clone(), live, a);
+                bias_relu(a, run, w1.inner.bias.value.row(0));
+            }
+            for run in new_units() {
+                (K::MATMUL_UNITS_LIVE)(a, &w2.inner.weight.value, run.clone(), live, h_out);
+                residual(h_in, run, w2.inner.bias.value.row(0), h_out);
+            }
+        }
+
+        ctx.resize(batch, d);
         (K::MATMUL_COL_RANGE_LIVE)(
-            &scratch.h,
+            carried.last().unwrap_or(h0),
             &self.output_layer.inner.weight.value,
             col * d,
             (col + 1) * d,
             live,
-            &mut scratch.ctx,
+            ctx,
         );
         add_bias(
-            &mut scratch.ctx,
+            ctx,
             &self.output_layer.inner.bias.value.row(0)[col * d..(col + 1) * d],
         );
-        scratch.logits.resize(batch, domain);
+        logits.resize(batch, domain);
         let emb = &self.embeddings[col].table.value;
         (K::GEMM_NT)(
             batch,
             domain,
             d,
-            scratch.ctx.data(),
+            ctx.data(),
             &emb.data()[..domain * d],
-            scratch.logits.data_mut(),
+            logits.data_mut(),
         );
-        add_bias(&mut scratch.logits, self.output_bias[col].value.row(0));
-        (K::SOFTMAX_ROWS_INTO)(&scratch.logits, &mut scratch.probs);
-        &scratch.probs
+        add_bias(logits, self.output_bias[col].value.row(0));
+        (K::SOFTMAX_ROWS_INTO)(logits, probs);
+        probs
     }
 
     /// Checks the invariants the autoregressive property and the inference forward's
@@ -810,8 +883,8 @@ impl ResMade {
 // The signatures are the kernels' own; aliasing each would only rename them once more.
 #[allow(clippy::type_complexity)]
 trait KernelSet {
-    const MATMUL_BLOCKED_LIVE: fn(&Matrix, &Matrix, LiveUnits, &mut Matrix) -> u64;
     const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix);
+    const MATMUL_UNITS_LIVE: fn(&Matrix, &Matrix, Range<usize>, LiveUnits, &mut Matrix);
     const MATMUL_COL_RANGE_LIVE: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix);
     const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
     const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix);
@@ -821,9 +894,9 @@ trait KernelSet {
 struct ScalarKernels;
 
 impl KernelSet for ScalarKernels {
-    const MATMUL_BLOCKED_LIVE: fn(&Matrix, &Matrix, LiveUnits, &mut Matrix) -> u64 =
-        matmul_blocked_live;
     const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix) = matmul_blocked_acc;
+    const MATMUL_UNITS_LIVE: fn(&Matrix, &Matrix, Range<usize>, LiveUnits, &mut Matrix) =
+        matmul_units_live;
     const MATMUL_COL_RANGE_LIVE: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix) =
         matmul_col_range_live;
     const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]) = gemm_nt;
@@ -834,17 +907,81 @@ impl KernelSet for ScalarKernels {
 struct DispatchedKernels;
 
 impl KernelSet for DispatchedKernels {
-    const MATMUL_BLOCKED_LIVE: fn(&Matrix, &Matrix, LiveUnits, &mut Matrix) -> u64 =
-        kernel::matmul_blocked_live;
     const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix) = kernel::matmul_blocked_acc;
+    const MATMUL_UNITS_LIVE: fn(&Matrix, &Matrix, Range<usize>, LiveUnits, &mut Matrix) =
+        kernel::matmul_units_live;
     const MATMUL_COL_RANGE_LIVE: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix) =
         kernel::matmul_col_range_live;
     const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]) = kernel::gemm_nt;
     const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix) = kernel::softmax_rows_into;
 }
 
-/// Reusable buffers — and the carried input-layer prefix — of the zero-allocation
-/// inference forward pass ([`ResMade::conditional_probs_step`]).
+/// The first `2·blocks` matrices of `carried` — each residual block's first activation,
+/// then its output — growing the vector to that many.  It only grows: a scratch moved to
+/// a model with fewer blocks uses a prefix.
+fn carry_layers(carried: &mut Vec<Matrix>, blocks: usize) -> std::slice::IterMut<'_, Matrix> {
+    if carried.len() < 2 * blocks {
+        carried.resize_with(2 * blocks, Matrix::default);
+    }
+    carried[..2 * blocks].iter_mut()
+}
+
+/// Row `r` of `m` ← row `parents[r]` of `m`, in the units `units` (the rest of each row is
+/// left unspecified), gathered through `spare`, which ends up holding the old `m`.
+fn gather_rows(m: &mut Matrix, parents: &[u32], units: LiveUnits, spare: &mut Matrix) {
+    let width = m.cols();
+    spare.resize(parents.len(), width);
+    for (r, &parent) in parents.iter().enumerate() {
+        let (from, to) = (m.row(parent as usize), spare.row_mut(r));
+        for run in units.runs(width) {
+            to[run.clone()].copy_from_slice(&from[run]);
+        }
+    }
+    std::mem::swap(m, spare);
+}
+
+/// [`relu`] of one value.
+fn relu_value(v: f32) -> f32 {
+    if v < 0.0 {
+        0.0
+    } else {
+        v
+    }
+}
+
+/// `m[r][u] = relu(m[r][u] + bias[u])` for the units `units` of every row.
+fn bias_relu(m: &mut Matrix, units: Range<usize>, bias: &[f32]) {
+    let width = m.cols();
+    for row in m.data_mut().chunks_exact_mut(width) {
+        for (v, &b) in row[units.clone()].iter_mut().zip(&bias[units.clone()]) {
+            *v = relu_value(*v + b);
+        }
+    }
+}
+
+/// A residual block's output over the units `units` of every row: `out[r][u] = h[r][u] +
+/// relu(out[r][u] + bias[u])`, where `h` is the block's input and `out` holds the pre-bias
+/// sums of its second layer.
+fn residual(h: &Matrix, units: Range<usize>, bias: &[f32], out: &mut Matrix) {
+    let width = out.cols();
+    for (row, h_row) in out
+        .data_mut()
+        .chunks_exact_mut(width)
+        .zip(h.data().chunks_exact(width))
+    {
+        let (row, h_row, bias) = (
+            &mut row[units.clone()],
+            &h_row[units.clone()],
+            &bias[units.clone()],
+        );
+        for ((v, &h), &b) in row.iter_mut().zip(h_row).zip(bias) {
+            *v = h + relu_value(*v + b);
+        }
+    }
+}
+
+/// Reusable buffers — and the carried prefix — of the zero-allocation inference forward
+/// pass ([`ResMade::conditional_probs_step`]).
 ///
 /// Create one per serving thread and reuse it across forward passes, sub-columns and
 /// queries; every buffer is resized in place (allocations only grow, never shrink), so
@@ -853,52 +990,44 @@ impl KernelSet for DispatchedKernels {
 /// a model: a step from the empty prefix adapts to whatever shapes it needs and
 /// overwrites the carried prefix, so one scratch can serve several models of different
 /// sizes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct InferenceScratch {
     /// Embedded slab of the newly covered columns (`batch × (col − z_cols)·d_emb`).
     x: Matrix,
-    /// Input-layer pre-bias accumulator of the last step's rows over input columns
-    /// `0..z_cols` (`batch × d_hidden`).
+    /// Input-layer pre-bias sums of the last step's rows over input columns `0..z_cols`
+    /// (`batch × d_hidden`).
     z: Matrix,
-    /// The accumulator being gathered for the next step's rows (swapped with `z`).
-    z_next: Matrix,
     /// Number of input columns folded into `z` (the last step's `col`).
     z_cols: usize,
+    /// Per row of the last step, the hidden layers a later step reads: each residual
+    /// block's first activation `a`, then its output `h` (`batch × d_hidden` each).  Their
+    /// units of degree `< z_cols` hold their values, the others nothing to be read.
+    carried: Vec<Matrix>,
+    /// The target a carried matrix is gathered into (it then holds the matrix it
+    /// replaced), and then the input layer's activation `h₀ = relu(z + b)`.
+    spare: Matrix,
+    /// `(degree period, residual blocks)` of the model whose prefix is carried.
+    model: (usize, usize),
     /// Token embeddings the last step looked up: `batch × (col − previous col)`.
     embedded_columns: usize,
-    /// Product terms the last step's block GEMMs walked.
+    /// Product terms the last step's new-unit kernels walked.
     block_terms: u64,
-    /// Running hidden state (`batch × d_hidden`).
-    h: Matrix,
-    /// First activation inside a residual block.
-    a: Matrix,
-    /// Second activation inside a residual block.
-    b: Matrix,
     /// Context slice of the queried column (`batch × d_emb`).
     ctx: Matrix,
     /// Logits of the queried column (`batch × domain`).
     logits: Matrix,
     /// Softmax probabilities returned to the caller.
     probs: Matrix,
+    /// Test hook: after the gather, NaN-fill every carried unit the step did not carry
+    /// over, so a read of one surfaces in its result.
+    #[cfg(test)]
+    poison: bool,
 }
 
 impl InferenceScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
-        InferenceScratch {
-            x: Matrix::zeros(0, 0),
-            z: Matrix::zeros(0, 0),
-            z_next: Matrix::zeros(0, 0),
-            z_cols: 0,
-            embedded_columns: 0,
-            block_terms: 0,
-            h: Matrix::zeros(0, 0),
-            a: Matrix::zeros(0, 0),
-            b: Matrix::zeros(0, 0),
-            ctx: Matrix::zeros(0, 0),
-            logits: Matrix::zeros(0, 0),
-            probs: Matrix::zeros(0, 0),
-        }
+        Self::default()
     }
 
     /// Token embeddings the last step looked up — its rows times the columns it added to
@@ -907,17 +1036,12 @@ impl InferenceScratch {
         self.embedded_columns
     }
 
-    /// Product terms the last step's block GEMMs walked: inner units × output columns
-    /// written × rows, zero activations included.  A forward blind to the masks walks
+    /// Product terms the last step's new-unit kernels walked in the residual blocks: rows
+    /// × units computed (the runs of new degrees, widened) × live inner units, per block
+    /// layer, zero activations included.  A forward blind to the masks and the carry walks
     /// `rows × 2·num_blocks·d_hidden²`.
     pub fn block_terms(&self) -> u64 {
         self.block_terms
-    }
-}
-
-impl Default for InferenceScratch {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -1463,24 +1587,118 @@ mod tests {
         }
     }
 
-    /// The prefix-incremental forward against the seed forward, bit for bit, along random
-    /// walks: every step picks its rows' parents at random from the previous step (rows
-    /// duplicated, reordered, dropped), advances `col` by a few columns, fills the newly
-    /// covered columns with fresh tokens or MASK and everything at `>= col` with garbage
-    /// that would panic if it were ever looked up; now and then the walk restarts from the
-    /// empty prefix.  Covers `n−1 < d_hidden`, `n−1 > d_hidden` (degrees without a unit),
-    /// a one-column model, `col = 0` (a zero-width slab), and the `(d_hidden, P)` layouts of
-    /// the kernel tests.  The hidden buffers are filled with NaN before every step, so
-    /// whatever a step leaves outside its live set is NaN — and would surface if read.
-    #[test]
-    fn prefix_steps_match_reference_bitwise_along_random_walks() {
-        let mut seed = 0x57E9_u64;
-        let mut next = move |bound: usize| {
+    /// The tests' generator: `next(bound)` is uniform-ish in `0..bound`.
+    fn lcg(mut seed: u64) -> impl FnMut(usize) -> usize {
+        move |bound: usize| {
             seed = seed
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             ((seed >> 33) as usize) % bound
-        };
+        }
+    }
+
+    /// A `num_blocks = 2` model whose every bias row holds a value (fresh models have
+    /// all-zero biases).
+    fn biased(
+        domains: Vec<usize>,
+        d_hidden: usize,
+        next: &mut impl FnMut(usize) -> usize,
+    ) -> ResMade {
+        let mut m = ResMade::new(MadeConfig {
+            domains,
+            d_emb: 6,
+            d_hidden,
+            num_blocks: 2,
+            seed: 17,
+        });
+        for p in m.params_mut() {
+            if p.value.rows() == 1 {
+                for v in p.value.data_mut() {
+                    *v = next(2001) as f32 / 1000.0 - 1.0;
+                }
+            }
+        }
+        m
+    }
+
+    /// One step of `m` on `scratch`, checked bit for bit against the seed forward.  With
+    /// `parents`, row `r` continues `rows[parents[r]]` (the last step's token rows, which
+    /// conditioned `base_col`); without, `batch` rows start from the empty prefix
+    /// (`base_col` 0).  Newly covered columns get tokens from `next` (the last value of a
+    /// domain is MASK), columns `>= col` garbage that would panic if it were looked up.
+    /// The scratch poisons every carried unit the step did not carry over.  Returns the
+    /// step's token rows.
+    fn checked_step(
+        m: &ResMade,
+        scratch: &mut InferenceScratch,
+        (rows, base_col): (&[Vec<u32>], usize),
+        parents: Option<&[u32]>,
+        batch: usize,
+        col: usize,
+        next: &mut impl FnMut(usize) -> usize,
+    ) -> Vec<Vec<u32>> {
+        let n = m.num_columns();
+        let base_col = if parents.is_some() { base_col } else { 0 };
+        let new_rows: Vec<Vec<u32>> = (0..parents.map_or(batch, <[u32]>::len))
+            .map(|r| {
+                let mut row = match parents {
+                    None => vec![0u32; n],
+                    Some(parents) => rows[parents[r] as usize].clone(),
+                };
+                for (c, token) in row.iter_mut().enumerate().skip(base_col) {
+                    *token = if c >= col {
+                        u32::MAX
+                    } else {
+                        next(m.domain(c) + 1) as u32
+                    };
+                }
+                row
+            })
+            .collect();
+        let batch = new_rows.len();
+        let flat: Vec<u32> = new_rows.iter().flatten().copied().collect();
+        scratch.poison = true;
+        let stepped = m.conditional_probs_step(&flat, col, parents, false, scratch);
+        // The reference embeds every column, so it needs valid tokens there.
+        let masked: Vec<Vec<u32>> = new_rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .enumerate()
+                    .map(|(c, &t)| if c >= col { m.mask_token(c) } else { t })
+                    .collect()
+            })
+            .collect();
+        let reference = m.conditional_probs_reference(&masked, col);
+        let what = format!("n {n} {base_col} → {col} parents {parents:?}");
+        assert_eq!(
+            (stepped.rows(), stepped.cols()),
+            (batch, m.domain(col)),
+            "{what}"
+        );
+        for (i, (a, b)) in reference.data().iter().zip(stepped.data()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
+        }
+        assert_eq!(scratch.embedded_columns(), batch * (col - base_col));
+        let d_hidden = m.config.d_hidden;
+        assert!(scratch.block_terms() <= (batch * 4 * d_hidden * d_hidden) as u64);
+        let period = ResMade::degree_period(n);
+        let new_degree = (0..d_hidden).any(|u| (base_col..col).contains(&(u % period)));
+        assert_eq!(scratch.block_terms() > 0, new_degree, "{what}");
+        new_rows
+    }
+
+    /// The prefix-incremental forward against the seed forward, bit for bit, along random
+    /// walks: every step picks its rows' parents at random from the previous step (rows
+    /// duplicated, reordered, dropped), advances `col` by a few columns, and fills the
+    /// newly covered columns with fresh tokens or MASK; now and then the walk restarts from
+    /// the empty prefix.  Covers `n−1 < d_hidden`, `n−1 > d_hidden` (degrees without a
+    /// unit), a one-column model, `col = 0` (a zero-width slab), and the `(d_hidden, P)`
+    /// layouts of the kernel tests.  Before every step computes, each carried unit it did
+    /// not carry over is NaN — and would surface if read.
+    #[test]
+    fn prefix_steps_match_reference_bitwise_along_random_walks() {
+        let mut next = lcg(0x57E9);
         let cycled = |n: usize| (0..n).map(|c| [3usize, 5, 2, 7, 4][c % 5]).collect();
         for (domains, d_hidden) in [
             (vec![4usize, 9, 3, 17, 5], 24usize),
@@ -1492,94 +1710,65 @@ mod tests {
             (cycled(51), 33),
             (cycled(2), 8),
         ] {
-            let mut m = ResMade::new(MadeConfig {
-                domains,
-                d_emb: 6,
-                d_hidden,
-                num_blocks: 2,
-                seed: 17,
-            });
-            // Fresh models have all-zero biases; give every bias row a value.
-            for p in m.params_mut() {
-                if p.value.rows() == 1 {
-                    for v in p.value.data_mut() {
-                        *v = next(2001) as f32 / 1000.0 - 1.0;
-                    }
-                }
-            }
+            let m = biased(domains, d_hidden, &mut next);
             let n = m.num_columns();
             let mut scratch = InferenceScratch::new();
             // Token rows of the previous step and the column it conditioned.
             let mut rows: Vec<Vec<u32>> = Vec::new();
             let mut prev_col = 0usize;
-            for step in 0..60 {
+            for _ in 0..60 {
                 let restart = rows.is_empty() || next(7) == 0;
                 let batch = 1 + next(9);
-                let (parents, base_col): (Vec<u32>, usize) = if restart {
-                    (Vec::new(), 0)
-                } else {
-                    (
-                        (0..batch).map(|_| next(rows.len()) as u32).collect(),
-                        prev_col,
-                    )
-                };
+                let parents: Vec<u32> =
+                    (0..batch).map(|_| next(rows.len().max(1)) as u32).collect();
+                let base_col = if restart { 0 } else { prev_col };
                 // 0–3 columns at a time; wide models take longer strides to reach their
                 // last columns within the walk.
                 let col = (base_col + next(4.max(n / 4))).min(n - 1);
-                let new_rows: Vec<Vec<u32>> = (0..batch)
-                    .map(|r| {
-                        let mut row = if restart {
-                            vec![0u32; n]
-                        } else {
-                            rows[parents[r] as usize].clone()
-                        };
-                        for (c, token) in row.iter_mut().enumerate().skip(base_col) {
-                            *token = if c >= col {
-                                u32::MAX
-                            } else {
-                                next(m.domain(c) + 1) as u32 // the last value is MASK
-                            };
-                        }
-                        row
-                    })
-                    .collect();
-                let flat: Vec<u32> = new_rows.iter().flatten().copied().collect();
-                for buffer in [&mut scratch.h, &mut scratch.a, &mut scratch.b] {
-                    buffer.resize(batch, d_hidden);
-                    buffer.data_mut().fill(f32::NAN);
-                }
-                let stepped = m.conditional_probs_step(
-                    &flat,
-                    col,
-                    (!restart).then_some(&parents[..]),
-                    false,
+                rows = checked_step(
+                    &m,
                     &mut scratch,
+                    (&rows, prev_col),
+                    (!restart).then_some(&parents[..]),
+                    batch,
+                    col,
+                    &mut next,
                 );
-                // The reference embeds every column, so it needs valid tokens there.
-                let masked: Vec<Vec<u32>> = new_rows
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .enumerate()
-                            .map(|(c, &t)| if c >= col { m.mask_token(c) } else { t })
-                            .collect()
-                    })
-                    .collect();
-                let reference = m.conditional_probs_reference(&masked, col);
-                assert_eq!((stepped.rows(), stepped.cols()), (batch, m.domain(col)));
-                for (i, (a, b)) in reference.data().iter().zip(stepped.data()).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "n {n} step {step} col {col} (restart {restart}) element {i}: {a} vs {b}"
-                    );
-                }
-                assert_eq!(scratch.embedded_columns(), batch * (col - base_col));
-                let dense_terms = (batch * 4 * d_hidden * d_hidden) as u64;
-                assert!(scratch.block_terms() <= dense_terms);
-                assert_eq!(scratch.block_terms() == 0, col == 0);
-                rows = new_rows;
                 prev_col = col;
+            }
+        }
+    }
+
+    /// The parent maps the sampler produces, each spelled out, at JOB-light's degree period
+    /// (26: four period copies in a 96-unit layer) and JOB-M's (60): the identity (classes
+    /// that did not split — nothing is gathered), a non-monotone map with duplicates (an
+    /// early class died and a later one split), a shrinking batch, and an identity prefix of
+    /// a shorter batch.
+    #[test]
+    fn prefix_steps_match_reference_bitwise_under_explicit_parent_maps() {
+        let mut next = lcg(0x9A7E);
+        for n in [27usize, 61] {
+            let m = biased(
+                (0..n).map(|c| [3usize, 5, 2, 7, 4][c % 5]).collect(),
+                96,
+                &mut next,
+            );
+            let mut scratch = InferenceScratch::new();
+            let maps: [&[u32]; 5] = [&[0, 1, 2, 3], &[2, 0, 0, 1], &[3, 1], &[0], &[0, 0, 0]];
+            let mut rows = checked_step(&m, &mut scratch, (&[], 0), None, 4, n / 5, &mut next);
+            let mut col = n / 5;
+            for (i, parents) in maps.into_iter().enumerate() {
+                let to = (col + [3, 0, 7, 1, 20][i]).min(n - 1);
+                rows = checked_step(
+                    &m,
+                    &mut scratch,
+                    (&rows, col),
+                    Some(parents),
+                    0,
+                    to,
+                    &mut next,
+                );
+                col = to;
             }
         }
     }
@@ -1708,47 +1897,54 @@ mod tests {
 
     #[test]
     fn reserved_scratch_never_reallocates() {
-        let m = make(vec![4, 3, 9, 5], 4);
+        let m = ResMade::new(MadeConfig {
+            domains: vec![4, 3, 9, 5],
+            d_emb: 6,
+            d_hidden: 24,
+            num_blocks: 2,
+            seed: 4,
+        });
         let n = m.num_columns();
         let rows = 6;
         let mut scratch = InferenceScratch::new();
         m.reserve_scratch(rows, &mut scratch);
         let addresses = |s: &InferenceScratch| {
-            [
-                &s.x, &s.z, &s.z_next, &s.h, &s.a, &s.b, &s.ctx, &s.logits, &s.probs,
-            ]
-            .map(|m| m.data().as_ptr())
+            let mut all: Vec<*const f32> = [&s.x, &s.z, &s.spare, &s.ctx, &s.logits, &s.probs]
+                .into_iter()
+                .chain(&s.carried)
+                .map(|m| m.data().as_ptr())
+                .collect();
+            // A gather swaps the carried matrix it fills with `spare`.
+            all.sort();
+            all
         };
-        let mut reserved = addresses(&scratch);
-        // `z` and `z_next` trade places at every continued step.
-        reserved.sort();
-        // Narrow first, wide later; few rows first, all of them later; a first step at the
-        // last column (the widest slab) and the largest domain.
-        for (batch, col, continued) in [
-            (1, 0, false),
-            (2, 1, true),
-            (rows, 3, true),
-            (rows, n - 1, false),
-            (rows, 2, false),
+        let reserved = addresses(&scratch);
+        assert_eq!(reserved.len(), 6 + 4);
+        // Narrow first, wide later; few rows first, all of them later; gathers and an
+        // identity map; a first step at the last column (the widest slab) and the largest
+        // domain.
+        let identity: Vec<u32> = (0..rows as u32).collect();
+        for (col, parents) in [
+            (0, None),
+            (1, Some(&[0u32, 0][..])),
+            (3, Some(&[0, 1, 0, 1, 0, 1][..])),
+            (3, Some(&identity[..])),
+            (n - 1, None),
+            (2, None),
         ] {
+            let batch = parents.map_or(rows, <[u32]>::len);
+            let batch = if col == 0 { 1 } else { batch };
             let tokens = vec![0u32; batch * n];
-            let parents = vec![0u32; batch];
-            m.conditional_probs_step(
-                &tokens,
-                col,
-                continued.then_some(&parents[..]),
-                false,
-                &mut scratch,
+            m.conditional_probs_step(&tokens, col, parents, false, &mut scratch);
+            assert_eq!(
+                addresses(&scratch),
+                reserved,
+                "step (batch {batch}, col {col}) reallocated"
             );
-            let mut now = addresses(&scratch);
-            now.sort();
-            assert_eq!(now, reserved, "step (batch {batch}, col {col}) reallocated");
         }
         // A second reservation within the first is free.
         m.reserve_scratch(rows, &mut scratch);
-        let mut now = addresses(&scratch);
-        now.sort();
-        assert_eq!(now, reserved);
+        assert_eq!(addresses(&scratch), reserved);
     }
 
     /// Mirror of `reserved_scratch_never_reallocates` for training: once a scratch has seen
@@ -1810,6 +2006,36 @@ mod tests {
         let mut scratch = InferenceScratch::new();
         m.conditional_probs_into(&[0, 1, 2], 2, &mut scratch);
         m.conditional_probs_step(&[0, 1, 2], 1, Some(&[0]), false, &mut scratch);
+    }
+
+    /// A carry left by one model cannot be continued by another of the same width: not
+    /// with another block count (the carried layers differ), not with another degree
+    /// period (the carried units' degrees differ).  A step from the empty prefix may switch.
+    #[test]
+    fn step_rejects_a_prefix_of_another_model() {
+        let model = |columns: usize, num_blocks: usize| {
+            ResMade::new(MadeConfig {
+                domains: vec![4; columns],
+                d_emb: 6,
+                d_hidden: 24,
+                num_blocks,
+                seed: 8,
+            })
+        };
+        let carrier = model(3, 1);
+        for other in [model(3, 2), model(4, 1)] {
+            let mut scratch = InferenceScratch::new();
+            carrier.conditional_probs_into(&[0, 1, 2], 1, &mut scratch);
+            let tokens = vec![0u32; other.num_columns()];
+            let continued = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                other.conditional_probs_step(&tokens, 2, Some(&[0]), false, &mut scratch);
+            }));
+            let message = continued.expect_err("continued another model's prefix");
+            let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(message.contains("belongs to another model"), "{message}");
+            other.conditional_probs_step(&tokens, 2, None, false, &mut scratch);
+            other.conditional_probs_step(&tokens, 2, Some(&[0]), false, &mut scratch);
+        }
     }
 
     #[test]

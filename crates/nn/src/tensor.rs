@@ -150,8 +150,7 @@ pub fn matmul_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
 /// is below `degrees`.  A step for column `col` passes `degrees = col`: the output mask
 /// lets only units of degree `< col` into that column's context, and the hidden mask lets
 /// a unit hear only from units of degree `<=` its own, so every weight a restricted kernel
-/// leaves out is a masked, exactly-zero entry.  Units outside the live set are neither
-/// read nor — unless they share a register block with a live unit — written.
+/// leaves out is a masked, exactly-zero entry.  Units outside the live set are never read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LiveUnits {
     period: usize,
@@ -159,8 +158,8 @@ pub struct LiveUnits {
 }
 
 impl LiveUnits {
-    /// One degree, and it is live: every unit is read and written and hears from every
-    /// unit.  The dense kernels are the restricted ones at this value.
+    /// One degree, and it is live: every unit is read and hears from every unit.  The
+    /// dense kernels are the restricted ones at this value.
     pub const ALL: LiveUnits = LiveUnits {
         period: 1,
         degrees: 1,
@@ -175,43 +174,49 @@ impl LiveUnits {
         LiveUnits { period, degrees }
     }
 
-    /// Number of live degrees.
-    pub(crate) fn degrees(self) -> usize {
-        self.degrees
-    }
-
     /// Whether `unit` is in the live set.
     pub fn contains(self, unit: usize) -> bool {
         unit % self.period < self.degrees
     }
 
-    /// How many leading degrees the output units `j..j + width` hear from: one more than
-    /// the highest live degree among them, or 0 when none of them is live.
-    pub(crate) fn reach(self, j: usize, width: usize) -> usize {
-        if width >= self.period {
-            return self.degrees;
-        }
-        let first = j % self.period;
-        let last = first + width - 1;
-        if first < self.degrees {
-            (last + 1).min(self.degrees)
-        } else if last >= self.period {
-            (last - self.period + 1).min(self.degrees)
-        } else {
-            0
-        }
-    }
-
-    /// The units below `k` whose degree is below `reach`, as ascending runs of indices.
-    pub(crate) fn runs(self, reach: usize, k: usize) -> impl Iterator<Item = Range<usize>> {
-        let (stride, len) = if reach >= self.period {
+    /// The live units below `k`, as ascending runs of indices.
+    pub(crate) fn runs(self, k: usize) -> impl Iterator<Item = Range<usize>> {
+        let (stride, len) = if self.degrees >= self.period {
             (k.max(1), k)
         } else {
-            (self.period, reach)
+            (self.period, self.degrees)
         };
         (0..k)
             .step_by(stride)
             .map(move |start| start..(start + len).min(k))
+    }
+
+    /// The units below `k` live here but not under the first `before` degrees — those of
+    /// degree in `before..degrees`, one run per period — each run widened outward to
+    /// multiples of `align` (clamped to `k`), and runs that then touch merged.  A widened
+    /// run also covers units of degree `< before` or `>= degrees`.
+    pub(crate) fn added_since(
+        self,
+        before: usize,
+        k: usize,
+        align: usize,
+    ) -> impl Iterator<Item = Range<usize>> {
+        assert!(before <= self.degrees && align >= 1);
+        let degrees = self.degrees;
+        let mut widened = (0..k)
+            .step_by(self.period)
+            .filter_map(move |q| {
+                let (start, end) = (q + before, (q + degrees).min(k));
+                (start < end).then(|| start / align * align..(end.div_ceil(align) * align).min(k))
+            })
+            .peekable();
+        std::iter::from_fn(move || {
+            let mut run = widened.next()?;
+            while let Some(next) = widened.next_if(|next| next.start <= run.end) {
+                run.end = next.end;
+            }
+            Some(run)
+        })
     }
 }
 
@@ -298,14 +303,11 @@ impl MadeMask {
         i: usize,
         width: usize,
     ) -> impl Iterator<Item = Range<usize>> {
-        let forbidden = self.forbidden(i);
-        forbidden.runs(forbidden.degrees(), width)
+        self.forbidden(i).runs(width)
     }
 }
 
-/// `out = a (m×k) · b (k×n)`, bit-identical to [`matmul`] but register-blocked for the
-/// short-fat shapes of the inference hot path (`m` = live progressive samples, `k` =
-/// `d_hidden`).
+/// `out = a (m×k) · b (k×n)`, bit-identical to [`matmul`] but register-blocked.
 ///
 /// The kernel processes `NR` output columns at a time so each `a[i][p]` load is amortised
 /// over `NR` independent accumulator chains.  Every output element still accumulates its
@@ -313,32 +315,10 @@ impl MadeMask {
 /// kernel, so the result is **bit-for-bit equal** to [`matmul`] — a property the inference
 /// determinism contract relies on and `blocked_kernels_match_naive_bitwise` pins.
 pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    matmul_blocked_live(a, b, LiveUnits::ALL, out);
-}
-
-/// [`matmul_blocked`] between two MADE hidden layers (`b` square, hidden-masked), for the
-/// `live` units only.  A register block of output columns without a live unit is left as
-/// it was; any other block walks only the inner units its live columns hear from, in
-/// ascending order.  Live columns get the bits [`matmul_blocked`] gives them when the
-/// masked entries of `b` are zero and `a` is finite (each left-out term is `a · ±0.0` onto
-/// an accumulator that is never `−0.0`); the other columns of a written block hold
-/// partial sums, and `a` outside the live set is never read.
-///
-/// Returns the product terms walked (inner units × columns written × rows, zero `a`
-/// entries included) — `m·k·n` for the dense product.
-pub fn matmul_blocked_live(a: &Matrix, b: &Matrix, live: LiveUnits, out: &mut Matrix) -> u64 {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!(out.rows, a.rows);
     assert_eq!(out.cols, b.cols);
-    blocked_rows::<false>(
-        a.rows,
-        a.cols,
-        b.cols,
-        &a.data,
-        &b.data,
-        live,
-        &mut out.data,
-    )
+    blocked_rows::<false>(a.rows, a.cols, b.cols, &a.data, &b.data, &mut out.data);
 }
 
 /// `out += a (m×k) · b[row0..row0 + k, :]` — [`matmul_blocked`] resuming each output
@@ -364,25 +344,21 @@ pub fn matmul_blocked_acc(a: &Matrix, b: &Matrix, row0: usize, out: &mut Matrix)
         n,
         &a.data,
         &b.data[row0 * n..],
-        LiveUnits::ALL,
         &mut out.data,
     );
 }
 
-/// The register-blocked row kernel behind [`matmul_blocked`], [`matmul_blocked_live`]
-/// (`ACC = false`: accumulators start at zero, `out` is overwritten) and
-/// [`matmul_blocked_acc`] (`ACC = true`: they start at `out`).  `b` holds at least `k`
-/// rows of width `n`.  Returns the product terms walked.
+/// The register-blocked row kernel behind [`matmul_blocked`] (`ACC = false`: accumulators
+/// start at zero, `out` is overwritten) and [`matmul_blocked_acc`] (`ACC = true`: they
+/// start at `out`).  `b` holds at least `k` rows of width `n`.
 fn blocked_rows<const ACC: bool>(
     m: usize,
     k: usize,
     n: usize,
     a: &[f32],
     b: &[f32],
-    live: LiveUnits,
     out: &mut [f32],
-) -> u64 {
-    let mut terms = 0;
+) {
     for i in 0..m {
         let a_row = &a[i * k..(i + 1) * k];
         let out_row = &mut out[i * n..(i + 1) * n];
@@ -391,64 +367,52 @@ fn blocked_rows<const ACC: bool>(
         // goes in ever narrower blocks rather than one column at a time.
         let mut j = 0;
         while j + 32 <= n {
-            terms += row_block::<ACC, 32>(n, j, a_row, b, live, out_row);
+            row_block::<ACC, 32>(n, j, a_row, b, out_row);
             j += 32;
         }
         if j + 16 <= n {
-            terms += row_block::<ACC, 16>(n, j, a_row, b, live, out_row);
+            row_block::<ACC, 16>(n, j, a_row, b, out_row);
             j += 16;
         }
         if j + 8 <= n {
-            terms += row_block::<ACC, 8>(n, j, a_row, b, live, out_row);
+            row_block::<ACC, 8>(n, j, a_row, b, out_row);
             j += 8;
         }
         if j + 4 <= n {
-            terms += row_block::<ACC, 4>(n, j, a_row, b, live, out_row);
+            row_block::<ACC, 4>(n, j, a_row, b, out_row);
             j += 4;
         }
         while j < n {
-            terms += row_block::<ACC, 1>(n, j, a_row, b, live, out_row);
+            row_block::<ACC, 1>(n, j, a_row, b, out_row);
             j += 1;
         }
     }
-    terms as u64
 }
 
 /// Output columns `j..j + NR` of one row of [`blocked_rows`]: each column its own
-/// ascending-`p` chain over the inner units its live columns hear from.  Returns the
-/// product terms walked; a block without a live unit is left as it was.
+/// ascending-`p` chain.
 #[inline(always)]
 fn row_block<const ACC: bool, const NR: usize>(
     n: usize,
     j: usize,
     a_row: &[f32],
     b: &[f32],
-    live: LiveUnits,
     out_row: &mut [f32],
-) -> usize {
-    let reach = live.reach(j, NR);
-    if reach == 0 {
-        return 0;
-    }
+) {
     let mut acc = [0.0f32; NR];
     if ACC {
         acc.copy_from_slice(&out_row[j..j + NR]);
     }
-    let mut terms = 0;
-    for run in live.runs(reach, a_row.len()) {
-        terms += NR * run.len();
-        for (p, &a_ip) in run.clone().zip(&a_row[run]) {
-            if a_ip == 0.0 {
-                continue;
-            }
-            let b_row = &b[p * n + j..p * n + j + NR];
-            for (c, &b_pj) in acc.iter_mut().zip(b_row) {
-                *c += a_ip * b_pj;
-            }
+    for (p, &a_ip) in a_row.iter().enumerate() {
+        if a_ip == 0.0 {
+            continue;
+        }
+        let b_row = &b[p * n + j..p * n + j + NR];
+        for (c, &b_pj) in acc.iter_mut().zip(b_row) {
+            *c += a_ip * b_pj;
         }
     }
     out_row[j..j + NR].copy_from_slice(&acc);
-    terms
 }
 
 /// `out = a · b[:, lo..hi]` — the column slice `lo..hi` of [`matmul`]'s result, without
@@ -493,6 +457,39 @@ pub fn matmul_col_range_live(
         &b.data,
         live,
         &mut out.data,
+        hi - lo,
+    );
+}
+
+/// [`matmul_col_range_live`] in place: `out[:, units] = a · b[:, units]` over the `live`
+/// inner units, written straight into the columns `units` of an `out` as wide as `b`.
+/// The other columns of `out` are left as they were.  The incremental trunk computes a
+/// step's new hidden units with it, into the layer matrix it carries.
+pub fn matmul_units_live(
+    a: &Matrix,
+    b: &Matrix,
+    units: Range<usize>,
+    live: LiveUnits,
+    out: &mut Matrix,
+) {
+    assert_eq!(a.cols, b.rows, "inner dimensions must agree");
+    assert!(units.end <= b.cols, "unit range out of bounds");
+    assert_eq!(out.rows, a.rows);
+    assert_eq!(out.cols, b.cols);
+    if units.is_empty() || a.rows == 0 {
+        return;
+    }
+    col_range_all_rows::<4>(
+        a.rows,
+        a.cols,
+        b.cols,
+        units.start,
+        units.len(),
+        &a.data,
+        &b.data,
+        live,
+        &mut out.data[units.start..],
+        b.cols,
     );
 }
 
@@ -509,11 +506,11 @@ pub fn gemm_narrow(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
     assert!(out.len() >= m * n, "out too short for m×n");
     // Two rows at a time: `k` is long here (a domain), and a `2 × 12` tile keeps every
     // accumulator and a whole row of `b` in registers.
-    col_range_all_rows::<2>(m, k, n, 0, n, a, b, LiveUnits::ALL, out);
+    col_range_all_rows::<2>(m, k, n, 0, n, a, b, LiveUnits::ALL, out, n);
 }
 
 /// Every row of [`matmul_col_range_live`], `R` at a time: `out (m×w) = a (m×k) ·
-/// b[.., lo..lo + w]` with `b` rows `bn` apart.
+/// b[.., lo..lo + w]` with `b` rows `bn` apart and `out` rows `os` apart.
 #[allow(clippy::too_many_arguments)]
 fn col_range_all_rows<const R: usize>(
     m: usize,
@@ -525,14 +522,15 @@ fn col_range_all_rows<const R: usize>(
     b: &[f32],
     live: LiveUnits,
     out: &mut [f32],
+    os: usize,
 ) {
     let mut i = 0;
     while i + R <= m {
-        col_range_rows::<R>(k, bn, lo, w, &a[i * k..], b, live, &mut out[i * w..]);
+        col_range_rows::<R>(k, bn, lo, w, &a[i * k..], b, live, &mut out[i * os..], os);
         i += R;
     }
     while i < m {
-        col_range_rows::<1>(k, bn, lo, w, &a[i * k..], b, live, &mut out[i * w..]);
+        col_range_rows::<1>(k, bn, lo, w, &a[i * k..], b, live, &mut out[i * os..], os);
         i += 1;
     }
 }
@@ -549,46 +547,47 @@ fn col_range_rows<const R: usize>(
     b: &[f32],
     live: LiveUnits,
     out: &mut [f32],
+    os: usize,
 ) {
     let mut j = 0;
     while j + 16 <= w {
-        col_range_tile::<R, 16>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
+        col_range_tile::<R, 16>(k, bn, lo + j, a, b, live, &mut out[j..], os);
         j += 16;
     }
     if j + 12 <= w {
-        col_range_tile::<R, 12>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
+        col_range_tile::<R, 12>(k, bn, lo + j, a, b, live, &mut out[j..], os);
         j += 12;
     }
     if j + 8 <= w {
-        col_range_tile::<R, 8>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
+        col_range_tile::<R, 8>(k, bn, lo + j, a, b, live, &mut out[j..], os);
         j += 8;
     }
     if j + 4 <= w {
-        col_range_tile::<R, 4>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
+        col_range_tile::<R, 4>(k, bn, lo + j, a, b, live, &mut out[j..], os);
         j += 4;
     }
     while j < w {
-        col_range_tile::<R, 1>(k, bn, lo + j, w, a, b, live, &mut out[j..]);
+        col_range_tile::<R, 1>(k, bn, lo + j, a, b, live, &mut out[j..], os);
         j += 1;
     }
 }
 
 /// One `R × W` register tile: `out[r][..W] = Σ_p a[r][p] · b[p][col..col + W]` over the
-/// live `p`, with `out` rows `w` apart.  Each element is its own ascending-`p` chain; a
+/// live `p`, with `out` rows `os` apart.  Each element is its own ascending-`p` chain; a
 /// zero `a[r][p]` leaves row `r`'s accumulators untouched.
 #[allow(clippy::too_many_arguments)]
 fn col_range_tile<const R: usize, const W: usize>(
     k: usize,
     bn: usize,
     col: usize,
-    w: usize,
     a: &[f32],
     b: &[f32],
     live: LiveUnits,
     out: &mut [f32],
+    os: usize,
 ) {
     let mut acc = [[0.0f32; W]; R];
-    for run in live.runs(live.degrees(), k) {
+    for run in live.runs(k) {
         for p in run {
             let b_row = &b[p * bn + col..p * bn + col + W];
             for (r, acc_r) in acc.iter_mut().enumerate() {
@@ -603,7 +602,7 @@ fn col_range_tile<const R: usize, const W: usize>(
         }
     }
     for (r, acc_r) in acc.iter().enumerate() {
-        out[r * w..r * w + W].copy_from_slice(acc_r);
+        out[r * os..r * os + W].copy_from_slice(acc_r);
     }
 }
 
@@ -871,11 +870,15 @@ pub(crate) mod testing {
     /// The restricted kernels against their own dense instantiation, bit for bit, on
     /// MADE-masked weights, for every column of every `(d_hidden, period)` layout: the
     /// restricted call gets an `a` whose every entry outside the live set is NaN, so one
-    /// read of a dead unit shows up in a live result.
+    /// read of a dead unit shows up in a result.  The unit kernel runs over the runs a step
+    /// for the column computes (its units new since an earlier column, widened), against
+    /// its dense instantiation over the same run — the same register tiles — and must leave
+    /// every other column of `out` as it was.
     pub fn assert_live_kernels_match_dense(
-        blocked: fn(&Matrix, &Matrix, LiveUnits, &mut Matrix) -> u64,
+        units: fn(&Matrix, &Matrix, Range<usize>, LiveUnits, &mut Matrix),
         col_range: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix),
     ) {
+        const UNTOUCHED: f32 = 7.5;
         const D_EMB: usize = 13; // one 8-, one 4- and one 1-wide tile of the column slice
         let mut seed = 0x11FE_u64;
         for (d_hidden, period) in [(96usize, 60usize), (96, 26), (40, 7), (33, 50), (8, 1)] {
@@ -899,9 +902,6 @@ pub(crate) mod testing {
             }
             for rows in [1usize, 3, 4, 9] {
                 let a = lcg_matrix(rows, d_hidden, &mut seed);
-                let mut dense = Matrix::zeros(rows, d_hidden);
-                let dense_terms = blocked(&a, &hidden, LiveUnits::ALL, &mut dense);
-                assert_eq!(dense_terms, (rows * d_hidden * d_hidden) as u64);
                 for col in 0..columns {
                     let what = format!("d_hidden {d_hidden} period {period} rows {rows} col {col}");
                     let live = LiveUnits::new(period, col);
@@ -913,17 +913,30 @@ pub(crate) mod testing {
                             }
                         }
                     }
-                    let mut restricted = Matrix::zeros(rows, d_hidden);
-                    let terms = blocked(&poisoned, &hidden, live, &mut restricted);
-                    assert!(terms <= dense_terms, "{what}: {terms} terms");
-                    assert_eq!(terms == 0, col == 0, "{what}: {terms} terms");
-                    for r in 0..rows {
-                        for u in (0..d_hidden).filter(|&u| live.contains(u)) {
-                            assert_eq!(
-                                restricted.get(r, u).to_bits(),
-                                dense.get(r, u).to_bits(),
-                                "{what}: hidden unit ({r}, {u})"
-                            );
+                    for (before, align) in [(col.saturating_sub(1), 1), (col / 2, 4), (0, 8)] {
+                        for run in live.added_since(before, d_hidden, align) {
+                            let what = format!("{what}: run {run:?}");
+                            let mut dense = Matrix::zeros(rows, d_hidden);
+                            dense.data_mut().fill(UNTOUCHED);
+                            let mut restricted = dense.clone();
+                            units(&a, &hidden, run.clone(), LiveUnits::ALL, &mut dense);
+                            units(&poisoned, &hidden, run.clone(), live, &mut restricted);
+                            for r in 0..rows {
+                                for u in 0..d_hidden {
+                                    let (got, want) = (restricted.get(r, u), dense.get(r, u));
+                                    if !run.contains(&u) {
+                                        assert_eq!(got, UNTOUCHED, "{what}: unit ({r}, {u})");
+                                    } else if live.contains(u) {
+                                        assert_eq!(
+                                            got.to_bits(),
+                                            want.to_bits(),
+                                            "{what}: hidden unit ({r}, {u})"
+                                        );
+                                    } else {
+                                        assert!(!got.is_nan(), "{what}: dead read at ({r}, {u})");
+                                    }
+                                }
+                            }
                         }
                     }
 
@@ -1076,6 +1089,19 @@ mod tests {
                     );
                 }
             }
+            // ... and written in place, the same columns of the full product.
+            let mut wide = Matrix::zeros(m, n);
+            wide.data_mut().fill(f32::NAN);
+            matmul_units_live(&a, &b, lo..hi, LiveUnits::ALL, &mut wide);
+            for i in 0..m {
+                for (jj, j) in (lo..hi).enumerate() {
+                    assert_eq!(wide.get(i, j).to_bits(), sliced.get(i, jj).to_bits());
+                }
+                assert!(wide.row(i)[..lo]
+                    .iter()
+                    .chain(&wide.row(i)[hi..])
+                    .all(|v| v.is_nan()));
+            }
 
             // Aᵀ-style head kernel: a (m×k) · bᵀ (n×k).
             let bt = lcg_matrix(n, k, &mut seed);
@@ -1205,35 +1231,38 @@ mod tests {
 
     #[test]
     fn live_kernels_match_dense_bitwise_and_never_read_dead_units() {
-        testing::assert_live_kernels_match_dense(matmul_blocked_live, matmul_col_range_live);
+        testing::assert_live_kernels_match_dense(matmul_units_live, matmul_col_range_live);
     }
 
     #[test]
-    fn live_units_reach_and_runs_agree_with_the_degree_definition() {
-        // `reach` and `runs` are closed forms; check them against the definition they
-        // abbreviate, for every block position and width the kernels use.
+    fn live_units_runs_agree_with_the_degree_definition() {
+        // `runs` and `added_since` are closed forms; check them against the definition they
+        // abbreviate, for every alignment a step might widen its runs to.
         for period in [1usize, 2, 7, 26, 31, 32, 33, 60] {
             for degrees in 0..=period {
                 let live = LiveUnits::new(period, degrees);
-                for width in [1usize, 4, 8, 16, 32] {
-                    for j in 0..2 * period + 3 {
-                        let expected = (j..j + width)
-                            .map(|u| u % period)
-                            .filter(|&d| d < degrees)
-                            .max()
-                            .map_or(0, |d| d + 1);
-                        assert_eq!(
-                            live.reach(j, width),
-                            expected,
-                            "period {period} degrees {degrees} block {j}+{width}"
-                        );
-                    }
-                }
-                for k in [0usize, 1, period, 2 * period + 5] {
-                    for reach in 0..=degrees {
-                        let walked: Vec<usize> = live.runs(reach, k).flatten().collect();
-                        let expected: Vec<usize> = (0..k).filter(|p| p % period < reach).collect();
-                        assert_eq!(walked, expected, "period {period} reach {reach} k {k}");
+                for k in [0usize, 1, period, 2 * period + 5, 96] {
+                    let walked: Vec<usize> = live.runs(k).flatten().collect();
+                    let expected: Vec<usize> = (0..k).filter(|p| p % period < degrees).collect();
+                    assert_eq!(walked, expected, "period {period} degrees {degrees} k {k}");
+                    for before in 0..=degrees {
+                        for align in [1usize, 4, 8, 16] {
+                            let what =
+                                format!("period {period} {before}..{degrees} k {k} @{align}");
+                            let runs: Vec<Range<usize>> =
+                                live.added_since(before, k, align).collect();
+                            // Ascending, disjoint, not touching, within `0..k`.
+                            assert!(runs.iter().all(|r| r.start < r.end && r.end <= k), "{what}");
+                            assert!(runs.windows(2).all(|w| w[0].end < w[1].start), "{what}");
+                            // Every new unit is covered; every unit covered is new or lies
+                            // in an `align`-block holding a new one.
+                            let new = |u: usize| (before..degrees).contains(&(u % period));
+                            let covered = |u: usize| runs.iter().any(|r| r.contains(&u));
+                            for u in 0..k {
+                                let block = u / align * align..((u / align + 1) * align).min(k);
+                                assert_eq!(covered(u), block.clone().any(new), "{what}: {u}");
+                            }
+                        }
                     }
                 }
             }
