@@ -17,6 +17,11 @@
 //! Every estimator implements [`CardinalityEstimator`], so the benchmark harness can treat
 //! them uniformly.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+
 pub mod deepdb_lite;
 pub mod estimator;
 pub mod ibjs;

@@ -17,7 +17,9 @@
 use nc_baselines::{DeepDbLite, IbjsEstimator, MscnConfig, MscnEstimator, PostgresLikeEstimator};
 use nc_bench::harness::{build_neurocard, evaluate, print_preamble, true_cardinalities};
 use nc_bench::{BenchEnv, HarnessConfig};
-use nc_workloads::{job_light_queries, job_light_ranges_queries, print_error_table, ErrorTableRow};
+use nc_workloads::{
+    job_light_queries, job_light_ranges_queries, render_error_table, ErrorTableRow,
+};
 
 fn main() {
     let config = HarnessConfig::from_cli();
@@ -84,7 +86,10 @@ fn main() {
     rows.push(ErrorTableRow::new(r.name, r.size_bytes, r.summary));
 
     println!();
-    print_error_table("Table 2 (measured, synthetic data)", &rows);
+    print!(
+        "{}",
+        render_error_table("Table 2 (measured, synthetic data)", &rows)
+    );
     println!();
     println!("Paper (real IMDB):");
     println!("  Postgres   70KB   median 7.97  p95 797   p99 3e3   max 1e3");

@@ -9,7 +9,7 @@
 use nc_baselines::{DeepDbLite, IbjsEstimator, MscnConfig, MscnEstimator, PostgresLikeEstimator};
 use nc_bench::harness::{build_neurocard, evaluate, print_preamble, true_cardinalities};
 use nc_bench::{BenchEnv, HarnessConfig};
-use nc_workloads::{job_light_ranges_queries, print_error_table, ErrorTableRow};
+use nc_workloads::{job_light_ranges_queries, render_error_table, ErrorTableRow};
 use neurocard::{NeuroCard, NeuroCardConfig};
 
 fn main() {
@@ -105,7 +105,10 @@ fn main() {
     ));
 
     println!();
-    print_error_table("Table 3 (measured, synthetic data)", &rows);
+    print!(
+        "{}",
+        render_error_table("Table 3 (measured, synthetic data)", &rows)
+    );
     println!();
     println!("Paper (real IMDB): NeuroCard improves on the best prior method by 2x at the");
     println!("median and 15-72x at the tail; the -large variants improve further.");

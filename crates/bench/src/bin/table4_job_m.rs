@@ -7,7 +7,7 @@
 use nc_baselines::{IbjsEstimator, PostgresLikeEstimator};
 use nc_bench::harness::{build_neurocard, evaluate, print_preamble, true_cardinalities};
 use nc_bench::{BenchEnv, HarnessConfig};
-use nc_workloads::{job_m_queries, print_error_table, ErrorTableRow};
+use nc_workloads::{job_m_queries, render_error_table, ErrorTableRow};
 
 fn main() {
     let config = HarnessConfig::from_cli();
@@ -41,7 +41,10 @@ fn main() {
     rows.push(ErrorTableRow::new(r.name, r.size_bytes, r.summary));
 
     println!();
-    print_error_table("Table 4 (measured, synthetic data)", &rows);
+    print!(
+        "{}",
+        render_error_table("Table 4 (measured, synthetic data)", &rows)
+    );
     println!();
     println!("Paper (real IMDB):");
     println!("  Postgres   120KB   median 174   p95 1e4  p99 8e4   max 1e5");

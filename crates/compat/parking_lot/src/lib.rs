@@ -8,6 +8,11 @@
 //! other thread that shares a stats map or connection table (std's poisoning would turn
 //! the first panic into a cascade of `lock()` panics server-wide).
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the poison-free wrapper over std's locks that the lock-poison rule points everyone else to"
+)]
+
 use std::sync;
 
 /// Mutual exclusion lock with parking_lot's direct-guard, no-poisoning `lock()`.

@@ -22,6 +22,11 @@
 //! All generation is seeded and deterministic: the same [`DataGenConfig`] always produces
 //! the same database, so experiments are reproducible.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+
 pub mod config;
 pub mod distributions;
 pub mod imdb_light;

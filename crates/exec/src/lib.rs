@@ -17,6 +17,11 @@
 //!   outer join (with the paper's virtual `⊥` tuples) for *tiny* inputs, used by tests to
 //!   validate both the DP and the sampler.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+
 pub mod cardinality;
 pub mod filter;
 pub mod full_join;

@@ -127,9 +127,11 @@ impl NeuroCard {
         config: &NeuroCardConfig,
         options: BuildOptions,
     ) -> Self {
-        // nc-lint: allow(wall-clock-in-core) — build-time stat (prepare duration in
-        // the returned metadata); estimates remain a pure function of
-        // (model, query, seed).
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "build-time stat (prepare duration in the returned metadata); estimates \
+                      remain a pure function of (model, query, seed)"
+        )]
         let prepare_start = Instant::now();
         let dict_db = options.dictionary_db.clone().unwrap_or_else(|| db.clone());
         let layout = if config.model_join_keys {

@@ -46,6 +46,11 @@
 //! # Ok::<(), neurocard::ArtifactLoadError>(())
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+
 pub mod artifact;
 pub mod config;
 pub mod core;

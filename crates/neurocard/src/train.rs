@@ -231,8 +231,11 @@ impl Trainer {
         // under whatever the process does after training.
         let mut scratch = TrainScratch::new();
         for &n in &sizes {
-            // nc-lint: allow(wall-clock-in-core) — phase timing for TrainProgress
-            // only; the elapsed values never feed RNG streams, weights or estimates.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "phase timing for TrainProgress only; the elapsed values never feed \
+                          RNG streams, weights or estimates"
+            )]
             let t0 = Instant::now();
             let targets = match &self.batches {
                 Batches::Pool(pool) => {
@@ -255,7 +258,7 @@ impl Trainer {
             };
             progress.sampling_time += t0.elapsed();
 
-            // nc-lint: allow(wall-clock-in-core) — same: training-phase stopwatch.
+            #[expect(clippy::disallowed_methods, reason = "same: training-phase stopwatch")]
             let t1 = Instant::now();
             let loss = self.train_step(&targets, &mut scratch);
             progress.training_time += t1.elapsed();

@@ -28,8 +28,8 @@
 //! by the q-error-delta bound (`neurocard::QERROR_DELTA_BOUND`, asserted by that crate's
 //! tests on both legs of the feature).  See `docs/kernels.md`.
 //!
-//! All `core::arch` use in the workspace lives in this one file, enforced by the
-//! `intrinsics-outside-kernel` lint.
+//! All `core::arch` use in the workspace lives in this one file: the workspace denies
+//! `unsafe_code`, and this module alone expects it, under `simd` (`docs/lints.md`).
 
 use std::ops::Range;
 
@@ -181,7 +181,10 @@ pub fn matmul_units_live(
 /// the kernels' pointer arithmetic relies on.
 #[cfg_attr(
     not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))),
-    allow(unused_variables)
+    expect(
+        unused_variables,
+        reason = "without a SIMD module every call resolves to the portable kernels"
+    )
 )]
 fn simd_rows<const ACC: bool>(
     a: &Matrix,
@@ -340,7 +343,10 @@ mod avx2 {
     ///
     /// The CPU supports AVX2 and FMA; `a` holds `m` rows of `k`, `b` holds `k` rows of
     /// `bn` with `cols.end <= bn`, and `out` holds `(m − 1)·os + cols.len()` elements.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a register-tile kernel takes its shape, operands and strides unbundled"
+    )]
     #[target_feature(enable = "avx2", enable = "fma")]
     pub unsafe fn matmul_rows<const ACC: bool>(
         m: usize,
@@ -620,7 +626,10 @@ mod neon {
     /// # Safety
     ///
     /// As `avx2::matmul_rows`, NEON in place of AVX2 and FMA.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a register-tile kernel takes its shape, operands and strides unbundled"
+    )]
     #[target_feature(enable = "neon")]
     pub unsafe fn matmul_rows<const ACC: bool>(
         m: usize,

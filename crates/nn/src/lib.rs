@@ -34,7 +34,19 @@
 //! clone — so the trainer brings a [`TrainScratch`]), and callers that want parallel
 //! inference run one [`InferenceScratch`] per thread over a shared model.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+
 pub mod artifact;
+#[cfg_attr(
+    all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")),
+    expect(
+        unsafe_code,
+        reason = "the SIMD kernels' target_feature calls and raw loads; the only unsafe outside crates/compat"
+    )
+)]
 pub mod kernel;
 pub mod layers;
 pub mod loss;

@@ -19,8 +19,10 @@ pub fn softmax_cross_entropy(logits: &Matrix, targets: &[u32], dlogits: &mut Mat
     let domain = logits.cols();
     let scale = 1.0 / batch.max(1) as f32;
     let mut total_loss = 0.0f64;
-    // `b` walks three parallel buffers (logits, targets, dlogits), not `targets` alone.
-    #[allow(clippy::needless_range_loop)]
+    #[expect(
+        clippy::needless_range_loop,
+        reason = "`b` walks three parallel buffers (logits, targets, dlogits), not `targets` alone"
+    )]
     for b in 0..batch {
         let row = logits.row(b);
         let target = targets[b] as usize;

@@ -880,8 +880,10 @@ impl ResMade {
 /// The five kernels of the inference forward, as compile-time constants: each tier's
 /// instantiation of [`ResMade::step`] calls its kernel module directly, so the exact tier
 /// executes only `tensor::*` / `loss::*` calls.
-// The signatures are the kernels' own; aliasing each would only rename them once more.
-#[allow(clippy::type_complexity)]
+#[expect(
+    clippy::type_complexity,
+    reason = "the signatures are the kernels' own; aliasing each would only rename them once more"
+)]
 trait KernelSet {
     const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix);
     const MATMUL_UNITS_LIVE: fn(&Matrix, &Matrix, Range<usize>, LiveUnits, &mut Matrix);

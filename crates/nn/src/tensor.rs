@@ -511,7 +511,10 @@ pub fn gemm_narrow(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
 
 /// Every row of [`matmul_col_range_live`], `R` at a time: `out (m×w) = a (m×k) ·
 /// b[.., lo..lo + w]` with `b` rows `bn` apart and `out` rows `os` apart.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a register-tile kernel takes its shape, operands and strides unbundled"
+)]
 fn col_range_all_rows<const R: usize>(
     m: usize,
     k: usize,
@@ -537,7 +540,10 @@ fn col_range_all_rows<const R: usize>(
 
 /// `R` rows of [`matmul_col_range_live`]: walks the `w` output columns in register tiles
 /// of 16, 12 (one tile for a `d_emb` of 12), 8, 4 and 1.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a register-tile kernel takes its shape, operands and strides unbundled"
+)]
 fn col_range_rows<const R: usize>(
     k: usize,
     bn: usize,
@@ -575,7 +581,10 @@ fn col_range_rows<const R: usize>(
 /// One `R × W` register tile: `out[r][..W] = Σ_p a[r][p] · b[p][col..col + W]` over the
 /// live `p`, with `out` rows `os` apart.  Each element is its own ascending-`p` chain; a
 /// zero `a[r][p]` leaves row `r`'s accumulators untouched.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a register-tile kernel takes its shape, operands and strides unbundled"
+)]
 fn col_range_tile<const R: usize, const W: usize>(
     k: usize,
     bn: usize,
@@ -730,7 +739,10 @@ pub fn gemm_tn_acc(
 
 /// Rows `i..i + R` of [`gemm_tn_acc`]: walks the `n` output columns in register tiles of
 /// 16, 12, 8, 4 and 1.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a register-tile kernel takes its shape, operands and strides unbundled"
+)]
 fn tn_rows<const R: usize>(
     k: usize,
     m: usize,
@@ -768,7 +780,10 @@ fn tn_rows<const R: usize>(
 /// Σ_p a[p][i + r] · b[p][j..j + W]`, with `a` rows `m` apart and `b` and `out` rows `n`
 /// apart — unless `mask` forbids the whole tile.  Each element is its own ascending-`p`
 /// chain resumed from `out`; a zero `a[p][i + r]` leaves row `r`'s accumulators untouched.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a register-tile kernel takes its shape, operands and strides unbundled"
+)]
 fn tn_tile<const R: usize, const W: usize>(
     k: usize,
     m: usize,

@@ -35,6 +35,11 @@
 //! All pacing waits go through [`nc_serve::FaultInjector::sleep`], the injectable
 //! clock, so chaos schedules stay replayable too.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+
 pub mod config;
 pub mod demo;
 pub mod drift;

@@ -77,6 +77,10 @@ fn spawn_server(args: &[&str]) -> (Child, String) {
     (child, addr)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a test client polls for the spawned server's port"
+)]
 fn connect(addr: &str) -> ServeClient {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     loop {

@@ -131,8 +131,10 @@ impl JoinCounts {
                         parent_keys.insert(key);
                     }
                 }
-                // `row` indexes the key columns and the weights, and is pushed as a `RowId`.
-                #[allow(clippy::needless_range_loop)]
+                #[expect(
+                    clippy::needless_range_loop,
+                    reason = "`row` indexes the key columns and the weights, and is pushed as a `RowId`"
+                )]
                 for row in 0..n {
                     let key: CompositeKey = my_cols.iter().map(|c| c.value(row)).collect();
                     let w = row_weights[row];

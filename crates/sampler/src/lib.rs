@@ -23,6 +23,11 @@
 //! 6. [`biased`] — an intentionally *biased* IBJS-style sampler used only by the ablation
 //!    study (Table 5, row A).
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+
 pub mod biased;
 pub mod join_counts;
 pub mod pool;

@@ -57,8 +57,10 @@ pub struct WideLayout {
     /// For indicator columns: the table order index they describe.
     indicator_source: Vec<Option<usize>>,
     /// For fanout columns: (table order index, key column, value -> occurrence count).
-    // One private field, destructured where it is read: an alias would name it twice.
-    #[allow(clippy::type_complexity)]
+    #[expect(
+        clippy::type_complexity,
+        reason = "one private field, destructured where it is read: an alias would name it twice"
+    )]
     fanout_source: Vec<Option<(usize, String, HashMap<Value, u64>)>>,
     by_name: HashMap<String, usize>,
     /// Whether [`WideLayout::materialize`] is available.  Layouts rebuilt from artifact

@@ -19,6 +19,11 @@
 //!   which unique join key each omitted table must be downscaled by; and
 //!   [`subset_schema`], the sub-schema a connected table subset induces.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+
 pub mod join_schema;
 pub mod predicate;
 pub mod query;

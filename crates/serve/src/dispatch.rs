@@ -171,12 +171,15 @@ impl Dispatch {
         let workers = (0..workers)
             .map(|i| {
                 let (executor, rx, run) = (executor.clone(), rx.clone(), run.clone());
+                #[expect(
+                    clippy::expect_used,
+                    reason = "startup path, before any request is admitted; a process that \
+                              cannot spawn OS threads cannot serve, and there is no client \
+                              to hand an error to"
+                )]
                 std::thread::Builder::new()
                     .name(format!("{thread_prefix}-{i}"))
                     .spawn(move || worker_loop(&executor, &rx, run))
-                    // nc-lint: allow(panic-in-serving) — startup path, before any
-                    // request is admitted; a process that cannot spawn OS threads
-                    // cannot serve, and there is no client to hand an error to.
                     .expect("spawning a dispatch worker")
             })
             .collect();
@@ -191,9 +194,12 @@ impl Dispatch {
     /// [`IDLE_POLL`]s even if a leaked [`Submitter`] keeps the channel open; a job sent
     /// through one afterwards is refused as disconnected.  Panics if a worker died.
     pub(crate) fn shutdown(&mut self) {
-        // nc-lint: allow(panic-in-serving) — shutdown path, after the last reply: a
-        // worker that panicked despite the catch_unwind around every estimate is a bug
-        // that must surface, not be swallowed into the final stats.
+        #[expect(
+            clippy::expect_used,
+            reason = "shutdown path, after the last reply: a worker that panicked despite the \
+                      catch_unwind around every estimate is a bug that must surface, not be \
+                      swallowed into the final stats"
+        )]
         self.stop_and_join().expect("dispatch worker panicked");
     }
 

@@ -332,24 +332,29 @@ impl FaultInjector {
     /// Panic probe: when `point` fires, panics with a recognisable message — for
     /// exercising `catch_unwind` recovery in the worker pool.
     pub fn maybe_panic(&self, point: &'static str) {
+        #[expect(
+            clippy::panic,
+            reason = "the panic IS the injected fault; every call site sits inside the worker \
+                      pool's catch_unwind boundary, and release builds compile the probe away"
+        )]
         if self.fires(point) {
-            // nc-lint: allow(panic-in-serving) — the panic IS the injected fault;
-            // every call site sits inside the worker pool's catch_unwind boundary,
-            // and release builds compile the probe away.
             panic!("injected fault: {point}");
         }
     }
 
     /// The injectable clock: all real sleeping in serving-tier lib code funnels
-    /// through here (enforced by the `sleep-in-serving` lint), so stalls and
-    /// backoff stay attributable to one site.  Always sleeps for real — release
-    /// builds need working backoff; tests keep durations tiny instead.
+    /// through here (enforced by `disallowed-methods` in this crate's `clippy.toml`),
+    /// so stalls and backoff stay attributable to one site.  Always sleeps for real —
+    /// release builds need working backoff; tests keep durations tiny instead.
     pub fn sleep(&self, dur: Duration) {
         if dur.is_zero() {
             return;
         }
-        // nc-lint: allow(sleep-in-serving) — this is the injectable clock itself;
-        // the lint exists to force every other serving-tier sleep through it.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this is the injectable clock itself; the rule exists to force every \
+                      other serving-tier sleep through it"
+        )]
         std::thread::sleep(dur);
     }
 

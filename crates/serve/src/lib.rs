@@ -34,6 +34,21 @@
 //!   count, transport, queueing order or concurrent swaps.  Pinned by this crate's
 //!   tests and the `registry_swap` / `wire_protocol` integration tests.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 mod dispatch;
 pub mod fallback;
 pub mod fault;
@@ -135,7 +150,7 @@ impl std::error::Error for ServeError {}
 /// Estimator fixtures shared by this crate's unit tests.
 mod testing {
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar};
 
     use nc_baselines::CardinalityEstimator;
     use nc_schema::{JoinSchema, Query};
@@ -174,7 +189,11 @@ mod testing {
     /// gate, so a test registers one clone and drives the other.
     #[derive(Clone, Default)]
     pub(crate) struct Gate {
-        state: Arc<(Mutex<bool>, Condvar)>,
+        #[expect(
+            clippy::disallowed_types,
+            reason = "a Condvar waits on a std guard; both waits recover from poison"
+        )]
+        state: Arc<(std::sync::Mutex<bool>, Condvar)>,
         entered: Arc<AtomicUsize>,
     }
 
@@ -200,7 +219,7 @@ mod testing {
             let mut open = lock.lock().unwrap_or_else(|p| p.into_inner());
             self.entered.fetch_add(1, Ordering::SeqCst);
             while !*open {
-                open = cv.wait(open).unwrap();
+                open = cv.wait(open).unwrap_or_else(|p| p.into_inner());
             }
             7.0
         }

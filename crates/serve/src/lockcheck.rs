@@ -1,5 +1,5 @@
-//! Runtime lock-order checking: the dynamic twin of nc-lint's static `lock-order`
-//! pass.
+//! Runtime lock-order checking: the workspace's only guard against lock-order
+//! inversions (there is no static lock graph; see `docs/lints.md`).
 //!
 //! Debug builds (which includes every `cargo test` run — the workspace test profile
 //! keeps `debug_assertions` on) record, per thread, the stack of named locks
@@ -33,12 +33,17 @@ use std::ops::{Deref, DerefMut};
 mod imp {
     use std::collections::HashMap;
     use std::panic::Location;
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the order graph's own lock, taken at one site that recovers from poison"
+    )]
     use std::sync::{Mutex as StdMutex, OnceLock};
 
     /// (held, acquired) → (site holding, site acquiring).
     type Edges = HashMap<(&'static str, &'static str), (String, String)>;
 
     /// Both directions of every observed edge.
+    #[expect(clippy::disallowed_types, reason = "see the `StdMutex` import")]
     fn edges() -> &'static StdMutex<Edges> {
         static EDGES: OnceLock<StdMutex<Edges>> = OnceLock::new();
         EDGES.get_or_init(|| StdMutex::new(HashMap::new()))
@@ -62,6 +67,12 @@ mod imp {
                     continue;
                 }
                 let mut edges = edges().lock().unwrap_or_else(|p| p.into_inner());
+                #[expect(
+                    clippy::panic,
+                    reason = "debug-assertions-only deadlock detector; aborting the test run \
+                              loudly IS the feature, and release builds compile this module \
+                              away"
+                )]
                 if let Some((rev_held, rev_acq)) = edges.get(&(name, *h)) {
                     let msg = format!(
                         "lock-order inversion: acquiring \"{name}\" (at {site}) while \
@@ -71,9 +82,6 @@ mod imp {
                          concurrently deadlock."
                     );
                     drop(edges);
-                    // nc-lint: allow(panic-in-serving) — debug-assertions-only deadlock
-                    // detector; aborting the test run loudly IS the feature, and release
-                    // builds compile this module away.
                     panic!("{msg}");
                 }
                 edges
@@ -235,6 +243,10 @@ mod tests {
     #[cfg(debug_assertions)]
     #[test]
     fn raw_tokens_track_unwrappable_locks() {
+        #[expect(
+            clippy::disallowed_types,
+            reason = "the token path exists for std locks"
+        )]
         let std_lock = std::sync::Mutex::new(());
         {
             let _t1 = acquire("lockcheck-test.raw1");

@@ -15,9 +15,11 @@ use neurocard::infer::SamplerScratch;
 /// `catch_unwind` on the request path, where a poisoned std mutex would turn one
 /// estimator panic into a permanent pool outage) and debug-build lock-order tracking.
 pub struct ScratchPool {
-    // Boxed on purpose: checkout and check-in move a pointer under the pool lock, not the
-    // workspace's several hundred bytes of buffer headers.
-    #[allow(clippy::vec_box)]
+    #[expect(
+        clippy::vec_box,
+        reason = "checkout and check-in move a pointer under the pool lock, not the \
+                  workspace's several hundred bytes of buffer headers"
+    )]
     free: lockcheck::Mutex<Vec<Box<SamplerScratch>>>,
     grown: AtomicU64,
 }

@@ -417,7 +417,6 @@ pub fn encode_result(result: &Result<ServeReply, ServeError>) -> Vec<u8> {
 ///
 /// The outer `Err` is a local decode failure; a successfully decoded *remote* error
 /// comes back as `Ok(Err(...))`.
-#[allow(clippy::type_complexity)]
 pub fn decode_result(payload: &[u8]) -> Result<Result<ServeReply, ServeError>, ServeError> {
     let mut r = BinReader::new(payload);
     let result = match r.u8().map_err(bin)? {
@@ -496,7 +495,6 @@ pub fn encode_admin_result(result: &Result<ModelKey, ServeError>) -> Vec<u8> {
 /// Decodes a payload produced by [`encode_admin_result`].  As with
 /// [`decode_result`], the outer `Err` is a local decode failure; a decoded remote
 /// error is `Ok(Err(...))`.
-#[allow(clippy::type_complexity)]
 pub fn decode_admin_result(payload: &[u8]) -> Result<Result<ModelKey, ServeError>, ServeError> {
     let mut r = BinReader::new(payload);
     let result = match r.u8().map_err(bin)? {
@@ -566,7 +564,6 @@ pub fn encode_stats_result(result: &Result<Vec<ModelStats>, ServeError>) -> Vec<
 /// Decodes a payload produced by [`encode_stats_result`].  As with
 /// [`decode_result`], the outer `Err` is a local decode failure; a decoded remote
 /// error is `Ok(Err(...))`.
-#[allow(clippy::type_complexity)]
 pub fn decode_stats_result(
     payload: &[u8],
 ) -> Result<Result<Vec<ModelStats>, ServeError>, ServeError> {

@@ -267,12 +267,15 @@ impl Reactor {
                 let shared = shared.clone();
                 let jobs = jobs.clone();
                 let listener = if i == 0 { listener.take() } else { None };
+                #[expect(
+                    clippy::expect_used,
+                    reason = "bind-time path, before the listener accepts anything: no \
+                              connection exists yet to answer, and a process that cannot \
+                              spawn OS threads cannot serve at all"
+                )]
                 std::thread::Builder::new()
                     .name(format!("nc-reactor-io-{i}"))
                     .spawn(move || IoThread::new(i, poll, listener, shared, jobs).run())
-                    // nc-lint: allow(panic-in-serving) — bind-time path, before the
-                    // listener accepts anything: no connection exists yet to answer, and
-                    // a process that cannot spawn OS threads cannot serve at all.
                     .expect("spawning a reactor I/O thread")
             })
             .collect();
@@ -1037,6 +1040,10 @@ mod tests {
             write_frame(&mut healthy, &encode_request(&request())).unwrap();
             let frame = read_frame(&mut healthy).unwrap();
             assert_eq!(decode_result(&frame).unwrap().unwrap().estimate, 1.0);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a test client paces its requests"
+            )]
             std::thread::sleep(Duration::from_millis(10));
         }
         // The loris's socket is dead: reads see EOF/reset.

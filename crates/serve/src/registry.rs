@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, MutexGuard};
 use std::time::{Duration, Instant};
 
 use nc_schema::Query;
@@ -187,7 +187,12 @@ impl RegistryState {
 }
 
 struct RegistryInner {
-    state: Mutex<RegistryState>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the drain Condvar waits on a std guard; every acquisition goes through \
+                  `state_lock`, which recovers from poison"
+    )]
+    state: std::sync::Mutex<RegistryState>,
     /// Notified whenever a draining version retires.
     drained: Condvar,
     acquires: AtomicU64,
@@ -371,7 +376,8 @@ impl ModelRegistry {
     pub fn new() -> Self {
         ModelRegistry {
             inner: Arc::new(RegistryInner {
-                state: Mutex::new(RegistryState {
+                #[expect(clippy::disallowed_types, reason = "see `RegistryInner::state`")]
+                state: std::sync::Mutex::new(RegistryState {
                     entries: BTreeMap::new(),
                     draining: Vec::new(),
                     publish_seq: 0,

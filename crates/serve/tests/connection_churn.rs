@@ -53,6 +53,10 @@ fn connection_churn_leaks_neither_fds_nor_threads() {
     // leaked fd per past connection.
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while server.live_connections() > 0 && std::time::Instant::now() < deadline {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a test polls the server's counters"
+        )]
         std::thread::sleep(Duration::from_millis(5));
     }
     assert_eq!(server.live_connections(), 0);

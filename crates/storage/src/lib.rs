@@ -29,6 +29,11 @@
 //! assert_eq!(db.table("t").unwrap().num_rows(), 2);
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+
 pub mod binio;
 pub mod builder;
 pub mod catalog;

@@ -15,6 +15,11 @@
 //!
 //! All generators are deterministic given a seed.
 
+#![cfg_attr(
+    not(test),
+    deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
+)]
+
 pub mod generator;
 pub mod job_light;
 pub mod job_light_ranges;
@@ -27,5 +32,5 @@ pub use job_light::job_light_queries;
 pub use job_light_ranges::job_light_ranges_queries;
 pub use job_m::job_m_queries;
 pub use qerror::{q_error, ErrorSummary};
-pub use report::{print_error_table, ErrorTableRow};
+pub use report::{render_error_table, ErrorTableRow};
 pub use selectivity::query_selectivity;

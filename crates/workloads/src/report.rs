@@ -62,11 +62,6 @@ pub fn render_error_table(title: &str, rows: &[ErrorTableRow]) -> String {
     out
 }
 
-/// Prints an error table to stdout.
-pub fn print_error_table(title: &str, rows: &[ErrorTableRow]) {
-    print!("{}", render_error_table(title, rows));
-}
-
 /// Serialises any reportable value to pretty JSON (written next to the console output so
 /// results can be post-processed, e.g. plotted).
 pub fn to_json<T: Serialize>(value: &T) -> String {
@@ -91,7 +86,6 @@ mod tests {
         assert!(s.contains("IBJS"));
         assert!(s.contains("Median"));
         assert!(s.lines().count() >= 6);
-        print_error_table("Table 2: JOB-light", &rows);
     }
 
     #[test]
