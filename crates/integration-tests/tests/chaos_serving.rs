@@ -97,9 +97,7 @@ fn four_chaos_clients_at_the_pinned_seed_complete_everything_correctly() {
     let ghost_want = {
         use nc_serve::ServingEstimator;
         let mut scratch = SamplerScratch::new();
-        fallback
-            .serve(&queries[0], 1, &mut scratch, neurocard::Precision::Exact)
-            .unwrap()
+        fallback.serve(&queries[0], 1, &mut scratch).unwrap()
     };
 
     let registry = Arc::new(ModelRegistry::new());

@@ -132,7 +132,6 @@ fn sampler(core: &EstimatorCore) -> ProgressiveSampler<'_> {
         core.encoded(),
         core.schema(),
         core.full_join_rows(),
-        false,
     )
 }
 

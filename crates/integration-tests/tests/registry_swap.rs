@@ -17,9 +17,7 @@ use std::time::Duration;
 use nc_schema::{JoinEdge, JoinSchema, Predicate, Query};
 use nc_serve::{ModelRegistry, ModelSelector, RegistryService, ServeRequest, ServiceConfig};
 use nc_storage::{Database, TableBuilder, Value};
-use neurocard::{
-    EstimatorCore, ModelArtifact, NeuroCard, NeuroCardConfig, Precision, SamplerScratch,
-};
+use neurocard::{EstimatorCore, ModelArtifact, NeuroCard, NeuroCardConfig, SamplerScratch};
 
 fn trained_artifact_bytes() -> (Vec<u8>, Vec<Query>) {
     let mut db = Database::new();
@@ -70,10 +68,7 @@ fn swap_under_load_loses_nothing_and_drains_before_retiring() {
     let mut scratch = SamplerScratch::new();
     let sequential: Vec<f64> = queries
         .iter()
-        .map(|q| {
-            v1.try_estimate_with_samples_scratch_precision(q, 16, &mut scratch, Precision::Exact)
-                .unwrap()
-        })
+        .map(|q| v1.try_estimate(q, 16, &mut scratch).unwrap())
         .collect();
 
     let registry = Arc::new(ModelRegistry::new());
@@ -205,16 +200,11 @@ fn an_explicit_lease_blocks_retirement_until_dropped() {
     let mut scratch = SamplerScratch::new();
     assert_eq!(
         lease
-            .estimate(&queries[0], Some(16), &mut scratch, Precision::Exact)
+            .estimate(&queries[0], Some(16), &mut scratch)
             .unwrap()
             .to_bits(),
         load_core(&bytes)
-            .try_estimate_with_samples_scratch_precision(
-                &queries[0],
-                16,
-                &mut scratch,
-                Precision::Exact
-            )
+            .try_estimate(&queries[0], 16, &mut scratch)
             .unwrap()
             .to_bits()
     );

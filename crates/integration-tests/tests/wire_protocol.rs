@@ -3,14 +3,16 @@
 //! estimate that crossed the wire is **bit-identical** to a direct sequential
 //! [`EstimatorCore`] estimate.
 
+use std::net::TcpStream;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use nc_schema::{CompareOp, JoinEdge, JoinSchema, Predicate, Query, TableFilter};
 use nc_serve::{
-    decode_request, decode_result, encode_request, encode_result, ModelKey, ModelRegistry,
-    ModelSelector, ServeClient, ServeError, ServeReply, ServeRequest, TcpServer,
+    decode_request, decode_result, encode_request, encode_result, read_frame, write_frame,
+    ModelKey, ModelRegistry, ModelSelector, ServeClient, ServeError, ServeReply, ServeRequest,
+    TcpServer,
 };
 use nc_storage::{Database, TableBuilder, Value};
 use neurocard::{EstimatorCore, ModelArtifact, NeuroCard, NeuroCardConfig};
@@ -78,16 +80,11 @@ fn arb_request() -> impl Strategy<Value = ServeRequest> {
             1 => Just(None),
             2 => (1u64..100_000).prop_map(|n| Some(n as usize)),
         ],
-        prop_oneof![
-            2 => Just(neurocard::Precision::Exact),
-            1 => Just(neurocard::Precision::Fast),
-        ],
     )
-        .prop_map(|(selector, query, samples, precision)| ServeRequest {
+        .prop_map(|(selector, query, samples)| ServeRequest {
             selector,
             query,
             samples,
-            precision,
         })
 }
 
@@ -272,56 +269,28 @@ fn tcp_estimates_are_bit_identical_to_the_direct_core() {
     server.shutdown();
 }
 
-/// The two-tier contract over the wire: a `Precision::Fast` request reproduces a direct
-/// fast-tier core call bit-for-bit (the fast tier relaxes bit-identity *to the exact
-/// tier*, not its own determinism), and exact requests on the same connection stay
-/// pinned to the sequential baseline.
+/// An older client's fast-tier request — the request frame plus a trailing `0x01` — sent
+/// over a raw socket is answered with the direct core's bits.
 #[test]
-fn fast_precision_requests_are_deterministic_over_the_wire() {
-    use neurocard::{Precision, SamplerScratch};
-
-    let (core, fingerprint) = trained_core();
-    let queries = workload();
-    let mut scratch = SamplerScratch::new();
-    let samples = core.config().progressive_samples;
-    let direct_fast: Vec<f64> = queries
-        .iter()
-        .map(|q| {
-            core.try_estimate_with_samples_scratch_precision(
-                q,
-                samples,
-                &mut scratch,
-                Precision::Fast,
-            )
-            .unwrap()
-        })
-        .collect();
-    let direct_exact: Vec<f64> = queries.iter().map(|q| core.estimate(q)).collect();
-
+fn legacy_fast_tier_frames_are_answered_with_exact_bits() {
+    let (core, _) = trained_core();
     let registry = Arc::new(ModelRegistry::new());
     let key = registry.register_core("neurocard", core.clone()).unwrap();
     let server = TcpServer::bind(registry, "127.0.0.1:0").unwrap();
-    let mut client = ServeClient::connect(server.local_addr()).unwrap();
-    for (i, q) in queries.iter().enumerate() {
-        let fast = client
-            .request(
-                &ServeRequest::new(ModelSelector::Exact(key.clone()), q.clone())
-                    .with_precision(Precision::Fast),
-            )
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    for q in workload() {
+        let mut payload = encode_request(&ServeRequest::new(
+            ModelSelector::Exact(key.clone()),
+            q.clone(),
+        ));
+        payload.push(0x01);
+        write_frame(&mut stream, &payload).unwrap();
+        let reply = decode_result(&read_frame(&mut stream).unwrap())
+            .unwrap()
             .unwrap();
-        assert_eq!(
-            fast.estimate.to_bits(),
-            direct_fast[i].to_bits(),
-            "fast-tier wire estimate diverged on query {i}"
-        );
-        // Interleaved exact requests are untouched by the fast tier.
-        let exact = client
-            .estimate(&ModelSelector::Exact(key.clone()), q)
-            .unwrap();
-        assert_eq!(exact.estimate.to_bits(), direct_exact[i].to_bits());
-        // Both tiers produce sane cardinalities.
-        assert!(fast.estimate.is_finite() && fast.estimate >= 1.0);
+        assert_eq!(reply.estimate.to_bits(), core.estimate(&q).to_bits(), "{q}");
+        assert_eq!(reply.key, key);
     }
-    assert_eq!(fingerprint, key.schema_fingerprint);
+    drop(stream);
     server.shutdown();
 }

@@ -535,7 +535,6 @@ fn read_json_section<T: for<'de> Deserialize<'de>>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::Precision;
     use crate::estimator::NeuroCard;
     use crate::infer::SamplerScratch;
     use nc_schema::{JoinEdge as Edge, Predicate, Query};
@@ -610,12 +609,7 @@ mod tests {
         }
         // And the zero-sample contract carries over.
         assert_eq!(
-            core.try_estimate_with_samples_scratch_precision(
-                &queries[0],
-                0,
-                &mut SamplerScratch::new(),
-                Precision::Exact
-            ),
+            core.try_estimate(&queries[0], 0, &mut SamplerScratch::new()),
             Err(crate::infer::EstimateError::InvalidSampleCount)
         );
     }
@@ -807,14 +801,9 @@ mod tests {
             Query::join(&["A", "B"]),
             Query::join(&["A"]).filter("A", "c", Predicate::eq(1i64)),
         ] {
-            for p in [Precision::Exact, Precision::Fast] {
-                let [legacy, fresh] = [&legacy_core, &core].map(|c| {
-                    c.try_estimate_with_samples_scratch_precision(&q, 64, &mut scratch, p)
-                        .unwrap()
-                        .to_bits()
-                });
-                assert_eq!(legacy, fresh, "{p} tier diverged on the legacy artifact");
-            }
+            let [legacy, fresh] = [&legacy_core, &core]
+                .map(|c| c.try_estimate(&q, 64, &mut scratch).unwrap().to_bits());
+            assert_eq!(legacy, fresh, "{q} diverged on the legacy artifact");
         }
     }
 

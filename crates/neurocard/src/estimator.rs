@@ -258,14 +258,13 @@ impl NeuroCard {
             .estimate_reference(query, num_samples, &mut rng)
     }
 
-    /// The exact-tier progressive-sampling engine over the trained model.
+    /// The progressive-sampling engine over the trained model.
     fn sampler(&self) -> ProgressiveSampler<'_> {
         ProgressiveSampler::new(
             self.trainer.model(),
             &self.encoded,
             &self.schema,
             self.full_join_rows,
-            false,
         )
     }
 
@@ -361,7 +360,6 @@ impl NeuroCard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::Precision;
     use nc_schema::{JoinEdge, Predicate};
     use nc_storage::{TableBuilder, Value};
 
@@ -511,12 +509,7 @@ mod tests {
                 let expected = trained.estimate(q).to_bits();
                 assert_eq!(batched.to_bits(), expected);
                 assert_eq!(core.estimate(q).to_bits(), expected);
-                let scratched = core.try_estimate_with_samples_scratch_precision(
-                    q,
-                    samples,
-                    &mut scratch,
-                    Precision::Exact,
-                );
+                let scratched = core.try_estimate(q, samples, &mut scratch);
                 assert_eq!(scratched.map(f64::to_bits), Ok(expected));
             }
         }

@@ -194,32 +194,21 @@ pub struct ProgressiveSampler<'a> {
     encoded: &'a EncodedLayout,
     schema: &'a JoinSchema,
     full_join_rows: f64,
-    /// Route model forwards through the architecture-dispatched fast-tier kernels
-    /// instead of the exact scalar ones, over the same weights.  The `Precision::Fast`
-    /// serving tier sets it (see the two-tier determinism contract).
-    fast_kernels: bool,
 }
 
 impl<'a> ProgressiveSampler<'a> {
     /// Creates an inference engine over a trained model.
-    ///
-    /// `fast_kernels` is fixed for the sampler's life.  The RNG draw sequence is identical
-    /// either way (draws are a function of the probability rows, consumed in the same
-    /// order), so exact and fast estimates of the same `(query, seed)` remain comparable
-    /// sample-for-sample.
     pub fn new(
         model: &'a ResMade,
         encoded: &'a EncodedLayout,
         schema: &'a JoinSchema,
         full_join_rows: u128,
-        fast_kernels: bool,
     ) -> Self {
         ProgressiveSampler {
             model,
             encoded,
             schema,
             full_join_rows: full_join_rows as f64,
-            fast_kernels,
         }
     }
 
@@ -444,7 +433,6 @@ impl<'a> ProgressiveSampler<'a> {
                     &class_tokens[..n_classes * n_model],
                     model_col,
                     forwarded.then(|| &class_parent[..n_classes]),
-                    self.fast_kernels,
                     nn,
                 );
                 forwarded = true;

@@ -65,7 +65,7 @@ pub use artifact::{
     MODEL_ARTIFACT_VERSION,
 };
 pub use config::NeuroCardConfig;
-pub use core::{EstimatorCore, Precision, QERROR_DELTA_BOUND};
+pub use core::{EstimatorCore, Precision};
 pub use encoding::EncodedLayout;
 pub use estimator::{EstimatorStats, NeuroCard};
 pub use factorization::Factorization;

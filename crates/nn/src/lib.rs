@@ -11,8 +11,7 @@
 //!   kernels inference and training run on (each bit-equal to the naive loop it stands in
 //!   for: one ascending chain of additions per output element), and MADE's connectivity as
 //!   a rule over unit degrees ([`tensor::MadeMask`], [`tensor::LiveUnits`]),
-//! * [`kernel`] — the same inference kernels dispatched to AVX2+FMA / NEON intrinsics
-//!   (the crate's only `unsafe` code; behind the `simd` feature, portable otherwise),
+//! * [`kernel`] — three inference kernels re-exported under the benchmark's old path,
 //! * [`layers`] — trainable parameters, plain and **masked** linear layers (the masks —
 //!   that rule, never a matrix — are what enforce the autoregressive property), per-column
 //!   embeddings with a dedicated MASK token for wildcard skipping, ReLU,
@@ -34,19 +33,13 @@
 //! clone — so the trainer brings a [`TrainScratch`]), and callers that want parallel
 //! inference run one [`InferenceScratch`] per thread over a shared model.
 
+#![forbid(unsafe_code)]
 #![cfg_attr(
     not(test),
     deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
 )]
 
 pub mod artifact;
-#[cfg_attr(
-    all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64")),
-    expect(
-        unsafe_code,
-        reason = "the SIMD kernels' target_feature calls and raw loads; the only unsafe outside crates/compat"
-    )
-)]
 pub mod kernel;
 pub mod layers;
 pub mod loss;

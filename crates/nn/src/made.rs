@@ -21,7 +21,6 @@ use std::ops::Range;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::kernel;
 use crate::layers::{relu, relu_backward, seeded_rng, Embedding, MaskedLinear, Param};
 use crate::loss::{softmax_cross_entropy, softmax_rows, softmax_rows_into};
 use crate::tensor::{
@@ -554,8 +553,7 @@ impl ResMade {
     /// Tokens at columns `>= col` are never read (the masks cut them off); callers
     /// conventionally fill them with MASK tokens.  All intermediates live in `scratch` —
     /// zero allocations in steady state — and the returned reference points into
-    /// `scratch.probs`.  One [`ResMade::conditional_probs_step`] from an empty prefix on the
-    /// exact tier.
+    /// `scratch.probs`.  One [`ResMade::conditional_probs_step`] from an empty prefix.
     ///
     /// Bit-for-bit equal to the naive path (`conditional_probs_into_matches_training_
     /// path_bitwise` pins this), which is what keeps progressive-sampling estimates
@@ -566,45 +564,7 @@ impl ResMade {
         col: usize,
         scratch: &'s mut InferenceScratch,
     ) -> &'s Matrix {
-        self.step::<ScalarKernels>(tokens, col, None, scratch)
-    }
-
-    /// One step of the **prefix-incremental** inference forward: `p(x_col | tokens₍<col₎)`
-    /// for every row of the flat `batch × num_columns` buffer `tokens`, reusing what the
-    /// previous step on `scratch` already computed.
-    ///
-    /// `scratch` carries, per row of the last step, the input layer's pre-bias sums over
-    /// the columns that step covered and, in every hidden layer a later step reads, the
-    /// units whose degree is below that step's column — MADE's masks make them functions
-    /// of those columns alone.  With `parents = Some(p)`, row `r` continues row `p[r]` of
-    /// the last step: it must hold the same tokens in the columns that step covered (rows
-    /// may be duplicated, reordered or dropped), `col` must not be smaller than the last
-    /// step's, and only the columns in between are embedded and multiplied, and only the
-    /// hidden units of the degrees in between computed.  `parents = None` starts from the
-    /// empty prefix (what [`ResMade::conditional_probs_into`] does).  Tokens at columns
-    /// `>= col` are never read.
-    ///
-    /// `fast_kernels` picks the tier: `false` runs the scalar kernels, `true` dispatches
-    /// every GEMM and the softmax normalisation through [`crate::kernel`] to the widest
-    /// instruction set the CPU supports.  Where dispatch resolves to the portable kernels
-    /// (the `simd` feature off) the two are bit-identical — pinned by
-    /// `conditional_probs_into_fast_bit_identical_without_simd`; with SIMD selected, the
-    /// reassociated reductions drift by last ulps and callers own the accuracy story (the
-    /// serving layer's q-error-delta gate).  One chain of steps must stay on one model and
-    /// one tier.
-    pub fn conditional_probs_step<'s>(
-        &self,
-        tokens: &[u32],
-        col: usize,
-        parents: Option<&[u32]>,
-        fast_kernels: bool,
-        scratch: &'s mut InferenceScratch,
-    ) -> &'s Matrix {
-        if fast_kernels {
-            self.step::<DispatchedKernels>(tokens, col, parents, scratch)
-        } else {
-            self.step::<ScalarKernels>(tokens, col, parents, scratch)
-        }
+        self.conditional_probs_step(tokens, col, None, scratch)
     }
 
     /// Reserves `scratch` for steps of up to `rows` rows of this model.
@@ -635,11 +595,23 @@ impl ResMade {
         scratch.probs.reserve(rows, max_domain);
     }
 
-    /// The one inference forward behind both tiers, generic over the kernel set so each
-    /// instantiation compiles to direct calls into its kernel module.
+    /// One step of the **prefix-incremental** inference forward: `p(x_col | tokens₍<col₎)`
+    /// for every row of the flat `batch × num_columns` buffer `tokens`, reusing what the
+    /// previous step on `scratch` already computed.
     ///
-    /// The whole trunk is **prefix-incremental**.  Hidden unit `u` has the degree `u % P`
-    /// (`P` = [`ResMade::degree_period`]), and MADE's masks make a unit of degree `k`, in
+    /// `scratch` carries, per row of the last step, the input layer's pre-bias sums over
+    /// the columns that step covered and, in every hidden layer a later step reads, the
+    /// units whose degree is below that step's column — MADE's masks make them functions
+    /// of those columns alone.  With `parents = Some(p)`, row `r` continues row `p[r]` of
+    /// the last step: it must hold the same tokens in the columns that step covered (rows
+    /// may be duplicated, reordered or dropped), `col` must not be smaller than the last
+    /// step's, and only the columns in between are embedded and multiplied, and only the
+    /// hidden units of the degrees in between computed.  `parents = None` starts from the
+    /// empty prefix (what [`ResMade::conditional_probs_into`] does).  Tokens at columns
+    /// `>= col` are never read.  One chain of steps must stay on one model.
+    ///
+    /// Every layer of the trunk is incremental.  Hidden unit `u` has the degree `u % P`
+    /// (`P` = `ResMade::degree_period`), and MADE's masks make a unit of degree `k`, in
     /// every layer, a function of columns `<= k` alone.  The scratch carries, per row of
     /// the last step, the input layer's pre-bias sums `z` over columns `< z_cols` and, in
     /// each residual block's first activation `a` and output `h`, the units of degree
@@ -652,7 +624,7 @@ impl ResMade {
     ///    meet structurally-zero weights on every path into column `col`) and takes
     ///    `h₀ = relu(z + b)`;
     /// 3. layer by layer, computes only the units of degree in `z_cols..col` — one short
-    ///    run per period, widened to [`UNIT_ALIGN`] — from the live inner units (degree
+    ///    run per period, widened to `UNIT_ALIGN` — from the live inner units (degree
     ///    `< col`, [`ResMade::live_units`]) straight into the carried matrix
     ///    ([`matmul_units_live`]), then their bias, ReLU and residual add;
     /// 4. computes **only** column `col`'s `d_emb`-wide context slice, from the live units
@@ -662,7 +634,7 @@ impl ResMade {
     /// Units of degree `>= col` hold unspecified values (partial sums, or stale) that no
     /// kernel reads: every inner walk stays inside the live set.
     ///
-    /// The exact tier stays bit-identical to [`ResMade::conditional_probs_reference`]:
+    /// The step stays bit-identical to [`ResMade::conditional_probs_reference`]:
     ///
     /// 1. every output element of the input layer is an ascending-`p` chain of f32 adds
     ///    that skips `a == 0.0`; storing a chain to `z` and resuming it later performs the
@@ -680,7 +652,7 @@ impl ResMade {
     /// 4. units of degree `>= col` get zero weight — `±0.0` terms again — on every path
     ///    into column `col`'s context: the hidden rule is `deg(h₂) >= deg(h₁)`, the output
     ///    rule the strict `deg(h) < col`.
-    fn step<'s, K: KernelSet>(
+    pub fn conditional_probs_step<'s>(
         &self,
         tokens: &[u32],
         col: usize,
@@ -765,7 +737,7 @@ impl ResMade {
 
         // z += x[:, z_cols..col] · W_in[z_cols·d .. col·d, :], then h₀ = relu(z + b).
         self.embed_columns_into(tokens, z_cols, col, x);
-        (K::MATMUL_BLOCKED_ACC)(x, &self.input_layer.inner.weight.value, z_cols * d, z);
+        matmul_blocked_acc(x, &self.input_layer.inner.weight.value, z_cols * d, z);
         *carried_cols = col;
         *embedded_columns = batch * (col - z_cols);
         spare.resize(batch, h_dim);
@@ -794,17 +766,17 @@ impl ResMade {
             let (a, h_out) = this.split_at_mut(1);
             let (a, h_out) = (&mut a[0], &mut h_out[0]);
             for run in new_units() {
-                (K::MATMUL_UNITS_LIVE)(h_in, &w1.inner.weight.value, run.clone(), live, a);
+                matmul_units_live(h_in, &w1.inner.weight.value, run.clone(), live, a);
                 bias_relu(a, run, w1.inner.bias.value.row(0));
             }
             for run in new_units() {
-                (K::MATMUL_UNITS_LIVE)(a, &w2.inner.weight.value, run.clone(), live, h_out);
+                matmul_units_live(a, &w2.inner.weight.value, run.clone(), live, h_out);
                 residual(h_in, run, w2.inner.bias.value.row(0), h_out);
             }
         }
 
         ctx.resize(batch, d);
-        (K::MATMUL_COL_RANGE_LIVE)(
+        matmul_col_range_live(
             carried.last().unwrap_or(h0),
             &self.output_layer.inner.weight.value,
             col * d,
@@ -818,7 +790,7 @@ impl ResMade {
         );
         logits.resize(batch, domain);
         let emb = &self.embeddings[col].table.value;
-        (K::GEMM_NT)(
+        gemm_nt(
             batch,
             domain,
             d,
@@ -827,7 +799,7 @@ impl ResMade {
             logits.data_mut(),
         );
         add_bias(logits, self.output_bias[col].value.row(0));
-        (K::SOFTMAX_ROWS_INTO)(logits, probs);
+        softmax_rows_into(logits, probs);
         probs
     }
 
@@ -875,47 +847,6 @@ impl ResMade {
         }
         check(&self.output_layer, "output layer")
     }
-}
-
-/// The five kernels of the inference forward, as compile-time constants: each tier's
-/// instantiation of [`ResMade::step`] calls its kernel module directly, so the exact tier
-/// executes only `tensor::*` / `loss::*` calls.
-#[expect(
-    clippy::type_complexity,
-    reason = "the signatures are the kernels' own; aliasing each would only rename them once more"
-)]
-trait KernelSet {
-    const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix);
-    const MATMUL_UNITS_LIVE: fn(&Matrix, &Matrix, Range<usize>, LiveUnits, &mut Matrix);
-    const MATMUL_COL_RANGE_LIVE: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix);
-    const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
-    const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix);
-}
-
-/// Exact tier: the scalar kernels of [`crate::tensor`] and [`crate::loss`].
-struct ScalarKernels;
-
-impl KernelSet for ScalarKernels {
-    const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix) = matmul_blocked_acc;
-    const MATMUL_UNITS_LIVE: fn(&Matrix, &Matrix, Range<usize>, LiveUnits, &mut Matrix) =
-        matmul_units_live;
-    const MATMUL_COL_RANGE_LIVE: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix) =
-        matmul_col_range_live;
-    const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]) = gemm_nt;
-    const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix) = softmax_rows_into;
-}
-
-/// Fast tier: the architecture-dispatched kernels of [`crate::kernel`].
-struct DispatchedKernels;
-
-impl KernelSet for DispatchedKernels {
-    const MATMUL_BLOCKED_ACC: fn(&Matrix, &Matrix, usize, &mut Matrix) = kernel::matmul_blocked_acc;
-    const MATMUL_UNITS_LIVE: fn(&Matrix, &Matrix, Range<usize>, LiveUnits, &mut Matrix) =
-        kernel::matmul_units_live;
-    const MATMUL_COL_RANGE_LIVE: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix) =
-        kernel::matmul_col_range_live;
-    const GEMM_NT: fn(usize, usize, usize, &[f32], &[f32], &mut [f32]) = kernel::gemm_nt;
-    const SOFTMAX_ROWS_INTO: fn(&Matrix, &mut Matrix) = kernel::softmax_rows_into;
 }
 
 /// The first `2·blocks` matrices of `carried` — each residual block's first activation,
@@ -1216,7 +1147,7 @@ mod tests {
     /// MASK tokens the way wildcard skipping leaves them), five `forward_backward` + Adam
     /// steps, and the FNV-1a of the serialised weights.  The constant predates the
     /// [`MadeMask`] rule (gradients were then multiplied by dense 0/1 matrices), so it also
-    /// pins that the rule moved no bit; training is scalar, so both `simd` legs share it.
+    /// pins that the rule moved no bit.
     #[test]
     fn trained_weights_are_pinned() {
         let mut m = ResMade::new(MadeConfig {
@@ -1505,90 +1436,6 @@ mod tests {
         }
     }
 
-    /// With the `simd` feature off, the fast-tier forward resolves to the portable
-    /// kernels and must reproduce the exact tier bit-for-bit — the model-level half of
-    /// the two-tier determinism contract's "fast mode is still deterministic per build"
-    /// guarantee.
-    #[cfg(not(feature = "simd"))]
-    #[test]
-    fn conditional_probs_into_fast_bit_identical_without_simd() {
-        let m = ResMade::new(MadeConfig {
-            domains: vec![4, 9, 3, 17, 5],
-            d_emb: 6,
-            d_hidden: 24,
-            num_blocks: 2,
-            seed: 13,
-        });
-        let mut exact = InferenceScratch::new();
-        let mut fast = InferenceScratch::new();
-        for batch in [1usize, 7, 13] {
-            let flat: Vec<u32> = (0..batch)
-                .flat_map(|b| {
-                    (0..m.num_columns())
-                        .map(|c| ((b * 17 + c * 5) % m.domain(c)) as u32)
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            for col in 0..m.num_columns() {
-                let reference = m.conditional_probs_into(&flat, col, &mut exact).clone();
-                let dispatched = m.conditional_probs_step(&flat, col, None, true, &mut fast);
-                for (i, (a, b)) in reference.data().iter().zip(dispatched.data()).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "col {col} element {i}: {a} vs {b}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Whatever ISA the fast tier dispatches to, its conditional distributions must stay
-    /// numerically indistinguishable from the exact tier at f32 working precision (only
-    /// reassociated reductions separate the tiers).
-    #[test]
-    fn conditional_probs_into_fast_matches_exact_numerically() {
-        let m = ResMade::new(MadeConfig {
-            domains: vec![6, 11, 4, 23],
-            d_emb: 8,
-            d_hidden: 40,
-            num_blocks: 2,
-            seed: 29,
-        });
-        let mut exact = InferenceScratch::new();
-        let mut fast = InferenceScratch::new();
-        for batch in [1usize, 9, 33] {
-            let flat: Vec<u32> = (0..batch)
-                .flat_map(|b| {
-                    (0..m.num_columns())
-                        .map(|c| {
-                            if (b + c) % 4 == 0 {
-                                m.mask_token(c)
-                            } else {
-                                ((b * 13 + c * 3) % m.domain(c)) as u32
-                            }
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            for col in 0..m.num_columns() {
-                let reference = m.conditional_probs_into(&flat, col, &mut exact).clone();
-                let dispatched = m.conditional_probs_step(&flat, col, None, true, &mut fast);
-                assert_eq!(
-                    (dispatched.rows(), dispatched.cols()),
-                    (batch, m.domain(col))
-                );
-                for r in 0..batch {
-                    let s: f32 = dispatched.row(r).iter().sum();
-                    assert!((s - 1.0).abs() < 1e-4, "row {r} sums to {s}");
-                }
-                for (i, (a, b)) in reference.data().iter().zip(dispatched.data()).enumerate() {
-                    assert!((a - b).abs() <= 1e-5, "col {col} element {i}: {a} vs {b}");
-                }
-            }
-        }
-    }
-
     /// The tests' generator: `next(bound)` is uniform-ish in `0..bound`.
     fn lcg(mut seed: u64) -> impl FnMut(usize) -> usize {
         move |bound: usize| {
@@ -1660,7 +1507,7 @@ mod tests {
         let batch = new_rows.len();
         let flat: Vec<u32> = new_rows.iter().flatten().copied().collect();
         scratch.poison = true;
-        let stepped = m.conditional_probs_step(&flat, col, parents, false, scratch);
+        let stepped = m.conditional_probs_step(&flat, col, parents, scratch);
         // The reference embeds every column, so it needs valid tokens there.
         let masked: Vec<Vec<u32>> = new_rows
             .iter()
@@ -1937,7 +1784,7 @@ mod tests {
             let batch = parents.map_or(rows, <[u32]>::len);
             let batch = if col == 0 { 1 } else { batch };
             let tokens = vec![0u32; batch * n];
-            m.conditional_probs_step(&tokens, col, parents, false, &mut scratch);
+            m.conditional_probs_step(&tokens, col, parents, &mut scratch);
             assert_eq!(
                 addresses(&scratch),
                 reserved,
@@ -2007,7 +1854,7 @@ mod tests {
         let m = make(vec![4, 3, 5], 8);
         let mut scratch = InferenceScratch::new();
         m.conditional_probs_into(&[0, 1, 2], 2, &mut scratch);
-        m.conditional_probs_step(&[0, 1, 2], 1, Some(&[0]), false, &mut scratch);
+        m.conditional_probs_step(&[0, 1, 2], 1, Some(&[0]), &mut scratch);
     }
 
     /// A carry left by one model cannot be continued by another of the same width: not
@@ -2030,13 +1877,13 @@ mod tests {
             carrier.conditional_probs_into(&[0, 1, 2], 1, &mut scratch);
             let tokens = vec![0u32; other.num_columns()];
             let continued = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                other.conditional_probs_step(&tokens, 2, Some(&[0]), false, &mut scratch);
+                other.conditional_probs_step(&tokens, 2, Some(&[0]), &mut scratch);
             }));
             let message = continued.expect_err("continued another model's prefix");
             let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
             assert!(message.contains("belongs to another model"), "{message}");
-            other.conditional_probs_step(&tokens, 2, None, false, &mut scratch);
-            other.conditional_probs_step(&tokens, 2, Some(&[0]), false, &mut scratch);
+            other.conditional_probs_step(&tokens, 2, None, &mut scratch);
+            other.conditional_probs_step(&tokens, 2, Some(&[0]), &mut scratch);
         }
     }
 

@@ -839,9 +839,8 @@ pub fn column_sums_accumulate(m: &Matrix, out: &mut [f32]) {
     }
 }
 
-/// Test support shared with the dispatched kernels' tests in [`crate::kernel`].
 #[cfg(test)]
-pub(crate) mod testing {
+mod tests {
     use super::*;
 
     /// One step of the tests' generator (no RNG dependency in this crate's tests).
@@ -853,7 +852,7 @@ pub(crate) mod testing {
     }
 
     /// Deterministic pseudo-random matrix.
-    pub fn lcg_matrix(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
+    fn lcg_matrix(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
         let data = (0..rows * cols)
             .map(|_| {
                 lcg(seed);
@@ -872,7 +871,7 @@ pub(crate) mod testing {
 
     /// [`lcg_matrix`] with ≈ 40 % of the entries an exact zero — the share of a ReLU
     /// activation the zero-skip branches of the training kernels meet.
-    pub fn lcg_matrix_sparse(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
+    fn lcg_matrix_sparse(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
         let mut m = lcg_matrix(rows, cols, seed);
         for v in m.data_mut() {
             if (lcg(seed) >> 33) % 5 < 2 {
@@ -881,99 +880,6 @@ pub(crate) mod testing {
         }
         m
     }
-
-    /// The restricted kernels against their own dense instantiation, bit for bit, on
-    /// MADE-masked weights, for every column of every `(d_hidden, period)` layout: the
-    /// restricted call gets an `a` whose every entry outside the live set is NaN, so one
-    /// read of a dead unit shows up in a result.  The unit kernel runs over the runs a step
-    /// for the column computes (its units new since an earlier column, widened), against
-    /// its dense instantiation over the same run — the same register tiles — and must leave
-    /// every other column of `out` as it was.
-    pub fn assert_live_kernels_match_dense(
-        units: fn(&Matrix, &Matrix, Range<usize>, LiveUnits, &mut Matrix),
-        col_range: fn(&Matrix, &Matrix, usize, usize, LiveUnits, &mut Matrix),
-    ) {
-        const UNTOUCHED: f32 = 7.5;
-        const D_EMB: usize = 13; // one 8-, one 4- and one 1-wide tile of the column slice
-        let mut seed = 0x11FE_u64;
-        for (d_hidden, period) in [(96usize, 60usize), (96, 26), (40, 7), (33, 50), (8, 1)] {
-            let columns = period + 1;
-            let mut hidden = lcg_matrix(d_hidden, d_hidden, &mut seed);
-            let mut output = lcg_matrix(d_hidden, columns * D_EMB, &mut seed);
-            let (hidden_rule, output_rule) = (
-                MadeMask::Hidden { period },
-                MadeMask::Output {
-                    period,
-                    d_emb: D_EMB,
-                },
-            );
-            for h in 0..d_hidden {
-                for run in hidden_rule.forbidden_runs(h, d_hidden) {
-                    hidden.row_mut(h)[run].fill(0.0);
-                }
-                for run in output_rule.forbidden_runs(h, columns * D_EMB) {
-                    output.row_mut(h)[run].fill(0.0);
-                }
-            }
-            for rows in [1usize, 3, 4, 9] {
-                let a = lcg_matrix(rows, d_hidden, &mut seed);
-                for col in 0..columns {
-                    let what = format!("d_hidden {d_hidden} period {period} rows {rows} col {col}");
-                    let live = LiveUnits::new(period, col);
-                    let mut poisoned = a.clone();
-                    for r in 0..rows {
-                        for (u, v) in poisoned.row_mut(r).iter_mut().enumerate() {
-                            if !live.contains(u) {
-                                *v = f32::NAN;
-                            }
-                        }
-                    }
-                    for (before, align) in [(col.saturating_sub(1), 1), (col / 2, 4), (0, 8)] {
-                        for run in live.added_since(before, d_hidden, align) {
-                            let what = format!("{what}: run {run:?}");
-                            let mut dense = Matrix::zeros(rows, d_hidden);
-                            dense.data_mut().fill(UNTOUCHED);
-                            let mut restricted = dense.clone();
-                            units(&a, &hidden, run.clone(), LiveUnits::ALL, &mut dense);
-                            units(&poisoned, &hidden, run.clone(), live, &mut restricted);
-                            for r in 0..rows {
-                                for u in 0..d_hidden {
-                                    let (got, want) = (restricted.get(r, u), dense.get(r, u));
-                                    if !run.contains(&u) {
-                                        assert_eq!(got, UNTOUCHED, "{what}: unit ({r}, {u})");
-                                    } else if live.contains(u) {
-                                        assert_eq!(
-                                            got.to_bits(),
-                                            want.to_bits(),
-                                            "{what}: hidden unit ({r}, {u})"
-                                        );
-                                    } else {
-                                        assert!(!got.is_nan(), "{what}: dead read at ({r}, {u})");
-                                    }
-                                }
-                            }
-                        }
-                    }
-
-                    let (lo, hi) = (col * D_EMB, (col + 1) * D_EMB);
-                    let mut dense_ctx = Matrix::zeros(rows, D_EMB);
-                    col_range(&a, &output, lo, hi, LiveUnits::ALL, &mut dense_ctx);
-                    let mut ctx = Matrix::zeros(rows, D_EMB);
-                    ctx.data_mut().iter_mut().for_each(|v| *v = f32::NAN); // must be overwritten
-                    col_range(&poisoned, &output, lo, hi, live, &mut ctx);
-                    for (i, (x, y)) in dense_ctx.data().iter().zip(ctx.data()).enumerate() {
-                        assert_eq!(x.to_bits(), y.to_bits(), "{what}: context element {i}");
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::testing::lcg_matrix;
-    use super::*;
 
     fn approx_eq(a: &[f32], b: &[f32]) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-5)
@@ -1148,7 +1054,7 @@ mod tests {
                     let what = format!("{m}x{k}x{n}");
 
                     // dW += xᵀ · dy (batch = k innermost), x = `a` stored k×m.
-                    let a = testing::lcg_matrix_sparse(k, m, &mut seed);
+                    let a = lcg_matrix_sparse(k, m, &mut seed);
                     let b = lcg_matrix(k, n, &mut seed);
                     let start = lcg_matrix(m, n, &mut seed);
                     let mut naive = start.clone();
@@ -1183,7 +1089,7 @@ mod tests {
                     assert_bitwise_eq(&naive, &tiled, &format!("gemm_tn_acc {what}"));
 
                     // dctx_col = dlogits · E[..k]: the narrow tiles over a prefix of `b`.
-                    let a = testing::lcg_matrix_sparse(m, k, &mut seed);
+                    let a = lcg_matrix_sparse(m, k, &mut seed);
                     let b = lcg_matrix(k, n, &mut seed);
                     let mut naive = Matrix::zeros(m, n);
                     matmul(&a, &b, &mut naive);
@@ -1244,9 +1150,95 @@ mod tests {
         }
     }
 
+    /// The restricted kernels against their own dense instantiation, bit for bit, on
+    /// MADE-masked weights, for every column of every `(d_hidden, period)` layout: the
+    /// restricted call gets an `a` whose every entry outside the live set is NaN, so one
+    /// read of a dead unit shows up in a result.  The unit kernel runs over the runs a step
+    /// for the column computes (its units new since an earlier column, widened), against
+    /// its dense instantiation over the same run — the same register tiles — and must leave
+    /// every other column of `out` as it was.
     #[test]
     fn live_kernels_match_dense_bitwise_and_never_read_dead_units() {
-        testing::assert_live_kernels_match_dense(matmul_units_live, matmul_col_range_live);
+        const UNTOUCHED: f32 = 7.5;
+        const D_EMB: usize = 13; // one 8-, one 4- and one 1-wide tile of the column slice
+        let mut seed = 0x11FE_u64;
+        for (d_hidden, period) in [(96usize, 60usize), (96, 26), (40, 7), (33, 50), (8, 1)] {
+            let columns = period + 1;
+            let mut hidden = lcg_matrix(d_hidden, d_hidden, &mut seed);
+            let mut output = lcg_matrix(d_hidden, columns * D_EMB, &mut seed);
+            let (hidden_rule, output_rule) = (
+                MadeMask::Hidden { period },
+                MadeMask::Output {
+                    period,
+                    d_emb: D_EMB,
+                },
+            );
+            for h in 0..d_hidden {
+                for run in hidden_rule.forbidden_runs(h, d_hidden) {
+                    hidden.row_mut(h)[run].fill(0.0);
+                }
+                for run in output_rule.forbidden_runs(h, columns * D_EMB) {
+                    output.row_mut(h)[run].fill(0.0);
+                }
+            }
+            for rows in [1usize, 3, 4, 9] {
+                let a = lcg_matrix(rows, d_hidden, &mut seed);
+                for col in 0..columns {
+                    let what = format!("d_hidden {d_hidden} period {period} rows {rows} col {col}");
+                    let live = LiveUnits::new(period, col);
+                    let mut poisoned = a.clone();
+                    for r in 0..rows {
+                        for (u, v) in poisoned.row_mut(r).iter_mut().enumerate() {
+                            if !live.contains(u) {
+                                *v = f32::NAN;
+                            }
+                        }
+                    }
+                    for (before, align) in [(col.saturating_sub(1), 1), (col / 2, 4), (0, 8)] {
+                        for run in live.added_since(before, d_hidden, align) {
+                            let what = format!("{what}: run {run:?}");
+                            let mut dense = Matrix::zeros(rows, d_hidden);
+                            dense.data_mut().fill(UNTOUCHED);
+                            let mut restricted = dense.clone();
+                            matmul_units_live(&a, &hidden, run.clone(), LiveUnits::ALL, &mut dense);
+                            matmul_units_live(
+                                &poisoned,
+                                &hidden,
+                                run.clone(),
+                                live,
+                                &mut restricted,
+                            );
+                            for r in 0..rows {
+                                for u in 0..d_hidden {
+                                    let (got, want) = (restricted.get(r, u), dense.get(r, u));
+                                    if !run.contains(&u) {
+                                        assert_eq!(got, UNTOUCHED, "{what}: unit ({r}, {u})");
+                                    } else if live.contains(u) {
+                                        assert_eq!(
+                                            got.to_bits(),
+                                            want.to_bits(),
+                                            "{what}: hidden unit ({r}, {u})"
+                                        );
+                                    } else {
+                                        assert!(!got.is_nan(), "{what}: dead read at ({r}, {u})");
+                                    }
+                                }
+                            }
+                        }
+                    }
+
+                    let (lo, hi) = (col * D_EMB, (col + 1) * D_EMB);
+                    let mut dense_ctx = Matrix::zeros(rows, D_EMB);
+                    matmul_col_range_live(&a, &output, lo, hi, LiveUnits::ALL, &mut dense_ctx);
+                    let mut ctx = Matrix::zeros(rows, D_EMB);
+                    ctx.data_mut().iter_mut().for_each(|v| *v = f32::NAN); // must be overwritten
+                    matmul_col_range_live(&poisoned, &output, lo, hi, live, &mut ctx);
+                    for (i, (x, y)) in dense_ctx.data().iter().zip(ctx.data()).enumerate() {
+                        assert_eq!(x.to_bits(), y.to_bits(), "{what}: context element {i}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1380,7 +1372,7 @@ mod tests {
                 ),
             ] {
                 let k = 9;
-                let a = testing::lcg_matrix_sparse(k, m, &mut seed);
+                let a = lcg_matrix_sparse(k, m, &mut seed);
                 let b = lcg_matrix(k, n, &mut seed);
                 let start = lcg_matrix(m, n, &mut seed);
                 let mut dense = start.clone();

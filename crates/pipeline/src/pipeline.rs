@@ -28,7 +28,7 @@ use nc_serve::{
 };
 use nc_storage::Database;
 use neurocard::infer::SamplerScratch;
-use neurocard::{schema_fingerprint, ModelArtifact, Precision, PromotionRecord};
+use neurocard::{schema_fingerprint, ModelArtifact, PromotionRecord};
 use serde::Serialize;
 
 use crate::config::PipelineConfig;
@@ -280,7 +280,7 @@ impl<S: UpdateSource> Pipeline<S> {
         );
         let baseline = crate::drift::median_qerr(
             &oracle,
-            |q| lease.estimate(q, None, &mut scratch, Precision::Exact).ok(),
+            |q| lease.estimate(q, None, &mut scratch).ok(),
             &mut SamplerScratch::new(),
         );
         drop(lease);
@@ -365,7 +365,7 @@ impl<S: UpdateSource> Pipeline<S> {
         let (drift, _oracle) =
             self.detector
                 .check(&self.db, &self.schema, &self.config, step, |q| {
-                    incumbent.estimate(q, None, scratch, Precision::Exact).ok()
+                    incumbent.estimate(q, None, scratch).ok()
                 });
         observe(PipelineEvent::DriftChecked {
             step,

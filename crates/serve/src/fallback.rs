@@ -23,7 +23,7 @@ use std::sync::Arc;
 use nc_schema::{CompareOp, JoinSchema, Query};
 use nc_storage::{Database, Value};
 use neurocard::infer::SamplerScratch;
-use neurocard::{EstimateError, Precision};
+use neurocard::EstimateError;
 
 use crate::model::ServingEstimator;
 
@@ -141,7 +141,6 @@ impl ServingEstimator for StatsFallback {
         query: &Query,
         _samples: usize,
         _scratch: &mut SamplerScratch,
-        _precision: Precision,
     ) -> Result<f64, EstimateError> {
         if query.tables.is_empty() {
             return Err(EstimateError::InvalidQuery("query joins no tables".into()));
@@ -215,13 +214,9 @@ mod tests {
         (db, Arc::new(schema))
     }
 
-    /// Serves `query` at both precisions — the fallback has no fast tier, so the answers
-    /// must agree — and returns the shared result.
-    fn serve_both(fb: &StatsFallback, query: &Query) -> Result<f64, EstimateError> {
-        let mut scratch = SamplerScratch::new();
-        let exact = fb.serve(query, 1, &mut scratch, Precision::Exact);
-        assert_eq!(fb.serve(query, 1, &mut scratch, Precision::Fast), exact);
-        exact
+    /// Serves `query` with a fresh scratch.
+    fn estimate(fb: &StatsFallback, query: &Query) -> Result<f64, EstimateError> {
+        fb.serve(query, 1, &mut SamplerScratch::new())
     }
 
     #[test]
@@ -233,16 +228,16 @@ mod tests {
         assert!(fb.size_bytes() > 0);
 
         // Unfiltered single table: the exact row count.
-        let est = serve_both(&fb, &Query::join(&["A"])).unwrap();
+        let est = estimate(&fb, &Query::join(&["A"])).unwrap();
         assert_eq!(est, 100.0);
 
         // Unfiltered join: 100 * 50 / max(ndv 20, ndv 20) = 250.
-        let est = serve_both(&fb, &Query::join(&["A", "B"])).unwrap();
+        let est = estimate(&fb, &Query::join(&["A", "B"])).unwrap();
         assert_eq!(est, 250.0);
 
         // Equality on year (ndv 10): 100/10 = 10.
         let q = Query::join(&["A"]).filter("A", "year", Predicate::eq(1995i64));
-        assert_eq!(serve_both(&fb, &q).unwrap(), 10.0);
+        assert_eq!(estimate(&fb, &q).unwrap(), 10.0);
 
         // IN over the 4 tags scaled by the 90% non-null fraction.
         let q = Query::join(&["A"]).filter(
@@ -250,12 +245,12 @@ mod tests {
             "tag",
             Predicate::isin(vec![Value::from("t0"), Value::from("t1")]),
         );
-        let est = serve_both(&fb, &q).unwrap();
+        let est = estimate(&fb, &q).unwrap();
         assert!((est - 100.0 * (2.0 / 4.0) * 0.9).abs() < 1e-9, "got {est}");
 
         // Range on year interpolates within [1990, 1999].
         let q = Query::join(&["A"]).filter("A", "year", Predicate::le(1994i64));
-        let est = serve_both(&fb, &q).unwrap();
+        let est = estimate(&fb, &q).unwrap();
         assert!((20.0..60.0).contains(&est), "got {est}");
 
         // Estimates never go below one row.
@@ -263,7 +258,7 @@ mod tests {
             .filter("A", "year", Predicate::eq(1990i64))
             .filter("A", "id", Predicate::eq(0i64))
             .filter("A", "tag", Predicate::eq("t0"));
-        assert_eq!(serve_both(&fb, &q).unwrap(), 1.0);
+        assert_eq!(estimate(&fb, &q).unwrap(), 1.0);
     }
 
     #[test]
@@ -271,16 +266,16 @@ mod tests {
         let (db, schema) = fixture();
         let fb = StatsFallback::from_database(&db, schema);
         assert!(matches!(
-            serve_both(&fb, &Query::join(&["nope"])),
+            estimate(&fb, &Query::join(&["nope"])),
             Err(EstimateError::InvalidQuery(_))
         ));
         let q = Query::join(&["A"]).filter("A", "nope", Predicate::eq(1i64));
         assert!(matches!(
-            serve_both(&fb, &q),
+            estimate(&fb, &q),
             Err(EstimateError::UnknownColumn { .. })
         ));
         assert!(matches!(
-            serve_both(
+            estimate(
                 &fb,
                 &Query {
                     tables: vec![],

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use nc_baselines::CardinalityEstimator;
 use nc_schema::{JoinSchema, Query};
 use neurocard::infer::SamplerScratch;
-use neurocard::{EstimateError, EstimatorCore, Precision};
+use neurocard::{EstimateError, EstimatorCore};
 
 /// An estimator the registry can serve: object-safe, shareable across threads.
 pub trait ServingEstimator: Send + Sync {
@@ -25,15 +25,12 @@ pub trait ServingEstimator: Send + Sync {
 
     /// Answers one request.  `scratch` is a reusable workspace the caller checked out of
     /// a [`crate::ScratchPool`]; estimators with a zero-allocation fast path use it,
-    /// everyone else ignores it.  Estimators without a fast tier (the baselines, the
-    /// stats fallback) likewise ignore `precision` and serve exactly, so the knob
-    /// degrades gracefully across the whole model zoo.
+    /// everyone else ignores it.
     fn serve(
         &self,
         query: &Query,
         samples: usize,
         scratch: &mut SamplerScratch,
-        precision: Precision,
     ) -> Result<f64, EstimateError>;
 
     /// Approximate size of the model state in bytes (`0` if not materialised).
@@ -46,9 +43,8 @@ pub trait ServingEstimator: Send + Sync {
 const _: Option<&dyn ServingEstimator> = None;
 
 /// The scratch-pool fast path: an artifact-loaded NeuroCard core serves through
-/// [`EstimatorCore::try_estimate_with_samples_scratch_precision`], which performs no
-/// steady-state allocation and, on the exact tier, is bit-identical to sequential
-/// [`EstimatorCore::estimate`] calls.
+/// [`EstimatorCore::try_estimate`], which performs no steady-state allocation and is
+/// bit-identical to sequential [`EstimatorCore::estimate`] calls.
 impl ServingEstimator for EstimatorCore {
     fn name(&self) -> &str {
         "NeuroCard"
@@ -63,9 +59,8 @@ impl ServingEstimator for EstimatorCore {
         query: &Query,
         samples: usize,
         scratch: &mut SamplerScratch,
-        precision: Precision,
     ) -> Result<f64, EstimateError> {
-        self.try_estimate_with_samples_scratch_precision(query, samples, scratch, precision)
+        self.try_estimate(query, samples, scratch)
     }
 
     fn size_bytes(&self) -> usize {
@@ -76,9 +71,9 @@ impl ServingEstimator for EstimatorCore {
 /// Adapter that serves any [`CardinalityEstimator`] (the baselines of the paper's
 /// evaluation, or a `Box<dyn CardinalityEstimator + Send + Sync>`) through the registry.
 ///
-/// Baselines have no per-request sample budget, no scratch fast path and no fast tier —
-/// the `samples`, `scratch` and `precision` arguments are ignored.  When built [`BaselineModel::with_schema`], queries are
-/// validated first so malformed requests surface as typed
+/// Baselines have no per-request sample budget and no scratch fast path — the `samples`
+/// and `scratch` arguments are ignored.  When built [`BaselineModel::with_schema`], queries
+/// are validated first so malformed requests surface as typed
 /// [`EstimateError::InvalidQuery`] errors instead of whatever the estimator does with
 /// garbage (several baselines panic).
 pub struct BaselineModel<E> {
@@ -118,7 +113,6 @@ impl<E: CardinalityEstimator + Send + Sync> ServingEstimator for BaselineModel<E
         query: &Query,
         _samples: usize,
         _scratch: &mut SamplerScratch,
-        _precision: Precision,
     ) -> Result<f64, EstimateError> {
         if let Some(schema) = &self.schema {
             query
@@ -156,22 +150,19 @@ mod tests {
         assert_eq!(unchecked.default_samples(), 1);
         assert_eq!(unchecked.size_bytes(), 16);
         let checked = BaselineModel::with_schema(Fixed(7.0), schema);
-        // The baselines have no fast tier: both precisions give the same answers.
-        for precision in [Precision::Exact, Precision::Fast] {
-            assert_eq!(
-                unchecked.serve(&Query::join(&["A"]), 99, &mut scratch, precision),
-                Ok(42.0)
-            );
-            assert_eq!(
-                checked.serve(&Query::join(&["A", "B"]), 1, &mut scratch, precision),
-                Ok(7.0)
-            );
-            // Unknown table → typed error instead of a downstream panic.
-            assert!(matches!(
-                checked.serve(&Query::join(&["nope"]), 1, &mut scratch, precision),
-                Err(EstimateError::InvalidQuery(_))
-            ));
-        }
+        assert_eq!(
+            unchecked.serve(&Query::join(&["A"]), 99, &mut scratch),
+            Ok(42.0)
+        );
+        assert_eq!(
+            checked.serve(&Query::join(&["A", "B"]), 1, &mut scratch),
+            Ok(7.0)
+        );
+        // Unknown table → typed error instead of a downstream panic.
+        assert!(matches!(
+            checked.serve(&Query::join(&["nope"]), 1, &mut scratch),
+            Err(EstimateError::InvalidQuery(_))
+        ));
         // The adapter is registrable as a trait object.
         let _obj: Arc<dyn ServingEstimator> = Arc::new(BaselineModel::new(Fixed(1.0)));
     }

@@ -11,9 +11,9 @@
 //!
 //! ```text
 //! frame      u32 payload length (≤ MAX_FRAME_LEN), payload bytes
-//! request    0x01, selector, query, samples, [precision]
-//!            (precision byte 0x01 = fast tier, appended only when requested;
-//!            absent = exact, so pre-precision encodings stay byte-identical)
+//! request    0x01, selector, query, samples, [0x01]
+//!            (the optional 0x01 is an older client's fast-tier byte: accepted and
+//!            served like any request, never written)
 //! reply      0x02, key, estimate f64 bits as u64 (bit-exact across the wire),
 //!            degraded u8 (1 = served by the stats fallback, not a registered model)
 //! error      0x03, error code u8, error fields
@@ -38,7 +38,7 @@ use std::io::{Read, Write};
 use nc_schema::{CompareOp, Predicate, Query, TableFilter};
 use nc_storage::binio::{put_string, BinError, BinReader};
 use nc_storage::Value;
-use neurocard::{EstimateError, Precision};
+use neurocard::EstimateError;
 
 use crate::registry::{ModelKey, ModelSelector, ModelStats};
 use crate::ServeError;
@@ -52,32 +52,21 @@ pub struct ServeRequest {
     pub query: Query,
     /// Progressive-sample budget; `None` uses the selected model's default.
     pub samples: Option<usize>,
-    /// Which inference tier answers: [`Precision::Exact`] (the default — bit-identical to
-    /// direct core calls) or [`Precision::Fast`] (SIMD kernels over the same weights, gated
-    /// by the q-error-delta bound).  Estimators without a fast tier serve exactly either way.
-    pub precision: Precision,
 }
 
 impl ServeRequest {
-    /// A request with the model's default sample budget, served at [`Precision::Exact`].
+    /// A request with the model's default sample budget.
     pub fn new(selector: ModelSelector, query: Query) -> Self {
         ServeRequest {
             selector,
             query,
             samples: None,
-            precision: Precision::Exact,
         }
     }
 
     /// Sets an explicit sample budget (builder style).
     pub fn with_samples(mut self, samples: usize) -> Self {
         self.samples = Some(samples);
-        self
-    }
-
-    /// Selects the inference tier (builder style).
-    pub fn with_precision(mut self, precision: Precision) -> Self {
-        self.precision = precision;
         self
     }
 }
@@ -347,11 +336,6 @@ pub fn encode_request(request: &ServeRequest) -> Vec<u8> {
         }
         None => out.push(0),
     }
-    // Appended only for the fast tier: exact requests keep the pre-precision encoding
-    // byte-for-byte, so old clients and recorded frames stay valid.
-    if request.precision == Precision::Fast {
-        out.push(1);
-    }
     out
 }
 
@@ -371,14 +355,14 @@ pub fn decode_request(payload: &[u8]) -> Result<ServeRequest, ServeError> {
         }
         other => return Err(protocol_err(format!("bad samples-presence byte {other}"))),
     };
-    let precision = if r.is_empty() {
-        Precision::Exact
-    } else {
-        match r.u8().map_err(bin)? {
-            1 => Precision::Fast,
-            other => return Err(protocol_err(format!("bad precision byte {other}"))),
+    // An older client's trailing fast-tier byte: accepted, and the request is served like
+    // any other.  Any other byte there is garbage.
+    if !r.is_empty() {
+        let byte = r.u8().map_err(bin)?;
+        if byte != 1 {
+            return Err(protocol_err(format!("bad precision byte {byte}")));
         }
-    };
+    }
     if !r.is_empty() {
         return Err(protocol_err(format!(
             "{} trailing bytes after request",
@@ -389,7 +373,6 @@ pub fn decode_request(payload: &[u8]) -> Result<ServeRequest, ServeError> {
         selector,
         query,
         samples,
-        precision,
     })
 }
 
@@ -664,7 +647,6 @@ mod tests {
     fn request_round_trips() {
         let requests = [
             sample_request(),
-            sample_request().with_precision(Precision::Fast),
             ServeRequest::new(ModelSelector::latest(1, "m"), Query::join(&["t"])),
             ServeRequest::new(
                 ModelSelector::latest_for_schema(u64::MAX),
@@ -677,31 +659,20 @@ mod tests {
         }
     }
 
+    /// An older client's fast-tier frame is the request's frame plus one `0x01`: it
+    /// decodes to the very same request.  Any other trailing byte is a protocol error.
     #[test]
-    fn precision_byte_is_fast_only_and_backward_compatible() {
-        let exact = sample_request();
-        let fast = sample_request().with_precision(Precision::Fast);
-        let exact_bytes = encode_request(&exact);
-        let fast_bytes = encode_request(&fast);
-        // Exact requests keep the pre-precision encoding: the fast frame is the exact
-        // frame plus exactly one trailing tier byte.
-        assert_eq!(fast_bytes.len(), exact_bytes.len() + 1);
-        assert_eq!(&fast_bytes[..exact_bytes.len()], &exact_bytes[..]);
-        assert_eq!(
-            decode_request(&exact_bytes).unwrap().precision,
-            Precision::Exact
-        );
-        assert_eq!(
-            decode_request(&fast_bytes).unwrap().precision,
-            Precision::Fast
-        );
-        // Only 0x01 is a legal tier byte — anything else is trailing garbage.
-        let mut bad = exact_bytes.clone();
-        bad.push(2);
-        assert!(matches!(decode_request(&bad), Err(ServeError::Protocol(_))));
-        let mut extra = fast_bytes.clone();
-        extra.push(1);
-        assert!(decode_request(&extra).is_err());
+    fn legacy_fast_tier_byte_decodes_to_the_same_request() {
+        let request = sample_request();
+        let bytes = encode_request(&request);
+        let with = |tail: &[u8]| [&bytes[..], tail].concat();
+        assert_eq!(decode_request(&with(&[1])).unwrap(), request);
+        for tail in [&[2u8][..], &[1, 1]] {
+            assert!(matches!(
+                decode_request(&with(tail)),
+                Err(ServeError::Protocol(_))
+            ));
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use nc_schema::Query;
 use neurocard::infer::SamplerScratch;
-use neurocard::{schema_fingerprint, EstimateError, EstimatorCore, Precision};
+use neurocard::{schema_fingerprint, EstimateError, EstimatorCore};
 
 use crate::lockcheck;
 use crate::model::ServingEstimator;
@@ -320,17 +320,15 @@ impl ModelLease {
         &*self.slot.model
     }
 
-    /// Serves one query on the pinned model (`samples: None` uses the model's default);
-    /// models without a fast tier serve exactly whatever `precision` says.
+    /// Serves one query on the pinned model (`samples: None` uses the model's default).
     pub fn estimate(
         &self,
         query: &Query,
         samples: Option<usize>,
         scratch: &mut SamplerScratch,
-        precision: Precision,
     ) -> Result<f64, EstimateError> {
         let samples = samples.unwrap_or_else(|| self.slot.model.default_samples());
-        self.slot.model.serve(query, samples, scratch, precision)
+        self.slot.model.serve(query, samples, scratch)
     }
 }
 
@@ -607,7 +605,7 @@ impl ModelRegistry {
         };
         let started = Instant::now();
         let estimate = lease
-            .estimate(&request.query, request.samples, scratch, request.precision)
+            .estimate(&request.query, request.samples, scratch)
             .map_err(ServeError::Estimate)?;
         self.record_serve(lease.key(), started);
         Ok(ServeReply {
@@ -637,7 +635,7 @@ impl ModelRegistry {
             } => *schema_fingerprint,
         };
         let result = fallback
-            .serve(&request.query, samples, scratch, request.precision)
+            .serve(&request.query, samples, scratch)
             .map_err(ServeError::Estimate)
             .map(|estimate| {
                 self.inner.degraded.fetch_add(1, Ordering::Relaxed);
@@ -804,10 +802,7 @@ mod tests {
             (ModelSelector::Exact(k3.clone()), 3.0),
         ] {
             let lease = registry.acquire(&selector).unwrap();
-            assert_eq!(
-                lease.estimate(&q(), None, &mut scratch, Precision::Exact),
-                Ok(want)
-            );
+            assert_eq!(lease.estimate(&q(), None, &mut scratch), Ok(want));
         }
         // Anonymous latest picks the most recently *published* model for the schema.
         let lease = registry
@@ -853,14 +848,8 @@ mod tests {
         // New acquires see v2; the held lease still serves v1.
         let lease_v2 = registry.acquire(&ModelSelector::latest(1, "m")).unwrap();
         assert_eq!(lease_v2.key().version, 2);
-        assert_eq!(
-            lease_v2.estimate(&q(), None, &mut scratch, Precision::Exact),
-            Ok(20.0)
-        );
-        assert_eq!(
-            lease_v1.estimate(&q(), None, &mut scratch, Precision::Exact),
-            Ok(10.0)
-        );
+        assert_eq!(lease_v2.estimate(&q(), None, &mut scratch), Ok(20.0));
+        assert_eq!(lease_v1.estimate(&q(), None, &mut scratch), Ok(10.0));
 
         // Exact requests for the superseded version are told about the swap.
         assert_eq!(
@@ -978,10 +967,7 @@ mod tests {
         let lease = restarted
             .acquire(&ModelSelector::Exact(live.clone()))
             .unwrap();
-        assert_eq!(
-            lease.estimate(&q(), None, &mut scratch, Precision::Exact),
-            Ok(2.0)
-        );
+        assert_eq!(lease.estimate(&q(), None, &mut scratch), Ok(2.0));
         drop(lease);
 
         // ...double restore is rejected, and the next swap continues the sequence.
