@@ -5,7 +5,7 @@ use serde::{Deserialize, Serialize};
 /// Configuration of a [`crate::NeuroCard`] estimator.
 ///
 /// Defaults are scaled for the synthetic workloads of this reproduction (thousands of base
-/// rows, one CPU core); the paper's configurations on the real IMDB data use the same
+/// rows, a few CPU cores); the paper's configurations on the real IMDB data use the same
 /// structure with larger values (e.g. 7M training tuples, dff 128, demb 16–64).
 ///
 /// The config round-trips through JSON (it is the `config` section of a

@@ -43,7 +43,8 @@ pub struct EstimatorStats {
     pub prepare_time: Duration,
     /// Wall-clock time spent sampling training tuples.
     pub sampling_time: Duration,
-    /// Wall-clock time spent on gradient computation.
+    /// Wall-clock time spent on gradient computation (wall time across the training
+    /// step's lanes, not CPU time).
     pub training_time: Duration,
     /// Total training tuples consumed.
     pub tuples_trained: usize,

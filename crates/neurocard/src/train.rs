@@ -110,7 +110,9 @@ pub struct TrainProgress {
     /// `sampling_time + training_time` is the pipeline's critical path, not the total
     /// sampling work.
     pub sampling_time: Duration,
-    /// Wall-clock time spent in forward/backward/optimizer work.
+    /// Wall-clock time spent in forward/backward/optimizer work.  A step runs in lanes
+    /// across the cores ([`ResMade::forward_backward`]), so this is wall time across the
+    /// lanes, not CPU time.
     pub training_time: Duration,
 }
 
@@ -138,9 +140,14 @@ pub struct Trainer {
     inputs: Vec<u32>,
     config: NeuroCardConfig,
     tuples_trained: usize,
-    /// Monotonic batch index; together with `config.seed` it determines every batch's
-    /// RNG streams, across `train_tuples` calls and source swaps.
+    /// The next batch index to submit; together with `config.seed` it determines every
+    /// batch's RNG streams, across `train_tuples` calls and source swaps.
     batch_counter: u64,
+    /// Pool tickets in flight, oldest first, each with its batch's size.  They outlive a
+    /// `train_tuples` call — the next call's first batch is sampled while this call's last
+    /// one trains — and are dropped, their batch indices handed back to `batch_counter`,
+    /// when the call that reaches them wants another size or the source changes.
+    pending: VecDeque<(usize, BatchTicket)>,
 }
 
 impl Trainer {
@@ -176,6 +183,7 @@ impl Trainer {
             config,
             tuples_trained: 0,
             batch_counter: 0,
+            pending: VecDeque::new(),
         }
     }
 
@@ -197,10 +205,21 @@ impl Trainer {
     /// Replaces the training source (used by the update strategies of §7.6: after a new
     /// partition is ingested, fresh samples must come from the new snapshot).  The worker
     /// pool is rebuilt over the new source; the batch counter keeps advancing, so streams
-    /// never repeat across the swap.
+    /// never repeat across the swap.  A batch the old pool was preparing is dropped and its
+    /// index reused, so the first batch after the swap comes from the new snapshot.
     pub fn set_source(&mut self, source: TrainingSource) {
+        self.drop_pending_from(0);
         let db = source.database().clone();
         self.batches = Batches::new(source, db, &self.encoded, &self.config);
+    }
+
+    /// Drops every ticket in flight from the `keep`-th on and hands their batch indices
+    /// back: the next submission reuses the first of them.
+    fn drop_pending_from(&mut self, keep: usize) {
+        if let Some((_, ticket)) = self.pending.get(keep) {
+            self.batch_counter = ticket.batch_index();
+        }
+        self.pending.truncate(keep);
     }
 
     /// Streams `tuples` training tuples through the model (maximum-likelihood steps with
@@ -208,7 +227,10 @@ impl Trainer {
     ///
     /// With an unbiased source, sampling and encoding run on the persistent worker pool
     /// with `config.prefetch_depth` batches kept in flight ahead of the one being trained
-    /// on; the biased ablation source samples serially on the trainer thread.
+    /// on — past the end of the call too, at the full batch size, so the next call's first
+    /// batch is ready when it starts (a call that starts with another size drops those
+    /// tickets and resubmits their batch indices); the biased ablation source samples
+    /// serially on the trainer thread.
     pub fn train_tuples(&mut self, tuples: usize) -> TrainProgress {
         let mut progress = TrainProgress::empty(tuples);
         if tuples == 0 {
@@ -221,10 +243,18 @@ impl Trainer {
         if !tuples.is_multiple_of(batch_size) {
             sizes.push(tuples % batch_size);
         }
-        // Pool tickets in flight, consumed in submission order, and the next size to
-        // submit.
-        let mut pending: VecDeque<BatchTicket> = VecDeque::new();
-        let mut next = 0usize;
+        // Tickets left in flight by the last call are for this call's first batches if
+        // their sizes match; the first that does not match is dropped with all after it.
+        let planned = |batch: usize| sizes.get(batch).copied().unwrap_or(batch_size);
+        let keep = self
+            .pending
+            .iter()
+            .enumerate()
+            .take_while(|&(batch, (rows, _))| *rows == planned(batch))
+            .count();
+        self.drop_pending_from(keep);
+        // The next planned size to submit.
+        let mut next = self.pending.len();
         // Every activation and gradient buffer of a step, allocated by the first batch and
         // reused by the rest.  It lives for this call only: held any longer — by the
         // trainer, let alone by the model every serving core clones — its ≈ 2 MB would sit
@@ -239,12 +269,14 @@ impl Trainer {
             let t0 = Instant::now();
             let targets = match &self.batches {
                 Batches::Pool(pool) => {
-                    while pending.len() <= self.config.prefetch_depth && next < sizes.len() {
-                        pending.push_back(pool.submit_indexed(self.batch_counter, sizes[next]));
+                    while self.pending.len() <= self.config.prefetch_depth {
+                        let rows = planned(next);
+                        let ticket = pool.submit_indexed(self.batch_counter, rows);
+                        self.pending.push_back((rows, ticket));
                         self.batch_counter += 1;
                         next += 1;
                     }
-                    let ticket = pending.pop_front().expect("a ticket is always in flight");
+                    let (_, ticket) = self.pending.pop_front().expect("a ticket is in flight");
                     ticket.wait().into_encoded()
                 }
                 Batches::Serial { sampler, db } => {
@@ -409,6 +441,34 @@ mod tests {
                 train_model_bytes(2, depth, 600),
                 "prefetch depth {depth} changed the trained model"
             );
+        }
+    }
+
+    /// A ticket kept in flight across `train_tuples` calls changes nothing: calls of 320,
+    /// 40 and 320 tuples (the 40-tuple batch has another size than the ticket the first
+    /// call left in flight, which is dropped and its index resubmitted) and a source swap
+    /// train the same model at prefetch depths 0 (nothing in flight between calls), 1
+    /// and 2.
+    #[test]
+    fn tickets_in_flight_across_calls_never_change_the_trained_model() {
+        let train = |depth: usize| {
+            let (db, schema) = tiny();
+            let enc = encoded(&db, &schema);
+            let sampler = || TrainingSource::Unbiased(JoinSampler::new(db.clone(), schema.clone()));
+            let mut config = NeuroCardConfig::tiny();
+            config.sampler_threads = 2;
+            config.prefetch_depth = depth;
+            let mut trainer = Trainer::new(db.clone(), enc, sampler(), config);
+            for tuples in [320, 40, 320] {
+                trainer.train_tuples(tuples);
+            }
+            trainer.set_source(sampler());
+            trainer.train_tuples(128);
+            nc_nn::serialize::model_to_bytes(&trainer.into_model())
+        };
+        let base = train(0);
+        for depth in [1usize, 2] {
+            assert_eq!(base, train(depth), "prefetch depth {depth}");
         }
     }
 

@@ -1,10 +1,13 @@
 //! Trainable layers: parameters, (masked) linear layers, embeddings, ReLU.
 
+use std::ops::Range;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::tensor::{
-    add_bias, column_sums_accumulate, gemm_tn_acc, matmul_blocked, transpose_into, MadeMask, Matrix,
+    add_bias, column_sums_accumulate, gemm_tn_acc, gemm_tn_acc_rows, matmul_blocked,
+    transpose_into, MadeMask, Matrix,
 };
 
 /// A trainable parameter tensor: value and accumulated gradient of identical shape.
@@ -79,19 +82,6 @@ impl Linear {
     /// product over the layer's outputs it always was; that the row kernel skips
     /// `dy == 0.0` drops only `±0.0` terms while the weights are finite.
     pub fn backward(&mut self, x: &Matrix, dy: &Matrix, dx: &mut Matrix, wt: &mut Matrix) {
-        self.backward_under(None, x, dy, dx, wt);
-    }
-
-    /// [`Linear::backward`] for a weight under `mask`: `dW` tiles the rule forbids
-    /// entirely are not computed.
-    fn backward_under(
-        &mut self,
-        mask: Option<MadeMask>,
-        x: &Matrix,
-        dy: &Matrix,
-        dx: &mut Matrix,
-        wt: &mut Matrix,
-    ) {
         let Param { value, grad } = &mut self.weight;
         let (in_dim, out_dim) = (value.rows(), value.cols());
         assert_eq!(x.rows(), dy.rows(), "outer (batch) dimensions must agree");
@@ -102,10 +92,10 @@ impl Linear {
             out_dim,
             x.data(),
             dy.data(),
-            mask,
+            None,
             grad.data_mut(),
         );
-        column_sums_accumulate(dy, self.bias.grad.row_mut(0));
+        column_sums_accumulate(dy, 0..out_dim, self.bias.grad.row_mut(0));
         transpose_into(in_dim, out_dim, value.data(), wt);
         matmul_blocked(dy, wt, dx);
     }
@@ -137,7 +127,7 @@ impl MaskedLinear {
     /// autoregressive property holds from step zero.
     pub fn new(in_dim: usize, out_dim: usize, mask: MadeMask, rng: &mut StdRng) -> Self {
         let mut inner = Linear::new(in_dim, out_dim, rng);
-        zero_forbidden(&mut inner.weight.value, mask);
+        zero_forbidden(inner.weight.value.data_mut(), out_dim, 0..in_dim, mask);
         MaskedLinear { inner, mask }
     }
 
@@ -151,21 +141,27 @@ impl MaskedLinear {
         self.inner.forward(x, out);
     }
 
-    /// Backward pass; gradients of masked weights are forced to zero so the optimizer can
-    /// never resurrect a forbidden connection.
-    ///
-    /// The dense-matrix masks this replaced multiplied every gradient by its 0/1 entry.
-    /// No bit of a trained model moved with them: an allowed gradient was `g · 1.0 = g`;
-    /// a forbidden one was `g · 0.0 = ±0.0` and is now `+0.0`, and Adam maps both to
-    /// `m = +0.0` (`β₁·(+0.0) + (1−β₁)·(−0.0) = +0.0`), `v = +0.0` and `w −= +0.0`.  Only
-    /// a diverged run differs: a non-finite gradient used to leak `NaN · 0.0 = NaN` into
-    /// a masked weight, and now cannot.
-    ///
-    /// Since the forbidden gradients are discarded here, the `dW` product does not compute
-    /// the register tiles that hold nothing else ([`gemm_tn_acc`] under the rule).
-    pub fn backward(&mut self, x: &Matrix, dy: &Matrix, dx: &mut Matrix, wt: &mut Matrix) {
-        self.inner.backward_under(Some(self.mask), x, dy, dx, wt);
-        zero_forbidden(&mut self.inner.weight.grad, self.mask);
+    /// `Wᵀ` into `wt` (resized; its allocation reused): the operand of
+    /// [`MaskedLinear::backward_dx`], transposed once per step and read by every lane.
+    pub fn transpose_weight(&self, wt: &mut Matrix) {
+        let value = &self.inner.weight.value;
+        transpose_into(value.rows(), value.cols(), value.data(), wt);
+    }
+
+    /// The `dx` half of the backward pass: overwrites `dx = dy·Wᵀ`, where `wt` holds this
+    /// layer's `Wᵀ` ([`MaskedLinear::transpose_weight`]) — [`matmul_blocked`] over it, so
+    /// each row of `dx` depends on the same row of `dy` only.  Each `dx` element is the
+    /// ascending dot product over the layer's outputs it always was; that the row kernel
+    /// skips `dy == 0.0` drops only `±0.0` terms while the weights are finite.  The other
+    /// half is [`weight_grad_rows`] and the bias's column sums.
+    pub fn backward_dx(&self, dy: &Matrix, wt: &Matrix, dx: &mut Matrix) {
+        let value = &self.inner.weight.value;
+        assert_eq!(
+            (wt.rows(), wt.cols()),
+            (value.cols(), value.rows()),
+            "wt must be this layer's transposed weight"
+        );
+        matmul_blocked(dy, wt, dx);
     }
 
     /// Total number of scalar parameters (counting masked entries, as the dense storage
@@ -185,13 +181,54 @@ impl MaskedLinear {
     }
 }
 
-/// Writes `+0.0` into every entry of `m` that `mask` forbids, row by row over the rule's
-/// runs.
-fn zero_forbidden(m: &mut Matrix, mask: MadeMask) {
-    let cols = m.cols();
-    for i in 0..m.rows() {
-        let row = m.row_mut(i);
-        for run in mask.forbidden_runs(i, cols) {
+/// The `dW` half of a masked layer's backward pass, over the gradient rows `rows` of a
+/// weight under `mask`: `grad` (those rows only, row-major) `+= xᵀ·dy` over a batch given
+/// as row chunks in batch order — `(x, dy)` per chunk — and then `+0.0` over every entry
+/// the rule forbids, so the optimizer can never resurrect a forbidden connection.
+///
+/// Each element is one ascending-batch-row chain however the batch is chunked
+/// ([`gemm_tn_acc_rows`] resumes it from `grad`), so callers that own disjoint row ranges
+/// of one gradient compute it together, bit for bit.  The forbidden entries are
+/// discarded, so the product skips the register tiles that hold nothing else.
+///
+/// The dense-matrix masks the rule replaced multiplied every gradient by its 0/1 entry.
+/// No bit of a trained model moved with them: an allowed gradient was `g · 1.0 = g`; a
+/// forbidden one was `g · 0.0 = ±0.0` and is now `+0.0`, and Adam maps both to `m = +0.0`
+/// (`β₁·(+0.0) + (1−β₁)·(−0.0) = +0.0`), `v = +0.0` and `w −= +0.0`.  Only a diverged run
+/// differs: a non-finite gradient used to leak `NaN · 0.0 = NaN` into a masked weight, and
+/// now cannot.
+pub fn weight_grad_rows<'a>(
+    mask: MadeMask,
+    batch: impl IntoIterator<Item = (&'a Matrix, &'a Matrix)>,
+    rows: Range<usize>,
+    grad: &mut [f32],
+) {
+    let mut width = None;
+    for (x, dy) in batch {
+        assert_eq!(x.rows(), dy.rows(), "outer (batch) dimensions must agree");
+        let (in_dim, out_dim) = (x.cols(), dy.cols());
+        gemm_tn_acc_rows(
+            x.rows(),
+            in_dim,
+            out_dim,
+            x.data(),
+            dy.data(),
+            Some(mask),
+            rows.clone(),
+            grad,
+        );
+        width = Some(out_dim);
+    }
+    if let Some(width) = width {
+        zero_forbidden(grad, width, rows, mask);
+    }
+}
+
+/// Writes `+0.0` into every entry `mask` forbids in the rows `rows` of a `· × width`
+/// matrix, given as those rows only (`data`), row by row over the rule's runs.
+fn zero_forbidden(data: &mut [f32], width: usize, rows: Range<usize>, mask: MadeMask) {
+    for (i, row) in rows.zip(data.chunks_exact_mut(width.max(1))) {
+        for run in mask.forbidden_runs(i, width) {
             row[run].fill(0.0);
         }
     }
@@ -331,10 +368,26 @@ mod tests {
         let mut y = Matrix::zeros(1, 2);
         layer.forward(&x, &mut y);
         let dy = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
+        let mut wt = Matrix::zeros(0, 0);
+        layer.transpose_weight(&mut wt);
         let mut dx = Matrix::zeros(1, 2);
-        layer.backward(&x, &dy, &mut dx, &mut Matrix::zeros(0, 0));
+        layer.backward_dx(&dy, &wt, &mut dx);
+        assert_eq!(
+            dx.data(),
+            &[
+                layer.inner.weight.value.get(0, 0) + layer.inner.weight.value.get(0, 1),
+                layer.inner.weight.value.get(1, 1)
+            ]
+        );
+        let mask = layer.mask();
+        let grad = layer.inner.weight.grad.data_mut();
+        // Row 1 alone, from a batch in two chunks (the second empty), then row 0.
+        let empty = Matrix::zeros(0, 2);
+        weight_grad_rows(mask, [(&x, &dy), (&empty, &empty)], 1..2, &mut grad[2..]);
+        weight_grad_rows(mask, [(&x, &dy)], 0..1, &mut grad[..2]);
         // Gradient of the masked weight is forced to zero.
         assert_eq!(layer.inner.weight.grad.get(1, 0), 0.0);
+        assert_eq!(layer.inner.weight.grad.get(1, 1), 1.0);
         assert_ne!(layer.inner.weight.grad.get(0, 0), 0.0);
     }
 

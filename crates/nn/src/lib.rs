@@ -28,10 +28,13 @@
 //! * [`serialize`] / [`artifact`] — flat binary save/load of model parameters and the
 //!   checksummed section container model artifacts are written in.
 //!
-//! Everything is deterministic given a seed.  The crate spawns no threads: training is
-//! scalar on the caller's thread (the model holds no scratch — it is what serving cores
-//! clone — so the trainer brings a [`TrainScratch`]), and callers that want parallel
-//! inference run one [`InferenceScratch`] per thread over a shared model.
+//! Everything is deterministic given a seed.  A training step runs in lanes, one per core
+//! the process may run on: scoped threads of [`ResMade::forward_backward`] that own
+//! disjoint output elements of every product, so the trained weights are the same bits at
+//! any lane count, and no thread outlives the call (the model holds no scratch — it is
+//! what serving cores clone — so the trainer brings a [`TrainScratch`]).  Inference
+//! spawns nothing: callers that want it parallel run one [`InferenceScratch`] per thread
+//! over a shared model.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(

@@ -12,13 +12,28 @@ use crate::tensor::Matrix;
 ///
 /// Returns the mean negative log-likelihood in nats.
 pub fn softmax_cross_entropy(logits: &Matrix, targets: &[u32], dlogits: &mut Matrix) -> f32 {
+    let scale = 1.0 / logits.rows().max(1) as f32;
+    let mut total_loss = 0.0f64;
+    softmax_cross_entropy_rows(logits, targets, scale, &mut total_loss, dlogits);
+    (total_loss * f64::from(scale)) as f32
+}
+
+/// [`softmax_cross_entropy`] over a chunk of the rows of a larger batch: `scale` is one
+/// over the whole batch's size, and each row's negative log-likelihood is added to
+/// `total_loss`, which the caller carries from chunk to chunk in row order and finally
+/// multiplies by `scale` — the one f64 chain the whole batch in one call would add.
+pub(crate) fn softmax_cross_entropy_rows(
+    logits: &Matrix,
+    targets: &[u32],
+    scale: f32,
+    total_loss: &mut f64,
+    dlogits: &mut Matrix,
+) {
     assert_eq!(logits.rows(), targets.len());
     assert_eq!(logits.rows(), dlogits.rows());
     assert_eq!(logits.cols(), dlogits.cols());
     let batch = logits.rows();
     let domain = logits.cols();
-    let scale = 1.0 / batch.max(1) as f32;
-    let mut total_loss = 0.0f64;
     #[expect(
         clippy::needless_range_loop,
         reason = "`b` walks three parallel buffers (logits, targets, dlogits), not `targets` alone"
@@ -34,14 +49,13 @@ pub fn softmax_cross_entropy(logits: &Matrix, targets: &[u32], dlogits: &mut Mat
             sum_exp += (v - max).exp();
         }
         let log_z = max + sum_exp.ln();
-        total_loss += f64::from(log_z - row[target]);
+        *total_loss += f64::from(log_z - row[target]);
         let drow = dlogits.row_mut(b);
         for (j, d) in drow.iter_mut().enumerate() {
             let p = (row[j] - log_z).exp();
             *d = scale * (p - if j == target { 1.0 } else { 0.0 });
         }
     }
-    (total_loss * f64::from(scale)) as f32
 }
 
 /// Row-wise softmax probabilities (used at inference time by progressive sampling).
@@ -148,6 +162,33 @@ mod tests {
         for (a, b) in fresh.data().iter().zip(reused.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
+    }
+
+    #[test]
+    fn row_chunks_continue_one_loss_chain() {
+        let data = (0..7 * 5)
+            .map(|i| ((i * 37 % 11) as f32 - 5.0) * 0.7)
+            .collect();
+        let logits = Matrix::from_vec(7, 5, data);
+        let targets = [0u32, 4, 2, 2, 1, 3, 0];
+        let mut whole = Matrix::zeros(7, 5);
+        let loss = softmax_cross_entropy(&logits, &targets, &mut whole);
+        let scale = 1.0 / 7.0;
+        let mut total = 0.0f64;
+        for rows in [0..3usize, 3..3, 3..7] {
+            let chunk = Matrix::from_vec(
+                rows.len(),
+                5,
+                logits.data()[rows.start * 5..rows.end * 5].to_vec(),
+            );
+            let mut d = Matrix::zeros(rows.len(), 5);
+            softmax_cross_entropy_rows(&chunk, &targets[rows.clone()], scale, &mut total, &mut d);
+            assert_eq!(d.data(), &whole.data()[rows.start * 5..rows.end * 5]);
+        }
+        assert_eq!(
+            ((total * f64::from(scale)) as f32).to_bits(),
+            loss.to_bits()
+        );
     }
 
     #[test]

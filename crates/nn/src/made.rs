@@ -16,13 +16,18 @@
 //! extra MASK token per column: during training inputs are randomly replaced by MASK, and
 //! at inference MASK is fed for every unconstrained column.
 
+use std::cmp::Reverse;
 use std::ops::Range;
+use std::sync::OnceLock;
+use std::thread;
 
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::layers::{relu, relu_backward, seeded_rng, Embedding, MaskedLinear, Param};
-use crate::loss::{softmax_cross_entropy, softmax_rows, softmax_rows_into};
+use crate::layers::{
+    relu, relu_backward, seeded_rng, weight_grad_rows, Embedding, Linear, MaskedLinear, Param,
+};
+use crate::loss::{softmax_cross_entropy_rows, softmax_rows, softmax_rows_into};
 use crate::tensor::{
     add_bias, column_sums_accumulate, gemm_narrow, gemm_nt, gemm_tn_acc, matmul, matmul_blocked,
     matmul_blocked_acc, matmul_col_range_live, matmul_units_live, transpose_into, LiveUnits,
@@ -251,29 +256,28 @@ impl ResMade {
         }
     }
 
+    /// The trunk's masked layers in order — the input layer, each residual block's two, the
+    /// output layer — as [`ResMade::params`] lists them; a training step numbers them so.
+    fn layers(&self) -> impl Iterator<Item = &MaskedLinear> {
+        std::iter::once(&self.input_layer)
+            .chain(self.blocks.iter().flat_map(|(a, b)| [a, b]))
+            .chain(std::iter::once(&self.output_layer))
+    }
+
     /// The training forward's trunk (hidden stack → per-column context vectors) over the
-    /// embedded batch `s.x`, every activation the backward pass needs kept in `s`.
-    fn forward_trunk(&self, s: &mut TrainScratch) {
-        let batch = s.x.rows();
-        let h_dim = self.config.d_hidden;
-        s.hiddens
-            .resize_with(self.blocks.len() + 1, Matrix::default);
-        s.block_acts
-            .resize_with(self.blocks.len(), Default::default);
-        s.hiddens[0].resize(batch, h_dim);
-        self.input_layer.forward(&s.x, &mut s.hiddens[0]);
-        relu(&mut s.hiddens[0]);
+    /// embedded rows `r.x`, every activation the backward pass needs kept in `r` (shaped
+    /// by [`LaneRows::shape`]).
+    fn forward_trunk(&self, r: &mut LaneRows) {
+        self.input_layer.forward(&r.x, &mut r.hiddens[0]);
+        relu(&mut r.hiddens[0]);
         for (i, (w1, w2)) in self.blocks.iter().enumerate() {
-            let (before, after) = s.hiddens.split_at_mut(i + 1);
+            let (before, after) = r.hiddens.split_at_mut(i + 1);
             let (h_prev, h_next) = (&before[i], &mut after[0]);
-            let (a, b) = &mut s.block_acts[i];
-            a.resize(batch, h_dim);
+            let (a, b) = &mut r.block_acts[i];
             w1.forward(h_prev, a);
             relu(a);
-            b.resize(batch, h_dim);
             w2.forward(a, b);
             relu(b);
-            h_next.resize(batch, h_dim);
             for ((o, p), v) in h_next
                 .data_mut()
                 .iter_mut()
@@ -283,9 +287,43 @@ impl ResMade {
                 *o = p + v;
             }
         }
-        s.ctx.resize(batch, self.num_columns() * self.config.d_emb);
         self.output_layer
-            .forward(s.hiddens.last().expect("non-empty"), &mut s.ctx);
+            .forward(r.hiddens.last().expect("non-empty"), &mut r.ctx);
+    }
+
+    /// The `dx` chain of the backward pass over one lane's rows: from the context gradient
+    /// (column after column in `dctx`, whose rows `r` copies over its context vectors) down
+    /// to the embedded inputs' gradient `r.dx`, each layer's `dy` kept in `r` for the
+    /// weight gradients; `wts[l]` is the transposed weight of layer `l` of
+    /// [`ResMade::layers`].  Every product is row-local.
+    fn backward_rows(&self, r: &mut LaneRows, dctx: &Matrix, wts: &[Matrix]) {
+        let (rows, d) = (r.x.rows(), self.config.d_emb);
+        for (col, column) in dctx.data().chunks_exact(dctx.cols()).enumerate() {
+            let column = &column[r.start * d..(r.start + rows) * d];
+            for (b, slice) in column.chunks_exact(d).enumerate() {
+                r.ctx.row_mut(b)[col * d..(col + 1) * d].copy_from_slice(slice);
+            }
+        }
+        self.output_layer
+            .backward_dx(&r.ctx, &wts[wts.len() - 1], &mut r.dh);
+        for (i, (w1, w2)) in self.blocks.iter().enumerate().rev() {
+            let (a, b) = &mut r.block_acts[i];
+            let da = &mut r.block_grads[i];
+            // dh splits into the identity path (stays dh) and the branch path through b,
+            // whose gradient overwrites b: what `relu_backward(b, dh)` would leave in a copy
+            // of dh.
+            for (v, &g) in b.data_mut().iter_mut().zip(r.dh.data()) {
+                *v = if *v == 0.0 { 0.0 } else { g };
+            }
+            w2.backward_dx(b, &wts[2 + 2 * i], da);
+            relu_backward(a, da);
+            w1.backward_dx(da, &wts[1 + 2 * i], &mut r.dh_branch);
+            for (o, v) in r.dh.data_mut().iter_mut().zip(r.dh_branch.data()) {
+                *o += v;
+            }
+        }
+        relu_backward(&r.hiddens[0], &mut r.dh);
+        self.input_layer.backward_dx(&r.dh, &wts[0], &mut r.dx);
     }
 
     /// One maximum-likelihood training step on a batch, both token buffers flat row-major
@@ -298,16 +336,38 @@ impl ResMade {
     /// Gradients are *accumulated* into the parameters; the caller applies an optimizer
     /// step afterwards.  Returns the mean negative log-likelihood (nats per tuple).
     ///
+    /// The step runs in **lanes**, one per core this process may run on, as long as each
+    /// gets a few rows of the batch; nobody configures them.  Lanes are scoped threads of
+    /// this call (the calling thread is the first) and own disjoint output elements of
+    /// every product, in four phases — forward by batch rows, the per-column heads by whole
+    /// columns, the `dx` chain by batch rows, the weight gradients by gradient rows and
+    /// columns — so every element gets exactly the chain of f32 additions one lane gives
+    /// it: the trained weights do not depend on the lane count
+    /// (`trained_weights_are_pinned*`, at 1, 2 and 3 lanes).  A panic in any lane (a token
+    /// outside its domain) is re-raised on the calling thread once every lane has stopped.
+    ///
     /// Every activation and gradient lives in `scratch`, which adapts to the batch it is
-    /// given: once it has seen the largest batch, a step allocates nothing.  The six
-    /// matrix products run on the register-blocked kernels of [`crate::tensor`], each of
-    /// which keeps the per-element accumulation order of the naive loop it replaced — a
-    /// trained weight does not depend on the blocking (`trained_weights_are_pinned*`).
+    /// given: once it has seen the largest batch, no step grows a buffer.  The matrix
+    /// products run on the register-blocked kernels of [`crate::tensor`], each of which
+    /// keeps the per-element accumulation order of the naive loop it replaced — a trained
+    /// weight does not depend on the blocking either.
     pub fn forward_backward(
         &mut self,
         inputs: &[u32],
         targets: &[u32],
         scratch: &mut TrainScratch,
+    ) -> f32 {
+        let lanes = lanes_for(inputs.len() / self.num_columns());
+        self.forward_backward_in(inputs, targets, scratch, lanes)
+    }
+
+    /// [`ResMade::forward_backward`] in `lanes` lanes.
+    pub(crate) fn forward_backward_in(
+        &mut self,
+        inputs: &[u32],
+        targets: &[u32],
+        scratch: &mut TrainScratch,
+        lanes: usize,
     ) -> f32 {
         assert_eq!(inputs.len(), targets.len());
         assert!(!inputs.is_empty(), "cannot train on an empty batch");
@@ -315,116 +375,139 @@ impl ResMade {
             self.input_layer.inner.weight.grad.rows() > 0,
             "this model's gradient buffers were released; it can only be evaluated"
         );
+        assert!(lanes >= 1, "a step needs a lane");
         let n = self.num_columns();
+        assert_eq!(
+            inputs.len() % n,
+            0,
+            "flat token buffer length must be a multiple of the column count"
+        );
+        let batch = inputs.len() / n;
         let d = self.config.d_emb;
-        let h_dim = self.config.d_hidden;
+        // Every buffer gets its shape here, on the calling thread: no lane allocates, so
+        // no lane's thread leaves memory behind in a malloc arena of its own.
+        scratch.shape(self, batch, lanes);
+        let TrainScratch {
+            rows,
+            heads,
+            wts,
+            dctx,
+            losses,
+        } = scratch;
+        let rows = &mut rows[..lanes];
 
-        self.embed_flat_into(inputs, &mut scratch.x);
-        let batch = scratch.x.rows();
-        self.forward_trunk(scratch);
+        // 1. Forward, by batch rows: each lane embeds and runs the whole trunk on its own
+        //    rows.  Beside it, each layer's `Wᵀ` for the `dx` chain, dealt out by size.
+        let transposes = deal(
+            lanes,
+            self.layers()
+                .zip(wts.iter_mut())
+                .map(|(layer, wt)| (layer.num_params(), (layer, wt))),
+        );
+        in_lanes(
+            rows.iter_mut().zip(transposes).collect(),
+            |(r, transposes)| {
+                let tokens = &inputs[r.start * n..(r.start + r.x.rows()) * n];
+                self.embed_flat_into(tokens, &mut r.x);
+                self.forward_trunk(r);
+                for (layer, wt) in transposes {
+                    layer.transpose_weight(wt);
+                }
+            },
+        );
 
-        // Per-column heads: loss, dlogits, then gradients into embeddings/biases/ctx.
+        // 2. The per-column heads, by whole columns, dealt out by domain:
         //   logits[b][v] = ctx_col[b] · E[v] + bias[v]
         //   dctx_col[b]  = Σ_v dlogits[b][v] · E[v]          (dlogits · E[..domain])
         //   dE[v]       += Σ_b dlogits[b][v] · ctx_col[b]    (dlogitsᵀ · ctx_col)
         //   dbias[v]    += Σ_b dlogits[b][v]
-        // `E[..domain]` leaves out the table's last row: MASK is never a target.
-        let mut total_loss = 0.0f32;
-        let TrainScratch {
-            ctx,
-            dctx,
-            head_ctx,
-            head_dctx,
-            logits,
-            dlogits,
-            target_col,
-            wt,
-            ..
-        } = scratch;
-        dctx.resize(batch, n * d);
-        head_ctx.resize(batch, d);
-        head_dctx.resize(batch, d);
-        for col in 0..n {
-            let domain = self.config.domains[col];
-            let Param { value: emb, grad } = &mut self.embeddings[col].table;
-            let emb = &emb.data()[..domain * d];
-            for b in 0..batch {
-                head_ctx
-                    .row_mut(b)
-                    .copy_from_slice(&ctx.row(b)[col * d..(col + 1) * d]);
+        // `E[..domain]` leaves out the table's last row: MASK is never a target.  Each
+        // column's loss is kept and the losses summed in column order afterwards.
+        let columns = self
+            .embeddings
+            .iter_mut()
+            .zip(&mut self.output_bias)
+            .zip(dctx.data_mut().chunks_exact_mut(batch * d))
+            .zip(losses.iter_mut())
+            .enumerate()
+            .map(|(col, (((embedding, bias), dctx), loss))| {
+                let head = Head {
+                    col,
+                    embedding,
+                    bias,
+                    dctx,
+                    loss,
+                };
+                (head.bias.value.cols() + 1, head)
+            });
+        let dealt = deal(lanes, columns);
+        let (lane_rows, scale) = (&*rows, 1.0 / batch as f32);
+        in_lanes(heads.iter_mut().zip(dealt).collect(), |(scratch, heads)| {
+            for head in heads {
+                scratch.run(head, lane_rows, (targets, n), scale);
             }
-            transpose_into(domain, d, emb, wt);
-            logits.resize(batch, domain);
-            matmul_blocked(head_ctx, wt, logits);
-            add_bias(logits, self.output_bias[col].value.row(0));
-            target_col.clear();
-            target_col.extend(targets.iter().skip(col).step_by(n));
-            dlogits.resize(batch, domain);
-            total_loss += softmax_cross_entropy(logits, target_col, dlogits);
+        });
+        let total_loss = losses.iter().fold(0.0f32, |total, loss| total + loss);
 
-            column_sums_accumulate(dlogits, self.output_bias[col].grad.row_mut(0));
-            gemm_narrow(batch, domain, d, dlogits.data(), emb, head_dctx.data_mut());
-            for b in 0..batch {
-                dctx.row_mut(b)[col * d..(col + 1) * d].copy_from_slice(head_dctx.row(b));
+        // 3. The `dx` chain, by batch rows.
+        let (dctx, wts) = (&*dctx, &*wts);
+        in_lanes(rows.iter_mut().collect(), |r| {
+            self.backward_rows(r, dctx, wts)
+        });
+
+        // 4. The weight gradients, deferred: each `dW` by blocks of its rows, each bias by
+        //    columns, the input-side embedding gradients by columns (after the heads'
+        //    `dE`), all dealt out by size.
+        let mut grads = Vec::new();
+        let layers = std::iter::once(&mut self.input_layer)
+            .chain(self.blocks.iter_mut().flat_map(|(a, b)| [a, b]))
+            .chain(std::iter::once(&mut self.output_layer));
+        for (layer, masked) in layers.enumerate() {
+            let mask = masked.mask();
+            let Linear { weight, bias } = &mut masked.inner;
+            let (in_dim, out_dim) = (weight.grad.rows(), weight.grad.cols());
+            for (block, grad) in weight
+                .grad
+                .data_mut()
+                .chunks_mut(DW_ROWS * out_dim)
+                .enumerate()
+            {
+                let rows = block * DW_ROWS..(block * DW_ROWS + DW_ROWS).min(in_dim);
+                let allowed = rows
+                    .clone()
+                    .map(|i| {
+                        out_dim
+                            - mask
+                                .forbidden_runs(i, out_dim)
+                                .map(|run| run.len())
+                                .sum::<usize>()
+                    })
+                    .sum();
+                grads.push((
+                    allowed,
+                    Grad::Weight {
+                        layer,
+                        mask,
+                        rows,
+                        grad,
+                    },
+                ));
             }
-            gemm_tn_acc(
-                batch,
-                domain,
-                d,
-                dlogits.data(),
-                head_ctx.data(),
-                None,
-                grad.data_mut(),
-            );
-        }
-
-        // Output layer backward.
-        let TrainScratch {
-            x,
-            hiddens,
-            block_acts,
-            dctx,
-            dh,
-            db,
-            da,
-            dh_branch,
-            dx,
-            wt,
-            ..
-        } = scratch;
-        dh.resize(batch, h_dim);
-        self.output_layer
-            .backward(hiddens.last().expect("non-empty"), dctx, dh, wt);
-
-        // Residual blocks backward (reverse order).
-        for (i, (w1, w2)) in self.blocks.iter_mut().enumerate().rev() {
-            let (a, b_act) = &block_acts[i];
-            // dh splits into the identity path (stays dh) and the branch path through b.
-            db.resize(batch, h_dim);
-            db.data_mut().copy_from_slice(dh.data());
-            relu_backward(b_act, db);
-            da.resize(batch, h_dim);
-            w2.backward(a, db, da, wt);
-            relu_backward(a, da);
-            dh_branch.resize(batch, h_dim);
-            w1.backward(&hiddens[i], da, dh_branch, wt);
-            for (o, v) in dh.data_mut().iter_mut().zip(dh_branch.data()) {
-                *o += v;
+            let share = out_dim.div_ceil(lanes);
+            for (part, grad) in bias.grad.data_mut().chunks_mut(share).enumerate() {
+                let cols = part * share..part * share + grad.len();
+                grads.push((grad.len(), Grad::Bias { layer, cols, grad }));
             }
         }
-
-        // Input layer backward.
-        relu_backward(&hiddens[0], dh);
-        dx.resize(batch, n * d);
-        self.input_layer.backward(x, dh, dx, wt);
-
-        // Embedding (input side) gradients.
-        for (b, row) in inputs.chunks_exact(n).enumerate() {
-            let dx_row = dx.row(b);
-            for (c, &token) in row.iter().enumerate() {
-                self.embeddings[c].accumulate_grad(token, &dx_row[c * d..(c + 1) * d]);
-            }
+        for (col, embedding) in self.embeddings.iter_mut().enumerate() {
+            grads.push((d, Grad::Embedding { col, embedding }));
         }
+        let lane_rows = &*rows;
+        in_lanes(deal(lanes, grads), |grads| {
+            for grad in grads {
+                grad.accumulate(lane_rows, (inputs, n));
+            }
+        });
 
         total_loss
     }
@@ -978,52 +1061,366 @@ impl InferenceScratch {
     }
 }
 
-/// Every buffer of one training step ([`ResMade::forward_backward`]): activations,
-/// gradients, the per-column head matrices and the one transposed-weight buffer.
+/// Fewest batch rows a lane of a training step is given: below this, starting a lane's
+/// thread costs more than its share of the step.
+const MIN_LANE_ROWS: usize = 16;
+
+/// Bytes of heap a fresh [`TrainScratch`] leaves free below its buffers (see
+/// [`TrainScratch::shape`]).
+const HEAP_CUSHION: usize = 64 << 10;
+
+/// Gradient rows of one `dW` task of a training step's last phase; even, so the 2-row
+/// tiles of [`gemm_tn_acc`] stay aligned.
+const DW_ROWS: usize = 16;
+
+/// The lanes a training step on `batch` rows runs in: one per core this process may run
+/// on (read once), but no more than give each lane [`MIN_LANE_ROWS`] rows.
+fn lanes_for(batch: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
+    cores.min(batch / MIN_LANE_ROWS).max(1)
+}
+
+/// Runs `lane` on every element of `work` at once: the first on the calling thread, every
+/// other on a scoped thread of its own, all joined before this returns — no thread
+/// outlives the call.  No lane waits on another, so a panicking lane stops no other; its
+/// payload is re-raised here, on the caller (the calling thread's own first).
+fn in_lanes<W: Send>(work: Vec<W>, lane: impl Fn(W) + Sync) {
+    let mut work = work.into_iter();
+    let Some(first) = work.next() else {
+        return;
+    };
+    let lane = &lane;
+    thread::scope(|scope| {
+        let others: Vec<_> = work.map(|w| scope.spawn(move || lane(w))).collect();
+        lane(first);
+        for other in others {
+            if let Err(payload) = other.join() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+    });
+}
+
+/// Deals `(cost, item)`s out to `lanes` lanes, dearest first, each to the lane with the
+/// least cost so far (the lowest such lane on a tie).  Which lane computes an output
+/// element moves no bit of it: this only balances the lanes.
+fn deal<T>(lanes: usize, items: impl IntoIterator<Item = (usize, T)>) -> Vec<Vec<T>> {
+    let mut items: Vec<(usize, T)> = items.into_iter().collect();
+    items.sort_by_key(|&(cost, _)| Reverse(cost));
+    let mut dealt: Vec<(usize, Vec<T>)> = (0..lanes).map(|_| (0, Vec::new())).collect();
+    for (cost, item) in items {
+        let (load, lane) = dealt
+            .iter_mut()
+            .min_by_key(|(load, _)| *load)
+            .expect("at least one lane");
+        *load += cost;
+        lane.push(item);
+    }
+    dealt.into_iter().map(|(_, lane)| lane).collect()
+}
+
+/// One lane's rows of every activation and gradient of a training step.
+#[derive(Debug, Clone, Default)]
+struct LaneRows {
+    /// The first batch row held; the rows are `start..start + x.rows()`.
+    start: usize,
+    /// Embedded inputs (`rows × n·d_emb`).
+    x: Matrix,
+    /// `hiddens[0]` is the post-ReLU input-layer activation; `hiddens[i+1]` the output of
+    /// residual block `i` (`rows × d_hidden` each).
+    hiddens: Vec<Matrix>,
+    /// `(a, b)` activations inside each residual block; the `dx` chain overwrites `b` with
+    /// its gradient, the block's second layer's `dy`.
+    block_acts: Vec<(Matrix, Matrix)>,
+    /// Per-column context vectors (`rows × n·d_emb`); the `dx` chain overwrites them with
+    /// their gradient, the output layer's `dy`.
+    ctx: Matrix,
+    /// The residual stream's gradient (`rows × d_hidden`); after the `dx` chain, the input
+    /// layer's `dy`.
+    dh: Matrix,
+    /// The gradient of each residual block's `a`: its first layer's `dy`.
+    block_grads: Vec<Matrix>,
+    /// A block's contribution to the residual stream's gradient.
+    dh_branch: Matrix,
+    /// Gradient of the embedded inputs (`rows × n·d_emb`).
+    dx: Matrix,
+}
+
+impl LaneRows {
+    /// Holds batch rows `rows` of a step of `model`: every buffer resized to its shape.
+    fn shape(&mut self, rows: Range<usize>, model: &ResMade) {
+        let (batch, blocks) = (rows.len(), model.blocks.len());
+        let (width, h_dim) = (
+            model.num_columns() * model.config.d_emb,
+            model.config.d_hidden,
+        );
+        self.start = rows.start;
+        for m in [&mut self.x, &mut self.ctx, &mut self.dx] {
+            m.resize(batch, width);
+        }
+        self.hiddens.resize_with(blocks + 1, Matrix::default);
+        self.block_acts.resize_with(blocks, Default::default);
+        self.block_grads.resize_with(blocks, Matrix::default);
+        let acts = self.block_acts.iter_mut().flat_map(|(a, b)| [a, b]);
+        for m in [&mut self.dh, &mut self.dh_branch]
+            .into_iter()
+            .chain(&mut self.hiddens)
+            .chain(acts)
+            .chain(&mut self.block_grads)
+        {
+            m.resize(batch, h_dim);
+        }
+    }
+
+    /// The input and the output gradient, over these rows, of layer `layer` of
+    /// [`ResMade::layers`].
+    fn layer_io(&self, layer: usize) -> (&Matrix, &Matrix) {
+        let blocks = self.block_acts.len();
+        match layer {
+            0 => (&self.x, &self.dh),
+            l if l <= 2 * blocks => {
+                let i = (l - 1) / 2;
+                let (a, db) = &self.block_acts[i];
+                if l % 2 == 1 {
+                    (&self.hiddens[i], &self.block_grads[i])
+                } else {
+                    (a, db)
+                }
+            }
+            _ => (&self.hiddens[blocks], &self.ctx),
+        }
+    }
+}
+
+/// One lane's buffers for the per-column heads of a training step.
+#[derive(Debug, Clone, Default)]
+struct HeadScratch {
+    /// One lane's rows of a column's context slice (`≤ ⌈batch / lanes⌉ × d_emb`).
+    ctx: Matrix,
+    /// Their logits and the logits' gradient (`≤ ⌈batch / lanes⌉ × domain`).
+    logits: Matrix,
+    dlogits: Matrix,
+    /// Their targets.
+    targets: Vec<u32>,
+    /// The column's `E[..domain]ᵀ`.
+    wt: Matrix,
+}
+
+/// What one column's head writes: the gradients of its embedding table and its logit
+/// bias, its context slice's gradient (`batch × d_emb`) and its mean loss.
+struct Head<'a> {
+    col: usize,
+    embedding: &'a mut Embedding,
+    bias: &'a mut Param,
+    dctx: &'a mut [f32],
+    loss: &'a mut f32,
+}
+
+impl HeadScratch {
+    /// `head`'s column over the whole batch — every lane's rows in batch order,
+    /// one lane's rows at a time — so each gradient element and the f64 loss sum get the
+    /// chains one pass over the batch adds.  `targets` is the flat `batch × n` buffer and
+    /// `scale` one over the batch size.
+    fn run(
+        &mut self,
+        head: Head<'_>,
+        rows: &[LaneRows],
+        (targets, n): (&[u32], usize),
+        scale: f32,
+    ) {
+        let Head {
+            col,
+            embedding,
+            bias,
+            dctx,
+            loss,
+        } = head;
+        let (d, domain) = (embedding.dim(), bias.value.cols());
+        let Param {
+            value: emb,
+            grad: emb_grad,
+        } = &mut embedding.table;
+        let emb = &emb.data()[..domain * d];
+        transpose_into(domain, d, emb, &mut self.wt);
+        let mut total = 0.0f64;
+        for r in rows {
+            let (first, m) = (r.start, r.ctx.rows());
+            self.ctx.resize(m, d);
+            for b in 0..m {
+                self.ctx
+                    .row_mut(b)
+                    .copy_from_slice(&r.ctx.row(b)[col * d..(col + 1) * d]);
+            }
+            self.logits.resize(m, domain);
+            matmul_blocked(&self.ctx, &self.wt, &mut self.logits);
+            add_bias(&mut self.logits, bias.value.row(0));
+            self.targets.clear();
+            self.targets
+                .extend((first..first + m).map(|b| targets[b * n + col]));
+            self.dlogits.resize(m, domain);
+            softmax_cross_entropy_rows(
+                &self.logits,
+                &self.targets,
+                scale,
+                &mut total,
+                &mut self.dlogits,
+            );
+            column_sums_accumulate(&self.dlogits, 0..domain, bias.grad.row_mut(0));
+            gemm_narrow(
+                m,
+                domain,
+                d,
+                self.dlogits.data(),
+                emb,
+                &mut dctx[first * d..(first + m) * d],
+            );
+            gemm_tn_acc(
+                m,
+                domain,
+                d,
+                self.dlogits.data(),
+                self.ctx.data(),
+                None,
+                emb_grad.data_mut(),
+            );
+        }
+        *loss = (total * f64::from(scale)) as f32;
+    }
+}
+
+/// One task of a training step's weight-gradient phase, and the gradient it owns.
+enum Grad<'a> {
+    /// Rows `rows` of the `dW` of layer `layer` (of [`ResMade::layers`]).
+    Weight {
+        layer: usize,
+        mask: MadeMask,
+        rows: Range<usize>,
+        grad: &'a mut [f32],
+    },
+    /// Columns `cols` of that layer's bias gradient.
+    Bias {
+        layer: usize,
+        cols: Range<usize>,
+        grad: &'a mut [f32],
+    },
+    /// The input-side gradient of column `col`'s embedding table.
+    Embedding {
+        col: usize,
+        embedding: &'a mut Embedding,
+    },
+}
+
+impl Grad<'_> {
+    /// Adds this task's share of the batch's gradient — every lane's rows in batch order,
+    /// so each element gets the one ascending-row chain a single pass adds.  `inputs` is
+    /// the flat `batch × n` buffer the step embedded.
+    fn accumulate(self, rows: &[LaneRows], (inputs, n): (&[u32], usize)) {
+        match self {
+            Grad::Weight {
+                layer,
+                mask,
+                rows: grad_rows,
+                grad,
+            } => weight_grad_rows(
+                mask,
+                rows.iter().map(|r| r.layer_io(layer)),
+                grad_rows,
+                grad,
+            ),
+            Grad::Bias { layer, cols, grad } => {
+                for r in rows {
+                    column_sums_accumulate(r.layer_io(layer).1, cols.clone(), grad);
+                }
+            }
+            Grad::Embedding { col, embedding } => {
+                let d = embedding.dim();
+                for r in rows {
+                    for (b, dx) in r.dx.data().chunks_exact(r.dx.cols()).enumerate() {
+                        let token = inputs[(r.start + b) * n + col];
+                        embedding.accumulate_grad(token, &dx[col * d..(col + 1) * d]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Every buffer of one training step ([`ResMade::forward_backward`]): each lane's rows of
+/// the activations and gradients, each lane's head buffers, every layer's transposed
+/// weight, the context gradient column by column and the per-column losses.
 ///
 /// The trainer owns one and passes it to every step — never the model, which is cloned
 /// into every serving core.  Buffers are resized in place and only ever grow, so after the
-/// first full batch a step allocates nothing, a ragged last batch included; the per-column
-/// buffers are shared by the columns and end up sized for the largest domain, the
-/// transposed-weight buffer for the largest layer.  Not tied to a model: a step adapts it
-/// to whatever shapes it needs.
+/// first full batch no step grows one, a ragged last batch included.  A lane's head
+/// buffers are shared by the columns it takes and hold one lane's rows of the largest
+/// domain, so all lanes' together are no larger than one batch's.  Not tied to a model: a
+/// step adapts it to whatever shapes it needs.
 #[derive(Debug, Clone, Default)]
 pub struct TrainScratch {
-    /// Embedded inputs (`batch × n·d_emb`).
-    x: Matrix,
-    /// `hiddens[0]` is the post-ReLU input-layer activation; `hiddens[i+1]` the output of
-    /// residual block `i` (`batch × d_hidden` each).
-    hiddens: Vec<Matrix>,
-    /// `(a, b)` activations inside each residual block.
-    block_acts: Vec<(Matrix, Matrix)>,
-    /// Per-column context vectors (`batch × n·d_emb`) and their gradient.
-    ctx: Matrix,
+    /// Per lane, its rows of every activation and gradient.
+    rows: Vec<LaneRows>,
+    /// Per lane, its head buffers.
+    heads: Vec<HeadScratch>,
+    /// `Wᵀ` of every layer of [`ResMade::layers`], for the `dx` chain.
+    wts: Vec<Matrix>,
+    /// The context gradient, one row per model column (`n × batch·d_emb`: that column's
+    /// `batch × d_emb` slice).
     dctx: Matrix,
-    /// One column's slice of `ctx` / `dctx`, gathered compact (`batch × d_emb`).
-    head_ctx: Matrix,
-    head_dctx: Matrix,
-    /// One column's logits and their gradient (`batch × domain`).
-    logits: Matrix,
-    dlogits: Matrix,
-    /// One column of the targets.
-    target_col: Vec<u32>,
-    /// Gradients flowing down the hidden stack (`batch × d_hidden` each): the residual
-    /// stream, and inside a block its `b`, its `a` and its contribution to the stream.
-    dh: Matrix,
-    db: Matrix,
-    da: Matrix,
-    dh_branch: Matrix,
-    /// Gradient of the embedded inputs (`batch × n·d_emb`).
-    dx: Matrix,
-    /// The transpose of whichever weight the step is multiplying by: each layer's `Wᵀ`
-    /// for `dx = dy · Wᵀ`, each column's `E[..domain]ᵀ` for its logits.
-    wt: Matrix,
+    /// Each column's mean loss.
+    losses: Vec<f32>,
 }
 
 impl TrainScratch {
     /// An empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Gives every buffer a step of `model` on `batch` rows in `lanes` lanes reads or
+    /// writes its shape (or, for the head buffers, its capacity).
+    ///
+    /// A fresh scratch's buffers are allocated over [`HEAP_CUSHION`] bytes of heap that
+    /// are freed right after.  What the process allocates while the steps of a training
+    /// call run — the sampler pool's channel blocks, each step's task lists — then fits
+    /// in that gap below the buffers instead of going on top of them, so the buffers,
+    /// dropped at the end of the call, sit at the top of the heap and go back to the
+    /// system.  Pinned under a later allocation they would stay resident as a hole for
+    /// the rest of the process (measured in `docs/kernels.md`, "Lanes").
+    fn shape(&mut self, model: &ResMade, batch: usize, lanes: usize) {
+        let cushion: Vec<u8> = if self.rows.is_empty() {
+            Vec::with_capacity(HEAP_CUSHION)
+        } else {
+            Vec::new()
+        };
+        let (n, d) = (model.num_columns(), model.config.d_emb);
+        if self.rows.len() < lanes {
+            self.rows.resize_with(lanes, LaneRows::default);
+            self.heads.resize_with(lanes, HeadScratch::default);
+        }
+        for (lane, r) in self.rows[..lanes].iter_mut().enumerate() {
+            r.shape(lane * batch / lanes..(lane + 1) * batch / lanes, model);
+        }
+        let head_rows = batch.div_ceil(lanes);
+        let max_domain = model.config.domains.iter().copied().max().unwrap_or(0);
+        for head in &mut self.heads[..lanes] {
+            head.ctx.reserve(head_rows, d);
+            head.logits.reserve(head_rows, max_domain);
+            head.dlogits.reserve(head_rows, max_domain);
+            head.targets.clear();
+            head.targets.reserve(head_rows);
+            head.wt.reserve(d, max_domain);
+        }
+        let layers = 2 * model.blocks.len() + 2;
+        self.wts
+            .resize_with(self.wts.len().max(layers), Matrix::default);
+        for (layer, wt) in model.layers().zip(self.wts.iter_mut()) {
+            let weight = &layer.inner.weight.value;
+            wt.resize(weight.cols(), weight.rows());
+        }
+        self.dctx.resize(n, batch * d);
+        self.losses.resize(n, 0.0);
+        drop(cushion);
     }
 }
 
@@ -1143,45 +1540,53 @@ mod tests {
         assert_eq!(m.check_masked_weights(), Ok(()));
     }
 
+    /// The lane counts every training pin runs at: one lane, an even and an uneven split.
+    const LANES: [usize; 3] = [1, 2, 3];
+
     /// Training is pinned to the bit: a fixed tiny model, fixed token rows (inputs carry
     /// MASK tokens the way wildcard skipping leaves them), five `forward_backward` + Adam
-    /// steps, and the FNV-1a of the serialised weights.  The constant predates the
-    /// [`MadeMask`] rule (gradients were then multiplied by dense 0/1 matrices), so it also
-    /// pins that the rule moved no bit.
+    /// steps, and the FNV-1a of the serialised weights — the same at every lane count.
+    /// The constant predates the [`MadeMask`] rule (gradients were then multiplied by dense
+    /// 0/1 matrices) and the lanes, so it also pins that neither moved a bit.
     #[test]
     fn trained_weights_are_pinned() {
-        let mut m = ResMade::new(MadeConfig {
-            domains: vec![4, 9, 3, 6, 5],
-            d_emb: 5,
-            d_hidden: 14,
-            num_blocks: 2,
-            seed: 23,
-        });
-        let mut adam = Adam::for_params(AdamConfig::default(), &m.params());
-        let n = m.num_columns();
-        let cells = || (0..12).flat_map(|b| (0..n).map(move |c| (b, c)));
-        let targets: Vec<u32> = cells()
-            .map(|(b, c)| ((b * 7 + c * 3) % m.domain(c)) as u32)
-            .collect();
-        let inputs: Vec<u32> = cells()
-            .zip(&targets)
-            .map(|((b, c), &t)| if (b + c) % 3 == 0 { m.mask_token(c) } else { t })
-            .collect();
-        let mut scratch = TrainScratch::new();
-        for _ in 0..5 {
-            m.forward_backward(&inputs, &targets, &mut scratch);
-            adam.step(&mut m.params_mut());
+        for lanes in LANES {
+            let mut m = ResMade::new(MadeConfig {
+                domains: vec![4, 9, 3, 6, 5],
+                d_emb: 5,
+                d_hidden: 14,
+                num_blocks: 2,
+                seed: 23,
+            });
+            let mut adam = Adam::for_params(AdamConfig::default(), &m.params());
+            let n = m.num_columns();
+            let cells = || (0..12).flat_map(|b| (0..n).map(move |c| (b, c)));
+            let targets: Vec<u32> = cells()
+                .map(|(b, c)| ((b * 7 + c * 3) % m.domain(c)) as u32)
+                .collect();
+            let inputs: Vec<u32> = cells()
+                .zip(&targets)
+                .map(|((b, c), &t)| if (b + c) % 3 == 0 { m.mask_token(c) } else { t })
+                .collect();
+            let mut scratch = TrainScratch::new();
+            for _ in 0..5 {
+                m.forward_backward_in(&inputs, &targets, &mut scratch, lanes);
+                adam.step(&mut m.params_mut());
+            }
+            assert_eq!(m.check_masked_weights(), Ok(()));
+            let bytes = crate::serialize::model_to_bytes(&m);
+            let hash = crate::artifact::fnv1a64(&bytes);
+            assert_eq!(hash, 0xdc58_f21b_ad79_f0e8, "{lanes} lanes: {hash:#x}");
         }
-        assert_eq!(m.check_masked_weights(), Ok(()));
-        let bytes = crate::serialize::model_to_bytes(&m);
-        assert_eq!(crate::artifact::fnv1a64(&bytes), 0xdc58_f21b_ad79_f0e8);
     }
 
     /// The same pin where the kernels are wide: `d_hidden` 96 (three 32-wide blocks),
-    /// batches 37 → 128 → 37 (ragged row tiles, a scratch that grows and shrinks), a
-    /// 300-value domain, and degree periods 7, 26 (JOB-light's) and 60 (JOB-M's) — shorter
-    /// and longer than a register tile.  Recorded from the allocating, naive-kernel
-    /// `forward_backward` this crate had before [`TrainScratch`].
+    /// batches 37 → 128 → 37 (ragged row tiles, uneven lane splits, a scratch that grows
+    /// and shrinks), a 300-value domain, and degree periods 7, 26 (JOB-light's) and 60
+    /// (JOB-M's) — shorter and longer than a register tile — at every lane count.  Recorded
+    /// from the allocating, naive-kernel `forward_backward` this crate had before
+    /// [`TrainScratch`].  A fourth step on a single row (lanes with no rows) must then
+    /// leave the same bytes at every lane count.
     #[test]
     fn trained_weights_are_pinned_at_width() {
         let base = [7usize, 62, 41, 300, 12, 3, 3, 33];
@@ -1192,42 +1597,76 @@ mod tests {
             (cycled(61), 0xa4fb_0bec_3d9e_3396),
         ] {
             let n = domains.len();
-            let mut m = ResMade::new(MadeConfig {
-                domains,
-                d_emb: 12,
-                d_hidden: 96,
-                num_blocks: 2,
-                seed: 31,
-            });
-            let mut adam = Adam::for_params(AdamConfig::default(), &m.params());
-            let mut scratch = TrainScratch::new();
-            for (step, batch) in [37usize, 128, 37].into_iter().enumerate() {
-                let cells = || (0..batch).flat_map(|b| (0..n).map(move |c| (b, c)));
-                let targets: Vec<u32> = cells()
-                    .map(|(b, c)| ((b * 7 + c * 3 + step * 5) % m.domain(c)) as u32)
-                    .collect();
-                let inputs: Vec<u32> = cells()
-                    .zip(&targets)
-                    .map(|((b, c), &t)| {
-                        if (b + c + step) % 3 == 0 {
-                            m.mask_token(c)
-                        } else {
-                            t
-                        }
-                    })
-                    .collect();
-                m.forward_backward(&inputs, &targets, &mut scratch);
-                adam.step(&mut m.params_mut());
+            let mut one_row = bytes::Bytes::new();
+            for lanes in LANES {
+                let mut m = ResMade::new(MadeConfig {
+                    domains: domains.clone(),
+                    d_emb: 12,
+                    d_hidden: 96,
+                    num_blocks: 2,
+                    seed: 31,
+                });
+                let mut adam = Adam::for_params(AdamConfig::default(), &m.params());
+                let mut scratch = TrainScratch::new();
+                for (step, batch) in [37usize, 128, 37, 1].into_iter().enumerate() {
+                    let cells = || (0..batch).flat_map(|b| (0..n).map(move |c| (b, c)));
+                    let targets: Vec<u32> = cells()
+                        .map(|(b, c)| ((b * 7 + c * 3 + step * 5) % m.domain(c)) as u32)
+                        .collect();
+                    let inputs: Vec<u32> = cells()
+                        .zip(&targets)
+                        .map(|((b, c), &t)| {
+                            if (b + c + step) % 3 == 0 {
+                                m.mask_token(c)
+                            } else {
+                                t
+                            }
+                        })
+                        .collect();
+                    m.forward_backward_in(&inputs, &targets, &mut scratch, lanes);
+                    adam.step(&mut m.params_mut());
+                    assert_eq!(m.check_masked_weights(), Ok(()));
+                    let bytes = crate::serialize::model_to_bytes(&m);
+                    if step == 2 {
+                        let hash = crate::artifact::fnv1a64(&bytes);
+                        assert_eq!(hash, pinned, "{n} columns, {lanes} lanes: {hash:#x}");
+                    } else if step == 3 && lanes == 1 {
+                        one_row = bytes;
+                    } else if step == 3 {
+                        assert!(bytes == one_row, "{n} columns, {lanes} lanes: one row");
+                    }
+                }
             }
-            assert_eq!(m.check_masked_weights(), Ok(()));
-            let bytes = crate::serialize::model_to_bytes(&m);
-            assert_eq!(
-                crate::artifact::fnv1a64(&bytes),
-                pinned,
-                "{n} columns: {:#x}",
-                crate::artifact::fnv1a64(&bytes)
-            );
         }
+    }
+
+    /// A panic in a lane other than the caller's — a target outside its column's domain
+    /// in a head, an input token outside it in the forward — reaches the caller with its
+    /// message once every lane has stopped, and the scratch trains on afterwards.
+    #[test]
+    fn a_lane_panic_reaches_the_caller() {
+        let mut m = make(vec![40, 3, 30, 5], 2);
+        let n = m.num_columns();
+        let tokens: Vec<u32> = (0..64 * n).map(|i| (i % 3) as u32).collect();
+        let mut scratch = TrainScratch::new();
+        // Lane 0 takes the 40-value column, lane 1 the 30-value one (column 2) and the
+        // last 32 rows.
+        let mut bad_target = tokens.clone();
+        bad_target[40 * n + 2] = 30;
+        let mut bad_input = tokens.clone();
+        bad_input[63 * n + 1] = 9;
+        for (inputs, targets) in [(&tokens, &bad_target), (&bad_input, &tokens)] {
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.forward_backward_in(inputs, targets, &mut scratch, 2);
+            }));
+            let payload = caught.expect_err("the step trained on a token outside its domain");
+            let message = payload
+                .downcast_ref::<String>()
+                .cloned()
+                .unwrap_or_default();
+            assert!(message.contains("outside domain"), "{message}");
+        }
+        m.forward_backward_in(&tokens, &tokens, &mut scratch, 2);
     }
 
     /// The training forward runs on the blocked kernels out of a reused scratch; the
@@ -1243,7 +1682,7 @@ mod tests {
             seed: 19,
         });
         let n = m.num_columns();
-        let mut scratch = TrainScratch::new();
+        let mut rows = LaneRows::default();
         for (round, batch) in [5usize, 1, 37, 4].into_iter().enumerate() {
             let tokens: Vec<u32> = (0..batch * n)
                 .map(|i| {
@@ -1255,14 +1694,15 @@ mod tests {
                     }
                 })
                 .collect();
-            m.embed_flat_into(&tokens, &mut scratch.x);
-            m.forward_trunk(&mut scratch);
+            rows.shape(0..batch, &m);
+            m.embed_flat_into(&tokens, &mut rows.x);
+            m.forward_trunk(&mut rows);
             let reference = m.reference_ctx(&tokens);
             assert_eq!(
-                (scratch.ctx.rows(), scratch.ctx.cols()),
+                (rows.ctx.rows(), rows.ctx.cols()),
                 (batch, n * m.config.d_emb)
             );
-            for (i, (a, b)) in reference.data().iter().zip(scratch.ctx.data()).enumerate() {
+            for (i, (a, b)) in reference.data().iter().zip(rows.ctx.data()).enumerate() {
                 assert_eq!(a.to_bits(), b.to_bits(), "batch {batch} element {i}");
             }
         }
@@ -1275,7 +1715,10 @@ mod tests {
     /// optimizer then leaves every masked weight at zero.
     #[test]
     fn forbidden_gradients_are_positive_zero_after_a_step() {
-        for n in [27usize, 61] {
+        for (n, lanes) in [27usize, 61]
+            .into_iter()
+            .flat_map(|n| LANES.map(|l| (n, l)))
+        {
             let mut m = ResMade::new(MadeConfig {
                 domains: (0..n).map(|c| [3usize, 5, 2, 7, 4][c % 5]).collect(),
                 d_emb: 12,
@@ -1289,7 +1732,7 @@ mod tests {
                 .map(|i| ((i / n * 5 + i % n) % m.domain(i % n)) as u32)
                 .collect();
             for _ in 0..2 {
-                m.forward_backward(&tokens, &tokens, &mut scratch);
+                m.forward_backward_in(&tokens, &tokens, &mut scratch, lanes);
                 let (w1, w2) = &m.blocks[0];
                 for layer in [&m.input_layer, w1, w2, &m.output_layer] {
                     let grad = &layer.inner.weight.grad;
@@ -1796,55 +2239,53 @@ mod tests {
         assert_eq!(addresses(&scratch), reserved);
     }
 
-    /// Mirror of `reserved_scratch_never_reallocates` for training: once a scratch has seen
-    /// a full batch, no later step — a ragged batch, then a full one again — moves or grows
-    /// any of its buffers.
+    /// Mirror of `reserved_scratch_never_reallocates` for training, at every lane count:
+    /// once a scratch has seen a full batch, no later step — a ragged batch, then a full
+    /// one again — moves or grows any of its buffers.
     #[test]
     fn train_scratch_never_reallocates() {
-        let mut m = make(vec![4, 3, 40, 5], 4);
-        let n = m.num_columns();
-        let mut adam = Adam::for_params(AdamConfig::default(), &m.params());
-        let mut scratch = TrainScratch::new();
-        let buffers = |s: &TrainScratch| -> Vec<(*const f32, usize)> {
-            let matrices = [
-                &s.x,
-                &s.ctx,
-                &s.dctx,
-                &s.head_ctx,
-                &s.head_dctx,
-                &s.logits,
-                &s.dlogits,
-                &s.dh,
-                &s.db,
-                &s.da,
-                &s.dh_branch,
-                &s.dx,
-                &s.wt,
-            ];
-            let acts = s.block_acts.iter().flat_map(|(a, b)| [a, b]);
-            matrices
-                .into_iter()
-                .chain(&s.hiddens)
-                .chain(acts)
-                .map(|m| (m.data().as_ptr(), m.capacity()))
-                .chain([(s.target_col.as_ptr().cast(), s.target_col.capacity())])
-                .collect()
-        };
-        let mut after_first = Vec::new();
-        for (step, batch) in (0..50).map(|step| (step, [128usize, 37, 128][step % 3])) {
-            let tokens: Vec<u32> = (0..batch * n)
-                .map(|i| ((i / n * 3 + i % n + step) % m.domain(i % n)) as u32)
-                .collect();
-            m.forward_backward(&tokens, &tokens, &mut scratch);
-            adam.step(&mut m.params_mut());
-            if step == 0 {
-                after_first = buffers(&scratch);
+        for lanes in LANES {
+            let mut m = make(vec![4, 3, 40, 5], 4);
+            let n = m.num_columns();
+            let mut adam = Adam::for_params(AdamConfig::default(), &m.params());
+            let mut scratch = TrainScratch::new();
+            let buffers = |s: &TrainScratch| -> Vec<(*const f32, usize)> {
+                let rows = s.rows.iter().flat_map(|r| {
+                    [&r.x, &r.ctx, &r.dh, &r.dh_branch, &r.dx]
+                        .into_iter()
+                        .chain(&r.hiddens)
+                        .chain(r.block_acts.iter().flat_map(|(a, b)| [a, b]))
+                        .chain(&r.block_grads)
+                });
+                let heads = s
+                    .heads
+                    .iter()
+                    .flat_map(|h| [&h.ctx, &h.logits, &h.dlogits, &h.wt]);
+                let targets = s.heads.iter().map(|h| &h.targets);
+                rows.chain(heads)
+                    .chain(&s.wts)
+                    .chain([&s.dctx])
+                    .map(|m| (m.data().as_ptr(), m.capacity()))
+                    .chain(targets.map(|t| (t.as_ptr().cast(), t.capacity())))
+                    .chain([(s.losses.as_ptr(), s.losses.capacity())])
+                    .collect()
+            };
+            let mut after_first = Vec::new();
+            for (step, batch) in (0..50).map(|step| (step, [128usize, 37, 128][step % 3])) {
+                let tokens: Vec<u32> = (0..batch * n)
+                    .map(|i| ((i / n * 3 + i % n + step) % m.domain(i % n)) as u32)
+                    .collect();
+                m.forward_backward_in(&tokens, &tokens, &mut scratch, lanes);
+                adam.step(&mut m.params_mut());
+                if step == 0 {
+                    after_first = buffers(&scratch);
+                }
+                assert_eq!(
+                    buffers(&scratch),
+                    after_first,
+                    "{lanes} lanes, step {step} (batch {batch})"
+                );
             }
-            assert_eq!(
-                buffers(&scratch),
-                after_first,
-                "step {step} (batch {batch})"
-            );
         }
     }
 

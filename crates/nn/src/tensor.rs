@@ -724,21 +724,43 @@ pub fn gemm_tn_acc(
     mask: Option<MadeMask>,
     out: &mut [f32],
 ) {
+    gemm_tn_acc_rows(k, m, n, a, b, mask, 0..m, out);
+}
+
+/// The output rows `rows` of [`gemm_tn_acc`], into an `out` that holds those rows only
+/// (row `i` of the product is row `i − rows.start` of `out`).  Every element gets the bits
+/// the whole product gives it, so callers that own disjoint row ranges of one gradient
+/// compute it together.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a register-tile kernel takes its shape, operands and strides unbundled"
+)]
+pub fn gemm_tn_acc_rows(
+    k: usize,
+    m: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    mask: Option<MadeMask>,
+    rows: Range<usize>,
+    out: &mut [f32],
+) {
     assert!(a.len() >= k * m, "a too short for k×m");
     assert!(b.len() >= k * n, "b too short for k×n");
-    assert!(out.len() >= m * n, "out too short for m×n");
-    let mut i = 0;
-    while i + 2 <= m {
-        tn_rows::<2>(k, m, n, i, a, b, mask, out);
+    assert!(rows.end <= m, "output rows out of bounds");
+    assert!(out.len() >= rows.len() * n, "out too short for its rows");
+    let mut i = rows.start;
+    while i + 2 <= rows.end {
+        tn_rows::<2>(k, m, n, i, a, b, mask, &mut out[(i - rows.start) * n..]);
         i += 2;
     }
-    if i < m {
-        tn_rows::<1>(k, m, n, i, a, b, mask, out);
+    if i < rows.end {
+        tn_rows::<1>(k, m, n, i, a, b, mask, &mut out[(i - rows.start) * n..]);
     }
 }
 
-/// Rows `i..i + R` of [`gemm_tn_acc`]: walks the `n` output columns in register tiles of
-/// 16, 12, 8, 4 and 1.
+/// Rows `i..i + R` of [`gemm_tn_acc`], into an `out` that starts at row `i`: walks the `n`
+/// output columns in register tiles of 16, 12, 8, 4 and 1.
 #[expect(
     clippy::too_many_arguments,
     reason = "a register-tile kernel takes its shape, operands and strides unbundled"
@@ -776,9 +798,9 @@ fn tn_rows<const R: usize>(
     }
 }
 
-/// The `R × W` register tile of [`gemm_tn_acc`] at `(i, j)`: `out[i + r][j..j + W] +=
-/// Σ_p a[p][i + r] · b[p][j..j + W]`, with `a` rows `m` apart and `b` and `out` rows `n`
-/// apart — unless `mask` forbids the whole tile.  Each element is its own ascending-`p`
+/// The `R × W` register tile of [`gemm_tn_acc`] at `(i, j)`: `out[r][j..j + W] +=
+/// Σ_p a[p][i + r] · b[p][j..j + W]` (`out` starts at row `i`), with `a` rows `m` apart and
+/// `b` and `out` rows `n` apart — unless `mask` forbids the whole tile.  Each element is its own ascending-`p`
 /// chain resumed from `out`; a zero `a[p][i + r]` leaves row `r`'s accumulators untouched.
 #[expect(
     clippy::too_many_arguments,
@@ -798,7 +820,7 @@ fn tn_tile<const R: usize, const W: usize>(
     if mask.is_some_and(|mask| mask.forbids_tile(i..i + R, j..j + W)) {
         return;
     }
-    let out = &mut out[i * n + j..];
+    let out = &mut out[j..];
     let mut acc = [[0.0f32; W]; R];
     for (r, acc_r) in acc.iter_mut().enumerate() {
         acc_r.copy_from_slice(&out[r * n..r * n + W]);
@@ -829,11 +851,13 @@ pub fn add_bias(m: &mut Matrix, bias: &[f32]) {
     }
 }
 
-/// Column-wise sum of `m` accumulated into `out` (used for bias gradients).
-pub fn column_sums_accumulate(m: &Matrix, out: &mut [f32]) {
-    assert_eq!(m.cols, out.len());
+/// Column-wise sums of the columns `cols` of `m` accumulated into `out` (one element per
+/// column of the range; used for bias gradients), each an ascending-row chain.
+pub fn column_sums_accumulate(m: &Matrix, cols: Range<usize>, out: &mut [f32]) {
+    assert!(cols.end <= m.cols, "column range out of bounds");
+    assert_eq!(cols.len(), out.len());
     for r in 0..m.rows {
-        for (o, v) in out.iter_mut().zip(m.row(r)) {
+        for (o, v) in out.iter_mut().zip(&m.row(r)[cols.clone()]) {
             *o += v;
         }
     }
@@ -944,8 +968,10 @@ mod tests {
         add_bias(&mut m, &[10., 20.]);
         assert!(approx_eq(m.data(), &[11., 22., 13., 24.]));
         let mut sums = vec![0.0; 2];
-        column_sums_accumulate(&m, &mut sums);
+        column_sums_accumulate(&m, 0..2, &mut sums);
         assert!(approx_eq(&sums, &[24., 46.]));
+        column_sums_accumulate(&m, 1..2, &mut sums[1..]);
+        assert!(approx_eq(&sums, &[24., 92.]));
     }
 
     fn assert_bitwise_eq(a: &Matrix, b: &Matrix, what: &str) {
@@ -1087,6 +1113,15 @@ mod tests {
                     tiled.truncate(m * n);
                     let tiled = Matrix::from_vec(m, n, tiled);
                     assert_bitwise_eq(&naive, &tiled, &format!("gemm_tn_acc {what}"));
+                    // ... and as two output-row ranges (the first may end mid-tile), each
+                    // into a buffer that holds its own rows only.
+                    let cut = m / 3;
+                    let mut parts = start.data().to_vec();
+                    let (top, bottom) = parts.split_at_mut(cut * n);
+                    gemm_tn_acc_rows(k, m, n, a.data(), b.data(), None, 0..cut, top);
+                    gemm_tn_acc_rows(k, m, n, a.data(), b.data(), None, cut..m, bottom);
+                    let parts = Matrix::from_vec(m, n, parts);
+                    assert_bitwise_eq(&naive, &parts, &format!("gemm_tn_acc_rows {what}"));
 
                     // dctx_col = dlogits · E[..k]: the narrow tiles over a prefix of `b`.
                     let a = lcg_matrix_sparse(m, k, &mut seed);
