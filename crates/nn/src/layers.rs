@@ -153,7 +153,7 @@ impl MaskedLinear {
     /// each row of `dx` depends on the same row of `dy` only.  Each `dx` element is the
     /// ascending dot product over the layer's outputs it always was; that the row kernel
     /// skips `dy == 0.0` drops only `±0.0` terms while the weights are finite.  The other
-    /// half is [`weight_grad_rows`] and the bias's column sums.
+    /// half is `weight_grad_rows` and the bias's column sums.
     pub fn backward_dx(&self, dy: &Matrix, wt: &Matrix, dx: &mut Matrix) {
         let value = &self.inner.weight.value;
         assert_eq!(
@@ -197,7 +197,7 @@ impl MaskedLinear {
 /// (`β₁·(+0.0) + (1−β₁)·(−0.0) = +0.0`), `v = +0.0` and `w −= +0.0`.  Only a diverged run
 /// differs: a non-finite gradient used to leak `NaN · 0.0 = NaN` into a masked weight, and
 /// now cannot.
-pub fn weight_grad_rows<'a>(
+pub(crate) fn weight_grad_rows<'a>(
     mask: MadeMask,
     batch: impl IntoIterator<Item = (&'a Matrix, &'a Matrix)>,
     rows: Range<usize>,
