@@ -90,7 +90,8 @@ fn main() {
     println!();
     println!(
         "NeuroCard pipeline split ({} sampler threads, prefetch depth {}):",
-        config.sampler_threads, config.prefetch_depth
+        config.sampler_threads,
+        config.neurocard().prefetch_depth
     );
     let total = stats.sampling_time + stats.training_time;
     let stall_pct = 100.0 * stats.sampling_time.as_secs_f64() / total.as_secs_f64().max(1e-9);

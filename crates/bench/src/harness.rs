@@ -27,8 +27,6 @@ pub struct HarnessConfig {
     pub baseline_samples: usize,
     /// NeuroCard sampler pool threads.
     pub sampler_threads: usize,
-    /// NeuroCard training prefetch depth (batches sampled ahead of training).
-    pub prefetch_depth: usize,
     /// Global seed.
     pub seed: u64,
     /// Whether this is a `--smoke` run (tiny budgets; used by CI to execute, not just
@@ -39,37 +37,68 @@ pub struct HarnessConfig {
     pub save_artifact_path: Option<String>,
 }
 
-fn env_usize(name: &str, default: usize) -> usize {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+/// Parses one scale knob's value: unset is `default`, anything but a whole number is an
+/// error naming the variable.
+fn parse_knob(name: &str, value: Option<String>, default: usize) -> Result<usize, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v:?} is not a whole number")),
+    }
+}
+
+fn env_usize(name: &str, default: usize) -> Result<usize, String> {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, value, default)
+}
+
+/// Whether the command line asks for a `--smoke` run; any other argument is an error
+/// naming it.
+fn parse_smoke_flag(args: impl IntoIterator<Item = String>) -> Result<bool, String> {
+    let mut smoke = false;
+    for arg in args {
+        if arg != "--smoke" {
+            return Err(format!(
+                "unknown argument {arg:?} (the only flag is --smoke)"
+            ));
+        }
+        smoke = true;
+    }
+    Ok(smoke)
 }
 
 impl HarnessConfig {
-    /// Reads the configuration from the `NC_*` environment variables.
-    pub fn from_env() -> Self {
-        HarnessConfig {
-            title_rows: env_usize("NC_TITLE_ROWS", 800),
-            queries: env_usize("NC_QUERIES", 40),
-            train_tuples: env_usize("NC_TRAIN_TUPLES", 30_000),
-            psamples: env_usize("NC_PSAMPLES", 64),
-            baseline_samples: env_usize("NC_SAMPLES_BASELINE", 4_000),
-            sampler_threads: env_usize("NC_SAMPLER_THREADS", 2),
-            prefetch_depth: env_usize("NC_PREFETCH", 1),
-            seed: env_usize("NC_SEED", 42) as u64,
+    /// Reads the configuration from the `NC_*` environment variables; a set variable that
+    /// is not a whole number is an error naming it.
+    pub fn from_env() -> Result<Self, String> {
+        Ok(HarnessConfig {
+            title_rows: env_usize("NC_TITLE_ROWS", 800)?,
+            queries: env_usize("NC_QUERIES", 40)?,
+            train_tuples: env_usize("NC_TRAIN_TUPLES", 30_000)?,
+            psamples: env_usize("NC_PSAMPLES", 64)?,
+            baseline_samples: env_usize("NC_SAMPLES_BASELINE", 4_000)?,
+            sampler_threads: env_usize("NC_SAMPLER_THREADS", 2)?,
+            seed: env_usize("NC_SEED", 42)? as u64,
             smoke: false,
             save_artifact_path: std::env::var("NC_SAVE_ARTIFACT").ok(),
-        }
+        })
     }
 
     /// Reads the environment configuration; `--smoke` on the command line switches to the
     /// [`HarnessConfig::tiny`] budgets so the binary finishes in seconds (the artifact
     /// path still comes from the environment).  This is the entry point every
     /// experiment binary uses, and what CI invokes to *run* (not merely compile) them.
+    /// An unknown argument or an unparsable knob prints an error naming it and exits
+    /// with status 2.
     pub fn from_cli() -> Self {
-        let env = Self::from_env();
-        if std::env::args().skip(1).any(|a| a == "--smoke") {
+        let parsed = parse_smoke_flag(std::env::args().skip(1))
+            .and_then(|smoke| Ok((smoke, Self::from_env()?)));
+        let (smoke, env) = parsed.unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2)
+        });
+        if smoke {
             HarnessConfig {
                 smoke: true,
                 save_artifact_path: env.save_artifact_path,
@@ -89,7 +118,6 @@ impl HarnessConfig {
             psamples: 32,
             baseline_samples: 800,
             sampler_threads: 2,
-            prefetch_depth: 1,
             seed: 42,
             smoke: false,
             save_artifact_path: None,
@@ -111,7 +139,6 @@ impl HarnessConfig {
             training_tuples: self.train_tuples,
             progressive_samples: self.psamples,
             sampler_threads: self.sampler_threads,
-            prefetch_depth: self.prefetch_depth,
             seed: self.seed,
             ..NeuroCardConfig::default()
         }
@@ -165,7 +192,8 @@ pub struct EvalResult {
 }
 
 /// Trains the NeuroCard estimator for `env`; when `config.save_artifact_path` is set,
-/// also writes the trained model's artifact there.
+/// also writes the trained model's artifact there, and exits with status 1 naming the
+/// path if that write fails.
 pub fn build_neurocard(env: &BenchEnv, config: &HarnessConfig) -> NeuroCard {
     let nc_config = config.neurocard();
     println!(
@@ -174,13 +202,23 @@ pub fn build_neurocard(env: &BenchEnv, config: &HarnessConfig) -> NeuroCard {
     );
     let model = NeuroCard::build(env.db.clone(), env.schema.clone(), &nc_config);
     if let Some(path) = &config.save_artifact_path {
-        let bytes = model.to_artifact().to_bytes();
-        match std::fs::write(path, &bytes) {
-            Ok(()) => println!("saved model artifact to {path} ({} bytes)", bytes.len()),
-            Err(e) => eprintln!("could not save artifact to {path}: {e}"),
+        match save_artifact(&model, path) {
+            Ok(len) => println!("saved model artifact to {path} ({len} bytes)"),
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(1)
+            }
         }
     }
     model
+}
+
+/// Writes `model`'s artifact to `path` and returns its size; the error names the path.
+fn save_artifact(model: &NeuroCard, path: &str) -> Result<usize, String> {
+    let bytes = model.to_artifact().to_bytes();
+    std::fs::write(path, &bytes)
+        .map_err(|e| format!("could not save the artifact to {path}: {e}"))?;
+    Ok(bytes.len())
 }
 
 /// True cardinalities of a workload (floor 1, matching the Q-error convention).
@@ -225,13 +263,12 @@ pub fn print_preamble(experiment: &str, env_name: &str, config: &HarnessConfig) 
     println!("workload: {env_name}");
     println!(
         "scale: title_rows={} queries={} train_tuples={} psamples={} sampler_threads={} \
-         prefetch={} seed={}{}",
+         seed={}{}",
         config.title_rows,
         config.queries,
         config.train_tuples,
         config.psamples,
         config.sampler_threads,
-        config.prefetch_depth,
         config.seed,
         if config.smoke { " (smoke run)" } else { "" }
     );
@@ -264,12 +301,15 @@ mod tests {
     }
 
     #[test]
-    fn artifact_cache_round_trip() {
+    fn saved_artifact_loads_bit_identically() {
         let mut config = HarnessConfig::tiny();
         config.train_tuples = 600;
         config.title_rows = 80;
         let env = BenchEnv::job_light(&config);
-        let path = std::env::temp_dir().join("nc_harness_artifact_test.ncar");
+        let path = std::env::temp_dir().join(format!(
+            "nc_harness_artifact_test_{}.ncar",
+            std::process::id()
+        ));
         config.save_artifact_path = Some(path.to_string_lossy().to_string());
 
         // The build trains and saves; the saved file loads and estimates identically.
@@ -289,7 +329,7 @@ mod tests {
 
     #[test]
     fn env_parsing_defaults() {
-        let c = HarnessConfig::from_env();
+        let c = HarnessConfig::from_env().unwrap();
         assert!(c.title_rows > 0 && c.queries > 0);
         assert!(c.sampler_threads > 0);
         assert!(!c.smoke);
@@ -298,9 +338,39 @@ mod tests {
         let nc = c.neurocard();
         assert_eq!(nc.training_tuples, c.train_tuples);
         assert_eq!(nc.sampler_threads, c.sampler_threads);
-        assert_eq!(nc.prefetch_depth, c.prefetch_depth);
-        // The test harness is not a smoke run, so from_cli falls back to the env path.
-        let cli = HarnessConfig::from_cli();
-        assert_eq!(cli.train_tuples, c.train_tuples);
+        assert_eq!(nc.prefetch_depth, NeuroCardConfig::default().prefetch_depth);
+    }
+
+    #[test]
+    fn knobs_that_are_not_whole_numbers_are_errors() {
+        assert_eq!(parse_knob("NC_QUERIES", None, 40), Ok(40));
+        assert_eq!(parse_knob("NC_QUERIES", Some("12".into()), 40), Ok(12));
+        let err = parse_knob("NC_QUERIES", Some("12x".into()), 40).unwrap_err();
+        assert!(err.contains("NC_QUERIES") && err.contains("12x"), "{err}");
+        assert!(parse_knob("NC_TRAIN_TUPLES", Some("300k".into()), 30_000).is_err());
+    }
+
+    #[test]
+    fn arguments_other_than_smoke_are_errors() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_smoke_flag(args(&[])), Ok(false));
+        assert_eq!(parse_smoke_flag(args(&["--smoke"])), Ok(true));
+        let err = parse_smoke_flag(args(&["--smok"])).unwrap_err();
+        assert!(err.contains("--smok"), "{err}");
+    }
+
+    #[test]
+    fn an_unwritable_artifact_path_is_an_error_naming_it() {
+        let mut config = HarnessConfig::tiny();
+        config.train_tuples = 600;
+        config.title_rows = 80;
+        let env = BenchEnv::job_light(&config);
+        let model = build_neurocard(&env, &config);
+        let path = std::env::temp_dir()
+            .join(format!("nc_harness_missing_dir_{}", std::process::id()))
+            .join("m.ncar");
+        let path = path.to_string_lossy();
+        let err = save_artifact(&model, &path).unwrap_err();
+        assert!(err.contains(&*path), "{err}");
     }
 }

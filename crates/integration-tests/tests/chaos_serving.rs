@@ -5,7 +5,8 @@
 //! * **Nothing wrong, ever.**  With worker panics, injected latency, partial
 //!   socket I/O and client-side connection drops all firing, every request a
 //!   client completes is either bit-identical to the direct [`EstimatorCore`]
-//!   answer, or explicitly `degraded` (the stats fallback), or a typed error —
+//!   answer at the request's sample budget (the model's default, or every other
+//!   request's own), or explicitly `degraded` (the stats fallback), or a typed error —
 //!   never a silently wrong estimate.
 //! * **Retries hide the chaos.**  With a generous retry budget, all four
 //!   concurrent clients complete *every* request; the fault arithmetic closes
@@ -91,6 +92,19 @@ fn four_chaos_clients_at_the_pinned_seed_complete_everything_correctly() {
     let core = load_core(&bytes);
     let fingerprint = schema_fingerprint(core.schema());
     let sequential: Vec<f64> = queries.iter().map(|q| core.estimate(q)).collect();
+    // Every other request names its own sample budget instead of the model's default.
+    const BUDGET: usize = 24;
+    let budgeted: Vec<f64> = queries
+        .iter()
+        .map(|q| {
+            core.try_estimate(q, BUDGET, &mut SamplerScratch::new())
+                .unwrap()
+        })
+        .collect();
+    assert_ne!(
+        budgeted, sequential,
+        "the explicit budget must change some estimate, or it is not exercised"
+    );
 
     // The degraded answer a ghost selector must fall back to, computed directly.
     let fallback = StatsFallback::from_database(&db, schema.clone());
@@ -124,25 +138,29 @@ fn four_chaos_clients_at_the_pinned_seed_complete_everything_correctly() {
     let retries_total: u64 = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
             .map(|client_id| {
-                let (queries, sequential, selector, ghost) =
-                    (&queries, &sequential, &selector, &ghost);
+                let (queries, sequential, budgeted, selector, ghost) =
+                    (&queries, &sequential, &budgeted, &selector, &ghost);
                 let config = client_injectors[client_id as usize].clone();
                 scope.spawn(move || {
                     let mut client = ServeClient::connect_with(addr, config).unwrap();
                     for round in 0..ROUNDS {
                         for (idx, q) in queries.iter().enumerate() {
-                            let reply = client
-                                .request(&ServeRequest::new(selector.clone(), q.clone()))
-                                .unwrap_or_else(|e| {
-                                    panic!(
-                                        "client {client_id} round {round} query {idx} \
-                                         exhausted its retry budget: {e}"
-                                    )
-                                });
+                            let request = ServeRequest::new(selector.clone(), q.clone());
+                            let (request, want) = if (round + idx) % 2 == 1 {
+                                (request.with_samples(BUDGET), budgeted[idx])
+                            } else {
+                                (request, sequential[idx])
+                            };
+                            let reply = client.request(&request).unwrap_or_else(|e| {
+                                panic!(
+                                    "client {client_id} round {round} query {idx} \
+                                     exhausted its retry budget: {e}"
+                                )
+                            });
                             assert!(!reply.degraded, "live model must not degrade");
                             assert_eq!(
                                 reply.estimate.to_bits(),
-                                sequential[idx].to_bits(),
+                                want.to_bits(),
                                 "client {client_id} got a WRONG estimate under chaos \
                                  (round {round}, query {idx})"
                             );
