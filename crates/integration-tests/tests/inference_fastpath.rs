@@ -2,7 +2,8 @@
 //! `(model, query, seed)` the zero-allocation / GEMM-backed / compacting progressive
 //! sampler returns **bit-identical** estimates to the pre-optimization reference path,
 //! and [`NeuroCard::estimate_batch`] is bit-identical to calling
-//! [`NeuroCard::estimate`] sequentially, at every thread count the scheduler picks.
+//! [`NeuroCard::estimate`] sequentially, at every thread count the scheduler picks and
+//! at whatever lane count the host's cores give a wide forward.
 
 use std::sync::Arc;
 
@@ -55,6 +56,14 @@ fn fast_path_is_bit_identical_to_reference_path() {
             assert!(
                 reference == fast,
                 "query {i} ({query}) samples {samples}: reference {reference} != fast {fast}"
+            );
+            // JOB-light's 64 samples never make a forward wide enough to split across
+            // cores: every forward runs in one lane, on the calling thread.
+            let counters = scratch.last_estimate();
+            assert_eq!(
+                counters.max_lanes,
+                u64::from(counters.forwards > 0),
+                "query {i} ({query}) samples {samples}"
             );
         }
     }
@@ -194,6 +203,7 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
     // step reads 0.63 and 0.97, and fails them.
     let bounds = [0.153, 0.025];
     let mut scratch = SamplerScratch::new();
+    let mut widest = 0;
     for ((core, queries), bound) in [(light.core(), &light_queries), (m_core, &m_queries)]
         .into_iter()
         .zip(bounds)
@@ -212,6 +222,7 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
                     assert!(counters.columns_embedded < counters.rows_forwarded * columns);
                     block_terms += counters.block_terms;
                     rows_forwarded += counters.rows_forwarded;
+                    widest = widest.max(counters.max_lanes);
                 }
             }
         }
@@ -223,6 +234,13 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
             "{columns} columns: block terms {share:.4} of dense"
         );
     }
+    // On a host with two cores or more, the 512-sample budgets make forwards wide enough
+    // to split, so the bits above were also compared across lanes.
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(
+        (cores.min(2) as u64..=cores as u64).contains(&widest),
+        "{cores} cores, at most {widest} lanes"
+    );
 }
 
 #[test]

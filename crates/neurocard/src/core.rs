@@ -113,8 +113,8 @@ impl EstimatorCore {
     }
 
     /// The one fallible estimate entry point: explicit progressive-sample budget (zero is
-    /// [`EstimateError::InvalidSampleCount`]) and caller-owned scratch (zero allocations in
-    /// steady state — the serving hot path).
+    /// [`EstimateError::InvalidSampleCount`]) and caller-owned scratch (no buffer allocated
+    /// in steady state — the serving hot path).
     pub fn try_estimate(
         &self,
         query: &Query,

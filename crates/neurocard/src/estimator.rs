@@ -192,8 +192,8 @@ impl NeuroCard {
     }
 
     /// The one fallible estimate entry point: explicit progressive-sample budget (zero is
-    /// [`EstimateError::InvalidSampleCount`]) and caller-owned scratch buffers (zero
-    /// allocations in steady state).  Reports — instead of panicking — queries that are
+    /// [`EstimateError::InvalidSampleCount`]) and caller-owned scratch buffers (none
+    /// allocated in steady state).  Reports — instead of panicking — queries that are
     /// invalid or filter a column the wide layout does not model (e.g. a raw join key
     /// with `model_join_keys = false`).
     pub fn try_estimate(

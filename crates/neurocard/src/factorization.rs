@@ -199,7 +199,10 @@ mod tests {
         assert_eq!(dhi, 1023); // hi has a different high digit, so not tight above.
     }
 
+    /// `split` checks its domain with a `debug_assert`, so there is nothing to panic in a
+    /// release build.
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "outside domain")]
     fn split_out_of_domain_panics_in_debug() {
         let f = Factorization::new(16, 2);

@@ -15,13 +15,14 @@
 //!
 //! # The inference fast path
 //!
-//! The hot loop is engineered around a reusable [`SamplerScratch`] so that steady-state
-//! estimation performs no heap allocation:
+//! The hot loop is engineered around a reusable [`SamplerScratch`] so that in steady state
+//! no buffer is allocated or grown (a forward wide enough to run in several lanes starts
+//! scoped threads; see [`nc_nn::ResMade::conditional_probs_step`]):
 //!
 //! * sample tokens live in one flat `num_samples × n_model` buffer (no `Vec<Vec<u32>>`),
 //! * model forwards write into a reused [`nc_nn::InferenceScratch`] via
 //!   [`nc_nn::ResMade::conditional_probs_step`] (blocked GEMM kernels, single-column
-//!   output head),
+//!   output head; a forward of many rows splits them across cores, which moves no bit),
 //! * the whole trunk is **prefix-incremental**: the scratch carries each forwarded row's
 //!   input-layer pre-bias sums and every hidden unit whose degree is below the last
 //!   forward's column, a class created by refinement names the row of the class it split
@@ -116,7 +117,7 @@ enum Constraint {
 ///
 /// One scratch per serving thread; reuse it across queries via
 /// [`ProgressiveSampler::try_estimate_with_scratch`].  All buffers grow on first use and are
-/// then reused, so steady-state estimation allocates nothing; the ones whose size follows
+/// then reused, so in steady state no estimate allocates a buffer; the ones whose size follows
 /// the number of sample classes are reserved for the estimate's whole sample budget up
 /// front, so a scratch's allocations do not depend on the order queries arrive in.
 #[derive(Debug, Default)]
@@ -173,6 +174,9 @@ pub struct ForwardCounters {
     /// included ([`nc_nn::InferenceScratch::block_terms`]).  A forward blind to the masks
     /// and to the carried prefix walks `rows_forwarded × 2·num_blocks·d_hidden²`.
     pub block_terms: u64,
+    /// The most lanes any forward ran in ([`nc_nn::InferenceScratch::lanes`]): one unless
+    /// some forward's batch was wide enough to split across cores.
+    pub max_lanes: u64,
 }
 
 impl SamplerScratch {
@@ -213,8 +217,8 @@ impl<'a> ProgressiveSampler<'a> {
     }
 
     /// Estimates the cardinality of `query` using `num_samples` progressive samples —
-    /// the one fast-path entry point; every caller supplies the scratch buffers (zero
-    /// allocations in steady state).
+    /// the one fast-path entry point; every caller supplies the scratch buffers (none
+    /// allocated in steady state).
     ///
     /// The returned estimate is lower-bounded by 1 row, mirroring the paper's Q-error
     /// convention.  A zero sample budget is [`EstimateError::InvalidSampleCount`]: a
@@ -323,8 +327,8 @@ impl<'a> ProgressiveSampler<'a> {
 
     /// Monte-Carlo selectivity of the constraint set under the learned distribution.
     ///
-    /// Zero-allocation hot loop; see the module docs for the fast-path design and the
-    /// determinism argument.
+    /// A hot loop that allocates no buffer in steady state; see the module docs for the
+    /// fast-path design and the determinism argument.
     fn selectivity(
         &self,
         constraints: &[Constraint],
@@ -471,6 +475,7 @@ impl<'a> ProgressiveSampler<'a> {
                 }
                 counters.columns_embedded += nn.embedded_columns() as u64;
                 counters.block_terms += nn.block_terms();
+                counters.max_lanes = counters.max_lanes.max(nn.lanes() as u64);
 
                 // Refine classes by the digit just drawn: samples remain classmates iff
                 // they were classmates and drew the same digit.  Dead samples keep stale

@@ -72,7 +72,7 @@ impl Linear {
     /// Forward pass: `out = x·W + b` (every element of `out` is overwritten).
     pub fn forward(&self, x: &Matrix, out: &mut Matrix) {
         matmul_blocked(x, &self.weight.value, out);
-        add_bias(out, self.bias.value.row(0));
+        add_bias(out.data_mut(), self.bias.value.row(0));
     }
 
     /// Backward pass: accumulates `dW += xᵀ·dy` ([`gemm_tn_acc`]) and `db += Σ dy`, and

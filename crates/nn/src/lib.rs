@@ -32,9 +32,11 @@
 //! the process may run on: scoped threads of [`ResMade::forward_backward`] that own
 //! disjoint output elements of every product, so the trained weights are the same bits at
 //! any lane count, and no thread outlives the call (the model holds no scratch — it is
-//! what serving cores clone — so the trainer brings a [`TrainScratch`]).  Inference
-//! spawns nothing: callers that want it parallel run one [`InferenceScratch`] per thread
-//! over a shared model.
+//! what serving cores clone — so the trainer brings a [`TrainScratch`]).  An inference
+//! step wide enough (two lanes of at least 64 rows) runs in lanes the same way, the lanes
+//! taking blocks of the batch's rows, so its probabilities are the same bits at any lane
+//! count; narrower steps start no thread.  Callers that want many estimates in parallel
+//! run one [`InferenceScratch`] per thread over a shared model.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(

@@ -69,11 +69,17 @@ pub fn softmax_rows(logits: &Matrix) -> Matrix {
 /// path can reuse one probability matrix across forward passes.
 pub fn softmax_rows_into(logits: &Matrix, out: &mut Matrix) {
     out.resize(logits.rows(), logits.cols());
-    for b in 0..logits.rows() {
-        let row = logits.row(b);
+    softmax_rows_slice(logits.cols(), logits.data(), out.data_mut());
+}
+
+/// [`softmax_rows_into`] over row-major rows of `width` logits, into an `out` as long.
+pub(crate) fn softmax_rows_slice(width: usize, logits: &[f32], out: &mut [f32]) {
+    if width == 0 {
+        return;
+    }
+    for (row, out_row) in logits.chunks_exact(width).zip(out.chunks_exact_mut(width)) {
         let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
-        let out_row = out.row_mut(b);
         for (o, &v) in out_row.iter_mut().zip(row) {
             *o = (v - max).exp();
             sum += *o;

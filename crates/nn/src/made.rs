@@ -18,7 +18,7 @@
 
 use std::cmp::Reverse;
 use std::ops::Range;
-use std::sync::OnceLock;
+use std::sync::{OnceLock, PoisonError};
 use std::thread;
 
 use rand::rngs::StdRng;
@@ -27,7 +27,7 @@ use rand::Rng;
 use crate::layers::{
     relu, relu_backward, seeded_rng, weight_grad_rows, Embedding, Linear, MaskedLinear, Param,
 };
-use crate::loss::{softmax_cross_entropy_rows, softmax_rows, softmax_rows_into};
+use crate::loss::{softmax_cross_entropy_rows, softmax_rows, softmax_rows_slice};
 use crate::tensor::{
     add_bias, column_sums_accumulate, gemm_narrow, gemm_nt, gemm_tn_acc, matmul, matmul_blocked,
     matmul_blocked_acc, matmul_col_range_live, matmul_units_live, transpose_into, LiveUnits,
@@ -357,7 +357,7 @@ impl ResMade {
         targets: &[u32],
         scratch: &mut TrainScratch,
     ) -> f32 {
-        let lanes = lanes_for(inputs.len() / self.num_columns());
+        let lanes = lanes_for(inputs.len() / self.num_columns(), MIN_LANE_ROWS);
         self.forward_backward_in(inputs, targets, scratch, lanes)
     }
 
@@ -404,17 +404,14 @@ impl ResMade {
                 .zip(wts.iter_mut())
                 .map(|(layer, wt)| (layer.num_params(), (layer, wt))),
         );
-        in_lanes(
-            rows.iter_mut().zip(transposes).collect(),
-            |(r, transposes)| {
-                let tokens = &inputs[r.start * n..(r.start + r.x.rows()) * n];
-                self.embed_flat_into(tokens, &mut r.x);
-                self.forward_trunk(r);
-                for (layer, wt) in transposes {
-                    layer.transpose_weight(wt);
-                }
-            },
-        );
+        in_lanes(rows.iter_mut().zip(transposes), |(r, transposes)| {
+            let tokens = &inputs[r.start * n..(r.start + r.x.rows()) * n];
+            self.embed_flat_into(tokens, &mut r.x);
+            self.forward_trunk(r);
+            for (layer, wt) in transposes {
+                layer.transpose_weight(wt);
+            }
+        });
 
         // 2. The per-column heads, by whole columns, dealt out by domain:
         //   logits[b][v] = ctx_col[b] · E[v] + bias[v]
@@ -442,7 +439,7 @@ impl ResMade {
             });
         let dealt = deal(lanes, columns);
         let (lane_rows, scale) = (&*rows, 1.0 / batch as f32);
-        in_lanes(heads.iter_mut().zip(dealt).collect(), |(scratch, heads)| {
+        in_lanes(heads.iter_mut().zip(dealt), |(scratch, heads)| {
             for head in heads {
                 scratch.run(head, lane_rows, (targets, n), scale);
             }
@@ -451,9 +448,7 @@ impl ResMade {
 
         // 3. The `dx` chain, by batch rows.
         let (dctx, wts) = (&*dctx, &*wts);
-        in_lanes(rows.iter_mut().collect(), |r| {
-            self.backward_rows(r, dctx, wts)
-        });
+        in_lanes(rows.iter_mut(), |r| self.backward_rows(r, dctx, wts));
 
         // 4. The weight gradients, deferred: each `dW` by blocks of its rows, each bias by
         //    columns, the input-side embedding gradients by columns (after the heads'
@@ -547,13 +542,15 @@ impl ResMade {
     /// Embeds a flat `batch × num_columns` token buffer into the input matrix `x`
     /// (resized; allocation reused across calls).
     pub fn embed_flat_into(&self, tokens: &[u32], x: &mut Matrix) {
-        self.embed_columns_into(tokens, 0, self.num_columns(), x);
+        let n = self.num_columns();
+        x.resize(tokens.len() / n, n * self.config.d_emb);
+        self.embed_columns(tokens, 0..n, x.data_mut());
     }
 
-    /// Embeds columns `lo..hi` of a flat `batch × num_columns` token buffer into the
-    /// `batch × (hi − lo)·d_emb` slab `x` (resized; allocation reused across calls).
-    /// Tokens outside `lo..hi` are not read.
-    fn embed_columns_into(&self, tokens: &[u32], lo: usize, hi: usize, x: &mut Matrix) {
+    /// Embeds the columns `cols` of a flat `batch × num_columns` token buffer into the
+    /// row-major `batch × cols.len()·d_emb` slab `out`.  Tokens outside `cols` are not
+    /// read.
+    fn embed_columns(&self, tokens: &[u32], cols: Range<usize>, out: &mut [f32]) {
         let n = self.num_columns();
         let d = self.config.d_emb;
         assert_eq!(
@@ -561,13 +558,16 @@ impl ResMade {
             0,
             "flat token buffer length must be a multiple of the column count"
         );
-        let batch = tokens.len() / n;
-        x.resize(batch, (hi - lo) * d);
-        for b in 0..batch {
-            let row_tokens = &tokens[b * n + lo..b * n + hi];
-            let out_row = x.row_mut(b);
-            for (c, &token) in row_tokens.iter().enumerate() {
-                self.embeddings[lo + c].lookup(token, &mut out_row[c * d..(c + 1) * d]);
+        let width = cols.len() * d;
+        if width == 0 {
+            return;
+        }
+        for (row_tokens, out_row) in tokens.chunks_exact(n).zip(out.chunks_exact_mut(width)) {
+            for ((c, &token), slot) in (cols.start..)
+                .zip(&row_tokens[cols.clone()])
+                .zip(out_row.chunks_exact_mut(d))
+            {
+                self.embeddings[c].lookup(token, slot);
             }
         }
     }
@@ -583,7 +583,7 @@ impl ResMade {
             let weights = &layer.inner.weight.value;
             let mut out = Matrix::zeros(x.rows(), weights.cols());
             matmul(x, weights, &mut out);
-            add_bias(&mut out, layer.inner.bias.value.row(0));
+            add_bias(out.data_mut(), layer.inner.bias.value.row(0));
             out
         };
         let mut h = layer(&self.input_layer, &x);
@@ -635,7 +635,7 @@ impl ResMade {
     /// `batch × num_columns` buffer `tokens`, as a `batch × domain` matrix of probabilities.
     /// Tokens at columns `>= col` are never read (the masks cut them off); callers
     /// conventionally fill them with MASK tokens.  All intermediates live in `scratch` —
-    /// zero allocations in steady state — and the returned reference points into
+    /// no buffer grows in steady state — and the returned reference points into
     /// `scratch.probs`.  One [`ResMade::conditional_probs_step`] from an empty prefix.
     ///
     /// Bit-for-bit equal to the naive path (`conditional_probs_into_matches_training_
@@ -703,7 +703,8 @@ impl ResMade {
     /// 1. gathers each row's carry from its parent row — all of `z`, the units of degree
     ///    `< z_cols` of the carried layers — and gathers nothing when `parents` is the
     ///    identity;
-    /// 2. adds columns `z_cols..col` onto `z` ([`matmul_blocked_acc`]; columns `>= col`
+    /// 2. adds columns `z_cols..col` onto the units of `z` of degree `>= z_cols` — a unit
+    ///    of lower degree hears none of them — ([`matmul_blocked_acc`]; columns `>= col`
     ///    meet structurally-zero weights on every path into column `col`) and takes
     ///    `h₀ = relu(z + b)`;
     /// 3. layer by layer, computes only the units of degree in `z_cols..col` — one short
@@ -713,6 +714,17 @@ impl ResMade {
     /// 4. computes **only** column `col`'s `d_emb`-wide context slice, from the live units
     ///    of the last layer ([`matmul_col_range_live`]), the logit head as one blocked GEMM
     ///    against the embedding table ([`gemm_nt`]), and the softmax.
+    ///
+    /// Points 2–4 run in **lanes** when the batch is wide — one per core this process may
+    /// run on, each with at least `MIN_STEP_LANE_ROWS` rows; nobody configures them.  The
+    /// rows are cut, at multiples of four, into `BLOCKS_PER_LANE` contiguous blocks per
+    /// lane, each split off every buffer in place (none copied), and the lanes claim
+    /// blocks until none is left.  Every product of those points is row-local: a row gets
+    /// the same bits whichever lane computes it (`prefix_steps_match_reference_bitwise*`,
+    /// at 1, 2 and 3 lanes).  A panic in a lane (a token outside its domain) is re-raised
+    /// on the calling thread once every lane has stopped.  No buffer is allocated by a step
+    /// once the scratch is reserved; a step of several lanes starts that many scoped
+    /// threads less one.
     ///
     /// Units of degree `>= col` hold unspecified values (partial sums, or stale) that no
     /// kernel reads: every inner walk stays inside the live set.
@@ -742,8 +754,27 @@ impl ResMade {
         parents: Option<&[u32]>,
         scratch: &'s mut InferenceScratch,
     ) -> &'s Matrix {
+        let lanes = lanes_for(tokens.len() / self.num_columns(), MIN_STEP_LANE_ROWS);
+        self.conditional_probs_step_in(tokens, col, parents, scratch, lanes)
+    }
+
+    /// [`ResMade::conditional_probs_step`] in `lanes` lanes.
+    pub(crate) fn conditional_probs_step_in<'s>(
+        &self,
+        tokens: &[u32],
+        col: usize,
+        parents: Option<&[u32]>,
+        scratch: &'s mut InferenceScratch,
+        lanes: usize,
+    ) -> &'s Matrix {
         let n = self.num_columns();
         assert!(col < n);
+        assert!(lanes >= 1, "a step needs a lane");
+        assert_eq!(
+            tokens.len() % n,
+            0,
+            "flat token buffer length must be a multiple of the column count"
+        );
         let d = self.config.d_emb;
         let h_dim = self.config.d_hidden;
         let domain = self.config.domains[col];
@@ -803,6 +834,8 @@ impl ResMade {
                 }
             }
         }
+        #[cfg(test)]
+        let poison = scratch.poison;
 
         let InferenceScratch {
             x,
@@ -812,78 +845,168 @@ impl ResMade {
             spare,
             embedded_columns,
             block_terms,
+            lanes: last_lanes,
             ctx,
             logits,
             probs,
             ..
         } = scratch;
-
-        // z += x[:, z_cols..col] · W_in[z_cols·d .. col·d, :], then h₀ = relu(z + b).
-        self.embed_columns_into(tokens, z_cols, col, x);
-        matmul_blocked_acc(x, &self.input_layer.inner.weight.value, z_cols * d, z);
         *carried_cols = col;
         *embedded_columns = batch * (col - z_cols);
+        let inner: usize = self.live_units(col).runs(h_dim).map(|run| run.len()).sum();
+        let computed: usize = self.new_units(z_cols, col).map(|run| run.len()).sum();
+        *block_terms = (2 * self.blocks.len() * batch * inner * computed) as u64;
+        *last_lanes = lanes;
+
+        // Every buffer gets its shape here, on the calling thread, and each block of rows
+        // its rows of it: no lane allocates a buffer or reads another block's rows.
+        let x_width = (col - z_cols) * d;
+        x.resize(batch, x_width);
         spare.resize(batch, h_dim);
+        ctx.resize(batch, d);
+        logits.resize(batch, domain);
+        probs.resize(batch, domain);
+        let (mut x, mut z, mut h0) = (x.data_mut(), z.data_mut(), spare.data_mut());
+        let (mut ctx, mut logits) = (ctx.data_mut(), logits.data_mut());
+        let mut probs_rows = probs.data_mut();
+        let mut carried: Vec<&mut [f32]> = carried[..2 * self.blocks.len()]
+            .iter_mut()
+            .map(Matrix::data_mut)
+            .collect();
+        // Lanes claim blocks of rows from a shared queue until none is left, so a lane
+        // whose core is taken away mid-step leaves at most one block for the others to
+        // wait on, and a lane on a slower core takes fewer.
+        let blocks = if lanes > 1 {
+            BLOCKS_PER_LANE * lanes
+        } else {
+            1
+        };
+        let work = row_blocks(batch, blocks).map(|rows| {
+            let r = rows.len();
+            StepRows {
+                tokens: &tokens[rows.start * n..rows.end * n],
+                x: take_rows(&mut x, r * x_width),
+                z: take_rows(&mut z, r * h_dim),
+                h0: take_rows(&mut h0, r * h_dim),
+                carried: carried
+                    .iter_mut()
+                    .map(|m| take_rows(m, r * h_dim))
+                    .collect(),
+                ctx: take_rows(&mut ctx, r * d),
+                logits: take_rows(&mut logits, r * domain),
+                probs: take_rows(&mut probs_rows, r * domain),
+                #[cfg(test)]
+                poison,
+            }
+        });
+        #[expect(
+            clippy::disallowed_types,
+            reason = "held only to take the next block, never across a lane's work, so no \
+                      panic can poison it; nc-nn depends on no lock crate"
+        )]
+        let queue = std::sync::Mutex::new(work);
+        let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+        in_lanes(0..lanes, |_| {
+            while let Some(rows) = claim() {
+                self.step_rows(rows, z_cols, col);
+            }
+        });
+        probs
+    }
+
+    /// Points 2–4 of [`ResMade::conditional_probs_step`] over one block of rows: the input
+    /// layer's new columns, `h₀`, each block layer's new units, the context slice, the
+    /// logits and the softmax.  `z_cols` is the carried prefix's column count.
+    fn step_rows(&self, rows: StepRows<'_>, z_cols: usize, col: usize) {
+        let StepRows {
+            tokens,
+            x,
+            z,
+            h0,
+            mut carried,
+            ctx,
+            logits,
+            probs,
+            ..
+        } = rows;
+        let n = self.num_columns();
+        let (d, h_dim) = (self.config.d_emb, self.config.d_hidden);
+        let period = Self::degree_period(n);
+
+        // z[:, u] += x[:, z_cols..col] · W_in[z_cols·d .. col·d, u] for the units u of
+        // degree >= z_cols (the others hear none of these columns), then h₀ = relu(z + b).
+        self.embed_columns(tokens, z_cols..col, x);
+        let input_units = || LiveUnits::new(period, period).added_since(z_cols, h_dim, UNIT_ALIGN);
+        // Test hook: every unit of `z` outside those runs is `−0.0` while they are added
+        // (and restored after).  A kernel that walked such a unit would add `a · +0.0` — a
+        // masked weight — for each non-zero input `a`, and one positive `a` turns the
+        // `−0.0` into `+0.0`.
+        #[cfg(test)]
+        let kept = rows.poison.then(|| {
+            let (outside, kept) = (outside(h_dim, input_units()), z.to_vec());
+            for row in z.chunks_exact_mut(h_dim) {
+                for &u in &outside {
+                    row[u] = -0.0;
+                }
+            }
+            (outside, kept)
+        });
+        let w_in = &self.input_layer.inner.weight.value;
+        for run in input_units() {
+            matmul_blocked_acc(x, w_in, z_cols * d..col * d, run, z);
+        }
+        #[cfg(test)]
+        if let Some((outside, kept)) = kept {
+            for (row, kept) in z.chunks_exact_mut(h_dim).zip(kept.chunks_exact(h_dim)) {
+                for &u in &outside {
+                    let what = format!("unit {u} of z, degree {} < {z_cols}", u % period);
+                    assert_eq!(row[u].to_bits(), (-0.0f32).to_bits(), "{what} was added to");
+                    row[u] = kept[u];
+                }
+            }
+        }
         let bias = self.input_layer.inner.bias.value.row(0);
-        for (h_row, z_row) in spare
-            .data_mut()
-            .chunks_exact_mut(h_dim)
-            .zip(z.data().chunks_exact(h_dim))
-        {
+        for (h_row, z_row) in h0.chunks_exact_mut(h_dim).zip(z.chunks_exact(h_dim)) {
             for ((h, &z), &b) in h_row.iter_mut().zip(z_row).zip(bias) {
                 *h = relu_value(z + b);
             }
         }
-        let h0: &Matrix = spare;
 
         // The residual blocks, new units only.
         let live = self.live_units(col);
-        let new_units = || self.new_units(z_cols, col);
-        let inner: usize = live.runs(h_dim).map(|run| run.len()).sum();
-        let computed: usize = new_units().map(|run| run.len()).sum();
-        *block_terms = (2 * self.blocks.len() * batch * inner * computed) as u64;
-        let carried = &mut carried[..2 * self.blocks.len()];
         for (i, (w1, w2)) in self.blocks.iter().enumerate() {
             let (below, this) = carried.split_at_mut(2 * i);
-            let h_in = below.last().unwrap_or(h0);
-            let (a, h_out) = this.split_at_mut(1);
-            let (a, h_out) = (&mut a[0], &mut h_out[0]);
-            for run in new_units() {
+            let h_in: &[f32] = below.last().map_or(&*h0, |h| &**h);
+            let [a, h_out, ..] = this else {
+                unreachable!("two carried layers per block")
+            };
+            for run in self.new_units(z_cols, col) {
                 matmul_units_live(h_in, &w1.inner.weight.value, run.clone(), live, a);
                 bias_relu(a, run, w1.inner.bias.value.row(0));
             }
-            for run in new_units() {
+            for run in self.new_units(z_cols, col) {
                 matmul_units_live(a, &w2.inner.weight.value, run.clone(), live, h_out);
                 residual(h_in, run, w2.inner.bias.value.row(0), h_out);
             }
         }
 
-        ctx.resize(batch, d);
+        let (lo, hi) = (col * d, (col + 1) * d);
+        let last: &[f32] = carried.last().map_or(&*h0, |h| &**h);
         matmul_col_range_live(
-            carried.last().unwrap_or(h0),
+            last,
             &self.output_layer.inner.weight.value,
-            col * d,
-            (col + 1) * d,
+            lo,
+            hi,
             live,
             ctx,
         );
-        add_bias(
-            ctx,
-            &self.output_layer.inner.bias.value.row(0)[col * d..(col + 1) * d],
-        );
-        logits.resize(batch, domain);
+        add_bias(ctx, &self.output_layer.inner.bias.value.row(0)[lo..hi]);
+        let domain = self.config.domains[col];
         let emb = &self.embeddings[col].table.value;
-        gemm_nt(
-            batch,
-            domain,
-            d,
-            ctx.data(),
-            &emb.data()[..domain * d],
-            logits.data_mut(),
-        );
+        let rows = tokens.len() / n;
+        gemm_nt(rows, domain, d, ctx, &emb.data()[..domain * d], logits);
         add_bias(logits, self.output_bias[col].value.row(0));
-        softmax_rows_into(logits, probs);
-        probs
+        softmax_rows_slice(domain, logits, probs);
     }
 
     /// Checks the invariants the autoregressive property and the inference forward's
@@ -965,10 +1088,10 @@ fn relu_value(v: f32) -> f32 {
     }
 }
 
-/// `m[r][u] = relu(m[r][u] + bias[u])` for the units `units` of every row.
-fn bias_relu(m: &mut Matrix, units: Range<usize>, bias: &[f32]) {
-    let width = m.cols();
-    for row in m.data_mut().chunks_exact_mut(width) {
+/// `m[r][u] = relu(m[r][u] + bias[u])` for the units `units` of every row of the
+/// row-major rows `m` (as wide as `bias`).
+fn bias_relu(m: &mut [f32], units: Range<usize>, bias: &[f32]) {
+    for row in m.chunks_exact_mut(bias.len()) {
         for (v, &b) in row[units.clone()].iter_mut().zip(&bias[units.clone()]) {
             *v = relu_value(*v + b);
         }
@@ -977,14 +1100,10 @@ fn bias_relu(m: &mut Matrix, units: Range<usize>, bias: &[f32]) {
 
 /// A residual block's output over the units `units` of every row: `out[r][u] = h[r][u] +
 /// relu(out[r][u] + bias[u])`, where `h` is the block's input and `out` holds the pre-bias
-/// sums of its second layer.
-fn residual(h: &Matrix, units: Range<usize>, bias: &[f32], out: &mut Matrix) {
-    let width = out.cols();
-    for (row, h_row) in out
-        .data_mut()
-        .chunks_exact_mut(width)
-        .zip(h.data().chunks_exact(width))
-    {
+/// sums of its second layer (row-major rows as wide as `bias`).
+fn residual(h: &[f32], units: Range<usize>, bias: &[f32], out: &mut [f32]) {
+    let width = bias.len();
+    for (row, h_row) in out.chunks_exact_mut(width).zip(h.chunks_exact(width)) {
         let (row, h_row, bias) = (
             &mut row[units.clone()],
             &h_row[units.clone()],
@@ -996,14 +1115,15 @@ fn residual(h: &Matrix, units: Range<usize>, bias: &[f32], out: &mut Matrix) {
     }
 }
 
-/// Reusable buffers — and the carried prefix — of the zero-allocation inference forward
-/// pass ([`ResMade::conditional_probs_step`]).
+/// Reusable buffers — and the carried prefix — of the inference forward pass
+/// ([`ResMade::conditional_probs_step`]).
 ///
 /// Create one per serving thread and reuse it across forward passes, sub-columns and
-/// queries; every buffer is resized in place (allocations only grow, never shrink), so
-/// steady-state inference performs no heap allocation at all
-/// ([`ResMade::reserve_scratch`] sizes them all at once).  The scratch is not tied to
-/// a model: a step from the empty prefix adapts to whatever shapes it needs and
+/// queries; every buffer is resized in place (allocations only grow, never shrink), so in
+/// steady state no step allocates or grows a buffer ([`ResMade::reserve_scratch`] sizes
+/// them all at once).  What a step does allocate is bookkeeping — each block of rows' list
+/// of its carried rows — and, when it runs in several lanes, their scoped threads.  The scratch is not
+/// tied to a model: a step from the empty prefix adapts to whatever shapes it needs and
 /// overwrites the carried prefix, so one scratch can serve several models of different
 /// sizes.
 #[derive(Debug, Clone, Default)]
@@ -1028,6 +1148,8 @@ pub struct InferenceScratch {
     embedded_columns: usize,
     /// Product terms the last step's new-unit kernels walked.
     block_terms: u64,
+    /// Lanes the last step ran in.
+    lanes: usize,
     /// Context slice of the queried column (`batch × d_emb`).
     ctx: Matrix,
     /// Logits of the queried column (`batch × domain`).
@@ -1035,7 +1157,8 @@ pub struct InferenceScratch {
     /// Softmax probabilities returned to the caller.
     probs: Matrix,
     /// Test hook: after the gather, NaN-fill every carried unit the step did not carry
-    /// over, so a read of one surfaces in its result.
+    /// over, so a read of one surfaces in its result; and check that the input layer adds
+    /// to no unit of `z` outside the runs of the new degrees.
     #[cfg(test)]
     poison: bool,
 }
@@ -1059,11 +1182,75 @@ impl InferenceScratch {
     pub fn block_terms(&self) -> u64 {
         self.block_terms
     }
+
+    /// Lanes the last step ran in (see [`ResMade::conditional_probs_step`]): one unless
+    /// its batch was wide enough to give several cores a lane each.  Zero before the
+    /// first step.
+    pub fn lanes(&self) -> usize {
+        self.lanes
+    }
+}
+
+/// One block of rows of every buffer of an inference step: the rows' tokens (`rows ×
+/// num_columns`), and their rows of the embedded slab, `z`, `h₀`, each carried layer, the
+/// context slice, the logits and the probabilities.
+struct StepRows<'a> {
+    tokens: &'a [u32],
+    x: &'a mut [f32],
+    z: &'a mut [f32],
+    h0: &'a mut [f32],
+    carried: Vec<&'a mut [f32]>,
+    ctx: &'a mut [f32],
+    logits: &'a mut [f32],
+    probs: &'a mut [f32],
+    /// [`InferenceScratch`]'s test hook.
+    #[cfg(test)]
+    poison: bool,
+}
+
+/// Splits the first `len` elements off `rest`.
+fn take_rows<'a>(rest: &mut &'a mut [f32], len: usize) -> &'a mut [f32] {
+    let (head, tail) = std::mem::take(rest).split_at_mut(len);
+    *rest = tail;
+    head
+}
+
+/// `batch` rows cut into `blocks` contiguous blocks, in order, at multiples of four rows,
+/// so that every block but the last runs only full 4-row register tiles, as one block of
+/// all the rows would.  With more blocks than groups of four rows, some are empty.
+fn row_blocks(batch: usize, blocks: usize) -> impl Iterator<Item = Range<usize>> {
+    let cut = move |block: usize| {
+        if block == blocks {
+            batch
+        } else {
+            block * batch / blocks / 4 * 4
+        }
+    };
+    (0..blocks).map(move |block| cut(block)..cut(block + 1))
+}
+
+/// The units below `width` outside `runs`.
+#[cfg(test)]
+fn outside(width: usize, runs: impl Iterator<Item = Range<usize>>) -> Vec<usize> {
+    let mut inside = vec![false; width];
+    for run in runs {
+        inside[run].fill(true);
+    }
+    (0..width).filter(|&u| !inside[u]).collect()
 }
 
 /// Fewest batch rows a lane of a training step is given: below this, starting a lane's
 /// thread costs more than its share of the step.
 const MIN_LANE_ROWS: usize = 16;
+
+/// Fewest rows a lane of an inference step is given, so a step of fewer than twice this
+/// many runs in one lane.  Chosen on `direct_m` (the sweep is in `docs/kernels.md`,
+/// "Lanes at inference"); above 32, so JOB-light's 64-sample steps stay in one lane.
+const MIN_STEP_LANE_ROWS: usize = 64;
+
+/// Blocks of rows per lane of an inference step of several lanes (one lane takes its
+/// rows as one block).
+const BLOCKS_PER_LANE: usize = 4;
 
 /// Bytes of heap a fresh [`TrainScratch`] leaves free below its buffers (see
 /// [`TrainScratch::shape`]).
@@ -1073,23 +1260,27 @@ const HEAP_CUSHION: usize = 64 << 10;
 /// tiles of [`gemm_tn_acc`] stay aligned.
 const DW_ROWS: usize = 16;
 
-/// The lanes a training step on `batch` rows runs in: one per core this process may run
-/// on (read once), but no more than give each lane [`MIN_LANE_ROWS`] rows.
-fn lanes_for(batch: usize) -> usize {
+/// The lanes a step on `rows` rows runs in: one per core this process may run on (read
+/// once), but no more than give each lane `min_rows` rows.
+fn lanes_for(rows: usize, min_rows: usize) -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
-    cores.min(batch / MIN_LANE_ROWS).max(1)
+    cores.min(rows / min_rows).max(1)
 }
 
 /// Runs `lane` on every element of `work` at once: the first on the calling thread, every
 /// other on a scoped thread of its own, all joined before this returns — no thread
-/// outlives the call.  No lane waits on another, so a panicking lane stops no other; its
-/// payload is re-raised here, on the caller (the calling thread's own first).
-fn in_lanes<W: Send>(work: Vec<W>, lane: impl Fn(W) + Sync) {
-    let mut work = work.into_iter();
+/// outlives the call, and a single lane starts none.  No lane waits on another, so a
+/// panicking lane stops no other; its payload is re-raised here, on the caller (the
+/// calling thread's own first).
+fn in_lanes<W: Send>(work: impl IntoIterator<Item = W>, lane: impl Fn(W) + Sync) {
+    let mut work = work.into_iter().peekable();
     let Some(first) = work.next() else {
         return;
     };
+    if work.peek().is_none() {
+        return lane(first);
+    }
     let lane = &lane;
     thread::scope(|scope| {
         let others: Vec<_> = work.map(|w| scope.spawn(move || lane(w))).collect();
@@ -1254,7 +1445,7 @@ impl HeadScratch {
             }
             self.logits.resize(m, domain);
             matmul_blocked(&self.ctx, &self.wt, &mut self.logits);
-            add_bias(&mut self.logits, bias.value.row(0));
+            add_bias(self.logits.data_mut(), bias.value.row(0));
             self.targets.clear();
             self.targets
                 .extend((first..first + m).map(|b| targets[b * n + col]));
@@ -1913,13 +2104,18 @@ mod tests {
         m
     }
 
-    /// One step of `m` on `scratch`, checked bit for bit against the seed forward.  With
-    /// `parents`, row `r` continues `rows[parents[r]]` (the last step's token rows, which
-    /// conditioned `base_col`); without, `batch` rows start from the empty prefix
-    /// (`base_col` 0).  Newly covered columns get tokens from `next` (the last value of a
-    /// domain is MASK), columns `>= col` garbage that would panic if it were looked up.
-    /// The scratch poisons every carried unit the step did not carry over.  Returns the
-    /// step's token rows.
+    /// One step of `m` on `scratch` in `lanes` lanes, checked bit for bit against the seed
+    /// forward.  With `parents`, row `r` continues `rows[parents[r]]` (the last step's token
+    /// rows, which conditioned `base_col`); without, `batch` rows start from the empty
+    /// prefix (`base_col` 0).  Newly covered columns get tokens from `next` (the last value
+    /// of a domain is MASK), columns `>= col` garbage that would panic if it were looked
+    /// up.  The scratch poisons every carried unit the step did not carry over and checks
+    /// that the input layer adds to no unit of `z` of degree `< base_col` outside the
+    /// widened runs.  Returns the step's token rows.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a test helper spelling out one step: model, scratch, prefix, shape, lanes"
+    )]
     fn checked_step(
         m: &ResMade,
         scratch: &mut InferenceScratch,
@@ -1927,6 +2123,7 @@ mod tests {
         parents: Option<&[u32]>,
         batch: usize,
         col: usize,
+        lanes: usize,
         next: &mut impl FnMut(usize) -> usize,
     ) -> Vec<Vec<u32>> {
         let n = m.num_columns();
@@ -1950,7 +2147,7 @@ mod tests {
         let batch = new_rows.len();
         let flat: Vec<u32> = new_rows.iter().flatten().copied().collect();
         scratch.poison = true;
-        let stepped = m.conditional_probs_step(&flat, col, parents, scratch);
+        let stepped = m.conditional_probs_step_in(&flat, col, parents, scratch, lanes);
         // The reference embeds every column, so it needs valid tokens there.
         let masked: Vec<Vec<u32>> = new_rows
             .iter()
@@ -1962,7 +2159,7 @@ mod tests {
             })
             .collect();
         let reference = m.conditional_probs_reference(&masked, col);
-        let what = format!("n {n} {base_col} → {col} parents {parents:?}");
+        let what = format!("n {n} {base_col} → {col} parents {parents:?}, {lanes} lanes");
         assert_eq!(
             (stepped.rows(), stepped.cols()),
             (batch, m.domain(col)),
@@ -1972,6 +2169,7 @@ mod tests {
             assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
         }
         assert_eq!(scratch.embedded_columns(), batch * (col - base_col));
+        assert_eq!(scratch.lanes(), lanes);
         let d_hidden = m.config.d_hidden;
         assert!(scratch.block_terms() <= (batch * 4 * d_hidden * d_hidden) as u64);
         let period = ResMade::degree_period(n);
@@ -1987,46 +2185,52 @@ mod tests {
     /// the empty prefix.  Covers `n−1 < d_hidden`, `n−1 > d_hidden` (degrees without a
     /// unit), a one-column model, `col = 0` (a zero-width slab), and the `(d_hidden, P)`
     /// layouts of the kernel tests.  Before every step computes, each carried unit it did
-    /// not carry over is NaN — and would surface if read.
+    /// not carry over is NaN — and would surface if read.  The same walks run in 1, 2 and
+    /// 3 lanes: batches of 1–9 rows, cut into four blocks per lane at multiples of four,
+    /// so most blocks are empty and the rest uneven.
     #[test]
     fn prefix_steps_match_reference_bitwise_along_random_walks() {
-        let mut next = lcg(0x57E9);
         let cycled = |n: usize| (0..n).map(|c| [3usize, 5, 2, 7, 4][c % 5]).collect();
-        for (domains, d_hidden) in [
-            (vec![4usize, 9, 3, 17, 5], 24usize),
-            (vec![3, 5, 2, 7, 4, 6, 3, 5, 2, 8, 4, 3], 6),
-            (vec![7], 8),
-            (cycled(61), 96),
-            (cycled(27), 96),
-            (cycled(8), 40),
-            (cycled(51), 33),
-            (cycled(2), 8),
-        ] {
-            let m = biased(domains, d_hidden, &mut next);
-            let n = m.num_columns();
-            let mut scratch = InferenceScratch::new();
-            // Token rows of the previous step and the column it conditioned.
-            let mut rows: Vec<Vec<u32>> = Vec::new();
-            let mut prev_col = 0usize;
-            for _ in 0..60 {
-                let restart = rows.is_empty() || next(7) == 0;
-                let batch = 1 + next(9);
-                let parents: Vec<u32> =
-                    (0..batch).map(|_| next(rows.len().max(1)) as u32).collect();
-                let base_col = if restart { 0 } else { prev_col };
-                // 0–3 columns at a time; wide models take longer strides to reach their
-                // last columns within the walk.
-                let col = (base_col + next(4.max(n / 4))).min(n - 1);
-                rows = checked_step(
-                    &m,
-                    &mut scratch,
-                    (&rows, prev_col),
-                    (!restart).then_some(&parents[..]),
-                    batch,
-                    col,
-                    &mut next,
-                );
-                prev_col = col;
+        for lanes in LANES {
+            // The same walks at every lane count.
+            let mut next = lcg(0x57E9);
+            for (domains, d_hidden) in [
+                (vec![4usize, 9, 3, 17, 5], 24usize),
+                (vec![3, 5, 2, 7, 4, 6, 3, 5, 2, 8, 4, 3], 6),
+                (vec![7], 8),
+                (cycled(61), 96),
+                (cycled(27), 96),
+                (cycled(8), 40),
+                (cycled(51), 33),
+                (cycled(2), 8),
+            ] {
+                let m = biased(domains, d_hidden, &mut next);
+                let n = m.num_columns();
+                let mut scratch = InferenceScratch::new();
+                // Token rows of the previous step and the column it conditioned.
+                let mut rows: Vec<Vec<u32>> = Vec::new();
+                let mut prev_col = 0usize;
+                for _ in 0..60 {
+                    let restart = rows.is_empty() || next(7) == 0;
+                    let batch = 1 + next(9);
+                    let parents: Vec<u32> =
+                        (0..batch).map(|_| next(rows.len().max(1)) as u32).collect();
+                    let base_col = if restart { 0 } else { prev_col };
+                    // 0–3 columns at a time; wide models take longer strides to reach their
+                    // last columns within the walk.
+                    let col = (base_col + next(4.max(n / 4))).min(n - 1);
+                    rows = checked_step(
+                        &m,
+                        &mut scratch,
+                        (&rows, prev_col),
+                        (!restart).then_some(&parents[..]),
+                        batch,
+                        col,
+                        lanes,
+                        &mut next,
+                    );
+                    prev_col = col;
+                }
             }
         }
     }
@@ -2034,35 +2238,99 @@ mod tests {
     /// The parent maps the sampler produces, each spelled out, at JOB-light's degree period
     /// (26: four period copies in a 96-unit layer) and JOB-M's (60): the identity (classes
     /// that did not split — nothing is gathered), a non-monotone map with duplicates (an
-    /// early class died and a later one split), a shrinking batch, and an identity prefix of
-    /// a shorter batch.
+    /// early class died and a later one split), a shrinking batch, an identity prefix of
+    /// a shorter batch, a batch that widens to 37 rows and one that narrows to 18 — each
+    /// in 1, 2 and 3 lanes (rows cut into four blocks per lane at multiples of four:
+    /// uneven blocks, and from a batch of fewer rows than blocks some empty ones).
     #[test]
     fn prefix_steps_match_reference_bitwise_under_explicit_parent_maps() {
-        let mut next = lcg(0x9A7E);
-        for n in [27usize, 61] {
-            let m = biased(
-                (0..n).map(|c| [3usize, 5, 2, 7, 4][c % 5]).collect(),
-                96,
-                &mut next,
-            );
-            let mut scratch = InferenceScratch::new();
-            let maps: [&[u32]; 5] = [&[0, 1, 2, 3], &[2, 0, 0, 1], &[3, 1], &[0], &[0, 0, 0]];
-            let mut rows = checked_step(&m, &mut scratch, (&[], 0), None, 4, n / 5, &mut next);
-            let mut col = n / 5;
-            for (i, parents) in maps.into_iter().enumerate() {
-                let to = (col + [3, 0, 7, 1, 20][i]).min(n - 1);
-                rows = checked_step(
-                    &m,
-                    &mut scratch,
-                    (&rows, col),
-                    Some(parents),
-                    0,
-                    to,
+        let wide: Vec<u32> = (0..37).map(|r| (r * 2 % 3) as u32).collect();
+        let narrow: Vec<u32> = (0..18).map(|r| 36 - 2 * r).collect();
+        let identity: Vec<u32> = (0..13).collect();
+        let maps: [(&[u32], usize); 8] = [
+            (&[0, 1, 2, 3], 3),
+            (&[2, 0, 0, 1], 0),
+            (&[3, 1], 7),
+            (&[0], 1),
+            (&[0, 0, 0], 2),
+            (&wide, 2),
+            (&narrow, 1),
+            (&identity, 20),
+        ];
+        for lanes in LANES {
+            // The same models and tokens at every lane count.
+            let mut next = lcg(0x9A7E);
+            for n in [27usize, 61] {
+                let m = biased(
+                    (0..n).map(|c| [3usize, 5, 2, 7, 4][c % 5]).collect(),
+                    96,
                     &mut next,
                 );
-                col = to;
+                let mut scratch = InferenceScratch::new();
+                let mut col = n / 5;
+                let mut rows =
+                    checked_step(&m, &mut scratch, (&[], 0), None, 4, col, lanes, &mut next);
+                for (parents, stride) in maps {
+                    let to = (col + stride).min(n - 1);
+                    rows = checked_step(
+                        &m,
+                        &mut scratch,
+                        (&rows, col),
+                        Some(parents),
+                        0,
+                        to,
+                        lanes,
+                        &mut next,
+                    );
+                    col = to;
+                }
             }
         }
+    }
+
+    /// A panic in any lane of a step — an input token outside its column's domain, in the
+    /// last block of rows, which whichever lane gets there first claims — reaches the
+    /// caller with its message once every lane has stopped, and the scratch serves a step
+    /// from the empty prefix afterwards.  (`a_lane_panic_reaches_the_caller` pins the
+    /// panic of a lane other than the caller's on the same `in_lanes`.)
+    #[test]
+    fn a_step_lane_panic_reaches_the_caller() {
+        let m = make(vec![40, 3, 30, 5], 2);
+        let n = m.num_columns();
+        let mut tokens: Vec<u32> = (0..64 * n).map(|i| (i % 3) as u32).collect();
+        let rows: Vec<Vec<u32>> = tokens.chunks(n).map(<[u32]>::to_vec).collect();
+        let mut scratch = InferenceScratch::new();
+        tokens[62 * n + 1] = 9;
+        for lanes in [2, 3] {
+            for _ in 0..8 {
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    m.conditional_probs_step_in(&tokens, 2, None, &mut scratch, lanes);
+                }));
+                let payload = caught.expect_err("the step embedded a token outside its domain");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .unwrap_or_default();
+                assert!(message.contains("outside domain"), "{message}");
+            }
+            let flat: Vec<u32> = rows.concat();
+            let stepped = m.conditional_probs_step_in(&flat, 2, None, &mut scratch, lanes);
+            assert_eq!(stepped, &m.conditional_probs_reference(&rows, 2));
+        }
+    }
+
+    /// A step runs in one lane until its batch gives every core [`MIN_STEP_LANE_ROWS`]
+    /// rows: JOB-light's 64 progressive samples never start a thread.
+    #[test]
+    fn narrow_steps_run_in_one_lane() {
+        for rows in [0, 1, 64, 2 * MIN_STEP_LANE_ROWS - 1] {
+            assert_eq!(lanes_for(rows, MIN_STEP_LANE_ROWS), 1, "{rows} rows");
+        }
+        let m = make(vec![4, 3, 5], 1);
+        let mut scratch = InferenceScratch::new();
+        assert_eq!(scratch.lanes(), 0);
+        m.conditional_probs_into(&vec![0u32; 64 * 3], 2, &mut scratch);
+        assert_eq!(scratch.lanes(), 1);
     }
 
     /// Column 0's context is its bias and nothing else: with no live unit, a step for it
@@ -2197,9 +2465,7 @@ mod tests {
             seed: 4,
         });
         let n = m.num_columns();
-        let rows = 6;
-        let mut scratch = InferenceScratch::new();
-        m.reserve_scratch(rows, &mut scratch);
+        let rows = 10;
         let addresses = |s: &InferenceScratch| {
             let mut all: Vec<*const f32> = [&s.x, &s.z, &s.spare, &s.ctx, &s.logits, &s.probs]
                 .into_iter()
@@ -2210,33 +2476,39 @@ mod tests {
             all.sort();
             all
         };
-        let reserved = addresses(&scratch);
-        assert_eq!(reserved.len(), 6 + 4);
-        // Narrow first, wide later; few rows first, all of them later; gathers and an
-        // identity map; a first step at the last column (the widest slab) and the largest
-        // domain.
-        let identity: Vec<u32> = (0..rows as u32).collect();
-        for (col, parents) in [
-            (0, None),
-            (1, Some(&[0u32, 0][..])),
-            (3, Some(&[0, 1, 0, 1, 0, 1][..])),
-            (3, Some(&identity[..])),
-            (n - 1, None),
-            (2, None),
-        ] {
-            let batch = parents.map_or(rows, <[u32]>::len);
-            let batch = if col == 0 { 1 } else { batch };
-            let tokens = vec![0u32; batch * n];
-            m.conditional_probs_step(&tokens, col, parents, &mut scratch);
-            assert_eq!(
-                addresses(&scratch),
-                reserved,
-                "step (batch {batch}, col {col}) reallocated"
-            );
+        // One lane, and two: lanes split the buffers the calling thread shaped.
+        for lanes in [1, 2] {
+            let mut scratch = InferenceScratch::new();
+            m.reserve_scratch(rows, &mut scratch);
+            let reserved = addresses(&scratch);
+            assert_eq!(reserved.len(), 6 + 4);
+            // Narrow first, wide later; few rows first, all of them later; gathers and an
+            // identity map; a first step at the last column (the widest slab) and the
+            // largest domain.
+            let identity: Vec<u32> = (0..rows as u32).collect();
+            for (col, parents) in [
+                (0, None),
+                (1, Some(&[0u32, 0][..])),
+                (3, Some(&[0, 1, 0, 1, 0, 1][..])),
+                (3, Some(&identity[..6])),
+                (n - 1, None),
+                (2, None),
+                (2, Some(&identity[..])),
+            ] {
+                let batch = parents.map_or(rows, <[u32]>::len);
+                let batch = if col == 0 { 1 } else { batch };
+                let tokens = vec![0u32; batch * n];
+                m.conditional_probs_step_in(&tokens, col, parents, &mut scratch, lanes);
+                assert_eq!(
+                    addresses(&scratch),
+                    reserved,
+                    "{lanes} lanes: step (batch {batch}, col {col}) reallocated"
+                );
+            }
+            // A second reservation within the first is free.
+            m.reserve_scratch(rows, &mut scratch);
+            assert_eq!(addresses(&scratch), reserved);
         }
-        // A second reservation within the first is free.
-        m.reserve_scratch(rows, &mut scratch);
-        assert_eq!(addresses(&scratch), reserved);
     }
 
     /// Mirror of `reserved_scratch_never_reallocates` for training, at every lane count:

@@ -318,71 +318,79 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!(out.rows, a.rows);
     assert_eq!(out.cols, b.cols);
-    blocked_rows::<false>(a.rows, a.cols, b.cols, &a.data, &b.data, &mut out.data);
+    blocked_rows::<false>(a.cols, b.cols, 0..b.cols, &a.data, &b.data, &mut out.data);
 }
 
-/// `out += a (m×k) · b[row0..row0 + k, :]` — [`matmul_blocked`] resuming each output
-/// element's accumulator from the value already in `out` instead of from zero.
+/// `out[:, units] += a · b[rows, units]`, with `a` holding `m` rows of `rows.len()` and
+/// `out` `m` rows as wide as `b` — [`matmul_blocked`] over the columns `units`, resuming
+/// each output element's accumulator from the value already in `out` instead of from zero.
+/// The other columns of `out` are left as they were.
 ///
 /// The inference forward uses it to extend the input layer's pre-bias sums by the newly
-/// embedded columns only (`a` = the new column slab, `row0` = its first input unit).  Per
-/// element the products are still added one at a time in ascending-`p` order with zero
-/// `a` entries skipped, so summing rows `0..s` and then `s..k` through `out` performs
-/// exactly the f32 additions of one [`matmul_blocked`] over rows `0..k`
-/// (`accumulating_kernel_resumes_chains_bitwise` pins this).
-pub fn matmul_blocked_acc(a: &Matrix, b: &Matrix, row0: usize, out: &mut Matrix) {
+/// embedded columns only (`a` = the new column slab, `rows` = its input units), into the
+/// hidden units those columns reach.  Per element the products are still added one at a
+/// time in ascending-`p` order with zero `a` entries skipped, so summing rows `0..s` and
+/// then `s..k` through `out` performs exactly the f32 additions of one [`matmul_blocked`]
+/// over rows `0..k` (`accumulating_kernel_resumes_chains_bitwise` pins this).
+pub fn matmul_blocked_acc(
+    a: &[f32],
+    b: &Matrix,
+    rows: Range<usize>,
+    units: Range<usize>,
+    out: &mut [f32],
+) {
     assert!(
-        row0 + a.cols <= b.rows,
+        rows.end <= b.rows,
         "row slab out of bounds of the right operand"
     );
-    assert_eq!(out.rows, a.rows);
-    assert_eq!(out.cols, b.cols);
-    let n = b.cols;
-    blocked_rows::<true>(
-        a.rows,
-        a.cols,
-        n,
-        &a.data,
-        &b.data[row0 * n..],
-        &mut out.data,
+    assert!(units.end <= b.cols, "unit range out of bounds");
+    let (k, n) = (rows.len(), b.cols);
+    assert_eq!(
+        a.len() * n,
+        out.len() * k,
+        "a and out must hold the same rows"
     );
+    blocked_rows::<true>(k, n, units, a, &b.data[rows.start * n..], out);
 }
 
 /// The register-blocked row kernel behind [`matmul_blocked`] (`ACC = false`: accumulators
 /// start at zero, `out` is overwritten) and [`matmul_blocked_acc`] (`ACC = true`: they
-/// start at `out`).  `b` holds at least `k` rows of width `n`.
+/// start at `out`), over the output columns `cols` of every row: `a` holds rows of `k`,
+/// `out` rows of `n`, and `b` at least `k` rows of width `n`.
 fn blocked_rows<const ACC: bool>(
-    m: usize,
     k: usize,
     n: usize,
+    cols: Range<usize>,
     a: &[f32],
     b: &[f32],
     out: &mut [f32],
 ) {
-    for i in 0..m {
+    if n == 0 {
+        return;
+    }
+    for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
         let a_row = &a[i * k..(i + 1) * k];
-        let out_row = &mut out[i * n..(i + 1) * n];
         // 32 output columns per block = 4–8 independent SIMD accumulator chains, enough to
-        // hide FMA latency; what is left of the row (a tied head's `domain % 32` logits)
+        // hide FMA latency; what is left of the range (a tied head's `domain % 32` logits)
         // goes in ever narrower blocks rather than one column at a time.
-        let mut j = 0;
-        while j + 32 <= n {
+        let mut j = cols.start;
+        while j + 32 <= cols.end {
             row_block::<ACC, 32>(n, j, a_row, b, out_row);
             j += 32;
         }
-        if j + 16 <= n {
+        if j + 16 <= cols.end {
             row_block::<ACC, 16>(n, j, a_row, b, out_row);
             j += 16;
         }
-        if j + 8 <= n {
+        if j + 8 <= cols.end {
             row_block::<ACC, 8>(n, j, a_row, b, out_row);
             j += 8;
         }
-        if j + 4 <= n {
+        if j + 4 <= cols.end {
             row_block::<ACC, 4>(n, j, a_row, b, out_row);
             j += 4;
         }
-        while j < n {
+        while j < cols.end {
             row_block::<ACC, 1>(n, j, a_row, b, out_row);
             j += 1;
         }
@@ -428,37 +436,33 @@ fn row_block<const ACC: bool, const NR: usize>(
 /// to hide the add latency: the kernel tiles four `a` rows by up to 16 columns and keeps
 /// every accumulator in registers.
 pub fn matmul_col_range(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut Matrix) {
-    matmul_col_range_live(a, b, lo, hi, LiveUnits::ALL, out);
+    assert_eq!(a.cols, b.rows, "inner dimensions must agree");
+    assert_eq!((out.rows, out.cols), (a.rows, hi.saturating_sub(lo)));
+    matmul_col_range_live(&a.data, b, lo, hi, LiveUnits::ALL, &mut out.data);
 }
 
-/// [`matmul_col_range`] out of a MADE hidden layer: only the `live` inner units are
-/// walked, in ascending order, and `a` outside them is never read.  Bit-equal to
-/// [`matmul_col_range`] when `b[p][lo..hi]` is zero for every `p` outside the live set and
-/// `a` is finite.
+/// [`matmul_col_range`] out of a MADE hidden layer, over slices: `out (m×(hi − lo)) = a
+/// (m×k) · b[.., lo..hi]`, where only the `live` inner units are walked, in ascending
+/// order, and `a` outside them is never read.  Bit-equal to [`matmul_col_range`] when
+/// `b[p][lo..hi]` is zero for every `p` outside the live set and `a` is finite.
 pub fn matmul_col_range_live(
-    a: &Matrix,
+    a: &[f32],
     b: &Matrix,
     lo: usize,
     hi: usize,
     live: LiveUnits,
-    out: &mut Matrix,
+    out: &mut [f32],
 ) {
-    assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert!(lo <= hi && hi <= b.cols, "column slice out of bounds");
-    assert_eq!(out.rows, a.rows);
-    assert_eq!(out.cols, hi - lo);
-    col_range_all_rows::<4>(
-        a.rows,
-        a.cols,
-        b.cols,
-        lo,
-        hi - lo,
-        &a.data,
-        &b.data,
-        live,
-        &mut out.data,
-        hi - lo,
+    let (k, w) = (b.rows, hi - lo);
+    assert_eq!(
+        a.len() * w,
+        out.len() * k,
+        "a and out must hold the same rows"
     );
+    if let Some(m) = out.len().checked_div(w) {
+        col_range_all_rows::<4>(m, k, b.cols, lo, w, a, &b.data, live, out, w);
+    }
 }
 
 /// [`matmul_col_range_live`] in place: `out[:, units] = a · b[:, units]` over the `live`
@@ -466,30 +470,33 @@ pub fn matmul_col_range_live(
 /// The other columns of `out` are left as they were.  The incremental trunk computes a
 /// step's new hidden units with it, into the layer matrix it carries.
 pub fn matmul_units_live(
-    a: &Matrix,
+    a: &[f32],
     b: &Matrix,
     units: Range<usize>,
     live: LiveUnits,
-    out: &mut Matrix,
+    out: &mut [f32],
 ) {
-    assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert!(units.end <= b.cols, "unit range out of bounds");
-    assert_eq!(out.rows, a.rows);
-    assert_eq!(out.cols, b.cols);
-    if units.is_empty() || a.rows == 0 {
+    let (k, n) = (b.rows, b.cols);
+    assert_eq!(
+        a.len() * n,
+        out.len() * k,
+        "a and out must hold the same rows"
+    );
+    if units.is_empty() || out.is_empty() {
         return;
     }
     col_range_all_rows::<4>(
-        a.rows,
-        a.cols,
-        b.cols,
+        out.len() / n,
+        k,
+        n,
         units.start,
         units.len(),
-        &a.data,
+        a,
         &b.data,
         live,
-        &mut out.data[units.start..],
-        b.cols,
+        &mut out[units.start..],
+        n,
     );
 }
 
@@ -841,11 +848,14 @@ fn tn_tile<const R: usize, const W: usize>(
     }
 }
 
-/// Adds a bias row vector to every row of `m`.
-pub fn add_bias(m: &mut Matrix, bias: &[f32]) {
-    assert_eq!(m.cols, bias.len());
-    for r in 0..m.rows {
-        for (v, b) in m.row_mut(r).iter_mut().zip(bias) {
+/// Adds a bias row vector to every row of the row-major rows `m` (as wide as `bias`).
+pub fn add_bias(m: &mut [f32], bias: &[f32]) {
+    if bias.is_empty() {
+        return;
+    }
+    assert_eq!(m.len() % bias.len(), 0, "rows must be as wide as the bias");
+    for row in m.chunks_exact_mut(bias.len()) {
+        for (v, b) in row.iter_mut().zip(bias) {
             *v += b;
         }
     }
@@ -965,7 +975,7 @@ mod tests {
     #[test]
     fn bias_and_column_sums() {
         let mut m = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        add_bias(&mut m, &[10., 20.]);
+        add_bias(m.data_mut(), &[10., 20.]);
         assert!(approx_eq(m.data(), &[11., 22., 13., 24.]));
         let mut sums = vec![0.0; 2];
         column_sums_accumulate(&m, 0..2, &mut sums);
@@ -1039,7 +1049,7 @@ mod tests {
             // ... and written in place, the same columns of the full product.
             let mut wide = Matrix::zeros(m, n);
             wide.data_mut().fill(f32::NAN);
-            matmul_units_live(&a, &b, lo..hi, LiveUnits::ALL, &mut wide);
+            matmul_units_live(a.data(), &b, lo..hi, LiveUnits::ALL, wide.data_mut());
             for i in 0..m {
                 for (jj, j) in (lo..hi).enumerate() {
                     assert_eq!(wide.get(i, j).to_bits(), sliced.get(i, jj).to_bits());
@@ -1159,7 +1169,9 @@ mod tests {
     #[test]
     fn accumulating_kernel_resumes_chains_bitwise() {
         // Point (1) of the prefix-accumulator bit-identity argument: an ascending-p chain
-        // stored to `out` after `s` terms and resumed is the chain of one full product.
+        // stored to `out` after `s` terms and resumed is the chain of one full product —
+        // over all columns, and over a column range that leaves every other column alone.
+        const UNTOUCHED: f32 = 7.5;
         let mut seed = 0xACC_u64;
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
@@ -1177,10 +1189,27 @@ mod tests {
                     let data = (0..m).flat_map(|i| a.row(i)[lo..hi].to_vec()).collect();
                     Matrix::from_vec(m, hi - lo, data)
                 };
-                let mut out = Matrix::zeros(m, n);
-                matmul_blocked_acc(&slab(0, s), &b, 0, &mut out);
-                matmul_blocked_acc(&slab(s, k), &b, s, &mut out);
-                assert_bitwise_eq(&whole, &out, &format!("acc {m}x{k}x{n} split {s}"));
+                for units in [0..n, n / 4..n, 1.min(n)..(n / 2 + 5).min(n)] {
+                    let what = format!("acc {m}x{k}x{n} split {s} units {units:?}");
+                    let mut out = Matrix::zeros(m, n);
+                    for i in 0..m {
+                        out.row_mut(i)[..units.start].fill(UNTOUCHED);
+                        out.row_mut(i)[units.end..].fill(UNTOUCHED);
+                    }
+                    let (first, second) = (slab(0, s), slab(s, k));
+                    matmul_blocked_acc(first.data(), &b, 0..s, units.clone(), out.data_mut());
+                    matmul_blocked_acc(second.data(), &b, s..k, units.clone(), out.data_mut());
+                    for i in 0..m {
+                        for j in 0..n {
+                            let (got, want) = (out.get(i, j), whole.get(i, j));
+                            if units.contains(&j) {
+                                assert_eq!(got.to_bits(), want.to_bits(), "{what} ({i}, {j})");
+                            } else {
+                                assert_eq!(got, UNTOUCHED, "{what} ({i}, {j})");
+                            }
+                        }
+                    }
+                }
             }
         }
     }
@@ -1235,13 +1264,19 @@ mod tests {
                             let mut dense = Matrix::zeros(rows, d_hidden);
                             dense.data_mut().fill(UNTOUCHED);
                             let mut restricted = dense.clone();
-                            matmul_units_live(&a, &hidden, run.clone(), LiveUnits::ALL, &mut dense);
                             matmul_units_live(
-                                &poisoned,
+                                a.data(),
+                                &hidden,
+                                run.clone(),
+                                LiveUnits::ALL,
+                                dense.data_mut(),
+                            );
+                            matmul_units_live(
+                                poisoned.data(),
                                 &hidden,
                                 run.clone(),
                                 live,
-                                &mut restricted,
+                                restricted.data_mut(),
                             );
                             for r in 0..rows {
                                 for u in 0..d_hidden {
@@ -1264,10 +1299,17 @@ mod tests {
 
                     let (lo, hi) = (col * D_EMB, (col + 1) * D_EMB);
                     let mut dense_ctx = Matrix::zeros(rows, D_EMB);
-                    matmul_col_range_live(&a, &output, lo, hi, LiveUnits::ALL, &mut dense_ctx);
+                    matmul_col_range_live(
+                        a.data(),
+                        &output,
+                        lo,
+                        hi,
+                        LiveUnits::ALL,
+                        dense_ctx.data_mut(),
+                    );
                     let mut ctx = Matrix::zeros(rows, D_EMB);
                     ctx.data_mut().iter_mut().for_each(|v| *v = f32::NAN); // must be overwritten
-                    matmul_col_range_live(&poisoned, &output, lo, hi, live, &mut ctx);
+                    matmul_col_range_live(poisoned.data(), &output, lo, hi, live, ctx.data_mut());
                     for (i, (x, y)) in dense_ctx.data().iter().zip(ctx.data()).enumerate() {
                         assert_eq!(x.to_bits(), y.to_bits(), "{what}: context element {i}");
                     }
@@ -1437,7 +1479,7 @@ mod tests {
         let a = Matrix::zeros(1, 3);
         let b = Matrix::zeros(4, 2);
         let mut out = Matrix::zeros(1, 2);
-        matmul_blocked_acc(&a, &b, 2, &mut out);
+        matmul_blocked_acc(a.data(), &b, 2..5, 0..2, out.data_mut());
     }
 
     #[test]
