@@ -44,25 +44,9 @@ macro_rules! impl_forwarding {
 }
 impl_forwarding!(&T, Box<T>, std::sync::Arc<T>);
 
-/// Blanket implementation so a trained [`neurocard::NeuroCard`] can be used anywhere a
-/// baseline can.
-impl CardinalityEstimator for neurocard::NeuroCard {
-    fn name(&self) -> &str {
-        "NeuroCard"
-    }
-
-    fn estimate(&self, query: &Query) -> f64 {
-        neurocard::NeuroCard::estimate(self, query)
-    }
-
-    fn size_bytes(&self) -> usize {
-        neurocard::NeuroCard::size_bytes(self)
-    }
-}
-
-/// The artifact-loaded estimation engine is an estimator too: this is what lets the
-/// serving registry treat a database-free [`neurocard::EstimatorCore`] and any baseline
-/// uniformly (the registry keeps a scratch-pool fast path for cores on top of this).
+/// NeuroCard estimates through its [`neurocard::EstimatorCore`] — a `NeuroCard::core()`
+/// snapshot or an artifact-loaded core — so the core is what stands beside the baselines
+/// (the serving registry keeps a scratch-pool fast path for cores on top of this).
 impl CardinalityEstimator for neurocard::EstimatorCore {
     fn name(&self) -> &str {
         "NeuroCard"

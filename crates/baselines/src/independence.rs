@@ -19,14 +19,15 @@ use std::sync::Arc;
 use nc_schema::{JoinSchema, Query};
 use nc_storage::Database;
 
-use neurocard::{NeuroCard, NeuroCardConfig};
+use neurocard::{EstimatorCore, NeuroCard, NeuroCardConfig};
 
 use crate::estimator::CardinalityEstimator;
 
-/// The per-table AR baseline.
+/// The per-table AR baseline.  It keeps only each table's estimation core; the trainers
+/// (sampler pools, optimizer state) are dropped once built.
 pub struct PerTableArEstimator {
     schema: Arc<JoinSchema>,
-    models: HashMap<String, NeuroCard>,
+    models: HashMap<String, Arc<EstimatorCore>>,
     table_rows: HashMap<String, f64>,
     join_key_ndv: HashMap<(String, String), usize>,
 }
@@ -53,7 +54,7 @@ impl PerTableArEstimator {
             let mut cfg = config.clone();
             cfg.training_tuples = per_table_tuples;
             let model = NeuroCard::build(db.clone(), single, &cfg);
-            models.insert(table.clone(), model);
+            models.insert(table.clone(), model.core());
             let t = db.expect_table(table);
             table_rows.insert(table.clone(), t.num_rows() as f64);
             for key_col in schema.join_key_columns(table) {

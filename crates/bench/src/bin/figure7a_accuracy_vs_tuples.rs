@@ -9,9 +9,9 @@ use nc_bench::harness::{print_preamble, true_cardinalities};
 use nc_bench::{BenchEnv, HarnessConfig};
 use nc_schema::Query;
 use nc_workloads::{job_light_queries, job_light_ranges_queries, q_error, ErrorSummary};
-use neurocard::NeuroCard;
+use neurocard::{EstimatorCore, NeuroCard};
 
-fn p99(model: &NeuroCard, queries: &[Query], truths: &[f64]) -> f64 {
+fn p99(model: &EstimatorCore, queries: &[Query], truths: &[f64]) -> f64 {
     let errors: Vec<f64> = queries
         .iter()
         .zip(truths)
@@ -42,20 +42,23 @@ fn main() {
         "tuples", "p99 (JOB-light)", "p99 (JOB-light-ranges)"
     );
     let mut trained = checkpoints[0];
+    // A core is a snapshot: take a fresh one at each checkpoint.
+    let core = model.core();
     println!(
         "{:>14} {:>22.1} {:>22.1}",
         trained,
-        p99(&model, &light, &light_truths),
-        p99(&model, &ranges, &ranges_truths)
+        p99(&core, &light, &light_truths),
+        p99(&core, &ranges, &ranges_truths)
     );
     for step in &checkpoints[1..] {
         model.update_incremental(*step);
         trained += step;
+        let core = model.core();
         println!(
             "{:>14} {:>22.1} {:>22.1}",
             trained,
-            p99(&model, &light, &light_truths),
-            p99(&model, &ranges, &ranges_truths)
+            p99(&core, &light, &light_truths),
+            p99(&core, &ranges, &ranges_truths)
         );
     }
     println!();

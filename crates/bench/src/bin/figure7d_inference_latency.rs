@@ -49,7 +49,8 @@ fn main() {
         config.baseline_samples,
         config.seed,
     );
-    let neurocard = NeuroCard::build(env.db.clone(), env.schema.clone(), &config.neurocard());
+    let neurocard =
+        NeuroCard::build(env.db.clone(), env.schema.clone(), &config.neurocard()).core();
 
     println!(
         "{:<14} {:>12} {:>12} {:>12}",

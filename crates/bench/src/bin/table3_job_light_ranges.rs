@@ -10,7 +10,7 @@ use nc_baselines::{DeepDbLite, IbjsEstimator, MscnConfig, MscnEstimator, Postgre
 use nc_bench::harness::{build_neurocard, evaluate, print_preamble, true_cardinalities};
 use nc_bench::{BenchEnv, HarnessConfig};
 use nc_workloads::{job_light_ranges_queries, render_error_table, ErrorTableRow};
-use neurocard::{NeuroCard, NeuroCardConfig};
+use neurocard::NeuroCard;
 
 fn main() {
     let config = HarnessConfig::from_cli();
@@ -92,11 +92,12 @@ fn main() {
     rows.push(ErrorTableRow::new("NeuroCard", r.size_bytes, r.summary));
 
     println!("training NeuroCard-large...");
-    let mut large_cfg = NeuroCardConfig::large();
-    large_cfg.training_tuples = config.train_tuples * 2;
-    large_cfg.progressive_samples = config.psamples;
-    large_cfg.seed = config.seed;
-    let large = NeuroCard::build(env.db.clone(), env.schema.clone(), &large_cfg);
+    let large = NeuroCard::build(
+        env.db.clone(),
+        env.schema.clone(),
+        &config.neurocard_large(),
+    )
+    .core();
     let r = evaluate(&large, &queries, &truths);
     rows.push(ErrorTableRow::new(
         "NeuroCard-large",

@@ -60,7 +60,7 @@ fn main() {
 
     // Base configuration.
     let base_cfg = config.neurocard();
-    let base = NeuroCard::build(env.db.clone(), env.schema.clone(), &base_cfg);
+    let base = NeuroCard::build(env.db.clone(), env.schema.clone(), &base_cfg).core();
     let (p50, p99) = summarise(&base, &queries, &truths);
     print_row(
         "Base (unbiased, fact=10)",
@@ -79,7 +79,8 @@ fn main() {
             dictionary_db: None,
             biased_sampler: true,
         },
-    );
+    )
+    .core();
     let (p50, p99) = summarise(&biased, &queries, &truths);
     print_row(
         "(A) biased sampler",
@@ -97,7 +98,7 @@ fn main() {
     ] {
         let mut cfg = base_cfg.clone();
         cfg.fact_bits = bits;
-        let model = NeuroCard::build(env.db.clone(), env.schema.clone(), &cfg);
+        let model = NeuroCard::build(env.db.clone(), env.schema.clone(), &cfg).core();
         let (p50, p99) = summarise(&model, &queries, &truths);
         let label = match bits {
             Some(b) => format!("(B) fact.bits = {b}"),
@@ -114,7 +115,7 @@ fn main() {
         let mut cfg = base_cfg.clone();
         cfg.d_hidden = d_hidden;
         cfg.d_emb = d_emb;
-        let model = NeuroCard::build(env.db.clone(), env.schema.clone(), &cfg);
+        let model = NeuroCard::build(env.db.clone(), env.schema.clone(), &cfg).core();
         let (p50, p99) = summarise(&model, &queries, &truths);
         print_row(
             &format!("(C) dff={d_hidden}, demb={d_emb}"),

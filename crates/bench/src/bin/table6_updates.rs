@@ -19,10 +19,10 @@ use nc_bench::{BenchEnv, HarnessConfig};
 use nc_datagen::partitioned_snapshots;
 use nc_schema::Query;
 use nc_workloads::{job_light_queries, q_error, ErrorSummary};
-use neurocard::{estimator::BuildOptions, NeuroCard};
+use neurocard::{estimator::BuildOptions, EstimatorCore, NeuroCard};
 
 fn eval(
-    model: &NeuroCard,
+    model: &EstimatorCore,
     snapshot_db: &Arc<nc_storage::Database>,
     env: &BenchEnv,
     queries: &[Query],
@@ -64,18 +64,16 @@ fn main() {
     let cfg = config.neurocard();
     let fast_tuples = (config.train_tuples / 100).max(200);
 
-    let mut stale = NeuroCard::build_with(
-        snapshots[0].clone(),
-        env.schema.clone(),
-        &cfg,
-        options.clone(),
-    );
     let mut fast = NeuroCard::build_with(
         snapshots[0].clone(),
         env.schema.clone(),
         &cfg,
         options.clone(),
     );
+    // Stale: the first snapshot's model as an estimation core, which no later ingest or
+    // training reaches (training is deterministic, so this is the model all three start
+    // from).
+    let stale = fast.core();
     let mut retrain = NeuroCard::build_with(
         snapshots[0].clone(),
         env.schema.clone(),
@@ -94,8 +92,6 @@ fn main() {
     let mut retrain_time = std::time::Duration::ZERO;
     for (p, snapshot) in snapshots.iter().enumerate() {
         if p > 0 {
-            // Stale: ingest the snapshot (so |J| and the sampler refer to it? NO — stale
-            // never updates anything, including |J|).  Evaluate as-is.
             let t = std::time::Instant::now();
             fast.ingest_snapshot(snapshot.clone(), fast_tuples);
             fast_time += t.elapsed();
@@ -103,10 +99,10 @@ fn main() {
             retrain.ingest_snapshot(snapshot.clone(), config.train_tuples);
             retrain_time += t.elapsed();
         }
+        // A core is a snapshot: take fresh ones after the updates above.
         evals[0].push(eval(&stale, snapshot, &env, &queries));
-        evals[1].push(eval(&fast, snapshot, &env, &queries));
-        evals[2].push(eval(&retrain, snapshot, &env, &queries));
-        let _ = &mut stale; // the stale model is intentionally never updated
+        evals[1].push(eval(&fast.core(), snapshot, &env, &queries));
+        evals[2].push(eval(&retrain.core(), snapshot, &env, &queries));
     }
     let rows = [
         ("stale", "none".to_string()),

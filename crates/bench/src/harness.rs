@@ -10,7 +10,7 @@ use nc_datagen::{
 use nc_schema::{JoinSchema, Query};
 use nc_storage::Database;
 use nc_workloads::{q_error, ErrorSummary};
-use neurocard::{NeuroCard, NeuroCardConfig};
+use neurocard::{EstimatorCore, NeuroCard, NeuroCardConfig};
 
 /// Scale knobs of a harness run, read from the environment.
 #[derive(Debug, Clone)]
@@ -143,6 +143,19 @@ impl HarnessConfig {
             ..NeuroCardConfig::default()
         }
     }
+
+    /// The `NeuroCard-large` configuration: the model sizes of [`NeuroCardConfig::large`]
+    /// and twice the training tuples, everything else as in [`HarnessConfig::neurocard`].
+    pub fn neurocard_large(&self) -> NeuroCardConfig {
+        let large = NeuroCardConfig::large();
+        NeuroCardConfig {
+            d_emb: large.d_emb,
+            d_hidden: large.d_hidden,
+            num_blocks: large.num_blocks,
+            training_tuples: self.train_tuples * 2,
+            ..self.neurocard()
+        }
+    }
 }
 
 /// A generated benchmark environment: database, schema and the name of the workload.
@@ -191,10 +204,10 @@ pub struct EvalResult {
     pub latencies: Vec<Duration>,
 }
 
-/// Trains the NeuroCard estimator for `env`; when `config.save_artifact_path` is set,
-/// also writes the trained model's artifact there, and exits with status 1 naming the
-/// path if that write fails.
-pub fn build_neurocard(env: &BenchEnv, config: &HarnessConfig) -> NeuroCard {
+/// Trains the NeuroCard estimator for `env` and returns its estimation core; when
+/// `config.save_artifact_path` is set, also writes the trained model's artifact there, and
+/// exits with status 1 naming the path if that write fails.
+pub fn build_neurocard(env: &BenchEnv, config: &HarnessConfig) -> Arc<EstimatorCore> {
     let nc_config = config.neurocard();
     println!(
         "training NeuroCard ({} tuples)...",
@@ -210,7 +223,7 @@ pub fn build_neurocard(env: &BenchEnv, config: &HarnessConfig) -> NeuroCard {
             }
         }
     }
-    model
+    model.core()
 }
 
 /// Writes `model`'s artifact to `path` and returns its size; the error names the path.
@@ -339,6 +352,17 @@ mod tests {
         assert_eq!(nc.training_tuples, c.train_tuples);
         assert_eq!(nc.sampler_threads, c.sampler_threads);
         assert_eq!(nc.prefetch_depth, NeuroCardConfig::default().prefetch_depth);
+        // The large row differs from the base row only in model size and budget.
+        let large = c.neurocard_large();
+        let sizes = NeuroCardConfig::large();
+        assert_eq!(
+            (large.d_emb, large.d_hidden, large.num_blocks),
+            (sizes.d_emb, sizes.d_hidden, sizes.num_blocks)
+        );
+        assert_eq!(large.training_tuples, 2 * c.train_tuples);
+        assert_eq!(large.sampler_threads, c.sampler_threads);
+        assert_eq!(large.progressive_samples, nc.progressive_samples);
+        assert_eq!(large.seed, nc.seed);
     }
 
     #[test]
@@ -365,7 +389,7 @@ mod tests {
         config.train_tuples = 600;
         config.title_rows = 80;
         let env = BenchEnv::job_light(&config);
-        let model = build_neurocard(&env, &config);
+        let model = NeuroCard::build(env.db.clone(), env.schema.clone(), &config.neurocard());
         let path = std::env::temp_dir()
             .join(format!("nc_harness_missing_dir_{}", std::process::id()))
             .join("m.ncar");

@@ -32,7 +32,7 @@ fn main() {
 
     let config = NeuroCardConfig::default().with_training_tuples(25_000);
     println!("training a single NeuroCard model over the full outer join of all 6 tables...");
-    let neurocard = NeuroCard::build(db.clone(), schema.clone(), &config);
+    let neurocard = NeuroCard::build(db.clone(), schema.clone(), &config).core();
     let postgres = PostgresLikeEstimator::build(&db, &schema);
     println!(
         "NeuroCard size: {} KB; Postgres-like stats size: {} KB\n",

@@ -55,14 +55,17 @@ fn main() {
         config.training_tuples
     );
     let model = NeuroCard::build(db.clone(), schema.clone(), &config);
+    let stats = model.stats();
     println!(
         "model: {} parameters ({} KB), |full join| = {} rows\n",
-        model.stats().num_params,
-        model.size_bytes() / 1024,
-        model.full_join_rows()
+        stats.num_params,
+        stats.model_bytes / 1024,
+        stats.full_join_rows
     );
 
-    // 4. Ask it cardinality questions on any subset of the tables.
+    // 4. Ask it cardinality questions on any subset of the tables, through its estimation
+    //    core (a snapshot of the trained model).
+    let core = model.core();
     let queries = vec![
         Query::join(&["orders"]).filter("orders", "status", Predicate::eq(1i64)),
         Query::join(&["orders", "items"]).filter("orders", "status", Predicate::eq(1i64)),
@@ -72,7 +75,7 @@ fn main() {
         Query::join(&["items"]).filter("items", "qty", Predicate::ge(4i64)),
     ];
     for q in &queries {
-        let estimate = model.estimate(q);
+        let estimate = core.estimate(q);
         let truth = nc_exec::true_cardinality(&db, &schema, q) as f64;
         println!("{q}");
         println!(

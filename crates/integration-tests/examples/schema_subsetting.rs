@@ -102,7 +102,7 @@ fn main() {
     config.progressive_samples = 200;
     // This example filters the join key column A.x directly, so keep join keys in the model.
     config.model_join_keys = true;
-    let model = NeuroCard::build(db.clone(), schema.clone(), &config);
+    let model = NeuroCard::build(db.clone(), schema.clone(), &config).core();
     for (name, q, expected) in [("Q1", &q1, 2.0), ("Q2", &q2, 1.0)] {
         let est = model.estimate(q);
         println!("  {name}: estimate {est:.2} (true {expected})");

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use nc_datagen::{job_light_database, job_light_schema, partitioned_snapshots, DataGenConfig};
 use nc_schema::{Predicate, Query};
-use neurocard::{estimator::BuildOptions, NeuroCard, NeuroCardConfig};
+use neurocard::{estimator::BuildOptions, EstimatorCore, NeuroCard, NeuroCardConfig};
 
 fn q_error(estimate: f64, truth: f64) -> f64 {
     let (e, t) = (estimate.max(1.0), truth.max(1.0));
@@ -39,20 +39,16 @@ fn main() {
     );
 
     // Both estimators start from the same model trained on the first snapshot; the
-    // dictionaries cover the full database so later values are representable.
+    // dictionaries cover the full database so later values are representable.  The stale
+    // estimator is that model's estimation core, a snapshot no later training reaches.
     let config = NeuroCardConfig::default().with_training_tuples(15_000);
     let options = BuildOptions {
         dictionary_db: Some(full_db.clone()),
         biased_sampler: false,
     };
     println!("training the initial model on snapshot 1...");
-    let stale = NeuroCard::build_with(
-        snapshots[0].clone(),
-        schema.clone(),
-        &config,
-        options.clone(),
-    );
     let mut fresh = NeuroCard::build_with(snapshots[0].clone(), schema.clone(), &config, options);
+    let stale = fresh.core();
 
     let queries = vec![
         Query::join(&["title", "cast_info"]).filter(
@@ -74,7 +70,7 @@ fn main() {
             // of gradient steps (1% of the original budget).
             fresh.ingest_snapshot(snapshot.clone(), config.training_tuples / 100 + 200);
         }
-        let mean = |model: &NeuroCard| {
+        let mean = |model: &EstimatorCore| {
             let mut total = 0.0;
             for q in &queries {
                 let truth = nc_exec::true_cardinality(snapshot, &schema, q) as f64;
@@ -86,7 +82,7 @@ fn main() {
             "{:<10} {:>22.2} {:>22.2}",
             i + 1,
             mean(&stale),
-            mean(&fresh)
+            mean(&fresh.core())
         );
     }
     println!("\nThe stale model's error grows as new partitions change the data distribution;");

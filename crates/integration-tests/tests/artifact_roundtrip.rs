@@ -10,7 +10,7 @@ use nc_datagen::{job_light_database, job_light_schema, DataGenConfig};
 use nc_schema::{Predicate, Query};
 use nc_storage::{Database, TableBuilder, Value};
 use nc_workloads::job_light_queries;
-use neurocard::{ModelArtifact, NeuroCard, NeuroCardConfig, Precision, SamplerScratch};
+use neurocard::{ModelArtifact, NeuroCard, NeuroCardConfig, SamplerScratch};
 use proptest::prelude::*;
 
 /// Random-but-tiny estimator configurations: vary every architectural knob the artifact
@@ -73,6 +73,7 @@ proptest! {
         let (db, schema) = tiny_db(config.seed);
         let trained = NeuroCard::build(db, schema, &config);
         let bytes = trained.to_artifact().to_bytes();
+        let snapshot = trained.core();
         let parsed = ModelArtifact::from_bytes(&bytes).expect("parse just-written artifact");
         let loaded = parsed.to_core().expect("load just-written artifact");
 
@@ -87,16 +88,8 @@ proptest! {
         for q in &queries {
             for samples in [1usize, 7, config.progressive_samples] {
                 prop_assert_eq!(
-                    trained.try_estimate(q, samples, &mut scratch).unwrap().to_bits(),
-                    loaded
-                        .try_estimate_with_samples_scratch_precision(
-                            q,
-                            samples,
-                            &mut scratch,
-                            Precision::Exact,
-                        )
-                        .unwrap()
-                        .to_bits()
+                    snapshot.try_estimate(q, samples, &mut scratch).unwrap().to_bits(),
+                    loaded.try_estimate(q, samples, &mut scratch).unwrap().to_bits()
                 );
             }
         }
@@ -128,19 +121,15 @@ fn job_light_artifact_file_round_trip() {
     assert_eq!(parsed.manifest().tuples_trained, 1_500);
     let loaded = parsed.to_core().unwrap();
     // Reference estimator trained identically (training is deterministic).
-    let trained = NeuroCard::build(db.clone(), schema.clone(), &config);
+    let trained = NeuroCard::build(db.clone(), schema.clone(), &config).core();
 
-    // Sequential and batch estimates of the trainer both equal the loaded core's.
-    let queries = job_light_queries(&db, &schema, 10, 7);
-    let batch = trained.estimate_batch(&queries, config.progressive_samples);
-    for (q, batched) in queries.iter().zip(&batch) {
-        let expected = loaded.estimate(q).to_bits();
+    // The trainer's snapshot and the loaded core answer every query with the same bits.
+    for q in &job_light_queries(&db, &schema, 10, 7) {
         assert_eq!(
             trained.estimate(q).to_bits(),
-            expected,
+            loaded.estimate(q).to_bits(),
             "query {q} diverged after the file round trip"
         );
-        assert_eq!(batched.to_bits(), expected, "batch diverged on {q}");
     }
     let _ = std::fs::remove_file(&path);
 }

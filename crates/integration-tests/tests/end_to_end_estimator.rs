@@ -26,7 +26,8 @@ fn neurocard_end_to_end_on_job_light() {
     config.progressive_samples = 64;
     let model = NeuroCard::build(db.clone(), schema.clone(), &config);
     assert!(model.stats().num_params > 0);
-    assert!(model.full_join_rows() > db.expect_table("title").num_rows() as u128);
+    assert!(model.stats().full_join_rows > db.expect_table("title").num_rows() as u128);
+    let core = model.core();
 
     let queries = job_light_queries(&db, &schema, 20, 3);
     assert!(!queries.is_empty());
@@ -36,7 +37,7 @@ fn neurocard_end_to_end_on_job_light() {
     let mut pg_errors = Vec::new();
     for q in &queries {
         let truth = (nc_exec::true_cardinality(&db, &schema, q) as f64).max(1.0);
-        let nc_est = model.estimate(q);
+        let nc_est = core.estimate(q);
         assert!(
             nc_est.is_finite() && nc_est >= 1.0,
             "estimate for {q} is {nc_est}"
@@ -65,7 +66,7 @@ fn estimator_handles_every_table_subset_shape() {
     let schema = Arc::new(job_light_schema());
     let mut config = NeuroCardConfig::tiny();
     config.training_tuples = 8_000;
-    let model = NeuroCard::build(db.clone(), schema.clone(), &config);
+    let model = NeuroCard::build(db.clone(), schema.clone(), &config).core();
 
     // Single table, root + one child, root + all children — all answered by one model.
     use nc_schema::{Predicate, Query};

@@ -1,9 +1,9 @@
 //! Determinism contract of the inference fast path (PR 3): for a fixed
 //! `(model, query, seed)` the zero-allocation / GEMM-backed / compacting progressive
-//! sampler returns **bit-identical** estimates to the pre-optimization reference path,
-//! and [`NeuroCard::estimate_batch`] is bit-identical to calling
-//! [`NeuroCard::estimate`] sequentially, at every thread count the scheduler picks and
-//! at whatever lane count the host's cores give a wide forward.
+//! sampler behind [`EstimatorCore::try_estimate`] returns **bit-identical** estimates to
+//! the pre-optimization reference path ([`ProgressiveSampler::estimate_reference`] over
+//! the same [`EstimatorCore::query_seed`] stream), with any scratch it is handed, at
+//! whatever lane count the host's cores give a wide forward.
 
 use std::sync::Arc;
 
@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn build_model() -> (
-    NeuroCard,
+    Arc<EstimatorCore>,
     Arc<nc_storage::Database>,
     Arc<nc_schema::JoinSchema>,
 ) {
@@ -33,7 +33,7 @@ fn build_model() -> (
     let mut config = NeuroCardConfig::tiny();
     config.training_tuples = 2_000;
     (
-        NeuroCard::build(db.clone(), schema.clone(), &config),
+        NeuroCard::build(db.clone(), schema.clone(), &config).core(),
         db,
         schema,
     )
@@ -41,7 +41,7 @@ fn build_model() -> (
 
 #[test]
 fn fast_path_is_bit_identical_to_reference_path() {
-    let (model, db, schema) = build_model();
+    let (core, db, schema) = build_model();
     let mut queries = job_light_ranges_queries(&db, &schema, 12, 99);
     // Cover the constraint kinds the generator may not hit: a bare single-table query
     // (all-fanout downscaling) and an unfiltered full join (indicators only).
@@ -51,8 +51,9 @@ fn fast_path_is_bit_identical_to_reference_path() {
     let mut scratch = SamplerScratch::new();
     for (i, query) in queries.iter().enumerate() {
         for samples in [1usize, 33, 64] {
-            let reference = model.estimate_with_samples_reference(query, samples);
-            let fast = model.try_estimate(query, samples, &mut scratch).unwrap();
+            let mut rng = StdRng::seed_from_u64(core.query_seed(query));
+            let reference = sampler(&core).estimate_reference(query, samples, &mut rng);
+            let fast = core.try_estimate(query, samples, &mut scratch).unwrap();
             assert!(
                 reference == fast,
                 "query {i} ({query}) samples {samples}: reference {reference} != fast {fast}"
@@ -70,35 +71,15 @@ fn fast_path_is_bit_identical_to_reference_path() {
 }
 
 #[test]
-fn estimate_batch_matches_sequential_estimates() {
-    let (model, db, schema) = build_model();
-    let mut queries = job_light_ranges_queries(&db, &schema, 10, 7);
-    queries.push(Query::join(&["title"]).filter(
-        "title",
-        "production_year",
-        Predicate::ge(2000i64),
-    ));
-
-    let sequential: Vec<f64> = queries.iter().map(|q| model.estimate(q)).collect();
-    let samples = model.config().progressive_samples;
-    let batch = model.estimate_batch(&queries, samples);
-    assert_eq!(sequential, batch);
-
-    // Scratch reuse across a batch must not leak state between queries: estimating the
-    // same workload twice through the batch API is also identical.
-    assert_eq!(batch, model.estimate_batch(&queries, samples));
-}
-
-#[test]
 fn try_estimate_surfaces_unmodelled_columns_as_errors() {
-    let (model, _db, _schema) = build_model();
+    let (core, _db, _schema) = build_model();
     // Join keys are not modelled under the default `model_join_keys = false`, so a filter
     // on one is an UnknownColumn error, not a panic.
     let bad = Query::join(&["title", "cast_info"]).filter("title", "id", Predicate::eq(1i64));
-    let samples = model.config().progressive_samples;
+    let samples = core.config().progressive_samples;
     let mut scratch = SamplerScratch::new();
     assert_eq!(
-        model.try_estimate(&bad, samples, &mut scratch),
+        core.try_estimate(&bad, samples, &mut scratch),
         Err(EstimateError::UnknownColumn {
             table: "title".into(),
             column: "id".into(),
@@ -107,15 +88,15 @@ fn try_estimate_surfaces_unmodelled_columns_as_errors() {
     // A valid query round-trips through the fallible API with the same value.
     let good = Query::join(&["title", "cast_info"]);
     assert_eq!(
-        model.try_estimate(&good, samples, &mut scratch),
-        Ok(model.estimate(&good))
+        core.try_estimate(&good, samples, &mut scratch),
+        Ok(core.estimate(&good))
     );
 }
 
 /// A JOB-M-shaped estimator: 16 tables (so most queries draw several fanout columns) and
 /// 3-bit factorization (so content columns span up to three sub-columns).
 fn build_job_m_model() -> (
-    NeuroCard,
+    Arc<EstimatorCore>,
     Arc<nc_storage::Database>,
     Arc<nc_schema::JoinSchema>,
 ) {
@@ -129,7 +110,7 @@ fn build_job_m_model() -> (
     config.training_tuples = 1_500;
     config.fact_bits = Some(3);
     (
-        NeuroCard::build(db.clone(), schema.clone(), &config),
+        NeuroCard::build(db.clone(), schema.clone(), &config).core(),
         db,
         schema,
     )
@@ -185,8 +166,7 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
     let mut light_queries = job_light_ranges_queries(&light_db, &light_schema, 4, 5);
     light_queries.push(Query::join(&["title"]));
 
-    let (m, m_db, m_schema) = build_job_m_model();
-    let m_core = m.core();
+    let (m_core, m_db, m_schema) = build_job_m_model();
     let mut m_queries = job_m_queries(&m_db, &m_schema, 3, 11);
     // All-fanout downscaling of a 16-table schema, and a range over a column that spans
     // three sub-columns (classes split and re-parent digit by digit).
@@ -204,7 +184,7 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
     let bounds = [0.153, 0.025];
     let mut scratch = SamplerScratch::new();
     let mut widest = 0;
-    for ((core, queries), bound) in [(light.core(), &light_queries), (m_core, &m_queries)]
+    for ((core, queries), bound) in [(light, &light_queries), (m_core, &m_queries)]
         .into_iter()
         .zip(bounds)
     {
@@ -245,8 +225,7 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
 
 #[test]
 fn samples_that_all_die_mid_column_match_the_reference() {
-    let (m, _db, _schema) = build_job_m_model();
-    let core = m.core();
+    let (core, _db, _schema) = build_job_m_model();
     let (idx, table, column) = three_digit_column(&core);
     let encoded = core.encoded();
     let code = encoded.dictionary(idx).domain_size() as u32 / 2;

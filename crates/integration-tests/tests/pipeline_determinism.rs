@@ -8,7 +8,7 @@ use std::sync::Arc;
 use nc_datagen::{job_light_database, job_light_schema, DataGenConfig};
 use nc_sampler::{derive_stream_seed, JoinSampler, SamplerPool, WideLayout};
 use nc_schema::{Predicate, Query};
-use neurocard::{NeuroCard, NeuroCardConfig};
+use neurocard::{EstimatorCore, NeuroCard, NeuroCardConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -62,17 +62,18 @@ fn prefetch_depth_never_changes_estimates() {
         config.training_tuples = 2_000;
         config.sampler_threads = 2;
         config.prefetch_depth = depth;
-        NeuroCard::build(db.clone(), schema.clone(), &config)
+        NeuroCard::build(db.clone(), schema.clone(), &config).core()
     };
+    let weights = |core: &EstimatorCore| nc_nn::serialize::model_to_bytes(core.model());
 
     let base = build(0);
-    let base_bytes = base.model_bytes();
+    let base_bytes = weights(&base);
     let base_estimate = base.estimate(&query);
     for depth in [1usize, 2] {
         let other = build(depth);
         assert_eq!(
             base_bytes,
-            other.model_bytes(),
+            weights(&other),
             "prefetch depth {depth} changed the trained model"
         );
         assert_eq!(

@@ -577,7 +577,7 @@ mod tests {
 
         assert_eq!(back.manifest(), artifact.manifest());
         assert_eq!(back.config(), artifact.config());
-        assert_eq!(back.full_join_rows(), model.full_join_rows());
+        assert_eq!(back.full_join_rows(), model.stats().full_join_rows);
         assert_eq!(back.schema().tables(), schema.tables());
         assert_eq!(back.schema().root(), schema.root());
         assert_eq!(back.weights(), artifact.weights());
@@ -598,12 +598,12 @@ mod tests {
             Query::join(&["A"]).filter("A", "c", Predicate::eq(1i64)),
             Query::join(&["A", "B"]).filter("B", "tag", Predicate::eq("t2")),
         ];
+        let snapshot = model.core();
         for q in &queries {
-            assert_eq!(model.estimate(q).to_bits(), core.estimate(q).to_bits());
-            assert_eq!(model.query_seed(q), core.query_seed(q));
+            assert_eq!(snapshot.estimate(q).to_bits(), core.estimate(q).to_bits());
+            assert_eq!(snapshot.query_seed(q), core.query_seed(q));
         }
         // A core never carries gradients, whichever constructor built it.
-        let snapshot = model.core();
         for m in [core.model(), snapshot.model()] {
             assert!(m.params().iter().all(|p| p.grad.rows() == 0));
         }
@@ -746,7 +746,7 @@ mod tests {
         let q = Query::join(&["A", "B"]);
         assert_eq!(
             loaded.to_core().unwrap().estimate(&q).to_bits(),
-            model.estimate(&q).to_bits()
+            model.core().estimate(&q).to_bits()
         );
 
         // A *wrong* fingerprint is rejected, as is a malformed one.
@@ -896,7 +896,7 @@ mod tests {
         assert!(m.num_params > 0);
         assert_eq!(
             m.full_join_rows.parse::<u128>().unwrap(),
-            model.full_join_rows()
+            model.stats().full_join_rows
         );
         assert!(m.model_columns >= m.wide_columns);
     }

@@ -9,10 +9,10 @@
 //! serving layer can put one behind an `Arc` and estimate from any number of worker
 //! threads (see the `nc-serve` crate).
 //!
-//! **Determinism contract:** for a fixed `(core, query, seed)` every estimate produced
-//! here is bit-identical to the corresponding `NeuroCard` method — both run the same
-//! [`ProgressiveSampler`] through `estimate_seeded`, i.e. over the same per-query
-//! SplitMix64-derived RNG stream (`derive_query_seed`).
+//! **Determinism contract:** an estimate is a pure function of `(model, query, seed)`:
+//! [`EstimatorCore::try_estimate`] runs the [`ProgressiveSampler`] over a per-query
+//! SplitMix64-derived RNG stream (`derive_query_seed`).  So a [`crate::NeuroCard::core`]
+//! snapshot and a core loaded from that model's artifact answer bit-identically.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -43,26 +43,11 @@ pub enum Precision {
 /// Seed of the per-query RNG stream: a pure function of `(config.seed, query)`, mixed
 /// through the same SplitMix64 finalizer discipline as the sampler pool's worker streams
 /// ([`nc_sampler::derive_stream_seed`]), so per-query streams are decorrelated and
-/// identical wherever the query runs — sequentially, inside `estimate_batch`, or on a
-/// serving thread.
+/// identical wherever the query runs — in a test, a benchmark or on a serving thread.
 pub(crate) fn derive_query_seed(seed: u64, query: &Query) -> u64 {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     query.render().hash(&mut hasher);
     derive_stream_seed(seed, hasher.finish(), 0)
-}
-
-/// Runs `sampler` over the per-query RNG stream derived from `(seed, query)` — the one
-/// helper [`EstimatorCore`] and [`crate::NeuroCard`] both estimate through, which is what
-/// makes their answers bit-identical for a fixed `(model, query, seed)`.
-pub(crate) fn estimate_seeded(
-    sampler: &ProgressiveSampler<'_>,
-    seed: u64,
-    query: &Query,
-    num_samples: usize,
-    scratch: &mut SamplerScratch,
-) -> Result<f64, EstimateError> {
-    let mut rng = StdRng::seed_from_u64(derive_query_seed(seed, query));
-    sampler.try_estimate_with_scratch(query, num_samples, &mut rng, scratch)
 }
 
 /// The estimation-only engine over a trained model (no training database, no sampler
@@ -121,13 +106,14 @@ impl EstimatorCore {
         num_samples: usize,
         scratch: &mut SamplerScratch,
     ) -> Result<f64, EstimateError> {
-        let sampler = ProgressiveSampler::new(
+        let mut rng = StdRng::seed_from_u64(self.query_seed(query));
+        ProgressiveSampler::new(
             &self.model,
             &self.encoded,
             &self.schema,
             self.full_join_rows,
-        );
-        estimate_seeded(&sampler, self.config.seed, query, num_samples, scratch)
+        )
+        .try_estimate_with_scratch(query, num_samples, &mut rng, scratch)
     }
 
     /// [`EstimatorCore::try_estimate`]; `precision` is ignored.

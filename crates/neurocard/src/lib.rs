@@ -19,11 +19,12 @@
 //!    omitted tables.
 //!
 //! An estimator has three life-stages, each its own type.  [`NeuroCard`] **trains**: build
-//! it from a database + join schema with [`NeuroCard::build`], call
-//! [`NeuroCard::estimate`] for any [`nc_schema::Query`], keep training it as the data
-//! changes.  [`ModelArtifact`] is the model **at rest** — self-contained bytes, no
-//! database.  [`EstimatorCore`] **estimates**: the `Send + Sync` engine a serving layer
-//! loads from an artifact, bit-identical to the `NeuroCard` that wrote it.
+//! it from a database + join schema with [`NeuroCard::build`] and keep training it as the
+//! data changes.  [`ModelArtifact`] is the model **at rest** — self-contained bytes, no
+//! database.  [`EstimatorCore`] **estimates**, for any [`nc_schema::Query`]: the
+//! `Send + Sync` engine every estimate goes through, taken from a live model with
+//! [`NeuroCard::core`] (a snapshot) or loaded from an artifact, and bit-identical either
+//! way.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -36,7 +37,7 @@
 //! let model = NeuroCard::build(db, schema, &NeuroCardConfig::default());
 //! let q = Query::join(&["title", "cast_info"])
 //!     .filter("title", "production_year", Predicate::ge(2000i64));
-//! let cardinality = model.estimate(&q);
+//! let cardinality = model.core().estimate(&q);
 //! println!("estimated rows: {cardinality}");
 //!
 //! // Elsewhere, with nothing but the bytes:
