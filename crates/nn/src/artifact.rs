@@ -356,6 +356,32 @@ mod tests {
         }
     }
 
+    /// The framing of a two-section container, byte for byte: every artifact ever written
+    /// must keep loading, so the layout may not move.
+    #[rustfmt::skip]
+    const PINNED_CONTAINER: [u8; 51] = [
+        0x52, 0x41, 0x43, 0x4e, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // magic, version 1, 2 sections
+        0xf1, 0xa7, 0x0f, 0x9e, 0x41, 0xf2, 0x83, 0x32,                         // checksum
+        0x01, 0x00, 0x00, 0x00, 0x61, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // "a", 2 bytes
+        0x78, 0x79,
+        0x01, 0x00, 0x00, 0x00, 0x77, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // "w", 3 bytes
+        0x01, 0x02, 0x03,
+    ];
+
+    #[test]
+    fn container_bytes_are_pinned() {
+        let mut w = ArtifactWriter::new();
+        w.section("a", b"xy".to_vec());
+        w.section("w", vec![1u8, 2, 3]);
+        let bytes = w.finish();
+        assert_eq!(&bytes[..], &PINNED_CONTAINER[..]);
+        assert_eq!(fnv1a64(&PINNED_CONTAINER), 0xfc30_4cb4_3342_ba81);
+        let r = ArtifactReader::parse(&PINNED_CONTAINER).unwrap();
+        assert_eq!(r.names(), vec!["a", "w"]);
+        assert_eq!(r.get("a"), Some(&b"xy"[..]));
+        assert_eq!(r.get("w"), Some(&[1u8, 2, 3][..]));
+    }
+
     #[test]
     fn fnv_is_stable() {
         // Pinned test vectors (FNV-1a 64 reference values).
