@@ -61,7 +61,7 @@ fn fixture() -> (Vec<u8>, Vec<Query>, Arc<Database>, Arc<JoinSchema>) {
         queries.push(Query::join(&["A", "B"]).filter("A", "c", Predicate::eq(v)));
         queries.push(Query::join(&["B"]).filter("B", "d", Predicate::le(v)));
     }
-    (artifact.to_bytes().to_vec(), queries, db, schema)
+    (artifact.to_bytes(), queries, db, schema)
 }
 
 fn load_core(bytes: &[u8]) -> Arc<EstimatorCore> {

@@ -46,7 +46,7 @@ fn trained_artifact_bytes() -> (Vec<u8>, Vec<Query>) {
         queries.push(Query::join(&["A", "B"]).filter("A", "c", Predicate::eq(v)));
         queries.push(Query::join(&["B"]).filter("B", "d", Predicate::le(v)));
     }
-    (artifact.to_bytes().to_vec(), queries)
+    (artifact.to_bytes(), queries)
 }
 
 fn load_core(bytes: &[u8]) -> Arc<EstimatorCore> {

@@ -1,8 +1,19 @@
 //! The self-contained, versioned model artifact: everything needed to serve estimates,
 //! nothing that needs the training database.
 //!
-//! A [`ModelArtifact`] packages, inside the checksummed section container of
-//! [`nc_nn::artifact`]:
+//! A [`ModelArtifact`] is a checksummed container of named sections.  The container is
+//! (all integers little-endian):
+//!
+//! ```text
+//! magic      u32   "NCAR" (0x4E43_4152)
+//! version    u32   container format version (currently 1)
+//! sections   u32   number of sections
+//! checksum   u64   FNV-1a 64 over everything after this field
+//! per section:
+//!   name_len u32, name bytes (UTF-8), payload_len u64, payload bytes
+//! ```
+//!
+//! and its sections are:
 //!
 //! | section    | encoding | contents |
 //! |---|---|---|
@@ -15,15 +26,17 @@
 //! | `weights`  | binary   | model parameters in the [`nc_nn::serialize`] flat format |
 //!
 //! The JSON sections round-trip through the serde shim's new `Deserialize`/`from_json`
-//! path; the binary sections use the checked readers of [`nc_storage::binio`].  Loading
-//! validates the container header (magic, version, checksum), every section's presence
-//! and internal consistency, and finally the weight shapes against the freshly built
-//! model and that every MADE-masked weight is exactly zero and every weight of a masked
-//! layer finite (the autoregressive property and the terms the inference forward skips
-//! rest on it) — every failure is a typed [`ArtifactLoadError`], never a panic.  Sections
-//! are only ever asked for by name, so one this build does not know (older builds wrote a
-//! half-width copy of the weights as an eighth) is checksummed with the rest and never
-//! read — pinned by `legacy_bf16_section_is_ignored`.
+//! path; the container and the other binary sections use the checked reader of
+//! [`nc_storage::binio`].  Loading validates the container header (magic, version,
+//! checksum), that the sections fill the container exactly under unique UTF-8 names,
+//! every section's presence and internal consistency, and finally the weight shapes
+//! against the freshly built model and that every MADE-masked weight is exactly zero and
+//! every weight of a masked layer finite (the autoregressive property and the terms the
+//! inference forward skips rest on it) — every failure is a typed [`ArtifactLoadError`],
+//! never a panic.  Sections are only ever asked for by name, so one this build does not
+//! know (older builds wrote a half-width copy of the weights as an eighth) is checksummed
+//! with the rest and never read — pinned by `legacy_bf16_section_is_ignored`.  A weight
+//! blob with bytes after its last parameter is rejected like any other damaged section.
 //!
 //! **Losslessness contract:** `ModelArtifact::from_bytes(&artifact.to_bytes())?.to_core()?`
 //! produces bit-identical estimates to the estimator that wrote the artifact, for any
@@ -31,14 +44,11 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
-
-use nc_nn::artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
-use nc_nn::serialize::{load_params_from_bytes, model_to_bytes, LoadError};
+use nc_nn::serialize::{fnv1a64, load_params_from_bytes, model_to_bytes, LoadError};
 use nc_nn::{MadeConfig, ResMade};
 use nc_sampler::{ColumnKind, WideColumn, WideLayout};
 use nc_schema::{JoinEdge, JoinSchema};
-use nc_storage::binio::{put_string, BinReader};
+use nc_storage::binio::{put_string, BinError, BinReader};
 use nc_storage::ColumnDictionary;
 use serde::{Deserialize, Serialize};
 
@@ -50,6 +60,15 @@ use crate::factorization::Factorization;
 /// Version of the NeuroCard artifact *contents* (the container has its own format
 /// version; this one tracks the section set and their encodings).
 pub const MODEL_ARTIFACT_VERSION: u32 = 1;
+
+/// `"NCAR"` — NeuroCard ARtifact.
+const CONTAINER_MAGIC: u32 = 0x4E43_4152;
+
+/// Container format version written and read by this build.
+const CONTAINER_VERSION: u32 = 1;
+
+/// Bytes of the container header: magic, version, section count, checksum.
+const HEADER_LEN: usize = 20;
 
 /// Deterministic fingerprint of a join schema: FNV-1a 64 over an unambiguous
 /// (length-prefixed) rendering of the tables in declared order, every join edge, and the
@@ -75,15 +94,36 @@ pub fn schema_fingerprint(schema: &JoinSchema) -> u64 {
         put_string(&mut buf, &e.right.column);
     }
     put_string(&mut buf, schema.root());
-    nc_nn::artifact::fnv1a64(&buf)
+    fnv1a64(&buf)
 }
 
 /// Why a model artifact failed to load.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ArtifactLoadError {
-    /// The outer container failed to parse (bad magic/version/checksum, truncation,
-    /// missing section).
-    Container(ArtifactError),
+    /// The byte stream does not start with the artifact magic number.
+    BadMagic,
+    /// The container was written by an unsupported format version.
+    UnsupportedVersion {
+        /// Version found in the header.
+        found: u32,
+        /// Version this build reads and writes.
+        supported: u32,
+    },
+    /// The stored checksum does not match the payload (torn write / corruption).
+    ChecksumMismatch {
+        /// Checksum recorded in the header.
+        stored: u64,
+        /// Checksum recomputed over the loaded bytes.
+        computed: u64,
+    },
+    /// The byte stream ended before the declared sections were read.
+    Truncated,
+    /// A section name is not valid UTF-8, or bytes follow the last section.
+    Malformed(String),
+    /// The same section name appears twice.
+    DuplicateSection(String),
+    /// A required section is absent.
+    MissingSection(String),
     /// A section parsed but its contents are inconsistent or undecodable.
     Section {
         /// Section name.
@@ -98,7 +138,24 @@ pub enum ArtifactLoadError {
 impl std::fmt::Display for ArtifactLoadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ArtifactLoadError::Container(e) => write!(f, "{e}"),
+            ArtifactLoadError::BadMagic => write!(f, "not a model artifact (bad magic number)"),
+            ArtifactLoadError::UnsupportedVersion { found, supported } => write!(
+                f,
+                "artifact format version {found} is not supported (this build reads {supported})"
+            ),
+            ArtifactLoadError::ChecksumMismatch { stored, computed } => write!(
+                f,
+                "artifact checksum mismatch: header says {stored:#018x}, payload hashes to \
+                 {computed:#018x}"
+            ),
+            ArtifactLoadError::Truncated => write!(f, "artifact byte stream ended early"),
+            ArtifactLoadError::Malformed(msg) => write!(f, "malformed artifact: {msg}"),
+            ArtifactLoadError::DuplicateSection(name) => {
+                write!(f, "artifact contains section {name:?} twice")
+            }
+            ArtifactLoadError::MissingSection(name) => {
+                write!(f, "artifact is missing required section {name:?}")
+            }
             ArtifactLoadError::Section { name, message } => {
                 write!(f, "artifact section {name:?}: {message}")
             }
@@ -108,12 +165,6 @@ impl std::fmt::Display for ArtifactLoadError {
 }
 
 impl std::error::Error for ArtifactLoadError {}
-
-impl From<ArtifactError> for ArtifactLoadError {
-    fn from(e: ArtifactError) -> Self {
-        ArtifactLoadError::Container(e)
-    }
-}
 
 fn section_err(name: &'static str, message: impl std::fmt::Display) -> ArtifactLoadError {
     ArtifactLoadError::Section {
@@ -198,7 +249,7 @@ pub struct ModelArtifact {
     schema: Arc<JoinSchema>,
     encoded: Arc<EncodedLayout>,
     full_join_rows: u128,
-    weights: Bytes,
+    weights: Vec<u8>,
 }
 
 /// JSON shape of the `schema` section.
@@ -250,8 +301,7 @@ impl ModelArtifact {
     }
 
     /// Serialises the artifact into the framed, checksummed container format.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut w = ArtifactWriter::new();
+    pub fn to_bytes(&self) -> Vec<u8> {
         let manifest =
             serde_json::to_string_pretty(&self.manifest).expect("manifest serialisation");
         let config = serde_json::to_string_pretty(&self.config).expect("config serialisation");
@@ -292,21 +342,22 @@ impl ModelArtifact {
             .collect();
         let facts = serde_json::to_string(&facts).expect("factorization serialisation");
 
-        w.section("manifest", manifest.into_bytes());
-        w.section("config", config.into_bytes());
-        w.section("schema", schema.into_bytes());
-        w.section("layout", layout_bytes);
-        w.section("dicts", dict_bytes);
-        w.section("facts", facts.into_bytes());
-        w.section("weights", self.weights.to_vec());
-        w.finish()
+        write_container(&[
+            ("manifest", manifest.as_bytes()),
+            ("config", config.as_bytes()),
+            ("schema", schema.as_bytes()),
+            ("layout", &layout_bytes),
+            ("dicts", &dict_bytes),
+            ("facts", facts.as_bytes()),
+            ("weights", &self.weights),
+        ])
     }
 
     /// Parses and fully validates an artifact produced by [`ModelArtifact::to_bytes`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ArtifactLoadError> {
-        let mut reader = ArtifactReader::parse(bytes)?;
+        let sections = read_container(bytes)?;
 
-        let manifest: ArtifactManifest = read_json_section(&reader, "manifest")?;
+        let manifest: ArtifactManifest = read_json_section(&sections, "manifest")?;
         if manifest.format != "neurocard-artifact" {
             return Err(section_err(
                 "manifest",
@@ -327,9 +378,9 @@ impl ModelArtifact {
             .parse()
             .map_err(|_| section_err("manifest", "full_join_rows is not a u128"))?;
 
-        let config: NeuroCardConfig = read_json_section(&reader, "config")?;
+        let config: NeuroCardConfig = read_json_section(&sections, "config")?;
 
-        let schema: SchemaSection = read_json_section(&reader, "schema")?;
+        let schema: SchemaSection = read_json_section(&sections, "schema")?;
         let schema = JoinSchema::new(schema.tables, schema.edges, &schema.root)
             .map_err(|e| section_err("schema", e))?;
 
@@ -358,7 +409,7 @@ impl ModelArtifact {
         }
 
         // Layout (binary).
-        let payload = reader.require("layout")?;
+        let payload = section(&sections, "layout")?;
         let mut r = BinReader::new(payload);
         let layout = (|| -> Result<WideLayout, String> {
             let n = r.u32().map_err(|e| e.to_string())? as usize;
@@ -391,7 +442,7 @@ impl ModelArtifact {
         .map_err(|m| section_err("layout", m))?;
 
         // Dictionaries (binary).
-        let payload = reader.require("dicts")?;
+        let payload = section(&sections, "dicts")?;
         let mut r = BinReader::new(payload);
         let dicts = (|| -> Result<Vec<ColumnDictionary>, String> {
             let n = r.u32().map_err(|e| e.to_string())? as usize;
@@ -406,7 +457,7 @@ impl ModelArtifact {
         })()
         .map_err(|m| section_err("dicts", m))?;
 
-        let facts: Vec<Factorization> = read_json_section(&reader, "facts")?;
+        let facts: Vec<Factorization> = read_json_section(&sections, "facts")?;
 
         let encoded =
             EncodedLayout::from_parts(layout, dicts, facts).map_err(|m| section_err("facts", m))?;
@@ -443,8 +494,8 @@ impl ModelArtifact {
             }
         }
 
-        // Moved out of the reader, not copied: the weight blob dominates the artifact.
-        let weights = Bytes::from(reader.take("weights")?);
+        // The only section copied out of the input: the others are decoded in place.
+        let weights = section(&sections, "weights")?.to_vec();
 
         Ok(ModelArtifact {
             manifest,
@@ -517,16 +568,101 @@ impl ModelArtifact {
     }
 
     /// The raw weight blob (the [`nc_nn::serialize`] flat format).
-    pub fn weights(&self) -> &Bytes {
+    pub fn weights(&self) -> &[u8] {
         &self.weights
     }
 }
 
+/// Frames `sections` in the container the module doc lays out.  Names must be unique;
+/// order is preserved.
+fn write_container(sections: &[(&str, &[u8])]) -> Vec<u8> {
+    let body_len: usize = sections.iter().map(|(n, p)| 12 + n.len() + p.len()).sum();
+    let mut out = Vec::with_capacity(HEADER_LEN + body_len);
+    out.extend_from_slice(&CONTAINER_MAGIC.to_le_bytes());
+    out.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    out.extend_from_slice(&[0; 8]); // the checksum, patched in below
+    for (i, (name, payload)) in sections.iter().enumerate() {
+        assert!(
+            sections[..i].iter().all(|(n, _)| n != name),
+            "section {name:?} already written"
+        );
+        out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        out.extend_from_slice(name.as_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+    let checksum = fnv1a64(&out[HEADER_LEN..]);
+    out[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+    out
+}
+
+/// Parses and validates a container written by [`write_container`], returning its
+/// sections in file order, borrowed from `bytes`.
+fn read_container(bytes: &[u8]) -> Result<Vec<(&str, &[u8])>, ArtifactLoadError> {
+    if bytes
+        .get(..4)
+        .is_some_and(|magic| magic != CONTAINER_MAGIC.to_le_bytes())
+    {
+        return Err(ArtifactLoadError::BadMagic);
+    }
+    if bytes.len() < HEADER_LEN {
+        return Err(ArtifactLoadError::Truncated);
+    }
+    let truncated = |_: BinError| ArtifactLoadError::Truncated;
+    let mut r = BinReader::new(&bytes[4..]);
+    let version = r.u32().map_err(truncated)?;
+    if version != CONTAINER_VERSION {
+        return Err(ArtifactLoadError::UnsupportedVersion {
+            found: version,
+            supported: CONTAINER_VERSION,
+        });
+    }
+    let count = r.u32().map_err(truncated)? as usize;
+    let stored = r.u64().map_err(truncated)?;
+    let computed = fnv1a64(&bytes[HEADER_LEN..]);
+    if stored != computed {
+        return Err(ArtifactLoadError::ChecksumMismatch { stored, computed });
+    }
+    // The count is untrusted input (the checksum only guards against *accidental*
+    // damage): cap the pre-allocation like the other binary readers do.
+    let mut sections: Vec<(&str, &[u8])> = Vec::with_capacity(count.min(1 << 10));
+    for _ in 0..count {
+        let name_len = r.u32().map_err(truncated)? as usize;
+        let name = std::str::from_utf8(r.bytes(name_len).map_err(truncated)?)
+            .map_err(|_| ArtifactLoadError::Malformed("section name is not UTF-8".into()))?;
+        // A length past the address space cannot fit in the input either.
+        let payload_len = usize::try_from(r.u64().map_err(truncated)?)
+            .map_err(|_| ArtifactLoadError::Truncated)?;
+        let payload = r.bytes(payload_len).map_err(truncated)?;
+        if sections.iter().any(|(n, _)| *n == name) {
+            return Err(ArtifactLoadError::DuplicateSection(name.to_string()));
+        }
+        sections.push((name, payload));
+    }
+    if !r.is_empty() {
+        return Err(ArtifactLoadError::Malformed(format!(
+            "{} unread bytes after the last section",
+            r.remaining()
+        )));
+    }
+    Ok(sections)
+}
+
+/// The payload of the required section `name`.
+fn section<'a>(sections: &[(&str, &'a [u8])], name: &str) -> Result<&'a [u8], ArtifactLoadError> {
+    sections
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|&(_, payload)| payload)
+        .ok_or_else(|| ArtifactLoadError::MissingSection(name.to_string()))
+}
+
 fn read_json_section<T: for<'de> Deserialize<'de>>(
-    reader: &ArtifactReader,
+    sections: &[(&str, &[u8])],
     name: &'static str,
 ) -> Result<T, ArtifactLoadError> {
-    let payload = reader.require(name)?;
+    let payload = section(sections, name)?;
     let text =
         std::str::from_utf8(payload).map_err(|_| section_err(name, "payload is not UTF-8"))?;
     serde_json::from_str(text).map_err(|e| section_err(name, e))
@@ -622,16 +758,14 @@ mod tests {
         // Container-level damage.
         assert!(matches!(
             ModelArtifact::from_bytes(&bytes[..10]),
-            Err(ArtifactLoadError::Container(_))
+            Err(ArtifactLoadError::Truncated)
         ));
-        let mut bad = bytes.to_vec();
+        let mut bad = bytes.clone();
         let last = bad.len() - 1;
         bad[last] ^= 1;
         assert!(matches!(
             ModelArtifact::from_bytes(&bad),
-            Err(ArtifactLoadError::Container(
-                ArtifactError::ChecksumMismatch { .. }
-            ))
+            Err(ArtifactLoadError::ChecksumMismatch { .. })
         ));
 
         // Section-level damage: a syntactically valid container whose weights belong to a
@@ -641,7 +775,7 @@ mod tests {
         cfg.d_hidden = 16; // different architecture
         let other = NeuroCard::build(other_db, other_schema, &cfg);
         let mut mixed = model.to_artifact();
-        mixed.weights = other.to_artifact().weights().clone();
+        mixed.weights = other.to_artifact().weights().to_vec();
         assert!(matches!(
             ModelArtifact::from_bytes(&mixed.to_bytes())
                 .unwrap()
@@ -650,7 +784,19 @@ mod tests {
         ));
 
         for e in [
-            ArtifactLoadError::Container(ArtifactError::BadMagic),
+            ArtifactLoadError::BadMagic,
+            ArtifactLoadError::UnsupportedVersion {
+                found: 2,
+                supported: 1,
+            },
+            ArtifactLoadError::ChecksumMismatch {
+                stored: 1,
+                computed: 2,
+            },
+            ArtifactLoadError::Truncated,
+            ArtifactLoadError::Malformed("x".into()),
+            ArtifactLoadError::DuplicateSection("s".into()),
+            ArtifactLoadError::MissingSection("s".into()),
             section_err("manifest", "boom"),
             ArtifactLoadError::Weights(LoadError::Truncated),
         ] {
@@ -702,24 +848,13 @@ mod tests {
 
     /// Rewrites the artifact's manifest section through `edit`, preserving the other
     /// sections — simulates artifacts written by older builds.
-    fn rewrite_manifest(bytes: &[u8], edit: impl Fn(&str) -> String) -> Bytes {
-        let reader = ArtifactReader::parse(bytes).unwrap();
-        let mut w = ArtifactWriter::new();
-        for name in ALL_SECTIONS {
-            let payload = reader.require(name).unwrap().to_vec();
-            if name == "manifest" {
-                let text = std::str::from_utf8(&payload).unwrap();
-                w.section(name, edit(text).into_bytes());
-            } else {
-                w.section(name, payload);
-            }
-        }
-        w.finish()
+    fn rewrite_manifest(bytes: &[u8], edit: impl Fn(&str) -> String) -> Vec<u8> {
+        let mut sections = read_container(bytes).unwrap();
+        assert_eq!(sections[0].0, "manifest");
+        let manifest = edit(std::str::from_utf8(sections[0].1).unwrap());
+        sections[0].1 = manifest.as_bytes();
+        write_container(&sections)
     }
-
-    const ALL_SECTIONS: [&str; 7] = [
-        "manifest", "config", "schema", "layout", "dicts", "facts", "weights",
-    ];
 
     #[test]
     fn pre_fingerprint_artifacts_still_load() {
@@ -780,13 +915,9 @@ mod tests {
     fn legacy_bf16_section_is_ignored() {
         let (model, _, _) = trained();
         let bytes = model.to_artifact().to_bytes();
-        let reader = ArtifactReader::parse(&bytes).unwrap();
-        let mut w = ArtifactWriter::new();
-        for name in ALL_SECTIONS {
-            w.section(name, reader.require(name).unwrap().to_vec());
-        }
-        w.section("weights_bf16", vec![0xA5; 37]);
-        let legacy = w.finish();
+        let mut sections = read_container(&bytes).unwrap();
+        sections.push(("weights_bf16", &[0xA5; 37]));
+        let legacy = write_container(&sections);
         assert_ne!(legacy, bytes);
 
         let loaded = ModelArtifact::from_bytes(&legacy).expect("legacy artifacts must load");
@@ -883,6 +1014,121 @@ mod tests {
                 Ok(_) => panic!("expected a weights section error, got a working core"),
             }
         }
+    }
+
+    fn sample_container() -> Vec<u8> {
+        write_container(&[
+            ("manifest", b"{\"v\":1}"),
+            ("weights", &[1, 2, 3, 4, 5]),
+            ("empty", &[]),
+        ])
+    }
+
+    #[test]
+    fn container_round_trip_preserves_sections_and_order() {
+        let bytes = sample_container();
+        let sections = read_container(&bytes).unwrap();
+        assert_eq!(
+            sections,
+            [
+                ("manifest", &b"{\"v\":1}"[..]),
+                ("weights", &[1, 2, 3, 4, 5][..]),
+                ("empty", &[][..]),
+            ]
+        );
+        assert_eq!(section(&sections, "weights"), Ok(&[1, 2, 3, 4, 5][..]));
+        assert_eq!(
+            section(&sections, "nope"),
+            Err(ArtifactLoadError::MissingSection("nope".into()))
+        );
+    }
+
+    #[test]
+    fn container_header_validation() {
+        let bytes = sample_container();
+        // Bad magic.
+        let mut bad = bytes.clone();
+        bad[0] ^= 0xFF;
+        assert_eq!(read_container(&bad), Err(ArtifactLoadError::BadMagic));
+        // Unsupported version.
+        let mut bad = bytes.clone();
+        bad[4] = 99;
+        assert!(matches!(
+            read_container(&bad),
+            Err(ArtifactLoadError::UnsupportedVersion { found: 99, .. })
+        ));
+        // Flipping any payload bit trips the checksum.
+        let mut bad = bytes.clone();
+        let last = bad.len() - 1;
+        bad[last] ^= 0x01;
+        assert!(matches!(
+            read_container(&bad),
+            Err(ArtifactLoadError::ChecksumMismatch { .. })
+        ));
+        // Truncation anywhere fails cleanly (checksum covers the body, so most cuts trip
+        // it; header cuts report Truncated).
+        for cut in [0, 3, 10, bytes.len() - 1] {
+            assert!(read_container(&bytes[..cut]).is_err());
+        }
+        assert_eq!(read_container(&[]), Err(ArtifactLoadError::Truncated));
+    }
+
+    /// Rewrites the body of `container` and recomputes its checksum, so the damage reaches
+    /// the section table.
+    fn with_body(container: &[u8], edit: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = container.to_vec();
+        let mut body = out.split_off(HEADER_LEN);
+        edit(&mut body);
+        out[HEADER_LEN - 8..].copy_from_slice(&fnv1a64(&body).to_le_bytes());
+        out.extend_from_slice(&body);
+        out
+    }
+
+    #[test]
+    fn duplicate_sections_rejected_at_write_and_read() {
+        // The writer asserts on duplicates...
+        let result = std::panic::catch_unwind(|| write_container(&[("a", &[1]), ("a", &[2])]));
+        assert!(result.is_err());
+        // ...and the reader reports them: rename the second section "w" to "a".
+        let duplicate = with_body(&PINNED_CONTAINER, |body| body[19] = b'a');
+        assert_eq!(
+            read_container(&duplicate),
+            Err(ArtifactLoadError::DuplicateSection("a".into()))
+        );
+        // A name that is not UTF-8, and bytes after the last section, are malformed.
+        let not_utf8 = with_body(&PINNED_CONTAINER, |body| body[4] = 0xFF);
+        assert!(matches!(
+            read_container(&not_utf8),
+            Err(ArtifactLoadError::Malformed(_))
+        ));
+        let trailing = with_body(&PINNED_CONTAINER, |body| body.push(0));
+        assert_eq!(
+            read_container(&trailing),
+            Err(ArtifactLoadError::Malformed(
+                "1 unread bytes after the last section".into()
+            ))
+        );
+    }
+
+    /// The framing of a two-section container, byte for byte: every artifact ever written
+    /// must keep loading, so the layout may not move.
+    #[rustfmt::skip]
+    const PINNED_CONTAINER: [u8; 51] = [
+        0x52, 0x41, 0x43, 0x4e, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, // magic, version 1, 2 sections
+        0xf1, 0xa7, 0x0f, 0x9e, 0x41, 0xf2, 0x83, 0x32,                         // checksum
+        0x01, 0x00, 0x00, 0x00, 0x61, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // "a", 2 bytes
+        0x78, 0x79,
+        0x01, 0x00, 0x00, 0x00, 0x77, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, // "w", 3 bytes
+        0x01, 0x02, 0x03,
+    ];
+
+    #[test]
+    fn container_bytes_are_pinned() {
+        let bytes = write_container(&[("a", b"xy"), ("w", &[1, 2, 3])]);
+        assert_eq!(bytes, PINNED_CONTAINER);
+        assert_eq!(fnv1a64(&PINNED_CONTAINER), 0xfc30_4cb4_3342_ba81);
+        let sections = read_container(&PINNED_CONTAINER).unwrap();
+        assert_eq!(sections, [("a", &b"xy"[..]), ("w", &[1, 2, 3][..])]);
     }
 
     #[test]

@@ -418,7 +418,7 @@ mod tests {
         assert!(p.first_loss.is_finite() && p.first_loss != 0.0);
     }
 
-    fn train_model_bytes(threads: usize, depth: usize, tuples: usize) -> bytes::Bytes {
+    fn train_model_bytes(threads: usize, depth: usize, tuples: usize) -> Vec<u8> {
         let (db, schema) = tiny();
         let enc = encoded(&db, &schema);
         let sampler = JoinSampler::new(db.clone(), schema.clone());

@@ -25,8 +25,8 @@
 //!   [`TrainScratch`]; [`ResMade::conditional_probs_into`] /
 //!   [`ResMade::conditional_probs_step`] read `p(xᵢ | x₍<ᵢ₎)` for progressive sampling
 //!   out of an [`InferenceScratch`],
-//! * [`serialize`] / [`artifact`] — flat binary save/load of model parameters and the
-//!   checksummed section container model artifacts are written in.
+//! * [`serialize`] — flat binary save/load of model parameters, the weight section of a
+//!   NeuroCard model artifact, and the FNV-1a 64 hash its checksums use.
 //!
 //! Everything is deterministic given a seed.  A training step runs in lanes, one per core
 //! the process may run on: scoped threads of [`ResMade::forward_backward`] that own
@@ -44,7 +44,6 @@
     deny(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)
 )]
 
-pub mod artifact;
 pub mod kernel;
 pub mod layers;
 pub mod loss;
@@ -53,7 +52,6 @@ pub mod optim;
 pub mod serialize;
 pub mod tensor;
 
-pub use artifact::{ArtifactError, ArtifactReader, ArtifactWriter};
 pub use layers::{relu, relu_backward, Embedding, Linear, MaskedLinear, Param};
 pub use loss::softmax_cross_entropy;
 pub use made::{InferenceScratch, MadeConfig, ResMade, TrainScratch};

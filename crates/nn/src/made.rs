@@ -1766,7 +1766,7 @@ mod tests {
             }
             assert_eq!(m.check_masked_weights(), Ok(()));
             let bytes = crate::serialize::model_to_bytes(&m);
-            let hash = crate::artifact::fnv1a64(&bytes);
+            let hash = crate::serialize::fnv1a64(&bytes);
             assert_eq!(hash, 0xdc58_f21b_ad79_f0e8, "{lanes} lanes: {hash:#x}");
         }
     }
@@ -1788,7 +1788,7 @@ mod tests {
             (cycled(61), 0xa4fb_0bec_3d9e_3396),
         ] {
             let n = domains.len();
-            let mut one_row = bytes::Bytes::new();
+            let mut one_row = Vec::new();
             for lanes in LANES {
                 let mut m = ResMade::new(MadeConfig {
                     domains: domains.clone(),
@@ -1819,7 +1819,7 @@ mod tests {
                     assert_eq!(m.check_masked_weights(), Ok(()));
                     let bytes = crate::serialize::model_to_bytes(&m);
                     if step == 2 {
-                        let hash = crate::artifact::fnv1a64(&bytes);
+                        let hash = crate::serialize::fnv1a64(&bytes);
                         assert_eq!(hash, pinned, "{n} columns, {lanes} lanes: {hash:#x}");
                     } else if step == 3 && lanes == 1 {
                         one_row = bytes;

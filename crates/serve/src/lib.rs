@@ -20,9 +20,10 @@
 //!   lease count reaches zero (epoch/refcount drain — no request is ever dropped or
 //!   served by a half-installed model).
 //! * **One estimator interface** ([`model`]): anything implementing the object-safe
-//!   [`ServingEstimator`] trait can be registered — an artifact-loaded
-//!   [`neurocard::EstimatorCore`] keeps its zero-allocation [`ScratchPool`] fast path,
-//!   and every [`nc_baselines::CardinalityEstimator`] rides along via [`BaselineModel`].
+//!   [`ServingEstimator`] trait can be registered; the one implementation is an
+//!   artifact-loaded [`neurocard::EstimatorCore`], served through its zero-allocation
+//!   [`ScratchPool`] fast path.  The paper's baselines are experiment code and never
+//!   linked into a server.
 //! * **One protocol** ([`protocol`]): [`ServeRequest`] / [`ServeReply`] are the only
 //!   request/response types; the in-process API, the wire API and the benches all speak
 //!   them.  The wire form is a length-prefixed binary codec over the checked
@@ -66,7 +67,7 @@ pub mod tcp;
 pub use fallback::StatsFallback;
 pub use fault::{FaultCount, FaultInjector, FaultPlan, FaultPoint};
 pub use journal::{JournalError, JournalEvent, RegistryJournal, SharedJournal};
-pub use model::{BaselineModel, ServingEstimator};
+pub use model::ServingEstimator;
 pub use pool::ScratchPool;
 pub use protocol::{
     decode_request, decode_result, decode_stats_result, encode_request, encode_result,
@@ -152,35 +153,50 @@ mod testing {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar};
 
-    use nc_baselines::CardinalityEstimator;
     use nc_schema::{JoinSchema, Query};
     use nc_storage::{Database, TableBuilder, Value};
+    use neurocard::infer::SamplerScratch;
+    use neurocard::EstimateError;
 
     use crate::fallback::StatsFallback;
+    use crate::model::ServingEstimator;
 
     /// Answers every query with one value.
     pub(crate) struct Fixed(pub(crate) f64);
 
-    impl CardinalityEstimator for Fixed {
+    impl ServingEstimator for Fixed {
         fn name(&self) -> &str {
             "fixed"
         }
-        fn estimate(&self, _query: &Query) -> f64 {
-            self.0
+        fn default_samples(&self) -> usize {
+            1
         }
-        fn size_bytes(&self) -> usize {
-            16
+        fn serve(
+            &self,
+            _query: &Query,
+            _samples: usize,
+            _scratch: &mut SamplerScratch,
+        ) -> Result<f64, EstimateError> {
+            Ok(self.0)
         }
     }
 
     /// Panics (with "kaboom") on every query.
     pub(crate) struct Bomb;
 
-    impl CardinalityEstimator for Bomb {
+    impl ServingEstimator for Bomb {
         fn name(&self) -> &str {
             "bomb"
         }
-        fn estimate(&self, _query: &Query) -> f64 {
+        fn default_samples(&self) -> usize {
+            1
+        }
+        fn serve(
+            &self,
+            _query: &Query,
+            _samples: usize,
+            _scratch: &mut SamplerScratch,
+        ) -> Result<f64, EstimateError> {
             panic!("kaboom")
         }
     }
@@ -210,18 +226,26 @@ mod testing {
         }
     }
 
-    impl CardinalityEstimator for Gate {
+    impl ServingEstimator for Gate {
         fn name(&self) -> &str {
             "gate"
         }
-        fn estimate(&self, _query: &Query) -> f64 {
+        fn default_samples(&self) -> usize {
+            1
+        }
+        fn serve(
+            &self,
+            _query: &Query,
+            _samples: usize,
+            _scratch: &mut SamplerScratch,
+        ) -> Result<f64, EstimateError> {
             let (lock, cv) = &*self.state;
             let mut open = lock.lock().unwrap_or_else(|p| p.into_inner());
             self.entered.fetch_add(1, Ordering::SeqCst);
             while !*open {
                 open = cv.wait(open).unwrap_or_else(|p| p.into_inner());
             }
-            7.0
+            Ok(7.0)
         }
     }
 

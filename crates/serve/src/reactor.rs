@@ -974,7 +974,6 @@ fn refusal_frame() -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::BaselineModel;
     use crate::protocol::{decode_result, encode_request, read_frame, write_frame, ServeRequest};
     use crate::registry::ModelSelector;
     use crate::testing::{Bomb, Fixed, Gate};
@@ -982,9 +981,7 @@ mod tests {
 
     fn fixed_registry(value: f64) -> Arc<ModelRegistry> {
         let registry = Arc::new(ModelRegistry::new());
-        registry
-            .register(1, "m", Arc::new(BaselineModel::new(Fixed(value))))
-            .unwrap();
+        registry.register(1, "m", Arc::new(Fixed(value))).unwrap();
         registry
     }
 
@@ -1061,9 +1058,7 @@ mod tests {
     fn full_queue_sheds_with_overloaded_in_reply_order() {
         let gate = Gate::default();
         let registry = Arc::new(ModelRegistry::new());
-        registry
-            .register(1, "m", Arc::new(BaselineModel::new(gate.clone())))
-            .unwrap();
+        registry.register(1, "m", Arc::new(gate.clone())).unwrap();
         let config = ReactorConfig {
             io_threads: 1,
             workers: 1,
@@ -1114,9 +1109,7 @@ mod tests {
     fn wire_shed_degrades_through_the_fallback_in_reply_order() {
         let gate = Gate::default();
         let registry = Arc::new(ModelRegistry::new());
-        registry
-            .register(1, "m", Arc::new(BaselineModel::new(gate.clone())))
-            .unwrap();
+        registry.register(1, "m", Arc::new(gate.clone())).unwrap();
         registry.set_fallback(crate::testing::stats_fallback());
         let config = ReactorConfig {
             io_threads: 1,
@@ -1173,9 +1166,7 @@ mod tests {
     #[test]
     fn panicking_model_is_an_internal_error_and_the_connection_survives() {
         let registry = fixed_registry(3.0);
-        registry
-            .register(1, "bomb", Arc::new(BaselineModel::new(Bomb)))
-            .unwrap();
+        registry.register(1, "bomb", Arc::new(Bomb)).unwrap();
         let config = ReactorConfig {
             io_threads: 1,
             workers: 1, // the one worker must survive its own catch

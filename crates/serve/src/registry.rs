@@ -762,23 +762,29 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::BaselineModel;
-    use nc_baselines::CardinalityEstimator;
 
     /// A zero-cost estimator whose answer encodes (version marker, sample budget) so
     /// tests can see exactly which model version served a request.
     struct Marker(f64);
-    impl CardinalityEstimator for Marker {
+    impl ServingEstimator for Marker {
         fn name(&self) -> &str {
             "marker"
         }
-        fn estimate(&self, _query: &Query) -> f64 {
-            self.0
+        fn default_samples(&self) -> usize {
+            1
+        }
+        fn serve(
+            &self,
+            _query: &Query,
+            _samples: usize,
+            _scratch: &mut SamplerScratch,
+        ) -> Result<f64, EstimateError> {
+            Ok(self.0)
         }
     }
 
     fn marker(value: f64) -> Arc<dyn ServingEstimator> {
-        Arc::new(BaselineModel::new(Marker(value)))
+        Arc::new(Marker(value))
     }
 
     fn q() -> Query {

@@ -215,7 +215,6 @@ impl RegistryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::BaselineModel;
     use crate::testing::{stats_fallback, Bomb, Fixed};
     use nc_schema::{JoinEdge, JoinSchema, Predicate};
     use nc_storage::{Database, TableBuilder, Value};
@@ -437,12 +436,8 @@ mod tests {
     #[test]
     fn panicking_model_yields_internal_error_and_service_survives() {
         let registry = Arc::new(ModelRegistry::new());
-        registry
-            .register(1, "bomb", Arc::new(BaselineModel::new(Bomb)))
-            .unwrap();
-        registry
-            .register(1, "one", Arc::new(BaselineModel::new(Fixed(1.0))))
-            .unwrap();
+        registry.register(1, "bomb", Arc::new(Bomb)).unwrap();
+        registry.register(1, "one", Arc::new(Fixed(1.0))).unwrap();
         // One worker: if the panic killed it, nothing would serve the next request.
         let service = RegistryService::new(registry, ServiceConfig::with_workers(1));
         let handle = service.handle();
@@ -466,9 +461,7 @@ mod tests {
 
         let registry = Arc::new(ModelRegistry::new());
         let key = registry.register_core("default", trained_core()).unwrap();
-        registry
-            .register(1, "bomb", Arc::new(BaselineModel::new(Bomb)))
-            .unwrap();
+        registry.register(1, "bomb", Arc::new(Bomb)).unwrap();
         let service = RegistryService::new(registry.clone(), ServiceConfig::with_workers(1));
         let handle = service.handle();
         let server = TcpServer::bind(registry.clone(), "127.0.0.1:0").unwrap();

@@ -274,7 +274,6 @@ impl ServeClient {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::BaselineModel;
     use crate::registry::ModelRegistry;
     use crate::testing::Fixed;
     use crate::TcpServer;
@@ -283,9 +282,7 @@ mod tests {
     #[test]
     fn tcp_round_trip_serves_and_shuts_down() {
         let registry = Arc::new(ModelRegistry::new());
-        let key = registry
-            .register(3, "m", Arc::new(BaselineModel::new(Fixed(12.5))))
-            .unwrap();
+        let key = registry.register(3, "m", Arc::new(Fixed(12.5))).unwrap();
         let server = TcpServer::bind(registry.clone(), "127.0.0.1:0").unwrap();
         let addr = server.local_addr();
 
@@ -303,9 +300,7 @@ mod tests {
         ));
 
         // A hot swap is visible to an already-connected client on its next request.
-        registry
-            .swap(3, "m", Arc::new(BaselineModel::new(Fixed(99.0))))
-            .unwrap();
+        registry.swap(3, "m", Arc::new(Fixed(99.0))).unwrap();
         let reply = client
             .estimate(&ModelSelector::latest(3, "m"), &Query::join(&["t"]))
             .unwrap();
@@ -334,9 +329,7 @@ mod tests {
     #[test]
     fn malformed_frames_get_a_typed_reply_then_a_close() {
         let registry = Arc::new(ModelRegistry::new());
-        registry
-            .register(1, "m", Arc::new(BaselineModel::new(Fixed(1.0))))
-            .unwrap();
+        registry.register(1, "m", Arc::new(Fixed(1.0))).unwrap();
         let server = TcpServer::bind(registry, "127.0.0.1:0").unwrap();
         let mut stream = TcpStream::connect(server.local_addr()).unwrap();
         // A frame whose payload is garbage: the server answers with a Protocol error.
@@ -356,9 +349,7 @@ mod tests {
     #[test]
     fn client_pipelining_round_trips_in_order() {
         let registry = Arc::new(ModelRegistry::new());
-        registry
-            .register(1, "m", Arc::new(BaselineModel::new(Fixed(4.0))))
-            .unwrap();
+        registry.register(1, "m", Arc::new(Fixed(4.0))).unwrap();
         let server = TcpServer::bind(registry, "127.0.0.1:0").unwrap();
         let mut client = ServeClient::connect(server.local_addr()).unwrap();
         let request = ServeRequest::new(ModelSelector::latest(1, "m"), Query::join(&["t"]));

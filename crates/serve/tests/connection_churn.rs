@@ -7,17 +7,26 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use nc_baselines::CardinalityEstimator;
 use nc_schema::Query;
-use nc_serve::{BaselineModel, ModelRegistry, ModelSelector, ServeClient, TcpServer};
+use nc_serve::{ModelRegistry, ModelSelector, ServeClient, ServingEstimator, TcpServer};
+use neurocard::infer::SamplerScratch;
+use neurocard::EstimateError;
 
 struct Fixed(f64);
-impl CardinalityEstimator for Fixed {
+impl ServingEstimator for Fixed {
     fn name(&self) -> &str {
         "fixed"
     }
-    fn estimate(&self, _query: &Query) -> f64 {
-        self.0
+    fn default_samples(&self) -> usize {
+        1
+    }
+    fn serve(
+        &self,
+        _query: &Query,
+        _samples: usize,
+        _scratch: &mut SamplerScratch,
+    ) -> Result<f64, EstimateError> {
+        Ok(self.0)
     }
 }
 
@@ -34,9 +43,7 @@ fn thread_count() -> usize {
 #[test]
 fn connection_churn_leaks_neither_fds_nor_threads() {
     let registry = Arc::new(ModelRegistry::new());
-    registry
-        .register(1, "m", Arc::new(BaselineModel::new(Fixed(1.0))))
-        .unwrap();
+    registry.register(1, "m", Arc::new(Fixed(1.0))).unwrap();
     let server = TcpServer::bind(registry, "127.0.0.1:0").unwrap();
     let baseline_threads = thread_count();
     // A burst of short-lived clients: each connects, queries, disconnects.  The

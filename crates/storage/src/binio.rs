@@ -56,7 +56,8 @@ impl<'a> BinReader<'a> {
         self.buf.is_empty()
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], BinError> {
+    /// Reads the next `n` bytes, borrowed from the input.
+    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], BinError> {
         if self.buf.len() < n {
             return Err(BinError::Truncated);
         }
@@ -67,27 +68,27 @@ impl<'a> BinReader<'a> {
 
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, BinError> {
-        Ok(self.take(1)?[0])
+        Ok(self.bytes(1)?[0])
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, BinError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, BinError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `i64`.
     pub fn i64(&mut self) -> Result<i64, BinError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u128`.
     pub fn u128(&mut self) -> Result<u128, BinError> {
-        Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
+        Ok(u128::from_le_bytes(self.bytes(16)?.try_into().unwrap()))
     }
 
     /// Reads a `u64` length prefix, validated against the remaining input so corrupt
@@ -103,7 +104,7 @@ impl<'a> BinReader<'a> {
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self) -> Result<String, BinError> {
         let n = self.len()?;
-        let bytes = self.take(n)?;
+        let bytes = self.bytes(n)?;
         std::str::from_utf8(bytes)
             .map(str::to_string)
             .map_err(|_| BinError::BadUtf8)
