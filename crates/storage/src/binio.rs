@@ -1,7 +1,8 @@
 //! Checked little-endian binary encoding of storage types.
 //!
 //! Used by the model-artifact format to persist column dictionaries (and the [`Value`]s
-//! inside them) without going through JSON.  Reads are fully validated: a truncated or
+//! inside them) without going through JSON, and by its container and the wire protocol
+//! to read their framing through [`BinReader`].  Reads are fully validated: a truncated or
 //! corrupt stream yields a [`BinError`] instead of a panic, which is what an artifact
 //! loader needs when handed arbitrary bytes.
 
