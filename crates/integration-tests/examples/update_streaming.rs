@@ -14,12 +14,8 @@ use std::sync::Arc;
 
 use nc_datagen::{job_light_database, job_light_schema, partitioned_snapshots, DataGenConfig};
 use nc_schema::{Predicate, Query};
+use nc_workloads::q_error;
 use neurocard::{estimator::BuildOptions, EstimatorCore, NeuroCard, NeuroCardConfig};
-
-fn q_error(estimate: f64, truth: f64) -> f64 {
-    let (e, t) = (estimate.max(1.0), truth.max(1.0));
-    (e / t).max(t / e)
-}
 
 fn main() {
     let datagen = DataGenConfig {

@@ -6,8 +6,7 @@
 //!   socket I/O and client-side connection drops all firing, every request a
 //!   client completes is either bit-identical to the direct [`EstimatorCore`]
 //!   answer at the request's sample budget (the model's default, or every other
-//!   request's own), or explicitly `degraded` (the stats fallback), or a typed error —
-//!   never a silently wrong estimate.
+//!   request's own), or a typed error — never a silently wrong estimate.
 //! * **Retries hide the chaos.**  With a generous retry budget, all four
 //!   concurrent clients complete *every* request; the fault arithmetic closes
 //!   exactly (each worker panic and each connection drop is one retry).
@@ -25,7 +24,7 @@ use nc_sampler::seed::derive_stream_seed;
 use nc_schema::{JoinEdge, JoinSchema, Predicate, Query};
 use nc_serve::{
     ClientConfig, FaultCount, FaultPlan, ModelRegistry, ModelSelector, ReactorConfig, ServeClient,
-    ServeRequest, StatsFallback, TcpServer,
+    ServeError, ServeRequest, TcpServer,
 };
 use nc_storage::{Database, TableBuilder, Value};
 use neurocard::infer::SamplerScratch;
@@ -33,7 +32,7 @@ use neurocard::{schema_fingerprint, EstimatorCore, ModelArtifact, NeuroCard, Neu
 
 const CHAOS_SEED: u64 = 0xC0A5;
 
-fn fixture() -> (Vec<u8>, Vec<Query>, Arc<Database>, Arc<JoinSchema>) {
+fn fixture() -> (Vec<u8>, Vec<Query>) {
     let mut db = Database::new();
     let mut a = TableBuilder::new("A", &["x", "c"]);
     for i in 0..60i64 {
@@ -61,7 +60,7 @@ fn fixture() -> (Vec<u8>, Vec<Query>, Arc<Database>, Arc<JoinSchema>) {
         queries.push(Query::join(&["A", "B"]).filter("A", "c", Predicate::eq(v)));
         queries.push(Query::join(&["B"]).filter("B", "d", Predicate::le(v)));
     }
-    (artifact.to_bytes(), queries, db, schema)
+    (artifact.to_bytes(), queries)
 }
 
 fn load_core(bytes: &[u8]) -> Arc<EstimatorCore> {
@@ -88,7 +87,7 @@ fn client_config(chaos_seed: u64, client_id: u64, drop_per_mille: u32) -> Client
 
 #[test]
 fn four_chaos_clients_at_the_pinned_seed_complete_everything_correctly() {
-    let (bytes, queries, db, schema) = fixture();
+    let (bytes, queries) = fixture();
     let core = load_core(&bytes);
     let fingerprint = schema_fingerprint(core.schema());
     let sequential: Vec<f64> = queries.iter().map(|q| core.estimate(q)).collect();
@@ -106,17 +105,8 @@ fn four_chaos_clients_at_the_pinned_seed_complete_everything_correctly() {
         "the explicit budget must change some estimate, or it is not exercised"
     );
 
-    // The degraded answer a ghost selector must fall back to, computed directly.
-    let fallback = StatsFallback::from_database(&db, schema.clone());
-    let ghost_want = {
-        use nc_serve::ServingEstimator;
-        let mut scratch = SamplerScratch::new();
-        fallback.serve(&queries[0], 1, &mut scratch).unwrap()
-    };
-
     let registry = Arc::new(ModelRegistry::new());
     registry.publish(fingerprint, "m", load_core(&bytes));
-    registry.set_fallback(Arc::new(StatsFallback::from_database(&db, schema.clone())));
     let server_faults = FaultPlan::chaos(CHAOS_SEED).injector();
     let config = ReactorConfig {
         io_threads: 2,
@@ -166,15 +156,13 @@ fn four_chaos_clients_at_the_pinned_seed_complete_everything_correctly() {
                             );
                         }
                     }
-                    // A selector matching no model degrades to the stats fallback —
-                    // flagged, versioned 0, and bit-identical to the direct fallback.
-                    let reply = client
-                        .request(&ServeRequest::new(ghost.clone(), queries[0].clone()))
-                        .expect("degraded requests still complete under chaos");
-                    assert!(reply.degraded);
-                    assert_eq!(reply.key.name, "stats-fallback");
-                    assert_eq!(reply.key.version, 0);
-                    assert_eq!(reply.estimate.to_bits(), ghost_want.to_bits());
+                    // A selector matching no model is a typed error, under chaos too.
+                    let ghost_result =
+                        client.request(&ServeRequest::new(ghost.clone(), queries[0].clone()));
+                    assert!(
+                        matches!(ghost_result, Err(ServeError::UnknownModel(_))),
+                        "client {client_id}: ghost selector got {ghost_result:?}"
+                    );
                     client.retries()
                 })
             })
@@ -224,7 +212,7 @@ fn four_chaos_clients_at_the_pinned_seed_complete_everything_correctly() {
 /// One single-client scenario: sequential, so every fault draw is reached in a
 /// deterministic order — the whole run must replay bit-identically.
 fn replay_run(chaos_seed: u64) -> (Vec<FaultCount>, Vec<FaultCount>, u64, u64, Vec<u64>) {
-    let (bytes, queries, _, _) = fixture();
+    let (bytes, queries) = fixture();
     let core = load_core(&bytes);
     let fingerprint = schema_fingerprint(core.schema());
 

@@ -150,9 +150,9 @@ impl Query {
     /// Unfiltered size of this query's join under **join uniformity** (Selinger et al.
     /// 1979): the product of the joined tables' `rows`, divided — for every joined table
     /// whose schema parent is joined too, for every key pair between them — by the larger
-    /// of the two keys' distinct counts `ndv(table, column)`.  The statistics-only
-    /// estimators (the serving fallback, the Postgres-like and per-table-AR baselines)
-    /// share this walk and differ in where their statistics come from.
+    /// of the two keys' distinct counts `ndv(table, column)`.  Its two callers, the
+    /// Postgres-like and per-table-AR baselines, share this walk and differ in where
+    /// their statistics come from.
     ///
     /// Multiplies, then divides, one factor at a time in table order: callers compare the
     /// result bit for bit.

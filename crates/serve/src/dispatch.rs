@@ -1,8 +1,7 @@
-//! The dispatch core both transports feed: one bounded queue, one worker loop, one way
-//! to execute a request and one way to shed it (`docs/serving.md`).
+//! The dispatch core both transports feed: one bounded queue, one worker loop and one
+//! way to execute a request (`docs/serving.md`).
 //!
-//! [`Executor`] is *what happens to a request*: [`Executor::execute`] on a worker,
-//! [`Executor::shed`] on the submitting thread when the queue refused it.
+//! [`Executor`] is *what happens to a request*: [`Executor::execute`] on a worker.
 //! [`Submitter`] and [`Dispatch`] are *how a job gets to a worker*: the bounded channel
 //! with its queue-depth gauge, and the worker threads' start, stop and join.  They are
 //! generic over the job type so that they never look inside one: the in-process
@@ -14,8 +13,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::Duration;
-
-use neurocard::infer::SamplerScratch;
 
 use crate::fault::FaultInjector;
 use crate::lockcheck::Mutex;
@@ -80,15 +77,6 @@ impl Executor {
         .unwrap_or_else(|panic| Err(ServeError::Internal(panic_message(panic))))
     }
 
-    /// Answers a request the queue refused, on the submitting thread: from the
-    /// registry's fallback estimator if one is installed (a cheap statistics lookup,
-    /// flagged `degraded`), else [`ServeError::Overloaded`].
-    pub(crate) fn shed(&self, request: &ServeRequest) -> Result<ServeReply, ServeError> {
-        self.registry
-            .serve_fallback(request, &mut SamplerScratch::new())
-            .unwrap_or(Err(ServeError::Overloaded))
-    }
-
     /// Jobs currently queued.  A probe — racy by nature, exact enough for load
     /// shedding and dashboards.
     pub(crate) fn queue_depth(&self) -> usize {
@@ -124,9 +112,8 @@ impl<J> Clone for Submitter<J> {
 
 impl<J> Submitter<J> {
     /// Queues `job` — waiting for queue space, or refusing with
-    /// [`TrySendError::Full`] — and hands a refused job back intact, so the caller can
-    /// still answer it ([`Executor::shed`]).  [`TrySendError::Disconnected`] means the
-    /// workers are gone.
+    /// [`TrySendError::Full`], which hands the job back intact.
+    /// [`TrySendError::Disconnected`] means the workers are gone.
     pub(crate) fn submit(&self, job: J, wait_for_space: bool) -> Result<(), TrySendError<J>> {
         // Counted before the enqueue and undone if it fails: a worker may dequeue (and
         // decrement) the instant the job is queued, so counting afterwards lets the

@@ -22,8 +22,10 @@
 //! * **One estimator interface** ([`model`]): anything implementing the object-safe
 //!   [`ServingEstimator`] trait can be registered; the one implementation is an
 //!   artifact-loaded [`neurocard::EstimatorCore`], served through its zero-allocation
-//!   [`ScratchPool`] fast path.  The paper's baselines are experiment code and never
-//!   linked into a server.
+//!   [`ScratchPool`] fast path.  There is no second estimator to fall back to: a
+//!   selector that matches no model is a [`ServeError::UnknownModel`], and a request the
+//!   full queue refuses is a [`ServeError::Overloaded`].  The paper's baselines are
+//!   experiment code and never linked into a server.
 //! * **One protocol** ([`protocol`]): [`ServeRequest`] / [`ServeReply`] are the only
 //!   request/response types; the in-process API, the wire API and the benches all speak
 //!   them.  The wire form is a length-prefixed binary codec over the checked
@@ -51,7 +53,6 @@
 )]
 
 mod dispatch;
-pub mod fallback;
 pub mod fault;
 pub mod journal;
 pub mod lockcheck;
@@ -64,7 +65,6 @@ pub mod service;
 pub mod stats;
 pub mod tcp;
 
-pub use fallback::StatsFallback;
 pub use fault::{FaultCount, FaultInjector, FaultPlan, FaultPoint};
 pub use journal::{JournalError, JournalEvent, RegistryJournal, SharedJournal};
 pub use model::ServingEstimator;
@@ -153,21 +153,16 @@ mod testing {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::{Arc, Condvar};
 
-    use nc_schema::{JoinSchema, Query};
-    use nc_storage::{Database, TableBuilder, Value};
+    use nc_schema::Query;
     use neurocard::infer::SamplerScratch;
     use neurocard::EstimateError;
 
-    use crate::fallback::StatsFallback;
     use crate::model::ServingEstimator;
 
     /// Answers every query with one value.
     pub(crate) struct Fixed(pub(crate) f64);
 
     impl ServingEstimator for Fixed {
-        fn name(&self) -> &str {
-            "fixed"
-        }
         fn default_samples(&self) -> usize {
             1
         }
@@ -185,9 +180,6 @@ mod testing {
     pub(crate) struct Bomb;
 
     impl ServingEstimator for Bomb {
-        fn name(&self) -> &str {
-            "bomb"
-        }
         fn default_samples(&self) -> usize {
             1
         }
@@ -227,9 +219,6 @@ mod testing {
     }
 
     impl ServingEstimator for Gate {
-        fn name(&self) -> &str {
-            "gate"
-        }
         fn default_samples(&self) -> usize {
             1
         }
@@ -247,19 +236,6 @@ mod testing {
             }
             Ok(7.0)
         }
-    }
-
-    /// A stats fallback over a one-table database: 40 rows in `t`, so it answers
-    /// `Query::join(&["t"])` with `40.0`.
-    pub(crate) fn stats_fallback() -> Arc<StatsFallback> {
-        let mut db = Database::new();
-        let mut t = TableBuilder::new("t", &["v"]);
-        for i in 0..40i64 {
-            t.push_row(vec![Value::Int(i % 8)]);
-        }
-        db.add_table(t.finish());
-        let schema = JoinSchema::new(vec!["t".into()], vec![], "t").unwrap();
-        Arc::new(StatsFallback::from_database(&db, Arc::new(schema)))
     }
 }
 

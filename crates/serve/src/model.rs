@@ -2,9 +2,11 @@
 //!
 //! The registry stores models as `Arc<dyn ServingEstimator>`.  Its one implementation
 //! is a NeuroCard [`EstimatorCore`], served through its zero-allocation scratch fast
-//! path; the serving tier's tests register small fakes.  Routing, hot swap, the wire
-//! protocol and the benchmark all speak this trait, so a new estimator kind implements
-//! it and touches nothing else.
+//! path; the serving tier's tests register small fakes.  There is no second estimator
+//! behind the registry: a selector that matches no registered model is a
+//! [`crate::ServeError::UnknownModel`].  Routing, hot swap, the wire protocol and the
+//! benchmark all speak this trait, so a new estimator kind implements it and touches
+//! nothing else.
 
 use nc_schema::Query;
 use neurocard::infer::SamplerScratch;
@@ -12,9 +14,6 @@ use neurocard::{EstimateError, EstimatorCore};
 
 /// An estimator the registry can serve: object-safe, shareable across threads.
 pub trait ServingEstimator: Send + Sync {
-    /// Short display name (e.g. `"NeuroCard"`).
-    fn name(&self) -> &str;
-
     /// Sample budget used when a request does not carry one.  Estimators without a
     /// per-request budget return `1`.
     fn default_samples(&self) -> usize;
@@ -28,11 +27,6 @@ pub trait ServingEstimator: Send + Sync {
         samples: usize,
         scratch: &mut SamplerScratch,
     ) -> Result<f64, EstimateError>;
-
-    /// Approximate size of the model state in bytes (`0` if not materialised).
-    fn size_bytes(&self) -> usize {
-        0
-    }
 }
 
 // The registry stores `Arc<dyn ServingEstimator>`; keep the trait object-safe.
@@ -42,10 +36,6 @@ const _: Option<&dyn ServingEstimator> = None;
 /// [`EstimatorCore::try_estimate`], which performs no steady-state allocation and is
 /// bit-identical to sequential [`EstimatorCore::estimate`] calls.
 impl ServingEstimator for EstimatorCore {
-    fn name(&self) -> &str {
-        "NeuroCard"
-    }
-
     fn default_samples(&self) -> usize {
         self.config().progressive_samples
     }
@@ -57,9 +47,5 @@ impl ServingEstimator for EstimatorCore {
         scratch: &mut SamplerScratch,
     ) -> Result<f64, EstimateError> {
         self.try_estimate(query, samples, scratch)
-    }
-
-    fn size_bytes(&self) -> usize {
-        EstimatorCore::size_bytes(self)
     }
 }

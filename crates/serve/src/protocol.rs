@@ -15,7 +15,7 @@
 //!            (the optional 0x01 is an older client's fast-tier byte: accepted and
 //!            served like any request, never written)
 //! reply      0x02, key, estimate f64 bits as u64 (bit-exact across the wire),
-//!            degraded u8 (1 = served by the stats fallback, not a registered model)
+//!            degraded u8 (always 0 from this server; 0 and 1 are accepted)
 //! error      0x03, error code u8, error fields
 //! deregister 0x04, fingerprint u64, name string       (admin request)
 //! deregistered 0x05, key                              (admin reply: the removed version)
@@ -75,14 +75,13 @@ impl ServeRequest {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeReply {
     /// The version that served the request (selectors may be indirect; this never is).
-    /// Degraded replies carry a synthetic key: the fallback estimator's name at
-    /// version `0` — a version no registered model can ever hold.
     pub key: ModelKey,
     /// The estimated row count.
     pub estimate: f64,
-    /// `true` when the estimate came from the statistics fallback (no live model
-    /// matched the selector); the number is a coarse independence-assumption
-    /// estimate, not a learned one.  Flagged on the wire so planners can weigh it.
+    /// Always `false` from this server: every reply comes from a registered model.
+    /// The field and its wire byte are kept so the wire format and the benchmark
+    /// client, which builds and reads it, stay unchanged; the codec still accepts
+    /// either value.
     pub degraded: bool,
 }
 

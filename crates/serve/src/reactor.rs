@@ -15,7 +15,8 @@
 //!   parse time, workers complete out of order, and replies are released strictly in
 //!   sequence.
 //! * **Admission control without blocking.** The I/O thread never waits for queue
-//!   space: a frame the full queue refuses is shed at once, in its pipeline slot.
+//!   space: a frame the full queue refuses is answered [`ServeError::Overloaded`] at
+//!   once, in its pipeline slot, without being decoded.
 //! * **Bounded buffers, hostile clients disconnected.** Per-connection read/write
 //!   buffers have hard limits; a slow-loris peer (partial frame, no progress) or a
 //!   peer that stops reading its replies is disconnected after
@@ -51,8 +52,8 @@ pub struct ReactorConfig {
     pub io_threads: usize,
     /// Worker threads executing estimates (≥ 1).
     pub workers: usize,
-    /// Bound of the worker queue; a full queue sheds (the registry's fallback, else
-    /// [`ServeError::Overloaded`]).
+    /// Bound of the worker queue; a frame the full queue refuses is answered
+    /// [`ServeError::Overloaded`] without being decoded.
     pub queue_depth: usize,
     /// Maximum simultaneous connections; excess accepts get a best-effort
     /// `Overloaded` frame and an immediate close.
@@ -102,8 +103,8 @@ pub struct ReactorStats {
     pub accepted: u64,
     /// Frames answered (replies and framed errors).
     pub served: u64,
-    /// Requests the full worker queue refused (each still answered in its pipeline
-    /// slot: degraded from the fallback, or a framed [`ServeError::Overloaded`]).
+    /// Frames the full worker queue refused, whatever they held (each still answered
+    /// in its pipeline slot with a framed [`ServeError::Overloaded`]).
     pub overloaded: u64,
     /// Connections dropped for stalling (slow-loris partial frames, unread replies).
     pub stalled_disconnects: u64,
@@ -385,17 +386,6 @@ fn run_job(shared: &Shared, executor: &Executor, job: Job) {
         close_after,
     };
     shared.deliver(job.io_idx, completion);
-}
-
-/// What the I/O thread answers for a frame the full queue refused: the core's shed
-/// policy for an estimate when a fallback is installed — the only case that pays for a
-/// decode on the I/O thread — else `Overloaded`, which is also all an admin frame gets.
-fn shed(executor: &Executor, frame: &[u8]) -> Result<ServeReply, ServeError> {
-    let admin = matches!(frame.first(), Some(&MSG_DEREGISTER | &MSG_STATS));
-    if admin || executor.registry.fallback().is_none() {
-        return Err(ServeError::Overloaded);
-    }
-    executor.shed(&decode_request(frame)?)
 }
 
 /// Applies one wire `deregister`: write-ahead to the admin journal, then drop the
@@ -777,17 +767,12 @@ impl IoThread {
             };
             match self.jobs.submit(job, false) {
                 Ok(()) => {}
-                Err(TrySendError::Full(job)) => {
+                Err(TrySendError::Full(_)) => {
                     // Admission control: answer right now, in order, without ever
-                    // queueing the request.
+                    // queueing — or decoding — the frame.
                     self.shared.overloaded.fetch_add(1, Ordering::Relaxed);
-                    let result = shed(&self.jobs.executor, &job.frame);
-                    self.complete(
-                        slot,
-                        seq,
-                        encode_result(&result),
-                        is_protocol_error(&result),
-                    );
+                    let frame = encode_result(&Err::<ServeReply, _>(ServeError::Overloaded));
+                    self.complete(slot, seq, frame, false);
                 }
                 Err(TrySendError::Disconnected(_)) => {
                     let frame = encode_result(&Err::<ServeReply, _>(ServeError::ShuttingDown));
@@ -974,7 +959,9 @@ fn refusal_frame() -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{decode_result, encode_request, read_frame, write_frame, ServeRequest};
+    use crate::protocol::{
+        decode_result, encode_request, encode_stats_request, read_frame, write_frame, ServeRequest,
+    };
     use crate::registry::ModelSelector;
     use crate::testing::{Bomb, Fixed, Gate};
     use nc_schema::Query;
@@ -1068,8 +1055,9 @@ mod tests {
         let reactor = Reactor::bind_with(registry, "127.0.0.1:0", config).unwrap();
         let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
 
-        // Pipeline 3 requests: one held inside the gate by the single worker, one in
-        // the queue's single slot, one shed by admission control.
+        // Pipeline 2 requests: one held inside the gate by the single worker, one in
+        // the queue's single slot.  Then three frames the full queue refuses, whatever
+        // they hold: an estimate, garbage and a stats admin frame.
         write_frame(&mut stream, &encode_request(&request())).unwrap();
         while gate.entered() == 0 {
             std::thread::yield_now();
@@ -1079,16 +1067,19 @@ mod tests {
             std::thread::yield_now();
         }
         write_frame(&mut stream, &encode_request(&request())).unwrap();
+        write_frame(&mut stream, &[0x7F, 1, 2, 3]).unwrap();
+        write_frame(&mut stream, &encode_stats_request()).unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while reactor.stats().overloaded == 0 {
-            assert!(Instant::now() < deadline, "third request never shed");
+        while reactor.stats().overloaded < 3 {
+            assert!(Instant::now() < deadline, "refused frames never shed");
             std::thread::yield_now();
         }
+        assert_eq!(reactor.stats().queue_depth, 1);
 
         // Open the gate: replies arrive strictly in request order — two estimates,
-        // then the typed Overloaded for the shed request.
+        // then the typed Overloaded for each refused frame, none of them decoded.
         gate.open();
-        for want_ok in [true, true, false] {
+        for want_ok in [true, true, false, false, false] {
             let frame = read_frame(&mut stream).unwrap();
             match decode_result(&frame).unwrap() {
                 Ok(reply) => {
@@ -1101,65 +1092,13 @@ mod tests {
                 }
             }
         }
-        assert_eq!(reactor.served(), 3);
-        reactor.shutdown();
-    }
+        assert_eq!(reactor.stats().overloaded, 3);
 
-    #[test]
-    fn wire_shed_degrades_through_the_fallback_in_reply_order() {
-        let gate = Gate::default();
-        let registry = Arc::new(ModelRegistry::new());
-        registry.register(1, "m", Arc::new(gate.clone())).unwrap();
-        registry.set_fallback(crate::testing::stats_fallback());
-        let config = ReactorConfig {
-            io_threads: 1,
-            workers: 1,
-            queue_depth: 1,
-            ..ReactorConfig::default()
-        };
-        let reactor = Reactor::bind_with(registry.clone(), "127.0.0.1:0", config).unwrap();
-        let mut stream = TcpStream::connect(reactor.local_addr()).unwrap();
-
-        // As in the test above: one request held inside the gate, one in the queue's
-        // single slot — then two frames the full queue refuses, an estimate and garbage.
+        // The refusals left the connection open: one more request is answered.
         write_frame(&mut stream, &encode_request(&request())).unwrap();
-        while gate.entered() == 0 {
-            std::thread::yield_now();
-        }
-        write_frame(&mut stream, &encode_request(&request())).unwrap();
-        while reactor.stats().queue_depth == 0 {
-            std::thread::yield_now();
-        }
-        write_frame(&mut stream, &encode_request(&request())).unwrap();
-        write_frame(&mut stream, &[0x7F, 1, 2, 3]).unwrap();
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while reactor.stats().overloaded < 2 {
-            assert!(Instant::now() < deadline, "refused frames never shed");
-            std::thread::yield_now();
-        }
-        assert_eq!(reactor.stats().queue_depth, 1);
-
-        // Replies arrive strictly in request order: two estimates, the shed request
-        // answered by the fallback (flagged degraded), and the shed garbage answered as
-        // a worker would have — a framed protocol error, then a close.
-        gate.open();
-        for _ in 0..2 {
-            let frame = read_frame(&mut stream).unwrap();
-            assert_eq!(decode_result(&frame).unwrap().unwrap().estimate, 7.0);
-        }
         let frame = read_frame(&mut stream).unwrap();
-        let reply = decode_result(&frame).unwrap().unwrap();
-        assert!(reply.degraded);
-        assert_eq!(reply.estimate, 40.0);
-        assert_eq!(reply.key, ModelKey::new(1, "stats-fallback", 0));
-        assert_eq!(registry.stats().degraded, 1);
-        let frame = read_frame(&mut stream).unwrap();
-        assert!(matches!(
-            decode_result(&frame).unwrap(),
-            Err(ServeError::Protocol(_))
-        ));
-        assert!(read_frame(&mut stream).is_err(), "connection must close");
-        assert_eq!(reactor.served(), 4);
+        assert_eq!(decode_result(&frame).unwrap().unwrap().estimate, 7.0);
+        assert_eq!(reactor.served(), 6);
         reactor.shutdown();
     }
 

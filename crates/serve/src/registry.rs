@@ -202,11 +202,6 @@ struct RegistryInner {
     /// transport routes through).  A poison-free lock: one panicking request must not
     /// take the whole stats surface down with it.
     model_stats: lockcheck::Mutex<HashMap<ModelKey, ModelLatency>>,
-    /// Graceful-degradation estimator consulted when a selector matches no live
-    /// model (see [`ModelRegistry::set_fallback`]).
-    fallback: lockcheck::Mutex<Option<Arc<dyn ServingEstimator>>>,
-    /// Requests answered by the fallback (reply flagged `degraded`).
-    degraded: AtomicU64,
 }
 
 /// Per-model serving log: bounded latency ring plus the wall-clock span it covers.
@@ -283,8 +278,6 @@ pub struct RegistryStats {
     pub swaps: u64,
     /// Total versions retired (dropped after their last in-flight request finished).
     pub retired: u64,
-    /// Requests answered by the graceful-degradation fallback.
-    pub degraded: u64,
 }
 
 /// Receipt of a completed [`ModelRegistry::swap`].
@@ -385,28 +378,8 @@ impl ModelRegistry {
                 swaps: AtomicU64::new(0),
                 retired: AtomicU64::new(0),
                 model_stats: lockcheck::Mutex::new("registry.model_stats", HashMap::new()),
-                fallback: lockcheck::Mutex::new("registry.fallback", None),
-                degraded: AtomicU64::new(0),
             }),
         }
-    }
-
-    /// Installs (or replaces) the graceful-degradation estimator.
-    ///
-    /// With a fallback installed, [`handle`](Self::handle) answers selectors that
-    /// match no live model from it instead of failing: the reply carries the
-    /// fallback's name at the synthetic version `0` (a version no registered model
-    /// can hold — real versions start at 1) and is flagged
-    /// [`degraded`](crate::ServeReply::degraded).  Exact-version requests whose
-    /// model *is* registered but superseded still fail with
-    /// [`ServeError::StaleVersion`] — the model exists; the client should re-resolve.
-    pub fn set_fallback(&self, estimator: Arc<dyn ServingEstimator>) {
-        *self.inner.fallback.lock() = Some(estimator);
-    }
-
-    /// The installed fallback estimator, if any.
-    pub fn fallback(&self) -> Option<Arc<dyn ServingEstimator>> {
-        self.inner.fallback.lock().clone()
     }
 
     /// Registers a new model under `(schema_fingerprint, name)` as version 1.
@@ -591,18 +564,7 @@ impl ModelRegistry {
         request: &ServeRequest,
         scratch: &mut SamplerScratch,
     ) -> Result<ServeReply, ServeError> {
-        let lease = match self.acquire(&request.selector) {
-            Ok(lease) => lease,
-            Err(ServeError::UnknownModel(rendered)) => {
-                // Graceful degradation: no live model — answer from the stats
-                // fallback if one is installed, flagged as such.
-                return match self.serve_fallback(request, scratch) {
-                    Some(result) => result,
-                    None => Err(ServeError::UnknownModel(rendered)),
-                };
-            }
-            Err(e) => return Err(e),
-        };
+        let lease = self.acquire(&request.selector)?;
         let started = Instant::now();
         let estimate = lease
             .estimate(&request.query, request.samples, scratch)
@@ -613,39 +575,6 @@ impl ModelRegistry {
             estimate,
             degraded: false,
         })
-    }
-
-    /// Answers `request` from the installed fallback estimator, if any.  The reply
-    /// key carries the selector's schema fingerprint, the fallback's name, and the
-    /// synthetic version `0`.  Also what the dispatch core answers a request with when
-    /// its queue sheds.
-    pub(crate) fn serve_fallback(
-        &self,
-        request: &ServeRequest,
-        scratch: &mut SamplerScratch,
-    ) -> Option<Result<ServeReply, ServeError>> {
-        let fallback = self.inner.fallback.lock().clone()?;
-        let samples = request
-            .samples
-            .unwrap_or_else(|| fallback.default_samples());
-        let schema_fingerprint = match &request.selector {
-            ModelSelector::Exact(key) => key.schema_fingerprint,
-            ModelSelector::Latest {
-                schema_fingerprint, ..
-            } => *schema_fingerprint,
-        };
-        let result = fallback
-            .serve(&request.query, samples, scratch)
-            .map_err(ServeError::Estimate)
-            .map(|estimate| {
-                self.inner.degraded.fetch_add(1, Ordering::Relaxed);
-                ServeReply {
-                    key: ModelKey::new(schema_fingerprint, fallback.name(), 0),
-                    estimate,
-                    degraded: true,
-                }
-            });
-        Some(result)
     }
 
     /// Feeds the per-model latency split for one completed estimate.
@@ -754,7 +683,6 @@ impl ModelRegistry {
             acquires: self.inner.acquires.load(Ordering::Relaxed),
             swaps: self.inner.swaps.load(Ordering::Relaxed),
             retired: self.inner.retired.load(Ordering::Relaxed),
-            degraded: self.inner.degraded.load(Ordering::Relaxed),
         }
     }
 }
@@ -767,9 +695,6 @@ mod tests {
     /// tests can see exactly which model version served a request.
     struct Marker(f64);
     impl ServingEstimator for Marker {
-        fn name(&self) -> &str {
-            "marker"
-        }
         fn default_samples(&self) -> usize {
             1
         }

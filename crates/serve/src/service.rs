@@ -215,7 +215,7 @@ impl RegistryService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testing::{stats_fallback, Bomb, Fixed};
+    use crate::testing::{Bomb, Fixed};
     use nc_schema::{JoinEdge, JoinSchema, Predicate};
     use nc_storage::{Database, TableBuilder, Value};
     use neurocard::{EstimateError, EstimatorCore, ModelArtifact, NeuroCard, NeuroCardConfig};
@@ -488,7 +488,7 @@ mod tests {
         let ok = both(ServeRequest::new(exact.clone(), q.clone())).unwrap();
         assert_eq!((ok.key.clone(), ok.degraded), (key.clone(), false));
         assert!(matches!(
-            both(ServeRequest::new(nobody.clone(), q.clone())),
+            both(ServeRequest::new(nobody, q.clone())),
             Err(ServeError::UnknownModel(_))
         ));
         match both(ServeRequest::new(
@@ -503,8 +503,7 @@ mod tests {
             Err(ServeError::Estimate(EstimateError::InvalidSampleCount))
         );
 
-        // The pinned version is superseded by a swap; an installed fallback then answers
-        // for the model nobody registered.
+        // The pinned version is superseded by a swap.
         let receipt = registry
             .swap(key.schema_fingerprint, "default", trained_core())
             .unwrap();
@@ -515,11 +514,6 @@ mod tests {
                 current: receipt.new
             })
         );
-        registry.set_fallback(stats_fallback());
-        let degraded = both(ServeRequest::new(nobody, Query::join(&["t"]))).unwrap();
-        assert!(degraded.degraded);
-        assert_eq!((degraded.key.version, degraded.estimate), (0, 40.0));
-
         server.shutdown();
         service.shutdown();
     }

@@ -14,9 +14,6 @@ use neurocard::EstimateError;
 
 struct Fixed(f64);
 impl ServingEstimator for Fixed {
-    fn name(&self) -> &str {
-        "fixed"
-    }
     fn default_samples(&self) -> usize {
         1
     }
