@@ -1,10 +1,8 @@
 //! The common estimator interface shared by NeuroCard and every baseline.
 //!
-//! The trait is deliberately **object-safe** — the benchmark harness evaluates
-//! `&dyn CardinalityEstimator`, and the serving layer registers heterogeneous models as
-//! `Arc<dyn CardinalityEstimator + Send + Sync>` — and the forwarding impls below make
-//! references and smart pointers (`&T`, `Box<T>`, `Arc<T>`, including their `dyn` forms)
-//! usable wherever a concrete estimator is.
+//! The trait is deliberately **object-safe**: the experiment harness (`nc-bench`) and the
+//! `workload_pipeline` integration test evaluate every estimator as a
+//! `&dyn CardinalityEstimator`.  A NeuroCard core held in an `Arc` is passed as `&*core`.
 
 use nc_schema::Query;
 
@@ -24,29 +22,11 @@ pub trait CardinalityEstimator {
     }
 }
 
-// The compile-time guarantee the serving layer's registry relies on.
+// The compile-time guarantee the harness's `&dyn CardinalityEstimator` relies on.
 const _: Option<&dyn CardinalityEstimator> = None;
 
-macro_rules! impl_forwarding {
-    ($($ty:ty),*) => {$(
-        impl<T: CardinalityEstimator + ?Sized> CardinalityEstimator for $ty {
-            fn name(&self) -> &str {
-                (**self).name()
-            }
-            fn estimate(&self, query: &Query) -> f64 {
-                (**self).estimate(query)
-            }
-            fn size_bytes(&self) -> usize {
-                (**self).size_bytes()
-            }
-        }
-    )*};
-}
-impl_forwarding!(&T, Box<T>, std::sync::Arc<T>);
-
 /// NeuroCard estimates through its [`neurocard::EstimatorCore`] — a `NeuroCard::core()`
-/// snapshot or an artifact-loaded core — so the core is what stands beside the baselines
-/// (the serving registry keeps a scratch-pool fast path for cores on top of this).
+/// snapshot or an artifact-loaded core — so the core is what stands beside the baselines.
 impl CardinalityEstimator for neurocard::EstimatorCore {
     fn name(&self) -> &str {
         "NeuroCard"
@@ -81,23 +61,5 @@ mod tests {
         assert_eq!(est.name(), "fixed");
         assert_eq!(est.estimate(&Query::join(&["t"])), 42.0);
         assert_eq!(est.size_bytes(), 0);
-    }
-
-    #[test]
-    fn forwarding_impls_behave_like_the_inner_estimator() {
-        let q = Query::join(&["t"]);
-        let inner = Fixed(7.0);
-        assert_eq!(inner.estimate(&q), 7.0);
-        assert_eq!(inner.name(), "fixed");
-
-        let boxed: Box<dyn CardinalityEstimator> = Box::new(Fixed(8.0));
-        // A Box<dyn ...> is itself an estimator (double indirection still forwards).
-        assert_eq!(CardinalityEstimator::estimate(&boxed, &q), 8.0);
-
-        let shared: std::sync::Arc<dyn CardinalityEstimator + Send + Sync> =
-            std::sync::Arc::new(Fixed(9.0));
-        assert_eq!(CardinalityEstimator::estimate(&shared, &q), 9.0);
-        assert_eq!(shared.name(), "fixed");
-        assert_eq!(shared.size_bytes(), 0);
     }
 }

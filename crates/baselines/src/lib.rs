@@ -12,7 +12,6 @@
 //! | DeepDB (Hilprecht et al. 2020) | [`deepdb_lite`] | per-(root, child) table-pair densities combined under conditional independence |
 //! | Uniform join samples (ablation E) | [`sampling`] | the Exact Weight sampler used directly as an estimator, no model |
 //! | One AR model per table (ablation D) | [`independence`] | single-table NeuroCard models combined under independence |
-//! | Oracle | [`oracle`] | exact answers via `nc-exec` (sanity checks and Q-error denominators) |
 //!
 //! Every estimator implements [`CardinalityEstimator`], so the benchmark harness can treat
 //! them uniformly.
@@ -27,7 +26,6 @@ pub mod estimator;
 pub mod ibjs;
 pub mod independence;
 pub mod mscn;
-pub mod oracle;
 pub mod postgres_like;
 pub mod sampling;
 
@@ -36,6 +34,5 @@ pub use estimator::CardinalityEstimator;
 pub use ibjs::IbjsEstimator;
 pub use independence::PerTableArEstimator;
 pub use mscn::{MscnConfig, MscnEstimator};
-pub use oracle::OracleEstimator;
 pub use postgres_like::PostgresLikeEstimator;
 pub use sampling::UniformJoinSampleEstimator;

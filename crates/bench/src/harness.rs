@@ -1,16 +1,19 @@
-//! Shared plumbing for the per-experiment binaries.
+//! The set-up every experiment shares: command line, scale knobs, environments,
+//! training, ground truth and evaluation.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nc_baselines::CardinalityEstimator;
+use nc_baselines::{CardinalityEstimator, DeepDbLite, MscnConfig, MscnEstimator};
 use nc_datagen::{
     job_light_database, job_light_schema, job_m_database, job_m_schema, DataGenConfig,
 };
 use nc_schema::{JoinSchema, Query};
 use nc_storage::Database;
-use nc_workloads::{q_error, ErrorSummary};
+use nc_workloads::{job_light_ranges_queries, q_error, ErrorSummary, ErrorTableRow};
 use neurocard::{EstimatorCore, NeuroCard, NeuroCardConfig};
+
+use crate::EXPERIMENTS;
 
 /// Scale knobs of a harness run, read from the environment.
 #[derive(Debug, Clone)]
@@ -30,7 +33,7 @@ pub struct HarnessConfig {
     /// Global seed.
     pub seed: u64,
     /// Whether this is a `--smoke` run (tiny budgets; used by CI to execute, not just
-    /// compile, the experiment binaries).
+    /// compile, every experiment).
     pub smoke: bool,
     /// Where [`build_neurocard`] writes the trained model's artifact
     /// (`NC_SAVE_ARTIFACT`) — a file `neurocard-serve` can load.
@@ -53,19 +56,47 @@ fn env_usize(name: &str, default: usize) -> Result<usize, String> {
     parse_knob(name, value, default)
 }
 
-/// Whether the command line asks for a `--smoke` run; any other argument is an error
-/// naming it.
-fn parse_smoke_flag(args: impl IntoIterator<Item = String>) -> Result<bool, String> {
+/// One experiment of the paper's evaluation: its name on `reproduce`'s command line and
+/// the function that runs it, printing its section of the report.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// Command-line name (`table2`, `figure7b`, …).
+    pub name: &'static str,
+    /// Runs the experiment at the given scale.
+    pub run: fn(&HarnessConfig),
+}
+
+impl Experiment {
+    /// Names `run`.
+    pub(crate) const fn new(name: &'static str, run: fn(&HarnessConfig)) -> Self {
+        Experiment { name, run }
+    }
+}
+
+/// Parses `reproduce`'s arguments: `--smoke` and experiment names, in any order.  Returns
+/// whether `--smoke` was given and the experiments named, in the order named (all of
+/// [`EXPERIMENTS`] when none is); any other argument is an error naming it and listing
+/// the valid names.
+fn parse_args(args: impl IntoIterator<Item = String>) -> Result<(bool, Vec<Experiment>), String> {
     let mut smoke = false;
+    let mut named = Vec::new();
     for arg in args {
-        if arg != "--smoke" {
+        if arg == "--smoke" {
+            smoke = true;
+        } else if let Some(experiment) = EXPERIMENTS.iter().find(|e| e.name == arg) {
+            named.push(*experiment);
+        } else {
+            let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
             return Err(format!(
-                "unknown argument {arg:?} (the only flag is --smoke)"
+                "unknown argument {arg:?} (expected --smoke or an experiment: {})",
+                names.join(" ")
             ));
         }
-        smoke = true;
     }
-    Ok(smoke)
+    if named.is_empty() {
+        named = EXPERIMENTS.to_vec();
+    }
+    Ok((smoke, named))
 }
 
 impl HarnessConfig {
@@ -85,20 +116,25 @@ impl HarnessConfig {
         })
     }
 
-    /// Reads the environment configuration; `--smoke` on the command line switches to the
-    /// [`HarnessConfig::tiny`] budgets so the binary finishes in seconds (the artifact
-    /// path still comes from the environment).  This is the entry point every
-    /// experiment binary uses, and what CI invokes to *run* (not merely compile) them.
-    /// An unknown argument or an unparsable knob prints an error naming it and exits
-    /// with status 2.
-    pub fn from_cli() -> Self {
-        let parsed = parse_smoke_flag(std::env::args().skip(1))
-            .and_then(|smoke| Ok((smoke, Self::from_env()?)));
-        let (smoke, env) = parsed.unwrap_or_else(|e| {
+    /// `reproduce`'s entry point: the experiments its command line names and the
+    /// environment configuration they run at.  `--smoke` switches to the
+    /// [`HarnessConfig::tiny`] budgets so every experiment finishes in seconds (the
+    /// artifact path still comes from the environment).  An unknown argument, an
+    /// unparsable knob, or `NC_SAVE_ARTIFACT` with other than exactly one experiment
+    /// named prints an error and exits with status 2.
+    pub fn from_cli() -> (Self, Vec<Experiment>) {
+        let parsed = parse_args(std::env::args().skip(1)).and_then(|(smoke, experiments)| {
+            let env = Self::from_env()?;
+            if env.save_artifact_path.is_some() && experiments.len() != 1 {
+                return Err("NC_SAVE_ARTIFACT needs exactly one experiment named".into());
+            }
+            Ok((smoke, env, experiments))
+        });
+        let (smoke, env, experiments) = parsed.unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2)
         });
-        if smoke {
+        let config = if smoke {
             HarnessConfig {
                 smoke: true,
                 save_artifact_path: env.save_artifact_path,
@@ -106,7 +142,8 @@ impl HarnessConfig {
             }
         } else {
             env
-        }
+        };
+        (config, experiments)
     }
 
     /// A deliberately tiny configuration for integration tests of the harness itself.
@@ -265,6 +302,52 @@ pub fn evaluate(
     }
 }
 
+/// Runs an estimator over a workload into a row of an error table, under the
+/// estimator's own name.
+pub(crate) fn error_row(
+    estimator: &dyn CardinalityEstimator,
+    queries: &[Query],
+    truths: &[f64],
+) -> ErrorTableRow {
+    let r = evaluate(estimator, queries, truths);
+    ErrorTableRow::new(r.name, r.size_bytes, r.summary)
+}
+
+/// The labelled JOB-light-ranges training set MSCN learns from: at least `at_least`
+/// queries (or the workload size, when larger), generated at `seed + seed_offset` so they
+/// are disjoint from the evaluated workload, each paired with its true cardinality (the
+/// paper uses the authors' published training set; the generator plays that role here).
+pub(crate) fn labelled_training_set(
+    env: &BenchEnv,
+    config: &HarnessConfig,
+    at_least: usize,
+    seed_offset: u64,
+) -> Vec<(Query, f64)> {
+    let queries = job_light_ranges_queries(
+        &env.db,
+        &env.schema,
+        config.queries.max(at_least),
+        config.seed + seed_offset,
+    );
+    let truths = true_cardinalities(env, &queries);
+    queries.into_iter().zip(truths).collect()
+}
+
+/// DeepDB-lite built from `samples` samples.
+pub(crate) fn build_deepdb(env: &BenchEnv, config: &HarnessConfig, samples: usize) -> DeepDbLite {
+    DeepDbLite::build(env.db.clone(), env.schema.clone(), samples, config.seed)
+}
+
+/// Trains MSCN at its default configuration on `labelled`.
+pub(crate) fn train_mscn(env: &BenchEnv, labelled: &[(Query, f64)]) -> MscnEstimator {
+    MscnEstimator::train(
+        &env.db,
+        env.schema.clone(),
+        labelled,
+        &MscnConfig::default(),
+    )
+}
+
 /// Pretty-prints a duration in seconds with two decimals.
 pub fn secs(d: Duration) -> String {
     format!("{:.2}s", d.as_secs_f64())
@@ -375,12 +458,22 @@ mod tests {
     }
 
     #[test]
-    fn arguments_other_than_smoke_are_errors() {
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_smoke_flag(args(&[])), Ok(false));
-        assert_eq!(parse_smoke_flag(args(&["--smoke"])), Ok(true));
-        let err = parse_smoke_flag(args(&["--smok"])).unwrap_err();
-        assert!(err.contains("--smok"), "{err}");
+    fn arguments_other_than_smoke_and_experiment_names_are_errors() {
+        let parse = |a: &[&str]| {
+            parse_args(a.iter().map(|s| s.to_string()))
+                .map(|(smoke, named)| (smoke, named.iter().map(|e| e.name).collect::<Vec<_>>()))
+        };
+        let all: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        assert_eq!(parse(&[]), Ok((false, all.clone())));
+        assert_eq!(parse(&["--smoke"]), Ok((true, all)));
+        assert_eq!(
+            parse(&["table5", "--smoke", "table2"]),
+            Ok((true, vec!["table5", "table2"]))
+        );
+        for bad in ["--smok", "table7", "all"] {
+            let err = parse(&[bad]).unwrap_err();
+            assert!(err.contains(bad) && err.contains("figure7d"), "{err}");
+        }
     }
 
     #[test]

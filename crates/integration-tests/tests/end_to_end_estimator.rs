@@ -3,7 +3,7 @@
 //! clearly better at the tail than an independence-based estimator on correlated queries.
 //!
 //! Training budgets are kept small so the whole test runs in seconds; the full-scale
-//! comparison lives in the `nc-bench` binaries.
+//! comparison is `reproduce table2` (`nc-bench`).
 
 use std::sync::Arc;
 
@@ -49,8 +49,8 @@ fn neurocard_end_to_end_on_job_light() {
     let pg = ErrorSummary::from_errors(&pg_errors);
 
     // This is a smoke test with a deliberately tiny training budget, so the bounds are
-    // loose sanity checks (the real comparison at realistic budgets is produced by the
-    // nc-bench binaries); they still catch gross regressions such as broken fanout
+    // loose sanity checks (the real comparison at realistic budgets is produced by
+    // `reproduce`, in nc-bench); they still catch gross regressions such as broken fanout
     // scaling or unnormalised selectivities.
     assert!(nc.median < 40.0, "NeuroCard median too high: {nc}");
     assert!(

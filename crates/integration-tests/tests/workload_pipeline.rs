@@ -1,8 +1,8 @@
 //! Integration test of the full benchmark pipeline: data generation → workload generation →
 //! ground truth → estimator evaluation → reporting, for all three workloads at tiny scale.
 //!
-//! This is the same code path the `nc-bench` binaries use (via `nc_bench::harness`), so it
-//! protects the reproduction harness itself from regressions.
+//! This is the same code path the `reproduce` experiments use (via `nc_bench::harness`), so
+//! it protects the reproduction harness itself from regressions.
 
 use nc_baselines::{
     CardinalityEstimator, IbjsEstimator, PostgresLikeEstimator, UniformJoinSampleEstimator,

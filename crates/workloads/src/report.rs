@@ -1,11 +1,9 @@
-//! Console / JSON reporting helpers shared by the reproduction harness.
-
-use serde::Serialize;
+//! Console reporting helpers shared by the reproduction harness.
 
 use crate::qerror::ErrorSummary;
 
 /// One row of an error table: an estimator's name, size and Q-error summary.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ErrorTableRow {
     /// Estimator display name.
     pub estimator: String,
@@ -62,12 +60,6 @@ pub fn render_error_table(title: &str, rows: &[ErrorTableRow]) -> String {
     out
 }
 
-/// Serialises any reportable value to pretty JSON (written next to the console output so
-/// results can be post-processed, e.g. plotted).
-pub fn to_json<T: Serialize>(value: &T) -> String {
-    serde_json::to_string_pretty(value).expect("report values serialise")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,14 +85,5 @@ mod tests {
         assert_eq!(format_size(0), "–");
         assert_eq!(format_size(70 * 1024), "70KB");
         assert_eq!(format_size(4 * 1024 * 1024), "4.0MB");
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let summary = ErrorSummary::from_errors(&[1.0, 3.0]);
-        let row = ErrorTableRow::new("x", 10, summary);
-        let json = to_json(&row);
-        assert!(json.contains("\"estimator\""));
-        assert!(json.contains("median"));
     }
 }
