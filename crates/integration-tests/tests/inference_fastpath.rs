@@ -11,7 +11,8 @@ use nc_datagen::{
     job_light_database, job_light_schema, job_m_database, job_m_schema, DataGenConfig,
 };
 use nc_sampler::ColumnKind;
-use nc_schema::{Predicate, Query};
+use nc_schema::{JoinEdge, JoinSchema, Predicate, Query};
+use nc_storage::{Database, TableBuilder, Value};
 use nc_workloads::{job_light_ranges_queries, job_m_queries};
 use neurocard::{
     EstimateError, EstimatorCore, NeuroCard, NeuroCardConfig, ProgressiveSampler, SamplerScratch,
@@ -176,22 +177,26 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
     let mid = dict.decode(dict.domain_size() as u32 / 2);
     m_queries.push(Query::join(&[table.as_str()]).filter(&table, &column, Predicate::ge(mid)));
 
-    // The block terms' share of a dense hidden stack over each workload is deterministic:
-    // measured 0.1221 (JOB-light, 27 columns) and 0.0198 (JOB-M, 75 columns, so most
-    // degrees have no unit in a 32-wide layer) when a step computes only the units its new
-    // columns reach.  The bounds add a 25 % margin; recomputing every live unit at every
-    // step reads 0.63 and 0.97, and fails them.
-    let bounds = [0.153, 0.025];
+    // Per workload, the model forwards and the block terms — product terms the residual
+    // blocks' new-unit kernels walk — summed over its 60 estimates; both are deterministic.
+    // One forward per drawn sub-column, each reading the point constraints before it as
+    // heads, makes 264 (JOB-light, 27 columns) and 948 (JOB-M, 75 columns) forwards; one
+    // forward per point constraint as well made 612 and 1 140.  A step that computes only
+    // the units its new columns reach walks 7 563 032 and 571 096 block terms.  The bounds
+    // add about 10 % and 25 %; JOB-light's stays below the 9 112 248 of one forward
+    // per point constraint (JOB-M's point columns lie at degrees with no unit in a 32-wide
+    // layer, so its block terms do not tell them apart).  Recomputing every live unit at
+    // every step walks 26 716 368 and 25 687 328, and fails both.
+    let pins = [(264, 8_300_000), (948, 714_000)];
     let mut scratch = SamplerScratch::new();
     let mut widest = 0;
-    for ((core, queries), bound) in [(light, &light_queries), (m_core, &m_queries)]
-        .into_iter()
-        .zip(bounds)
+    for ((core, queries), (pinned_forwards, bound)) in
+        [(light, &light_queries), (m_core, &m_queries)]
+            .into_iter()
+            .zip(pins)
     {
         let columns = core.encoded().num_model_columns() as u64;
-        let net = core.config();
-        let dense_block_terms = (2 * net.num_blocks * net.d_hidden * net.d_hidden) as u64;
-        let (mut block_terms, mut rows_forwarded) = (0, 0);
+        let (mut block_terms, mut forwards) = (0, 0);
         for query in queries {
             for samples in [1usize, 7, 64, 512] {
                 for seed in [3u64, 17, 40_009] {
@@ -201,17 +206,18 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
                     assert!(counters.forwards > 0 && counters.rows_forwarded >= counters.forwards);
                     assert!(counters.columns_embedded < counters.rows_forwarded * columns);
                     block_terms += counters.block_terms;
-                    rows_forwarded += counters.rows_forwarded;
+                    forwards += counters.forwards;
                     widest = widest.max(counters.max_lanes);
                 }
             }
         }
+        // Point constraints ride on the next forward.
+        assert_eq!(forwards, pinned_forwards, "{columns} columns: forwards");
         // The masks and the carry are used: a step computes only the hidden units its new
         // columns reach, from only the units the masks let into its column.
-        let share = block_terms as f64 / (rows_forwarded * dense_block_terms) as f64;
         assert!(
-            share <= bound,
-            "{columns} columns: block terms {share:.4} of dense"
+            block_terms <= bound,
+            "{columns} columns: {block_terms} block terms, bound {bound}"
         );
     }
     // On a host with two cores or more, the 512-sample budgets make forwards wide enough
@@ -221,6 +227,91 @@ fn prefix_steps_keep_estimates_bit_identical_across_seeds_and_budgets() {
         (cores.min(2) as u64..=cores as u64).contains(&widest),
         "{cores} cores, at most {widest} lanes"
     );
+}
+
+/// A three-table chain `A.id = B.a_id`, `B.id = C.b_id` with one content column per table:
+/// `A.kind` (4 codes), `B.size` (12) and `C.flag` (2), all unfactorized.  The layout puts
+/// the content columns first, then the three indicators, then the fanout columns.
+fn build_chain_model() -> Arc<EstimatorCore> {
+    let mut db = Database::new();
+    let mut a = TableBuilder::new("A", &["id", "kind"]);
+    let mut b = TableBuilder::new("B", &["a_id", "id", "size"]);
+    let mut c = TableBuilder::new("C", &["b_id", "flag"]);
+    for i in 0..40i64 {
+        a.push_row(vec![Value::Int(i), Value::Int(i % 4)]);
+        for j in 0..i % 3 {
+            let id = 3 * i + j;
+            b.push_row(vec![
+                Value::Int(i),
+                Value::Int(id),
+                Value::Int((i + j) % 12),
+            ]);
+            for _ in 0..id % 2 + j {
+                c.push_row(vec![Value::Int(id), Value::Int((id + j) % 2)]);
+            }
+        }
+    }
+    for table in [a, b, c] {
+        db.add_table(table.finish());
+    }
+    let schema = JoinSchema::new(
+        vec!["A".into(), "B".into(), "C".into()],
+        vec![
+            JoinEdge::parse("A.id", "B.a_id"),
+            JoinEdge::parse("B.id", "C.b_id"),
+        ],
+        "A",
+    )
+    .unwrap();
+    let mut config = NeuroCardConfig::tiny();
+    config.training_tuples = 1_000;
+    NeuroCard::build(Arc::new(db), Arc::new(schema), &config).core()
+}
+
+/// A point constraint — a joined table's indicator, an equality filter on an unfactorized
+/// column — costs no forward of its own: it is read off the next forward's trunk, and a run
+/// of them at the end of the walk takes one forward.
+#[test]
+fn point_constraints_ride_on_the_next_forward() {
+    let chain = build_chain_model();
+    let full = Query::join(&["A", "B", "C"]);
+    let eq_kind = full.clone().filter("A", "kind", Predicate::eq(2i64));
+    let (light, _, _) = build_model();
+    let cases = [
+        // The unfiltered full join: three indicators, nothing drawn — one forward.
+        (&chain, full.clone(), 1),
+        // Equality filters on unfactorized columns are points too.
+        (
+            &chain,
+            eq_kind.clone().filter("C", "flag", Predicate::eq(1i64)),
+            1,
+        ),
+        // A range is drawn: its forward reads the point before it (`A.kind`), and the
+        // indicators after it take one more.
+        (&chain, eq_kind.filter("B", "size", Predicate::ge(5i64)), 2),
+        // Omitting C draws its fanout column, the last of the layout: one forward, which
+        // reads both indicators.
+        (&chain, Query::join(&["A", "B"]), 1),
+        // JOB-light's unfiltered 3-table join: one forward per omitted table's fanout
+        // column, the first reading the three indicators.
+        (
+            &light,
+            Query::join(&["title", "cast_info", "movie_companies"]),
+            3,
+        ),
+    ];
+    let mut scratch = SamplerScratch::new();
+    for (core, query, forwards) in cases {
+        for samples in [1usize, 64, 512] {
+            assert_matches_reference(core, &query, samples, 5, &mut scratch);
+            let counters = scratch.last_estimate();
+            assert_eq!(counters.forwards, forwards, "{query} samples {samples}");
+            if forwards == 1 {
+                // All samples start in one class, and points never split one.
+                assert_eq!(counters.rows_forwarded, 1, "{query} samples {samples}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -20,6 +20,14 @@
 //! scoped threads; see [`nc_nn::ResMade::conditional_probs_step`]):
 //!
 //! * sample tokens live in one flat `num_samples × n_model` buffer (no `Vec<Vec<u32>>`),
+//! * **one forward per drawn sub-column**: a *point* constraint — an indicator `1_T = 1`,
+//!   an equality filter on an unfactorized column — fixes its column's token before any
+//!   forward, so the tokens of all points are in place from the start and a point needs
+//!   no forward of its own.  The walk is planned once: each forward draws one sub-column
+//!   and reads `p(x_k = code | prefix)` of every point `k` since the previous forward as a
+//!   **point head** off the same trunk; a run of points that no drawn sub-column follows
+//!   takes one last forward.  The heads are drawn first, one after another in model
+//!   order, then the drawn sub-column, so the RNG stream is the column-by-column one,
 //! * model forwards write into a reused [`nc_nn::InferenceScratch`] via
 //!   [`nc_nn::ResMade::conditional_probs_step`] (blocked GEMM kernels, single-column
 //!   output head; a forward of many rows splits them across cores, which moves no bit),
@@ -29,8 +37,9 @@
 //!   from as its parent, and a forward embeds and multiplies only the columns drawn (or
 //!   skipped as wildcards) since the previous forward and computes only the hidden units
 //!   those columns reach,
-//! * dead samples (weight 0) are compacted out after every wide column, so later columns
-//!   run smaller forward batches,
+//! * dead samples (weight 0) are compacted out after every forward that completes a wide
+//!   column, so later columns run smaller forward batches (a class whose samples all die
+//!   at a point head of a forward still costs that forward its row, never a bit),
 //! * identical samples are **deduplicated**: a sample's token row is a pure function of
 //!   its draw history, so the loop tracks row-equality classes incrementally (two samples
 //!   stay in one class iff they have drawn the same digits so far) and forwards one
@@ -43,7 +52,9 @@
 //!
 //! **Determinism contract:** for a fixed `(model, query, seed)` the fast path returns
 //! *exactly* the estimate the original code returned.  Dead samples never consumed RNG
-//! draws, compaction and dedup preserve sample order and row contents, the CDF
+//! draws, compaction and dedup preserve sample order and row contents, a point head's
+//! probability is the bits of a forward of its own and its draw takes the same mass and
+//! the same one RNG draw as a CDF draw over its one code, the CDF
 //! accumulates probabilities in the same order the linear scans did, and the blocked
 //! kernels are bit-identical to the naive ones.  (One caveat: CDF binary search and the
 //! linear scans' chained subtraction can round a ticket that lands within a few ULPs of
@@ -51,6 +62,8 @@
 //! pinned by fixed-seed tests over realized draws rather than proven universally.)  The
 //! original path is kept as [`ProgressiveSampler::estimate_reference`] and the contract
 //! is enforced by unit, integration and benchmark checks.
+
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -126,8 +139,8 @@ pub struct SamplerScratch {
     nn: InferenceScratch,
     /// Flat `alive × n_model` token buffer (row-compacted as samples die).
     tokens: Vec<u32>,
-    /// The all-MASK token row every sample starts from.
-    mask_row: Vec<u32>,
+    /// The token row every sample starts from: MASK, but for the points' codes.
+    start_row: Vec<u32>,
     /// Per-sample running weights (compacted alongside `tokens`).
     weights: Vec<f64>,
     /// Per-sample fanout divisors (compacted alongside `tokens`).
@@ -152,8 +165,25 @@ pub struct SamplerScratch {
     class_parent: Vec<u32>,
     /// `class_parent` being rebuilt under compaction's renumbering.
     class_parent_next: Vec<u32>,
+    /// The estimate's model forwards, planned before the first.
+    steps: Vec<Step>,
+    /// The point constraints the steps read as heads, as `(model column, code)` in model
+    /// order; each step reads a range of them.
+    points: Vec<(usize, u32)>,
     /// What the last estimate's forwards cost.
     counters: ForwardCounters,
+}
+
+/// One model forward of an estimate: the sub-column it draws, and the point constraints
+/// since the previous forward, which it reads as point heads.
+#[derive(Debug)]
+struct Step {
+    /// Wide column of the drawn sub-column.
+    wide: usize,
+    /// Index of the drawn sub-column among its wide column's sub-columns.
+    sub: usize,
+    /// The step's point heads: a range of [`SamplerScratch::points`].
+    heads: Range<usize>,
 }
 
 /// Work counters of one estimate's model forwards (plain counts, no clock).
@@ -163,7 +193,10 @@ pub struct SamplerScratch {
 /// pay the model's full column count for every row.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForwardCounters {
-    /// Model forwards (one per constrained sub-column reached by a live sample).
+    /// Model forwards: one per drawn sub-column reached while a sample is alive, plus one
+    /// for a run of point constraints (indicators, equality filters on unfactorized
+    /// columns) that no drawn sub-column follows.  A point constraint costs no forward of
+    /// its own: it is a point head of the next one.
     pub forwards: u64,
     /// Rows over all forwards (one per row-equality class).
     pub rows_forwarded: u64,
@@ -340,7 +373,7 @@ impl<'a> ProgressiveSampler<'a> {
         let SamplerScratch {
             nn,
             tokens,
-            mask_row,
+            start_row,
             weights,
             fanout_div,
             cdf,
@@ -352,6 +385,8 @@ impl<'a> ProgressiveSampler<'a> {
             renumber,
             class_parent,
             class_parent_next,
+            steps,
+            points,
             counters,
         } = scratch;
 
@@ -361,12 +396,14 @@ impl<'a> ProgressiveSampler<'a> {
         self.model.reserve_scratch(num_samples, nn);
         class_tokens.reserve_exact((num_samples * n_model).saturating_sub(class_tokens.len()));
 
-        // Every progressive sample starts as the all-wildcard tuple.
-        mask_row.clear();
-        mask_row.extend((0..n_model).map(|j| self.model.mask_token(j)));
+        // Every progressive sample starts as the all-wildcard tuple, but for the points:
+        // their tokens are known before any forward, so they are in place from the start.
+        start_row.clear();
+        start_row.extend((0..n_model).map(|j| self.model.mask_token(j)));
+        self.plan_steps(constraints, steps, points, start_row);
         tokens.clear();
         for _ in 0..num_samples {
-            tokens.extend_from_slice(mask_row);
+            tokens.extend_from_slice(start_row);
         }
         weights.clear();
         weights.resize(num_samples, 1.0f64);
@@ -376,9 +413,9 @@ impl<'a> ProgressiveSampler<'a> {
         // relative order (so the RNG consumption order matches the uncompacted loop:
         // dead samples never drew anything to begin with).
         let mut alive = num_samples;
-        // All samples start with identical (all-MASK) rows: one equality class.  A
-        // sample's row is a pure function of its draw history, so classes refine exactly
-        // when drawn digits differ; the forward batch is one representative per class.
+        // All samples start with identical rows: one equality class.  A sample's row is a
+        // pure function of its draw history, so classes refine exactly when drawn digits
+        // differ; the forward batch is one representative per class.
         classes.clear();
         classes.resize(num_samples, 0u32);
         let mut n_classes = 1usize;
@@ -387,18 +424,19 @@ impl<'a> ProgressiveSampler<'a> {
         // rows named by `class_parent`.
         let mut forwarded = false;
 
-        for (wide_idx, constraint) in constraints.iter().enumerate() {
-            if matches!(constraint, Constraint::Wildcard) {
-                continue;
-            }
+        for step in steps.iter() {
             if alive == 0 {
                 // Every sample is dead; no further column can consume RNG draws.
                 break;
             }
-            let fact = self.encoded.factorization(wide_idx);
-            let subcols = self.encoded.subcolumns_of(wide_idx);
-            let sub0 = subcols[0];
-            if let Constraint::Mask(mask) = constraint {
+            let constraint = &constraints[step.wide];
+            let fact = self.encoded.factorization(step.wide);
+            let subcols = self.encoded.subcolumns_of(step.wide);
+            let (sub0, model_col) = (subcols[0], subcols[step.sub]);
+            // Sub-columns of one wide column are contiguous in model order; the digit
+            // prefix for `digit_range` is then a slice of the token row.
+            debug_assert_eq!(model_col, sub0 + step.sub);
+            if let (0, Constraint::Mask(mask)) = (step.sub, constraint) {
                 masked_idx.clear();
                 masked_idx.extend(
                     mask.iter()
@@ -408,106 +446,123 @@ impl<'a> ProgressiveSampler<'a> {
                 );
             }
 
-            for (sub_idx, &model_col) in subcols.iter().enumerate() {
-                // Sub-columns of one wide column are contiguous in model order; the
-                // digit prefix for `digit_range` is then a slice of the token row.
-                debug_assert_eq!(model_col, sub0 + sub_idx);
-
-                // Gather one representative token row per class.  Dead samples are
-                // skipped: a sample that died mid-column has no digit for the position
-                // its classmates drew, so its row has diverged from the class.  (A class
-                // whose members all died keeps a zero row and is simply never read.)
-                class_tokens.clear();
-                class_tokens.resize(n_classes * n_model, 0u32);
-                class_seen.clear();
-                class_seen.resize(n_classes, false);
-                for s in 0..alive {
-                    if weights[s] == 0.0 {
-                        continue;
-                    }
-                    let c = classes[s] as usize;
-                    if !class_seen[c] {
-                        class_seen[c] = true;
-                        class_tokens[c * n_model..(c + 1) * n_model]
-                            .copy_from_slice(&tokens[s * n_model..(s + 1) * n_model]);
-                    }
+            // Gather one representative token row per class.  Dead samples are skipped: a
+            // sample that died mid-column has no digit for the position its classmates
+            // drew, so its row has diverged from the class.  (A class whose members all
+            // died keeps a zero row and is simply never read.)
+            class_tokens.clear();
+            class_tokens.resize(n_classes * n_model, 0u32);
+            class_seen.clear();
+            class_seen.resize(n_classes, false);
+            for s in 0..alive {
+                if weights[s] == 0.0 {
+                    continue;
                 }
-                // The ONLY model-forward call site of the hot loop.
-                let probs = self.model.conditional_probs_step(
-                    &class_tokens[..n_classes * n_model],
-                    model_col,
-                    forwarded.then(|| &class_parent[..n_classes]),
-                    nn,
-                );
-                forwarded = true;
-                counters.forwards += 1;
-                counters.rows_forwarded += n_classes as u64;
-                let domain = self.model.domain(model_col);
+                let c = classes[s] as usize;
+                if !class_seen[c] {
+                    class_seen[c] = true;
+                    class_tokens[c * n_model..(c + 1) * n_model]
+                        .copy_from_slice(&tokens[s * n_model..(s + 1) * n_model]);
+                }
+            }
+            // The ONLY model-forward call site of the hot loop.
+            let (probs, head_probs) = self.model.conditional_probs_step(
+                &class_tokens[..n_classes * n_model],
+                model_col,
+                &points[step.heads.clone()],
+                forwarded.then(|| &class_parent[..n_classes]),
+                nn,
+            );
+            forwarded = true;
+            counters.forwards += 1;
+            counters.rows_forwarded += n_classes as u64;
+
+            // The point heads first, in model order: a sample's weight takes its class's
+            // probability of the point's code, exactly what a draw over that one code
+            // from a forward of its own would take.  Points never split a class.
+            for h in 0..head_probs.cols() {
                 for s in 0..alive {
                     if weights[s] == 0.0 {
-                        // Died at an earlier sub-column of this wide column; consumes no
-                        // draws (compaction only happens between wide columns).
                         continue;
                     }
-                    let row = probs.row(classes[s] as usize);
-                    let (mass, digit) = match constraint {
-                        Constraint::Mask(_) => cdf_draw_masked(row, masked_idx, cdf, rng),
-                        Constraint::Range(lo, hi) => {
-                            let prefix = &tokens[s * n_model + sub0..s * n_model + model_col];
-                            let (dlo, dhi) = fact.digit_range(*lo, *hi, prefix, sub_idx);
-                            cdf_draw_range(row, dlo as usize, dhi as usize, cdf, rng)
-                        }
-                        Constraint::FanoutDraw => {
-                            // Unconstrained draw from the model's conditional.
-                            let (_, digit) = cdf_draw_range(row, 0, domain - 1, cdf, rng);
-                            (1.0, digit)
-                        }
-                        Constraint::Wildcard | Constraint::Empty => unreachable!(),
-                    };
+                    let mass = point_draw(head_probs.get(classes[s] as usize, h), rng);
                     if mass <= 0.0 {
                         weights[s] = 0.0;
                         continue;
                     }
-                    if !matches!(constraint, Constraint::FanoutDraw) {
-                        weights[s] *= mass;
-                    }
-                    tokens[s * n_model + model_col] = digit;
+                    weights[s] *= mass;
                 }
-                counters.columns_embedded += nn.embedded_columns() as u64;
-                counters.block_terms += nn.block_terms();
-                counters.max_lanes = counters.max_lanes.max(nn.lanes() as u64);
-
-                // Refine classes by the digit just drawn: samples remain classmates iff
-                // they were classmates and drew the same digit.  Dead samples keep stale
-                // ids; they are skipped everywhere until compaction drops them.
-                // A new class continues the forward row of the class it split from.
-                class_map.clear();
-                class_parent.clear();
-                for s in 0..alive {
-                    if weights[s] == 0.0 {
-                        continue;
-                    }
-                    let key = (classes[s], tokens[s * n_model + model_col]);
-                    let id = *class_map.entry(key).or_insert_with(|| {
-                        class_parent.push(classes[s]);
-                        class_parent.len() as u32 - 1
-                    });
-                    classes[s] = id;
-                }
-                if class_parent.is_empty() {
-                    // Every sample died: the one placeholder row is never read.
-                    class_parent.push(0);
-                }
-                n_classes = class_parent.len();
             }
 
+            let domain = self.model.domain(model_col);
+            for s in 0..alive {
+                if weights[s] == 0.0 {
+                    // Died at a point head or an earlier sub-column of this wide column;
+                    // consumes no draws (compaction only happens between wide columns).
+                    continue;
+                }
+                let row = probs.row(classes[s] as usize);
+                let (mass, digit) = match constraint {
+                    Constraint::Mask(_) => cdf_draw_masked(row, masked_idx, cdf, rng),
+                    Constraint::Range(lo, hi) => {
+                        let prefix = &tokens[s * n_model + sub0..s * n_model + model_col];
+                        let (dlo, dhi) = fact.digit_range(*lo, *hi, prefix, step.sub);
+                        cdf_draw_range(row, dlo as usize, dhi as usize, cdf, rng)
+                    }
+                    Constraint::FanoutDraw => {
+                        // Unconstrained draw from the model's conditional.
+                        let (_, digit) = cdf_draw_range(row, 0, domain - 1, cdf, rng);
+                        (1.0, digit)
+                    }
+                    Constraint::Wildcard | Constraint::Empty => unreachable!(),
+                };
+                if mass <= 0.0 {
+                    weights[s] = 0.0;
+                    continue;
+                }
+                if !matches!(constraint, Constraint::FanoutDraw) {
+                    weights[s] *= mass;
+                }
+                tokens[s * n_model + model_col] = digit;
+            }
+            counters.columns_embedded += nn.embedded_columns() as u64;
+            counters.block_terms += nn.block_terms();
+            counters.max_lanes = counters.max_lanes.max(nn.lanes() as u64);
+
+            // Refine classes by the digit just drawn: samples remain classmates iff they
+            // were classmates and drew the same digit.  Dead samples keep stale ids; they
+            // are skipped everywhere until compaction drops them.  A new class continues
+            // the forward row of the class it split from.
+            class_map.clear();
+            class_parent.clear();
+            for s in 0..alive {
+                if weights[s] == 0.0 {
+                    continue;
+                }
+                let key = (classes[s], tokens[s * n_model + model_col]);
+                let id = *class_map.entry(key).or_insert_with(|| {
+                    class_parent.push(classes[s]);
+                    class_parent.len() as u32 - 1
+                });
+                classes[s] = id;
+            }
+            if class_parent.is_empty() {
+                // Every sample died: the one placeholder row is never read.
+                class_parent.push(0);
+            }
+            n_classes = class_parent.len();
+
+            if step.sub + 1 < subcols.len() {
+                continue;
+            }
+            // The step completed its wide column.
             if matches!(constraint, Constraint::FanoutDraw) {
                 for s in 0..alive {
                     if weights[s] == 0.0 {
                         continue;
                     }
                     let digits = &tokens[s * n_model + sub0..s * n_model + sub0 + subcols.len()];
-                    let value = self.encoded.decode_wide(wide_idx, digits);
+                    let value = self.encoded.decode_wide(step.wide, digits);
                     fanout_div[s] *= fanout_multiplier(&value);
                 }
             }
@@ -548,6 +603,79 @@ impl<'a> ProgressiveSampler<'a> {
             .map(|(w, f)| w / f)
             .sum();
         total / num_samples as f64
+    }
+
+    /// Plans an estimate's forwards into `steps`: one per drawn sub-column, in model order,
+    /// each reading as point heads the point constraints since the previous one.  A run of
+    /// points that no drawn sub-column follows gets a step of its own, which draws its last
+    /// point.  The points the steps read are listed in `points`, and every point's code is
+    /// written into `start`.
+    fn plan_steps(
+        &self,
+        constraints: &[Constraint],
+        steps: &mut Vec<Step>,
+        points: &mut Vec<(usize, u32)>,
+        start: &mut [u32],
+    ) {
+        steps.clear();
+        points.clear();
+        // The pending run of points starts at `run`; the wide column of its last point.
+        let (mut run, mut last_point) = (0, 0);
+        for (wide, constraint) in constraints.iter().enumerate() {
+            if matches!(constraint, Constraint::Wildcard) {
+                continue;
+            }
+            if let Some(code) = self.point_code(wide, constraint) {
+                let col = self.encoded.subcolumns_of(wide)[0];
+                points.push((col, code));
+                start[col] = code;
+                last_point = wide;
+                continue;
+            }
+            for sub in 0..self.encoded.subcolumns_of(wide).len() {
+                steps.push(Step {
+                    wide,
+                    sub,
+                    heads: run..points.len(),
+                });
+                run = points.len();
+            }
+        }
+        if run < points.len() {
+            points.pop();
+            steps.push(Step {
+                wide: last_point,
+                sub: 0,
+                heads: run..points.len(),
+            });
+        }
+    }
+
+    /// The one code a constraint on a single-sub-column wide column allows — a **point**:
+    /// an indicator's `1`, or an equality filter on an unfactorized column — or `None`.
+    fn point_code(&self, wide: usize, constraint: &Constraint) -> Option<u32> {
+        let subcols = self.encoded.subcolumns_of(wide);
+        if subcols.len() != 1 {
+            return None;
+        }
+        let code = match constraint {
+            Constraint::Range(lo, hi) => {
+                let (dlo, dhi) = self
+                    .encoded
+                    .factorization(wide)
+                    .digit_range(*lo, *hi, &[], 0);
+                (dlo == dhi).then_some(dlo)?
+            }
+            Constraint::Mask(mask) => {
+                let mut allowed = mask.iter().enumerate().filter(|(_, m)| **m);
+                match (allowed.next(), allowed.next()) {
+                    (Some((code, _)), None) => code as u32,
+                    _ => return None,
+                }
+            }
+            Constraint::Wildcard | Constraint::FanoutDraw | Constraint::Empty => return None,
+        };
+        ((code as usize) < self.model.domain(subcols[0])).then_some(code)
     }
 
     /// The pre-fast-path selectivity loop, verbatim: per-sample `Vec` tokens, full-batch
@@ -767,6 +895,18 @@ fn cdf_draw_masked(
     (mass, masked_idx[pos])
 }
 
+/// [`cdf_draw_range`] over the one code whose probability is `p` (or [`cdf_draw_masked`]
+/// over a mask allowing only it), from that probability alone: the same mass, and the
+/// same single RNG draw, taken only when the mass is positive.
+fn point_draw(p: f32, rng: &mut StdRng) -> f64 {
+    let mass = f64::from(p);
+    if mass <= 0.0 {
+        return 0.0;
+    }
+    let _ticket: f64 = rng.random();
+    mass
+}
+
 /// [`draw_range`] via a prefix-sum CDF plus one binary search (same equivalence argument
 /// as [`cdf_draw_masked`]).
 fn cdf_draw_range(
@@ -930,6 +1070,29 @@ mod tests {
                 rng_b.random::<f64>(),
                 "trial {trial}"
             );
+        }
+    }
+
+    #[test]
+    fn point_draws_equal_one_code_cdf_draws_in_lockstep() {
+        // A point head's draw sees only its code's probability: it must take the mass a
+        // CDF draw over that one code takes, and consume an RNG draw exactly when it does.
+        let mut seed = 0xD1CE_u64;
+        for trial in 0..300u64 {
+            let len = 1 + trial as usize % 9;
+            let probs = lcg_probs(len, &mut seed);
+            let code = (trial as usize * 5) % len;
+            let mut rngs = [0; 3].map(|_| StdRng::seed_from_u64(trial));
+            let mut cdf = Vec::new();
+            let range = cdf_draw_range(&probs, code, code, &mut cdf, &mut rngs[0]);
+            let masked = cdf_draw_masked(&probs, &[code as u32], &mut cdf, &mut rngs[1]);
+            let point = point_draw(probs[code], &mut rngs[2]);
+            for (mass, drawn) in [range, masked] {
+                assert_eq!(mass.to_bits(), point.to_bits(), "trial {trial}");
+                assert_eq!(drawn, code as u32, "trial {trial}");
+            }
+            let next = rngs.map(|mut rng| rng.random::<f64>());
+            assert!(next[0] == next[2] && next[1] == next[2], "trial {trial}");
         }
     }
 

@@ -92,9 +92,44 @@ pub(crate) fn softmax_rows_slice(width: usize, logits: &[f32], out: &mut [f32]) 
     }
 }
 
+/// Element `code` of [`softmax_rows_slice`] over the one row `logits`, computed without
+/// writing the row: the same max, the same exponentials summed in the same order, the
+/// same division — so the same bits.
+pub(crate) fn softmax_at(logits: &[f32], code: usize) -> f32 {
+    let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+    let sum = logits.iter().fold(0.0f32, |sum, &v| sum + (v - max).exp());
+    let p = (logits[code] - max).exp();
+    if sum > 0.0 {
+        p / sum
+    } else {
+        p
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn softmax_at_is_an_element_of_softmax_rows_bitwise() {
+        let rows: [&[f32]; 4] = [
+            &[0.2, -0.4, 1.0, 7.5, -3.25],
+            &[-1e30, 0.0, 1e-7],
+            &[88.0, 88.0, -88.0, 3.0],
+            &[0.5],
+        ];
+        for row in rows {
+            let mut all = vec![0.0f32; row.len()];
+            softmax_rows_slice(row.len(), row, &mut all);
+            for (code, p) in all.iter().enumerate() {
+                assert_eq!(
+                    softmax_at(row, code).to_bits(),
+                    p.to_bits(),
+                    "{row:?} {code}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn uniform_logits_give_log_domain_loss() {

@@ -27,7 +27,7 @@ use rand::Rng;
 use crate::layers::{
     relu, relu_backward, seeded_rng, weight_grad_rows, Embedding, Linear, MaskedLinear, Param,
 };
-use crate::loss::{softmax_cross_entropy_rows, softmax_rows, softmax_rows_slice};
+use crate::loss::{softmax_at, softmax_cross_entropy_rows, softmax_rows, softmax_rows_slice};
 use crate::tensor::{
     add_bias, column_sums_accumulate, gemm_narrow, gemm_nt, gemm_tn_acc, matmul, matmul_blocked,
     matmul_blocked_acc, matmul_col_range_live, matmul_units_live, transpose_into, LiveUnits,
@@ -39,6 +39,11 @@ use crate::tensor::{
 /// [`matmul_units_live`] then run full, and recomputing a unit the carry already holds
 /// reproduces its bits.  Chosen on `direct_m` (numbers in `docs/kernels.md`).
 const UNIT_ALIGN: usize = 4;
+
+/// A step embeds and adds its new input columns this many at a time, so its embedded slab
+/// holds at most `rows × EMBED_COLUMNS·d_emb` however many columns the step covers (a step
+/// that reads point heads covers the points' columns too).
+const EMBED_COLUMNS: usize = 8;
 
 /// Hyper-parameters of a [`ResMade`] model.
 #[derive(Debug, Clone)]
@@ -636,7 +641,8 @@ impl ResMade {
     /// Tokens at columns `>= col` are never read (the masks cut them off); callers
     /// conventionally fill them with MASK tokens.  All intermediates live in `scratch` —
     /// no buffer grows in steady state — and the returned reference points into
-    /// `scratch.probs`.  One [`ResMade::conditional_probs_step`] from an empty prefix.
+    /// `scratch.probs`.  One [`ResMade::conditional_probs_step`] from an empty prefix, with
+    /// no point heads.
     ///
     /// Bit-for-bit equal to the naive path (`conditional_probs_into_matches_training_
     /// path_bitwise` pins this), which is what keeps progressive-sampling estimates
@@ -647,7 +653,8 @@ impl ResMade {
         col: usize,
         scratch: &'s mut InferenceScratch,
     ) -> &'s Matrix {
-        self.conditional_probs_step(tokens, col, None, scratch)
+        self.conditional_probs_step(tokens, col, &[], None, scratch)
+            .0
     }
 
     /// Reserves `scratch` for steps of up to `rows` rows of this model.
@@ -662,8 +669,10 @@ impl ResMade {
         let n = self.num_columns();
         let d = self.config.d_emb;
         let max_domain = self.config.domains.iter().copied().max().unwrap_or(0);
-        // The widest slab: a first step at the last column.
-        scratch.x.reserve(rows, (n - 1) * d);
+        // The widest slab: a step that covers `EMBED_COLUMNS` columns or more.
+        scratch.x.reserve(rows, (n - 1).min(EMBED_COLUMNS) * d);
+        // The most point heads: one per column below the last.
+        scratch.heads.reserve(rows, n - 1);
         let InferenceScratch {
             z, carried, spare, ..
         } = scratch;
@@ -680,7 +689,15 @@ impl ResMade {
 
     /// One step of the **prefix-incremental** inference forward: `p(x_col | tokens₍<col₎)`
     /// for every row of the flat `batch × num_columns` buffer `tokens`, reusing what the
-    /// previous step on `scratch` already computed.
+    /// previous step on `scratch` already computed.  Returns that `batch × domain` matrix
+    /// and the step's **point heads**: for each `(k, code)` of `heads` (every `k < col`),
+    /// `p(x_k = code | tokens₍<k₎)` of every row, as the column `h` of a `batch ×
+    /// heads.len()` matrix.  A head costs its column's context slice and logits, not a step
+    /// of its own: it reads only units of degree `< k`, which the trunk to `col` holds with
+    /// the bits a step for `k` would compute (argument 3 below), and `softmax_at` takes
+    /// the one probability with the bits of that step's softmax row.  A progressive sampler
+    /// folds the columns whose token a constraint fixes — so it knows them before the
+    /// forward — into the step of the next column it draws.
     ///
     /// `scratch` carries, per row of the last step, the input layer's pre-bias sums over
     /// the columns that step covered and, in every hidden layer a later step reads, the
@@ -704,16 +721,18 @@ impl ResMade {
     ///    `< z_cols` of the carried layers — and gathers nothing when `parents` is the
     ///    identity;
     /// 2. adds columns `z_cols..col` onto the units of `z` of degree `>= z_cols` — a unit
-    ///    of lower degree hears none of them — ([`matmul_blocked_acc`]; columns `>= col`
-    ///    meet structurally-zero weights on every path into column `col`) and takes
-    ///    `h₀ = relu(z + b)`;
+    ///    of lower degree hears none of them — ([`matmul_blocked_acc`], embedding
+    ///    `EMBED_COLUMNS` of them at a time; columns `>= col` meet structurally-zero
+    ///    weights on every path into column `col`) and takes `h₀ = relu(z + b)`;
     /// 3. layer by layer, computes only the units of degree in `z_cols..col` — one short
     ///    run per period, widened to `UNIT_ALIGN` — from the live inner units (degree
     ///    `< col`, [`ResMade::live_units`]) straight into the carried matrix
     ///    ([`matmul_units_live`]), then their bias, ReLU and residual add;
-    /// 4. computes **only** column `col`'s `d_emb`-wide context slice, from the live units
-    ///    of the last layer ([`matmul_col_range_live`]), the logit head as one blocked GEMM
-    ///    against the embedding table ([`gemm_nt`]), and the softmax.
+    /// 4. computes, for each point head `k`, its context slice from the units of degree
+    ///    `< k` of the last layer, its logits and its one probability; then **only** column
+    ///    `col`'s `d_emb`-wide context slice, from the live units of the last layer
+    ///    ([`matmul_col_range_live`]), the logit head as one blocked GEMM against the
+    ///    embedding table ([`gemm_nt`]), and the softmax.
     ///
     /// Points 2–4 run in **lanes** when the batch is wide — one per core this process may
     /// run on, each with at least `MIN_STEP_LANE_ROWS` rows; nobody configures them.  The
@@ -751,11 +770,12 @@ impl ResMade {
         &self,
         tokens: &[u32],
         col: usize,
+        heads: &[(usize, u32)],
         parents: Option<&[u32]>,
         scratch: &'s mut InferenceScratch,
-    ) -> &'s Matrix {
+    ) -> (&'s Matrix, &'s Matrix) {
         let lanes = lanes_for(tokens.len() / self.num_columns(), MIN_STEP_LANE_ROWS);
-        self.conditional_probs_step_in(tokens, col, parents, scratch, lanes)
+        self.conditional_probs_step_in(tokens, col, heads, parents, scratch, lanes)
     }
 
     /// [`ResMade::conditional_probs_step`] in `lanes` lanes.
@@ -763,13 +783,22 @@ impl ResMade {
         &self,
         tokens: &[u32],
         col: usize,
+        heads: &[(usize, u32)],
         parents: Option<&[u32]>,
         scratch: &'s mut InferenceScratch,
         lanes: usize,
-    ) -> &'s Matrix {
+    ) -> (&'s Matrix, &'s Matrix) {
         let n = self.num_columns();
         assert!(col < n);
         assert!(lanes >= 1, "a step needs a lane");
+        for &(k, code) in heads {
+            assert!(k < col, "point head {k} is not below column {col}");
+            assert!(
+                (code as usize) < self.config.domains[k],
+                "point head {k}: code {code} outside domain {}",
+                self.config.domains[k]
+            );
+        }
         assert_eq!(
             tokens.len() % n,
             0,
@@ -849,6 +878,7 @@ impl ResMade {
             ctx,
             logits,
             probs,
+            heads: head_probs,
             ..
         } = scratch;
         *carried_cols = col;
@@ -860,15 +890,21 @@ impl ResMade {
 
         // Every buffer gets its shape here, on the calling thread, and each block of rows
         // its rows of it: no lane allocates a buffer or reads another block's rows.
-        let x_width = (col - z_cols) * d;
+        let x_width = (col - z_cols).min(EMBED_COLUMNS) * d;
         x.resize(batch, x_width);
         spare.resize(batch, h_dim);
         ctx.resize(batch, d);
-        logits.resize(batch, domain);
+        // The logits hold one of the step's columns at a time: as wide as the widest.
+        let logit_width = heads
+            .iter()
+            .map(|&(k, _)| self.config.domains[k])
+            .fold(domain, usize::max);
+        logits.resize(batch, logit_width);
         probs.resize(batch, domain);
+        head_probs.resize(batch, heads.len());
         let (mut x, mut z, mut h0) = (x.data_mut(), z.data_mut(), spare.data_mut());
         let (mut ctx, mut logits) = (ctx.data_mut(), logits.data_mut());
-        let mut probs_rows = probs.data_mut();
+        let (mut probs_rows, mut head_rows) = (probs.data_mut(), head_probs.data_mut());
         let mut carried: Vec<&mut [f32]> = carried[..2 * self.blocks.len()]
             .iter_mut()
             .map(Matrix::data_mut)
@@ -893,8 +929,9 @@ impl ResMade {
                     .map(|m| take_rows(m, r * h_dim))
                     .collect(),
                 ctx: take_rows(&mut ctx, r * d),
-                logits: take_rows(&mut logits, r * domain),
+                logits: take_rows(&mut logits, r * logit_width),
                 probs: take_rows(&mut probs_rows, r * domain),
+                heads: take_rows(&mut head_rows, r * heads.len()),
                 #[cfg(test)]
                 poison,
             }
@@ -908,16 +945,17 @@ impl ResMade {
         let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
         in_lanes(0..lanes, |_| {
             while let Some(rows) = claim() {
-                self.step_rows(rows, z_cols, col);
+                self.step_rows(rows, z_cols, col, heads);
             }
         });
-        probs
+        (probs, head_probs)
     }
 
     /// Points 2–4 of [`ResMade::conditional_probs_step`] over one block of rows: the input
-    /// layer's new columns, `h₀`, each block layer's new units, the context slice, the
-    /// logits and the softmax.  `z_cols` is the carried prefix's column count.
-    fn step_rows(&self, rows: StepRows<'_>, z_cols: usize, col: usize) {
+    /// layer's new columns, `h₀`, each block layer's new units, the point heads, and column
+    /// `col`'s context slice, logits and softmax.  `z_cols` is the carried prefix's column
+    /// count.
+    fn step_rows(&self, rows: StepRows<'_>, z_cols: usize, col: usize, heads: &[(usize, u32)]) {
         let StepRows {
             tokens,
             x,
@@ -927,6 +965,7 @@ impl ResMade {
             ctx,
             logits,
             probs,
+            heads: head_probs,
             ..
         } = rows;
         let n = self.num_columns();
@@ -935,7 +974,8 @@ impl ResMade {
 
         // z[:, u] += x[:, z_cols..col] · W_in[z_cols·d .. col·d, u] for the units u of
         // degree >= z_cols (the others hear none of these columns), then h₀ = relu(z + b).
-        self.embed_columns(tokens, z_cols..col, x);
+        // The columns are embedded and added `EMBED_COLUMNS` at a time: each chain resumes
+        // from `z`, which performs the same adds in the same order (argument 1).
         let input_units = || LiveUnits::new(period, period).added_since(z_cols, h_dim, UNIT_ALIGN);
         // Test hook: every unit of `z` outside those runs is `−0.0` while they are added
         // (and restored after).  A kernel that walked such a unit would add `a · +0.0` — a
@@ -952,8 +992,14 @@ impl ResMade {
             (outside, kept)
         });
         let w_in = &self.input_layer.inner.weight.value;
-        for run in input_units() {
-            matmul_blocked_acc(x, w_in, z_cols * d..col * d, run, z);
+        let rows = tokens.len() / n;
+        for start in (z_cols..col).step_by(EMBED_COLUMNS) {
+            let cols = start..col.min(start + EMBED_COLUMNS);
+            let x = &mut x[..rows * cols.len() * d];
+            self.embed_columns(tokens, cols.clone(), x);
+            for run in input_units() {
+                matmul_blocked_acc(x, w_in, cols.start * d..cols.end * d, run, z);
+            }
         }
         #[cfg(test)]
         if let Some((outside, kept)) = kept {
@@ -990,23 +1036,47 @@ impl ResMade {
             }
         }
 
-        let (lo, hi) = (col * d, (col + 1) * d);
         let last: &[f32] = carried.last().map_or(&*h0, |h| &**h);
+        for (h, &(k, code)) in heads.iter().enumerate() {
+            let logits = self.column_logits(last, k, ctx, logits);
+            let probs = head_probs.iter_mut().skip(h).step_by(heads.len());
+            for (row, p) in logits.chunks_exact(self.config.domains[k]).zip(probs) {
+                *p = softmax_at(row, code as usize);
+            }
+        }
+        let logits = self.column_logits(last, col, ctx, logits);
+        softmax_rows_slice(self.config.domains[col], logits, probs);
+    }
+
+    /// Column `col`'s logits for every row of `last` — the trunk's last layer, holding
+    /// every unit of degree `< col` — into the first `rows × domain` of `logits`, which it
+    /// returns: the context slice from those units into `ctx`, then one blocked GEMM
+    /// against the column's embedding table and the logit bias.
+    fn column_logits<'l>(
+        &self,
+        last: &[f32],
+        col: usize,
+        ctx: &mut [f32],
+        logits: &'l mut [f32],
+    ) -> &'l mut [f32] {
+        let (d, h_dim) = (self.config.d_emb, self.config.d_hidden);
+        let (lo, hi) = (col * d, (col + 1) * d);
         matmul_col_range_live(
             last,
             &self.output_layer.inner.weight.value,
             lo,
             hi,
-            live,
+            self.live_units(col),
             ctx,
         );
         add_bias(ctx, &self.output_layer.inner.bias.value.row(0)[lo..hi]);
         let domain = self.config.domains[col];
+        let rows = last.len() / h_dim;
+        let logits = &mut logits[..rows * domain];
         let emb = &self.embeddings[col].table.value;
-        let rows = tokens.len() / n;
         gemm_nt(rows, domain, d, ctx, &emb.data()[..domain * d], logits);
         add_bias(logits, self.output_bias[col].value.row(0));
-        softmax_rows_slice(domain, logits, probs);
+        logits
     }
 
     /// Checks the invariants the autoregressive property and the inference forward's
@@ -1128,7 +1198,8 @@ fn residual(h: &[f32], units: Range<usize>, bias: &[f32], out: &mut [f32]) {
 /// sizes.
 #[derive(Debug, Clone, Default)]
 pub struct InferenceScratch {
-    /// Embedded slab of the newly covered columns (`batch × (col − z_cols)·d_emb`).
+    /// Embedded slab of up to `EMBED_COLUMNS` of the newly covered columns at a time
+    /// (`batch × min(col − z_cols, EMBED_COLUMNS)·d_emb`).
     x: Matrix,
     /// Input-layer pre-bias sums of the last step's rows over input columns `0..z_cols`
     /// (`batch × d_hidden`).
@@ -1152,10 +1223,13 @@ pub struct InferenceScratch {
     lanes: usize,
     /// Context slice of the queried column (`batch × d_emb`).
     ctx: Matrix,
-    /// Logits of the queried column (`batch × domain`).
+    /// Logits of one column of the step at a time, the queried one last (`batch ×` the
+    /// widest domain among the step's columns).
     logits: Matrix,
     /// Softmax probabilities returned to the caller.
     probs: Matrix,
+    /// Each point head's probability of its code (`batch × heads`), returned beside them.
+    heads: Matrix,
     /// Test hook: after the gather, NaN-fill every carried unit the step did not carry
     /// over, so a read of one surfaces in its result; and check that the input layer adds
     /// to no unit of `z` outside the runs of the new degrees.
@@ -1193,7 +1267,7 @@ impl InferenceScratch {
 
 /// One block of rows of every buffer of an inference step: the rows' tokens (`rows ×
 /// num_columns`), and their rows of the embedded slab, `z`, `h₀`, each carried layer, the
-/// context slice, the logits and the probabilities.
+/// context slice, the logits, the probabilities and the point heads' probabilities.
 struct StepRows<'a> {
     tokens: &'a [u32],
     x: &'a mut [f32],
@@ -1203,6 +1277,7 @@ struct StepRows<'a> {
     ctx: &'a mut [f32],
     logits: &'a mut [f32],
     probs: &'a mut [f32],
+    heads: &'a mut [f32],
     /// [`InferenceScratch`]'s test hook.
     #[cfg(test)]
     poison: bool,
@@ -2111,7 +2186,9 @@ mod tests {
     /// of a domain is MASK), columns `>= col` garbage that would panic if it were looked
     /// up.  The scratch poisons every carried unit the step did not carry over and checks
     /// that the input layer adds to no unit of `z` of degree `< base_col` outside the
-    /// widened runs.  Returns the step's token rows.
+    /// widened runs.  Each point head's probabilities are checked bit for bit against the
+    /// seed forward for its column and against a step of its own from the empty prefix in
+    /// as many lanes.  Returns the step's token rows.
     #[expect(
         clippy::too_many_arguments,
         reason = "a test helper spelling out one step: model, scratch, prefix, shape, lanes"
@@ -2122,7 +2199,7 @@ mod tests {
         (rows, base_col): (&[Vec<u32>], usize),
         parents: Option<&[u32]>,
         batch: usize,
-        col: usize,
+        (col, heads): (usize, &[(usize, u32)]),
         lanes: usize,
         next: &mut impl FnMut(usize) -> usize,
     ) -> Vec<Vec<u32>> {
@@ -2147,7 +2224,9 @@ mod tests {
         let batch = new_rows.len();
         let flat: Vec<u32> = new_rows.iter().flatten().copied().collect();
         scratch.poison = true;
-        let stepped = m.conditional_probs_step_in(&flat, col, parents, scratch, lanes);
+        let (stepped, head_probs) =
+            m.conditional_probs_step_in(&flat, col, heads, parents, scratch, lanes);
+        let (stepped, head_probs) = (stepped.clone(), head_probs.clone());
         // The reference embeds every column, so it needs valid tokens there.
         let masked: Vec<Vec<u32>> = new_rows
             .iter()
@@ -2168,6 +2247,28 @@ mod tests {
         for (i, (a, b)) in reference.data().iter().zip(stepped.data()).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "{what}: element {i}: {a} vs {b}");
         }
+        assert_eq!(
+            (head_probs.rows(), head_probs.cols()),
+            (batch, heads.len()),
+            "{what}"
+        );
+        let mut own = InferenceScratch::new();
+        own.poison = true;
+        for (h, &(k, code)) in heads.iter().enumerate() {
+            let reference = m.conditional_probs_reference(&masked, k);
+            let (alone, _) = m.conditional_probs_step_in(&flat, k, &[], None, &mut own, lanes);
+            for r in 0..batch {
+                let fused = head_probs.get(r, h);
+                let want = reference.get(r, code as usize);
+                let what = format!("{what}: head {k} = {code}, row {r}: {want} vs {fused}");
+                assert_eq!(want.to_bits(), fused.to_bits(), "{what}");
+                assert_eq!(
+                    alone.get(r, code as usize).to_bits(),
+                    fused.to_bits(),
+                    "{what}"
+                );
+            }
+        }
         assert_eq!(scratch.embedded_columns(), batch * (col - base_col));
         assert_eq!(scratch.lanes(), lanes);
         let d_hidden = m.config.d_hidden;
@@ -2187,13 +2288,15 @@ mod tests {
     /// layouts of the kernel tests.  Before every step computes, each carried unit it did
     /// not carry over is NaN — and would surface if read.  The same walks run in 1, 2 and
     /// 3 lanes: batches of 1–9 rows, cut into four blocks per lane at multiples of four,
-    /// so most blocks are empty and the rest uneven.
+    /// so most blocks are empty and the rest uneven.  Every step also reads a random third
+    /// of the columns below its own as point heads, drawn from a generator of their own.
     #[test]
     fn prefix_steps_match_reference_bitwise_along_random_walks() {
         let cycled = |n: usize| (0..n).map(|c| [3usize, 5, 2, 7, 4][c % 5]).collect();
         for lanes in LANES {
             // The same walks at every lane count.
             let mut next = lcg(0x57E9);
+            let mut pick = lcg(0x4EAD);
             for (domains, d_hidden) in [
                 (vec![4usize, 9, 3, 17, 5], 24usize),
                 (vec![3, 5, 2, 7, 4, 6, 3, 5, 2, 8, 4, 3], 6),
@@ -2219,13 +2322,19 @@ mod tests {
                     // 0–3 columns at a time; wide models take longer strides to reach their
                     // last columns within the walk.
                     let col = (base_col + next(4.max(n / 4))).min(n - 1);
+                    let mut heads = Vec::new();
+                    for k in 0..col {
+                        if pick(3) == 0 {
+                            heads.push((k, pick(m.domain(k)) as u32));
+                        }
+                    }
                     rows = checked_step(
                         &m,
                         &mut scratch,
                         (&rows, prev_col),
                         (!restart).then_some(&parents[..]),
                         batch,
-                        col,
+                        (col, &heads),
                         lanes,
                         &mut next,
                     );
@@ -2268,8 +2377,16 @@ mod tests {
                 );
                 let mut scratch = InferenceScratch::new();
                 let mut col = n / 5;
-                let mut rows =
-                    checked_step(&m, &mut scratch, (&[], 0), None, 4, col, lanes, &mut next);
+                let mut rows = checked_step(
+                    &m,
+                    &mut scratch,
+                    (&[], 0),
+                    None,
+                    4,
+                    (col, &[]),
+                    lanes,
+                    &mut next,
+                );
                 for (parents, stride) in maps {
                     let to = (col + stride).min(n - 1);
                     rows = checked_step(
@@ -2278,13 +2395,66 @@ mod tests {
                         (&rows, col),
                         Some(parents),
                         0,
-                        to,
+                        (to, &[]),
                         lanes,
                         &mut next,
                     );
                     col = to;
                 }
             }
+        }
+    }
+
+    /// A step's point heads against steps of their own, bit for bit, in 1, 2 and 3 lanes
+    /// with the NaN poison armed: heads below the carried prefix's column (column 0, whose
+    /// context is its bias alone, among them), a head right below the step's column, and
+    /// heads whose domain is wider than the step's column's — from the empty prefix, then
+    /// continuing it with duplicated and reordered rows, then widening to 37 rows.
+    #[test]
+    fn point_heads_match_single_column_steps_bitwise() {
+        let wide: Vec<u32> = (0..37).map(|r| (r * 5 % 6) as u32).collect();
+        for lanes in LANES {
+            let mut next = lcg(0x7EAD);
+            let m = biased(
+                (0..27).map(|c| [3usize, 5, 2, 7, 4][c % 5]).collect(),
+                96,
+                &mut next,
+            );
+            let mut scratch = InferenceScratch::new();
+            // Column 6 has 5 codes, column 3 has 7; column 12 has 2, column 8 has 7.
+            let first: &[(usize, u32)] = &[(0, 2), (3, 6), (5, 2)];
+            let rows = checked_step(
+                &m,
+                &mut scratch,
+                (&[], 0),
+                None,
+                4,
+                (6, first),
+                lanes,
+                &mut next,
+            );
+            let second: &[(usize, u32)] = &[(1, 4), (2, 1), (8, 6), (11, 0)];
+            let rows = checked_step(
+                &m,
+                &mut scratch,
+                (&rows, 6),
+                Some(&[0, 0, 3, 2, 1, 3]),
+                0,
+                (12, second),
+                lanes,
+                &mut next,
+            );
+            let third: &[(usize, u32)] = &[(0, 1), (13, 6), (17, 1), (19, 3)];
+            checked_step(
+                &m,
+                &mut scratch,
+                (&rows, 12),
+                Some(&wide),
+                0,
+                (20, third),
+                lanes,
+                &mut next,
+            );
         }
     }
 
@@ -2304,7 +2474,7 @@ mod tests {
         for lanes in [2, 3] {
             for _ in 0..8 {
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    m.conditional_probs_step_in(&tokens, 2, None, &mut scratch, lanes);
+                    m.conditional_probs_step_in(&tokens, 2, &[], None, &mut scratch, lanes);
                 }));
                 let payload = caught.expect_err("the step embedded a token outside its domain");
                 let message = payload
@@ -2314,7 +2484,8 @@ mod tests {
                 assert!(message.contains("outside domain"), "{message}");
             }
             let flat: Vec<u32> = rows.concat();
-            let stepped = m.conditional_probs_step_in(&flat, 2, None, &mut scratch, lanes);
+            let (stepped, _) =
+                m.conditional_probs_step_in(&flat, 2, &[], None, &mut scratch, lanes);
             assert_eq!(stepped, &m.conditional_probs_reference(&rows, 2));
         }
     }
@@ -2469,6 +2640,7 @@ mod tests {
         let addresses = |s: &InferenceScratch| {
             let mut all: Vec<*const f32> = [&s.x, &s.z, &s.spare, &s.ctx, &s.logits, &s.probs]
                 .into_iter()
+                .chain([&s.heads])
                 .chain(&s.carried)
                 .map(|m| m.data().as_ptr())
                 .collect();
@@ -2481,24 +2653,26 @@ mod tests {
             let mut scratch = InferenceScratch::new();
             m.reserve_scratch(rows, &mut scratch);
             let reserved = addresses(&scratch);
-            assert_eq!(reserved.len(), 6 + 4);
+            assert_eq!(reserved.len(), 7 + 4);
             // Narrow first, wide later; few rows first, all of them later; gathers and an
             // identity map; a first step at the last column (the widest slab) and the
-            // largest domain.
+            // largest domain; a point head of the largest domain (wider than its step's
+            // column), and a head on every column below the last.
             let identity: Vec<u32> = (0..rows as u32).collect();
-            for (col, parents) in [
-                (0, None),
-                (1, Some(&[0u32, 0][..])),
-                (3, Some(&[0, 1, 0, 1, 0, 1][..])),
-                (3, Some(&identity[..6])),
-                (n - 1, None),
-                (2, None),
-                (2, Some(&identity[..])),
+            let every_head: Vec<(usize, u32)> = (0..n - 1).map(|k| (k, 1)).collect();
+            for (col, heads, parents) in [
+                (0, &[][..], None),
+                (1, &[(0, 3)][..], Some(&[0u32, 0][..])),
+                (3, &[(2, 8)][..], Some(&[0, 1, 0, 1, 0, 1][..])),
+                (3, &[][..], Some(&identity[..6])),
+                (n - 1, &every_head[..], None),
+                (2, &[][..], None),
+                (3, &every_head[..], Some(&identity[..])),
             ] {
                 let batch = parents.map_or(rows, <[u32]>::len);
                 let batch = if col == 0 { 1 } else { batch };
                 let tokens = vec![0u32; batch * n];
-                m.conditional_probs_step_in(&tokens, col, parents, &mut scratch, lanes);
+                m.conditional_probs_step_in(&tokens, col, heads, parents, &mut scratch, lanes);
                 assert_eq!(
                     addresses(&scratch),
                     reserved,
@@ -2567,7 +2741,7 @@ mod tests {
         let m = make(vec![4, 3, 5], 8);
         let mut scratch = InferenceScratch::new();
         m.conditional_probs_into(&[0, 1, 2], 2, &mut scratch);
-        m.conditional_probs_step(&[0, 1, 2], 1, Some(&[0]), &mut scratch);
+        m.conditional_probs_step(&[0, 1, 2], 1, &[], Some(&[0]), &mut scratch);
     }
 
     /// A carry left by one model cannot be continued by another of the same width: not
@@ -2590,13 +2764,13 @@ mod tests {
             carrier.conditional_probs_into(&[0, 1, 2], 1, &mut scratch);
             let tokens = vec![0u32; other.num_columns()];
             let continued = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                other.conditional_probs_step(&tokens, 2, Some(&[0]), &mut scratch);
+                other.conditional_probs_step(&tokens, 2, &[], Some(&[0]), &mut scratch);
             }));
             let message = continued.expect_err("continued another model's prefix");
             let message = message.downcast_ref::<&str>().copied().unwrap_or_default();
             assert!(message.contains("belongs to another model"), "{message}");
-            other.conditional_probs_step(&tokens, 2, None, &mut scratch);
-            other.conditional_probs_step(&tokens, 2, Some(&[0]), &mut scratch);
+            other.conditional_probs_step(&tokens, 2, &[], None, &mut scratch);
+            other.conditional_probs_step(&tokens, 2, &[], Some(&[0]), &mut scratch);
         }
     }
 
