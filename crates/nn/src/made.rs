@@ -30,13 +30,13 @@ use crate::layers::{
 use crate::loss::{softmax_at, softmax_cross_entropy_rows, softmax_rows, softmax_rows_slice};
 use crate::tensor::{
     add_bias, column_sums_accumulate, gemm_narrow, gemm_nt, gemm_tn_acc, matmul, matmul_blocked,
-    matmul_blocked_acc, matmul_col_range_live, matmul_units_live, transpose_into, LiveUnits,
+    matmul_blocked_acc, matmul_col_range_live, matmul_runs_live, transpose_into, LiveUnits,
     MadeMask, Matrix,
 };
 
 /// A step's new hidden units are computed in runs widened outward to multiples of this
 /// many units (see [`LiveUnits::added_since`]): the register tiles of
-/// [`matmul_units_live`] then run full, and recomputing a unit the carry already holds
+/// [`matmul_runs_live`] then run full, and recomputing a unit the carry already holds
 /// reproduces its bits.  Chosen on `direct_m` (numbers in `docs/kernels.md`).
 const UNIT_ALIGN: usize = 4;
 
@@ -726,8 +726,9 @@ impl ResMade {
     ///    weights on every path into column `col`) and takes `h₀ = relu(z + b)`;
     /// 3. layer by layer, computes only the units of degree in `z_cols..col` — one short
     ///    run per period, widened to `UNIT_ALIGN` — from the live inner units (degree
-    ///    `< col`, [`ResMade::live_units`]) straight into the carried matrix
-    ///    ([`matmul_units_live`]), then their bias, ReLU and residual add;
+    ///    `< col`, [`ResMade::live_units`]) — every run in one walk over them — straight
+    ///    into the carried matrix ([`matmul_runs_live`]), then their bias, ReLU and
+    ///    residual add;
     /// 4. computes, for each point head `k`, its context slice from the units of degree
     ///    `< k` of the last layer, its logits and its one probability; then **only** column
     ///    `col`'s `d_emb`-wide context slice, from the live units of the last layer
@@ -750,14 +751,15 @@ impl ResMade {
     ///
     /// The step stays bit-identical to [`ResMade::conditional_probs_reference`]:
     ///
-    /// 1. every output element of the input layer is an ascending-`p` chain of f32 adds
-    ///    that skips `a == 0.0`; storing a chain to `z` and resuming it later performs the
-    ///    same adds in the same order;
+    /// 1. every output element is an ascending-`p` chain of f32 adds from `+0.0`; the
+    ///    input layer's skips `a == 0.0`, as the reference's do, and storing it to `z`
+    ///    and resuming it later performs the same adds in the same order;
     /// 2. masked weights are exactly `0.0` and every weight is finite
     ///    ([`ResMade::check_masked_weights`]), so a term with a masked weight — left out
-    ///    by a kernel, or added where the reference adds it — is `a · ±0.0` onto an
-    ///    accumulator that starts at `+0.0` and therefore is never `−0.0`: it changes no
-    ///    bit;
+    ///    by a kernel, or added where the reference adds it — is `a · ±0.0`, and a term
+    ///    with a zero `a` — added by the block, context and head kernels, skipped by the
+    ///    reference — is `±0.0 · w`: a signed zero onto an accumulator that starts at
+    ///    `+0.0` and therefore is never `−0.0`, which changes no bit;
     /// 3. so a unit of degree `k` gets the same bits from a walk over any superset of the
     ///    units of degree `<= k` below it, given the same bits there — the live set of any
     ///    step for a column `> k` is one.  By induction up the trunk, what a parent row
@@ -1026,12 +1028,24 @@ impl ResMade {
             let [a, h_out, ..] = this else {
                 unreachable!("two carried layers per block")
             };
+            matmul_runs_live(
+                h_in,
+                &w1.inner.weight.value,
+                self.new_units(z_cols, col),
+                live,
+                a,
+            );
             for run in self.new_units(z_cols, col) {
-                matmul_units_live(h_in, &w1.inner.weight.value, run.clone(), live, a);
                 bias_relu(a, run, w1.inner.bias.value.row(0));
             }
+            matmul_runs_live(
+                a,
+                &w2.inner.weight.value,
+                self.new_units(z_cols, col),
+                live,
+                h_out,
+            );
             for run in self.new_units(z_cols, col) {
-                matmul_units_live(a, &w2.inner.weight.value, run.clone(), live, h_out);
                 residual(h_in, run, w2.inner.bias.value.row(0), h_out);
             }
         }
@@ -1080,9 +1094,10 @@ impl ResMade {
     }
 
     /// Checks the invariants the autoregressive property and the inference forward's
-    /// skipped terms rest on: every masked entry of the input, block and output layers is
-    /// exactly `0.0`, and every entry is finite (a skipped term is `a · ±0.0`, which is a
-    /// zero only while `a` is finite).  Training keeps the first (masked weights start at
+    /// zero terms rest on: every masked entry of the input, block and output layers is
+    /// exactly `0.0`, and every entry is finite (a term the forward leaves out, or adds
+    /// where the reference skips it, is `a · ±0.0` or `±0.0 · w`: a zero only while both
+    /// factors are finite).  Training keeps the first (masked weights start at
     /// zero and their gradients are forced to zero); weights decoded from outside the
     /// program must be checked.  The error names the offending layer.
     pub fn check_masked_weights(&self) -> Result<(), String> {

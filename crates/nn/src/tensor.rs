@@ -5,9 +5,11 @@
 //! plenty for the model sizes involved (a few hundred units per layer).
 //!
 //! Every kernel here gives each output element **one chain of f32 additions in ascending
-//! inner index** (a zero left factor skipped where the naive loop skips it), whatever its
-//! register blocking — so a blocked kernel is bit-equal to the naive loop it stands in
-//! for, and inference and training results do not depend on which one ran.
+//! inner index** from `+0.0` (or from `out`), whatever its register blocking.  The naive
+//! loops skip a zero left factor; a kernel either skips it too or adds it, and an added
+//! `±0.0 · w` with a finite `w` changes no bit, since such a chain is never `−0.0` under
+//! round-to-nearest.  So a blocked kernel is bit-equal to the naive loop it stands in for,
+//! and inference and training results do not depend on which one ran.
 
 use std::ops::Range;
 
@@ -429,8 +431,9 @@ fn row_block<const ACC: bool, const NR: usize>(
 /// The inference path uses this for the output layer: a progressive-sampling forward pass
 /// only ever reads the context vector of **one** model column, so computing all
 /// `n_cols · d_emb` outputs (as training must) wastes a factor `n_cols` of the output-layer
-/// GEMM.  Accumulation order per element matches [`matmul`] exactly (ascending `p`, zero
-/// `a` entries skipped), so the slice is bit-for-bit the one the full product would yield.
+/// GEMM.  Accumulation order per element matches [`matmul`] exactly (ascending `p` from
+/// `+0.0`; zero `a` entries are added, not skipped, which moves no bit while `b` is
+/// finite), so the slice is bit-for-bit the one the full product would yield.
 ///
 /// The slice is narrow (`d_emb` columns), so one row offers too few independent chains
 /// to hide the add latency: the kernel tiles four `a` rows by up to 16 columns and keeps
@@ -444,7 +447,7 @@ pub fn matmul_col_range(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut 
 /// [`matmul_col_range`] out of a MADE hidden layer, over slices: `out (m×(hi − lo)) = a
 /// (m×k) · b[.., lo..hi]`, where only the `live` inner units are walked, in ascending
 /// order, and `a` outside them is never read.  Bit-equal to [`matmul_col_range`] when
-/// `b[p][lo..hi]` is zero for every `p` outside the live set and `a` is finite.
+/// `b[p][lo..hi]` is zero for every `p` outside the live set and `a` and `b` are finite.
 pub fn matmul_col_range_live(
     a: &[f32],
     b: &Matrix,
@@ -465,44 +468,139 @@ pub fn matmul_col_range_live(
     }
 }
 
-/// [`matmul_col_range_live`] in place: `out[:, units] = a · b[:, units]` over the `live`
-/// inner units, written straight into the columns `units` of an `out` as wide as `b`.
-/// The other columns of `out` are left as they were.  The incremental trunk computes a
-/// step's new hidden units with it, into the layer matrix it carries.
-pub fn matmul_units_live(
+/// Output columns per atom of [`matmul_runs_live`]: one SIMD register of `f32`.
+const ATOM: usize = 4;
+
+/// Atoms per register tile of [`matmul_runs_live`].
+const TILE_ATOMS: usize = 4;
+
+/// `out[:, u] = a · b[:, u]` for every unit `u` of the ascending, disjoint `runs`, over
+/// the `live` inner units only, written straight into an `out` as wide as `b`; every other
+/// column of `out` is left as it was and `a` outside the live set is never read.  The
+/// incremental trunk computes a step's new hidden units with it — all of the step's runs,
+/// one per degree period — into the layer matrix it carries.
+///
+/// The runs are cut into atoms of four columns (a run's last atom may be narrower), and
+/// each register tile holds two rows × four atoms, so the tile's one walk over the live
+/// units serves four period copies at once; the 1–3 atoms left over share one narrower
+/// tile.  Per element the chain is every live `p` in
+/// ascending order from `+0.0`, zero `a` entries included: bit-equal to [`matmul`]'s,
+/// which skips them, while `b` is finite and zero wherever the live set leaves out a unit
+/// the full product would add (`runs_kernel_matches_naive_matmul_bitwise`).
+pub fn matmul_runs_live(
     a: &[f32],
     b: &Matrix,
-    units: Range<usize>,
+    runs: impl IntoIterator<Item = Range<usize>>,
     live: LiveUnits,
     out: &mut [f32],
 ) {
-    assert!(units.end <= b.cols, "unit range out of bounds");
     let (k, n) = (b.rows, b.cols);
     assert_eq!(
         a.len() * n,
         out.len() * k,
         "a and out must hold the same rows"
     );
-    if units.is_empty() || out.is_empty() {
+    let Some(m) = out.len().checked_div(n) else {
         return;
+    };
+    let atoms = runs.into_iter().flat_map(|run| {
+        assert!(run.end <= n, "unit run out of bounds");
+        run.clone()
+            .step_by(ATOM)
+            .map(move |start| (start, (run.end - start).min(ATOM)))
+    });
+    // Full atoms in tiles of `TILE_ATOMS`; a narrower atom (a run cut short by the width
+    // of `b`) goes column by column.
+    let mut tile = [0; TILE_ATOMS];
+    let mut filled = 0;
+    for (start, width) in atoms {
+        if width < ATOM {
+            for col in start..start + width {
+                units_all_rows::<1, 1>(m, k, n, [col], a, &b.data, live, out);
+            }
+            continue;
+        }
+        tile[filled] = start;
+        filled += 1;
+        if filled == TILE_ATOMS {
+            units_all_rows::<TILE_ATOMS, ATOM>(m, k, n, tile, a, &b.data, live, out);
+            filled = 0;
+        }
     }
-    col_range_all_rows::<4>(
-        out.len() / n,
-        k,
-        n,
-        units.start,
-        units.len(),
-        a,
-        &b.data,
-        live,
-        &mut out[units.start..],
-        n,
-    );
+    // The atoms left over still share one walk, in a tile as wide as they are.
+    match tile[..filled] {
+        [] => {}
+        [o] => units_all_rows::<1, ATOM>(m, k, n, [o], a, &b.data, live, out),
+        [o, p] => units_all_rows::<2, ATOM>(m, k, n, [o, p], a, &b.data, live, out),
+        [o, p, q] => units_all_rows::<3, ATOM>(m, k, n, [o, p, q], a, &b.data, live, out),
+        _ => unreachable!("a full tile is computed as it fills"),
+    }
+}
+
+/// Every row of [`matmul_runs_live`] for the `A` atoms of width `W` that start at
+/// `atoms`, two rows at a time.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a register-tile kernel takes its shape, operands and strides unbundled"
+)]
+fn units_all_rows<const A: usize, const W: usize>(
+    m: usize,
+    k: usize,
+    n: usize,
+    atoms: [usize; A],
+    a: &[f32],
+    b: &[f32],
+    live: LiveUnits,
+    out: &mut [f32],
+) {
+    let mut i = 0;
+    while i + 2 <= m {
+        units_tile::<2, A, W>(k, n, atoms, &a[i * k..], b, live, &mut out[i * n..]);
+        i += 2;
+    }
+    if i < m {
+        units_tile::<1, A, W>(k, n, atoms, &a[i * k..], b, live, &mut out[i * n..]);
+    }
+}
+
+/// One `R`-row tile of [`matmul_runs_live`]: `out[r][o..o + W] = Σ_p a[r][p] ·
+/// b[p][o..o + W]` over the live `p`, for each atom start `o`, with `a` rows `k` and `b` and
+/// `out` rows `n` apart.  No branch on the value of `a`: every live term is added.
+fn units_tile<const R: usize, const A: usize, const W: usize>(
+    k: usize,
+    n: usize,
+    atoms: [usize; A],
+    a: &[f32],
+    b: &[f32],
+    live: LiveUnits,
+    out: &mut [f32],
+) {
+    assert!(atoms.iter().all(|&o| o + W <= n), "atom out of bounds");
+    let mut acc = [[[0.0f32; W]; A]; R];
+    for run in live.runs(k) {
+        let a_run: [&[f32]; R] = std::array::from_fn(|r| &a[r * k + run.start..r * k + run.end]);
+        for (i, b_row) in b[run.start * n..run.end * n].chunks_exact(n).enumerate() {
+            for (acc_r, a_r) in acc.iter_mut().zip(a_run) {
+                let a_rp = a_r[i];
+                for (acc_atom, &o) in acc_r.iter_mut().zip(&atoms) {
+                    for (c, &b_pj) in acc_atom.iter_mut().zip(&b_row[o..o + W]) {
+                        *c += a_rp * b_pj;
+                    }
+                }
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        for (acc_atom, &o) in acc_r.iter().zip(&atoms) {
+            out[r * n + o..r * n + o + W].copy_from_slice(acc_atom);
+        }
+    }
 }
 
 /// Slice-level `out (m×n) = a (m×k) · b (k×n)` for a **narrow** `n` (a few registers
 /// wide), on the [`matmul_col_range`] tiles: per element an ascending-`p` chain from
-/// `+0.0` that skips `a == 0.0`, bit-equal to [`matmul`].
+/// `+0.0` over every `p`, bit-equal to [`matmul`] — which skips `a == 0.0` — while `b` is
+/// finite.
 ///
 /// Training uses it for the tied head's `dctx_col = dlogits · E[..domain]`.  Like
 /// [`gemm_nt`] it takes slices so `b` can be a *prefix* of a taller matrix: only the first
@@ -586,8 +684,8 @@ fn col_range_rows<const R: usize>(
 }
 
 /// One `R × W` register tile: `out[r][..W] = Σ_p a[r][p] · b[p][col..col + W]` over the
-/// live `p`, with `out` rows `os` apart.  Each element is its own ascending-`p` chain; a
-/// zero `a[r][p]` leaves row `r`'s accumulators untouched.
+/// live `p`, with `out` rows `os` apart.  Each element is its own ascending-`p` chain from
+/// `+0.0`, with no branch on the value of `a`: every live term is added.
 #[expect(
     clippy::too_many_arguments,
     reason = "a register-tile kernel takes its shape, operands and strides unbundled"
@@ -602,16 +700,14 @@ fn col_range_tile<const R: usize, const W: usize>(
     out: &mut [f32],
     os: usize,
 ) {
+    assert!(col + W <= bn, "tile out of bounds");
     let mut acc = [[0.0f32; W]; R];
     for run in live.runs(k) {
-        for p in run {
-            let b_row = &b[p * bn + col..p * bn + col + W];
-            for (r, acc_r) in acc.iter_mut().enumerate() {
-                let a_rp = a[r * k + p];
-                if a_rp == 0.0 {
-                    continue;
-                }
-                for (c, &b_pj) in acc_r.iter_mut().zip(b_row) {
+        let a_run: [&[f32]; R] = std::array::from_fn(|r| &a[r * k + run.start..r * k + run.end]);
+        for (i, b_row) in b[run.start * bn..run.end * bn].chunks_exact(bn).enumerate() {
+            for (acc_r, a_r) in acc.iter_mut().zip(a_run) {
+                let a_rp = a_r[i];
+                for (c, &b_pj) in acc_r.iter_mut().zip(&b_row[col..col + W]) {
                     *c += a_rp * b_pj;
                 }
             }
@@ -1049,7 +1145,13 @@ mod tests {
             // ... and written in place, the same columns of the full product.
             let mut wide = Matrix::zeros(m, n);
             wide.data_mut().fill(f32::NAN);
-            matmul_units_live(a.data(), &b, lo..hi, LiveUnits::ALL, wide.data_mut());
+            matmul_runs_live(
+                a.data(),
+                &b,
+                std::iter::once(lo..hi),
+                LiveUnits::ALL,
+                wide.data_mut(),
+            );
             for i in 0..m {
                 for (jj, j) in (lo..hi).enumerate() {
                     assert_eq!(wide.get(i, j).to_bits(), sliced.get(i, jj).to_bits());
@@ -1217,10 +1319,10 @@ mod tests {
     /// The restricted kernels against their own dense instantiation, bit for bit, on
     /// MADE-masked weights, for every column of every `(d_hidden, period)` layout: the
     /// restricted call gets an `a` whose every entry outside the live set is NaN, so one
-    /// read of a dead unit shows up in a result.  The unit kernel runs over the runs a step
-    /// for the column computes (its units new since an earlier column, widened), against
-    /// its dense instantiation over the same run — the same register tiles — and must leave
-    /// every other column of `out` as it was.
+    /// read of a dead unit shows up in a result.  The unit kernel runs over all the runs a
+    /// step for the column computes (its units new since an earlier column, widened) in one
+    /// call, against its dense instantiation over the same runs — the same register tiles —
+    /// and must leave every other column of `out` as it was.
     #[test]
     fn live_kernels_match_dense_bitwise_and_never_read_dead_units() {
         const UNTOUCHED: f32 = 7.5;
@@ -1259,39 +1361,34 @@ mod tests {
                         }
                     }
                     for (before, align) in [(col.saturating_sub(1), 1), (col / 2, 4), (0, 8)] {
-                        for run in live.added_since(before, d_hidden, align) {
-                            let what = format!("{what}: run {run:?}");
-                            let mut dense = Matrix::zeros(rows, d_hidden);
-                            dense.data_mut().fill(UNTOUCHED);
-                            let mut restricted = dense.clone();
-                            matmul_units_live(
-                                a.data(),
-                                &hidden,
-                                run.clone(),
-                                LiveUnits::ALL,
-                                dense.data_mut(),
-                            );
-                            matmul_units_live(
-                                poisoned.data(),
-                                &hidden,
-                                run.clone(),
-                                live,
-                                restricted.data_mut(),
-                            );
-                            for r in 0..rows {
-                                for u in 0..d_hidden {
-                                    let (got, want) = (restricted.get(r, u), dense.get(r, u));
-                                    if !run.contains(&u) {
-                                        assert_eq!(got, UNTOUCHED, "{what}: unit ({r}, {u})");
-                                    } else if live.contains(u) {
-                                        assert_eq!(
-                                            got.to_bits(),
-                                            want.to_bits(),
-                                            "{what}: hidden unit ({r}, {u})"
-                                        );
-                                    } else {
-                                        assert!(!got.is_nan(), "{what}: dead read at ({r}, {u})");
-                                    }
+                        let runs: Vec<Range<usize>> =
+                            live.added_since(before, d_hidden, align).collect();
+                        let what = format!("{what}: runs {runs:?}");
+                        let mut dense = Matrix::zeros(rows, d_hidden);
+                        dense.data_mut().fill(UNTOUCHED);
+                        let mut restricted = dense.clone();
+                        let all = LiveUnits::ALL;
+                        matmul_runs_live(a.data(), &hidden, runs.clone(), all, dense.data_mut());
+                        matmul_runs_live(
+                            poisoned.data(),
+                            &hidden,
+                            runs.clone(),
+                            live,
+                            restricted.data_mut(),
+                        );
+                        for r in 0..rows {
+                            for u in 0..d_hidden {
+                                let (got, want) = (restricted.get(r, u), dense.get(r, u));
+                                if !runs.iter().any(|run| run.contains(&u)) {
+                                    assert_eq!(got, UNTOUCHED, "{what}: unit ({r}, {u})");
+                                } else if live.contains(u) {
+                                    assert_eq!(
+                                        got.to_bits(),
+                                        want.to_bits(),
+                                        "{what}: hidden unit ({r}, {u})"
+                                    );
+                                } else {
+                                    assert!(!got.is_nan(), "{what}: dead read at ({r}, {u})");
                                 }
                             }
                         }
@@ -1312,6 +1409,93 @@ mod tests {
                     matmul_col_range_live(poisoned.data(), &output, lo, hi, live, ctx.data_mut());
                     for (i, (x, y)) in dense_ctx.data().iter().zip(ctx.data()).enumerate() {
                         assert_eq!(x.to_bits(), y.to_bits(), "{what}: context element {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// [`matmul_runs_live`] against the naive zero-skipping [`matmul`] loop, bit for bit,
+    /// on the inputs where adding a zero term instead of skipping it could show: ≈ 55 %
+    /// of the activations exact zeros of both signs, `−0.0` among the weights (masked and
+    /// allowed), 1–9 rows, and run layouts whose atoms are not all full (`d_hidden` 33
+    /// under a period of 50).  For every column and the runs a step for it computes, in one
+    /// call, with NaN in every dead inner unit: each unit of the runs equals `matmul` over
+    /// the activations with the dead units zeroed, each live one also `matmul` over all of
+    /// them, and every other unit keeps its sentinel.
+    #[test]
+    fn runs_kernel_matches_naive_matmul_bitwise() {
+        const UNTOUCHED: f32 = 7.5;
+        let mut seed = 0x2E20_u64;
+        let signed_zero = |seed: &mut u64| {
+            if lcg(seed) >> 63 == 0 {
+                0.0
+            } else {
+                -0.0
+            }
+        };
+        for (d_hidden, period) in [(33usize, 50usize), (96, 26), (96, 60), (40, 7), (8, 1)] {
+            let mut hidden = lcg_matrix(d_hidden, d_hidden, &mut seed);
+            let rule = MadeMask::Hidden { period };
+            for h in 0..d_hidden {
+                for v in hidden.row_mut(h).iter_mut().filter(|v| **v == 0.0) {
+                    *v = signed_zero(&mut seed);
+                }
+                for run in rule.forbidden_runs(h, d_hidden) {
+                    for v in &mut hidden.row_mut(h)[run] {
+                        *v = signed_zero(&mut seed);
+                    }
+                }
+            }
+            for rows in 1usize..=9 {
+                let mut a = lcg_matrix(rows, d_hidden, &mut seed);
+                for v in a.data_mut() {
+                    if (lcg(&mut seed) >> 33) % 20 < 11 {
+                        *v = signed_zero(&mut seed);
+                    }
+                }
+                let mut full = Matrix::zeros(rows, d_hidden);
+                matmul(&a, &hidden, &mut full);
+                for col in 0..=period {
+                    let what = format!("d_hidden {d_hidden} period {period} rows {rows} col {col}");
+                    let live = LiveUnits::new(period, col);
+                    let (mut poisoned, mut zeroed) = (a.clone(), a.clone());
+                    for r in 0..rows {
+                        for u in (0..d_hidden).filter(|&u| !live.contains(u)) {
+                            poisoned.row_mut(r)[u] = f32::NAN;
+                            zeroed.row_mut(r)[u] = 0.0;
+                        }
+                    }
+                    let mut naive = Matrix::zeros(rows, d_hidden);
+                    matmul(&zeroed, &hidden, &mut naive);
+                    for (before, align) in [(col.saturating_sub(1), 4), (col / 2, 4), (0, 1)] {
+                        let runs: Vec<Range<usize>> =
+                            live.added_since(before, d_hidden, align).collect();
+                        let what = format!("{what}: runs {runs:?}");
+                        let mut out = Matrix::zeros(rows, d_hidden);
+                        out.data_mut().fill(UNTOUCHED);
+                        matmul_runs_live(
+                            poisoned.data(),
+                            &hidden,
+                            runs.clone(),
+                            live,
+                            out.data_mut(),
+                        );
+                        for r in 0..rows {
+                            for u in 0..d_hidden {
+                                let got = out.get(r, u).to_bits();
+                                if !runs.iter().any(|run| run.contains(&u)) {
+                                    assert_eq!(got, UNTOUCHED.to_bits(), "{what}: unit ({r}, {u})");
+                                    continue;
+                                }
+                                let want = naive.get(r, u).to_bits();
+                                assert_eq!(got, want, "{what}: unit ({r}, {u})");
+                                if live.contains(u) {
+                                    let want = full.get(r, u).to_bits();
+                                    assert_eq!(got, want, "{what}: live unit ({r}, {u})");
+                                }
+                            }
+                        }
                     }
                 }
             }
