@@ -38,6 +38,38 @@ fn an_experiment_prints_the_same_after_another_in_one_process() {
     assert!(section(&after.stdout, "Table 5").contains("(E) uniform join samples"));
 }
 
+/// The experiments whose smoke output holds no wall-clock figure.
+const TIMELESS: [&str; 7] = [
+    "table1", "table2", "table3", "table4", "table5", "figure6", "figure7a",
+];
+
+/// Their smoke stdout, byte for byte, against the committed `golden/smoke_tables.txt`: a
+/// change that moves a trained weight, a sample or an estimate shows here, in the dev
+/// profile as in release.
+#[test]
+fn smoke_tables_match_the_golden_file() {
+    let out = reproduce(&[&["--smoke"][..], &TIMELESS].concat(), &[]);
+    assert!(out.status.success());
+    let golden = include_bytes!("golden/smoke_tables.txt");
+    if out.stdout != golden {
+        let (got, want) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(golden),
+        );
+        // (line number, (got, want)); `None` when one output is a prefix of the other.
+        let first = (1..)
+            .zip(got.lines().zip(want.lines()))
+            .find(|(_, (g, w))| g != w);
+        panic!(
+            "smoke tables differ from the golden file, first at {first:?}\n\
+             if the change is meant to move them, regenerate it with\n  \
+             cargo run -q --release -p nc-bench --bin reproduce -- --smoke {} \\\n    \
+             > crates/bench/tests/golden/smoke_tables.txt",
+            TIMELESS.join(" ")
+        );
+    }
+}
+
 #[test]
 fn an_unknown_experiment_exits_2_naming_it() {
     let out = reproduce(&["--smoke", "table2", "table9"], &[]);

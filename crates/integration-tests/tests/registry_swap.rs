@@ -79,7 +79,6 @@ fn swap_under_load_loses_nothing_and_drains_before_retiring() {
         ServiceConfig {
             workers: 2,
             queue_depth: 4,
-            default_samples: Some(16),
         },
     );
 

@@ -54,7 +54,6 @@ fn service_matches_sequential_estimates_under_concurrency() {
             ServiceConfig {
                 workers,
                 queue_depth: 2, // force queueing and handoffs
-                default_samples: None,
             },
         );
         std::thread::scope(|scope| {

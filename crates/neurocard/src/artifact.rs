@@ -519,9 +519,6 @@ impl ModelArtifact {
             seed: self.config.seed,
         });
         load_params_from_bytes(&mut model, &self.weights).map_err(ArtifactLoadError::Weights)?;
-        model
-            .check_masked_weights()
-            .map_err(|m| section_err("weights", m))?;
         EstimatorCore::new(
             model,
             self.encoded.clone(),
@@ -1013,6 +1010,30 @@ mod tests {
                 Err(other) => panic!("expected a weights section error, got {other:?}"),
                 Ok(_) => panic!("expected a weights section error, got a working core"),
             }
+        }
+    }
+
+    /// Every core checks its weights, not only one loaded from an artifact: one NaN
+    /// planted into a block weight of a trained model stops [`EstimatorCore::new`].
+    #[test]
+    fn every_core_checks_its_weights() {
+        let (model, _, _) = trained();
+        let core = model.core();
+        let mut bad = core.model().clone();
+        // The first block's first weight follows the embedding tables and the input
+        // layer's weight and bias in parameter order.
+        let block = bad.num_columns() + 2;
+        bad.params_mut()[block].value.set(0, 0, f32::NAN);
+        let built = EstimatorCore::new(
+            bad,
+            core.encoded().clone(),
+            core.schema().clone(),
+            core.config().clone(),
+            core.full_join_rows(),
+        );
+        match built {
+            Err(message) => assert!(message.contains("first layer of block 0"), "{message}"),
+            Ok(_) => panic!("a core was built over a NaN weight"),
         }
     }
 

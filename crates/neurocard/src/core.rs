@@ -62,8 +62,10 @@ pub struct EstimatorCore {
 
 impl EstimatorCore {
     /// Assembles a core from its parts, validating that the model's column space matches
-    /// the encoded layout (the invariant every inference loop assumes).  A core only ever
-    /// estimates, so it keeps no gradient buffers.
+    /// the encoded layout (the invariant every inference loop assumes) and that its masked
+    /// weights are zero and every weight finite ([`ResMade::check_masked_weights`], which
+    /// the inference step's bit-identity rests on).  A core only ever estimates, so it
+    /// keeps no gradient buffers.
     pub fn new(
         mut model: ResMade,
         encoded: Arc<EncodedLayout>,
@@ -72,6 +74,7 @@ impl EstimatorCore {
         full_join_rows: u128,
     ) -> Result<Self, String> {
         model.release_gradients();
+        model.check_masked_weights()?;
         let domains = encoded.model_domains();
         if model.num_columns() != domains.len() {
             return Err(format!(

@@ -108,6 +108,7 @@ impl NeuroCard {
     /// are copied, so later [`NeuroCard::update_incremental`] and
     /// [`NeuroCard::ingest_snapshot`] calls do not show up in a core handed out earlier.
     /// Copying the weights is not free: take one core per evaluation, not one per query.
+    /// Panics if training left a weight non-finite ([`EstimatorCore::new`] checks them).
     pub fn core(&self) -> Arc<EstimatorCore> {
         Arc::new(
             EstimatorCore::new(
@@ -117,7 +118,7 @@ impl NeuroCard {
                 self.config.clone(),
                 self.stats.full_join_rows,
             )
-            .expect("a trained estimator's parts are consistent by construction"),
+            .expect("a trained model has finite weights and matches its layout"),
         )
     }
 

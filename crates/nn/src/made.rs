@@ -30,8 +30,8 @@ use crate::layers::{
 use crate::loss::{softmax_at, softmax_cross_entropy_rows, softmax_rows, softmax_rows_slice};
 use crate::tensor::{
     add_bias, column_sums_accumulate, gemm_narrow, gemm_nt, gemm_tn_acc, matmul, matmul_blocked,
-    matmul_blocked_acc, matmul_col_range_live, matmul_runs_live, transpose_into, LiveUnits,
-    MadeMask, Matrix,
+    matmul_col_range_live, matmul_runs_acc, matmul_runs_live, transpose_into, LiveUnits, MadeMask,
+    Matrix,
 };
 
 /// A step's new hidden units are computed in runs widened outward to multiples of this
@@ -721,9 +721,10 @@ impl ResMade {
     ///    `< z_cols` of the carried layers — and gathers nothing when `parents` is the
     ///    identity;
     /// 2. adds columns `z_cols..col` onto the units of `z` of degree `>= z_cols` — a unit
-    ///    of lower degree hears none of them — ([`matmul_blocked_acc`], embedding
-    ///    `EMBED_COLUMNS` of them at a time; columns `>= col` meet structurally-zero
-    ///    weights on every path into column `col`) and takes `h₀ = relu(z + b)`;
+    ///    of lower degree hears none of them — in one call over all of those units' runs
+    ///    ([`matmul_runs_acc`], embedding `EMBED_COLUMNS` columns at a time; columns
+    ///    `>= col` meet structurally-zero weights on every path into column `col`) and
+    ///    takes `h₀ = relu(z + b)`;
     /// 3. layer by layer, computes only the units of degree in `z_cols..col` — one short
     ///    run per period, widened to `UNIT_ALIGN` — from the live inner units (degree
     ///    `< col`, [`ResMade::live_units`]) — every run in one walk over them — straight
@@ -751,15 +752,16 @@ impl ResMade {
     ///
     /// The step stays bit-identical to [`ResMade::conditional_probs_reference`]:
     ///
-    /// 1. every output element is an ascending-`p` chain of f32 adds from `+0.0`; the
-    ///    input layer's skips `a == 0.0`, as the reference's do, and storing it to `z`
-    ///    and resuming it later performs the same adds in the same order;
+    /// 1. every output element is an ascending-`p` chain of f32 adds from `+0.0`, and
+    ///    every kernel of a step adds every term it walks; storing the input layer's
+    ///    chain to `z` and resuming it later performs the same adds in the same order;
     /// 2. masked weights are exactly `0.0` and every weight is finite
-    ///    ([`ResMade::check_masked_weights`]), so a term with a masked weight — left out
-    ///    by a kernel, or added where the reference adds it — is `a · ±0.0`, and a term
-    ///    with a zero `a` — added by the block, context and head kernels, skipped by the
-    ///    reference — is `±0.0 · w`: a signed zero onto an accumulator that starts at
-    ///    `+0.0` and therefore is never `−0.0`, which changes no bit;
+    ///    ([`ResMade::check_masked_weights`], which every estimator core runs), so a term
+    ///    with a masked weight — left out by a kernel, or added where the reference adds
+    ///    it — is `a · ±0.0`, and a term with a zero `a` — added by every kernel of the
+    ///    step, skipped by the reference — is `±0.0 · w`: a signed zero onto an
+    ///    accumulator that starts at `+0.0` and therefore is never `−0.0`, which changes
+    ///    no bit;
     /// 3. so a unit of degree `k` gets the same bits from a walk over any superset of the
     ///    units of degree `<= k` below it, given the same bits there — the live set of any
     ///    step for a column `> k` is one.  By induction up the trunk, what a parent row
@@ -981,8 +983,8 @@ impl ResMade {
         let input_units = || LiveUnits::new(period, period).added_since(z_cols, h_dim, UNIT_ALIGN);
         // Test hook: every unit of `z` outside those runs is `−0.0` while they are added
         // (and restored after).  A kernel that walked such a unit would add `a · +0.0` — a
-        // masked weight — for each non-zero input `a`, and one positive `a` turns the
-        // `−0.0` into `+0.0`.
+        // masked weight — for every input `a`, and one positive `a` turns the `−0.0` into
+        // `+0.0`.
         #[cfg(test)]
         let kept = rows.poison.then(|| {
             let (outside, kept) = (outside(h_dim, input_units()), z.to_vec());
@@ -999,9 +1001,7 @@ impl ResMade {
             let cols = start..col.min(start + EMBED_COLUMNS);
             let x = &mut x[..rows * cols.len() * d];
             self.embed_columns(tokens, cols.clone(), x);
-            for run in input_units() {
-                matmul_blocked_acc(x, w_in, cols.start * d..cols.end * d, run, z);
-            }
+            matmul_runs_acc(x, w_in, cols.start * d..cols.end * d, input_units(), z);
         }
         #[cfg(test)]
         if let Some((outside, kept)) = kept {

@@ -6,10 +6,11 @@
 //!
 //! Every kernel here gives each output element **one chain of f32 additions in ascending
 //! inner index** from `+0.0` (or from `out`), whatever its register blocking.  The naive
-//! loops skip a zero left factor; a kernel either skips it too or adds it, and an added
-//! `±0.0 · w` with a finite `w` changes no bit, since such a chain is never `−0.0` under
-//! round-to-nearest.  So a blocked kernel is bit-equal to the naive loop it stands in for,
-//! and inference and training results do not depend on which one ran.
+//! loops and training's row kernels (`matmul_blocked`, `gemm_tn_acc`) skip a zero left
+//! factor; every live-unit product runs on one register tile (`units_tile`) that adds it,
+//! and an added `±0.0 · w` with a finite `w` changes no bit, since a chain from `+0.0` is
+//! never `−0.0` under round-to-nearest.  So a blocked kernel is bit-equal to the naive loop
+//! it stands in for, and inference and training results do not depend on which one ran.
 
 use std::ops::Range;
 
@@ -102,10 +103,11 @@ impl Matrix {
     /// varying batch sizes without ever re-allocating.
     ///
     /// **Contents are unspecified after a resize** (stale values may remain; only newly
-    /// grown capacity is zero).  Every kernel that writes into a resized buffer
-    /// (`matmul_blocked`, `gemm_nt`, `matmul_col_range`, embedding
-    /// lookups, row-wise softmax) overwrites it fully, which is what makes skipping the
-    /// memset safe — use [`Matrix::fill_zero`] first if zeroes are needed.
+    /// grown capacity is zero).  Every kernel that writes a whole resized buffer
+    /// (`matmul_blocked`, `gemm_nt`, the column slices of `matmul_col_range_live` and
+    /// `gemm_narrow`, embedding lookups, row-wise softmax) overwrites it fully, which is
+    /// what makes skipping the memset safe; the runs kernels write only their runs, and
+    /// `matmul_runs_acc` resumes them — use [`Matrix::fill_zero`] first if zeroes are needed.
     pub fn resize(&mut self, rows: usize, cols: usize) {
         self.rows = rows;
         self.cols = cols;
@@ -118,18 +120,13 @@ impl Matrix {
     }
 }
 
-/// `out = a (m×k) · b (k×n)`, overwriting `out` (m×n).
+/// `out = a (m×k) · b (k×n)`, overwriting `out` (m×n): the naive loop, skipping zero `a`
+/// entries, that every kernel here is pinned against.
 pub fn matmul(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!(out.rows, a.rows);
     assert_eq!(out.cols, b.cols);
     out.fill_zero();
-    matmul_accumulate(a, b, out);
-}
-
-/// `out += a (m×k) · b (k×n)`.
-pub fn matmul_accumulate(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     let (m, k, n) = (a.rows, a.cols, b.cols);
     for i in 0..m {
         let a_row = &a.data[i * k..(i + 1) * k];
@@ -320,99 +317,49 @@ pub fn matmul_blocked(a: &Matrix, b: &Matrix, out: &mut Matrix) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!(out.rows, a.rows);
     assert_eq!(out.cols, b.cols);
-    blocked_rows::<false>(a.cols, b.cols, 0..b.cols, &a.data, &b.data, &mut out.data);
+    blocked_rows(a.cols, b.cols, &a.data, &b.data, &mut out.data);
 }
 
-/// `out[:, units] += a · b[rows, units]`, with `a` holding `m` rows of `rows.len()` and
-/// `out` `m` rows as wide as `b` — [`matmul_blocked`] over the columns `units`, resuming
-/// each output element's accumulator from the value already in `out` instead of from zero.
-/// The other columns of `out` are left as they were.
-///
-/// The inference forward uses it to extend the input layer's pre-bias sums by the newly
-/// embedded columns only (`a` = the new column slab, `rows` = its input units), into the
-/// hidden units those columns reach.  Per element the products are still added one at a
-/// time in ascending-`p` order with zero `a` entries skipped, so summing rows `0..s` and
-/// then `s..k` through `out` performs exactly the f32 additions of one [`matmul_blocked`]
-/// over rows `0..k` (`accumulating_kernel_resumes_chains_bitwise` pins this).
-pub fn matmul_blocked_acc(
-    a: &[f32],
-    b: &Matrix,
-    rows: Range<usize>,
-    units: Range<usize>,
-    out: &mut [f32],
-) {
-    assert!(
-        rows.end <= b.rows,
-        "row slab out of bounds of the right operand"
-    );
-    assert!(units.end <= b.cols, "unit range out of bounds");
-    let (k, n) = (rows.len(), b.cols);
-    assert_eq!(
-        a.len() * n,
-        out.len() * k,
-        "a and out must hold the same rows"
-    );
-    blocked_rows::<true>(k, n, units, a, &b.data[rows.start * n..], out);
-}
-
-/// The register-blocked row kernel behind [`matmul_blocked`] (`ACC = false`: accumulators
-/// start at zero, `out` is overwritten) and [`matmul_blocked_acc`] (`ACC = true`: they
-/// start at `out`), over the output columns `cols` of every row: `a` holds rows of `k`,
-/// `out` rows of `n`, and `b` at least `k` rows of width `n`.
-fn blocked_rows<const ACC: bool>(
-    k: usize,
-    n: usize,
-    cols: Range<usize>,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-) {
+/// The register-blocked row kernel behind [`matmul_blocked`]: `a` holds rows of `k`, `out`
+/// rows of `n`, and `b` `k` rows of width `n`.
+fn blocked_rows(k: usize, n: usize, a: &[f32], b: &[f32], out: &mut [f32]) {
     if n == 0 {
         return;
     }
     for (i, out_row) in out.chunks_exact_mut(n).enumerate() {
         let a_row = &a[i * k..(i + 1) * k];
         // 32 output columns per block = 4–8 independent SIMD accumulator chains, enough to
-        // hide FMA latency; what is left of the range (a tied head's `domain % 32` logits)
+        // hide FMA latency; what is left of the row (a tied head's `domain % 32` logits)
         // goes in ever narrower blocks rather than one column at a time.
-        let mut j = cols.start;
-        while j + 32 <= cols.end {
-            row_block::<ACC, 32>(n, j, a_row, b, out_row);
+        let mut j = 0;
+        while j + 32 <= n {
+            row_block::<32>(n, j, a_row, b, out_row);
             j += 32;
         }
-        if j + 16 <= cols.end {
-            row_block::<ACC, 16>(n, j, a_row, b, out_row);
+        if j + 16 <= n {
+            row_block::<16>(n, j, a_row, b, out_row);
             j += 16;
         }
-        if j + 8 <= cols.end {
-            row_block::<ACC, 8>(n, j, a_row, b, out_row);
+        if j + 8 <= n {
+            row_block::<8>(n, j, a_row, b, out_row);
             j += 8;
         }
-        if j + 4 <= cols.end {
-            row_block::<ACC, 4>(n, j, a_row, b, out_row);
+        if j + 4 <= n {
+            row_block::<4>(n, j, a_row, b, out_row);
             j += 4;
         }
-        while j < cols.end {
-            row_block::<ACC, 1>(n, j, a_row, b, out_row);
+        while j < n {
+            row_block::<1>(n, j, a_row, b, out_row);
             j += 1;
         }
     }
 }
 
 /// Output columns `j..j + NR` of one row of [`blocked_rows`]: each column its own
-/// ascending-`p` chain.
+/// ascending-`p` chain from `+0.0`, skipping zero `a` entries.
 #[inline(always)]
-fn row_block<const ACC: bool, const NR: usize>(
-    n: usize,
-    j: usize,
-    a_row: &[f32],
-    b: &[f32],
-    out_row: &mut [f32],
-) {
+fn row_block<const NR: usize>(n: usize, j: usize, a_row: &[f32], b: &[f32], out_row: &mut [f32]) {
     let mut acc = [0.0f32; NR];
-    if ACC {
-        acc.copy_from_slice(&out_row[j..j + NR]);
-    }
     for (p, &a_ip) in a_row.iter().enumerate() {
         if a_ip == 0.0 {
             continue;
@@ -436,8 +383,8 @@ fn row_block<const ACC: bool, const NR: usize>(
 /// finite), so the slice is bit-for-bit the one the full product would yield.
 ///
 /// The slice is narrow (`d_emb` columns), so one row offers too few independent chains
-/// to hide the add latency: the kernel tiles four `a` rows by up to 16 columns and keeps
-/// every accumulator in registers.
+/// to hide the add latency: the kernel cuts the slice into single-atom register tiles of
+/// 16, 12 (one tile for a `d_emb` of 12), 8, 4 and 1 columns by four `a` rows.
 pub fn matmul_col_range(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut Matrix) {
     assert_eq!(a.cols, b.rows, "inner dimensions must agree");
     assert_eq!((out.rows, out.cols), (a.rows, hi.saturating_sub(lo)));
@@ -457,144 +404,7 @@ pub fn matmul_col_range_live(
     out: &mut [f32],
 ) {
     assert!(lo <= hi && hi <= b.cols, "column slice out of bounds");
-    let (k, w) = (b.rows, hi - lo);
-    assert_eq!(
-        a.len() * w,
-        out.len() * k,
-        "a and out must hold the same rows"
-    );
-    if let Some(m) = out.len().checked_div(w) {
-        col_range_all_rows::<4>(m, k, b.cols, lo, w, a, &b.data, live, out, w);
-    }
-}
-
-/// Output columns per atom of [`matmul_runs_live`]: one SIMD register of `f32`.
-const ATOM: usize = 4;
-
-/// Atoms per register tile of [`matmul_runs_live`].
-const TILE_ATOMS: usize = 4;
-
-/// `out[:, u] = a · b[:, u]` for every unit `u` of the ascending, disjoint `runs`, over
-/// the `live` inner units only, written straight into an `out` as wide as `b`; every other
-/// column of `out` is left as it was and `a` outside the live set is never read.  The
-/// incremental trunk computes a step's new hidden units with it — all of the step's runs,
-/// one per degree period — into the layer matrix it carries.
-///
-/// The runs are cut into atoms of four columns (a run's last atom may be narrower), and
-/// each register tile holds two rows × four atoms, so the tile's one walk over the live
-/// units serves four period copies at once; the 1–3 atoms left over share one narrower
-/// tile.  Per element the chain is every live `p` in
-/// ascending order from `+0.0`, zero `a` entries included: bit-equal to [`matmul`]'s,
-/// which skips them, while `b` is finite and zero wherever the live set leaves out a unit
-/// the full product would add (`runs_kernel_matches_naive_matmul_bitwise`).
-pub fn matmul_runs_live(
-    a: &[f32],
-    b: &Matrix,
-    runs: impl IntoIterator<Item = Range<usize>>,
-    live: LiveUnits,
-    out: &mut [f32],
-) {
-    let (k, n) = (b.rows, b.cols);
-    assert_eq!(
-        a.len() * n,
-        out.len() * k,
-        "a and out must hold the same rows"
-    );
-    let Some(m) = out.len().checked_div(n) else {
-        return;
-    };
-    let atoms = runs.into_iter().flat_map(|run| {
-        assert!(run.end <= n, "unit run out of bounds");
-        run.clone()
-            .step_by(ATOM)
-            .map(move |start| (start, (run.end - start).min(ATOM)))
-    });
-    // Full atoms in tiles of `TILE_ATOMS`; a narrower atom (a run cut short by the width
-    // of `b`) goes column by column.
-    let mut tile = [0; TILE_ATOMS];
-    let mut filled = 0;
-    for (start, width) in atoms {
-        if width < ATOM {
-            for col in start..start + width {
-                units_all_rows::<1, 1>(m, k, n, [col], a, &b.data, live, out);
-            }
-            continue;
-        }
-        tile[filled] = start;
-        filled += 1;
-        if filled == TILE_ATOMS {
-            units_all_rows::<TILE_ATOMS, ATOM>(m, k, n, tile, a, &b.data, live, out);
-            filled = 0;
-        }
-    }
-    // The atoms left over still share one walk, in a tile as wide as they are.
-    match tile[..filled] {
-        [] => {}
-        [o] => units_all_rows::<1, ATOM>(m, k, n, [o], a, &b.data, live, out),
-        [o, p] => units_all_rows::<2, ATOM>(m, k, n, [o, p], a, &b.data, live, out),
-        [o, p, q] => units_all_rows::<3, ATOM>(m, k, n, [o, p, q], a, &b.data, live, out),
-        _ => unreachable!("a full tile is computed as it fills"),
-    }
-}
-
-/// Every row of [`matmul_runs_live`] for the `A` atoms of width `W` that start at
-/// `atoms`, two rows at a time.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a register-tile kernel takes its shape, operands and strides unbundled"
-)]
-fn units_all_rows<const A: usize, const W: usize>(
-    m: usize,
-    k: usize,
-    n: usize,
-    atoms: [usize; A],
-    a: &[f32],
-    b: &[f32],
-    live: LiveUnits,
-    out: &mut [f32],
-) {
-    let mut i = 0;
-    while i + 2 <= m {
-        units_tile::<2, A, W>(k, n, atoms, &a[i * k..], b, live, &mut out[i * n..]);
-        i += 2;
-    }
-    if i < m {
-        units_tile::<1, A, W>(k, n, atoms, &a[i * k..], b, live, &mut out[i * n..]);
-    }
-}
-
-/// One `R`-row tile of [`matmul_runs_live`]: `out[r][o..o + W] = Σ_p a[r][p] ·
-/// b[p][o..o + W]` over the live `p`, for each atom start `o`, with `a` rows `k` and `b` and
-/// `out` rows `n` apart.  No branch on the value of `a`: every live term is added.
-fn units_tile<const R: usize, const A: usize, const W: usize>(
-    k: usize,
-    n: usize,
-    atoms: [usize; A],
-    a: &[f32],
-    b: &[f32],
-    live: LiveUnits,
-    out: &mut [f32],
-) {
-    assert!(atoms.iter().all(|&o| o + W <= n), "atom out of bounds");
-    let mut acc = [[[0.0f32; W]; A]; R];
-    for run in live.runs(k) {
-        let a_run: [&[f32]; R] = std::array::from_fn(|r| &a[r * k + run.start..r * k + run.end]);
-        for (i, b_row) in b[run.start * n..run.end * n].chunks_exact(n).enumerate() {
-            for (acc_r, a_r) in acc.iter_mut().zip(a_run) {
-                let a_rp = a_r[i];
-                for (acc_atom, &o) in acc_r.iter_mut().zip(&atoms) {
-                    for (c, &b_pj) in acc_atom.iter_mut().zip(&b_row[o..o + W]) {
-                        *c += a_rp * b_pj;
-                    }
-                }
-            }
-        }
-    }
-    for (r, acc_r) in acc.iter().enumerate() {
-        for (acc_atom, &o) in acc_r.iter().zip(&atoms) {
-            out[r * n + o..r * n + o + W].copy_from_slice(acc_atom);
-        }
-    }
+    col_range_tiles::<4>(b.rows, b.cols, lo..hi, a, &b.data, live, out);
 }
 
 /// Slice-level `out (m×n) = a (m×k) · b (k×n)` for a **narrow** `n` (a few registers
@@ -611,110 +421,238 @@ pub fn gemm_narrow(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], out: &mut
     assert!(out.len() >= m * n, "out too short for m×n");
     // Two rows at a time: `k` is long here (a domain), and a `2 × 12` tile keeps every
     // accumulator and a whole row of `b` in registers.
-    col_range_all_rows::<2>(m, k, n, 0, n, a, b, LiveUnits::ALL, out, n);
+    let (a, out) = (&a[..m * k], &mut out[..m * n]);
+    col_range_tiles::<2>(k, n, 0..n, a, b, LiveUnits::ALL, out);
 }
 
-/// Every row of [`matmul_col_range_live`], `R` at a time: `out (m×w) = a (m×k) ·
-/// b[.., lo..lo + w]` with `b` rows `bn` apart and `out` rows `os` apart.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a register-tile kernel takes its shape, operands and strides unbundled"
-)]
-fn col_range_all_rows<const R: usize>(
-    m: usize,
+/// Every row of the column slice `out = a · b[.., cols]`, with `a` rows `k` and `b` rows `n`
+/// apart: the slice cut into single-atom tiles of 16, 12, 8, 4 and 1 columns, each over the
+/// rows `R` at a time.
+fn col_range_tiles<const R: usize>(
     k: usize,
-    bn: usize,
-    lo: usize,
-    w: usize,
+    n: usize,
+    cols: Range<usize>,
     a: &[f32],
     b: &[f32],
     live: LiveUnits,
     out: &mut [f32],
-    os: usize,
 ) {
-    let mut i = 0;
-    while i + R <= m {
-        col_range_rows::<R>(k, bn, lo, w, &a[i * k..], b, live, &mut out[i * os..], os);
-        i += R;
-    }
-    while i < m {
-        col_range_rows::<1>(k, bn, lo, w, &a[i * k..], b, live, &mut out[i * os..], os);
-        i += 1;
-    }
-}
-
-/// `R` rows of [`matmul_col_range_live`]: walks the `w` output columns in register tiles
-/// of 16, 12 (one tile for a `d_emb` of 12), 8, 4 and 1.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a register-tile kernel takes its shape, operands and strides unbundled"
-)]
-fn col_range_rows<const R: usize>(
-    k: usize,
-    bn: usize,
-    lo: usize,
-    w: usize,
-    a: &[f32],
-    b: &[f32],
-    live: LiveUnits,
-    out: &mut [f32],
-    os: usize,
-) {
+    let (lo, w) = (cols.start, cols.len());
     let mut j = 0;
     while j + 16 <= w {
-        col_range_tile::<R, 16>(k, bn, lo + j, a, b, live, &mut out[j..], os);
+        units_all_rows::<false, R, 1, 16>(k, n, [lo + j], a, b, live, out, w, lo);
         j += 16;
     }
     if j + 12 <= w {
-        col_range_tile::<R, 12>(k, bn, lo + j, a, b, live, &mut out[j..], os);
+        units_all_rows::<false, R, 1, 12>(k, n, [lo + j], a, b, live, out, w, lo);
         j += 12;
     }
     if j + 8 <= w {
-        col_range_tile::<R, 8>(k, bn, lo + j, a, b, live, &mut out[j..], os);
+        units_all_rows::<false, R, 1, 8>(k, n, [lo + j], a, b, live, out, w, lo);
         j += 8;
     }
     if j + 4 <= w {
-        col_range_tile::<R, 4>(k, bn, lo + j, a, b, live, &mut out[j..], os);
+        units_all_rows::<false, R, 1, 4>(k, n, [lo + j], a, b, live, out, w, lo);
         j += 4;
     }
     while j < w {
-        col_range_tile::<R, 1>(k, bn, lo + j, a, b, live, &mut out[j..], os);
+        units_all_rows::<false, R, 1, 1>(k, n, [lo + j], a, b, live, out, w, lo);
         j += 1;
     }
 }
 
-/// One `R × W` register tile: `out[r][..W] = Σ_p a[r][p] · b[p][col..col + W]` over the
-/// live `p`, with `out` rows `os` apart.  Each element is its own ascending-`p` chain from
-/// `+0.0`, with no branch on the value of `a`: every live term is added.
+/// Output columns per atom of the runs kernels: one SIMD register of `f32`.
+const ATOM: usize = 4;
+
+/// Atoms per register tile of the runs kernels.
+const TILE_ATOMS: usize = 4;
+
+/// `out[:, u] = a · b[:, u]` for every unit `u` of the ascending, disjoint `runs`, over
+/// the `live` inner units only, written straight into an `out` as wide as `b`; every other
+/// column of `out` is left as it was and `a` outside the live set is never read.  The
+/// incremental trunk computes a step's new hidden units with it — all of the step's runs,
+/// one per degree period — into the layer matrix it carries.
+///
+/// Per element the chain is every live `p` in ascending order from `+0.0`, zero `a`
+/// entries included: bit-equal to [`matmul`]'s, which skips them, while `b` is finite and
+/// zero wherever the live set leaves out a unit the full product would add
+/// (`runs_kernel_matches_naive_matmul_bitwise`).
+pub fn matmul_runs_live(
+    a: &[f32],
+    b: &Matrix,
+    runs: impl IntoIterator<Item = Range<usize>>,
+    live: LiveUnits,
+    out: &mut [f32],
+) {
+    runs_tiles::<false>(b.rows, b.cols, a, &b.data, runs, live, out);
+}
+
+/// `out[:, u] += a · b[rows, u]` for every unit `u` of the ascending, disjoint `runs`, with
+/// `a` holding rows of `rows.len()` and `out` rows as wide as `b`: [`matmul_runs_live`]
+/// over the row slab `rows` of `b`, at every inner unit, resuming each element's chain from
+/// the value already in `out` instead of from `+0.0`.  Every other column of `out` is left
+/// as it was.
+///
+/// The inference forward extends the input layer's pre-bias sums with it by the newly
+/// embedded columns only (`a` = the new column slab, `rows` = its input units), into every
+/// hidden unit those columns reach, in one call.  A chain stored to `out` after the terms
+/// of rows `0..s` and resumed over `s..k` performs exactly the adds of one chain over
+/// `0..k` (`accumulating_kernel_resumes_chains_bitwise`).
+pub fn matmul_runs_acc(
+    a: &[f32],
+    b: &Matrix,
+    rows: Range<usize>,
+    runs: impl IntoIterator<Item = Range<usize>>,
+    out: &mut [f32],
+) {
+    assert!(
+        rows.start <= rows.end && rows.end <= b.rows,
+        "row slab out of bounds of the right operand"
+    );
+    let n = b.cols;
+    let slab = &b.data[rows.start * n..rows.end * n];
+    runs_tiles::<true>(rows.len(), n, a, slab, runs, LiveUnits::ALL, out);
+}
+
+/// The runs kernels over a `b` of `k` rows `n` wide, from `+0.0` or (`ACC`) from `out`.
+///
+/// The runs are cut into atoms of four columns (a run's last atom may be narrower), and
+/// each register tile holds two rows × four atoms, so the tile's one walk over the live
+/// units serves four period copies at once; the 1–3 atoms left over share one narrower
+/// tile.
+fn runs_tiles<const ACC: bool>(
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    runs: impl IntoIterator<Item = Range<usize>>,
+    live: LiveUnits,
+    out: &mut [f32],
+) {
+    let atoms = runs.into_iter().flat_map(|run| {
+        assert!(run.end <= n, "unit run out of bounds");
+        run.clone()
+            .step_by(ATOM)
+            .map(move |start| (start, (run.end - start).min(ATOM)))
+    });
+    // Full atoms in tiles of `TILE_ATOMS`; a narrower atom (a run cut short by the width
+    // of `b`) goes column by column.
+    let mut tile = [0; TILE_ATOMS];
+    let mut filled = 0;
+    for (start, width) in atoms {
+        if width < ATOM {
+            for col in start..start + width {
+                units_all_rows::<ACC, 2, 1, 1>(k, n, [col], a, b, live, out, n, 0);
+            }
+            continue;
+        }
+        tile[filled] = start;
+        filled += 1;
+        if filled == TILE_ATOMS {
+            units_all_rows::<ACC, 2, TILE_ATOMS, ATOM>(k, n, tile, a, b, live, out, n, 0);
+            filled = 0;
+        }
+    }
+    // The atoms left over still share one walk, in a tile as wide as they are.
+    match tile[..filled] {
+        [] => {}
+        [o] => units_all_rows::<ACC, 2, 1, ATOM>(k, n, [o], a, b, live, out, n, 0),
+        [o, p] => units_all_rows::<ACC, 2, 2, ATOM>(k, n, [o, p], a, b, live, out, n, 0),
+        [o, p, q] => {
+            units_all_rows::<ACC, 2, 3, ATOM>(k, n, [o, p, q], a, b, live, out, n, 0);
+        }
+        _ => unreachable!("a full tile is computed as it fills"),
+    }
+}
+
+/// Every row of a live-unit product on the `A` atoms of width `W` that start at `atoms`,
+/// `R` rows at a time and the rows left over one by one: `a` rows `k` apart, `b` rows `n`
+/// apart, `out` rows `os` apart with atom `o` at its column `o − lo` (`os > 0`).
 #[expect(
     clippy::too_many_arguments,
     reason = "a register-tile kernel takes its shape, operands and strides unbundled"
 )]
-fn col_range_tile<const R: usize, const W: usize>(
+fn units_all_rows<const ACC: bool, const R: usize, const A: usize, const W: usize>(
     k: usize,
-    bn: usize,
-    col: usize,
+    n: usize,
+    atoms: [usize; A],
     a: &[f32],
     b: &[f32],
     live: LiveUnits,
     out: &mut [f32],
     os: usize,
+    lo: usize,
 ) {
-    assert!(col + W <= bn, "tile out of bounds");
-    let mut acc = [[0.0f32; W]; R];
+    assert_eq!(
+        a.len() * os,
+        out.len() * k,
+        "a and out must hold the same rows"
+    );
+    let m = out.len() / os;
+    let mut i = 0;
+    while i + R <= m {
+        let out = &mut out[i * os..];
+        units_tile::<ACC, R, A, W>(k, n, atoms, &a[i * k..], b, live, out, os, lo);
+        i += R;
+    }
+    while i < m {
+        let out = &mut out[i * os..];
+        units_tile::<ACC, 1, A, W>(k, n, atoms, &a[i * k..], b, live, out, os, lo);
+        i += 1;
+    }
+}
+
+/// The one register tile behind every live-unit product: `out[r][o − lo..][..W] = Σ_p
+/// a[r][p] · b[p][o..o + W]` over the live `p`, for each of the `R` rows and each atom
+/// start `o`, with `a` rows `k`, `b` rows `n` and `out` rows `os` apart.  Each element is
+/// its own ascending-`p` chain from `+0.0` or, with `ACC`, from `out`.  No branch on the
+/// value of `a`: every live term is added.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a register-tile kernel takes its shape, operands and strides unbundled"
+)]
+fn units_tile<const ACC: bool, const R: usize, const A: usize, const W: usize>(
+    k: usize,
+    n: usize,
+    atoms: [usize; A],
+    a: &[f32],
+    b: &[f32],
+    live: LiveUnits,
+    out: &mut [f32],
+    os: usize,
+    lo: usize,
+) {
+    assert!(
+        atoms.iter().all(|&o| lo <= o && o + W <= n),
+        "atom out of bounds"
+    );
+    let mut acc = [[[0.0f32; W]; A]; R];
+    if ACC {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            for (acc_atom, &o) in acc_r.iter_mut().zip(&atoms) {
+                let at = r * os + o - lo;
+                acc_atom.copy_from_slice(&out[at..at + W]);
+            }
+        }
+    }
     for run in live.runs(k) {
         let a_run: [&[f32]; R] = std::array::from_fn(|r| &a[r * k + run.start..r * k + run.end]);
-        for (i, b_row) in b[run.start * bn..run.end * bn].chunks_exact(bn).enumerate() {
+        for (i, b_row) in b[run.start * n..run.end * n].chunks_exact(n).enumerate() {
             for (acc_r, a_r) in acc.iter_mut().zip(a_run) {
                 let a_rp = a_r[i];
-                for (c, &b_pj) in acc_r.iter_mut().zip(&b_row[col..col + W]) {
-                    *c += a_rp * b_pj;
+                for (acc_atom, &o) in acc_r.iter_mut().zip(&atoms) {
+                    for (c, &b_pj) in acc_atom.iter_mut().zip(&b_row[o..o + W]) {
+                        *c += a_rp * b_pj;
+                    }
                 }
             }
         }
     }
     for (r, acc_r) in acc.iter().enumerate() {
-        out[r * os..r * os + W].copy_from_slice(acc_r);
+        for (acc_atom, &o) in acc_r.iter().zip(&atoms) {
+            let at = r * os + o - lo;
+            out[at..at + W].copy_from_slice(acc_atom);
+        }
     }
 }
 
@@ -999,6 +937,15 @@ mod tests {
         Matrix::from_vec(rows, cols, data)
     }
 
+    /// `+0.0` or `−0.0`, evenly.
+    fn signed_zero(seed: &mut u64) -> f32 {
+        if lcg(seed) >> 63 == 0 {
+            0.0
+        } else {
+            -0.0
+        }
+    }
+
     /// [`lcg_matrix`] with ≈ 40 % of the entries an exact zero — the share of a ReLU
     /// activation the zero-skip branches of the training kernels meet.
     fn lcg_matrix_sparse(rows: usize, cols: usize, seed: &mut u64) -> Matrix {
@@ -1038,9 +985,9 @@ mod tests {
         let mut out = Matrix::zeros(2, 2);
         matmul(&a, &b, &mut out);
         assert!(approx_eq(out.data(), &[19., 22., 43., 50.]));
-        // Accumulate doubles it.
-        matmul_accumulate(&a, &b, &mut out);
-        assert!(approx_eq(out.data(), &[38., 44., 86., 100.]));
+        // A second product overwrites the first.
+        matmul(&a, &b, &mut out);
+        assert!(approx_eq(out.data(), &[19., 22., 43., 50.]));
     }
 
     #[test]
@@ -1270,10 +1217,14 @@ mod tests {
 
     #[test]
     fn accumulating_kernel_resumes_chains_bitwise() {
-        // Point (1) of the prefix-accumulator bit-identity argument: an ascending-p chain
-        // stored to `out` after `s` terms and resumed is the chain of one full product —
-        // over all columns, and over a column range that leaves every other column alone.
+        // Point (1) of the prefix-accumulator bit-identity argument: a chain from `+0.0`
+        // that adds every term, stored to `out` after `s` terms and resumed, is the naive
+        // zero-skipping chain of one full product — over all columns, over a column range,
+        // and over ragged period runs (`n` 33 under a period of 10: three runs of 7 or of 5
+        // units, each a whole atom and a narrower one), with signed zeros in `a` and `−0.0`
+        // among the weights.  Every column outside the runs is left alone.
         const UNTOUCHED: f32 = 7.5;
+        const PERIOD: usize = 10;
         let mut seed = 0xACC_u64;
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
@@ -1281,30 +1232,59 @@ mod tests {
             (5, 36, 97),
             (4, 24, 32),
             (2, 180, 33),
+            (9, 20, 33),
+            (7, 33, 33),
         ] {
-            let a = lcg_matrix(m, k, &mut seed);
-            let b = lcg_matrix(k, n, &mut seed);
+            let mut a = lcg_matrix(m, k, &mut seed);
+            for v in a.data_mut() {
+                if (lcg(&mut seed) >> 33) % 20 < 11 {
+                    *v = signed_zero(&mut seed);
+                }
+            }
+            let mut b = lcg_matrix(k, n, &mut seed);
+            for v in b.data_mut().iter_mut().filter(|v| **v == 0.0) {
+                *v = -0.0;
+            }
             let mut whole = Matrix::zeros(m, n);
-            matmul_blocked(&a, &b, &mut whole);
+            matmul(&a, &b, &mut whole);
+            let period_runs = |before: usize, align: usize| -> Vec<Range<usize>> {
+                let p = PERIOD.min(n);
+                LiveUnits::new(p, p)
+                    .added_since(before.min(p), n, align)
+                    .collect()
+            };
+            let one = |run: Range<usize>| std::iter::once(run).collect();
+            let layouts: [Vec<Range<usize>>; 6] = [
+                one(0..n),
+                one(n / 4..n),
+                one(1.min(n)..(n / 2 + 5).min(n)),
+                period_runs(3, 1),
+                period_runs(5, 1),
+                period_runs(2, 4),
+            ];
             for s in [0, k / 3, k] {
                 let slab = |lo: usize, hi: usize| {
                     let data = (0..m).flat_map(|i| a.row(i)[lo..hi].to_vec()).collect();
                     Matrix::from_vec(m, hi - lo, data)
                 };
-                for units in [0..n, n / 4..n, 1.min(n)..(n / 2 + 5).min(n)] {
-                    let what = format!("acc {m}x{k}x{n} split {s} units {units:?}");
+                let (first, second) = (slab(0, s), slab(s, k));
+                for runs in &layouts {
+                    let what = format!("acc {m}x{k}x{n} split {s} runs {runs:?}");
+                    let in_runs = |j: usize| runs.iter().any(|run| run.contains(&j));
                     let mut out = Matrix::zeros(m, n);
                     for i in 0..m {
-                        out.row_mut(i)[..units.start].fill(UNTOUCHED);
-                        out.row_mut(i)[units.end..].fill(UNTOUCHED);
+                        for (j, v) in out.row_mut(i).iter_mut().enumerate() {
+                            if !in_runs(j) {
+                                *v = UNTOUCHED;
+                            }
+                        }
                     }
-                    let (first, second) = (slab(0, s), slab(s, k));
-                    matmul_blocked_acc(first.data(), &b, 0..s, units.clone(), out.data_mut());
-                    matmul_blocked_acc(second.data(), &b, s..k, units.clone(), out.data_mut());
+                    matmul_runs_acc(first.data(), &b, 0..s, runs.clone(), out.data_mut());
+                    matmul_runs_acc(second.data(), &b, s..k, runs.clone(), out.data_mut());
                     for i in 0..m {
                         for j in 0..n {
                             let (got, want) = (out.get(i, j), whole.get(i, j));
-                            if units.contains(&j) {
+                            if in_runs(j) {
                                 assert_eq!(got.to_bits(), want.to_bits(), "{what} ({i}, {j})");
                             } else {
                                 assert_eq!(got, UNTOUCHED, "{what} ({i}, {j})");
@@ -1317,18 +1297,43 @@ mod tests {
     }
 
     /// The restricted kernels against their own dense instantiation, bit for bit, on
-    /// MADE-masked weights, for every column of every `(d_hidden, period)` layout: the
-    /// restricted call gets an `a` whose every entry outside the live set is NaN, so one
-    /// read of a dead unit shows up in a result.  The unit kernel runs over all the runs a
-    /// step for the column computes (its units new since an earlier column, widened) in one
-    /// call, against its dense instantiation over the same runs — the same register tiles —
-    /// and must leave every other column of `out` as it was.
+    /// MADE-masked weights, for every column of every `(d_hidden, period)` layout and 1–9
+    /// rows: the restricted call gets an `a` whose every entry outside the live set is NaN,
+    /// so one read of a dead unit shows up in a result.  The unit kernel runs over all the
+    /// runs a step for the column computes (its units new since an earlier column, widened)
+    /// in one call, against its dense instantiation over the same runs — the same register
+    /// tiles — and must leave every other column of `out` as it was.  The column slice runs
+    /// at every width 1–33 (each tile width and leftover) from an `lo > 0`, against the
+    /// naive zero-skipping [`matmul`] over the activations with the dead units zeroed, on a
+    /// right operand that is NaN outside the slice.
     #[test]
     fn live_kernels_match_dense_bitwise_and_never_read_dead_units() {
         const UNTOUCHED: f32 = 7.5;
         const D_EMB: usize = 13; // one 8-, one 4- and one 1-wide tile of the column slice
+        const WIDTHS: std::ops::RangeInclusive<usize> = 1..=33;
+        // The slice of width `w` starts at column `1 + w % 4`: never 0, and at every
+        // offset from a 4-column boundary.
+        let slice = |w: usize| (1 + w % 4)..(1 + w % 4 + w);
         let mut seed = 0x11FE_u64;
         for (d_hidden, period) in [(96usize, 60usize), (96, 26), (40, 7), (33, 50), (8, 1)] {
+            let mut wide = lcg_matrix(d_hidden, 4 + *WIDTHS.end(), &mut seed);
+            for v in wide.data_mut().iter_mut().filter(|v| **v == 0.0) {
+                *v = signed_zero(&mut seed);
+            }
+            // Per width, the weights with every column outside its slice NaN.
+            let fenced: Vec<Matrix> = WIDTHS
+                .map(|w| {
+                    let mut b = wide.clone();
+                    for h in 0..d_hidden {
+                        for (o, v) in b.row_mut(h).iter_mut().enumerate() {
+                            if !slice(w).contains(&o) {
+                                *v = f32::NAN;
+                            }
+                        }
+                    }
+                    b
+                })
+                .collect();
             let columns = period + 1;
             let mut hidden = lcg_matrix(d_hidden, d_hidden, &mut seed);
             let mut output = lcg_matrix(d_hidden, columns * D_EMB, &mut seed);
@@ -1347,17 +1352,16 @@ mod tests {
                     output.row_mut(h)[run].fill(0.0);
                 }
             }
-            for rows in [1usize, 3, 4, 9] {
+            for rows in 1usize..=9 {
                 let a = lcg_matrix(rows, d_hidden, &mut seed);
                 for col in 0..columns {
                     let what = format!("d_hidden {d_hidden} period {period} rows {rows} col {col}");
                     let live = LiveUnits::new(period, col);
-                    let mut poisoned = a.clone();
+                    let (mut poisoned, mut zeroed) = (a.clone(), a.clone());
                     for r in 0..rows {
-                        for (u, v) in poisoned.row_mut(r).iter_mut().enumerate() {
-                            if !live.contains(u) {
-                                *v = f32::NAN;
-                            }
+                        for u in (0..d_hidden).filter(|&u| !live.contains(u)) {
+                            poisoned.row_mut(r)[u] = f32::NAN;
+                            zeroed.row_mut(r)[u] = 0.0;
                         }
                     }
                     for (before, align) in [(col.saturating_sub(1), 1), (col / 2, 4), (0, 8)] {
@@ -1410,6 +1414,31 @@ mod tests {
                     for (i, (x, y)) in dense_ctx.data().iter().zip(ctx.data()).enumerate() {
                         assert_eq!(x.to_bits(), y.to_bits(), "{what}: context element {i}");
                     }
+
+                    let mut naive = Matrix::zeros(rows, wide.cols());
+                    matmul(&zeroed, &wide, &mut naive);
+                    for (w, b) in WIDTHS.zip(&fenced) {
+                        let cols = slice(w);
+                        let mut got = Matrix::zeros(rows, w);
+                        got.data_mut().fill(f32::NAN); // must be overwritten
+                        matmul_col_range_live(
+                            poisoned.data(),
+                            b,
+                            cols.start,
+                            cols.end,
+                            live,
+                            got.data_mut(),
+                        );
+                        for r in 0..rows {
+                            for (j, o) in cols.clone().enumerate() {
+                                assert_eq!(
+                                    got.get(r, j).to_bits(),
+                                    naive.get(r, o).to_bits(),
+                                    "{what}: slice {cols:?} at ({r}, {o})"
+                                );
+                            }
+                        }
+                    }
                 }
             }
         }
@@ -1427,13 +1456,6 @@ mod tests {
     fn runs_kernel_matches_naive_matmul_bitwise() {
         const UNTOUCHED: f32 = 7.5;
         let mut seed = 0x2E20_u64;
-        let signed_zero = |seed: &mut u64| {
-            if lcg(seed) >> 63 == 0 {
-                0.0
-            } else {
-                -0.0
-            }
-        };
         for (d_hidden, period) in [(33usize, 50usize), (96, 26), (96, 60), (40, 7), (8, 1)] {
             let mut hidden = lcg_matrix(d_hidden, d_hidden, &mut seed);
             let rule = MadeMask::Hidden { period };
@@ -1663,7 +1685,7 @@ mod tests {
         let a = Matrix::zeros(1, 3);
         let b = Matrix::zeros(4, 2);
         let mut out = Matrix::zeros(1, 2);
-        matmul_blocked_acc(a.data(), &b, 2..5, 0..2, out.data_mut());
+        matmul_runs_acc(a.data(), &b, 2..5, std::iter::once(0..2), out.data_mut());
     }
 
     #[test]

@@ -31,8 +31,6 @@ const IDLE_POLL: Duration = Duration::from_millis(25);
 pub(crate) struct Executor {
     pub(crate) registry: Arc<ModelRegistry>,
     pub(crate) scratch_pool: ScratchPool,
-    /// Sample budget for requests that carry none (`None`: the model's own default).
-    pub(crate) default_samples: Option<usize>,
     /// Arms `worker.panic` / `worker.delay`.
     pub(crate) faults: FaultInjector,
     /// Jobs admitted to the queue and not yet picked up by a worker.
@@ -43,13 +41,11 @@ pub(crate) struct Executor {
 }
 
 impl Executor {
-    /// An executor for `workers` threads (one pooled scratch each) with no default
-    /// budget and no faults armed.
+    /// An executor for `workers` threads (one pooled scratch each) with no faults armed.
     pub(crate) fn new(registry: Arc<ModelRegistry>, workers: usize) -> Self {
         Executor {
             registry,
             scratch_pool: ScratchPool::new(workers),
-            default_samples: None,
             faults: FaultInjector::disabled(),
             queue_depth: AtomicUsize::new(0),
             stop: AtomicBool::new(false),
@@ -57,10 +53,7 @@ impl Executor {
     }
 
     /// Answers `request` on the calling worker.
-    pub(crate) fn execute(&self, mut request: ServeRequest) -> Result<ServeReply, ServeError> {
-        if request.samples.is_none() {
-            request.samples = self.default_samples;
-        }
+    pub(crate) fn execute(&self, request: ServeRequest) -> Result<ServeReply, ServeError> {
         // A panicking model must not take the worker (and with it the whole server)
         // down: catch the unwind, reply with a typed Internal error, and *discard* the
         // scratch that was live during the panic — its state is suspect, and the pool

@@ -32,9 +32,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Capacity of the bounded request queue (clients block when it is full).
     pub queue_depth: usize,
-    /// Sample budget applied when a request carries none; `None` defers to the selected
-    /// model's own default.
-    pub default_samples: Option<usize>,
 }
 
 impl Default for ServiceConfig {
@@ -44,7 +41,6 @@ impl Default for ServiceConfig {
                 .map(|n| n.get())
                 .unwrap_or(1),
             queue_depth: 64,
-            default_samples: None,
         }
     }
 }
@@ -149,8 +145,7 @@ impl RegistryService {
     /// service runs — routing is per request).
     pub fn new(registry: Arc<ModelRegistry>, config: ServiceConfig) -> Self {
         let workers = config.workers.max(1);
-        let mut executor = Executor::new(registry, workers);
-        executor.default_samples = config.default_samples;
+        let executor = Executor::new(registry, workers);
         let latencies = Arc::new(Mutex::new(
             "service.latencies",
             LatencyLog::new(LATENCY_WINDOW),
@@ -283,7 +278,6 @@ mod tests {
                 ServiceConfig {
                     workers,
                     queue_depth: 2,
-                    default_samples: None,
                 },
             );
             // 3 client threads hammer the service with interleaved repetitions.
@@ -355,7 +349,6 @@ mod tests {
             ServiceConfig {
                 workers: 2,
                 queue_depth: 1,
-                default_samples: Some(16),
             },
         );
         let queries = workload();
@@ -365,7 +358,8 @@ mod tests {
                 let (queries, selector) = (&queries, &selector);
                 scope.spawn(move || {
                     for q in queries {
-                        handle.estimate(selector, q).unwrap();
+                        let request = ServeRequest::new(selector.clone(), q.clone());
+                        handle.request(request.with_samples(16)).unwrap();
                     }
                 });
             }
